@@ -279,6 +279,9 @@ def perm_from_inversions(s: RootSet, n: int) -> Optional[Perm]:
 
 
 def _word_from_inversion_mask(mask: int, n: int) -> Optional[tuple[int, ...]]:
+    """The one-line word of the permutation whose inversion set is the given
+    difference-root bitmask, or None when there is none.  This is the
+    package's only Lehmer decoder."""
     # counts[i] = number of j > i inverted against i; rebuild by inserting
     # values n..1, value i at offset counts[i]; then verify.
     d_idx = _index_tables(n)[0]

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from spcohom import ConsistencyError, correspondence
+from spcohom.cli import main
 from spcohom.correspondence import (
     CorrespondencePair,
     cocycle_support,
@@ -148,7 +150,112 @@ def test_verify_bijection_passes(n):
     assert report.data["elements"] == 2**n * math.factorial(n)
     assert report.data["distinct_pairs"] == report.data["elements"]
     rec = {r.check_id: r for r in report.records}
-    assert rec["constructive-inverse"].detail["fallbacks"] == 0
+    assert rec["constructive-inverse"].detail["failures"] == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_distinct_pairs_match_brute_force(n):
+    keys = set()
+    for w in enumerate_group(n):
+        p = correspondence_pair(w)
+        keys.add((p.sym.images, p.ideal.members.mask))
+    assert verify_bijection(n).data["distinct_pairs"] == len(keys)
+
+
+def test_broken_inverse_fails_the_gates(monkeypatch, tmp_path, capsys):
+    n = 3
+    real = correspondence._construct_from_pair
+    target = correspondence_pair(SignedPerm((2, -1, 3)))
+    target_key = (target.sym.images, target.ideal.profile)
+
+    def corrupted(sigma_word, profile, rank):
+        built = real(sigma_word, profile, rank)
+        if (sigma_word, profile) == target_key:
+            word, jmask = built
+            return word, jmask ^ 1  # flip the sign of the value 1
+        return built
+
+    monkeypatch.setattr(correspondence, "_construct_from_pair", corrupted)
+    report = verify_bijection(n)
+    rec = {r.check_id: r for r in report.records}
+    assert not rec["constructive-inverse"].passed
+    assert rec["constructive-inverse"].detail["failures"] == 1
+    assert rec["constructive-inverse"].detail["witnesses"] == ["[2,-1,3]"]
+    assert not rec["pair-injective"].passed
+    assert rec["pair-onto"].passed
+    assert report.data["distinct_pairs"] == 2**n * math.factorial(n)
+
+    with pytest.raises(ConsistencyError):
+        from_pair(target.sym, target.ideal)
+
+    assert main(["bijection", "--rank", "3", "--out", str(tmp_path / "b.json")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_distinct_pairs_exact_when_the_pair_map_is_not_injective(monkeypatch):
+    # send every element's difference inversions to the identity's entry, so
+    # that many elements share a pair and some of them still round-trip
+    n = 3
+    real = correspondence._sym_entry
+    monkeypatch.setattr(correspondence, "_sym_entry", lambda phi0, rank: real(0, rank))
+    keys = set()
+    for w in enumerate_group(n):
+        try:
+            p = correspondence_pair(w)
+        except ConsistencyError:
+            continue
+        keys.add((p.sym.images, p.ideal.members.mask))
+    report = verify_bijection(n)
+    assert report.data["distinct_pairs"] == len(keys) < 2**n * math.factorial(n)
+    rec = {r.check_id: r for r in report.records}
+    assert not rec["pair-injective"].passed and not rec["pair-onto"].passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_scan_memo_holds_at_most_one_entry_per_permutation(n):
+    # every permutation is the symmetric component of some element
+    assert correspondence._scan_chunk(n, None, None, 5)["memo_size"] == math.factorial(n)
+    half = correspondence._scan_chunk(n, 0, max(1, math.factorial(n) // 2), 5)
+    assert half["memo_size"] <= math.factorial(n)
+
+
+class _InlinePool:
+    """Stands in for a process pool: runs the chunks in this process."""
+
+    def __init__(self, processes, seen):
+        seen["processes"] = processes
+        self.seen = seen
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, args):
+        self.seen["chunks"] = len(args)
+        return [fn(*a) for a in args]
+
+
+@pytest.mark.parametrize(
+    "n, cpus, workers, chunks",
+    [(4, 3, 5000, 3), (3, 64, 5000, 6), (4, 64, 2, 2), (4, 1, 5000, None)],
+)
+def test_workers_clamped_to_cpus_and_permutations(monkeypatch, n, cpus, workers, chunks):
+    import multiprocessing
+    from types import SimpleNamespace
+
+    seen = {}
+    monkeypatch.setattr(correspondence.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(
+        multiprocessing,
+        "get_context",
+        lambda method: SimpleNamespace(Pool=lambda procs: _InlinePool(procs, seen)),
+    )
+    report = verify_bijection(n, workers=workers)
+    assert report.passed
+    assert seen.get("chunks") == chunks
+    assert seen.get("processes") == chunks
 
 
 def test_verify_bijection_workers_match_serial():
