@@ -260,17 +260,6 @@ def _mask_key(mask: int) -> tuple[int, ...]:
     return tuple(key)
 
 
-def betti_from_summary(summary, n: int) -> list[int]:
-    """Betti numbers from a per-block (degree, weight, dim, rank) table."""
-    n2 = n * n
-    dims = [0] * (n2 + 1)
-    ranks = [0] * (n2 + 1)
-    for p, _w, dim, rank in summary:
-        dims[p] += dim
-        ranks[p] += rank
-    return [dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(n2 + 1)]
-
-
 def betti_numbers(n: int, cap: int = DEFAULT_COHOMOLOGY_CAP) -> list[int]:
     """Exact Betti numbers of the nilradical, degree 0 through n^2."""
     return ChainComplex(n, cap=cap).betti()

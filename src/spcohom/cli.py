@@ -2,39 +2,40 @@
 
 Subcommands: ideals, weyl, bijection, structure, betti, classes, poincare,
 verify.  JSON is the canonical output (top level {rank, command, checks,
-data}); CSV is available for tabular payloads.  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+data}); CSV is available for tabular payloads.
+
+Exit codes, one per case; 2 and 3 come with an "error:" message on stderr,
+never a traceback:
+
+  0  every check passed
+  1  a verification check failed
+  2  usage error: bad rank or flag, a cap exceeded, CSV for a report, or an
+     --out path that cannot be written
+  3  internal consistency error (a ConsistencyError: a bug, not bad input)
 
 Output is deterministic: iteration orders are fixed, sampled checks draw from
 a generator seeded by --seed, and timings never enter the serialized report.
-Structure tables and cochain-complex block summaries are cached on disk under
-a key that includes the matrix realization version.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
 import random
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from . import ce, correspondence, ideals, liealg, poincare, weyl
-from .errors import ConsistencyError, InvalidRankError, RankCapError
+from .errors import ConsistencyError, InvalidRankError
 from .report import VerificationReport
 from .roots import RootSet, check_rank, num_diffs, positive_roots
 from .weyl import parse_signed_perm
 
 ENV_WORKERS = "SPCOHOM_WORKERS"
-ENV_CACHE = "SPCOHOM_CACHE"
-
-DEFAULT_COMBINATORIAL_CAP = 8
 
 
 @dataclass
@@ -44,7 +45,6 @@ class RunConfig:
     out: Optional[str] = None
     workers: int = 1
     seed: int = 0
-    combinatorial_cap: int = DEFAULT_COMBINATORIAL_CAP
     cohomology_cap: int = ce.DEFAULT_COHOMOLOGY_CAP
     list_items: bool = False
     histogram: bool = False
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help=f"worker processes for exhaustive scans (default ${ENV_WORKERS} or 1)",
+        help=f"worker processes for the scan of bijection and verify (default ${ENV_WORKERS} or 1)",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     common.add_argument(
@@ -122,76 +122,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-# -- disk cache ---------------------------------------------------------------
-
-
-def _cache_dir() -> Path:
-    env = os.environ.get(ENV_CACHE)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "spcohom"
-
-
-def _cache_path(kind: str, n: int) -> Path:
-    tag = hashlib.sha256(
-        f"{kind}:v{liealg.REALIZATION_VERSION}:rank{n}".encode()
-    ).hexdigest()[:20]
-    return _cache_dir() / f"{kind}-n{n}-{tag}.json"
-
-
-def _cache_load(kind: str, n: int):
-    path = _cache_path(kind, n)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
-        return None
-
-
-def _cache_store(kind: str, n: int, payload) -> None:
-    path = _cache_path(kind, n)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        tmp.replace(path)
-    except OSError:
-        pass  # caching is best effort
-
-
 def _structure_rows(n: int) -> list[list]:
-    cached = _cache_load("structure", n)
-    if isinstance(cached, list):
-        return cached
     table = liealg.structure_table(n)
     roots = positive_roots(n)
     rows = []
     for (a, b) in sorted(table.entries):
         g, c = table.entries[(a, b)]
         rows.append([str(roots[a]), str(roots[b]), str(roots[g]), c])
-    _cache_store("structure", n, rows)
     return rows
-
-
-def _block_summary(n: int, cap: int) -> list:
-    if n > cap:
-        # the cap is a contract, not a cost guard: enforce it before any
-        # cache lookup so a previously opted-in run cannot bypass it
-        raise RankCapError(
-            f"rank {n} exceeds the cohomology cap {cap}"
-            + (" (opt in to rank 4 explicitly)" if n == ce.MAX_COHOMOLOGY_RANK else "")
-        )
-    cached = _cache_load("blocks", n)
-    if isinstance(cached, list) and cached:
-        try:
-            return [(int(p), tuple(w), int(dim), int(rank)) for p, w, dim, rank in cached]
-        except (TypeError, ValueError):
-            pass  # corrupt cache entry: fall through and recompute
-    cx = ce.ChainComplex(n, cap=cap)
-    summary = cx.block_summary()
-    _cache_store("blocks", n, [[p, list(w), dim, rank] for p, w, dim, rank in summary])
-    return summary
 
 
 # -- command handlers ---------------------------------------------------------
@@ -221,13 +159,11 @@ def _cmd_ideals(cfg: RunConfig):
 
 def _cmd_weyl(cfg: RunConfig):
     n = cfg.rank
-    if n > cfg.combinatorial_cap:
-        raise RankCapError(f"rank {n} exceeds the enumeration cap {cfg.combinatorial_cap}")
-    hist = poincare.weyl_length_histogram(n, cap=cfg.combinatorial_cap)
+    hist = poincare.weyl_length_histogram(n)
     data = {"order": weyl.group_order(n), "length_histogram": list(hist.coeffs)}
     if cfg.list_items:
         elements = []
-        for w in weyl.enumerate_group(n, cap=cfg.combinatorial_cap):
+        for w in weyl.enumerate_group(n):
             sf = weyl.standard_form(w)
             elements.append(
                 {
@@ -262,30 +198,21 @@ def _cmd_bijection(cfg: RunConfig):
                 f"witness {cfg.witness} has rank {w.rank}, expected {n}"
             )
         return 0, [], correspondence.trace_element(w), None
-    report = correspondence.verify_bijection(
-        n, workers=cfg.workers, cap=cfg.combinatorial_cap
-    )
+    report = correspondence.verify_bijection(n, workers=cfg.workers)
     return (0 if report.passed else 1), report.checks_json(), report.data, None
 
 
 def _cmd_betti(cfg: RunConfig):
     n = cfg.rank
-    summary = _block_summary(n, cfg.cohomology_cap)
-    betti = ce.betti_from_summary(summary, n)
-    formula = poincare.weyl_poincare(n)
-    class_counts = list(poincare.weyl_length_histogram(n).coeffs)
+    cx = ce.ChainComplex(n, cap=cfg.cohomology_cap)
+    betti = cx.betti()
     report = VerificationReport(rank=n)
-    report.add(
-        "betti-match",
-        "Betti numbers of the nilradical equal the type-C length histogram",
-        betti == list(formula.coeffs),
-        {"betti": betti, "formula": list(formula.coeffs)},
-    )
-    data = {"betti": betti, "class_counts": class_counts}
+    poincare.add_betti_record(report, betti)
+    data = {"betti": betti, "class_counts": list(poincare.weyl_length_histogram(n).coeffs)}
     if cfg.per_weight:
         data["blocks"] = [
             {"degree": p, "weight": list(w), "dimension": dim, "rank_d": rank}
-            for p, w, dim, rank in summary
+            for p, w, dim, rank in cx.block_summary()
         ]
     csv_rows = None
     if cfg.fmt == "csv":
@@ -304,30 +231,8 @@ def _cmd_poincare(cfg: RunConfig):
     sp = poincare.sym_poincare(n)
     ig = poincare.ideal_generating(n)
     report = VerificationReport(rank=n)
-    report.add(
-        "product-identity",
-        "the two length generating functions multiply out: sym * ideals = type-C",
-        sp * ig == wp,
-        {"weyl": list(wp.coeffs)},
-    )
-    try:
-        quotient_ok = wp.div_exact(sp) == ig
-        detail = None
-    except ConsistencyError as exc:
-        quotient_ok = False
-        detail = {"error": str(exc)}
-    report.add(
-        "exact-division",
-        "the quotient of the generating functions is exactly prod_i (1 + t^i)",
-        quotient_ok,
-        detail,
-    )
-    report.add(
-        "palindromic",
-        "all three generating functions are palindromic",
-        wp.is_palindromic() and sp.is_palindromic() and ig.is_palindromic(),
-        None,
-    )
+    poincare.add_formula_records(report, wp, sp, ig)
+    passed = {r.check_id: r.passed for r in report.records}
     product = sp * ig
     data = {
         "weyl_poincare": list(wp.coeffs),
@@ -335,8 +240,8 @@ def _cmd_poincare(cfg: RunConfig):
         "ideal_generating": list(ig.coeffs),
         "sym_times_ideal": list(product.coeffs),
         "identities": {
-            "product": product == wp,
-            "exact_division": quotient_ok,
+            "product": passed["histogram-convolution"],
+            "exact_division": passed["exact-division"],
         },
     }
     csv_rows = None
@@ -450,45 +355,26 @@ def verify_all(cfg: RunConfig) -> VerificationReport:
     _oracle_agreement_record(n, rng, report)
     _lie_agreement_records(n, rng, report)
 
-    brep = correspondence.verify_bijection(n, workers=cfg.workers, cap=cfg.combinatorial_cap)
+    brep = correspondence.verify_bijection(n, workers=cfg.workers)
     report.extend(brep, prefix="bijection")
 
     weyl_hist = poincare.IntPolynomial.from_coeffs(brep.data["weyl_length_histogram"])
-    prep = poincare.verify_identities(
-        n, weyl_hist=weyl_hist, include_betti_record=False, cap=cfg.combinatorial_cap
-    )
+    prep = poincare.verify_identities(n, weyl_hist=weyl_hist, include_betti_record=False)
     report.extend(prep, prefix="poincare")
 
     if n <= cfg.cohomology_cap:
         cx = ce.ChainComplex(n, cap=cfg.cohomology_cap)
-        betti = cx.betti()
-        wp = poincare.weyl_poincare(n)
-        report.add(
-            "betti-match",
-            "Betti numbers of the nilradical equal the type-C length histogram",
-            betti == list(wp.coeffs),
-            {"betti": betti, "formula": list(wp.coeffs)},
-        )
+        poincare.add_betti_record(report, cx.betti())
         mrep = ce.verify_cohomology_basis(n, cap=cfg.cohomology_cap, complex_=cx)
         report.extend(mrep, prefix="classes")
-        _cache_store(
-            "blocks",
-            n,
-            [[p, list(w), dim, rank] for p, w, dim, rank in cx.block_summary()],
-        )
     else:
-        report.add(
-            "betti-match",
-            "Betti numbers of the nilradical equal the type-C length histogram",
-            True,
-            {"cohomology_cap": cfg.cohomology_cap},
-            skipped=True,
-        )
+        skipped = {"cohomology_cap": cfg.cohomology_cap}
+        poincare.add_betti_record(report, None, skipped)
         report.add(
             "classes.basis",
             "inversion-set cocycles give a cohomology basis",
             True,
-            {"cohomology_cap": cfg.cohomology_cap},
+            skipped,
             skipped=True,
         )
     return report
@@ -525,25 +411,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _config_from_args(args)
         code, checks, data, csv_rows = _HANDLERS[args.command](cfg)
-    except (InvalidRankError, RankCapError) as exc:
+    except ValueError as exc:  # InvalidRankError and RankCapError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ConsistencyError as exc:
+        print(f"error: internal consistency error (a bug): {exc}", file=sys.stderr)
+        return 3
 
     if cfg.fmt == "csv":
         if csv_rows is None:
             print(f"error: command {args.command} has no CSV form", file=sys.stderr)
             return 2
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(csv_rows)
-        _emit(buf.getvalue(), cfg.out)
-        return code
-
-    doc = {"rank": cfg.rank, "command": args.command, "checks": checks, "data": data}
-    _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+        text = buf.getvalue()
+    else:
+        doc = {"rank": cfg.rank, "command": args.command, "checks": checks, "data": data}
+        text = json.dumps(doc, indent=2) + "\n"
+    try:
+        _emit(text, cfg.out)
+    except OSError as exc:
+        print(f"error: cannot write {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code
 
 

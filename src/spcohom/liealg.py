@@ -21,8 +21,6 @@ from functools import lru_cache
 from .errors import ConsistencyError
 from .roots import DIFF, LONG, Root, RootSet, check_rank, dotted_sum, positive_roots, root_index
 
-REALIZATION_VERSION = 1
-
 
 @dataclass(frozen=True, slots=True)
 class IntMatrix:

@@ -1,7 +1,6 @@
 """Verification reports: per-check records with a stable JSON form.
 
-Timing is kept on the record for interactive use but deliberately left out
-of the serialized form so that repeated runs with the same configuration
+Records carry no timings, so repeated runs with the same configuration
 produce byte-identical output.
 """
 
@@ -17,7 +16,6 @@ class CheckRecord:
     anchor: str
     passed: bool
     detail: Any = None
-    seconds: float = 0.0
     skipped: bool = False
 
     def to_json(self) -> dict:
@@ -45,10 +43,9 @@ class VerificationReport:
         anchor: str,
         passed: bool,
         detail: Any = None,
-        seconds: float = 0.0,
         skipped: bool = False,
     ) -> CheckRecord:
-        rec = CheckRecord(check_id, anchor, passed, detail, seconds, skipped)
+        rec = CheckRecord(check_id, anchor, passed, detail, skipped)
         self.records.append(rec)
         return rec
 
@@ -61,7 +58,6 @@ class VerificationReport:
                 rec.anchor,
                 rec.passed,
                 rec.detail,
-                rec.seconds,
                 rec.skipped,
             )
             self.records.append(rec2)
@@ -70,10 +66,3 @@ class VerificationReport:
 
     def checks_json(self) -> list[dict]:
         return [r.to_json() for r in self.records]
-
-    def summary_lines(self) -> list[str]:
-        lines = []
-        for r in self.records:
-            status = "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL")
-            lines.append(f"{status} {r.check_id}: {r.anchor}")
-        return lines

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import spcohom
 from spcohom.ce import Cochain, betti_numbers, differential, verify_cohomology_basis
 from spcohom.correspondence import verify_bijection
 from spcohom.ideals import (
@@ -193,6 +194,10 @@ def test_criterion_09_d_squared_zero():
 
 
 def test_criterion_10_determinism(tmp_path):
+    # the child process imports the same spcohom as this test, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spcohom.__file__)))
+    path_env = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path_env}
     t0 = time.perf_counter()
     outputs = []
     for name in ("first.json", "second.json"):
@@ -201,6 +206,7 @@ def test_criterion_10_determinism(tmp_path):
             [sys.executable, "-m", "spcohom.cli", "verify", "--rank", "3",
              "--seed", "42", "--out", str(path)],
             capture_output=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(path.read_bytes())

@@ -6,7 +6,6 @@ import pytest
 from spcohom.ce import (
     ChainComplex,
     Cochain,
-    betti_from_summary,
     betti_numbers,
     differential,
     monomial_cocycle,
@@ -141,12 +140,6 @@ def test_betti_cap():
         betti_numbers(4)
     with pytest.raises(RankCapError):
         ChainComplex(5, cap=4)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_betti_from_summary_round_trip(n):
-    cx = ChainComplex(n)
-    assert betti_from_summary(cx.block_summary(), n) == cx.betti()
 
 
 def test_monomial_cocycle_examples():

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from spcohom import correspondence, poincare
 from spcohom.cli import main
 
 
@@ -104,6 +107,21 @@ def test_betti_command(tmp_path):
     assert doc["data"]["class_counts"] == [1, 2, 2, 2, 1]
     assert any(b["degree"] == 1 for b in doc["data"]["blocks"])
 
+    # per degree p: b_p = dim C^p - rank(d out of C^p) - rank(d into C^p)
+    for n in (2, 3):
+        code, text = run_cli(["betti", "--rank", str(n), "--per-weight"], tmp_path)
+        assert code == 0
+        data = json.loads(text)["data"]
+        dims = [0] * (n * n + 1)
+        ranks = [0] * (n * n + 1)
+        for block in data["blocks"]:
+            dims[block["degree"]] += block["dimension"]
+            ranks[block["degree"]] += block["rank_d"]
+        assert sum(dims) == 2 ** (n * n)
+        assert data["betti"] == [
+            dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(n * n + 1)
+        ]
+
 
 def test_classes_command(tmp_path):
     code, text = run_cli(["classes", "--rank", "2"], tmp_path)
@@ -126,6 +144,11 @@ def test_poincare_command(tmp_path):
     assert lines[1] == "weyl_poincare,1,2,2,2,1"
     assert lines[4] == "sym_times_ideal,1,2,2,2,1"
 
+    # the formula records need no group enumeration, so no group cap applies
+    code, text = run_cli(["poincare", "--rank", "9"], tmp_path, "p9.json")
+    assert code == 0
+    assert all(c["pass"] for c in json.loads(text)["checks"])
+
 
 def test_workers_flag_matches_serial(tmp_path):
     _, serial = run_cli(["bijection", "--rank", "3", "--workers", "1"], tmp_path, "s.json")
@@ -142,11 +165,44 @@ def test_workers_env_honored_and_overridden(tmp_path, monkeypatch):
     assert a == b
 
 
-def test_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPCOHOM_CACHE", str(tmp_path / "cache"))
-    code, first = run_cli(["betti", "--rank", "2"], tmp_path, "b1.json")
+@pytest.mark.parametrize("n", range(1, 6))
+def test_poincare_command_matches_verify_identities(tmp_path, n):
+    code, text = run_cli(["poincare", "--rank", str(n)], tmp_path)
     assert code == 0
-    assert list((tmp_path / "cache").glob("blocks-*.json"))
-    code, second = run_cli(["betti", "--rank", "2"], tmp_path, "b2.json")
-    assert code == 0
-    assert first == second
+    checks = json.loads(text)["checks"]
+    formula_ids = {"histogram-convolution", "exact-division", "palindromic"}
+    records = [r for r in poincare.verify_identities(n).records if r.check_id in formula_ids]
+    assert [(c["id"], c["pass"], c["detail"]) for c in checks] == [
+        (r.check_id, r.passed, r.detail) for r in records
+    ]
+
+
+@pytest.mark.parametrize("wrong", [[1, 2], [1, 1]], ids=["remainder", "no-remainder"])
+def test_exact_division_can_fail(tmp_path, monkeypatch, capsys, wrong):
+    """A wrong S_n generating function fails exact-division as a record,
+    whether wp / sp leaves a remainder ([1, 2]) or not ([1, 1])."""
+    monkeypatch.setattr(poincare, "sym_poincare", lambda n: poincare.IntPolynomial(tuple(wrong)))
+    code, text = run_cli(["poincare", "--rank", "3"], tmp_path)
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    failed = {c["id"] for c in json.loads(text)["checks"] if not c["pass"]}
+    assert "exact-division" in failed
+    report = poincare.verify_identities(3)
+    assert "exact-division" in {r.check_id for r in report.records if not r.passed}
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["ideals", "--rank", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_consistency_error_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(correspondence, "_construct_from_pair", lambda *args: None)
+    assert main(["classes", "--rank", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
