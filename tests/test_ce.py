@@ -142,6 +142,22 @@ def test_betti_cap():
         ChainComplex(5, cap=4)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_betti_from_summary_round_trip(n):
+    # per degree p: b_p = dim C^p - rank(d out of C^p) - rank(d into C^p)
+    cx = ChainComplex(n)
+    n2 = n * n
+    dims = [0] * (n2 + 1)
+    ranks = [0] * (n2 + 1)
+    for p, _w, dim, rank in cx.block_summary():
+        dims[p] += dim
+        ranks[p] += rank
+    assert sum(dims) == 2 ** n2
+    assert [
+        dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(n2 + 1)
+    ] == cx.betti()
+
+
 def test_monomial_cocycle_examples():
     n = 2
     assert monomial_cocycle(SignedPerm.identity(n)).terms == {(): 1}
