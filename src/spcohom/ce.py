@@ -332,7 +332,7 @@ def verify_cohomology_basis(
     cocycles_by_block: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
     counts = [0] * (n2 + 1)
     order = group_order(n)
-    for _word, _pos0, _jmask, mask in _iter_signed_inversion_masks(n):
+    for _word, _jmask, mask in _iter_signed_inversion_masks(n):
         key = _mask_key(mask)
         counts[len(key)] += 1
         if _d_monomial(n, key):

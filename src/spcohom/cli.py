@@ -9,9 +9,13 @@ never a traceback:
 
   0  every check passed
   1  a verification check failed
-  2  usage error: bad rank or flag, a cap exceeded, CSV for a report, or an
-     --out path that cannot be written
-  3  internal consistency error (a ConsistencyError: a bug, not bad input)
+  2  usage error: bad rank, flag or witness, a cap exceeded, CSV for a
+     report, or an --out path that cannot be written
+  3  internal error (a bug, not bad input): a ConsistencyError, or any other
+     ValueError raised while a command runs
+
+All user input is parsed and validated in _config_from_args, so inside a
+command only a RankCapError is a usage error.
 
 Output is deterministic: iteration orders are fixed, sampled checks draw from
 a generator seeded by --seed, and timings never enter the serialized report.
@@ -23,19 +27,16 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from . import ce, correspondence, ideals, liealg, poincare, weyl
-from .errors import ConsistencyError, InvalidRankError
+from .errors import ConsistencyError, InvalidRankError, RankCapError
 from .report import VerificationReport
 from .roots import RootSet, check_rank, num_diffs, positive_roots
-from .weyl import parse_signed_perm
-
-ENV_WORKERS = "SPCOHOM_WORKERS"
+from .weyl import SignedPerm, parse_signed_perm
 
 
 @dataclass
@@ -49,7 +50,7 @@ class RunConfig:
     list_items: bool = False
     histogram: bool = False
     per_weight: bool = False
-    witness: Optional[str] = None
+    witness: Optional[SignedPerm] = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,14 +58,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rank", type=int, required=True, help="rank n >= 1")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", metavar="PATH", help="write output to a file")
-    common.add_argument(
+    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help=f"worker processes for the scan of bijection and verify (default ${ENV_WORKERS} or 1)",
+        default=1,
+        help="worker processes for the exhaustive scan (default 1)",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    common.add_argument(
+    rank4 = argparse.ArgumentParser(add_help=False)
+    rank4.add_argument(
         "--allow-rank4-cohomology",
         action="store_true",
         help="raise the cochain-complex cap from rank 3 to rank 4",
@@ -85,27 +88,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", dest="list_items", action="store_true")
     p.add_argument("--histogram", action="store_true")
 
-    p = sub.add_parser("bijection", parents=[common], help="verify the correspondence")
+    p = sub.add_parser("bijection", parents=[common, workers], help="verify the correspondence")
     p.add_argument("--witness", metavar="ELEM", help="trace one element, e.g. '[2,-1,3]'")
 
     sub.add_parser("structure", parents=[common], help="structure constants table")
 
-    p = sub.add_parser("betti", parents=[common], help="Betti numbers of the nilradical")
+    p = sub.add_parser("betti", parents=[common, rank4], help="Betti numbers of the nilradical")
     p.add_argument("--per-weight", dest="per_weight", action="store_true")
 
-    sub.add_parser("classes", parents=[common], help="verify the cohomology basis")
+    sub.add_parser("classes", parents=[common, rank4], help="verify the cohomology basis")
     sub.add_parser("poincare", parents=[common], help="length generating functions")
-    sub.add_parser("verify", parents=[common], help="run the full verification suite")
+    sub.add_parser(
+        "verify", parents=[common, workers, rank4], help="run the full verification suite"
+    )
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get(ENV_WORKERS, "1"))
+    """Parse and validate all user input; a ValueError here is a usage error."""
+    workers = getattr(args, "workers", 1)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     check_rank(args.rank)
+    witness = getattr(args, "witness", None)
+    if witness is not None:
+        witness = parse_signed_perm(witness)
+        if witness.rank != args.rank:
+            raise InvalidRankError(
+                f"witness {args.witness} has rank {witness.rank}, expected {args.rank}"
+            )
     return RunConfig(
         rank=args.rank,
         fmt=args.format,
@@ -113,12 +124,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         workers=workers,
         seed=args.seed,
         cohomology_cap=(
-            ce.MAX_COHOMOLOGY_RANK if args.allow_rank4_cohomology else ce.DEFAULT_COHOMOLOGY_CAP
+            ce.MAX_COHOMOLOGY_RANK
+            if getattr(args, "allow_rank4_cohomology", False)
+            else ce.DEFAULT_COHOMOLOGY_CAP
         ),
         list_items=getattr(args, "list_items", False),
         histogram=getattr(args, "histogram", False),
         per_weight=getattr(args, "per_weight", False),
-        witness=getattr(args, "witness", None),
+        witness=witness,
     )
 
 
@@ -190,15 +203,9 @@ def _cmd_structure(cfg: RunConfig):
 
 
 def _cmd_bijection(cfg: RunConfig):
-    n = cfg.rank
     if cfg.witness is not None:
-        w = parse_signed_perm(cfg.witness)
-        if w.rank != n:
-            raise InvalidRankError(
-                f"witness {cfg.witness} has rank {w.rank}, expected {n}"
-            )
-        return 0, [], correspondence.trace_element(w), None
-    report = correspondence.verify_bijection(n, workers=cfg.workers)
+        return 0, [], correspondence.trace_element(cfg.witness), None
+    report = correspondence.verify_bijection(cfg.rank, workers=cfg.workers)
     return (0 if report.passed else 1), report.checks_json(), report.data, None
 
 
@@ -331,8 +338,10 @@ def _lie_agreement_records(n: int, rng: random.Random, report: VerificationRepor
 
 
 def verify_all(cfg: RunConfig) -> VerificationReport:
-    """The consolidated verification suite, in dependency order."""
+    """The consolidated verification suite, in dependency order.  A rank
+    above the group cap fails before the 2^n ideals are listed."""
     n = cfg.rank
+    weyl.check_group_cap(n)
     rng = random.Random(cfg.seed)
     report = VerificationReport(rank=n)
 
@@ -410,12 +419,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
+    except ValueError as exc:  # InvalidRankError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         code, checks, data, csv_rows = _HANDLERS[args.command](cfg)
-    except ValueError as exc:  # InvalidRankError and RankCapError included
+    except RankCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"error: internal consistency error (a bug): {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"error: internal error (a bug): {exc}", file=sys.stderr)
         return 3
 
     if cfg.fmt == "csv":

@@ -9,11 +9,12 @@ resulting map w -> (permutation, ideal) is a bijection onto the full product,
 which is what verify_bijection checks exhaustively, together with the support
 and degree identities that transport the correspondence into cohomology.
 
-The definitional maps are normative.  The closed forms derived from the
-standard form w = r_{j_1}...r_{j_k} * sigma_0 are shipped only as
-cross-checks: the ordering of the j's and the index inside the row-bound
-expression each admit two readings, so verify_bijection reports how often
-every reading agrees with the definitional maps instead of guessing.
+The definitional maps are normative.  The closed forms read both components
+off the standard form w = r_{j_1}...r_{j_k} * sigma_0, with the j's listed in
+the order they appear in sigma_0's word: the symmetric component is sigma_0's
+word without the j's followed by the j's reversed, and row t of the ideal
+runs up to b_t = n + t - sigma_0^-1(j_t).  verify_bijection gates both on
+every element.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import ConsistencyError, RankCapError
+from .errors import ConsistencyError
 from .ideals import IncreasingSet, _profiles, _mask_from_profile
 from .report import VerificationReport
 from .roots import RootSet, check_rank, num_diffs, positive_roots, _index_tables
@@ -34,6 +35,7 @@ from .weyl import (
     Perm,
     SignedPerm,
     StandardForm,
+    check_group_cap,
     group_order,
     perm_inversions,
     standard_form,
@@ -173,31 +175,52 @@ def correspondence_pair(w: SignedPerm) -> CorrespondencePair:
     return CorrespondencePair(Perm(word), IncreasingSet(n, RootSet(n, ximask), profile))
 
 
-def sym_component_closed_form(sf: StandardForm) -> Perm:
-    """Closed form of the symmetric component: delete the flipped values from
-    the one-line word of sigma_0 and append them again in reversed j-order."""
-    word = sf.sigma0.images
-    jset = set(sf.j_list)
-    head = [v for v in word if v not in jset]
-    return Perm(tuple(head + list(reversed(sf.j_list))))
-
-
-def ideal_component_closed_form(sf: StandardForm, *, literal_bound: bool = False) -> RootSet:
-    """Closed form of the ideal component: row t of the staircase runs from
-    the diagonal up to n + 1 - pos(j_t), where pos is the position of a value
-    in sigma_0's word.  With literal_bound=True the bound uses pos(t), reading
-    the row index itself as the argument.  Shipped as a cross-check only; see
-    verify_bijection for how often each reading matches the definitional map.
-    """
-    n = sf.sigma0.rank
-    pos0 = sf.sigma0.inverse()
-    rowm = _row_masks(n)
+def _value_mask(values) -> int:
+    """Bit v-1 set for each value v."""
     mask = 0
-    for t, jt in enumerate(sf.j_list, start=1):
-        bound = n + 1 - (pos0(t) if literal_bound else pos0(jt))
-        if bound >= t:
-            mask |= rowm[t][bound]
-    return RootSet(n, mask)
+    for v in values:
+        mask |= 1 << (v - 1)
+    return mask
+
+
+def _closed_form(
+    word: tuple[int, ...], jmask: int, rowm: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], int]:
+    """(sym word, ideal mask) read off the standard form: sigma_0's word and
+    the flipped-value bitmask, with rowm = _row_masks(n).  The t-th flipped
+    value j_t in word order sits at position p = sigma_0^-1(j_t); the sym word
+    is the unflipped values followed by the flipped ones reversed, and row t
+    of the ideal runs up to b_t = n + t - p, the inverse of the placement
+    p = n + t - b_t in _construct_from_pair.  Since p >= t, b_t <= n."""
+    n = len(word)
+    head = []
+    tail = []
+    mask = 0
+    for p, v in enumerate(word, start=1):
+        if jmask >> (v - 1) & 1:
+            tail.append(v)
+            t = len(tail)
+            mask |= rowm[t][n + t - p]
+        else:
+            head.append(v)
+    return tuple(head + tail[::-1]), mask
+
+
+def _closed_form_of(sf: StandardForm) -> tuple[tuple[int, ...], int]:
+    n = sf.sigma0.rank
+    return _closed_form(sf.sigma0.images, _value_mask(sf.j_list), _row_masks(n))
+
+
+def sym_component_closed_form(sf: StandardForm) -> Perm:
+    """Closed form of the symmetric component: the word of sigma_0 without
+    the flipped values, followed by the flipped values in reversed word order."""
+    return Perm(_closed_form_of(sf)[0])
+
+
+def ideal_component_closed_form(sf: StandardForm) -> RootSet:
+    """Closed form of the ideal component: row t of the staircase runs from
+    the diagonal up to b_t = n + t - sigma_0^-1(j_t), the j's in word order."""
+    return RootSet(sf.sigma0.rank, _closed_form_of(sf)[1])
 
 
 def _construct_from_pair(
@@ -227,10 +250,7 @@ def _construct_from_pair(
     for idx in range(n):
         if out[idx] == 0:
             out[idx] = next(fill)
-    jmask = 0
-    for v in jlist:
-        jmask |= 1 << (v - 1)
-    return tuple(out), jmask
+    return tuple(out), _value_mask(jlist)
 
 
 def _signed_images(word: tuple[int, ...], jmask: int) -> tuple[int, ...]:
@@ -318,21 +338,16 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
         "degree_fail": 0,
         "round_trip": 0,
         "construct_fail": 0,
-        "eta_formula_disagree": 0,
-        "eta_ordering_changes": 0,
-        "xi_subscript_disagree": 0,
-        "xi_literal_disagree": 0,
+        "closed_sym_fail": 0,
+        "closed_ideal_fail": 0,
     }
-    witnesses = {key: _TopK(max_witnesses) for key in (
-        "sym_fail", "incr_fail", "support_fail", "degree_fail",
-        "construct_fail", "eta_formula_disagree", "xi_subscript_disagree",
-    )}
+    witnesses = {key: _TopK(max_witnesses) for key in counts if key.endswith("_fail")}
     hist = [0] * (n * n + 1)
     failed_keys: set[tuple[tuple[int, ...], int]] = set()
 
     source = _iter_signed_inversion_masks(n, perm_start=start or 0, perm_stop=stop)
 
-    for word, pos0, jmask, mask in source:
+    for word, jmask, mask in source:
         counts["elements"] += 1
         hist[mask.bit_count()] += 1
         element = (word, jmask)
@@ -374,38 +389,13 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
             witnesses["construct_fail"].offer(element)
             failed_keys.add((eta_word, ximask))
 
-        # closed forms from the standard form
-        jvals = []
-        m = jmask
-        while m:
-            low = m & -m
-            m ^= low
-            jvals.append(low.bit_length())
-        j_by_value = sorted(jvals, key=lambda v: word[v - 1])
-        head = [v for v in word if not jmask >> (v - 1) & 1]
-        ef = tuple(head + j_by_value[::-1])
-        if ef != eta_word:
-            counts["eta_formula_disagree"] += 1
-            witnesses["eta_formula_disagree"].offer(element)
-        j_by_position = sorted(jvals, key=lambda v: pos0[v])
-        if j_by_position != j_by_value:
-            if tuple(head + j_by_position[::-1]) != ef:
-                counts["eta_ordering_changes"] += 1
-
-        xif_sub = 0
-        xif_lit = 0
-        for t, jt in enumerate(j_by_value, start=1):
-            b_sub = n + 1 - pos0[jt]
-            if b_sub >= t:
-                xif_sub |= rowm[t][b_sub]
-            b_lit = n + 1 - pos0[t]
-            if b_lit >= t:
-                xif_lit |= rowm[t][b_lit]
-        if xif_sub != ximask:
-            counts["xi_subscript_disagree"] += 1
-            witnesses["xi_subscript_disagree"].offer(element)
-        if xif_lit != ximask:
-            counts["xi_literal_disagree"] += 1
+        sym_cf, ideal_cf = _closed_form(word, jmask, rowm)
+        if sym_cf != eta_word:
+            counts["closed_sym_fail"] += 1
+            witnesses["closed_sym_fail"].offer(element)
+        if ideal_cf != ximask:
+            counts["closed_ideal_fail"] += 1
+            witnesses["closed_ideal_fail"].offer(element)
 
     return {
         "counts": counts,
@@ -450,13 +440,11 @@ def verify_bijection(
     a left inverse on every element makes the pair map injective, and since
     |G| = 2^n n! = |S_n x ideals| it is then onto.  The number of distinct
     pairs is exact even where the recipe fails, and pair-onto compares it
-    with the size of the product.  The closed-form cross-checks are reported
-    with their exact agreement counts but never fail the run.  Workers are
+    with the size of the product.  The closed forms read off the standard
+    form must equal both components on every element.  Workers are
     capped by the number of permutations and of CPUs this process may run on.
     """
-    check_rank(n)
-    if n > cap:
-        raise RankCapError(f"rank {n} exceeds the group enumeration cap {cap}")
+    check_group_cap(n, cap)
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
@@ -541,27 +529,17 @@ def verify_bijection(
     )
     report.add(
         "closed-form-sym",
-        "agreement of the closed-form symmetric component with the "
-        "definitional one (informational)",
-        True,
-        {
-            "checked": total,
-            "disagreements": counts["eta_formula_disagree"],
-            "ordering_reading_changes_output": counts["eta_ordering_changes"],
-            "witnesses": witnesses["eta_formula_disagree"],
-        },
+        "the word of sigma_0 without the flipped values, followed by the "
+        "flipped values in reversed word order, is the symmetric component",
+        counts["closed_sym_fail"] == 0,
+        {"failures": counts["closed_sym_fail"], "witnesses": witnesses["closed_sym_fail"]},
     )
     report.add(
         "closed-form-ideal",
-        "agreement of the closed-form ideal component with the definitional "
-        "one, under both index readings (informational)",
-        True,
-        {
-            "checked": total,
-            "subscript_reading_disagreements": counts["xi_subscript_disagree"],
-            "literal_reading_disagreements": counts["xi_literal_disagree"],
-            "witnesses": witnesses["xi_subscript_disagree"],
-        },
+        "the staircase with row t up to n + t - sigma_0^-1(j_t), the flipped "
+        "values j_t in word order, is the ideal component",
+        counts["closed_ideal_fail"] == 0,
+        {"failures": counts["closed_ideal_fail"], "witnesses": witnesses["closed_ideal_fail"]},
     )
     report.data["elements"] = total
     report.data["distinct_pairs"] = distinct
@@ -577,8 +555,7 @@ def trace_element(w: SignedPerm) -> dict:
     sf = standard_form(w)
     support = cocycle_support(pair.sym, pair.ideal)
     cf_sym = sym_component_closed_form(sf)
-    cf_sub = ideal_component_closed_form(sf)
-    cf_lit = ideal_component_closed_form(sf, literal_bound=True)
+    cf_ideal = ideal_component_closed_form(sf)
     return {
         "element": str(w),
         "length": len(inv),
@@ -597,8 +574,6 @@ def trace_element(w: SignedPerm) -> dict:
         == len(pair.ideal.members) + len(perm_inversions(pair.sym)),
         "closed_form_sym": list(cf_sym.images),
         "closed_form_sym_agrees": cf_sym == pair.sym,
-        "closed_form_ideal_subscript": cf_sub.to_strings(),
-        "closed_form_ideal_subscript_agrees": cf_sub.mask == pair.ideal.members.mask,
-        "closed_form_ideal_literal": cf_lit.to_strings(),
-        "closed_form_ideal_literal_agrees": cf_lit.mask == pair.ideal.members.mask,
+        "closed_form_ideal": cf_ideal.to_strings(),
+        "closed_form_ideal_agrees": cf_ideal.mask == pair.ideal.members.mask,
     }

@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, RankCapError
+from .errors import ConsistencyError
 from .report import VerificationReport
 from .roots import check_rank
-from .weyl import DEFAULT_GROUP_CAP, _iter_signed_inversion_masks
+from .weyl import DEFAULT_GROUP_CAP, check_group_cap, _iter_signed_inversion_masks
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,11 +129,9 @@ def ideal_generating(n: int) -> IntPolynomial:
 
 def weyl_length_histogram(n: int, cap: int = DEFAULT_GROUP_CAP) -> IntPolynomial:
     """Enumerated length histogram of the whole signed-permutation group."""
-    check_rank(n)
-    if n > cap:
-        raise RankCapError(f"rank {n} exceeds the enumeration cap {cap}")
+    check_group_cap(n, cap)
     counts = [0] * (n * n + 1)
-    for _word, _pos0, _jmask, mask in _iter_signed_inversion_masks(n):
+    for _word, _jmask, mask in _iter_signed_inversion_masks(n):
         counts[mask.bit_count()] += 1
     return IntPolynomial.from_coeffs(counts)
 

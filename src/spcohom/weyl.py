@@ -144,19 +144,25 @@ def parse_signed_perm(text: str) -> SignedPerm:
 
 @dataclass(frozen=True, slots=True)
 class StandardForm:
-    """The factorization w = r_{j_1} ... r_{j_k} * sigma_0 with the j's ordered
-    so that sigma_0(j_1) < sigma_0(j_2) < ... < sigma_0(j_k)."""
+    """The factorization w = r_{j_1} ... r_{j_k} * sigma_0 with the j's listed
+    in the order they appear in sigma_0's one-line word, so that
+    sigma_0^-1(j_1) < sigma_0^-1(j_2) < ... < sigma_0^-1(j_k)."""
 
     j_list: tuple[int, ...]
     sigma0: Perm
 
 
-def enumerate_group(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[SignedPerm]:
-    """All 2^n * n! signed permutations, sign patterns outer, permutations
-    inner in lexicographic order.  Deterministic; refuses ranks above cap."""
+def check_group_cap(n: int, cap: int = DEFAULT_GROUP_CAP) -> None:
+    """Refuse to enumerate the 2^n * n! group elements above rank cap."""
     check_rank(n)
     if n > cap:
         raise RankCapError(f"rank {n} exceeds the group enumeration cap {cap}")
+
+
+def enumerate_group(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[SignedPerm]:
+    """All 2^n * n! signed permutations, sign patterns outer, permutations
+    inner in lexicographic order.  Deterministic; refuses ranks above cap."""
+    check_group_cap(n, cap)
     values = tuple(range(1, n + 1))
     for jmask in range(1 << n):
         flip = tuple(-v if jmask >> (v - 1) & 1 else v for v in values)
@@ -305,10 +311,9 @@ def _word_from_inversion_mask(mask: int, n: int) -> Optional[tuple[int, ...]]:
 
 def _iter_signed_inversion_masks(n: int, perm_start: int = 0, perm_stop: int | None = None):
     """Fast exhaustive walk of the whole group, yielding per element
-    (word, pos0, jmask, inversion_mask):
+    (word, jmask, inversion_mask):
 
         word   one-line images of the unsigned part (tuple),
-        pos0   list with pos0[v] = position of value v in word (1-based),
         jmask  bit v-1 set iff the value v is negated,
         mask   the inversion-set bitmask of the element.
 
@@ -320,7 +325,6 @@ def _iter_signed_inversion_masks(n: int, perm_start: int = 0, perm_stop: int | N
     per-row contributions below never overlap and add like disjoint bit sets;
     and because the contribution of the two roots supported on positions
     (i, j) depends only on the sign carried by the value at position i.
-    Consumers must not hold on to pos0 across iterations (reused per perm).
     """
     check_rank(n)
     d_idx, s_idx, l_idx = _index_tables(n)
@@ -352,7 +356,7 @@ def _iter_signed_inversion_masks(n: int, perm_start: int = 0, perm_stop: int | N
             row_minus[i] = minus
         mask = sum(row_plus[1:])
         jmask = 0
-        yield word, pos0, 0, mask
+        yield word, 0, mask
         for t in range(1, nsteps):
             b = (t & -t).bit_length() - 1
             i = pos0[b + 1]
@@ -362,15 +366,13 @@ def _iter_signed_inversion_masks(n: int, perm_start: int = 0, perm_stop: int | N
                 mask += row_minus[i] - row_plus[i]
             else:
                 mask += row_plus[i] - row_minus[i]
-            yield word, pos0, jmask, mask
+            yield word, jmask, mask
 
 
 def standard_form(w: SignedPerm) -> StandardForm:
     """Decompose w into sign flips after a permutation, the flipped values
-    listed so their sigma_0-images increase."""
-    sigma0 = w.perm
-    j_list = sorted(w.negated, key=sigma0)
-    return StandardForm(tuple(j_list), sigma0)
+    listed in the order they appear in sigma_0's word."""
+    return StandardForm(tuple(-v for v in w.images if v < 0), w.perm)
 
 
 def recompose(sf: StandardForm) -> SignedPerm:

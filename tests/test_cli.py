@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from spcohom import correspondence, poincare
+from spcohom import correspondence, ideals, poincare
 from spcohom.cli import main
 
 
@@ -156,13 +156,28 @@ def test_workers_flag_matches_serial(tmp_path):
     assert serial == parallel
 
 
-def test_workers_env_honored_and_overridden(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPCOHOM_WORKERS", "2")
-    code, a = run_cli(["bijection", "--rank", "2"], tmp_path, "env.json")
-    assert code == 0
-    code, b = run_cli(["bijection", "--rank", "2", "--workers", "1"], tmp_path, "flag.json")
-    assert code == 0
-    assert a == b
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ideals", "--rank", "2", "--workers", "2"],
+        ["betti", "--rank", "2", "--workers", "2"],
+        ["poincare", "--rank", "2", "--allow-rank4-cohomology"],
+        ["bijection", "--rank", "2", "--allow-rank4-cohomology"],
+    ],
+)
+def test_flags_scoped_to_their_commands(args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+
+
+def test_verify_fails_fast_above_group_cap(monkeypatch, capsys):
+    def no_listing(n):
+        raise AssertionError("the ideals are listed before the group cap is checked")
+
+    monkeypatch.setattr(ideals, "enumerate_increasing", no_listing)
+    assert main(["verify", "--rank", "9"]) == 2
+    assert "group enumeration cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -197,6 +212,18 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_internal_value_error_exits_3(monkeypatch, capsys):
+    def broken(n):
+        raise ValueError("a bug inside a command")
+
+    monkeypatch.setattr(ideals, "dimension_histogram", broken)
+    assert main(["ideals", "--rank", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_consistency_error_exits_3(monkeypatch, capsys):

@@ -77,12 +77,19 @@ def test_closed_form_ideal_examples():
     assert ideal_component_closed_form(sf).to_strings() == ["e1+e2", "2e1"]
     sf = standard_form(r(2, 2))
     assert ideal_component_closed_form(sf).to_strings() == ["2e1"]
-    # the literal reading gets r_2 wrong: bound from pos(1) instead of pos(2)
-    assert ideal_component_closed_form(sf, literal_bound=True).to_strings() == [
-        "e1+e2",
-        "2e1",
-    ]
     assert ideal_component_closed_form(standard_form(SignedPerm.identity(3))).mask == 0
+    # flipped values 3, 2 at positions 1, 3: rows run to 3 + 1 - 1 and 3 + 2 - 3
+    sf = standard_form(SignedPerm((-3, 1, -2)))
+    assert ideal_component_closed_form(sf).to_strings() == ["e1+e2", "e1+e3", "2e1", "2e2"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_forms_match_definitional_maps(n):
+    for w in enumerate_group(n):
+        sf = standard_form(w)
+        p = correspondence_pair(w)
+        assert sym_component_closed_form(sf) == p.sym
+        assert ideal_component_closed_form(sf).mask == p.ideal.members.mask
 
 
 def test_from_pair_examples():
@@ -265,33 +272,27 @@ def test_verify_bijection_workers_match_serial():
     assert serial.data == parallel.data
 
 
-def test_closed_form_agreement_counts():
-    """Pinned agreement statistics for the two formula readings.
+@pytest.mark.parametrize("broken", ["closed-form-sym", "closed-form-ideal"])
+def test_broken_closed_form_fails_its_gate(monkeypatch, tmp_path, capsys, broken):
+    # corrupt the closed form of the element [2,-1,3] only
+    real = correspondence._closed_form
 
-    Rank 2, hand-checked: the subscripted-bound reading fails exactly on the
-    two elements with both values flipped, and the literal reading fails on
-    those plus the two one-flip elements whose flipped value is not at the
-    matching position.  The sym closed form first disagrees at rank 3, on the
-    six elements whose flipped-value set is ordered differently by value
-    image and by position (none of the four involutions, three each for the
-    two 3-cycles).
-    """
-    by_rank = {}
-    for n in (1, 2, 3, 4):
-        rec = {r.check_id: r for r in verify_bijection(n).records}
-        by_rank[n] = (
-            rec["closed-form-sym"].detail["disagreements"],
-            rec["closed-form-sym"].detail["ordering_reading_changes_output"],
-            rec["closed-form-ideal"].detail["subscript_reading_disagreements"],
-            rec["closed-form-ideal"].detail["literal_reading_disagreements"],
-        )
-    assert by_rank[1] == (0, 0, 0, 0)
-    assert by_rank[2] == (0, 0, 2, 4)
-    assert by_rank[3][:3] == (6, 6, 24)
-    # the subscripted bound is provably right for at most one flipped value
-    # and provably wrong otherwise, so its failure count is n!(2^n - 1 - n)
-    for n in (1, 2, 3, 4):
-        assert by_rank[n][2] == math.factorial(n) * (2**n - 1 - n)
+    def corrupted(word, jmask, rowm):
+        sym_word, ideal_mask = real(word, jmask, rowm)
+        if (word, jmask) == ((2, 1, 3), 1):
+            if broken == "closed-form-sym":
+                sym_word = sym_word[::-1]
+            else:
+                ideal_mask ^= 1  # a difference root, never in an ideal
+        return sym_word, ideal_mask
+
+    monkeypatch.setattr(correspondence, "_closed_form", corrupted)
+    report = verify_bijection(3)
+    failed = {r.check_id: r.detail for r in report.records if not r.passed}
+    assert failed == {broken: {"failures": 1, "witnesses": ["[2,-1,3]"]}}
+
+    assert main(["bijection", "--rank", "3", "--out", str(tmp_path / "b.json")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_trace_element_shape():
@@ -303,3 +304,5 @@ def test_trace_element_shape():
     assert doc["support_matches_inversions"]
     assert doc["degree_additive"]
     assert doc["closed_form_sym_agrees"]
+    assert doc["closed_form_ideal"] == ["e1+e2", "2e1"]
+    assert doc["closed_form_ideal_agrees"]

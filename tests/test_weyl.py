@@ -172,11 +172,16 @@ def test_standard_form_examples():
     assert sf.j_list == (1,) and sf.sigma0 == Perm.identity(2)
     sf = standard_form(SignedPerm.identity(3))
     assert sf.j_list == () and sf.sigma0 == Perm.identity(3)
-    # perm (2,1) with both values flipped: sigma0(2)=1 < sigma0(1)=2
+    # perm (2,1) with both values flipped, listed in word order
     w = SignedPerm((-2, -1))
     sf = standard_form(w)
     assert sf.sigma0 == Perm((2, 1))
     assert sf.j_list == (2, 1)
+    # word order (3 at position 1, 2 at position 3) is not the order of the
+    # sigma0-images (sigma0(2) = 1 < sigma0(3) = 2)
+    sf = standard_form(SignedPerm((-3, 1, -2)))
+    assert sf.sigma0 == Perm((3, 1, 2))
+    assert sf.j_list == (3, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -184,10 +189,8 @@ def test_standard_form_round_trip(n):
     for w in all_elements(n):
         sf = standard_form(w)
         assert recompose(sf) == w
-        images = sf.sigma0.images
-        assert all(
-            images[a - 1] < images[b - 1] for a, b in zip(sf.j_list, sf.j_list[1:])
-        )
+        pos = sf.sigma0.inverse()
+        assert all(pos(a) < pos(b) for a, b in zip(sf.j_list, sf.j_list[1:]))
 
 
 def test_standard_form_round_trip_rank7():
@@ -202,7 +205,7 @@ def test_standard_form_round_trip_rank7():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_fast_scan_matches_direct_action(n):
     seen = set()
-    for word, _pos0, jmask, mask in _iter_signed_inversion_masks(n):
+    for word, jmask, mask in _iter_signed_inversion_masks(n):
         img = tuple(-v if jmask >> (v - 1) & 1 else v for v in word)
         assert _inversion_mask(img, n) == mask
         seen.add(img)
