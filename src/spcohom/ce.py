@@ -8,8 +8,10 @@ on a generator dual to a root g by
 
 with the structure constants taken from the matrix realization, and extends
 as an antiderivation.  It preserves the integer weight vector of a monomial
-(the sum of its roots), so the complex splits into small blocks and every
-rank computation stays over the integers via fraction-free elimination.
+(the sum of its roots), so the complex splits into small blocks.  Block ranks
+are computed by sparse elimination modulo a prime and certified exact over Q
+weight by weight; the weights that carry cohomology are ranked again by
+fraction-free (Bareiss) elimination over the integers (see ChainComplex).
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .weyl import (
     _perm_inversion_mask,
 )
 
-DEFAULT_COHOMOLOGY_CAP = 3
-MAX_COHOMOLOGY_RANK = 4
+DEFAULT_COHOMOLOGY_CAP = 4
+_PRIME = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -177,26 +179,62 @@ def _rank_int(matrix: list[list[int]]) -> int:
     return rank
 
 
+def _rank_mod_p(columns: list[dict[int, int]], prime: int) -> int:
+    """Rank over F_prime of the integer matrix with these sparse columns, each
+    a {row: coefficient} dict; the entries are reduced modulo prime first."""
+    pivots: dict[int, dict[int, int]] = {}
+    for column in columns:
+        col = {r: v % prime for r, v in column.items() if v % prime}
+        while col:
+            lead = max(col)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(col[lead], -1, prime)
+                pivots[lead] = {r: v * inv % prime for r, v in col.items()}
+                break
+            f = col[lead]
+            for r, v in pivot.items():
+                x = (col.get(r, 0) - f * v) % prime
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+    return len(pivots)
+
+
 class ChainComplex:
     """The whole complex for one rank, split into (degree, weight) blocks.
 
-    Blocks hold ordered monomial bases; the matrix of d out of a block is
-    assembled on demand and its rank cached.  Building the full monomial list
-    costs 2^(n^2), which is why ranks above the cohomology cap are refused.
+    Blocks hold ordered monomial bases.  The ranks of d are exact integers,
+    computed one weight mu at a time:
+
+    * every block of weight mu is ranked modulo the prime _PRIME by sparse
+      elimination on columns built straight from the differential;
+    * rank_Q >= rank_Fp for an integer matrix, so H_Q <= H_Fp in every
+      degree.  If the weight-mu subcomplex is acyclic mod p in every degree,
+      it is acyclic over Q, and then its ranks over Q are forced by the
+      dimensions, r_p = dim_p - r_{p-1} from r_{-1} = 0, which are exactly the
+      ranks mod p;
+    * otherwise every block of weight mu is ranked again over the integers by
+      Bareiss elimination on its dense matrix (the exact path), and mu joins
+      exact_weights.
+
+    All cohomology sits in the weights rho - w rho (Kostant); at
+    p = 2^31 - 1 the exact path takes just those weights (2^n n! of them)
+    through rank 4.  Building the full
+    monomial list costs 2^(n^2), which is why ranks above the cohomology cap
+    are refused.
     """
 
     def __init__(self, n: int, cap: int = DEFAULT_COHOMOLOGY_CAP):
         check_rank(n)
         if n > cap:
-            raise RankCapError(
-                f"rank {n} exceeds the cohomology cap {cap}"
-                + (" (opt in to rank 4 explicitly)" if n == MAX_COHOMOLOGY_RANK else "")
-            )
+            raise RankCapError(f"rank {n} exceeds the cohomology cap {cap}")
         self.rank = n
         self.blocks: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
         self.position: dict[tuple[int, ...], int] = {}
+        self.exact_weights: set[tuple[int, ...]] = set()
         self._ranks: dict[tuple[int, tuple[int, ...]], int] = {}
-        self._matrices: dict[tuple[int, tuple[int, ...]], list[list[int]]] = {}
         n2 = n * n
         for mask in range(1 << n2):
             key = _mask_key(mask)
@@ -204,13 +242,13 @@ class ChainComplex:
             basis = self.blocks.setdefault(block, [])
             self.position[key] = len(basis)
             basis.append(key)
+        self._degrees: dict[tuple[int, ...], list[int]] = {}
+        for p, weight in sorted(self.blocks):
+            self._degrees.setdefault(weight, []).append(p)
 
     def matrix(self, block: tuple[int, tuple[int, ...]]) -> list[list[int]]:
-        """The matrix of d out of a block: rows indexed by the target block
-        basis, columns by the source basis."""
-        cached = self._matrices.get(block)
-        if cached is not None:
-            return cached
+        """The dense matrix of d out of a block: rows indexed by the target
+        block basis, columns by the source basis."""
         p, weight = block
         source = self.blocks.get(block, [])
         target = self.blocks.get((p + 1, weight), [])
@@ -218,16 +256,39 @@ class ChainComplex:
         for col, key in enumerate(source):
             for mono, c in _d_monomial(self.rank, key).items():
                 mat[self.position[mono]][col] = c
-        self._matrices[block] = mat
         return mat
 
+    def _rank_weight(self, weight: tuple[int, ...]) -> None:
+        """Rank d out of every block of one weight, exactly (class docstring)."""
+        n, position, prime = self.rank, self.position, _PRIME
+        degrees = self._degrees[weight]
+        ranks = {
+            p: _rank_mod_p(
+                [
+                    {position[mono]: c for mono, c in _d_monomial(n, key).items()}
+                    for key in self.blocks[(p, weight)]
+                ],
+                prime,
+            )
+            for p in degrees
+        }
+        if any(
+            len(self.blocks[(p, weight)]) != ranks[p] + ranks.get(p - 1, 0)
+            for p in degrees
+        ):
+            self.exact_weights.add(weight)
+            for p in degrees:
+                mat = self.matrix((p, weight))
+                ranks[p] = _rank_int(mat) if mat and mat[0] else 0
+        for p in degrees:
+            self._ranks[(p, weight)] = ranks[p]
+
     def rank_d(self, block: tuple[int, tuple[int, ...]]) -> int:
-        cached = self._ranks.get(block)
-        if cached is None:
-            mat = self.matrix(block)
-            cached = _rank_int(mat) if mat and mat[0] else 0
-            self._ranks[block] = cached
-        return cached
+        if block not in self.blocks:
+            return 0
+        if block not in self._ranks:
+            self._rank_weight(block[1])
+        return self._ranks[block]
 
     def betti(self) -> list[int]:
         n2 = self.rank**2

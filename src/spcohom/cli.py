@@ -38,6 +38,11 @@ from .report import VerificationReport
 from .roots import RootSet, check_rank, num_diffs, positive_roots
 from .weyl import SignedPerm, parse_signed_perm
 
+# Highest rank whose --list report is built, per command: the whole listing
+# is held in memory and serialized at once, so these keep peak RSS under
+# about 1 GB (measurements in CHANGES.md).
+LIST_CAPS = {"ideals": 16, "weyl": 6}
+
 
 @dataclass
 class RunConfig:
@@ -46,7 +51,6 @@ class RunConfig:
     out: Optional[str] = None
     workers: int = 1
     seed: int = 0
-    cohomology_cap: int = ce.DEFAULT_COHOMOLOGY_CAP
     list_items: bool = False
     histogram: bool = False
     per_weight: bool = False
@@ -65,12 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for the exhaustive scan (default 1)",
-    )
-    rank4 = argparse.ArgumentParser(add_help=False)
-    rank4.add_argument(
-        "--allow-rank4-cohomology",
-        action="store_true",
-        help="raise the cochain-complex cap from rank 3 to rank 4",
     )
 
     parser = argparse.ArgumentParser(
@@ -93,13 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("structure", parents=[common], help="structure constants table")
 
-    p = sub.add_parser("betti", parents=[common, rank4], help="Betti numbers of the nilradical")
+    p = sub.add_parser("betti", parents=[common], help="Betti numbers of the nilradical")
     p.add_argument("--per-weight", dest="per_weight", action="store_true")
 
-    sub.add_parser("classes", parents=[common, rank4], help="verify the cohomology basis")
+    sub.add_parser("classes", parents=[common], help="verify the cohomology basis")
     sub.add_parser("poincare", parents=[common], help="length generating functions")
     sub.add_parser(
-        "verify", parents=[common, workers, rank4], help="run the full verification suite"
+        "verify", parents=[common, workers], help="run the full verification suite"
     )
     return parser
 
@@ -123,11 +121,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         out=args.out,
         workers=workers,
         seed=args.seed,
-        cohomology_cap=(
-            ce.MAX_COHOMOLOGY_RANK
-            if getattr(args, "allow_rank4_cohomology", False)
-            else ce.DEFAULT_COHOMOLOGY_CAP
-        ),
         list_items=getattr(args, "list_items", False),
         histogram=getattr(args, "histogram", False),
         per_weight=getattr(args, "per_weight", False),
@@ -148,20 +141,29 @@ def _structure_rows(n: int) -> list[list]:
 # -- command handlers ---------------------------------------------------------
 
 
+def _check_list_cap(command: str, n: int) -> None:
+    """Refuse --list above the command's listing cap, before enumerating."""
+    cap = LIST_CAPS[command]
+    if n > cap:
+        raise RankCapError(f"rank {n} exceeds the {command} --list cap {cap}")
+
+
 def _cmd_ideals(cfg: RunConfig):
     n = cfg.rank
-    items = list(ideals.enumerate_increasing(n))
+    if cfg.list_items:
+        _check_list_cap("ideals", n)
     hist = ideals.dimension_histogram(n)
-    data = {"count": len(items), "histogram": list(hist.coeffs)}
+    data = {"count": sum(hist.coeffs), "histogram": list(hist.coeffs)}
     if cfg.list_items:
         data["ideals"] = [
-            {"roots": psi.members.to_strings(), "dimension": psi.dimension} for psi in items
+            {"roots": psi.members.to_strings(), "dimension": psi.dimension}
+            for psi in ideals.enumerate_increasing(n)
         ]
     csv_rows = None
     if cfg.fmt == "csv":
         if cfg.list_items:
             csv_rows = [["dimension", "members"]] + [
-                [psi.dimension, " ".join(psi.members.to_strings())] for psi in items
+                [item["dimension"], " ".join(item["roots"])] for item in data["ideals"]
             ]
         else:
             csv_rows = [["dimension", "count"]] + [
@@ -172,6 +174,8 @@ def _cmd_ideals(cfg: RunConfig):
 
 def _cmd_weyl(cfg: RunConfig):
     n = cfg.rank
+    if cfg.list_items:
+        _check_list_cap("weyl", n)
     hist = poincare.weyl_length_histogram(n)
     data = {"order": weyl.group_order(n), "length_histogram": list(hist.coeffs)}
     if cfg.list_items:
@@ -211,7 +215,7 @@ def _cmd_bijection(cfg: RunConfig):
 
 def _cmd_betti(cfg: RunConfig):
     n = cfg.rank
-    cx = ce.ChainComplex(n, cap=cfg.cohomology_cap)
+    cx = ce.ChainComplex(n)
     betti = cx.betti()
     report = VerificationReport(rank=n)
     poincare.add_betti_record(report, betti)
@@ -228,7 +232,7 @@ def _cmd_betti(cfg: RunConfig):
 
 
 def _cmd_classes(cfg: RunConfig):
-    report = ce.verify_cohomology_basis(cfg.rank, cap=cfg.cohomology_cap)
+    report = ce.verify_cohomology_basis(cfg.rank)
     return (0 if report.passed else 1), report.checks_json(), report.data, None
 
 
@@ -371,13 +375,13 @@ def verify_all(cfg: RunConfig) -> VerificationReport:
     prep = poincare.verify_identities(n, weyl_hist=weyl_hist, include_betti_record=False)
     report.extend(prep, prefix="poincare")
 
-    if n <= cfg.cohomology_cap:
-        cx = ce.ChainComplex(n, cap=cfg.cohomology_cap)
+    if n <= ce.DEFAULT_COHOMOLOGY_CAP:
+        cx = ce.ChainComplex(n)
         poincare.add_betti_record(report, cx.betti())
-        mrep = ce.verify_cohomology_basis(n, cap=cfg.cohomology_cap, complex_=cx)
+        mrep = ce.verify_cohomology_basis(n, complex_=cx)
         report.extend(mrep, prefix="classes")
     else:
-        skipped = {"cohomology_cap": cfg.cohomology_cap}
+        skipped = {"cohomology_cap": ce.DEFAULT_COHOMOLOGY_CAP}
         poincare.add_betti_record(report, None, skipped)
         report.add(
             "classes.basis",

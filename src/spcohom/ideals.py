@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .errors import RankCapError
 from .roots import RootSet, check_rank, num_diffs, _addable, _index_tables
+
+IDEAL_CAP = 22
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,9 +107,17 @@ def _profile_dimension(profile) -> int:
     return sum(b - i + 1 for i, b in enumerate(profile, start=1) if b >= i)
 
 
-def enumerate_increasing(n: int) -> Iterator[IncreasingSet]:
-    """All 2^n upward-closed subsets, via their profiles, deterministic order."""
+def check_ideal_cap(n: int) -> None:
+    """Refuse to enumerate the 2^n staircase profiles above rank IDEAL_CAP."""
     check_rank(n)
+    if n > IDEAL_CAP:
+        raise RankCapError(f"rank {n} exceeds the ideal enumeration cap {IDEAL_CAP}")
+
+
+def enumerate_increasing(n: int) -> Iterator[IncreasingSet]:
+    """All 2^n upward-closed subsets, via their profiles, deterministic order.
+    Refuses ranks above the ideal enumeration cap."""
+    check_ideal_cap(n)
     for profile in _profiles(n):
         yield IncreasingSet.from_profile(n, profile)
 
@@ -156,10 +167,10 @@ def is_abelian_ideal_combinatorial(s: RootSet) -> bool:
 
 def dimension_histogram(n: int):
     """Coefficient k counts the upward-closed sets of size k; the
-    coefficients sum to 2^n."""
+    coefficients sum to 2^n.  Refuses ranks above the ideal enumeration cap."""
     from .poincare import IntPolynomial
 
-    check_rank(n)
+    check_ideal_cap(n)
     coeffs = [0] * (n * (n + 1) // 2 + 1)
     for profile in _profiles(n):
         coeffs[_profile_dimension(profile)] += 1

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Every assertion is exact; the time limits are the stated budgets.  Run with
-`pytest -s tests/test_acceptance.py` to see the per-criterion lines.  The
-rank-4 cohomology case is opt-in: set SPCOHOM_TEST_RANK4=1.
+`pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
 import json
@@ -12,8 +11,6 @@ import random
 import subprocess
 import sys
 import time
-
-import pytest
 
 import spcohom
 from spcohom.ce import Cochain, betti_numbers, differential, verify_cohomology_basis
@@ -149,16 +146,12 @@ def test_criterion_07_betti_numbers():
     announce(7, ok, f"CE Betti numbers equal the length histogram, n<=3 ({elapsed:.2f}s)")
 
 
-@pytest.mark.skipif(
-    os.environ.get("SPCOHOM_TEST_RANK4") != "1",
-    reason="rank-4 cohomology is opt-in (SPCOHOM_TEST_RANK4=1)",
-)
 def test_criterion_07b_betti_rank4():
     t0 = time.perf_counter()
-    ok = betti_numbers(4, cap=4) == list(weyl_poincare(4).coeffs)
+    ok = betti_numbers(4) == list(weyl_poincare(4).coeffs)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1800.0
-    announce("7b", ok, f"rank-4 Betti numbers, opt-in ({elapsed:.1f}s)")
+    announce("7b", ok, f"rank-4 Betti numbers ({elapsed:.1f}s)")
 
 
 def test_criterion_08_cohomology_basis():

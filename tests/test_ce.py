@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from spcohom import ce
 from spcohom.ce import (
     ChainComplex,
     Cochain,
@@ -12,6 +13,8 @@ from spcohom.ce import (
     pair_cocycle,
     verify_cohomology_basis,
     _d_monomial,
+    _rank_int,
+    _rank_mod_p,
     _subset_weight,
 )
 from spcohom.correspondence import correspondence_pair, from_pair
@@ -19,7 +22,7 @@ from spcohom.errors import RankCapError
 from spcohom.ideals import enumerate_increasing
 from spcohom.poincare import weyl_poincare
 from spcohom.roots import root_index, diff, long, sum_root
-from spcohom.weyl import Perm, SignedPerm, enumerate_group, inversion_set
+from spcohom.weyl import Perm, SignedPerm, enumerate_group, group_order, inversion_set
 
 
 def idx(n, root):
@@ -112,8 +115,6 @@ def _rank_fraction(matrix):
 
 
 def test_integer_rank_matches_fraction_oracle():
-    from spcohom.ce import _rank_int
-
     rng = random.Random(99)
     for _ in range(300):
         nrows = rng.randrange(1, 7)
@@ -126,6 +127,56 @@ def test_integer_rank_matches_fraction_oracle():
         assert _rank_int(mat) == _rank_fraction(mat)
 
 
+def test_mod_p_rank_matches_fraction_oracle():
+    rng = random.Random(31)
+    for trial in range(300):
+        nrows = rng.randrange(1, 8)
+        ncols = rng.randrange(1, 8)
+        # every third matrix has only entries divisible by 2 or 3
+        values = [-6, -4, -3, -2, 2, 3, 4, 6] if trial % 3 == 0 else range(-9, 10)
+        mat = [[rng.choice(values) if rng.random() < 0.5 else 0 for _ in range(ncols)]
+               for _ in range(nrows)]
+        if rng.random() < 0.5 and nrows > 1:
+            mat[-1] = [sum(row[c] for row in mat[:-1]) for c in range(ncols)]
+        columns = [{r: mat[r][c] for r in range(nrows) if mat[r][c]} for c in range(ncols)]
+        assert _rank_mod_p(columns, ce._PRIME) == _rank_fraction(mat)
+        # a rank over F_p never exceeds the rank over Q
+        assert _rank_mod_p(columns, 2) <= _rank_fraction(mat)
+    assert _rank_mod_p([{0: 2, 1: 4}, {0: 3}], 2) == 1
+    assert _rank_mod_p([{0: 2, 1: 4}, {0: 3}], 3) == 1
+    assert _rank_mod_p([{0: 2, 1: 4}, {0: 3}], ce._PRIME) == 2
+
+
+def _kostant_weights(n):
+    return {_subset_weight(n, next(iter(monomial_cocycle(w).terms))) for w in enumerate_group(n)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_ranks_match_bareiss(n):
+    cx = ChainComplex(n)
+    for p, w, _dim, rank in cx.block_summary():
+        mat = cx.matrix((p, w))
+        assert rank == (_rank_int(mat) if mat and mat[0] else 0)
+    # the exact path takes exactly the weights rho - w rho that carry cohomology
+    assert cx.exact_weights == _kostant_weights(n)
+    assert len(cx.exact_weights) == group_order(n)
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_bad_prime_stays_exact(monkeypatch, prime):
+    """A prime that divides structure constants makes more weights look
+    non-acyclic; they take the exact path, so every rank stays exact."""
+    monkeypatch.setattr(ce, "_PRIME", prime)
+    for n in (1, 2, 3):
+        cx = ChainComplex(n)
+        assert cx.betti() == list(weyl_poincare(n).coeffs)
+        for p, w, _dim, rank in cx.block_summary():
+            mat = cx.matrix((p, w))
+            assert rank == (_rank_int(mat) if mat and mat[0] else 0)
+        assert cx.exact_weights >= _kostant_weights(n)
+    assert len(cx.exact_weights) > group_order(3)
+
+
 def test_betti_examples():
     assert betti_numbers(1) == [1, 1]
     assert betti_numbers(2) == [1, 2, 2, 2, 1]
@@ -136,10 +187,11 @@ def test_betti_examples():
 
 
 def test_betti_cap():
+    # rank 4 is the default cap; rank 5 is refused before anything is built
+    with pytest.raises(RankCapError, match="cohomology cap 4$"):
+        betti_numbers(5)
     with pytest.raises(RankCapError):
-        betti_numbers(4)
-    with pytest.raises(RankCapError):
-        ChainComplex(5, cap=4)
+        ChainComplex(4, cap=3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

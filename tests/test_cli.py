@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from spcohom import correspondence, ideals, poincare
+from spcohom import cli, correspondence, ideals, poincare, weyl
 from spcohom.cli import main
+from spcohom.errors import RankCapError
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -33,10 +34,15 @@ def test_invalid_rank_is_usage_error():
     assert main(["ideals", "--rank", "-3"]) == 2
 
 
-def test_cohomology_cap_is_usage_error():
+def test_cohomology_cap_is_usage_error(tmp_path):
     assert main(["betti", "--rank", "5"]) == 2
-    assert main(["betti", "--rank", "4"]) == 2  # rank 4 needs the opt-in flag
-    assert main(["betti", "--rank", "5", "--allow-rank4-cohomology"]) == 2
+    # rank 4 is the default cap, and the opt-in flag is retired
+    code, text = run_cli(["betti", "--rank", "4"], tmp_path)
+    assert code == 0
+    assert json.loads(text)["data"]["betti"] == list(poincare.weyl_poincare(4).coeffs)
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--rank", "4", "--allow-rank4-cohomology"])
+    assert exc.value.code == 2
 
 
 def test_csv_not_available_for_reports():
@@ -178,6 +184,42 @@ def test_verify_fails_fast_above_group_cap(monkeypatch, capsys):
     monkeypatch.setattr(ideals, "enumerate_increasing", no_listing)
     assert main(["verify", "--rank", "9"]) == 2
     assert "group enumeration cap" in capsys.readouterr().err
+
+
+def test_listing_caps_refuse_before_enumerating(tmp_path, monkeypatch, capsys):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated above a cap")
+
+    monkeypatch.setattr(ideals, "enumerate_increasing", no_enumeration)
+    # the count comes from the histogram; no ideal is built without --list
+    code, text = run_cli(["ideals", "--rank", "10"], tmp_path)
+    assert code == 0 and json.loads(text)["data"]["count"] == 1024
+
+    monkeypatch.setattr(ideals, "_profiles", no_enumeration)
+    monkeypatch.setattr(poincare, "weyl_length_histogram", no_enumeration)
+    monkeypatch.setattr(weyl, "enumerate_group", no_enumeration)
+    ideal_cap = ideals.IDEAL_CAP
+    for args in (
+        ["ideals", "--rank", str(ideal_cap + 1)],
+        ["ideals", "--rank", str(cli.LIST_CAPS["ideals"] + 1), "--list"],
+        ["weyl", "--rank", str(cli.LIST_CAPS["weyl"] + 1), "--list"],
+    ):
+        assert main(args) == 2
+        assert "cap" in capsys.readouterr().err
+    with pytest.raises(RankCapError):
+        ideals.check_ideal_cap(ideal_cap + 1)
+    ideals.check_ideal_cap(ideal_cap)
+
+
+def test_listing_caps_allow_up_to_the_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "LIST_CAPS", {"ideals": 3, "weyl": 2})
+    assert run_cli(["ideals", "--rank", "3", "--list"], tmp_path)[0] == 0
+    assert run_cli(["weyl", "--rank", "2", "--list"], tmp_path)[0] == 0
+    assert main(["ideals", "--rank", "4", "--list"]) == 2
+    assert main(["weyl", "--rank", "3", "--list"]) == 2
+    # without --list only the enumeration caps apply
+    assert run_cli(["ideals", "--rank", "4"], tmp_path)[0] == 0
+    assert run_cli(["weyl", "--rank", "3"], tmp_path)[0] == 0
 
 
 @pytest.mark.parametrize("n", range(1, 6))
