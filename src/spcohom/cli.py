@@ -38,10 +38,11 @@ from .report import VerificationReport
 from .roots import RootSet, check_rank, num_diffs, positive_roots
 from .weyl import SignedPerm, parse_signed_perm
 
-# Highest rank whose --list report is built, per command: the whole listing
-# is held in memory and serialized at once, so these keep peak RSS under
-# about 1 GB (measurements in CHANGES.md).
-LIST_CAPS = {"ideals": 16, "weyl": 6}
+# Highest rank whose listing is built, per command (--list, or --per-weight
+# for betti): the whole listing is held in memory and serialized at once, so
+# these keep peak RSS under about 1 GB (measurements in CHANGES.md).  Rank 5
+# has 250,606 weight blocks.
+LIST_CAPS = {"ideals": 16, "weyl": 6, "betti": 4}
 
 
 @dataclass
@@ -142,10 +143,10 @@ def _structure_rows(n: int) -> list[list]:
 
 
 def _check_list_cap(command: str, n: int) -> None:
-    """Refuse --list above the command's listing cap, before enumerating."""
+    """Refuse a listing above the command's listing cap, before enumerating."""
     cap = LIST_CAPS[command]
     if n > cap:
-        raise RankCapError(f"rank {n} exceeds the {command} --list cap {cap}")
+        raise RankCapError(f"rank {n} exceeds the {command} listing cap {cap}")
 
 
 def _cmd_ideals(cfg: RunConfig):
@@ -215,15 +216,17 @@ def _cmd_bijection(cfg: RunConfig):
 
 def _cmd_betti(cfg: RunConfig):
     n = cfg.rank
-    cx = ce.ChainComplex(n)
-    betti = cx.betti()
+    if cfg.per_weight:
+        _check_list_cap("betti", n)
+    betti = ce.betti_numbers(n)
     report = VerificationReport(rank=n)
+    ce.add_laplacian_record(report)
     poincare.add_betti_record(report, betti)
     data = {"betti": betti, "class_counts": list(poincare.weyl_length_histogram(n).coeffs)}
     if cfg.per_weight:
         data["blocks"] = [
             {"degree": p, "weight": list(w), "dimension": dim, "rank_d": rank}
-            for p, w, dim, rank in cx.block_summary()
+            for p, w, dim, rank in ce.block_summary(n)
         ]
     csv_rows = None
     if cfg.fmt == "csv":
@@ -376,9 +379,8 @@ def verify_all(cfg: RunConfig) -> VerificationReport:
     report.extend(prep, prefix="poincare")
 
     if n <= ce.DEFAULT_COHOMOLOGY_CAP:
-        cx = ce.ChainComplex(n)
-        poincare.add_betti_record(report, cx.betti())
-        mrep = ce.verify_cohomology_basis(n, complex_=cx)
+        mrep = ce.verify_cohomology_basis(n)
+        poincare.add_betti_record(report, mrep.data["betti"])
         report.extend(mrep, prefix="classes")
     else:
         skipped = {"cohomology_cap": ce.DEFAULT_COHOMOLOGY_CAP}

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,20 +9,25 @@ from spcohom.ce import (
     ChainComplex,
     Cochain,
     betti_numbers,
+    block_summary,
     differential,
+    dstar,
+    laplacian,
     monomial_cocycle,
     pair_cocycle,
     verify_cohomology_basis,
     _d_monomial,
+    _mask_key,
     _rank_int,
-    _rank_mod_p,
     _subset_weight,
 )
+from spcohom.cli import main
 from spcohom.correspondence import correspondence_pair, from_pair
 from spcohom.errors import RankCapError
 from spcohom.ideals import enumerate_increasing
 from spcohom.poincare import weyl_poincare
-from spcohom.roots import root_index, diff, long, sum_root
+from spcohom.report import VerificationReport
+from spcohom.roots import LONG, positive_roots, root_index, diff, long, sum_root
 from spcohom.weyl import Perm, SignedPerm, enumerate_group, group_order, inversion_set
 
 
@@ -127,54 +133,127 @@ def test_integer_rank_matches_fraction_oracle():
         assert _rank_int(mat) == _rank_fraction(mat)
 
 
-def test_mod_p_rank_matches_fraction_oracle():
-    rng = random.Random(31)
-    for trial in range(300):
-        nrows = rng.randrange(1, 8)
-        ncols = rng.randrange(1, 8)
-        # every third matrix has only entries divisible by 2 or 3
-        values = [-6, -4, -3, -2, 2, 3, 4, 6] if trial % 3 == 0 else range(-9, 10)
-        mat = [[rng.choice(values) if rng.random() < 0.5 else 0 for _ in range(ncols)]
-               for _ in range(nrows)]
-        if rng.random() < 0.5 and nrows > 1:
-            mat[-1] = [sum(row[c] for row in mat[:-1]) for c in range(ncols)]
-        columns = [{r: mat[r][c] for r in range(nrows) if mat[r][c]} for c in range(ncols)]
-        assert _rank_mod_p(columns, ce._PRIME) == _rank_fraction(mat)
-        # a rank over F_p never exceeds the rank over Q
-        assert _rank_mod_p(columns, 2) <= _rank_fraction(mat)
-    assert _rank_mod_p([{0: 2, 1: 4}, {0: 3}], 2) == 1
-    assert _rank_mod_p([{0: 2, 1: 4}, {0: 3}], 3) == 1
-    assert _rank_mod_p([{0: 2, 1: 4}, {0: 3}], ce._PRIME) == 2
-
-
 def _kostant_weights(n):
     return {_subset_weight(n, next(iter(monomial_cocycle(w).terms))) for w in enumerate_group(n)}
 
 
+def _norm(n, b):
+    """|e_b|^2 from the root's kind: 1 for 2e_i, 2 for e_i +- e_j."""
+    return 1 if positive_roots(n)[b].kind == LONG else 2
+
+
+def _metric(n, key):
+    """|f_S|^2 = prod 1/|e_b|^2 over the monomial."""
+    out = Fraction(1)
+    for b in key:
+        out /= _norm(n, b)
+    return out
+
+
+def _c(n, weight):
+    """c(mu) = (|rho|^2 - |rho - mu|^2) / 4 with rho = (n, ..., 1)."""
+    rho = range(n, 0, -1)
+    return Fraction(
+        sum(r * r for r in rho) - sum((r - m) ** 2 for r, m in zip(rho, weight)), 4
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dstar_is_adjoint_of_d(n):
+    # <dx, y> = <x, d*y> for every pair of monomials; both sides are checked
+    # from each side's nonzero terms, which covers every nonzero pair
+    keys = [_mask_key(mask) for mask in range(1 << (n * n))]
+    for x in keys:
+        for y, c in _d_monomial(n, x).items():
+            assert c * _metric(n, y) == dstar(n, y).get(x, 0) * _metric(n, x)
+    for y in keys:
+        for x, c in dstar(n, y).items():
+            assert len(x) == len(y) - 1
+            assert c * _metric(n, x) == _d_monomial(n, x).get(y, 0) * _metric(n, y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_laplacian_is_scalar_on_every_monomial(n):
+    for mask in range(1 << (n * n)):
+        key = _mask_key(mask)
+        c = _c(n, _subset_weight(n, key))
+        assert laplacian(n, key) == ({key: c} if c else {})
+
+
+def _brute_force_counts(n):
+    """{(degree, weight): number of subsets}, over all 2^(n^2) subsets."""
+    counts = {}
+    for mask in range(1 << (n * n)):
+        key = _mask_key(mask)
+        block = (len(key), _subset_weight(n, key))
+        counts[block] = counts.get(block, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dp_betti_matches_brute_force(n):
+    counts = _brute_force_counts(n)
+    betti = [0] * (n * n + 1)
+    for (p, weight), count in counts.items():
+        if _c(n, weight) == 0:
+            betti[p] += count
+    assert betti_numbers(n) == betti == list(weyl_poincare(n).coeffs)
+    assert {(p, w): dim for p, w, dim, _rank in block_summary(n)} == counts
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_block_ranks_match_bareiss(n):
+    # the forced ranks of the --per-weight table equal Bareiss on each block
     cx = ChainComplex(n)
-    for p, w, _dim, rank in cx.block_summary():
+    forced = block_summary(n)
+    assert forced == cx.block_summary()
+    for p, w, _dim, rank in forced:
         mat = cx.matrix((p, w))
         assert rank == (_rank_int(mat) if mat and mat[0] else 0)
-    # the exact path takes exactly the weights rho - w rho that carry cohomology
-    assert cx.exact_weights == _kostant_weights(n)
-    assert len(cx.exact_weights) == group_order(n)
+    # the weights with c = 0 are exactly the weights rho - w rho
+    harmonic = {w for _p, w, _dim, _rank in forced if _c(n, w) == 0}
+    assert harmonic == _kostant_weights(n)
+    assert len(harmonic) == group_order(n)
 
 
-@pytest.mark.parametrize("prime", [2, 3])
-def test_bad_prime_stays_exact(monkeypatch, prime):
-    """A prime that divides structure constants makes more weights look
-    non-acyclic; they take the exact path, so every rank stays exact."""
-    monkeypatch.setattr(ce, "_PRIME", prime)
-    for n in (1, 2, 3):
-        cx = ChainComplex(n)
-        assert cx.betti() == list(weyl_poincare(n).coeffs)
-        for p, w, _dim, rank in cx.block_summary():
-            mat = cx.matrix((p, w))
-            assert rank == (_rank_int(mat) if mat and mat[0] else 0)
-        assert cx.exact_weights >= _kostant_weights(n)
-    assert len(cx.exact_weights) > group_order(3)
+def _broken_constants(n):
+    """One table per structure constant, with that constant doubled."""
+    dec = ce._decompositions(n)
+    for g, row in enumerate(dec):
+        for i, (a, b, c) in enumerate(row):
+            broken = list(dec)
+            broken[g] = row[:i] + ((a, b, 2 * c),) + row[i + 1 :]
+            yield tuple(broken)
+
+
+def _laplacian_record(n):
+    report = VerificationReport(rank=n)
+    ce.add_laplacian_record(report)
+    (record,) = report.records
+    return record
+
+
+def test_laplacian_check_catches_broken_structure(monkeypatch, capsys, tmp_path):
+    n = 3
+    record = _laplacian_record(n)
+    assert record.passed and record.detail == {"checked": 46, "failures": 0, "witnesses": []}
+    tables = list(_broken_constants(n))
+    assert len(tables) == 10
+    norms = ce._norms(n)
+    broken_norms = [norms[:b] + (3 - norms[b],) + norms[b + 1 :] for b in range(n * n)]
+    patches = [("_decompositions", t) for t in tables] + [("_norms", v) for v in broken_norms]
+    for name, value in patches:
+        monkeypatch.setattr(ce, name, lambda m, value=value: value)
+        record = _laplacian_record(n)
+        assert not record.passed and record.detail["failures"] > 0
+        assert record.detail["witnesses"]
+        monkeypatch.undo()
+    for name, value in (patches[0], patches[-1]):
+        monkeypatch.setattr(ce, name, lambda m, value=value: value)
+        for command in ("betti", "verify"):
+            assert main([command, "--rank", str(n), "--out", str(tmp_path / "out.json")]) == 1
+            assert "Traceback" not in capsys.readouterr().err
+        monkeypatch.undo()
 
 
 def test_betti_examples():
@@ -187,11 +266,15 @@ def test_betti_examples():
 
 
 def test_betti_cap():
-    # rank 4 is the default cap; rank 5 is refused before anything is built
-    with pytest.raises(RankCapError, match="cohomology cap 4$"):
-        betti_numbers(5)
+    # rank 6 is the default cap; rank 7 is refused before anything is counted
+    with pytest.raises(RankCapError, match="cohomology cap 6$"):
+        betti_numbers(7)
+    assert betti_numbers(5) == list(weyl_poincare(5).coeffs)
+    # the oracle lists all 2^(n^2) monomials and stops at rank 4 whatever cap says
     with pytest.raises(RankCapError):
         ChainComplex(4, cap=3)
+    with pytest.raises(RankCapError, match="cochain-complex cap 4$"):
+        ChainComplex(5, cap=ce.DEFAULT_COHOMOLOGY_CAP)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -251,7 +334,27 @@ def test_pair_cocycle_degree_additive():
         assert lc.degree == len(perm_inversions(p.sym)) + p.ideal.dimension
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classes_independent_can_fail(monkeypatch):
+    n = 3
+    record = {r.check_id: r for r in verify_cohomology_basis(n).records}["classes-independent"]
+    assert record.passed
+    assert record.detail == {"not_harmonic": 0, "repeated_monomials": 0, "witnesses": []}
+
+    # a wrong c makes every inversion-set monomial look non-harmonic
+    monkeypatch.setattr(ce, "_c4", lambda n, weight: 1)
+    record = {r.check_id: r for r in verify_cohomology_basis(n).records}["classes-independent"]
+    assert not record.passed and record.detail["not_harmonic"] == group_order(n)
+    assert len(record.detail["witnesses"]) == 5
+    monkeypatch.undo()
+
+    # a walk that repeats one element repeats its monomial
+    walk = list(ce._iter_signed_inversion_masks(n))
+    monkeypatch.setattr(ce, "_iter_signed_inversion_masks", lambda n: walk[:-1] + walk[:1])
+    record = {r.check_id: r for r in verify_cohomology_basis(n).records}["classes-independent"]
+    assert not record.passed and record.detail["repeated_monomials"] == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_verify_cohomology_basis_passes(n):
     report = verify_cohomology_basis(n)
     assert report.passed, [r.check_id for r in report.records if not r.passed]

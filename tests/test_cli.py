@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from spcohom import cli, correspondence, ideals, poincare, weyl
+from spcohom import ce, cli, correspondence, ideals, poincare, weyl
 from spcohom.cli import main
 from spcohom.errors import RankCapError
 
@@ -35,11 +35,12 @@ def test_invalid_rank_is_usage_error():
 
 
 def test_cohomology_cap_is_usage_error(tmp_path):
-    assert main(["betti", "--rank", "5"]) == 2
-    # rank 4 is the default cap, and the opt-in flag is retired
-    code, text = run_cli(["betti", "--rank", "4"], tmp_path)
+    assert main(["betti", "--rank", "7"]) == 2
+    assert main(["classes", "--rank", "7"]) == 2
+    # rank 6 is the default cap, and the opt-in flag is retired
+    code, text = run_cli(["betti", "--rank", "5"], tmp_path)
     assert code == 0
-    assert json.loads(text)["data"]["betti"] == list(poincare.weyl_poincare(4).coeffs)
+    assert json.loads(text)["data"]["betti"] == list(poincare.weyl_poincare(5).coeffs)
     with pytest.raises(SystemExit) as exc:
         main(["betti", "--rank", "4", "--allow-rank4-cohomology"])
     assert exc.value.code == 2
@@ -198,11 +199,13 @@ def test_listing_caps_refuse_before_enumerating(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ideals, "_profiles", no_enumeration)
     monkeypatch.setattr(poincare, "weyl_length_histogram", no_enumeration)
     monkeypatch.setattr(weyl, "enumerate_group", no_enumeration)
+    monkeypatch.setattr(ce, "_weight_dp", no_enumeration)
     ideal_cap = ideals.IDEAL_CAP
     for args in (
         ["ideals", "--rank", str(ideal_cap + 1)],
         ["ideals", "--rank", str(cli.LIST_CAPS["ideals"] + 1), "--list"],
         ["weyl", "--rank", str(cli.LIST_CAPS["weyl"] + 1), "--list"],
+        ["betti", "--rank", str(cli.LIST_CAPS["betti"] + 1), "--per-weight"],
     ):
         assert main(args) == 2
         assert "cap" in capsys.readouterr().err
