@@ -39,12 +39,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .correspondence import from_pair, _relabel_phi1, _witness_str
+from .correspondence import from_pair, _rho_table, _witness_str
 from .errors import RankCapError
 from .ideals import IncreasingSet, enumerate_increasing
 from .liealg import root_vector, structure_table
 from .report import VerificationReport
-from .roots import check_rank, positive_roots
+from .roots import check_rank, num_diffs, positive_roots
 from .weyl import (
     Perm,
     SignedPerm,
@@ -468,13 +468,9 @@ def pair_cocycle(sigma: Perm, psi: IncreasingSet) -> Cochain:
         raise ValueError("rank mismatch between permutation and ideal")
     n = sigma.rank
     factors = _mask_key(_perm_inversion_mask(sigma.images, n))
-    rho = [0] * (n + 1)
-    for v in range(1, n + 1):
-        rho[v] = sigma.images[n - v]
-    relabeled = [
-        _mask_key(_relabel_phi1(1 << b, rho, n))[0]
-        for b in _mask_key(psi.members.mask)
-    ]
+    nd = num_diffs(n)
+    rho = _rho_table(sigma.images, n)
+    relabeled = [nd + rho[b - nd] for b in _mask_key(psi.members.mask)]
     key, sign = _sort_parity(list(factors) + relabeled)
     return Cochain.monomial(n, key, sign)
 

@@ -15,6 +15,13 @@ the order they appear in sigma_0's word: the symmetric component is sigma_0's
 word without the j's followed by the j's reversed, and row t of the ideal
 runs up to b_t = n + t - sigma_0^-1(j_t).  verify_bijection gates both on
 every element.
+
+The scan runs every check on every element as a table lookup plus one
+C-level gather: relabel tables are bit permutations of the mask's binary
+digits (_relabel), and the inverse recipe (_recipes) and both closed forms
+(_closed_forms) are one gather per staircase or set of flipped positions.
+The support identity needs no relabel where the composite of the two
+relabels fixes the element's sum inversions (_sym_entry).
 """
 
 from __future__ import annotations
@@ -24,12 +31,13 @@ import os
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError
-from .ideals import IncreasingSet, _profiles, _mask_from_profile
+from .ideals import IncreasingSet, _mask_from_profile, _profile_from_mask, _profiles
 from .report import VerificationReport
-from .roots import RootSet, check_rank, num_diffs, positive_roots, _index_tables
+from .roots import RootSet, check_rank, num_diffs, positive_roots
 from .weyl import (
     DEFAULT_GROUP_CAP,
     Perm,
@@ -61,78 +69,92 @@ def reversal_perm(n: int) -> Perm:
     return Perm(tuple(range(n, 0, -1)))
 
 
-@lru_cache(maxsize=None)
-def _phi1_bits(n: int) -> dict[tuple[int, int], int]:
-    """(i, j) with i <= j -> the one-bit mask of the sums-plus-longs root
-    e_i + e_j (2e_i when i == j), in bit order from bit num_diffs(n)."""
-    return {(r.i, r.j): 1 << b for b, r in enumerate(positive_roots(n)) if r.in_phi1}
+def _gather(idx: Sequence[int]) -> itemgetter:
+    """g(seq) is tuple(seq[i] for i in idx), or a str for a str.  A single
+    index gets a one-item slice, since itemgetter(i) returns a scalar."""
+    return itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
 
 
 @lru_cache(maxsize=None)
-def _increasing_profiles(n: int) -> dict[int, tuple[int, ...]]:
-    """Bitmask -> staircase profile for each of the 2^n upward-closed sets."""
-    return {_mask_from_profile(p, n): p for p in _profiles(n)}
-
-
-@lru_cache(maxsize=None)
-def _row_masks(n: int) -> tuple[tuple[int, ...], ...]:
-    """_row_masks(n)[t][b] is the bitmask of {e_t + e_j : t <= j <= b}."""
-    _, s_idx, l_idx = _index_tables(n)
-    table: list[tuple[int, ...]] = [()]
-    for t in range(1, n + 1):
-        row = [0] * (n + 1)
-        acc = 1 << l_idx[t]
-        row[t] = acc
-        for b in range(t + 1, n + 1):
-            acc |= 1 << s_idx[t][b]
-            row[b] = acc
-        table.append(tuple(row))
-    return tuple(table)
+def _phi1_index(n: int) -> dict[tuple[int, int], int]:
+    """(i, j) with i <= j -> the index, counted from bit num_diffs(n), of the
+    sums-plus-longs root e_i + e_j (2e_i when i == j)."""
+    return {(r.i, r.j): k for k, r in enumerate(r for r in positive_roots(n) if r.in_phi1)}
 
 
 def _relabel_table(value_map: Sequence[int], n: int) -> tuple[int, ...]:
-    """Entry k is the one-bit mask of the sums-plus-longs root at bit
-    num_diffs(n) + k with both of its indices sent through value_map[v]."""
-    bits = _phi1_bits(n)
+    """Entry k is where the sums-plus-longs root at index k goes when both of
+    its indices are sent through value_map[v].  The gather in _relabel is
+    exact only for a bit permutation, so anything else is an error."""
+    index = _phi1_index(n)
     out = []
-    for i, j in bits:
+    for i, j in index:
         a, b = value_map[i], value_map[j]
-        out.append(bits[(a, b) if a <= b else (b, a)])
+        out.append(index.get((a, b) if a <= b else (b, a)))
+    if set(out) != set(range(len(out))):
+        raise ConsistencyError(
+            f"the value map {tuple(value_map[1:])} permutes no sums-plus-longs "
+            f"of rank {n}; this indicates a bug"
+        )
     return tuple(out)
 
 
-def _relabel(mask: int, table: tuple[int, ...], nd: int) -> int:
-    """Apply a _relabel_table to the sums-plus-longs bits of a mask; its
-    difference bits are ignored."""
-    out = 0
-    m = mask >> nd
-    while m:
-        low = m & -m
-        m ^= low
-        out |= table[low.bit_length() - 1]
-    return out
+def _rho_table(word: Sequence[int], n: int) -> tuple[int, ...]:
+    """The relabel table of rho(v) = word[n - v] (1-based values), which takes
+    an ideal back to the sum inversions of the elements over word."""
+    return _relabel_table((0, *reversed(word)), n)
 
 
-def _relabel_phi1(mask: int, value_map: Sequence[int], n: int) -> int:
-    """Relabel the indices of a sums-plus-longs bitmask through value_map[v]."""
-    return _relabel(mask, _relabel_table(value_map, n), num_diffs(n))
+def _relabel_gather(table: Sequence[int]) -> itemgetter:
+    """Compile a relabel table into the gather that _relabel applies: output
+    digit L-1-t of the binary string takes input digit L-1-k when table[k] = t."""
+    last = len(table) - 1
+    src = [0] * len(table)
+    for k, t in enumerate(table):
+        src[last - t] = last - k
+    return _gather(src)
 
 
-def _sym_entry(
-    phi0: int, n: int
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """Everything the correspondence needs from a difference-root bitmask:
-    (word, fwd, bwd) for the permutation whose inversion set it is, or None
+def _relabel(mask: int, gather: itemgetter, nd: int, fmt: str) -> int:
+    """Relabel the sums-plus-longs bits of a mask, from bit nd on and fmt their
+    zero-padded binary format, by a compiled table; drop the difference bits."""
+    return int("".join(gather(format(mask >> nd, fmt))), 2) << nd
+
+
+def _rho_relabel(mask: int, word: Sequence[int], n: int) -> int:
+    """Relabel the sums-plus-longs bits of a mask through rho, from scratch."""
+    nd = num_diffs(n)
+    return _relabel(mask, _relabel_gather(_rho_table(word, n)), nd, f"0{nd + n}b")
+
+
+def _value_mask(values) -> int:
+    """Bit v-1 set for each value v."""
+    mask = 0
+    for v in values:
+        mask |= 1 << (v - 1)
+    return mask
+
+
+def _sym_entry(phi0: int, n: int) -> Optional[tuple]:
+    """Everything the scan needs from a difference-root bitmask: (word, fwd,
+    suffix, moved) for the permutation whose inversion set it is, or None
     when it is no inversion set.  fwd relabels sum inversions into the ideal
-    through pi(v) = n + 1 - pos(v), and bwd relabels back through
-    rho = pi^-1, rho(v) = word[n - v] (0-based)."""
+    through pi(v) = n + 1 - pos(v); suffix[k] is the value mask of the last k
+    letters of word, which the inverse recipe flips.  Relabelling through fwd
+    and then rho = pi^-1 is relabelling through their composite, and moved
+    holds the bits that the composite does not fix (none unless a table is
+    wrong), so the support identity holds where an element avoids moved."""
     word = _word_from_inversion_mask(phi0, n)
     if word is None:
         return None
     pi = [0] * (n + 1)
     for p, v in enumerate(word):
         pi[v] = n - p
-    return word, _relabel_table(pi, n), _relabel_table((0, *reversed(word)), n)
+    fwd = _relabel_table(pi, n)
+    bwd = _rho_table(word, n)
+    moved = sum(1 << k for k, t in enumerate(fwd) if bwd[t] != k) << num_diffs(n)
+    suffix = tuple(_value_mask(word[n - k :]) for k in range(n + 1))
+    return word, _relabel_gather(fwd), suffix, moved
 
 
 def _pair_masks(w: SignedPerm) -> tuple[tuple[int, ...], int]:
@@ -140,15 +162,13 @@ def _pair_masks(w: SignedPerm) -> tuple[tuple[int, ...], int]:
     n = w.rank
     nd = num_diffs(n)
     mask = _inversion_mask(w.images, n)
-    phi0 = mask & ((1 << nd) - 1)
-    entry = _sym_entry(phi0, n)
+    entry = _sym_entry(mask & ((1 << nd) - 1), n)
     if entry is None:
         raise ConsistencyError(
             f"the short inversions of {w} form no permutation inversion set; "
             "this contradicts the correspondence and indicates a bug"
         )
-    word, fwd, _ = entry
-    return word, _relabel(mask, fwd, nd)
+    return entry[0], _relabel(mask, entry[1], nd, f"0{nd + n}b")
 
 
 def sym_component(w: SignedPerm) -> Perm:
@@ -166,7 +186,7 @@ def ideal_component(w: SignedPerm) -> IncreasingSet:
 def correspondence_pair(w: SignedPerm) -> CorrespondencePair:
     n = w.rank
     word, ximask = _pair_masks(w)
-    profile = _increasing_profiles(n).get(ximask)
+    profile = _profile_from_mask(ximask, n)
     if profile is None:
         raise ConsistencyError(
             f"the relabeled sum inversions of {w} are not upward closed; "
@@ -175,40 +195,37 @@ def correspondence_pair(w: SignedPerm) -> CorrespondencePair:
     return CorrespondencePair(Perm(word), IncreasingSet(n, RootSet(n, ximask), profile))
 
 
-def _value_mask(values) -> int:
-    """Bit v-1 set for each value v."""
-    mask = 0
-    for v in values:
-        mask |= 1 << (v - 1)
-    return mask
+@lru_cache(maxsize=None)
+def _closed_forms(n: int) -> tuple[tuple[itemgetter, int], ...]:
+    """Both closed forms, per set P of flipped positions (bit p for the
+    0-based position p): (gather, ideal mask), where gather(sigma_0's word) is
+    the unflipped values followed by the flipped ones reversed, and row t of
+    the ideal runs up to b_t = n + t - p_t for the t-th flipped position p_t
+    (1-based), inverting the placement in _recipes.  As p_t <= n - k + t,
+    b_t >= k >= t, so the rows form a staircase."""
+    out = []
+    for pset in range(1 << n):
+        flipped = [p for p in range(n) if pset >> p & 1]
+        kept = [p for p in range(n) if not pset >> p & 1]
+        bounds = [n + t - p for t, p in enumerate(flipped)]
+        out.append((_gather(kept + flipped[::-1]), _mask_from_profile(bounds, n)))
+    return tuple(out)
 
 
-def _closed_form(
-    word: tuple[int, ...], jmask: int, rowm: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], int]:
-    """(sym word, ideal mask) read off the standard form: sigma_0's word and
-    the flipped-value bitmask, with rowm = _row_masks(n).  The t-th flipped
-    value j_t in word order sits at position p = sigma_0^-1(j_t); the sym word
-    is the unflipped values followed by the flipped ones reversed, and row t
-    of the ideal runs up to b_t = n + t - p, the inverse of the placement
-    p = n + t - b_t in _construct_from_pair.  Since p >= t, b_t <= n."""
-    n = len(word)
-    head = []
-    tail = []
-    mask = 0
-    for p, v in enumerate(word, start=1):
-        if jmask >> (v - 1) & 1:
-            tail.append(v)
-            t = len(tail)
-            mask |= rowm[t][n + t - p]
-        else:
-            head.append(v)
-    return tuple(head + tail[::-1]), mask
+def _closed_forms_of(word: tuple[int, ...]) -> tuple[tuple[itemgetter, int], ...]:
+    """Entry jmask is the _closed_forms entry of the element (word, jmask)."""
+    psets = [0]
+    for v in range(1, len(word) + 1):
+        bit = 1 << word.index(v)
+        psets += [p | bit for p in psets]
+    return itemgetter(*psets)(_closed_forms(len(word)))
 
 
 def _closed_form_of(sf: StandardForm) -> tuple[tuple[int, ...], int]:
-    n = sf.sigma0.rank
-    return _closed_form(sf.sigma0.images, _value_mask(sf.j_list), _row_masks(n))
+    """(sym word, ideal mask) read off the standard form."""
+    word = sf.sigma0.images
+    gather, ideal = _closed_forms_of(word)[_value_mask(sf.j_list)]
+    return gather(word), ideal
 
 
 def sym_component_closed_form(sf: StandardForm) -> Perm:
@@ -223,34 +240,36 @@ def ideal_component_closed_form(sf: StandardForm) -> RootSet:
     return RootSet(sf.sigma0.rank, _closed_form_of(sf)[1])
 
 
-def _construct_from_pair(
-    sigma_word: tuple[int, ...], profile: tuple[int, ...], n: int
-) -> Optional[tuple[tuple[int, ...], int]]:
-    """The direct inverse recipe: read off the flipped values from the tail of
-    the permutation word, place the t-th one at position n + t - b_t where b_t
-    is the t-th staircase bound, and fill the rest in order.  Returns
-    (unsigned word, flipped-value bitmask), or None if the data is malformed.
-    """
-    k = 0
-    for t in range(1, n + 1):
-        if profile[t - 1] >= t:
-            k += 1
-        else:
-            break
-    jlist = [sigma_word[n - t] for t in range(1, k + 1)]
-    out = [0] * n
-    prev = 0
-    for t in range(1, k + 1):
-        p = n + t - profile[t - 1]
-        if not prev < p <= n:
-            return None
-        out[p - 1] = jlist[t - 1]
-        prev = p
-    fill = iter(sigma_word[: n - k])
-    for idx in range(n):
-        if out[idx] == 0:
-            out[idx] = next(fill)
-    return tuple(out), _value_mask(jlist)
+@lru_cache(maxsize=None)
+def _recipes(n: int) -> dict[int, Optional[tuple[itemgetter, int]]]:
+    """The direct inverse recipe, per upward-closed set: ideal mask ->
+    (gather, k), or None if the placement is malformed.  The recipe flips the
+    k values at the tail of the permutation word, one per nonempty staircase
+    row, puts the t-th, word[n - t], at position n + t - b_t for the t-th
+    bound b_t, and fills the other positions with the rest of the word in
+    order; gather(word) is the unsigned word it builds."""
+    out: dict[int, Optional[tuple[itemgetter, int]]] = {}
+    for profile in _profiles(n):
+        mask = _mask_from_profile(profile, n)
+        k = sum(b > t for t, b in enumerate(profile))
+        places = [n + t - b for t, b in enumerate(profile[:k], start=1)]
+        if any(not p < q <= n for p, q in zip([0] + places, places)):
+            out[mask] = None
+            continue
+        slot = {p: n - t for t, p in enumerate(places, start=1)}
+        rest = iter(range(n - k))
+        out[mask] = _gather([slot[p] if p in slot else next(rest) for p in range(1, n + 1)]), k
+    return out
+
+
+def _construct(sigma_word: tuple[int, ...], ximask: int, n: int) -> Optional[tuple]:
+    """The direct inverse recipe applied to a pair key: (unsigned word,
+    flipped-value bitmask), or None when _recipes has no placement."""
+    recipe = _recipes(n).get(ximask)
+    if recipe is None:
+        return None
+    gather, k = recipe
+    return gather(sigma_word), _value_mask(sigma_word[n - k :])
 
 
 def _signed_images(word: tuple[int, ...], jmask: int) -> tuple[int, ...]:
@@ -267,8 +286,7 @@ def from_pair(sigma: Perm, psi: IncreasingSet) -> SignedPerm:
     """
     if sigma.rank != psi.rank:
         raise ValueError("rank mismatch between permutation and ideal")
-    n = sigma.rank
-    built = _construct_from_pair(sigma.images, psi.profile, n)
+    built = _construct(sigma.images, psi.members.mask, sigma.rank)
     if built is not None:
         cand = SignedPerm(_signed_images(*built))
         if _pair_masks(cand) == (sigma.images, psi.members.mask):
@@ -288,8 +306,7 @@ def cocycle_support(sigma: Perm, psi: IncreasingSet) -> RootSet:
         raise ValueError("rank mismatch between permutation and ideal")
     n = sigma.rank
     inv = _perm_inversion_mask(sigma.images, n)
-    relabeled = _relabel_phi1(psi.members.mask, (0, *reversed(sigma.images)), n)
-    return RootSet(n, inv | relabeled)
+    return RootSet(n, inv | _rho_relabel(psi.members.mask, sigma.images, n))
 
 
 class _TopK:
@@ -315,6 +332,43 @@ def _witness_str(word: tuple[int, ...], jmask: int) -> str:
     return "[" + ",".join(map(str, _signed_images(word, jmask))) + "]"
 
 
+# the per-element checks: counter key -> (check id, description)
+_ELEMENT_CHECKS = {
+    "sym_fail": (
+        "sym-component-inversions",
+        "the difference inversions of every element form the inversion set "
+        "of its permutation component",
+    ),
+    "incr_fail": (
+        "ideal-component-increasing",
+        "the relabeled sum inversions of every element are upward closed",
+    ),
+    "support_fail": (
+        "support-identity",
+        "permutation inversions joined with the relabeled ideal recover the "
+        "whole inversion set",
+    ),
+    "degree_fail": (
+        "degree-additivity",
+        "length equals permutation length plus ideal dimension",
+    ),
+    "construct_fail": (
+        "constructive-inverse",
+        "the direct inverse recipe rebuilds every element from its pair",
+    ),
+    "closed_sym_fail": (
+        "closed-form-sym",
+        "the word of sigma_0 without the flipped values, followed by the "
+        "flipped values in reversed word order, is the symmetric component",
+    ),
+    "closed_ideal_fail": (
+        "closed-form-ideal",
+        "the staircase with row t up to n + t - sigma_0^-1(j_t), the flipped "
+        "values j_t in word order, is the ideal component",
+    ),
+}
+
+
 def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses: int) -> dict:
     """Exhaustively check one slice of the group (by permutation index range).
 
@@ -323,34 +377,33 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
     merge associatively across chunks, plus the size of the chunk's memo.
     """
     nd = num_diffs(n)
+    fmt = f"0{nd + n}b"
     phi0_all = (1 << nd) - 1
-    incr_profiles = _increasing_profiles(n)
-    rowm = _row_masks(n)
+    recipes = _recipes(n)
     # phi0 -> _sym_entry(phi0, n); phi0 is the inversion mask of the symmetric
     # component, so there are at most n! keys
     memo: dict[int, Optional[tuple]] = {}
+    # failures only: the element and round-trip counts come from hist
+    counts = dict.fromkeys(_ELEMENT_CHECKS, 0)
+    witnesses = {key: _TopK(max_witnesses) for key in _ELEMENT_CHECKS}
 
-    counts = {
-        "elements": 0,
-        "sym_fail": 0,
-        "incr_fail": 0,
-        "support_fail": 0,
-        "degree_fail": 0,
-        "round_trip": 0,
-        "construct_fail": 0,
-        "closed_sym_fail": 0,
-        "closed_ideal_fail": 0,
-    }
-    witnesses = {key: _TopK(max_witnesses) for key in counts if key.endswith("_fail")}
+    def fail(key: str, word: tuple[int, ...], jmask: int) -> None:
+        counts[key] += 1
+        witnesses[key].offer((word, jmask))
+
     hist = [0] * (n * n + 1)
     failed_keys: set[tuple[tuple[int, ...], int]] = set()
 
     source = _iter_signed_inversion_masks(n, perm_start=start or 0, perm_stop=stop)
-
+    # the walk yields one tuple per permutation for all its sign patterns, and
+    # holding it here keeps the next permutation from reusing that object
+    current = None
     for word, jmask, mask in source:
-        counts["elements"] += 1
-        hist[mask.bit_count()] += 1
-        element = (word, jmask)
+        if word is not current:
+            current = word
+            closed = _closed_forms_of(word)
+        length = mask.bit_count()
+        hist[length] += 1
 
         phi0 = mask & phi0_all
         try:
@@ -358,45 +411,39 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
         except KeyError:
             entry = memo[phi0] = _sym_entry(phi0, n)
         if entry is None:
-            counts["sym_fail"] += 1
-            witnesses["sym_fail"].offer(element)
+            fail("sym_fail", word, jmask)
             continue
-        eta_word, fwd, bwd = entry
+        eta_word, fwd, suffix, moved = entry
 
         # ideal component: relabel the sum inversions through pi
-        ximask = _relabel(mask, fwd, nd)
-
-        profile = incr_profiles.get(ximask)
-        if profile is None:
-            counts["incr_fail"] += 1
-            witnesses["incr_fail"].offer(element)
+        ximask = _relabel(mask, fwd, nd, fmt)
+        try:
+            recipe = recipes[ximask]
+        except KeyError:
+            fail("incr_fail", word, jmask)
             continue
 
-        # support identity: relabel the ideal back through rho = pi^-1
-        back = _relabel(ximask, bwd, nd)
-        if phi0 | back != mask:
-            counts["support_fail"] += 1
-            witnesses["support_fail"].offer(element)
+        # support identity: relabel the ideal back through rho = pi^-1; the
+        # two relabels compose to one that fixes every bit outside moved
+        if mask & moved and phi0 | _rho_relabel(ximask, eta_word, n) != mask:
+            fail("support_fail", word, jmask)
 
-        if mask.bit_count() != phi0.bit_count() + ximask.bit_count():
-            counts["degree_fail"] += 1
-            witnesses["degree_fail"].offer(element)
+        if length != phi0.bit_count() + ximask.bit_count():
+            fail("degree_fail", word, jmask)
 
-        if _construct_from_pair(eta_word, profile, n) == element:
-            counts["round_trip"] += 1
-        else:
-            counts["construct_fail"] += 1
-            witnesses["construct_fail"].offer(element)
+        if recipe is None or suffix[recipe[1]] != jmask or recipe[0](eta_word) != word:
+            fail("construct_fail", word, jmask)
             failed_keys.add((eta_word, ximask))
 
-        sym_cf, ideal_cf = _closed_form(word, jmask, rowm)
-        if sym_cf != eta_word:
-            counts["closed_sym_fail"] += 1
-            witnesses["closed_sym_fail"].offer(element)
-        if ideal_cf != ximask:
-            counts["closed_ideal_fail"] += 1
-            witnesses["closed_ideal_fail"].offer(element)
+        gather, ideal = closed[jmask]
+        if gather(word) != eta_word:
+            fail("closed_sym_fail", word, jmask)
+        if ideal != ximask:
+            fail("closed_ideal_fail", word, jmask)
 
+    elements = sum(hist)
+    unbuilt = counts["sym_fail"] + counts["incr_fail"] + counts["construct_fail"]
+    counts.update(elements=elements, round_trip=elements - unbuilt)
     return {
         "counts": counts,
         "witnesses": {k: w.items for k, w in witnesses.items()},
@@ -415,7 +462,7 @@ def _usable_cpus() -> int:
 
 def _is_round_trip_key(sigma_word: tuple[int, ...], ximask: int, n: int) -> bool:
     """Whether pair(construct(k)) == k for the pair key k = (sigma_word, ximask)."""
-    built = _construct_from_pair(sigma_word, _increasing_profiles(n)[ximask], n)
+    built = _construct(sigma_word, ximask, n)
     if built is None:
         return False
     try:
@@ -495,52 +542,9 @@ def verify_bijection(
         distinct == order,
         {"distinct_pairs": distinct, "product_size": order},
     )
-    report.add(
-        "sym-component-inversions",
-        "the difference inversions of every element form the inversion set "
-        "of its permutation component",
-        counts["sym_fail"] == 0,
-        {"failures": counts["sym_fail"], "witnesses": witnesses["sym_fail"]},
-    )
-    report.add(
-        "ideal-component-increasing",
-        "the relabeled sum inversions of every element are upward closed",
-        counts["incr_fail"] == 0,
-        {"failures": counts["incr_fail"], "witnesses": witnesses["incr_fail"]},
-    )
-    report.add(
-        "support-identity",
-        "permutation inversions joined with the relabeled ideal recover the "
-        "whole inversion set",
-        counts["support_fail"] == 0,
-        {"failures": counts["support_fail"], "witnesses": witnesses["support_fail"]},
-    )
-    report.add(
-        "degree-additivity",
-        "length equals permutation length plus ideal dimension",
-        counts["degree_fail"] == 0,
-        {"failures": counts["degree_fail"], "witnesses": witnesses["degree_fail"]},
-    )
-    report.add(
-        "constructive-inverse",
-        "the direct inverse recipe rebuilds every element from its pair",
-        counts["construct_fail"] == 0,
-        {"failures": counts["construct_fail"], "witnesses": witnesses["construct_fail"]},
-    )
-    report.add(
-        "closed-form-sym",
-        "the word of sigma_0 without the flipped values, followed by the "
-        "flipped values in reversed word order, is the symmetric component",
-        counts["closed_sym_fail"] == 0,
-        {"failures": counts["closed_sym_fail"], "witnesses": witnesses["closed_sym_fail"]},
-    )
-    report.add(
-        "closed-form-ideal",
-        "the staircase with row t up to n + t - sigma_0^-1(j_t), the flipped "
-        "values j_t in word order, is the ideal component",
-        counts["closed_ideal_fail"] == 0,
-        {"failures": counts["closed_ideal_fail"], "witnesses": witnesses["closed_ideal_fail"]},
-    )
+    for key, (check_id, description) in _ELEMENT_CHECKS.items():
+        detail = {"failures": counts[key], "witnesses": witnesses[key]}
+        report.add(check_id, description, counts[key] == 0, detail)
     report.data["elements"] = total
     report.data["distinct_pairs"] = distinct
     report.data["weyl_length_histogram"] = hist[: n * n + 1]

@@ -272,7 +272,8 @@ def test_internal_value_error_exits_3(monkeypatch, capsys):
 
 
 def test_consistency_error_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(correspondence, "_construct_from_pair", lambda *args: None)
+    real = correspondence._recipes
+    monkeypatch.setattr(correspondence, "_recipes", lambda n: dict.fromkeys(real(n)))
     assert main(["classes", "--rank", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from operator import itemgetter
 
 import pytest
 
@@ -17,10 +19,13 @@ from spcohom.correspondence import (
     sym_component_closed_form,
     trace_element,
     verify_bijection,
-    _construct_from_pair,
+    _construct,
+    _relabel,
+    _relabel_gather,
+    _relabel_table,
 )
 from spcohom.ideals import IncreasingSet, enumerate_increasing
-from spcohom.roots import RootSet, long, sum_root
+from spcohom.roots import RootSet, long, positive_roots, root_index, sum_root
 from spcohom.weyl import Perm, SignedPerm, enumerate_group, inversion_set, standard_form
 
 
@@ -120,7 +125,7 @@ def test_round_trip_both_ways(n):
 def test_direct_construction_never_falls_back(n):
     for w in enumerate_group(n):
         p = correspondence_pair(w)
-        built = _construct_from_pair(p.sym.images, p.ideal.profile, n)
+        built = _construct(p.sym.images, p.ideal.members.mask, n)
         assert built is not None
         word, jmask = built
         images = tuple(-v if jmask >> (v - 1) & 1 else v for v in word)
@@ -171,18 +176,21 @@ def test_distinct_pairs_match_brute_force(n):
 
 def test_broken_inverse_fails_the_gates(monkeypatch, tmp_path, capsys):
     n = 3
-    real = correspondence._construct_from_pair
+    real = correspondence._recipes
     target = correspondence_pair(SignedPerm((2, -1, 3)))
-    target_key = (target.sym.images, target.ideal.profile)
+    target_mask = target.ideal.members.mask
 
-    def corrupted(sigma_word, profile, rank):
-        built = real(sigma_word, profile, rank)
-        if (sigma_word, profile) == target_key:
-            word, jmask = built
-            return word, jmask ^ 1  # flip the sign of the value 1
-        return built
+    def corrupted(rank):
+        table = dict(real(rank))
+        if rank == n:
+            gather, k = table[target_mask]
+            # reverse the word built for the target's permutation only
+            table[target_mask] = (
+                lambda word: gather(word)[::-1] if word == target.sym.images else gather(word)
+            ), k
+        return table
 
-    monkeypatch.setattr(correspondence, "_construct_from_pair", corrupted)
+    monkeypatch.setattr(correspondence, "_recipes", corrupted)
     report = verify_bijection(n)
     rec = {r.check_id: r for r in report.records}
     assert not rec["constructive-inverse"].passed
@@ -197,6 +205,44 @@ def test_broken_inverse_fails_the_gates(monkeypatch, tmp_path, capsys):
 
     assert main(["bijection", "--rank", "3", "--out", str(tmp_path / "b.json")]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_wrong_flip_count_fails_the_inverse_on_its_ideal(monkeypatch):
+    # the recipe for the ideal {2e1} flips one value too many, so every
+    # element with that ideal fails its round trip
+    n = 3
+    psi = ideal_of(n, long(1))
+    real = correspondence._recipes
+
+    def corrupted(rank):
+        table = dict(real(rank))
+        gather, k = table[psi.members.mask]
+        table[psi.members.mask] = gather, k + 1
+        return table
+
+    monkeypatch.setattr(correspondence, "_recipes", corrupted)
+    hit = [w for w in enumerate_group(n) if correspondence_pair(w).ideal == psi]
+    hit.sort(key=lambda w: (w.perm.images, sum(1 << (v - 1) for v in w.negated)))
+    assert len(hit) == math.factorial(n)
+    failed = {r.check_id: r.detail for r in verify_bijection(n).records if not r.passed}
+    assert failed == {
+        "pair-injective": {"elements": 48, "distinct_pairs": 48},
+        "constructive-inverse": {"failures": 6, "witnesses": [str(w) for w in hit[:5]]},
+    }
+
+
+def test_relabel_that_is_no_bit_permutation_fails_degree_additivity(monkeypatch):
+    # a compiled relabel that reads one binary digit twice changes the number
+    # of sum inversions of some elements
+    real = correspondence._sym_entry
+
+    def corrupted(phi0, rank):
+        word, _, suffix, moved = real(phi0, rank)
+        return word, itemgetter(0, 0, 2), suffix, moved
+
+    monkeypatch.setattr(correspondence, "_sym_entry", corrupted)
+    rec = {r.check_id: r for r in verify_bijection(2).records}
+    assert rec["degree-additivity"].detail["failures"] == 2
 
 
 def test_distinct_pairs_exact_when_the_pair_map_is_not_injective(monkeypatch):
@@ -275,24 +321,184 @@ def test_verify_bijection_workers_match_serial():
 @pytest.mark.parametrize("broken", ["closed-form-sym", "closed-form-ideal"])
 def test_broken_closed_form_fails_its_gate(monkeypatch, tmp_path, capsys, broken):
     # corrupt the closed form of the element [2,-1,3] only
-    real = correspondence._closed_form
+    real = correspondence._closed_forms_of
 
-    def corrupted(word, jmask, rowm):
-        sym_word, ideal_mask = real(word, jmask, rowm)
-        if (word, jmask) == ((2, 1, 3), 1):
+    def corrupted(word):
+        table = real(word)
+        if word == (2, 1, 3):
+            gather, ideal_mask = table[1]
             if broken == "closed-form-sym":
-                sym_word = sym_word[::-1]
+                entry = (lambda w: gather(w)[::-1], ideal_mask)
             else:
-                ideal_mask ^= 1  # a difference root, never in an ideal
-        return sym_word, ideal_mask
+                entry = (gather, ideal_mask ^ 1)  # a difference root, never in an ideal
+            table = table[:1] + (entry,) + table[2:]
+        return table
 
-    monkeypatch.setattr(correspondence, "_closed_form", corrupted)
+    monkeypatch.setattr(correspondence, "_closed_forms_of", corrupted)
     report = verify_bijection(3)
     failed = {r.check_id: r.detail for r in report.records if not r.passed}
     assert failed == {broken: {"failures": 1, "witnesses": ["[2,-1,3]"]}}
 
     assert main(["bijection", "--rank", "3", "--out", str(tmp_path / "b.json")]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _loop_recipe(sigma_word, profile, n):
+    """The direct inverse recipe as a loop: flip the k values at the tail of
+    the word, one per nonempty staircase row, place the t-th one at position
+    n + t - b_t and fill the other positions in order."""
+    k = 0
+    while k < n and profile[k] >= k + 1:
+        k += 1
+    jlist = [sigma_word[n - t] for t in range(1, k + 1)]
+    out = [0] * n
+    prev = 0
+    for t in range(1, k + 1):
+        p = n + t - profile[t - 1]
+        if not prev < p <= n:
+            return None
+        out[p - 1] = jlist[t - 1]
+        prev = p
+    fill = iter(sigma_word[: n - k])
+    out = [next(fill) if v == 0 else v for v in out]
+    return tuple(out), sum(1 << (v - 1) for v in jlist)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_recipe_table_matches_the_loop_recipe(n):
+    assert len(correspondence._recipes(n)) == 2**n
+    for psi in enumerate_increasing(n):
+        for word in itertools.permutations(range(1, n + 1)):
+            assert _construct(word, psi.members.mask, n) == _loop_recipe(word, psi.profile, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_closed_form_table_matches_the_formula(n):
+    # for the set P of flipped positions, the symmetric word keeps the other
+    # positions in order and then the flipped ones reversed, and row t of the
+    # ideal runs from 2e_t to e_t + e_b, b = n + t - p_t, p_t the t-th flipped
+    table = correspondence._closed_forms(n)
+    assert len(table) == 2**n
+    positions = tuple(range(1, n + 1))
+    for pset, (gather, ideal_mask) in enumerate(table):
+        flipped = [p for p in positions if pset >> (p - 1) & 1]
+        kept = [p for p in positions if not pset >> (p - 1) & 1]
+        assert gather(positions) == tuple(kept + flipped[::-1])
+        roots = []
+        for t, p in enumerate(flipped, start=1):
+            roots.append(long(t))
+            roots.extend(sum_root(t, j) for j in range(t + 1, n + t - p + 1))
+        assert ideal_mask == RootSet.from_roots(n, roots).mask
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gather_relabel_matches_bit_by_bit(n):
+    rng = random.Random(n)
+    nd = n * (n - 1) // 2
+    index = root_index(n)
+    for _ in range(10):
+        values = list(range(1, n + 1))
+        rng.shuffle(values)
+        value_map = (0, *values)
+        gather = _relabel_gather(_relabel_table(value_map, n))
+        for _ in range(20):
+            mask = rng.getrandbits(n * n)
+            expected = 0
+            for b, root in enumerate(positive_roots(n)):
+                if root.in_phi1 and mask >> b & 1:
+                    i, j = sorted((value_map[root.i], value_map[root.j]))
+                    expected |= 1 << index[long(i) if i == j else sum_root(i, j)]
+            assert _relabel(mask, gather, nd, f"0{nd + n}b") == expected
+
+
+_FAILS = (
+    "sym_fail",
+    "incr_fail",
+    "support_fail",
+    "degree_fail",
+    "construct_fail",
+    "closed_sym_fail",
+    "closed_ideal_fail",
+)
+
+
+@pytest.mark.parametrize(
+    "n, start, stop, elements, memo_size, hist",
+    [
+        (1, None, None, 2, 1, [1, 1]),
+        (2, None, None, 8, 2, [1, 2, 2, 2, 1]),
+        (3, None, None, 48, 6, [1, 3, 5, 7, 8, 8, 7, 5, 3, 1]),
+        (4, None, None, 384, 24, [1, 4, 9, 16, 24, 32, 39, 44, 46, 44, 39, 32, 24, 16, 9, 4, 1]),
+        (4, 5, 17, 192, 24, [0, 1, 4, 9, 15, 18, 18, 20, 22, 20, 18, 18, 15, 9, 4, 1, 0]),
+        (
+            5,
+            None,
+            None,
+            3840,
+            120,
+            [1, 5, 14, 30, 54, 86, 125, 169, 215, 259, 297, 325, 340]
+            + [340, 325, 297, 259, 215, 169, 125, 86, 54, 30, 14, 5, 1],
+        ),
+    ],
+)
+def test_scan_chunk_matches_pinned_values(n, start, stop, elements, memo_size, hist):
+    assert correspondence._scan_chunk(n, start, stop, 3) == {
+        "counts": {"elements": elements, "round_trip": elements, **dict.fromkeys(_FAILS, 0)},
+        "witnesses": dict.fromkeys(_FAILS, []),
+        "hist": hist,
+        "failed_keys": set(),
+        "memo_size": memo_size,
+    }
+
+
+def test_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, capsys):
+    # swap two entries of rho's relabel table for one symmetric component
+    n, nd, target = 3, 3, (2, 3, 1)
+    real = correspondence._rho_table
+
+    def corrupted(word, rank):
+        table = list(real(word, rank))
+        if tuple(word) == target:
+            table[3], table[5] = table[5], table[3]
+        return tuple(table)
+
+    monkeypatch.setattr(correspondence, "_rho_table", corrupted)
+    failing = []
+    for w in enumerate_group(n):
+        pair = correspondence_pair(w)
+        table = corrupted(pair.sym.images, n)
+        back = 0
+        for b in range(nd, n * n):
+            if pair.ideal.members.mask >> b & 1:
+                back |= 1 << (nd + table[b - nd])
+        inv = inversion_set(w).mask
+        if inv & ((1 << nd) - 1) | back != inv:
+            failing.append(w)
+    failing.sort(key=lambda w: (w.perm.images, sum(1 << (v - 1) for v in w.negated)))
+    assert len(failing) == 6
+
+    report = verify_bijection(n)
+    failed = {r.check_id: r.detail for r in report.records if not r.passed}
+    assert failed == {
+        "support-identity": {"failures": 6, "witnesses": [str(w) for w in failing[:5]]}
+    }
+
+    assert main(["bijection", "--rank", "3", "--out", str(tmp_path / "b.json")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_non_permutation_relabel_table_is_an_internal_error(monkeypatch, capsys):
+    with pytest.raises(ConsistencyError):
+        _relabel_table((0, 1, 1, 3), 3)
+    with pytest.raises(ConsistencyError):
+        _relabel_table((0, 1, 2, 4), 3)
+    monkeypatch.setattr(
+        correspondence, "_rho_table", lambda word, n: _relabel_table((0,) + (1,) * n, n)
+    )
+    assert main(["bijection", "--rank", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_trace_element_shape():
