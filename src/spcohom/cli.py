@@ -241,6 +241,7 @@ def _cmd_classes(cfg: RunConfig):
 
 def _cmd_poincare(cfg: RunConfig):
     n = cfg.rank
+    poincare.check_poincare_cap(n)
     wp = poincare.weyl_poincare(n)
     sp = poincare.sym_poincare(n)
     ig = poincare.ideal_generating(n)

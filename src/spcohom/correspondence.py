@@ -16,12 +16,17 @@ word without the j's followed by the j's reversed, and row t of the ideal
 runs up to b_t = n + t - sigma_0^-1(j_t).  verify_bijection gates both on
 every element.
 
-The scan runs every check on every element as a table lookup plus one
-C-level gather: relabel tables are bit permutations of the mask's binary
-digits (_relabel), and the inverse recipe (_recipes) and both closed forms
+The scan runs every check on every element as table lookups.  Relabel
+tables are bit permutations of the mask's binary digits (_relabel).  The sum
+inversions of the element (word, J) are the rows {e_i + e_j : j >= i} of the
+positions i that hold a flipped value: a fixed mask per set P of such
+positions, relabelled through word.  Relabel tables compose, so the ideal is
+that mask relabelled through tau = pi o word, memoized per (tau, P).  An
+element whose walked sum inversions are not those rows (_flips_of) relabels
+its own mask.  The inverse recipe (_recipes) and both closed forms
 (_closed_forms) are one gather per staircase or set of flipped positions.
 The support identity needs no relabel where the composite of the two
-relabels fixes the element's sum inversions (_sym_entry).
+relabels fixes the element's sum inversions (_scan_entry).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from typing import Optional, Sequence
 from .errors import ConsistencyError
 from .ideals import IncreasingSet, _mask_from_profile, _profile_from_mask, _profiles
 from .report import VerificationReport
-from .roots import RootSet, check_rank, num_diffs, positive_roots
+from .roots import RootSet, _index_tables, check_rank, num_diffs, positive_roots
 from .weyl import (
     DEFAULT_GROUP_CAP,
     Perm,
@@ -115,16 +120,12 @@ def _relabel_gather(table: Sequence[int]) -> itemgetter:
     return _gather(src)
 
 
-def _relabel(mask: int, gather: itemgetter, nd: int, fmt: str) -> int:
-    """Relabel the sums-plus-longs bits of a mask, from bit nd on and fmt their
-    zero-padded binary format, by a compiled table; drop the difference bits."""
-    return int("".join(gather(format(mask >> nd, fmt))), 2) << nd
-
-
-def _rho_relabel(mask: int, word: Sequence[int], n: int) -> int:
-    """Relabel the sums-plus-longs bits of a mask through rho, from scratch."""
+def _relabel(mask: int, table: Sequence[int], n: int) -> int:
+    """Relabel the sums-plus-longs bits of a mask, from bit num_diffs(n) on,
+    through a relabel table, as a gather of their zero-padded binary digits;
+    drop the difference bits."""
     nd = num_diffs(n)
-    return _relabel(mask, _relabel_gather(_rho_table(word, n)), nd, f"0{nd + n}b")
+    return int("".join(_relabel_gather(table)(format(mask >> nd, f"0{nd + n}b"))), 2) << nd
 
 
 def _value_mask(values) -> int:
@@ -135,40 +136,50 @@ def _value_mask(values) -> int:
     return mask
 
 
-def _sym_entry(phi0: int, n: int) -> Optional[tuple]:
-    """Everything the scan needs from a difference-root bitmask: (word, fwd,
-    suffix, moved) for the permutation whose inversion set it is, or None
-    when it is no inversion set.  fwd relabels sum inversions into the ideal
-    through pi(v) = n + 1 - pos(v); suffix[k] is the value mask of the last k
-    letters of word, which the inverse recipe flips.  Relabelling through fwd
-    and then rho = pi^-1 is relabelling through their composite, and moved
-    holds the bits that the composite does not fix (none unless a table is
-    wrong), so the support identity holds where an element avoids moved."""
+def _sym_entry(phi0: int, n: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(word, pi) for the permutation whose inversion set is the difference-root
+    bitmask phi0, or None when it is no inversion set.  pi is the value map
+    pi(v) = n + 1 - pos(v) (pi[0] = 0) that relabels sum inversions into the
+    ideal."""
     word = _word_from_inversion_mask(phi0, n)
     if word is None:
         return None
     pi = [0] * (n + 1)
     for p, v in enumerate(word):
         pi[v] = n - p
+    return word, tuple(pi)
+
+
+def _scan_entry(phi0: int, n: int) -> Optional[tuple]:
+    """_sym_entry plus what only the scan reads: (word, pi, suffix, moved).
+    suffix[k] is the value mask of the last k letters of word, which the
+    inverse recipe flips.  Relabelling through pi and then rho = pi^-1 is
+    relabelling through their composite, and moved holds the bits that the
+    composite does not fix (none unless a table is wrong), so the support
+    identity holds where an element avoids moved."""
+    entry = _sym_entry(phi0, n)
+    if entry is None:
+        return None
+    word, pi = entry
     fwd = _relabel_table(pi, n)
     bwd = _rho_table(word, n)
     moved = sum(1 << k for k, t in enumerate(fwd) if bwd[t] != k) << num_diffs(n)
     suffix = tuple(_value_mask(word[n - k :]) for k in range(n + 1))
-    return word, _relabel_gather(fwd), suffix, moved
+    return word, pi, suffix, moved
 
 
 def _pair_masks(w: SignedPerm) -> tuple[tuple[int, ...], int]:
     """(sym word, ideal mask) for one element."""
     n = w.rank
-    nd = num_diffs(n)
     mask = _inversion_mask(w.images, n)
-    entry = _sym_entry(mask & ((1 << nd) - 1), n)
+    entry = _sym_entry(mask & ((1 << num_diffs(n)) - 1), n)
     if entry is None:
         raise ConsistencyError(
             f"the short inversions of {w} form no permutation inversion set; "
             "this contradicts the correspondence and indicates a bug"
         )
-    return entry[0], _relabel(mask, entry[1], nd, f"0{nd + n}b")
+    word, pi = entry
+    return word, _relabel(mask, _relabel_table(pi, n), n)
 
 
 def sym_component(w: SignedPerm) -> Perm:
@@ -219,6 +230,23 @@ def _closed_forms_of(word: tuple[int, ...]) -> tuple[tuple[itemgetter, int], ...
         bit = 1 << word.index(v)
         psets += [p | bit for p in psets]
     return itemgetter(*psets)(_closed_forms(len(word)))
+
+
+def _flips_of(word: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Per jmask of the elements over word: (P, sums), the set of flipped
+    positions (bit p for the 0-based position p) and the sum inversions the
+    walk should yield, the rows {e_v + e_q : q = v or after v in word} of
+    the flipped values v."""
+    _, s_idx, l_idx = _index_tables(len(word))
+    psets, sums = [0], [0]
+    for v in range(1, len(word) + 1):
+        p = word.index(v)
+        row = 1 << l_idx[v]
+        for q in word[p + 1 :]:
+            row |= 1 << (s_idx[v][q] if v < q else s_idx[q][v])
+        psets += [x | 1 << p for x in psets]
+        sums += [x | row for x in sums]
+    return psets, sums
 
 
 def _closed_form_of(sf: StandardForm) -> tuple[tuple[int, ...], int]:
@@ -306,7 +334,7 @@ def cocycle_support(sigma: Perm, psi: IncreasingSet) -> RootSet:
         raise ValueError("rank mismatch between permutation and ideal")
     n = sigma.rank
     inv = _perm_inversion_mask(sigma.images, n)
-    return RootSet(n, inv | _rho_relabel(psi.members.mask, sigma.images, n))
+    return RootSet(n, inv | _relabel(psi.members.mask, _rho_table(sigma.images, n), n))
 
 
 class _TopK:
@@ -374,15 +402,21 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
 
     Returns plain sums, bounded witness lists and the pair keys of the
     elements whose round trip through the direct inverse failed, all of which
-    merge associatively across chunks, plus the size of the chunk's memo.
+    merge associatively across chunks, plus the sizes of the chunk's memos.
     """
-    nd = num_diffs(n)
-    fmt = f"0{nd + n}b"
-    phi0_all = (1 << nd) - 1
+    phi0_all = (1 << num_diffs(n)) - 1
     recipes = _recipes(n)
-    # phi0 -> _sym_entry(phi0, n); phi0 is the inversion mask of the symmetric
-    # component, so there are at most n! keys
+    # entry P is the sum inversions of the identity with the values at the
+    # positions in P flipped: the rows {e_i + e_j : j >= i} of P in position
+    # coordinates, which relabelled through an element's word give its own
+    ysums = _flips_of(tuple(range(1, n + 1)))[1]
+    # phi0 -> _scan_entry(phi0, n); phi0 is the inversion mask of the
+    # symmetric component, so there are at most n! keys
     memo: dict[int, Optional[tuple]] = {}
+    # (tau, P) -> the relabel of ysums[P] through tau = pi o word, which is
+    # the ideal of every element whose walked sum inversions are the rows of
+    # P; while the correspondence holds tau depends on P alone: 2^n keys
+    ideal_memo: dict[tuple, int] = {}
     # failures only: the element and round-trip counts come from hist
     counts = dict.fromkeys(_ELEMENT_CHECKS, 0)
     witnesses = {key: _TopK(max_witnesses) for key in _ELEMENT_CHECKS}
@@ -402,6 +436,8 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
         if word is not current:
             current = word
             closed = _closed_forms_of(word)
+            psets, sums = _flips_of(word)
+            tau_of = itemgetter(0, *word)
         length = mask.bit_count()
         hist[length] += 1
 
@@ -409,14 +445,24 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
         try:
             entry = memo[phi0]
         except KeyError:
-            entry = memo[phi0] = _sym_entry(phi0, n)
+            entry = memo[phi0] = _scan_entry(phi0, n)
         if entry is None:
             fail("sym_fail", word, jmask)
             continue
-        eta_word, fwd, suffix, moved = entry
+        eta_word, pi, suffix, moved = entry
 
-        # ideal component: relabel the sum inversions through pi
-        ximask = _relabel(mask, fwd, nd, fmt)
+        # ideal component: relabel the sum inversions through pi; where they
+        # are the rows of the flipped positions P, that is relabelling
+        # ysums[P] through tau, and any other element relabels its own
+        if mask ^ phi0 == sums[jmask]:
+            key = (tau_of(pi), psets[jmask])
+            try:
+                ximask = ideal_memo[key]
+            except KeyError:
+                tau, pset = key
+                ximask = ideal_memo[key] = _relabel(ysums[pset], _relabel_table(tau, n), n)
+        else:
+            ximask = _relabel(mask, _relabel_table(pi, n), n)
         try:
             recipe = recipes[ximask]
         except KeyError:
@@ -425,7 +471,7 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
 
         # support identity: relabel the ideal back through rho = pi^-1; the
         # two relabels compose to one that fixes every bit outside moved
-        if mask & moved and phi0 | _rho_relabel(ximask, eta_word, n) != mask:
+        if mask & moved and phi0 | _relabel(ximask, _rho_table(eta_word, n), n) != mask:
             fail("support_fail", word, jmask)
 
         if length != phi0.bit_count() + ximask.bit_count():
@@ -450,6 +496,7 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
         "hist": hist,
         "failed_keys": failed_keys,
         "memo_size": len(memo),
+        "ideal_memo_size": len(ideal_memo),
     }
 
 

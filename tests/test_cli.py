@@ -157,6 +157,18 @@ def test_poincare_command(tmp_path):
     assert all(c["pass"] for c in json.loads(text)["checks"])
 
 
+def test_poincare_cap_refuses_before_any_product(monkeypatch, capsys):
+    def no_product(self, other):
+        raise AssertionError("a product was formed above the poincare cap")
+
+    monkeypatch.setattr(poincare.IntPolynomial, "__mul__", no_product)
+    for n in (poincare.POINCARE_CAP + 1, 200):
+        assert main(["poincare", "--rank", str(n)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: rank {n} exceeds the poincare cap {poincare.POINCARE_CAP}\n"
+    poincare.check_poincare_cap(poincare.POINCARE_CAP)
+
+
 def test_workers_flag_matches_serial(tmp_path):
     _, serial = run_cli(["bijection", "--rank", "3", "--workers", "1"], tmp_path, "s.json")
     _, parallel = run_cli(["bijection", "--rank", "3", "--workers", "3"], tmp_path, "p.json")

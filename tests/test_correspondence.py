@@ -21,12 +21,19 @@ from spcohom.correspondence import (
     verify_bijection,
     _construct,
     _relabel,
-    _relabel_gather,
     _relabel_table,
 )
-from spcohom.ideals import IncreasingSet, enumerate_increasing
+from spcohom.ideals import IncreasingSet, _profile_from_mask, enumerate_increasing
 from spcohom.roots import RootSet, long, positive_roots, root_index, sum_root
-from spcohom.weyl import Perm, SignedPerm, enumerate_group, inversion_set, standard_form
+from spcohom.weyl import (
+    Perm,
+    SignedPerm,
+    StandardForm,
+    enumerate_group,
+    inversion_set,
+    perm_from_inversions,
+    standard_form,
+)
 
 
 def r(i, n):
@@ -233,14 +240,9 @@ def test_wrong_flip_count_fails_the_inverse_on_its_ideal(monkeypatch):
 
 def test_relabel_that_is_no_bit_permutation_fails_degree_additivity(monkeypatch):
     # a compiled relabel that reads one binary digit twice changes the number
-    # of sum inversions of some elements
-    real = correspondence._sym_entry
-
-    def corrupted(phi0, rank):
-        word, _, suffix, moved = real(phi0, rank)
-        return word, itemgetter(0, 0, 2), suffix, moved
-
-    monkeypatch.setattr(correspondence, "_sym_entry", corrupted)
+    # of sum inversions of some elements; the scan's ideal memo is filled
+    # through this gather
+    monkeypatch.setattr(correspondence, "_relabel_gather", lambda table: itemgetter(0, 1, 0))
     rec = {r.check_id: r for r in verify_bijection(2).records}
     assert rec["degree-additivity"].detail["failures"] == 2
 
@@ -270,6 +272,33 @@ def test_scan_memo_holds_at_most_one_entry_per_permutation(n):
     assert correspondence._scan_chunk(n, None, None, 5)["memo_size"] == math.factorial(n)
     half = correspondence._scan_chunk(n, 0, max(1, math.factorial(n) // 2), 5)
     assert half["memo_size"] <= math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ideal_memo_holds_one_entry_per_ideal(n):
+    # while the correspondence holds, the relabel tau = pi o word depends on
+    # the set of flipped positions alone
+    assert correspondence._scan_chunk(n, None, None, 5)["ideal_memo_size"] == 2**n
+    last = math.factorial(n)
+    for start, stop in ((0, 1), (0, max(1, last // 2)), (last - 1, None)):
+        assert correspondence._scan_chunk(n, start, stop, 5)["ideal_memo_size"] <= 2**n
+
+
+def test_from_pair_builds_at_most_one_relabel_table(monkeypatch):
+    n = 3
+    pairs = [(p.sym, p.ideal) for p in map(correspondence_pair, enumerate_group(n))]
+    calls = []
+    real = correspondence._relabel_table
+
+    def counted(value_map, rank):
+        calls.append(value_map)
+        return real(value_map, rank)
+
+    monkeypatch.setattr(correspondence, "_relabel_table", counted)
+    for sigma, psi in pairs:
+        calls.clear()
+        from_pair(sigma, psi)
+        assert len(calls) <= 1
 
 
 class _InlinePool:
@@ -394,13 +423,12 @@ def test_closed_form_table_matches_the_formula(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_gather_relabel_matches_bit_by_bit(n):
     rng = random.Random(n)
-    nd = n * (n - 1) // 2
     index = root_index(n)
     for _ in range(10):
         values = list(range(1, n + 1))
         rng.shuffle(values)
         value_map = (0, *values)
-        gather = _relabel_gather(_relabel_table(value_map, n))
+        table = _relabel_table(value_map, n)
         for _ in range(20):
             mask = rng.getrandbits(n * n)
             expected = 0
@@ -408,7 +436,7 @@ def test_gather_relabel_matches_bit_by_bit(n):
                 if root.in_phi1 and mask >> b & 1:
                     i, j = sorted((value_map[root.i], value_map[root.j]))
                     expected |= 1 << index[long(i) if i == j else sum_root(i, j)]
-            assert _relabel(mask, gather, nd, f"0{nd + n}b") == expected
+            assert _relabel(mask, table, n) == expected
 
 
 _FAILS = (
@@ -442,12 +470,14 @@ _FAILS = (
     ],
 )
 def test_scan_chunk_matches_pinned_values(n, start, stop, elements, memo_size, hist):
+    # every slice here meets all 2^n sets of flipped positions
     assert correspondence._scan_chunk(n, start, stop, 3) == {
         "counts": {"elements": elements, "round_trip": elements, **dict.fromkeys(_FAILS, 0)},
         "witnesses": dict.fromkeys(_FAILS, []),
         "hist": hist,
         "failed_keys": set(),
         "memo_size": memo_size,
+        "ideal_memo_size": 2**n,
     }
 
 
@@ -482,6 +512,74 @@ def test_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, cap
     assert failed == {
         "support-identity": {"failures": 6, "witnesses": [str(w) for w in failing[:5]]}
     }
+
+    assert main(["bijection", "--rank", "3", "--out", str(tmp_path / "b.json")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _evaluate(word, jmask, mask, n):
+    """The per-element checks that fail for the walked element (word, jmask,
+    mask), evaluated from the definitions with bit-by-bit relabels."""
+    nd = n * (n - 1) // 2
+    index = root_index(n)
+    phi0 = mask & ((1 << nd) - 1)
+    sym = perm_from_inversions(RootSet(n, phi0), n)
+    if sym is None:
+        return ["sym_fail"]
+    pos = {v: p for p, v in enumerate(sym.images, start=1)}
+
+    def relabel(m, value_map):
+        out = 0
+        for b, root in enumerate(positive_roots(n)):
+            if root.in_phi1 and m >> b & 1:
+                i, j = sorted((value_map(root.i), value_map(root.j)))
+                out |= 1 << index[long(i) if i == j else sum_root(i, j)]
+        return out
+
+    xi = relabel(mask, lambda v: n + 1 - pos[v])
+    if _profile_from_mask(xi, n) is None:
+        return ["incr_fail"]
+    failed = []
+    if phi0 | relabel(xi, lambda v: sym.images[n - v]) != mask:
+        failed.append("support_fail")
+    if mask.bit_count() != phi0.bit_count() + xi.bit_count():
+        failed.append("degree_fail")
+    if _construct(sym.images, xi, n) != (word, jmask):
+        failed.append("construct_fail")
+    sf = StandardForm(tuple(v for v in word if jmask >> (v - 1) & 1), Perm(word))
+    if sym_component_closed_form(sf) != sym:
+        failed.append("closed_sym_fail")
+    if ideal_component_closed_form(sf).mask != xi:
+        failed.append("closed_ideal_fail")
+    return failed
+
+
+@pytest.mark.parametrize("bit", [4, 3], ids=["upward-closed", "not-upward-closed"])
+def test_wrong_walked_sum_bits_match_a_per_element_evaluation(monkeypatch, tmp_path, capsys, bit):
+    # the walk yields a wrong sum inversion (e1+e3 or e1+e2) for the element
+    # [2,-3,1] at rank 3, so the scan must relabel that element's own mask;
+    # its pi is no involution, so relabelling through rho = pi^-1 differs
+    n = 3
+    real = correspondence._iter_signed_inversion_masks
+
+    def corrupted(rank, perm_start=0, perm_stop=None):
+        for word, jmask, mask in real(rank, perm_start=perm_start, perm_stop=perm_stop):
+            if (word, jmask) == ((2, 3, 1), 4):
+                mask ^= 1 << bit
+            yield word, jmask, mask
+
+    monkeypatch.setattr(correspondence, "_iter_signed_inversion_masks", corrupted)
+    expected = {key: [] for key in _FAILS}
+    for word, jmask, mask in corrupted(n):
+        for key in _evaluate(word, jmask, mask, n):
+            expected[key].append((word, jmask))
+    assert sum(map(len, expected.values())) > 0
+
+    result = correspondence._scan_chunk(n, None, None, 5)
+    assert {key: result["counts"][key] for key in _FAILS} == {
+        key: len(items) for key, items in expected.items()
+    }
+    assert result["witnesses"] == {key: sorted(items)[:5] for key, items in expected.items()}
 
     assert main(["bijection", "--rank", "3", "--out", str(tmp_path / "b.json")]) == 1
     assert "Traceback" not in capsys.readouterr().err
