@@ -16,17 +16,20 @@ word without the j's followed by the j's reversed, and row t of the ideal
 runs up to b_t = n + t - sigma_0^-1(j_t).  verify_bijection gates both on
 every element.
 
-The scan runs every check on every element as table lookups.  Relabel
-tables are bit permutations of the mask's binary digits (_relabel).  The sum
-inversions of the element (word, J) are the rows {e_i + e_j : j >= i} of the
-positions i that hold a flipped value: a fixed mask per set P of such
-positions, relabelled through word.  Relabel tables compose, so the ideal is
-that mask relabelled through tau = pi o word, memoized per (tau, P).  An
-element whose walked sum inversions are not those rows (_flips_of) relabels
-its own mask.  The inverse recipe (_recipes) and both closed forms
-(_closed_forms) are one gather per staircase or set of flipped positions.
-The support identity needs no relabel where the composite of the two
-relabels fixes the element's sum inversions (_scan_entry).
+The scan reports every check for every element.  Relabel tables are bit
+permutations of the mask's binary digits (_relabel).  An element (word, J)
+whose sum inversions are the rows {e_i + e_j : j >= i} of the set P of
+positions holding a flipped value (_flips_of), and whose symmetric component
+is the closed form g_P(word), is the identity's element with flipped
+positions P with its values renamed through word.  Renaming values changes
+no mask or position map in ideal coordinates, so the checks on the ideal are
+decided once per P (_ideal_checks), the ideal of P relabelled once through
+the position map of g_P.  A verdict is reused only where the closed-form
+entry is P's canonical one, the recipe and closed-form gathers are
+itemgetters (pure position maps) and pi is its word's position map; any
+other element is evaluated in full.  The support identity needs no relabel
+where the composite of the two relabels fixes the element's sum inversions
+(_scan_entry).
 """
 
 from __future__ import annotations
@@ -136,27 +139,35 @@ def _value_mask(values) -> int:
     return mask
 
 
-def _sym_entry(phi0: int, n: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(word, pi) for the permutation whose inversion set is the difference-root
-    bitmask phi0, or None when it is no inversion set.  pi is the value map
-    pi(v) = n + 1 - pos(v) (pi[0] = 0) that relabels sum inversions into the
-    ideal."""
-    word = _word_from_inversion_mask(phi0, n)
-    if word is None:
-        return None
+def _position_map(word: Sequence[int]) -> tuple[int, ...]:
+    """The value map pi(v) = n + 1 - pos(v) (pi[0] = 0) of a word: the
+    relabel that takes the sum inversions of an element whose symmetric
+    component has this word into its ideal."""
+    n = len(word)
     pi = [0] * (n + 1)
     for p, v in enumerate(word):
         pi[v] = n - p
-    return word, tuple(pi)
+    return tuple(pi)
+
+
+def _sym_entry(phi0: int, n: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(word, pi) for the permutation whose inversion set is the difference-root
+    bitmask phi0, or None when it is no inversion set; pi is word's
+    _position_map."""
+    word = _word_from_inversion_mask(phi0, n)
+    if word is None:
+        return None
+    return word, _position_map(word)
 
 
 def _scan_entry(phi0: int, n: int) -> Optional[tuple]:
-    """_sym_entry plus what only the scan reads: (word, pi, suffix, moved).
-    suffix[k] is the value mask of the last k letters of word, which the
-    inverse recipe flips.  Relabelling through pi and then rho = pi^-1 is
-    relabelling through their composite, and moved holds the bits that the
-    composite does not fix (none unless a table is wrong), so the support
-    identity holds where an element avoids moved."""
+    """_sym_entry plus what only the scan reads: (word, pi, suffix, moved,
+    renames).  suffix[k] is the value mask of the last k letters of word,
+    which the inverse recipe flips.  Relabelling through pi and then
+    rho = pi^-1 is relabelling through their composite, and moved holds the
+    bits that the composite does not fix (none unless a table is wrong), so
+    the support identity holds where an element avoids moved.  renames: pi
+    is word's position map."""
     entry = _sym_entry(phi0, n)
     if entry is None:
         return None
@@ -165,7 +176,7 @@ def _scan_entry(phi0: int, n: int) -> Optional[tuple]:
     bwd = _rho_table(word, n)
     moved = sum(1 << k for k, t in enumerate(fwd) if bwd[t] != k) << num_diffs(n)
     suffix = tuple(_value_mask(word[n - k :]) for k in range(n + 1))
-    return word, pi, suffix, moved
+    return word, pi, suffix, moved, pi == _position_map(word)
 
 
 def _pair_masks(w: SignedPerm) -> tuple[tuple[int, ...], int]:
@@ -206,21 +217,23 @@ def correspondence_pair(w: SignedPerm) -> CorrespondencePair:
     return CorrespondencePair(Perm(word), IncreasingSet(n, RootSet(n, ximask), profile))
 
 
-@lru_cache(maxsize=None)
-def _closed_forms(n: int) -> tuple[tuple[itemgetter, int], ...]:
-    """Both closed forms, per set P of flipped positions (bit p for the
+def _closed_form_entry(pset: int, n: int) -> tuple[itemgetter, int]:
+    """Both closed forms for the set P of flipped positions (bit p for the
     0-based position p): (gather, ideal mask), where gather(sigma_0's word) is
     the unflipped values followed by the flipped ones reversed, and row t of
     the ideal runs up to b_t = n + t - p_t for the t-th flipped position p_t
     (1-based), inverting the placement in _recipes.  As p_t <= n - k + t,
     b_t >= k >= t, so the rows form a staircase."""
-    out = []
-    for pset in range(1 << n):
-        flipped = [p for p in range(n) if pset >> p & 1]
-        kept = [p for p in range(n) if not pset >> p & 1]
-        bounds = [n + t - p for t, p in enumerate(flipped)]
-        out.append((_gather(kept + flipped[::-1]), _mask_from_profile(bounds, n)))
-    return tuple(out)
+    flipped = [p for p in range(n) if pset >> p & 1]
+    kept = [p for p in range(n) if not pset >> p & 1]
+    bounds = [n + t - p for t, p in enumerate(flipped)]
+    return _gather(kept + flipped[::-1]), _mask_from_profile(bounds, n)
+
+
+@lru_cache(maxsize=None)
+def _closed_forms(n: int) -> tuple[tuple[itemgetter, int], ...]:
+    """Entry P is _closed_form_entry(P, n), the canonical entry of P."""
+    return tuple(_closed_form_entry(pset, n) for pset in range(1 << n))
 
 
 def _closed_forms_of(word: tuple[int, ...]) -> tuple[tuple[itemgetter, int], ...]:
@@ -232,27 +245,27 @@ def _closed_forms_of(word: tuple[int, ...]) -> tuple[tuple[itemgetter, int], ...
     return itemgetter(*psets)(_closed_forms(len(word)))
 
 
-def _flips_of(word: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Per jmask of the elements over word: (P, sums), the set of flipped
-    positions (bit p for the 0-based position p) and the sum inversions the
-    walk should yield, the rows {e_v + e_q : q = v or after v in word} of
-    the flipped values v."""
+def _flips_of(word: tuple[int, ...]) -> list[int]:
+    """Entry jmask is the sum inversions the walk should yield for the
+    element (word, jmask): the rows {e_v + e_q : q = v or after v in word}
+    of the flipped values v."""
     _, s_idx, l_idx = _index_tables(len(word))
-    psets, sums = [0], [0]
+    sums = [0]
     for v in range(1, len(word) + 1):
-        p = word.index(v)
         row = 1 << l_idx[v]
-        for q in word[p + 1 :]:
+        for q in word[word.index(v) + 1 :]:
             row |= 1 << (s_idx[v][q] if v < q else s_idx[q][v])
-        psets += [x | 1 << p for x in psets]
         sums += [x | row for x in sums]
-    return psets, sums
+    return sums
 
 
 def _closed_form_of(sf: StandardForm) -> tuple[tuple[int, ...], int]:
-    """(sym word, ideal mask) read off the standard form."""
+    """(sym word, ideal mask) read off the standard form; builds only this
+    element's entry, so tracing one element costs O(n^2) at any rank."""
     word = sf.sigma0.images
-    gather, ideal = _closed_forms_of(word)[_value_mask(sf.j_list)]
+    flipped = _value_mask(sf.j_list)
+    pset = sum(1 << p for p, v in enumerate(word) if flipped >> (v - 1) & 1)
+    gather, ideal = _closed_form_entry(pset, len(word))
     return gather(word), ideal
 
 
@@ -314,11 +327,26 @@ def from_pair(sigma: Perm, psi: IncreasingSet) -> SignedPerm:
     """
     if sigma.rank != psi.rank:
         raise ValueError("rank mismatch between permutation and ideal")
-    built = _construct(sigma.images, psi.members.mask, sigma.rank)
+    n = sigma.rank
+    word = sigma.images
+    fwd = _relabel_table(_position_map(word), n)
+    return _element_of(sigma, psi, _perm_inversion_mask(word, n), fwd)[0]
+
+
+def _element_of(sigma: Perm, psi: IncreasingSet, sigma_inv: int, fwd) -> tuple[SignedPerm, int]:
+    """from_pair and the element's inversion mask, given the two things that
+    depend on sigma alone: its inversion mask sigma_inv and pi's relabel
+    table fwd.  The candidate's pair is (sigma, psi) exactly when its
+    difference inversions are sigma_inv and its sum inversions relabel
+    through fwd to psi."""
+    n = sigma.rank
+    built = _construct(sigma.images, psi.members.mask, n)
     if built is not None:
         cand = SignedPerm(_signed_images(*built))
-        if _pair_masks(cand) == (sigma.images, psi.members.mask):
-            return cand
+        mask = _inversion_mask(cand.images, n)
+        phi0 = mask & ((1 << num_diffs(n)) - 1)
+        if phi0 == sigma_inv and _relabel(mask, fwd, n) == psi.members.mask:
+            return cand, mask
     raise ConsistencyError(
         f"the direct inverse recipe builds no element mapping to ({sigma}, {psi}); "
         "the correspondence is broken"
@@ -397,6 +425,26 @@ _ELEMENT_CHECKS = {
 }
 
 
+def _ideal_checks(word, jmask, length, phi0, entry, ximask, ideal, recipes) -> tuple[str, ...]:
+    """The checks on the ideal ximask of the element (word, jmask), given its
+    length, phi0 and _scan_entry and its closed-form ideal: ("incr_fail",)
+    alone when ximask is not upward closed, else those of degree_fail,
+    construct_fail and closed_ideal_fail that fail."""
+    try:
+        recipe = recipes[ximask]
+    except KeyError:
+        return ("incr_fail",)
+    eta_word, _pi, suffix = entry[:3]
+    failed = []
+    if length != phi0.bit_count() + ximask.bit_count():
+        failed.append("degree_fail")
+    if recipe is None or suffix[recipe[1]] != jmask or recipe[0](eta_word) != word:
+        failed.append("construct_fail")
+    if ideal != ximask:
+        failed.append("closed_ideal_fail")
+    return tuple(failed)
+
+
 def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses: int) -> dict:
     """Exhaustively check one slice of the group (by permutation index range).
 
@@ -406,17 +454,22 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
     """
     phi0_all = (1 << num_diffs(n)) - 1
     recipes = _recipes(n)
+    identity = tuple(range(1, n + 1))
     # entry P is the sum inversions of the identity with the values at the
-    # positions in P flipped: the rows {e_i + e_j : j >= i} of P in position
-    # coordinates, which relabelled through an element's word give its own
-    ysums = _flips_of(tuple(range(1, n + 1)))[1]
+    # positions in P flipped (for the identity, jmask is P)
+    ysums = _flips_of(identity)
+    # the canonical closed-form entry of each P -> P, or None for an entry
+    # that two sets share, which no verdict may then stand for
+    canonical: dict[tuple, Optional[int]] = {}
+    for pset, form in enumerate(_closed_forms(n)):
+        canonical[form] = None if form in canonical else pset
     # phi0 -> _scan_entry(phi0, n); phi0 is the inversion mask of the
     # symmetric component, so there are at most n! keys
     memo: dict[int, Optional[tuple]] = {}
-    # (tau, P) -> the relabel of ysums[P] through tau = pi o word, which is
-    # the ideal of every element whose walked sum inversions are the rows of
-    # P; while the correspondence holds tau depends on P alone: 2^n keys
-    ideal_memo: dict[tuple, int] = {}
+    # canonical closed-form entry of P -> (ideal, failed _ideal_checks) of
+    # the elements that rename the identity's element with flipped positions
+    # P, or False where a gather is no pure position map: 2^n keys
+    verdicts: dict[tuple, object] = {}
     # failures only: the element and round-trip counts come from hist
     counts = dict.fromkeys(_ELEMENT_CHECKS, 0)
     witnesses = {key: _TopK(max_witnesses) for key in _ELEMENT_CHECKS}
@@ -424,6 +477,19 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
     def fail(key: str, word: tuple[int, ...], jmask: int) -> None:
         counts[key] += 1
         witnesses[key].offer((word, jmask))
+
+    def decide(form, word, jmask, length, phi0, entry):
+        gather, ideal = form
+        if type(gather) is not itemgetter:
+            return False
+        # the ideal of P: ysums[P] relabelled through T_P, the position map
+        # of the identity's symmetric component
+        table = _relabel_table(_position_map(gather(identity)), n)
+        ximask = _relabel(ysums[canonical[form]], table, n)
+        recipe = recipes.get(ximask)
+        if recipe is not None and type(recipe[0]) is not itemgetter:
+            return False
+        return ximask, _ideal_checks(word, jmask, length, phi0, entry, ximask, ideal, recipes)
 
     hist = [0] * (n * n + 1)
     failed_keys: set[tuple[tuple[int, ...], int]] = set()
@@ -436,8 +502,7 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
         if word is not current:
             current = word
             closed = _closed_forms_of(word)
-            psets, sums = _flips_of(word)
-            tau_of = itemgetter(0, *word)
+            sums = _flips_of(word)
         length = mask.bit_count()
         hist[length] += 1
 
@@ -449,43 +514,40 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
         if entry is None:
             fail("sym_fail", word, jmask)
             continue
-        eta_word, pi, suffix, moved = entry
+        eta_word, pi, _suffix, moved, renames = entry
+        form = closed[jmask]
+        sym_ok = form[0](word) == eta_word
 
-        # ideal component: relabel the sum inversions through pi; where they
-        # are the rows of the flipped positions P, that is relabelling
-        # ysums[P] through tau, and any other element relabels its own
-        if mask ^ phi0 == sums[jmask]:
-            key = (tau_of(pi), psets[jmask])
+        # the ideal and its checks: an element that renames the identity's
+        # element with the same flipped positions reuses that P's verdict,
+        # any other relabels its own sum inversions through pi
+        verdict = None
+        if sym_ok and renames and mask ^ phi0 == sums[jmask]:
             try:
-                ximask = ideal_memo[key]
+                verdict = verdicts[form]
             except KeyError:
-                tau, pset = key
-                ximask = ideal_memo[key] = _relabel(ysums[pset], _relabel_table(tau, n), n)
+                if canonical.get(form) is not None:
+                    verdict = verdicts[form] = decide(form, word, jmask, length, phi0, entry)
+        if verdict:
+            ximask, failed = verdict
         else:
             ximask = _relabel(mask, _relabel_table(pi, n), n)
-        try:
-            recipe = recipes[ximask]
-        except KeyError:
-            fail("incr_fail", word, jmask)
-            continue
+            failed = _ideal_checks(word, jmask, length, phi0, entry, ximask, form[1], recipes)
+        if failed:
+            if failed[0] == "incr_fail":
+                fail("incr_fail", word, jmask)
+                continue
+            for key in failed:
+                fail(key, word, jmask)
+            if "construct_fail" in failed:
+                failed_keys.add((eta_word, ximask))
 
         # support identity: relabel the ideal back through rho = pi^-1; the
         # two relabels compose to one that fixes every bit outside moved
         if mask & moved and phi0 | _relabel(ximask, _rho_table(eta_word, n), n) != mask:
             fail("support_fail", word, jmask)
-
-        if length != phi0.bit_count() + ximask.bit_count():
-            fail("degree_fail", word, jmask)
-
-        if recipe is None or suffix[recipe[1]] != jmask or recipe[0](eta_word) != word:
-            fail("construct_fail", word, jmask)
-            failed_keys.add((eta_word, ximask))
-
-        gather, ideal = closed[jmask]
-        if gather(word) != eta_word:
+        if not sym_ok:
             fail("closed_sym_fail", word, jmask)
-        if ideal != ximask:
-            fail("closed_ideal_fail", word, jmask)
 
     elements = sum(hist)
     unbuilt = counts["sym_fail"] + counts["incr_fail"] + counts["construct_fail"]
@@ -496,7 +558,7 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
         "hist": hist,
         "failed_keys": failed_keys,
         "memo_size": len(memo),
-        "ideal_memo_size": len(ideal_memo),
+        "ideal_memo_size": len(verdicts),
     }
 
 

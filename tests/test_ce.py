@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from spcohom import ce
+from spcohom import ce, correspondence
 from spcohom.ce import (
     ChainComplex,
     Cochain,
@@ -352,6 +353,45 @@ def test_classes_independent_can_fail(monkeypatch):
     monkeypatch.setattr(ce, "_iter_signed_inversion_masks", lambda n: walk[:-1] + walk[:1])
     record = {r.check_id: r for r in verify_cohomology_basis(n).records}["classes-independent"]
     assert not record.passed and record.detail["repeated_monomials"] == 1
+
+
+def test_pair_loop_builds_sigma_tables_once_per_permutation(monkeypatch):
+    # two relabel tables (pi and rho) per permutation, one inversion mask per pair
+    n = 3
+    calls = {"tables": 0, "masks": 0}
+    real_table = correspondence._relabel_table
+    real_mask = correspondence._inversion_mask
+
+    def table(value_map, rank):
+        calls["tables"] += 1
+        return real_table(value_map, rank)
+
+    def mask(images, rank):
+        calls["masks"] += 1
+        return real_mask(images, rank)
+
+    monkeypatch.setattr(correspondence, "_relabel_table", table)
+    monkeypatch.setattr(ce, "_relabel_table", table)
+    monkeypatch.setattr(correspondence, "_inversion_mask", mask)
+    assert verify_cohomology_basis(n).passed
+    assert calls == {"tables": 2 * math.factorial(n), "masks": group_order(n)}
+
+
+def test_pair_cocycles_match_can_fail(monkeypatch):
+    # rho's table of one permutation swaps two sums-plus-longs
+    n = 3
+    real = ce._rho_table
+
+    def corrupted(word, rank):
+        table = list(real(word, rank))
+        if tuple(word) == (2, 3, 1):
+            table[3], table[5] = table[5], table[3]
+        return tuple(table)
+
+    monkeypatch.setattr(ce, "_rho_table", corrupted)
+    failed = {r.check_id: r.detail for r in verify_cohomology_basis(n).records if not r.passed}
+    assert set(failed) == {"pair-cocycles-match"}
+    assert 0 < failed["pair-cocycles-match"]["mismatches"] <= len(list(enumerate_increasing(n)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from operator import itemgetter
@@ -517,30 +518,32 @@ def test_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, cap
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _bitwise_relabel(mask, value_map, n):
+    """The sums-plus-longs bits of mask with both indices of each root sent
+    through value_map, one bit at a time."""
+    index = root_index(n)
+    out = 0
+    for b, root in enumerate(positive_roots(n)):
+        if root.in_phi1 and mask >> b & 1:
+            i, j = sorted((value_map[root.i], value_map[root.j]))
+            out |= 1 << index[long(i) if i == j else sum_root(i, j)]
+    return out
+
+
 def _evaluate(word, jmask, mask, n):
     """The per-element checks that fail for the walked element (word, jmask,
     mask), evaluated from the definitions with bit-by-bit relabels."""
     nd = n * (n - 1) // 2
-    index = root_index(n)
     phi0 = mask & ((1 << nd) - 1)
     sym = perm_from_inversions(RootSet(n, phi0), n)
     if sym is None:
         return ["sym_fail"]
-    pos = {v: p for p, v in enumerate(sym.images, start=1)}
-
-    def relabel(m, value_map):
-        out = 0
-        for b, root in enumerate(positive_roots(n)):
-            if root.in_phi1 and m >> b & 1:
-                i, j = sorted((value_map(root.i), value_map(root.j)))
-                out |= 1 << index[long(i) if i == j else sum_root(i, j)]
-        return out
-
-    xi = relabel(mask, lambda v: n + 1 - pos[v])
+    pi = {v: n + 1 - p for p, v in enumerate(sym.images, start=1)}
+    xi = _bitwise_relabel(mask, pi, n)
     if _profile_from_mask(xi, n) is None:
         return ["incr_fail"]
     failed = []
-    if phi0 | relabel(xi, lambda v: sym.images[n - v]) != mask:
+    if phi0 | _bitwise_relabel(xi, (0, *reversed(sym.images)), n) != mask:
         failed.append("support_fail")
     if mask.bit_count() != phi0.bit_count() + xi.bit_count():
         failed.append("degree_fail")
@@ -583,6 +586,136 @@ def test_wrong_walked_sum_bits_match_a_per_element_evaluation(monkeypatch, tmp_p
 
     assert main(["bijection", "--rank", "3", "--out", str(tmp_path / "b.json")]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _reference(word, jmask, mask, n):
+    """The per-element checks that fail for the walked element, each
+    evaluated on its own through the module's tables (_sym_entry, _recipes,
+    _closed_forms_of), with no memo, no reused verdict and bit-by-bit
+    relabels."""
+    phi0 = mask & ((1 << (n * (n - 1) // 2)) - 1)
+    entry = correspondence._sym_entry(phi0, n)
+    if entry is None:
+        return ["sym_fail"]
+    eta, pi = entry
+    xi = _bitwise_relabel(mask, pi, n)
+    if xi not in correspondence._recipes(n):
+        return ["incr_fail"]
+    failed = []
+    if phi0 | _bitwise_relabel(xi, (0, *reversed(eta)), n) != mask:
+        failed.append("support_fail")
+    if mask.bit_count() != phi0.bit_count() + xi.bit_count():
+        failed.append("degree_fail")
+    if _construct(eta, xi, n) != (word, jmask):
+        failed.append("construct_fail")
+    gather, ideal = correspondence._closed_forms_of(word)[jmask]
+    if gather(word) != eta:
+        failed.append("closed_sym_fail")
+    if ideal != xi:
+        failed.append("closed_ideal_fail")
+    return failed
+
+
+def _assert_scan_matches_reference(n):
+    """_scan_chunk over the whole rank-n group reports exactly the failures,
+    witnesses and failed pair keys of _reference; returns the counts."""
+    expected = {key: [] for key in _FAILS}
+    keys = set()
+    for word, jmask, mask in correspondence._iter_signed_inversion_masks(n):
+        failed = _reference(word, jmask, mask, n)
+        for key in failed:
+            expected[key].append((word, jmask))
+        if "construct_fail" in failed:
+            images = tuple(-v if jmask >> (v - 1) & 1 else v for v in word)
+            pair = correspondence._pair_masks(SignedPerm(images))
+            keys.add(pair)
+    result = correspondence._scan_chunk(n, None, None, 5)
+    counts = {key: len(items) for key, items in expected.items()}
+    assert {key: result["counts"][key] for key in _FAILS} == counts
+    assert result["witnesses"] == {key: sorted(items)[:5] for key, items in expected.items()}
+    assert result["failed_keys"] == keys
+    return counts
+
+
+def _reversed_gather(gather, n):
+    """An itemgetter that gathers what gather does, in reverse order."""
+    return itemgetter(*reversed(gather(tuple(range(n)))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_wrong_itemgetter_recipe_fails_every_element_of_its_ideal(monkeypatch, n):
+    # a pure position map, so the scan may decide it once per set of flipped
+    # positions; it builds the wrong word for every element of the ideal
+    target = correspondence._closed_forms(n)[1 << (n // 2)][1]
+    real = correspondence._recipes(n)
+    table = dict(real)
+    gather, k = table[target]
+    table[target] = _reversed_gather(gather, n), k
+    monkeypatch.setattr(correspondence, "_recipes", lambda rank: table)
+    counts = _assert_scan_matches_reference(n)
+    assert counts["construct_fail"] == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["everywhere", "on-the-identity", "shared"])
+def test_wrong_closed_form_gather_matches_a_per_element_evaluation(monkeypatch, n, kind):
+    # the canonical entry of one set P of flipped positions gathers the wrong
+    # word: always, only for the identity's word (no pure position map, and
+    # the scan would read the ideal of P off it), or as the entry of P = {0}
+    # (so that one entry stands for two sets)
+    pset = (1 << n) - 2
+    table = list(correspondence._closed_forms(n))
+    gather, ideal = table[pset]
+    identity = tuple(range(1, n + 1))
+    if kind == "everywhere":
+        table[pset] = _reversed_gather(gather, n), ideal
+    elif kind == "on-the-identity":
+        wrong = lambda word: gather(word)[::-1] if word == identity else gather(word)
+        table[pset] = wrong, ideal
+    else:
+        table[pset] = table[1]
+    table = tuple(table)
+    monkeypatch.setattr(correspondence, "_closed_forms", lambda rank: table)
+    counts = _assert_scan_matches_reference(n)
+    wrong = {"everywhere": math.factorial(n), "on-the-identity": 1, "shared": math.factorial(n)}
+    expected = {**dict.fromkeys(_FAILS, 0), "closed_sym_fail": wrong[kind]}
+    if kind == "shared":
+        expected["closed_ideal_fail"] = math.factorial(n)
+    assert counts == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sym_entry_whose_pi_is_not_its_position_map(monkeypatch, n):
+    # pi of one symmetric component swaps the images of the values 1 and 2,
+    # so the ideal of its elements is no renaming of the identity's
+    target = tuple(range(n, 0, -1))
+    real = correspondence._sym_entry
+
+    def corrupted(phi0, rank):
+        entry = real(phi0, rank)
+        if entry is None or entry[0] != target:
+            return entry
+        word, pi = entry
+        return word, (0, pi[2], pi[1], *pi[3:])
+
+    monkeypatch.setattr(correspondence, "_sym_entry", corrupted)
+    counts = _assert_scan_matches_reference(n)
+    assert sum(counts.values()) > 0
+
+
+def test_witness_at_rank_40_builds_only_its_own_closed_form(monkeypatch, tmp_path):
+    # tracing one element must not build the 2^n closed-form table
+    ranks = []
+    real = correspondence._closed_forms
+    monkeypatch.setattr(correspondence, "_closed_forms", lambda n: ranks.append(n) or real(n))
+    images = [-v if v % 3 == 0 else v for v in [2, 1, *range(3, 41)]]
+    out = tmp_path / "w.json"
+    witness = "[" + ",".join(map(str, images)) + "]"
+    assert main(["bijection", "--rank", "40", "--witness", witness, "--out", str(out)]) == 0
+    assert ranks == []
+    doc = json.loads(out.read_text())["data"]
+    assert doc["closed_form_sym_agrees"] and doc["closed_form_ideal_agrees"]
+    assert doc["support_matches_inversions"] and doc["degree_additive"]
 
 
 def test_non_permutation_relabel_table_is_an_internal_error(monkeypatch, capsys):
