@@ -39,13 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .correspondence import (
-    _element_of,
-    _position_map,
-    _relabel_table,
-    _rho_table,
-    _witness_str,
-)
+from .correspondence import _element_of, _rho_table, _sigma_tables, _witness_str
 from .errors import RankCapError
 from .ideals import IncreasingSet, enumerate_increasing
 from .liealg import root_vector, structure_table
@@ -564,13 +558,12 @@ def verify_cohomology_basis(
     # inversion factors and the relabel tables of pi and rho
     for word in itertools.permutations(range(1, n + 1)):
         sigma = Perm(word)
-        sigma_inv = _perm_inversion_mask(word, n)
-        factors = _mask_key(sigma_inv)
-        fwd = _relabel_table(_position_map(word), n)
+        tables = _sigma_tables(word, n)
+        factors = _mask_key(tables[0])
         rho = _rho_table(word, n)
         for psi in ideals:
             checked_pairs += 1
-            _w, mask = _element_of(sigma, psi, sigma_inv, fwd)
+            _w, mask = _element_of(sigma, psi, tables)
             lkey, lcoeff = _pair_term(factors, rho, psi.members.mask, n)
             if len(lkey) != len(factors) + psi.dimension:
                 degree_failures += 1

@@ -18,18 +18,18 @@ every element.
 
 The scan reports every check for every element.  Relabel tables are bit
 permutations of the mask's binary digits (_relabel).  An element (word, J)
-whose sum inversions are the rows {e_i + e_j : j >= i} of the set P of
-positions holding a flipped value (_flips_of), and whose symmetric component
-is the closed form g_P(word), is the identity's element with flipped
-positions P with its values renamed through word.  Renaming values changes
-no mask or position map in ideal coordinates, so the checks on the ideal are
-decided once per P (_ideal_checks), the ideal of P relabelled once through
-the position map of g_P.  A verdict is reused only where the closed-form
-entry is P's canonical one, the recipe and closed-form gathers are
-itemgetters (pure position maps) and pi is its word's position map; any
-other element is evaluated in full.  The support identity needs no relabel
-where the composite of the two relabels fixes the element's sum inversions
-(_scan_entry).
+whose sum inversions are the rows {e_i + e_j : j >= i} of the values at the
+set P of its flipped positions (_flips_of), and whose symmetric component is
+the closed form g_P(word), is the identity's element with flipped positions
+P with its values renamed through word.  Renaming values changes no mask or
+position map in ideal coordinates, so the checks on the ideal are decided
+once per P (_ideal_checks), the ideal of P relabelled once through the
+position map of g_P.  A verdict is reused only where the element's
+closed-form entry is the canonical entry of its own P, the recipe and
+closed-form gathers are itemgetters (pure position maps) and pi is its
+word's position map; any other element is evaluated in full.  The support
+identity needs no relabel where the composite of the two relabels fixes the
+element's sum inversions (_scan_entry).
 """
 
 from __future__ import annotations
@@ -236,24 +236,26 @@ def _closed_forms(n: int) -> tuple[tuple[itemgetter, int], ...]:
     return tuple(_closed_form_entry(pset, n) for pset in range(1 << n))
 
 
-def _closed_forms_of(word: tuple[int, ...]) -> tuple[tuple[itemgetter, int], ...]:
-    """Entry jmask is the _closed_forms entry of the element (word, jmask)."""
+def _closed_forms_of(word: tuple[int, ...]) -> tuple[list[int], tuple]:
+    """(psets, closed): entry jmask of psets is the set P of flipped positions
+    of the element (word, jmask), and entry jmask of closed its _closed_forms
+    entry."""
     psets = [0]
     for v in range(1, len(word) + 1):
         bit = 1 << word.index(v)
         psets += [p | bit for p in psets]
-    return itemgetter(*psets)(_closed_forms(len(word)))
+    return psets, itemgetter(*psets)(_closed_forms(len(word)))
 
 
 def _flips_of(word: tuple[int, ...]) -> list[int]:
-    """Entry jmask is the sum inversions the walk should yield for the
-    element (word, jmask): the rows {e_v + e_q : q = v or after v in word}
-    of the flipped values v."""
+    """Entry P is the sum inversions the walk should yield for the element
+    of word whose flipped values sit at the positions in P: the rows
+    {e_v + e_q : q = v or after v in word} of the values v = word[p], p in P."""
     _, s_idx, l_idx = _index_tables(len(word))
     sums = [0]
-    for v in range(1, len(word) + 1):
+    for p, v in enumerate(word):
         row = 1 << l_idx[v]
-        for q in word[word.index(v) + 1 :]:
+        for q in word[p + 1 :]:
             row |= 1 << (s_idx[v][q] if v < q else s_idx[q][v])
         sums += [x | row for x in sums]
     return sums
@@ -327,18 +329,21 @@ def from_pair(sigma: Perm, psi: IncreasingSet) -> SignedPerm:
     """
     if sigma.rank != psi.rank:
         raise ValueError("rank mismatch between permutation and ideal")
-    n = sigma.rank
-    word = sigma.images
-    fwd = _relabel_table(_position_map(word), n)
-    return _element_of(sigma, psi, _perm_inversion_mask(word, n), fwd)[0]
+    return _element_of(sigma, psi, _sigma_tables(sigma.images, sigma.rank))[0]
 
 
-def _element_of(sigma: Perm, psi: IncreasingSet, sigma_inv: int, fwd) -> tuple[SignedPerm, int]:
-    """from_pair and the element's inversion mask, given the two things that
-    depend on sigma alone: its inversion mask sigma_inv and pi's relabel
-    table fwd.  The candidate's pair is (sigma, psi) exactly when its
-    difference inversions are sigma_inv and its sum inversions relabel
-    through fwd to psi."""
+def _sigma_tables(word: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...]]:
+    """What validating a candidate for sigma's pairs needs of sigma alone:
+    (sigma's inversion mask, the relabel table of its position map pi)."""
+    return _perm_inversion_mask(word, n), _relabel_table(_position_map(word), n)
+
+
+def _element_of(sigma: Perm, psi: IncreasingSet, tables) -> tuple[SignedPerm, int]:
+    """from_pair and the element's inversion mask, given _sigma_tables of
+    sigma, (sigma_inv, fwd).  The candidate's pair is (sigma, psi) exactly
+    when its difference inversions are sigma_inv and its sum inversions
+    relabel through fwd to psi."""
+    sigma_inv, fwd = tables
     n = sigma.rank
     built = _construct(sigma.images, psi.members.mask, n)
     if built is not None:
@@ -455,21 +460,17 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
     phi0_all = (1 << num_diffs(n)) - 1
     recipes = _recipes(n)
     identity = tuple(range(1, n + 1))
-    # entry P is the sum inversions of the identity with the values at the
-    # positions in P flipped (for the identity, jmask is P)
+    # entry P is the sum inversions of the identity's element with flipped
+    # positions P
     ysums = _flips_of(identity)
-    # the canonical closed-form entry of each P -> P, or None for an entry
-    # that two sets share, which no verdict may then stand for
-    canonical: dict[tuple, Optional[int]] = {}
-    for pset, form in enumerate(_closed_forms(n)):
-        canonical[form] = None if form in canonical else pset
+    canonical = _closed_forms(n)
     # phi0 -> _scan_entry(phi0, n); phi0 is the inversion mask of the
     # symmetric component, so there are at most n! keys
     memo: dict[int, Optional[tuple]] = {}
-    # canonical closed-form entry of P -> (ideal, failed _ideal_checks) of
-    # the elements that rename the identity's element with flipped positions
-    # P, or False where a gather is no pure position map: 2^n keys
-    verdicts: dict[tuple, object] = {}
+    # P -> (ideal, failed _ideal_checks) of the elements that rename the
+    # identity's element with flipped positions P, or False where a gather
+    # is no pure position map: 2^n keys
+    verdicts: dict[int, object] = {}
     # failures only: the element and round-trip counts come from hist
     counts = dict.fromkeys(_ELEMENT_CHECKS, 0)
     witnesses = {key: _TopK(max_witnesses) for key in _ELEMENT_CHECKS}
@@ -478,14 +479,14 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
         counts[key] += 1
         witnesses[key].offer((word, jmask))
 
-    def decide(form, word, jmask, length, phi0, entry):
-        gather, ideal = form
+    def decide(pset, word, jmask, length, phi0, entry):
+        gather, ideal = canonical[pset]
         if type(gather) is not itemgetter:
             return False
         # the ideal of P: ysums[P] relabelled through T_P, the position map
         # of the identity's symmetric component
         table = _relabel_table(_position_map(gather(identity)), n)
-        ximask = _relabel(ysums[canonical[form]], table, n)
+        ximask = _relabel(ysums[pset], table, n)
         recipe = recipes.get(ximask)
         if recipe is not None and type(recipe[0]) is not itemgetter:
             return False
@@ -501,7 +502,7 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
     for word, jmask, mask in source:
         if word is not current:
             current = word
-            closed = _closed_forms_of(word)
+            psets, closed = _closed_forms_of(word)
             sums = _flips_of(word)
         length = mask.bit_count()
         hist[length] += 1
@@ -519,15 +520,16 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
         sym_ok = form[0](word) == eta_word
 
         # the ideal and its checks: an element that renames the identity's
-        # element with the same flipped positions reuses that P's verdict,
-        # any other relabels its own sum inversions through pi
+        # element with its own flipped positions P reuses that P's verdict,
+        # any other relabels its own sum inversions through pi; the walked
+        # sum bits tie P to the element
         verdict = None
-        if sym_ok and renames and mask ^ phi0 == sums[jmask]:
+        pset = psets[jmask]
+        if sym_ok and renames and mask ^ phi0 == sums[pset] and form is canonical[pset]:
             try:
-                verdict = verdicts[form]
+                verdict = verdicts[pset]
             except KeyError:
-                if canonical.get(form) is not None:
-                    verdict = verdicts[form] = decide(form, word, jmask, length, phi0, entry)
+                verdict = verdicts[pset] = decide(pset, word, jmask, length, phi0, entry)
         if verdict:
             ximask, failed = verdict
         else:

@@ -371,7 +371,6 @@ def test_pair_loop_builds_sigma_tables_once_per_permutation(monkeypatch):
         return real_mask(images, rank)
 
     monkeypatch.setattr(correspondence, "_relabel_table", table)
-    monkeypatch.setattr(ce, "_relabel_table", table)
     monkeypatch.setattr(correspondence, "_inversion_mask", mask)
     assert verify_cohomology_basis(n).passed
     assert calls == {"tables": 2 * math.factorial(n), "masks": group_order(n)}

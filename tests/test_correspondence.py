@@ -354,7 +354,7 @@ def test_broken_closed_form_fails_its_gate(monkeypatch, tmp_path, capsys, broken
     real = correspondence._closed_forms_of
 
     def corrupted(word):
-        table = real(word)
+        psets, table = real(word)
         if word == (2, 1, 3):
             gather, ideal_mask = table[1]
             if broken == "closed-form-sym":
@@ -362,7 +362,7 @@ def test_broken_closed_form_fails_its_gate(monkeypatch, tmp_path, capsys, broken
             else:
                 entry = (gather, ideal_mask ^ 1)  # a difference root, never in an ideal
             table = table[:1] + (entry,) + table[2:]
-        return table
+        return psets, table
 
     monkeypatch.setattr(correspondence, "_closed_forms_of", corrupted)
     report = verify_bijection(3)
@@ -608,7 +608,7 @@ def _reference(word, jmask, mask, n):
         failed.append("degree_fail")
     if _construct(eta, xi, n) != (word, jmask):
         failed.append("construct_fail")
-    gather, ideal = correspondence._closed_forms_of(word)[jmask]
+    gather, ideal = correspondence._closed_forms_of(word)[1][jmask]
     if gather(word) != eta:
         failed.append("closed_sym_fail")
     if ideal != xi:
@@ -682,6 +682,45 @@ def test_wrong_closed_form_gather_matches_a_per_element_evaluation(monkeypatch, 
     if kind == "shared":
         expected["closed_ideal_fail"] = math.factorial(n)
     assert counts == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("scanned", ["first", "later"])
+@pytest.mark.parametrize("kind", ["entries", "positions"])
+def test_swapped_closed_forms_of_one_word_match_a_per_element_evaluation(
+    monkeypatch, n, scanned, kind
+):
+    # for one word, the elements with flipped positions P = {} and
+    # P = {n-1} (same gather, different ideals) swap their closed-form
+    # entries, and with kind "positions" their sets of flipped positions too,
+    # as a wrong doubling would; the word is the first scanned or a later one
+    word = tuple(range(1, n + 1)) if scanned == "first" else tuple(range(n, 0, -1))
+    last = 1 << (word[-1] - 1)
+    real = correspondence._closed_forms_of
+
+    def corrupted(w):
+        psets, closed = real(w)
+        if w == word:
+            closed = list(closed)
+            closed[0], closed[last] = closed[last], closed[0]
+            if kind == "positions":
+                psets = list(psets)
+                psets[0], psets[last] = psets[last], psets[0]
+        return psets, tuple(closed)
+
+    monkeypatch.setattr(correspondence, "_closed_forms_of", corrupted)
+    counts = _assert_scan_matches_reference(n)
+    assert counts == {**dict.fromkeys(_FAILS, 0), "closed_ideal_fail": 2}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_closed_forms_of_reads_each_elements_flipped_positions(n):
+    table = correspondence._closed_forms(n)
+    for word in itertools.permutations(range(1, n + 1)):
+        psets, closed = correspondence._closed_forms_of(word)
+        for jmask in range(1 << n):
+            pset = sum(1 << p for p, v in enumerate(word) if jmask >> (v - 1) & 1)
+            assert psets[jmask] == pset and closed[jmask] is table[pset]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
