@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .correspondence import _element_of, _rho_table, _sigma_tables, _witness_str
+from .correspondence import _rho_table, _witness_str, verify_bijection
 from .errors import RankCapError
-from .ideals import IncreasingSet, enumerate_increasing
+from .ideals import IncreasingSet
 from .liealg import root_vector, structure_table
 from .report import VerificationReport
 from .roots import check_rank, num_diffs, positive_roots
@@ -468,22 +468,19 @@ def pair_cocycle(sigma: Perm, psi: IncreasingSet) -> Cochain:
         raise ValueError("rank mismatch between permutation and ideal")
     n = sigma.rank
     factors = _mask_key(_perm_inversion_mask(sigma.images, n))
-    key, sign = _pair_term(factors, _rho_table(sigma.images, n), psi.members.mask, n)
-    return Cochain.monomial(n, key, sign)
-
-
-def _pair_term(factors: tuple[int, ...], rho, ximask: int, n: int) -> tuple[tuple[int, ...], int]:
-    """The one term (key, sign) of pair_cocycle, given the two things that
-    depend on sigma alone: its inversion factors and rho's relabel table."""
     nd = num_diffs(n)
-    relabeled = [nd + rho[b - nd] for b in _mask_key(ximask)]
-    return _sort_parity(list(factors) + relabeled)
+    rho = _rho_table(sigma.images, n)
+    relabeled = [nd + rho[b - nd] for b in _mask_key(psi.members.mask)]
+    key, sign = _sort_parity(list(factors) + relabeled)
+    return Cochain.monomial(n, key, sign)
 
 
 def verify_cohomology_basis(
     n: int,
     cap: int = DEFAULT_COHOMOLOGY_CAP,
     complex_: object = None,
+    *,
+    bijection: VerificationReport | None = None,
 ) -> VerificationReport:
     """Check that the inversion-set cocycles form a cohomology basis and that
     the pair cocycles reproduce them up to sign.
@@ -492,9 +489,17 @@ def verify_cohomology_basis(
     closed; the number with |inversions| = p equals the p-th Betti number;
     and every one is harmonic, c(weight) = 0, with no monomial repeated.
     Harmonic monomials are closed, orthogonal to the image of d and to each
-    other, so their classes are independent.  Finally each pair (permutation,
-    ideal) yields a cocycle equal, up to sign, to the inversion-set cocycle of
-    the element the pair corresponds to.
+    other, so their classes are independent.
+
+    The pair records are read off the bijection scan: the report of
+    verify_bijection(n), passed as bijection by a caller that has already
+    scanned the group, else run here.  pair-injective and pair-onto make the
+    pair map a bijection whose inverse is from_pair's recipe, and
+    sym-component-inversions makes phi0 = inv(sigma).  So the pair cocycle of
+    every (sigma, psi), whose sign is +-1 by construction, is its element's
+    cocycle exactly when support-identity holds on every element, and has
+    degree |inv(sigma)| + dim psi exactly when degree-additivity does.  Each
+    pair record passes when its source check and those three pass.
 
     complex_ is accepted and ignored: perfbench/trace_pass.py still passes the
     ChainComplex it timed, until ROADMAP item 4 replaces that replay.
@@ -550,38 +555,30 @@ def verify_cohomology_basis(
         },
     )
 
-    pair_failures = 0
-    degree_failures = 0
-    checked_pairs = 0
-    ideals = list(enumerate_increasing(n))
-    # what depends on sigma alone is built once per permutation: its
-    # inversion factors and the relabel tables of pi and rho
-    for word in itertools.permutations(range(1, n + 1)):
-        sigma = Perm(word)
-        tables = _sigma_tables(word, n)
-        factors = _mask_key(tables[0])
-        rho = _rho_table(word, n)
-        for psi in ideals:
-            checked_pairs += 1
-            _w, mask = _element_of(sigma, psi, tables)
-            lkey, lcoeff = _pair_term(factors, rho, psi.members.mask, n)
-            if len(lkey) != len(factors) + psi.dimension:
-                degree_failures += 1
-            if lkey != _mask_key(mask) or lcoeff not in (1, -1):
-                pair_failures += 1
-    report.add(
-        "pair-cocycles-match",
-        "each pair cocycle equals the inversion-set cocycle of its element, "
-        "up to sign",
-        pair_failures == 0,
-        {"checked": checked_pairs, "mismatches": pair_failures},
+    if bijection is None:
+        bijection = verify_bijection(n)
+    scan = {r.check_id: r for r in bijection.records}
+    bijective = all(
+        scan[c].passed for c in ("pair-injective", "pair-onto", "sym-component-inversions")
     )
-    report.add(
-        "pair-cocycle-degree",
-        "the degree of a pair cocycle is permutation length plus ideal dimension",
-        degree_failures == 0,
-        {"checked": checked_pairs, "mismatches": degree_failures},
-    )
+    for check_id, source, anchor in (
+        (
+            "pair-cocycles-match",
+            "support-identity",
+            "each pair cocycle equals the inversion-set cocycle of its element, up to sign",
+        ),
+        (
+            "pair-cocycle-degree",
+            "degree-additivity",
+            "the degree of a pair cocycle is permutation length plus ideal dimension",
+        ),
+    ):
+        report.add(
+            check_id,
+            anchor,
+            bijective and scan[source].passed,
+            {"checked": bijection.data["elements"], "mismatches": scan[source].detail["failures"]},
+        )
 
     report.data["betti"] = betti
     report.data["class_counts"] = counts

@@ -329,33 +329,13 @@ def from_pair(sigma: Perm, psi: IncreasingSet) -> SignedPerm:
     """
     if sigma.rank != psi.rank:
         raise ValueError("rank mismatch between permutation and ideal")
-    return _element_of(sigma, psi, _sigma_tables(sigma.images, sigma.rank))[0]
-
-
-def _sigma_tables(word: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...]]:
-    """What validating a candidate for sigma's pairs needs of sigma alone:
-    (sigma's inversion mask, the relabel table of its position map pi)."""
-    return _perm_inversion_mask(word, n), _relabel_table(_position_map(word), n)
-
-
-def _element_of(sigma: Perm, psi: IncreasingSet, tables) -> tuple[SignedPerm, int]:
-    """from_pair and the element's inversion mask, given _sigma_tables of
-    sigma, (sigma_inv, fwd).  The candidate's pair is (sigma, psi) exactly
-    when its difference inversions are sigma_inv and its sum inversions
-    relabel through fwd to psi."""
-    sigma_inv, fwd = tables
-    n = sigma.rank
-    built = _construct(sigma.images, psi.members.mask, n)
-    if built is not None:
-        cand = SignedPerm(_signed_images(*built))
-        mask = _inversion_mask(cand.images, n)
-        phi0 = mask & ((1 << num_diffs(n)) - 1)
-        if phi0 == sigma_inv and _relabel(mask, fwd, n) == psi.members.mask:
-            return cand, mask
-    raise ConsistencyError(
-        f"the direct inverse recipe builds no element mapping to ({sigma}, {psi}); "
-        "the correspondence is broken"
-    )
+    w = _round_trip(sigma.images, psi.members.mask, sigma.rank)
+    if w is None:
+        raise ConsistencyError(
+            f"the direct inverse recipe builds no element mapping to ({sigma}, {psi}); "
+            "the correspondence is broken"
+        )
+    return w
 
 
 def cocycle_support(sigma: Perm, psi: IncreasingSet) -> RootSet:
@@ -571,15 +551,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _is_round_trip_key(sigma_word: tuple[int, ...], ximask: int, n: int) -> bool:
-    """Whether pair(construct(k)) == k for the pair key k = (sigma_word, ximask)."""
+def _round_trip(sigma_word: tuple[int, ...], ximask: int, n: int) -> Optional[SignedPerm]:
+    """construct(k) for the pair key k = (sigma_word, ximask) when
+    pair(construct(k)) == k, else None."""
     built = _construct(sigma_word, ximask, n)
     if built is None:
-        return False
+        return None
     try:
-        return _pair_masks(SignedPerm(_signed_images(*built))) == (sigma_word, ximask)
+        w = SignedPerm(_signed_images(*built))
+        return w if _pair_masks(w) == (sigma_word, ximask) else None
     except (ValueError, ConsistencyError):  # the recipe built no valid element
-        return False
+        return None
 
 
 def verify_bijection(
@@ -634,7 +616,7 @@ def verify_bijection(
     # exactly when pair(construct(k)) == k, so only the other keys are new.
     failed_keys = set().union(*(p["failed_keys"] for p in partials))
     distinct = counts["round_trip"] + sum(
-        1 for key in failed_keys if not _is_round_trip_key(*key, n)
+        1 for key in failed_keys if _round_trip(*key, n) is None
     )
 
     order = group_order(n)

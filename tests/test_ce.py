@@ -311,7 +311,7 @@ def test_all_monomial_cocycles_closed(n):
         assert differential(monomial_cocycle(w)).is_zero()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pair_cocycle_matches_element_cocycle(n):
     for word in itertools.permutations(range(1, n + 1)):
         sigma = Perm(word)
@@ -355,31 +355,25 @@ def test_classes_independent_can_fail(monkeypatch):
     assert not record.passed and record.detail["repeated_monomials"] == 1
 
 
-def test_pair_loop_builds_sigma_tables_once_per_permutation(monkeypatch):
-    # two relabel tables (pi and rho) per permutation, one inversion mask per pair
-    n = 3
-    calls = {"tables": 0, "masks": 0}
-    real_table = correspondence._relabel_table
-    real_mask = correspondence._inversion_mask
+def test_verify_and_classes_scan_the_group_once(monkeypatch, tmp_path):
+    calls = []
+    real = correspondence._scan_chunk
 
-    def table(value_map, rank):
-        calls["tables"] += 1
-        return real_table(value_map, rank)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    def mask(images, rank):
-        calls["masks"] += 1
-        return real_mask(images, rank)
-
-    monkeypatch.setattr(correspondence, "_relabel_table", table)
-    monkeypatch.setattr(correspondence, "_inversion_mask", mask)
-    assert verify_cohomology_basis(n).passed
-    assert calls == {"tables": 2 * math.factorial(n), "masks": group_order(n)}
+    monkeypatch.setattr(correspondence, "_scan_chunk", counted)
+    for command in ("verify", "classes"):
+        calls.clear()
+        assert main([command, "--rank", "3", "--out", str(tmp_path / f"{command}.json")]) == 0
+        assert len(calls) == 1
 
 
 def test_pair_cocycles_match_can_fail(monkeypatch):
     # rho's table of one permutation swaps two sums-plus-longs
     n = 3
-    real = ce._rho_table
+    real = correspondence._rho_table
 
     def corrupted(word, rank):
         table = list(real(word, rank))
@@ -387,10 +381,37 @@ def test_pair_cocycles_match_can_fail(monkeypatch):
             table[3], table[5] = table[5], table[3]
         return tuple(table)
 
-    monkeypatch.setattr(ce, "_rho_table", corrupted)
+    monkeypatch.setattr(correspondence, "_rho_table", corrupted)
     failed = {r.check_id: r.detail for r in verify_cohomology_basis(n).records if not r.passed}
     assert set(failed) == {"pair-cocycles-match"}
     assert 0 < failed["pair-cocycles-match"]["mismatches"] <= len(list(enumerate_increasing(n)))
+
+
+def test_pair_cocycle_degree_can_fail(monkeypatch):
+    # a relabel that turns the empty ideal into the one-root ideal adds a
+    # degree to every element without sum inversions
+    n = 3
+    (top,) = (psi.members.mask for psi in enumerate_increasing(n) if psi.dimension == 1)
+    real = correspondence._relabel
+    monkeypatch.setattr(correspondence, "_relabel", lambda *args: real(*args) or top)
+    scan = {r.check_id: r for r in correspondence.verify_bijection(n).records}
+    assert not scan["degree-additivity"].passed
+    failures = scan["degree-additivity"].detail["failures"]
+    assert failures == math.factorial(n)
+    record = {r.check_id: r for r in verify_cohomology_basis(n).records}["pair-cocycle-degree"]
+    assert not record.passed
+    assert record.detail == {"checked": group_order(n), "mismatches": failures}
+
+
+@pytest.mark.parametrize("check_id", ["pair-injective", "pair-onto", "sym-component-inversions"])
+def test_pair_records_need_the_bijection(check_id):
+    n = 3
+    scan = correspondence.verify_bijection(n)
+    next(r for r in scan.records if r.check_id == check_id).passed = False
+    records = {r.check_id: r for r in verify_cohomology_basis(n, bijection=scan).records}
+    for pair_id in ("pair-cocycles-match", "pair-cocycle-degree"):
+        assert not records[pair_id].passed
+        assert records[pair_id].detail == {"checked": group_order(n), "mismatches": 0}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from spcohom import ce, cli, correspondence, ideals, poincare, weyl
+from spcohom import ce, cli, correspondence, ideals, liealg, poincare, weyl
 from spcohom.cli import main
 from spcohom.errors import RankCapError
 
@@ -169,6 +169,18 @@ def test_poincare_cap_refuses_before_any_product(monkeypatch, capsys):
     poincare.check_poincare_cap(poincare.POINCARE_CAP)
 
 
+def test_structure_cap_refuses_before_the_table(monkeypatch, capsys):
+    def no_table(n):
+        raise AssertionError("the structure table was built above the structure cap")
+
+    monkeypatch.setattr(liealg, "structure_table", no_table)
+    n = cli.STRUCTURE_CAP + 1
+    assert main(["structure", "--rank", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: rank {n} exceeds the structure cap {cli.STRUCTURE_CAP}\n"
+
+
 def test_workers_flag_matches_serial(tmp_path):
     _, serial = run_cli(["bijection", "--rank", "3", "--workers", "1"], tmp_path, "s.json")
     _, parallel = run_cli(["bijection", "--rank", "3", "--workers", "3"], tmp_path, "p.json")
@@ -284,8 +296,8 @@ def test_internal_value_error_exits_3(monkeypatch, capsys):
 
 
 def test_consistency_error_exits_3(monkeypatch, capsys):
-    real = correspondence._recipes
-    monkeypatch.setattr(correspondence, "_recipes", lambda n: dict.fromkeys(real(n)))
+    # a position map that permutes no sums-plus-longs
+    monkeypatch.setattr(correspondence, "_position_map", lambda word: (0,) + (1,) * len(word))
     assert main(["classes", "--rank", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
