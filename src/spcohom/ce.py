@@ -52,6 +52,7 @@ from .weyl import (
     _inversion_mask,
     _iter_signed_inversion_masks,
     _perm_inversion_mask,
+    _sign_patterns,
 )
 
 DEFAULT_COHOMOLOGY_CAP = 6
@@ -517,18 +518,19 @@ def verify_cohomology_basis(
     masks_seen: set[int] = set()
     counts = [0] * (n2 + 1)
     order = group_order(n)
-    for word, jmask, mask in _iter_signed_inversion_masks(n):
-        key = _mask_key(mask)
-        counts[len(key)] += 1
-        if _d_monomial(n, key):
-            not_closed += 1
-        weight = _subset_weight(n, key)
-        if _c4(n, weight):
-            not_harmonic += 1
-            if len(harmonic_witnesses) < _MAX_WITNESSES:
-                harmonic_witnesses.append(_witness_str(word, jmask))
-        weights_seen.add(weight)
-        masks_seen.add(mask)
+    for word, masks in _iter_signed_inversion_masks(n):
+        for pset, mask in enumerate(masks):
+            key = _mask_key(mask)
+            counts[len(key)] += 1
+            if _d_monomial(n, key):
+                not_closed += 1
+            weight = _subset_weight(n, key)
+            if _c4(n, weight):
+                not_harmonic += 1
+                if len(harmonic_witnesses) < _MAX_WITNESSES:
+                    harmonic_witnesses.append(_witness_str(word, _sign_patterns(word)[pset]))
+            weights_seen.add(weight)
+        masks_seen.update(masks)
 
     report.add(
         "cocycles-closed",

@@ -59,7 +59,6 @@ class RunConfig:
     workers: int = 1
     seed: int = 0
     list_items: bool = False
-    histogram: bool = False
     per_weight: bool = False
     witness: Optional[SignedPerm] = None
 
@@ -87,11 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ideals", parents=[common], help="enumerate abelian ideals")
     p.add_argument("--list", dest="list_items", action="store_true")
-    p.add_argument("--histogram", action="store_true")
 
     p = sub.add_parser("weyl", parents=[common], help="signed-permutation group data")
     p.add_argument("--list", dest="list_items", action="store_true")
-    p.add_argument("--histogram", action="store_true")
 
     p = sub.add_parser("bijection", parents=[common, workers], help="verify the correspondence")
     p.add_argument("--witness", metavar="ELEM", help="trace one element, e.g. '[2,-1,3]'")
@@ -129,7 +126,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         workers=workers,
         seed=args.seed,
         list_items=getattr(args, "list_items", False),
-        histogram=getattr(args, "histogram", False),
         per_weight=getattr(args, "per_weight", False),
         witness=witness,
     )

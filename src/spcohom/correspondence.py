@@ -17,19 +17,27 @@ runs up to b_t = n + t - sigma_0^-1(j_t).  verify_bijection gates both on
 every element.
 
 The scan reports every check for every element.  Relabel tables are bit
-permutations of the mask's binary digits (_relabel).  An element (word, J)
-whose sum inversions are the rows {e_i + e_j : j >= i} of the values at the
-set P of its flipped positions (_flips_of), and whose symmetric component is
-the closed form g_P(word), is the identity's element with flipped positions
-P with its values renamed through word.  Renaming values changes no mask or
-position map in ideal coordinates, so the checks on the ideal are decided
-once per P (_ideal_checks), the ideal of P relabelled once through the
-position map of g_P.  A verdict is reused only where the element's
-closed-form entry is the canonical entry of its own P, the recipe and
-closed-form gathers are itemgetters (pure position maps) and pi is its
-word's position map; any other element is evaluated in full.  The support
-identity needs no relabel where the composite of the two relabels fixes the
-element's sum inversions (_scan_entry).
+permutations of the mask's binary digits (_relabel).  The walk yields the 2^n
+elements of one permutation word at once, indexed by the set P of their
+flipped positions.  An element whose sum inversions are the rows
+{e_i + e_j : j >= i} of the values at the positions in P (_flips_of), and
+whose symmetric component is the closed form g_P(word), is the identity's
+element with flipped positions P with its values renamed through word.
+Renaming values changes no mask or position map in ideal coordinates, so the
+checks on the ideal are decided once per P (_ideal_checks), the ideal of P
+relabelled once through the position map of g_P.  A verdict is reused only
+where the recipe and closed-form gathers are itemgetters (pure position
+maps) and pi is its word's position map; any other element is evaluated in
+full.  The support identity needs no relabel where the composite of the two
+relabels fixes the element's sum inversions (_scan_entry).
+
+Once every verdict of a chunk is decided and clean, a permutation passes as
+one batch of C-level list compares when each of its elements would reuse
+its verdict and avoid those bits: the walked sum inversions equal the rows of
+P, each decoded symmetric component equals g_P(word), and every entry
+renames and moves no bit.  The first permutation of a chunk, which decides
+the verdicts, and any permutation that fails a compare are checked element
+by element, so failures and witnesses are those of a per-element scan.
 """
 
 from __future__ import annotations
@@ -37,9 +45,11 @@ from __future__ import annotations
 import math
 import os
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from itertools import accumulate, repeat
+from operator import and_, call, itemgetter, xor
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError
@@ -58,6 +68,7 @@ from .weyl import (
     _inversion_mask,
     _iter_signed_inversion_masks,
     _perm_inversion_mask,
+    _sign_patterns,
     _word_from_inversion_mask,
 )
 
@@ -84,27 +95,35 @@ def _gather(idx: Sequence[int]) -> itemgetter:
 
 
 @lru_cache(maxsize=None)
-def _phi1_index(n: int) -> dict[tuple[int, int], int]:
-    """(i, j) with i <= j -> the index, counted from bit num_diffs(n), of the
-    sums-plus-longs root e_i + e_j (2e_i when i == j)."""
-    return {(r.i, r.j): k for k, r in enumerate(r for r in positive_roots(n) if r.in_phi1)}
+def _phi1_grid(n: int) -> tuple[list[list[Optional[int]]], tuple[int, ...], tuple[int, ...]]:
+    """(grid, rows, cols): the sums-plus-longs root at index k, counted from
+    bit num_diffs(n), is e_i + e_j (2e_i when i == j) with i = rows[k] <=
+    j = cols[k], and grid[i][j] = grid[j][i] = k; row and column 0 of the
+    grid hold None."""
+    grid: list[list[Optional[int]]] = [[None] * (n + 1) for _ in range(n + 1)]
+    roots = [r for r in positive_roots(n) if r.in_phi1]
+    for k, r in enumerate(roots):
+        grid[r.i][r.j] = grid[r.j][r.i] = k
+    return grid, tuple(r.i for r in roots), tuple(r.j for r in roots)
 
 
 def _relabel_table(value_map: Sequence[int], n: int) -> tuple[int, ...]:
     """Entry k is where the sums-plus-longs root at index k goes when both of
     its indices are sent through value_map[v].  The gather in _relabel is
     exact only for a bit permutation, so anything else is an error."""
-    index = _phi1_index(n)
-    out = []
-    for i, j in index:
-        a, b = value_map[i], value_map[j]
-        out.append(index.get((a, b) if a <= b else (b, a)))
-    if set(out) != set(range(len(out))):
+    grid, rows, cols = _phi1_grid(n)
+    out: tuple = ()
+    if min(value_map) >= 0:  # a negative value would index the grid from its end
+        try:
+            out = tuple([grid[value_map[i]][value_map[j]] for i, j in zip(rows, cols)])
+        except IndexError:
+            pass
+    if set(out) != set(range(len(rows))):
         raise ConsistencyError(
             f"the value map {tuple(value_map[1:])} permutes no sums-plus-longs "
             f"of rank {n}; this indicates a bug"
         )
-    return tuple(out)
+    return out
 
 
 def _rho_table(word: Sequence[int], n: int) -> tuple[int, ...]:
@@ -175,7 +194,7 @@ def _scan_entry(phi0: int, n: int) -> Optional[tuple]:
     fwd = _relabel_table(pi, n)
     bwd = _rho_table(word, n)
     moved = sum(1 << k for k, t in enumerate(fwd) if bwd[t] != k) << num_diffs(n)
-    suffix = tuple(_value_mask(word[n - k :]) for k in range(n + 1))
+    suffix = tuple(accumulate(reversed(word), lambda acc, v: acc | 1 << (v - 1), initial=0))
     return word, pi, suffix, moved, pi == _position_map(word)
 
 
@@ -234,17 +253,6 @@ def _closed_form_entry(pset: int, n: int) -> tuple[itemgetter, int]:
 def _closed_forms(n: int) -> tuple[tuple[itemgetter, int], ...]:
     """Entry P is _closed_form_entry(P, n), the canonical entry of P."""
     return tuple(_closed_form_entry(pset, n) for pset in range(1 << n))
-
-
-def _closed_forms_of(word: tuple[int, ...]) -> tuple[list[int], tuple]:
-    """(psets, closed): entry jmask of psets is the set P of flipped positions
-    of the element (word, jmask), and entry jmask of closed its _closed_forms
-    entry."""
-    psets = [0]
-    for v in range(1, len(word) + 1):
-        bit = 1 << word.index(v)
-        psets += [p | bit for p in psets]
-    return psets, itemgetter(*psets)(_closed_forms(len(word)))
 
 
 def _flips_of(word: tuple[int, ...]) -> list[int]:
@@ -435,7 +443,8 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
 
     Returns plain sums, bounded witness lists and the pair keys of the
     elements whose round trip through the direct inverse failed, all of which
-    merge associatively across chunks, plus the sizes of the chunk's memos.
+    merge associatively across chunks, plus the sizes of the chunk's memos
+    and the number of permutations whose elements were checked one by one.
     """
     phi0_all = (1 << num_diffs(n)) - 1
     recipes = _recipes(n)
@@ -444,6 +453,7 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
     # positions P
     ysums = _flips_of(identity)
     canonical = _closed_forms(n)
+    gathers = [gather for gather, _ideal in canonical]
     # phi0 -> _scan_entry(phi0, n); phi0 is the inversion mask of the
     # symmetric component, so there are at most n! keys
     memo: dict[int, Optional[tuple]] = {}
@@ -451,6 +461,8 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
     # identity's element with flipped positions P, or False where a gather
     # is no pure position map: 2^n keys
     verdicts: dict[int, object] = {}
+    # every verdict is decided and no check fails in it
+    clean = False
     # failures only: the element and round-trip counts come from hist
     counts = dict.fromkeys(_ELEMENT_CHECKS, 0)
     witnesses = {key: _TopK(max_witnesses) for key in _ELEMENT_CHECKS}
@@ -472,75 +484,85 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
             return False
         return ximask, _ideal_checks(word, jmask, length, phi0, entry, ximask, ideal, recipes)
 
-    hist = [0] * (n * n + 1)
+    hist: Counter[int] = Counter()
     failed_keys: set[tuple[tuple[int, ...], int]] = set()
+    per_element = 0
 
-    source = _iter_signed_inversion_masks(n, perm_start=start or 0, perm_stop=stop)
-    # the walk yields one tuple per permutation for all its sign patterns, and
-    # holding it here keeps the next permutation from reusing that object
-    current = None
-    for word, jmask, mask in source:
-        if word is not current:
-            current = word
-            psets, closed = _closed_forms_of(word)
-            sums = _flips_of(word)
-        length = mask.bit_count()
-        hist[length] += 1
-
-        phi0 = mask & phi0_all
-        try:
-            entry = memo[phi0]
-        except KeyError:
-            entry = memo[phi0] = _scan_entry(phi0, n)
-        if entry is None:
-            fail("sym_fail", word, jmask)
+    for word, masks in _iter_signed_inversion_masks(n, perm_start=start or 0, perm_stop=stop):
+        hist.update(map(int.bit_count, masks))
+        phi0s = list(map(and_, masks, repeat(phi0_all)))
+        for phi0 in set(phi0s).difference(memo):
+            memo[phi0] = _scan_entry(phi0, n)
+        entries = list(map(memo.__getitem__, phi0s))
+        sums = _flips_of(word)
+        # every element renames the identity's element with its own P, whose
+        # verdict passes, and avoids the support identity's moved bits: the
+        # element-by-element loop below would record nothing
+        if (
+            clean
+            and list(map(xor, masks, phi0s)) == sums
+            and None not in entries
+            and list(map(itemgetter(0), entries)) == list(map(call, gathers, repeat(word)))
+            and all(map(itemgetter(4), entries))
+            and not any(map(itemgetter(3), entries))
+        ):
             continue
-        eta_word, pi, _suffix, moved, renames = entry
-        form = closed[jmask]
-        sym_ok = form[0](word) == eta_word
 
-        # the ideal and its checks: an element that renames the identity's
-        # element with its own flipped positions P reuses that P's verdict,
-        # any other relabels its own sum inversions through pi; the walked
-        # sum bits tie P to the element
-        verdict = None
-        pset = psets[jmask]
-        if sym_ok and renames and mask ^ phi0 == sums[pset] and form is canonical[pset]:
-            try:
-                verdict = verdicts[pset]
-            except KeyError:
-                verdict = verdicts[pset] = decide(pset, word, jmask, length, phi0, entry)
-        if verdict:
-            ximask, failed = verdict
-        else:
-            ximask = _relabel(mask, _relabel_table(pi, n), n)
-            failed = _ideal_checks(word, jmask, length, phi0, entry, ximask, form[1], recipes)
-        if failed:
-            if failed[0] == "incr_fail":
-                fail("incr_fail", word, jmask)
+        per_element += 1
+        for pset, (jmask, mask, entry) in enumerate(zip(_sign_patterns(word), masks, entries)):
+            if entry is None:
+                fail("sym_fail", word, jmask)
                 continue
-            for key in failed:
-                fail(key, word, jmask)
-            if "construct_fail" in failed:
-                failed_keys.add((eta_word, ximask))
+            length = mask.bit_count()
+            phi0 = mask & phi0_all
+            eta_word, pi, _suffix, moved, renames = entry
+            gather, ideal = canonical[pset]
+            sym_ok = gather(word) == eta_word
 
-        # support identity: relabel the ideal back through rho = pi^-1; the
-        # two relabels compose to one that fixes every bit outside moved
-        if mask & moved and phi0 | _relabel(ximask, _rho_table(eta_word, n), n) != mask:
-            fail("support_fail", word, jmask)
-        if not sym_ok:
-            fail("closed_sym_fail", word, jmask)
+            # the ideal and its checks: an element that renames the identity's
+            # element with its own flipped positions P reuses that P's
+            # verdict, any other relabels its own sum inversions through pi;
+            # the walked sum bits tie P to the element
+            verdict = None
+            if sym_ok and renames and mask ^ phi0 == sums[pset]:
+                try:
+                    verdict = verdicts[pset]
+                except KeyError:
+                    verdict = verdicts[pset] = decide(pset, word, jmask, length, phi0, entry)
+            if verdict:
+                ximask, failed = verdict
+            else:
+                ximask = _relabel(mask, _relabel_table(pi, n), n)
+                failed = _ideal_checks(word, jmask, length, phi0, entry, ximask, ideal, recipes)
+            if failed:
+                if failed[0] == "incr_fail":
+                    fail("incr_fail", word, jmask)
+                    continue
+                for key in failed:
+                    fail(key, word, jmask)
+                if "construct_fail" in failed:
+                    failed_keys.add((eta_word, ximask))
 
-    elements = sum(hist)
+            # support identity: relabel the ideal back through rho = pi^-1;
+            # the two relabels compose to one that fixes every bit outside
+            # moved
+            if mask & moved and phi0 | _relabel(ximask, _rho_table(eta_word, n), n) != mask:
+                fail("support_fail", word, jmask)
+            if not sym_ok:
+                fail("closed_sym_fail", word, jmask)
+        clean = len(verdicts) == 1 << n and all(v and not v[1] for v in verdicts.values())
+
+    elements = hist.total()
     unbuilt = counts["sym_fail"] + counts["incr_fail"] + counts["construct_fail"]
     counts.update(elements=elements, round_trip=elements - unbuilt)
     return {
         "counts": counts,
         "witnesses": {k: w.items for k, w in witnesses.items()},
-        "hist": hist,
+        "hist": [hist[d] for d in range(n * n + 1)],
         "failed_keys": failed_keys,
         "memo_size": len(memo),
         "ideal_memo_size": len(verdicts),
+        "per_element_perms": per_element,
     }
 
 

@@ -16,6 +16,7 @@ identity, so it raises instead of truncating.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, RankCapError
@@ -142,10 +143,10 @@ def ideal_generating(n: int) -> IntPolynomial:
 def weyl_length_histogram(n: int, cap: int = DEFAULT_GROUP_CAP) -> IntPolynomial:
     """Enumerated length histogram of the whole signed-permutation group."""
     check_group_cap(n, cap)
-    counts = [0] * (n * n + 1)
-    for _word, _jmask, mask in _iter_signed_inversion_masks(n):
-        counts[mask.bit_count()] += 1
-    return IntPolynomial.from_coeffs(counts)
+    counts: Counter[int] = Counter()
+    for _word, masks in _iter_signed_inversion_masks(n):
+        counts.update(map(int.bit_count, masks))
+    return IntPolynomial.from_coeffs([counts[d] for d in range(n * n + 1)])
 
 
 def sym_inversion_histogram(n: int) -> IntPolynomial:

@@ -137,9 +137,15 @@ class SignedPerm:
 def parse_signed_perm(text: str) -> SignedPerm:
     """Inverse of str(w): accepts '[2,-1,3]'."""
     s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
+    images = None
+    if s.startswith("[") and s.endswith("]"):
+        try:
+            images = tuple(int(part) for part in s[1:-1].split(","))
+        except ValueError:  # an empty, non-integer or missing entry
+            pass
+    if images is None:
         raise ValueError(f"cannot parse signed permutation {text!r}")
-    return SignedPerm(tuple(int(part) for part in s[1:-1].split(",")))
+    return SignedPerm(images)
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,63 +316,60 @@ def _word_from_inversion_mask(mask: int, n: int) -> Optional[tuple[int, ...]]:
 
 
 def _iter_signed_inversion_masks(n: int, perm_start: int = 0, perm_stop: int | None = None):
-    """Fast exhaustive walk of the whole group, yielding per element
-    (word, jmask, inversion_mask):
+    """Fast exhaustive walk of the whole group, one permutation at a time,
+    yielding (word, masks):
 
         word   one-line images of the unsigned part (tuple),
-        jmask  bit v-1 set iff the value v is negated,
-        mask   the inversion-set bitmask of the element.
+        masks  a new list of 2^n ints: masks[P] is the inversion-set bitmask
+               of the element of word whose values at the positions in P
+               (bit p for the 0-based position p) are negated.
 
     Permutations run in lexicographic order (optionally sliced by index, for
-    partitioning across workers); inside each permutation the sign patterns
-    follow a Gray code so each step flips one value and updates the mask in
-    O(1).  The update is sound because for a fixed element the map from a
-    positive root to the inversion it contributes is injective, so the
-    per-row contributions below never overlap and add like disjoint bit sets;
-    and because the contribution of the two roots supported on positions
-    (i, j) depends only on the sign carried by the value at position i.
+    partitioning across workers).  Row i aggregates the roots with first slot
+    at position i, for the two signs of the value sitting there, and masks is
+    built by subset doubling: masks[P] is the sum of the plus rows, with the
+    minus row in place of the plus row at each position in P.  The sum is
+    exact because for a fixed element the map from a positive root to the
+    inversion it contributes is injective, so the rows never overlap and add
+    like disjoint bit sets; and because the contribution of the two roots
+    supported on positions (i, j) depends only on the sign carried by the
+    value at position i.  _sign_patterns(word)[P] is the element's flipped
+    values.
     """
     check_rank(n)
     d_idx, s_idx, l_idx = _index_tables(n)
-    values = range(1, n + 1)
-    nsteps = 1 << n
-    words = itertools.permutations(values)
+    words = itertools.permutations(range(1, n + 1))
     if perm_start or perm_stop is not None:
         words = itertools.islice(words, perm_start, perm_stop)
     for word in words:
-        pos0 = [0] * (n + 1)
-        for p, v in enumerate(word, start=1):
-            pos0[v] = p
-        # row i aggregates all roots with first slot at position i, for the
-        # two signs of the value sitting there
-        row_plus = [0] * (n + 1)
-        row_minus = [0] * (n + 1)
-        for i in range(1, n + 1):
-            p = word[i - 1]
+        base = 0
+        deltas = []
+        for i, p in enumerate(word):
             minus = 1 << l_idx[p]
             plus = 0
-            for j in range(i + 1, n + 1):
-                q = word[j - 1]
+            for q in word[i + 1 :]:
                 if p > q:
                     plus |= 1 << d_idx[q][p]
                     minus |= 1 << s_idx[q][p]
                 else:
                     minus |= (1 << s_idx[p][q]) | (1 << d_idx[p][q])
-            row_plus[i] = plus
-            row_minus[i] = minus
-        mask = sum(row_plus[1:])
-        jmask = 0
-        yield word, 0, mask
-        for t in range(1, nsteps):
-            b = (t & -t).bit_length() - 1
-            i = pos0[b + 1]
-            bit = 1 << b
-            jmask ^= bit
-            if jmask & bit:
-                mask += row_minus[i] - row_plus[i]
-            else:
-                mask += row_plus[i] - row_minus[i]
-            yield word, jmask, mask
+            base += plus
+            deltas.append(minus - plus)
+        masks = [base]
+        for delta in deltas:
+            masks += [m + delta for m in masks]
+        yield word, masks
+
+
+def _sign_patterns(word: tuple[int, ...]) -> list[int]:
+    """Entry P is the flipped-value bitmask (bit v-1 set iff the value v is
+    negated) of the element of word whose values at the positions in P are
+    negated: the index map of _iter_signed_inversion_masks."""
+    jmasks = [0]
+    for v in word:
+        bit = 1 << (v - 1)
+        jmasks += [j | bit for j in jmasks]
+    return jmasks
 
 
 def standard_form(w: SignedPerm) -> StandardForm:

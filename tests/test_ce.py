@@ -348,9 +348,12 @@ def test_classes_independent_can_fail(monkeypatch):
     assert len(record.detail["witnesses"]) == 5
     monkeypatch.undo()
 
-    # a walk that repeats one element repeats its monomial
+    # a walk that repeats one element repeats its monomial: the last element
+    # of the last permutation takes the mask of the first element
     walk = list(ce._iter_signed_inversion_masks(n))
-    monkeypatch.setattr(ce, "_iter_signed_inversion_masks", lambda n: walk[:-1] + walk[:1])
+    word, masks = walk[-1]
+    walk[-1] = word, masks[:-1] + walk[0][1][:1]
+    monkeypatch.setattr(ce, "_iter_signed_inversion_masks", lambda n: walk)
     record = {r.check_id: r for r in verify_cohomology_basis(n).records}["classes-independent"]
     assert not record.passed and record.detail["repeated_monomials"] == 1
 

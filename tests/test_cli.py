@@ -60,7 +60,7 @@ def test_ideals_json_and_csv(tmp_path):
     assert {"roots": [], "dimension": 0} in doc["data"]["ideals"]
 
     code, text = run_cli(
-        ["ideals", "--rank", "2", "--histogram", "--format", "csv"], tmp_path, "h.csv"
+        ["ideals", "--rank", "2", "--format", "csv"], tmp_path, "h.csv"
     )
     assert code == 0
     assert text.splitlines() == ["dimension,count", "0,1", "1,1", "2,1", "3,1"]
@@ -104,6 +104,14 @@ def test_bijection_report_and_witness(tmp_path):
 
 def test_bijection_witness_rank_mismatch():
     assert main(["bijection", "--rank", "3", "--witness", "[-1,2]"]) == 2
+
+
+@pytest.mark.parametrize("witness", ["[]", "[1,,2]", "[1.5,2]"])
+def test_malformed_witness_is_a_usage_error(capsys, witness):
+    assert main(["bijection", "--rank", "2", "--witness", witness]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse signed permutation {witness!r}\n"
 
 
 def test_betti_command(tmp_path):

@@ -34,6 +34,7 @@ from spcohom.weyl import (
     inversion_set,
     perm_from_inversions,
     standard_form,
+    _sign_patterns,
 )
 
 
@@ -350,24 +351,22 @@ def test_verify_bijection_workers_match_serial():
 
 @pytest.mark.parametrize("broken", ["closed-form-sym", "closed-form-ideal"])
 def test_broken_closed_form_fails_its_gate(monkeypatch, tmp_path, capsys, broken):
-    # corrupt the closed form of the element [2,-1,3] only
-    real = correspondence._closed_forms_of
-
-    def corrupted(word):
-        psets, table = real(word)
-        if word == (2, 1, 3):
-            gather, ideal_mask = table[1]
-            if broken == "closed-form-sym":
-                entry = (lambda w: gather(w)[::-1], ideal_mask)
-            else:
-                entry = (gather, ideal_mask ^ 1)  # a difference root, never in an ideal
-            table = table[:1] + (entry,) + table[2:]
-        return psets, table
-
-    monkeypatch.setattr(correspondence, "_closed_forms_of", corrupted)
+    # corrupt the closed-form entry of the flipped positions P = {1}: its
+    # gather for the word of [2,-1,3] only, or its ideal for every word
+    table = list(correspondence._closed_forms(3))
+    gather, ideal_mask = table[2]
+    if broken == "closed-form-sym":
+        table[2] = (lambda w: gather(w)[::-1] if w == (2, 1, 3) else gather(w)), ideal_mask
+        expected = {"failures": 1, "witnesses": ["[2,-1,3]"]}
+    else:
+        table[2] = gather, ideal_mask ^ 1  # a difference root, never in an ideal
+        witnesses = ["[1,-2,3]", "[1,-3,2]", "[2,-1,3]", "[2,-3,1]", "[3,-1,2]"]
+        expected = {"failures": 6, "witnesses": witnesses}
+    table = tuple(table)
+    monkeypatch.setattr(correspondence, "_closed_forms", lambda rank: table)
     report = verify_bijection(3)
     failed = {r.check_id: r.detail for r in report.records if not r.passed}
-    assert failed == {broken: {"failures": 1, "witnesses": ["[2,-1,3]"]}}
+    assert failed == {broken: expected}
 
     assert main(["bijection", "--rank", "3", "--out", str(tmp_path / "b.json")]) == 1
     assert "Traceback" not in capsys.readouterr().err
@@ -479,7 +478,17 @@ def test_scan_chunk_matches_pinned_values(n, start, stop, elements, memo_size, h
         "failed_keys": set(),
         "memo_size": memo_size,
         "ideal_memo_size": 2**n,
+        "per_element_perms": 1,
     }
+
+
+@pytest.mark.parametrize("start, stop", [(None, None), (0, 40), (40, 41), (41, 120)])
+def test_passing_scan_checks_one_permutation_per_chunk_element_by_element(start, stop):
+    # the first permutation of a chunk decides the 2^n verdicts element by
+    # element; every later one passes as one batch
+    result = correspondence._scan_chunk(5, start, stop, 3)
+    assert result["per_element_perms"] == 1
+    assert result["counts"]["elements"] == ((stop or 120) - (start or 0)) * 2**5
 
 
 def test_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, capsys):
@@ -557,23 +566,37 @@ def _evaluate(word, jmask, mask, n):
     return failed
 
 
-@pytest.mark.parametrize("bit", [4, 3], ids=["upward-closed", "not-upward-closed"])
+def _walked_elements(n):
+    """(word, jmask, mask) for every element the scan's walk yields, jmask
+    the flipped values of the element's positions."""
+    for word, masks in correspondence._iter_signed_inversion_masks(n):
+        for pset, mask in enumerate(masks):
+            jmask = sum(1 << (v - 1) for p, v in enumerate(word) if pset >> p & 1)
+            yield word, jmask, mask
+
+
+@pytest.mark.parametrize(
+    "bit", [4, 3, 2], ids=["upward-closed", "not-upward-closed", "no-inversion-set"]
+)
 def test_wrong_walked_sum_bits_match_a_per_element_evaluation(monkeypatch, tmp_path, capsys, bit):
     # the walk yields a wrong sum inversion (e1+e3 or e1+e2) for the element
     # [2,-3,1] at rank 3, so the scan must relabel that element's own mask;
-    # its pi is no involution, so relabelling through rho = pi^-1 differs
+    # its pi is no involution, so relabelling through rho = pi^-1 differs.
+    # Or a wrong difference inversion (e2-e3): with e1-e2 and without e1-e3
+    # it is no inversion set.  The element's word is scanned after the
+    # verdicts are decided
     n = 3
     real = correspondence._iter_signed_inversion_masks
 
     def corrupted(rank, perm_start=0, perm_stop=None):
-        for word, jmask, mask in real(rank, perm_start=perm_start, perm_stop=perm_stop):
-            if (word, jmask) == ((2, 3, 1), 4):
-                mask ^= 1 << bit
-            yield word, jmask, mask
+        for word, masks in real(rank, perm_start=perm_start, perm_stop=perm_stop):
+            if word == (2, 3, 1):
+                masks[2] ^= 1 << bit  # the value 3 sits at position 1
+            yield word, masks
 
     monkeypatch.setattr(correspondence, "_iter_signed_inversion_masks", corrupted)
     expected = {key: [] for key in _FAILS}
-    for word, jmask, mask in corrupted(n):
+    for word, jmask, mask in _walked_elements(n):
         for key in _evaluate(word, jmask, mask, n):
             expected[key].append((word, jmask))
     assert sum(map(len, expected.values())) > 0
@@ -591,8 +614,8 @@ def test_wrong_walked_sum_bits_match_a_per_element_evaluation(monkeypatch, tmp_p
 def _reference(word, jmask, mask, n):
     """The per-element checks that fail for the walked element, each
     evaluated on its own through the module's tables (_sym_entry, _recipes,
-    _closed_forms_of), with no memo, no reused verdict and bit-by-bit
-    relabels."""
+    _closed_forms at the flipped positions P read off word and jmask), with
+    no memo, no reused verdict and bit-by-bit relabels."""
     phi0 = mask & ((1 << (n * (n - 1) // 2)) - 1)
     entry = correspondence._sym_entry(phi0, n)
     if entry is None:
@@ -608,7 +631,8 @@ def _reference(word, jmask, mask, n):
         failed.append("degree_fail")
     if _construct(eta, xi, n) != (word, jmask):
         failed.append("construct_fail")
-    gather, ideal = correspondence._closed_forms_of(word)[1][jmask]
+    pset = sum(1 << p for p, v in enumerate(word) if jmask >> (v - 1) & 1)
+    gather, ideal = correspondence._closed_forms(n)[pset]
     if gather(word) != eta:
         failed.append("closed_sym_fail")
     if ideal != xi:
@@ -618,23 +642,23 @@ def _reference(word, jmask, mask, n):
 
 def _assert_scan_matches_reference(n):
     """_scan_chunk over the whole rank-n group reports exactly the failures,
-    witnesses and failed pair keys of _reference; returns the counts."""
+    witnesses and failed pair keys (read off the walked masks) of _reference;
+    returns the counts and the scan's result."""
     expected = {key: [] for key in _FAILS}
     keys = set()
-    for word, jmask, mask in correspondence._iter_signed_inversion_masks(n):
+    for word, jmask, mask in _walked_elements(n):
         failed = _reference(word, jmask, mask, n)
         for key in failed:
             expected[key].append((word, jmask))
         if "construct_fail" in failed:
-            images = tuple(-v if jmask >> (v - 1) & 1 else v for v in word)
-            pair = correspondence._pair_masks(SignedPerm(images))
-            keys.add(pair)
+            eta, pi = correspondence._sym_entry(mask & ((1 << (n * (n - 1) // 2)) - 1), n)
+            keys.add((eta, _bitwise_relabel(mask, pi, n)))
     result = correspondence._scan_chunk(n, None, None, 5)
     counts = {key: len(items) for key, items in expected.items()}
     assert {key: result["counts"][key] for key in _FAILS} == counts
     assert result["witnesses"] == {key: sorted(items)[:5] for key, items in expected.items()}
     assert result["failed_keys"] == keys
-    return counts
+    return counts, result
 
 
 def _reversed_gather(gather, n):
@@ -652,7 +676,7 @@ def test_wrong_itemgetter_recipe_fails_every_element_of_its_ideal(monkeypatch, n
     gather, k = table[target]
     table[target] = _reversed_gather(gather, n), k
     monkeypatch.setattr(correspondence, "_recipes", lambda rank: table)
-    counts = _assert_scan_matches_reference(n)
+    counts, _result = _assert_scan_matches_reference(n)
     assert counts["construct_fail"] == math.factorial(n)
 
 
@@ -676,7 +700,7 @@ def test_wrong_closed_form_gather_matches_a_per_element_evaluation(monkeypatch, 
         table[pset] = table[1]
     table = tuple(table)
     monkeypatch.setattr(correspondence, "_closed_forms", lambda rank: table)
-    counts = _assert_scan_matches_reference(n)
+    counts, _result = _assert_scan_matches_reference(n)
     wrong = {"everywhere": math.factorial(n), "on-the-identity": 1, "shared": math.factorial(n)}
     expected = {**dict.fromkeys(_FAILS, 0), "closed_sym_fail": wrong[kind]}
     if kind == "shared":
@@ -686,41 +710,96 @@ def test_wrong_closed_form_gather_matches_a_per_element_evaluation(monkeypatch, 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("scanned", ["first", "later"])
-@pytest.mark.parametrize("kind", ["entries", "positions"])
-def test_swapped_closed_forms_of_one_word_match_a_per_element_evaluation(
-    monkeypatch, n, scanned, kind
+@pytest.mark.parametrize("other", ["last", "first"])
+def test_swapped_masks_of_one_word_match_a_per_element_evaluation(
+    monkeypatch, n, scanned, other
 ):
-    # for one word, the elements with flipped positions P = {} and
-    # P = {n-1} (same gather, different ideals) swap their closed-form
-    # entries, and with kind "positions" their sets of flipped positions too,
-    # as a wrong doubling would; the word is the first scanned or a later one
+    # a wrong doubling: for one word, the elements with flipped positions
+    # P = {} and P = {other position} swap their masks.  With the last
+    # position both have the same symmetric component and different ideals,
+    # with the first position both differ.  The word is the first scanned,
+    # whose elements decide the verdicts, or a later one, which the batch
+    # would otherwise pass
     word = tuple(range(1, n + 1)) if scanned == "first" else tuple(range(n, 0, -1))
-    last = 1 << (word[-1] - 1)
-    real = correspondence._closed_forms_of
+    swapped = 1 << (n - 1) if other == "last" else 1
+    real = correspondence._iter_signed_inversion_masks
 
-    def corrupted(w):
-        psets, closed = real(w)
-        if w == word:
-            closed = list(closed)
-            closed[0], closed[last] = closed[last], closed[0]
-            if kind == "positions":
-                psets = list(psets)
-                psets[0], psets[last] = psets[last], psets[0]
-        return psets, tuple(closed)
+    def corrupted(rank, perm_start=0, perm_stop=None):
+        for w, masks in real(rank, perm_start=perm_start, perm_stop=perm_stop):
+            if w == word:
+                masks[0], masks[swapped] = masks[swapped], masks[0]
+            yield w, masks
 
-    monkeypatch.setattr(correspondence, "_closed_forms_of", corrupted)
-    counts = _assert_scan_matches_reference(n)
-    assert counts == {**dict.fromkeys(_FAILS, 0), "closed_ideal_fail": 2}
+    monkeypatch.setattr(correspondence, "_iter_signed_inversion_masks", corrupted)
+    counts, result = _assert_scan_matches_reference(n)
+    expected = {**dict.fromkeys(_FAILS, 0), "construct_fail": 2, "closed_ideal_fail": 2}
+    if other == "first":
+        expected["closed_sym_fail"] = 2
+    assert counts == expected
+    # the word itself fails the batch, and with the first word two verdicts
+    # are left to the second
+    assert result["per_element_perms"] == 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_wrong_decoded_word_matches_a_per_element_evaluation(monkeypatch, n):
+    # the symmetric component (2, 1, 3, ..., n) decodes to the word with its
+    # last two letters swapped, together with that word's position map; no
+    # element of the first word has it, so the batch must reject its words
+    target = (2, 1, *range(3, n + 1))
+    wrong = (*target[:-2], target[-1], target[-2])
+    real = correspondence._sym_entry
+
+    def corrupted(phi0, rank):
+        entry = real(phi0, rank)
+        if entry is None or entry[0] != target:
+            return entry
+        return wrong, correspondence._position_map(wrong)
+
+    monkeypatch.setattr(correspondence, "_sym_entry", corrupted)
+    counts, _result = _assert_scan_matches_reference(n)
+    # each element of the component fails the closed form, unless its ideal,
+    # relabelled through the wrong position map, is not upward closed
+    assert counts["closed_sym_fail"] > 0
+    assert counts["closed_sym_fail"] + counts["incr_fail"] == 2**n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_entry_that_does_not_rename_is_checked_element_by_element(monkeypatch, n):
+    # the scan entry of the symmetric component (2, 1, 3, ..., n) claims that
+    # pi is not its word's position map, and nothing else is wrong: every
+    # later word with an element of that component is checked element by
+    # element, with the same (passing) result
+    target = (2, 1, *range(3, n + 1))
+    real = correspondence._scan_entry
+
+    def corrupted(phi0, rank):
+        entry = real(phi0, rank)
+        return entry if entry[0] != target else (*entry[:4], False)
+
+    monkeypatch.setattr(correspondence, "_scan_entry", corrupted)
+    counts, result = _assert_scan_matches_reference(n)
+    assert counts == dict.fromkeys(_FAILS, 0)
+    table = correspondence._closed_forms(n)
+    words = [
+        word
+        for word in itertools.permutations(range(1, n + 1))
+        if any(gather(word) == target for gather, _ideal in table)
+    ]
+    assert words and words[0] != tuple(range(1, n + 1))
+    assert result["per_element_perms"] == 1 + len(words)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_closed_forms_of_reads_each_elements_flipped_positions(n):
+def test_closed_forms_read_each_elements_flipped_positions(n):
+    # the scan reads the closed forms of the element with index P of a word
+    # at entry P; the standard form reads them off its flipped values
     table = correspondence._closed_forms(n)
     for word in itertools.permutations(range(1, n + 1)):
-        psets, closed = correspondence._closed_forms_of(word)
-        for jmask in range(1 << n):
-            pset = sum(1 << p for p, v in enumerate(word) if jmask >> (v - 1) & 1)
-            assert psets[jmask] == pset and closed[jmask] is table[pset]
+        for pset, jmask in enumerate(_sign_patterns(word)):
+            gather, ideal = table[pset]
+            sf = standard_form(SignedPerm(correspondence._signed_images(word, jmask)))
+            assert correspondence._closed_form_of(sf) == (gather(word), ideal)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -738,7 +817,7 @@ def test_sym_entry_whose_pi_is_not_its_position_map(monkeypatch, n):
         return word, (0, pi[2], pi[1], *pi[3:])
 
     monkeypatch.setattr(correspondence, "_sym_entry", corrupted)
-    counts = _assert_scan_matches_reference(n)
+    counts, _result = _assert_scan_matches_reference(n)
     assert sum(counts.values()) > 0
 
 
@@ -762,6 +841,8 @@ def test_non_permutation_relabel_table_is_an_internal_error(monkeypatch, capsys)
         _relabel_table((0, 1, 1, 3), 3)
     with pytest.raises(ConsistencyError):
         _relabel_table((0, 1, 2, 4), 3)
+    with pytest.raises(ConsistencyError):
+        _relabel_table((0, -2, 1, 3), 3)  # -2 must not read as 2
     monkeypatch.setattr(
         correspondence, "_rho_table", lambda word, n: _relabel_table((0,) + (1,) * n, n)
     )

@@ -19,6 +19,7 @@ from spcohom.weyl import (
     standard_form,
     _inversion_mask,
     _iter_signed_inversion_masks,
+    _sign_patterns,
 )
 
 
@@ -203,13 +204,30 @@ def test_standard_form_round_trip_rank7():
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_fast_scan_matches_direct_action(n):
+def test_walk_masks_match_direct_action(n):
+    # masks[P] is the inversion mask of the element whose values at the
+    # positions in P are negated, for every P of every permutation
     seen = set()
-    for word, jmask, mask in _iter_signed_inversion_masks(n):
-        img = tuple(-v if jmask >> (v - 1) & 1 else v for v in word)
-        assert _inversion_mask(img, n) == mask
-        seen.add(img)
+    words = []
+    for word, masks in _iter_signed_inversion_masks(n):
+        assert len(masks) == 2**n
+        for pset, mask in enumerate(masks):
+            img = tuple(-v if pset >> p & 1 else v for p, v in enumerate(word))
+            assert _inversion_mask(img, n) == mask
+            jmask = sum(1 << (v - 1) for v in word if -v in img)
+            assert _sign_patterns(word)[pset] == jmask
+            seen.add(img)
+        words.append(word)
     assert len(seen) == group_order(n)
+    assert words == list(itertools.permutations(range(1, n + 1)))
+
+    # slices by permutation index partition the group, in walk order
+    cuts = sorted({0, len(words), *range(0, len(words), 5), len(words) // 3})
+    sliced = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        sliced += _iter_signed_inversion_masks(n, perm_start=lo, perm_stop=hi)
+    assert sliced == list(_iter_signed_inversion_masks(n))
+    assert list(_iter_signed_inversion_masks(n, perm_start=cuts[-2])) == sliced[cuts[-2] :]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
