@@ -50,6 +50,9 @@ LIST_CAPS = {"ideals": 16, "weyl": 6, "betti": 4}
 # rank 16 took 13.7 s.
 STRUCTURE_CAP = 14
 
+# The commands whose output is a report, which has no tabular form.
+NO_CSV = ("bijection", "classes", "verify")
+
 
 @dataclass
 class RunConfig:
@@ -112,6 +115,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     check_rank(args.rank)
+    if args.format == "csv" and args.command in NO_CSV:
+        raise ValueError(f"command {args.command} has no CSV form")
     witness = getattr(args, "witness", None)
     if witness is not None:
         witness = parse_signed_perm(witness)
@@ -446,9 +451,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
 
     if cfg.fmt == "csv":
-        if csv_rows is None:
-            print(f"error: command {args.command} has no CSV form", file=sys.stderr)
-            return 2
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows)
         text = buf.getvalue()

@@ -19,25 +19,20 @@ every element.
 The scan reports every check for every element.  Relabel tables are bit
 permutations of the mask's binary digits (_relabel).  The walk yields the 2^n
 elements of one permutation word at once, indexed by the set P of their
-flipped positions.  An element whose sum inversions are the rows
-{e_i + e_j : j >= i} of the values at the positions in P (_flips_of), and
-whose symmetric component is the closed form g_P(word), is the identity's
-element with flipped positions P with its values renamed through word.
-Renaming values changes no mask or position map in ideal coordinates, so the
-checks on the ideal are decided once per P (_ideal_checks), the ideal of P
-relabelled once through the position map of g_P.  A verdict is reused only
-where the recipe and closed-form gathers are itemgetters (pure position
-maps) and pi is its word's position map; any other element is evaluated in
-full.  The support identity needs no relabel where the composite of the two
-relabels fixes the element's sum inversions (_scan_entry).
-
-Once every verdict of a chunk is decided and clean, a permutation passes as
-one batch of C-level list compares when each of its elements would reuse
-its verdict and avoid those bits: the walked sum inversions equal the rows of
-P, each decoded symmetric component equals g_P(word), and every entry
-renames and moves no bit.  The first permutation of a chunk, which decides
-the verdicts, and any permutation that fails a compare are checked element
-by element, so failures and witnesses are those of a per-element scan.
+flipped positions.  Each permutation is checked in one of two ways.  It
+passes as one batch of C-level list compares when every closed-form and
+recipe gather is an itemgetter (a pure position map), its walked sum
+inversions are the rows {e_i + e_j : j >= i} of the values at the positions
+in P (_flips_of), each decoded symmetric component is the closed form
+g_P(word), each pi is its word's position map, no support-identity relabel
+moves a bit (_scan_entry), and an earlier permutation of the chunk passed
+the same compares and recorded no failure.  Its element with flipped
+positions P is then that permutation's element with the same P, its values
+renamed, and renaming values changes no mask or position map in ideal
+coordinates, so every check passes.  Every other permutation is checked
+element by element: each element relabels its own sum inversions through pi
+and evaluates every check, so its failures and witnesses are those of a
+per-element evaluation through the same tables and _relabel.
 """
 
 from __future__ import annotations
@@ -57,7 +52,6 @@ from .ideals import IncreasingSet, _mask_from_profile, _profile_from_mask, _prof
 from .report import VerificationReport
 from .roots import RootSet, _index_tables, check_rank, num_diffs, positive_roots
 from .weyl import (
-    DEFAULT_GROUP_CAP,
     Perm,
     SignedPerm,
     StandardForm,
@@ -183,9 +177,9 @@ def _scan_entry(phi0: int, n: int) -> Optional[tuple]:
     """_sym_entry plus what only the scan reads: (word, pi, suffix, moved,
     renames).  suffix[k] is the value mask of the last k letters of word,
     which the inverse recipe flips.  Relabelling through pi and then
-    rho = pi^-1 is relabelling through their composite, and moved holds the
-    bits that the composite does not fix (none unless a table is wrong), so
-    the support identity holds where an element avoids moved.  renames: pi
+    rho = pi^-1 is relabelling through their composite, and moved says that
+    the composite moves some bit (never unless a table is wrong); where it
+    moves none, the support identity holds without a relabel.  renames: pi
     is word's position map."""
     entry = _sym_entry(phi0, n)
     if entry is None:
@@ -193,7 +187,7 @@ def _scan_entry(phi0: int, n: int) -> Optional[tuple]:
     word, pi = entry
     fwd = _relabel_table(pi, n)
     bwd = _rho_table(word, n)
-    moved = sum(1 << k for k, t in enumerate(fwd) if bwd[t] != k) << num_diffs(n)
+    moved = any(bwd[t] != k for k, t in enumerate(fwd))
     suffix = tuple(accumulate(reversed(word), lambda acc, v: acc | 1 << (v - 1), initial=0))
     return word, pi, suffix, moved, pi == _position_map(word)
 
@@ -381,6 +375,9 @@ def _witness_str(word: tuple[int, ...], jmask: int) -> str:
     return "[" + ",".join(map(str, _signed_images(word, jmask))) + "]"
 
 
+# witnesses reported per failing check
+_MAX_WITNESSES = 5
+
 # the per-element checks: counter key -> (check id, description)
 _ELEMENT_CHECKS = {
     "sym_fail": (
@@ -418,50 +415,27 @@ _ELEMENT_CHECKS = {
 }
 
 
-def _ideal_checks(word, jmask, length, phi0, entry, ximask, ideal, recipes) -> tuple[str, ...]:
-    """The checks on the ideal ximask of the element (word, jmask), given its
-    length, phi0 and _scan_entry and its closed-form ideal: ("incr_fail",)
-    alone when ximask is not upward closed, else those of degree_fail,
-    construct_fail and closed_ideal_fail that fail."""
-    try:
-        recipe = recipes[ximask]
-    except KeyError:
-        return ("incr_fail",)
-    eta_word, _pi, suffix = entry[:3]
-    failed = []
-    if length != phi0.bit_count() + ximask.bit_count():
-        failed.append("degree_fail")
-    if recipe is None or suffix[recipe[1]] != jmask or recipe[0](eta_word) != word:
-        failed.append("construct_fail")
-    if ideal != ximask:
-        failed.append("closed_ideal_fail")
-    return tuple(failed)
-
-
 def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses: int) -> dict:
     """Exhaustively check one slice of the group (by permutation index range).
 
     Returns plain sums, bounded witness lists and the pair keys of the
     elements whose round trip through the direct inverse failed, all of which
-    merge associatively across chunks, plus the sizes of the chunk's memos
-    and the number of permutations whose elements were checked one by one.
+    merge associatively across chunks, plus the size of the chunk's memo and
+    the number of permutations whose elements were checked one by one.
     """
     phi0_all = (1 << num_diffs(n)) - 1
     recipes = _recipes(n)
-    identity = tuple(range(1, n + 1))
-    # entry P is the sum inversions of the identity's element with flipped
-    # positions P
-    ysums = _flips_of(identity)
     canonical = _closed_forms(n)
     gathers = [gather for gather, _ideal in canonical]
+    # renaming values commutes with a gather only where it is a pure position
+    # map, so any other gather leaves every permutation to the element loop
+    batchable = all(type(g) is itemgetter for g in gathers) and all(
+        type(recipe[0]) is itemgetter for recipe in recipes.values() if recipe is not None
+    )
     # phi0 -> _scan_entry(phi0, n); phi0 is the inversion mask of the
     # symmetric component, so there are at most n! keys
     memo: dict[int, Optional[tuple]] = {}
-    # P -> (ideal, failed _ideal_checks) of the elements that rename the
-    # identity's element with flipped positions P, or False where a gather
-    # is no pure position map: 2^n keys
-    verdicts: dict[int, object] = {}
-    # every verdict is decided and no check fails in it
+    # an earlier permutation passed the batch compares and recorded no failure
     clean = False
     # failures only: the element and round-trip counts come from hist
     counts = dict.fromkeys(_ELEMENT_CHECKS, 0)
@@ -470,19 +444,6 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
     def fail(key: str, word: tuple[int, ...], jmask: int) -> None:
         counts[key] += 1
         witnesses[key].offer((word, jmask))
-
-    def decide(pset, word, jmask, length, phi0, entry):
-        gather, ideal = canonical[pset]
-        if type(gather) is not itemgetter:
-            return False
-        # the ideal of P: ysums[P] relabelled through T_P, the position map
-        # of the identity's symmetric component
-        table = _relabel_table(_position_map(gather(identity)), n)
-        ximask = _relabel(ysums[pset], table, n)
-        recipe = recipes.get(ximask)
-        if recipe is not None and type(recipe[0]) is not itemgetter:
-            return False
-        return ximask, _ideal_checks(word, jmask, length, phi0, entry, ximask, ideal, recipes)
 
     hist: Counter[int] = Counter()
     failed_keys: set[tuple[tuple[int, ...], int]] = set()
@@ -494,63 +455,48 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
         for phi0 in set(phi0s).difference(memo):
             memo[phi0] = _scan_entry(phi0, n)
         entries = list(map(memo.__getitem__, phi0s))
-        sums = _flips_of(word)
-        # every element renames the identity's element with its own P, whose
-        # verdict passes, and avoids the support identity's moved bits: the
-        # element-by-element loop below would record nothing
-        if (
-            clean
-            and list(map(xor, masks, phi0s)) == sums
+        # each element with flipped positions P renames the element of a
+        # clean permutation with the same P, with pi renamed alongside, and
+        # needs no support-identity relabel
+        batch = (
+            batchable
+            and list(map(xor, masks, phi0s)) == _flips_of(word)
             and None not in entries
             and list(map(itemgetter(0), entries)) == list(map(call, gathers, repeat(word)))
             and all(map(itemgetter(4), entries))
             and not any(map(itemgetter(3), entries))
-        ):
+        )
+        if batch and clean:
             continue
 
         per_element += 1
+        recorded = sum(counts.values())
         for pset, (jmask, mask, entry) in enumerate(zip(_sign_patterns(word), masks, entries)):
             if entry is None:
                 fail("sym_fail", word, jmask)
                 continue
-            length = mask.bit_count()
-            phi0 = mask & phi0_all
-            eta_word, pi, _suffix, moved, renames = entry
+            eta_word, pi, suffix = entry[:3]
             gather, ideal = canonical[pset]
-            sym_ok = gather(word) == eta_word
-
-            # the ideal and its checks: an element that renames the identity's
-            # element with its own flipped positions P reuses that P's
-            # verdict, any other relabels its own sum inversions through pi;
-            # the walked sum bits tie P to the element
-            verdict = None
-            if sym_ok and renames and mask ^ phi0 == sums[pset]:
-                try:
-                    verdict = verdicts[pset]
-                except KeyError:
-                    verdict = verdicts[pset] = decide(pset, word, jmask, length, phi0, entry)
-            if verdict:
-                ximask, failed = verdict
-            else:
-                ximask = _relabel(mask, _relabel_table(pi, n), n)
-                failed = _ideal_checks(word, jmask, length, phi0, entry, ximask, ideal, recipes)
-            if failed:
-                if failed[0] == "incr_fail":
-                    fail("incr_fail", word, jmask)
-                    continue
-                for key in failed:
-                    fail(key, word, jmask)
-                if "construct_fail" in failed:
-                    failed_keys.add((eta_word, ximask))
-
-            # support identity: relabel the ideal back through rho = pi^-1;
-            # the two relabels compose to one that fixes every bit outside
-            # moved
-            if mask & moved and phi0 | _relabel(ximask, _rho_table(eta_word, n), n) != mask:
+            ximask = _relabel(mask, _relabel_table(pi, n), n)
+            try:
+                recipe = recipes[ximask]
+            except KeyError:
+                fail("incr_fail", word, jmask)
+                continue
+            phi0 = mask & phi0_all
+            if mask.bit_count() != phi0.bit_count() + ximask.bit_count():
+                fail("degree_fail", word, jmask)
+            if recipe is None or suffix[recipe[1]] != jmask or recipe[0](eta_word) != word:
+                fail("construct_fail", word, jmask)
+                failed_keys.add((eta_word, ximask))
+            if ideal != ximask:
+                fail("closed_ideal_fail", word, jmask)
+            # support identity: relabel the ideal back through rho = pi^-1
+            if phi0 | _relabel(ximask, _rho_table(eta_word, n), n) != mask:
                 fail("support_fail", word, jmask)
-            if not sym_ok:
+            if gather(word) != eta_word:
                 fail("closed_sym_fail", word, jmask)
-        clean = len(verdicts) == 1 << n and all(v and not v[1] for v in verdicts.values())
+        clean = clean or (batch and sum(counts.values()) == recorded)
 
     elements = hist.total()
     unbuilt = counts["sym_fail"] + counts["incr_fail"] + counts["construct_fail"]
@@ -561,7 +507,6 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
         "hist": [hist[d] for d in range(n * n + 1)],
         "failed_keys": failed_keys,
         "memo_size": len(memo),
-        "ideal_memo_size": len(verdicts),
         "per_element_perms": per_element,
     }
 
@@ -586,13 +531,7 @@ def _round_trip(sigma_word: tuple[int, ...], ximask: int, n: int) -> Optional[Si
         return None
 
 
-def verify_bijection(
-    n: int,
-    *,
-    workers: int = 1,
-    cap: int = DEFAULT_GROUP_CAP,
-    max_witnesses: int = 5,
-) -> VerificationReport:
+def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
     """Exhaustively verify the correspondence over all 2^n n! elements.
 
     Checks, per element: the symmetric component inverts exactly the
@@ -606,14 +545,14 @@ def verify_bijection(
     form must equal both components on every element.  Workers are
     capped by the number of permutations and of CPUs this process may run on.
     """
-    check_group_cap(n, cap)
+    check_group_cap(n)
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
     nperms = math.factorial(n)
     workers = min(workers, nperms, _usable_cpus())
     if workers == 1:
-        partials = [_scan_chunk(n, None, None, max_witnesses)]
+        partials = [_scan_chunk(n, None, None, _MAX_WITNESSES)]
     else:
         import multiprocessing
 
@@ -622,13 +561,13 @@ def verify_bijection(
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(len(ranges)) as pool:
             partials = pool.starmap(
-                _scan_chunk, [(n, lo, hi, max_witnesses) for lo, hi in ranges]
+                _scan_chunk, [(n, lo, hi, _MAX_WITNESSES) for lo, hi in ranges]
             )
 
     counts = {k: sum(p["counts"][k] for p in partials) for k in partials[0]["counts"]}
     witnesses = {}
     for key in partials[0]["witnesses"]:
-        top = _TopK(max_witnesses)
+        top = _TopK(_MAX_WITNESSES)
         for p in partials:
             top.merge(p["witnesses"][key])
         witnesses[key] = [_witness_str(*item) for item in top.items]

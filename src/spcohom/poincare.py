@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, RankCapError
 from .report import VerificationReport
 from .roots import check_rank
-from .weyl import DEFAULT_GROUP_CAP, check_group_cap, _iter_signed_inversion_masks
+from .weyl import check_group_cap, _iter_signed_inversion_masks
 
 # Highest rank of the poincare command.  Its polynomials have degree n^2 and
 # coefficients up to 2^n n!: rank 64 takes 1.5 s, 23 MB and a 1.9 MB report,
@@ -140,9 +140,9 @@ def ideal_generating(n: int) -> IntPolynomial:
     return poly
 
 
-def weyl_length_histogram(n: int, cap: int = DEFAULT_GROUP_CAP) -> IntPolynomial:
+def weyl_length_histogram(n: int) -> IntPolynomial:
     """Enumerated length histogram of the whole signed-permutation group."""
-    check_group_cap(n, cap)
+    check_group_cap(n)
     counts: Counter[int] = Counter()
     for _word, masks in _iter_signed_inversion_masks(n):
         counts.update(map(int.bit_count, masks))
@@ -230,7 +230,6 @@ def verify_identities(
     weyl_hist: IntPolynomial | None = None,
     betti: list[int] | None = None,
     include_betti_record: bool = True,
-    cap: int = DEFAULT_GROUP_CAP,
 ) -> VerificationReport:
     """Compare the enumerated histograms with the closed forms and check the
     product/quotient identities.  A precomputed weyl_hist (e.g. from the
@@ -247,7 +246,7 @@ def verify_identities(
     ig = ideal_generating(n)
 
     if weyl_hist is None:
-        weyl_hist = weyl_length_histogram(n, cap=cap)
+        weyl_hist = weyl_length_histogram(n)
     report.add(
         "weyl-length-histogram",
         "enumerated signed-permutation length histogram equals the closed product form",

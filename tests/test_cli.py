@@ -51,6 +51,25 @@ def test_csv_not_available_for_reports():
     assert main(["classes", "--rank", "2", "--format", "csv"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--rank", "7"],
+        ["classes", "--rank", "2"],
+        ["bijection", "--rank", "3"],
+        ["bijection", "--rank", "3", "--witness", "[2,-1,3]"],
+    ],
+)
+def test_csv_for_a_report_is_refused_before_any_work(monkeypatch, capsys, argv):
+    def no_work(cfg):
+        raise AssertionError("the command ran")
+
+    for command in cli.NO_CSV:
+        monkeypatch.setitem(cli._HANDLERS, command, no_work)
+    assert main(argv + ["--format", "csv"]) == 2
+    assert capsys.readouterr().err == f"error: command {argv[0]} has no CSV form\n"
+
+
 def test_ideals_json_and_csv(tmp_path):
     code, text = run_cli(["ideals", "--rank", "3", "--list"], tmp_path)
     assert code == 0

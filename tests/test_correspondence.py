@@ -242,11 +242,12 @@ def test_wrong_flip_count_fails_the_inverse_on_its_ideal(monkeypatch):
 
 def test_relabel_that_is_no_bit_permutation_fails_degree_additivity(monkeypatch):
     # a compiled relabel that reads one binary digit twice changes the number
-    # of sum inversions of some elements; the scan's ideal memo is filled
-    # through this gather
+    # of sum inversions of some elements; the scan reports what a per-element
+    # evaluation through the same broken _relabel does
     monkeypatch.setattr(correspondence, "_relabel_gather", lambda table: itemgetter(0, 1, 0))
-    rec = {r.check_id: r for r in verify_bijection(2).records}
-    assert rec["degree-additivity"].detail["failures"] == 2
+    counts, result = _assert_scan_matches_reference(2, relabel=_module_relabel)
+    assert counts["degree_fail"] > 0
+    assert result["per_element_perms"] == 2
 
 
 def test_distinct_pairs_exact_when_the_pair_map_is_not_injective(monkeypatch):
@@ -274,16 +275,6 @@ def test_scan_memo_holds_at_most_one_entry_per_permutation(n):
     assert correspondence._scan_chunk(n, None, None, 5)["memo_size"] == math.factorial(n)
     half = correspondence._scan_chunk(n, 0, max(1, math.factorial(n) // 2), 5)
     assert half["memo_size"] <= math.factorial(n)
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_ideal_memo_holds_one_entry_per_ideal(n):
-    # while the correspondence holds, the relabel tau = pi o word depends on
-    # the set of flipped positions alone
-    assert correspondence._scan_chunk(n, None, None, 5)["ideal_memo_size"] == 2**n
-    last = math.factorial(n)
-    for start, stop in ((0, 1), (0, max(1, last // 2)), (last - 1, None)):
-        assert correspondence._scan_chunk(n, start, stop, 5)["ideal_memo_size"] <= 2**n
 
 
 def test_from_pair_builds_at_most_one_relabel_table(monkeypatch):
@@ -477,23 +468,37 @@ def test_scan_chunk_matches_pinned_values(n, start, stop, elements, memo_size, h
         "hist": hist,
         "failed_keys": set(),
         "memo_size": memo_size,
-        "ideal_memo_size": 2**n,
         "per_element_perms": 1,
     }
 
 
 @pytest.mark.parametrize("start, stop", [(None, None), (0, 40), (40, 41), (41, 120)])
 def test_passing_scan_checks_one_permutation_per_chunk_element_by_element(start, stop):
-    # the first permutation of a chunk decides the 2^n verdicts element by
-    # element; every later one passes as one batch
+    # the first permutation of a chunk is checked element by element and
+    # makes the chunk clean; every later one passes as one batch
     result = correspondence._scan_chunk(5, start, stop, 3)
     assert result["per_element_perms"] == 1
     assert result["counts"]["elements"] == ((stop or 120) - (start or 0)) * 2**5
 
 
 def test_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, capsys):
-    # swap two entries of rho's relabel table for one symmetric component
-    n, nd, target = 3, 3, (2, 3, 1)
+    _assert_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, capsys, (2, 3, 1))
+
+
+def test_corrupt_rho_table_of_a_later_word_fails_the_support_identity(
+    monkeypatch, tmp_path, capsys
+):
+    # no element of the first word scanned has this component, so the words
+    # whose elements do would otherwise pass as a batch
+    target = (2, 3, 4, 1)
+    _assert_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, capsys, target)
+
+
+def _assert_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, capsys, target):
+    """Swap two entries of rho's relabel table for the symmetric component
+    target and compare the scan with the elements that then fail."""
+    n = len(target)
+    nd = n * (n - 1) // 2
     real = correspondence._rho_table
 
     def corrupted(word, rank):
@@ -523,7 +528,7 @@ def test_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, cap
         "support-identity": {"failures": 6, "witnesses": [str(w) for w in failing[:5]]}
     }
 
-    assert main(["bijection", "--rank", "3", "--out", str(tmp_path / "b.json")]) == 1
+    assert main(["bijection", "--rank", str(n), "--out", str(tmp_path / "b.json")]) == 1
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -583,8 +588,8 @@ def test_wrong_walked_sum_bits_match_a_per_element_evaluation(monkeypatch, tmp_p
     # [2,-3,1] at rank 3, so the scan must relabel that element's own mask;
     # its pi is no involution, so relabelling through rho = pi^-1 differs.
     # Or a wrong difference inversion (e2-e3): with e1-e2 and without e1-e3
-    # it is no inversion set.  The element's word is scanned after the
-    # verdicts are decided
+    # it is no inversion set.  The element's word is scanned after the chunk
+    # is clean
     n = 3
     real = correspondence._iter_signed_inversion_masks
 
@@ -611,21 +616,27 @@ def test_wrong_walked_sum_bits_match_a_per_element_evaluation(monkeypatch, tmp_p
     assert "Traceback" not in capsys.readouterr().err
 
 
-def _reference(word, jmask, mask, n):
+def _module_relabel(mask, value_map, n):
+    """The sums-plus-longs bits of mask relabelled through value_map by the
+    module's own _relabel, whatever gather it compiles."""
+    return _relabel(mask, _relabel_table(value_map, n), n)
+
+
+def _reference(word, jmask, mask, n, relabel=_bitwise_relabel):
     """The per-element checks that fail for the walked element, each
     evaluated on its own through the module's tables (_sym_entry, _recipes,
     _closed_forms at the flipped positions P read off word and jmask), with
-    no memo, no reused verdict and bit-by-bit relabels."""
+    no memo, no batch and, by default, bit-by-bit relabels."""
     phi0 = mask & ((1 << (n * (n - 1) // 2)) - 1)
     entry = correspondence._sym_entry(phi0, n)
     if entry is None:
         return ["sym_fail"]
     eta, pi = entry
-    xi = _bitwise_relabel(mask, pi, n)
+    xi = relabel(mask, pi, n)
     if xi not in correspondence._recipes(n):
         return ["incr_fail"]
     failed = []
-    if phi0 | _bitwise_relabel(xi, (0, *reversed(eta)), n) != mask:
+    if phi0 | relabel(xi, (0, *reversed(eta)), n) != mask:
         failed.append("support_fail")
     if mask.bit_count() != phi0.bit_count() + xi.bit_count():
         failed.append("degree_fail")
@@ -640,19 +651,19 @@ def _reference(word, jmask, mask, n):
     return failed
 
 
-def _assert_scan_matches_reference(n):
+def _assert_scan_matches_reference(n, relabel=_bitwise_relabel):
     """_scan_chunk over the whole rank-n group reports exactly the failures,
-    witnesses and failed pair keys (read off the walked masks) of _reference;
-    returns the counts and the scan's result."""
+    witnesses and failed pair keys (read off the walked masks) of _reference
+    with this relabel; returns the counts and the scan's result."""
     expected = {key: [] for key in _FAILS}
     keys = set()
     for word, jmask, mask in _walked_elements(n):
-        failed = _reference(word, jmask, mask, n)
+        failed = _reference(word, jmask, mask, n, relabel)
         for key in failed:
             expected[key].append((word, jmask))
         if "construct_fail" in failed:
             eta, pi = correspondence._sym_entry(mask & ((1 << (n * (n - 1) // 2)) - 1), n)
-            keys.add((eta, _bitwise_relabel(mask, pi, n)))
+            keys.add((eta, relabel(mask, pi, n)))
     result = correspondence._scan_chunk(n, None, None, 5)
     counts = {key: len(items) for key, items in expected.items()}
     assert {key: result["counts"][key] for key in _FAILS} == counts
@@ -668,8 +679,8 @@ def _reversed_gather(gather, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_wrong_itemgetter_recipe_fails_every_element_of_its_ideal(monkeypatch, n):
-    # a pure position map, so the scan may decide it once per set of flipped
-    # positions; it builds the wrong word for every element of the ideal
+    # a pure position map, so it leaves the batch possible; it builds the
+    # wrong word for every element of the ideal, on every permutation
     target = correspondence._closed_forms(n)[1 << (n // 2)][1]
     real = correspondence._recipes(n)
     table = dict(real)
@@ -684,9 +695,9 @@ def test_wrong_itemgetter_recipe_fails_every_element_of_its_ideal(monkeypatch, n
 @pytest.mark.parametrize("kind", ["everywhere", "on-the-identity", "shared"])
 def test_wrong_closed_form_gather_matches_a_per_element_evaluation(monkeypatch, n, kind):
     # the canonical entry of one set P of flipped positions gathers the wrong
-    # word: always, only for the identity's word (no pure position map, and
-    # the scan would read the ideal of P off it), or as the entry of P = {0}
-    # (so that one entry stands for two sets)
+    # word: always, only for the identity's word (no pure position map, so
+    # no permutation passes as a batch), or as the entry of P = {0} (so that
+    # one entry stands for two sets)
     pset = (1 << n) - 2
     table = list(correspondence._closed_forms(n))
     gather, ideal = table[pset]
@@ -718,8 +729,8 @@ def test_swapped_masks_of_one_word_match_a_per_element_evaluation(
     # P = {} and P = {other position} swap their masks.  With the last
     # position both have the same symmetric component and different ideals,
     # with the first position both differ.  The word is the first scanned,
-    # whose elements decide the verdicts, or a later one, which the batch
-    # would otherwise pass
+    # which would otherwise make the chunk clean, or a later one, which the
+    # batch would otherwise pass
     word = tuple(range(1, n + 1)) if scanned == "first" else tuple(range(n, 0, -1))
     swapped = 1 << (n - 1) if other == "last" else 1
     real = correspondence._iter_signed_inversion_masks
@@ -736,8 +747,8 @@ def test_swapped_masks_of_one_word_match_a_per_element_evaluation(
     if other == "first":
         expected["closed_sym_fail"] = 2
     assert counts == expected
-    # the word itself fails the batch, and with the first word two verdicts
-    # are left to the second
+    # the word itself fails the batch compares, and with the first word the
+    # second makes the chunk clean
     assert result["per_element_perms"] == 2
 
 
@@ -788,6 +799,37 @@ def test_entry_that_does_not_rename_is_checked_element_by_element(monkeypatch, n
     ]
     assert words and words[0] != tuple(range(1, n + 1))
     assert result["per_element_perms"] == 1 + len(words)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_closed_form_gather_that_is_no_position_map_disables_the_batch(monkeypatch, n):
+    # a double fault on the last word scanned, w = (n, ..., 1): the walked
+    # difference bits of its element with flipped positions P = {first}
+    # become the inversion set of the wrong word w o G', and the closed-form
+    # gather of P returns that wrong word for w alone.  w passes every batch
+    # compare, but its element renames no clean permutation's element, so
+    # only a scan that checks every permutation element by element sees it
+    word, pset = tuple(range(n, 0, -1)), 1
+    nd = n * (n - 1) // 2
+    table = list(correspondence._closed_forms(n))
+    gather, ideal = table[pset]
+    wrong = gather(word)[::-1]
+    table[pset] = (lambda w: wrong if w == word else gather(w)), ideal
+    table = tuple(table)
+    real = correspondence._iter_signed_inversion_masks
+
+    def corrupted(rank, perm_start=0, perm_stop=None):
+        for w, masks in real(rank, perm_start=perm_start, perm_stop=perm_stop):
+            if w == word:
+                phi0 = correspondence._perm_inversion_mask(wrong, n)
+                masks[pset] = masks[pset] >> nd << nd | phi0
+            yield w, masks
+
+    monkeypatch.setattr(correspondence, "_closed_forms", lambda rank: table)
+    monkeypatch.setattr(correspondence, "_iter_signed_inversion_masks", corrupted)
+    counts, result = _assert_scan_matches_reference(n)
+    assert sum(counts.values()) > 0 and counts["closed_sym_fail"] == 0
+    assert result["per_element_perms"] == math.factorial(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
