@@ -17,8 +17,8 @@ never a traceback:
 All user input is parsed and validated in _config_from_args, so inside a
 command only a RankCapError is a usage error.
 
-Output is deterministic: iteration orders are fixed, sampled checks draw from
-a generator seeded by --seed, and timings never enter the serialized report.
+Output is deterministic: iteration orders are fixed, the random subsets (rank
+<= 4 only) come from a generator seeded by --seed, and no timing enters a report.
 """
 
 from __future__ import annotations
@@ -284,36 +284,6 @@ def _cmd_poincare(cfg: RunConfig):
     return (0 if report.passed else 1), report.checks_json(), data, csv_rows
 
 
-def _oracle_agreement_record(n: int, rng: random.Random, report: VerificationReport) -> None:
-    nd = num_diffs(n)
-    nphi1 = n * (n + 1) // 2
-    exhaustive = n <= 5
-    if exhaustive:
-        locals_iter = range(1 << nphi1)
-        mode = "exhaustive"
-    else:
-        sample = {rng.getrandbits(nphi1) for _ in range(20000)}
-        sample.update(
-            psi.members.mask >> nd for psi in ideals.enumerate_increasing(n)
-        )
-        locals_iter = sorted(sample)
-        mode = "sampled"
-    mismatches = 0
-    checked = 0
-    for local in locals_iter:
-        s = RootSet(n, local << nd)
-        checked += 1
-        if ideals.is_increasing(s) != ideals.is_abelian_ideal_combinatorial(s):
-            mismatches += 1
-    report.add(
-        "increasing-vs-root-addition",
-        "a sums-only subset is upward closed exactly when it passes the "
-        "root-addition ideal criterion",
-        mismatches == 0,
-        {"mode": mode, "subsets_checked": checked, "mismatches": mismatches},
-    )
-
-
 def _lie_agreement_records(n: int, rng: random.Random, report: VerificationReport) -> None:
     if n > 4:
         report.add(
@@ -378,7 +348,14 @@ def verify_all(cfg: RunConfig) -> VerificationReport:
         {"histogram": list(hist.coeffs), "formula": list(gen.coeffs)},
     )
 
-    _oracle_agreement_record(n, rng, report)
+    faults = ideals.order_certificate(n)
+    report.add(
+        "increasing-vs-root-addition",
+        "a sums-only subset is upward closed exactly when it passes the "
+        "root-addition ideal criterion",
+        not any(faults.values()),
+        {"mode": "certificate", "subsets_checked": 1 << n, **faults},
+    )
     _lie_agreement_records(n, rng, report)
 
     brep = correspondence.verify_bijection(n, workers=cfg.workers)

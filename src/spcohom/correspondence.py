@@ -19,20 +19,20 @@ every element.
 The scan reports every check for every element.  Relabel tables are bit
 permutations of the mask's binary digits (_relabel).  The walk yields the 2^n
 elements of one permutation word at once, indexed by the set P of their
-flipped positions.  Each permutation is checked in one of two ways.  It
-passes as one batch of C-level list compares when every closed-form and
-recipe gather is an itemgetter (a pure position map), its walked sum
-inversions are the rows {e_i + e_j : j >= i} of the values at the positions
-in P (_flips_of), each decoded symmetric component is the closed form
-g_P(word), each pi is its word's position map, no support-identity relabel
-moves a bit (_scan_entry), and an earlier permutation of the chunk passed
-the same compares and recorded no failure.  Its element with flipped
-positions P is then that permutation's element with the same P, its values
-renamed, and renaming values changes no mask or position map in ideal
-coordinates, so every check passes.  Every other permutation is checked
-element by element: each element relabels its own sum inversions through pi
-and evaluates every check, so its failures and witnesses are those of a
-per-element evaluation through the same tables and _relabel.
+flipped positions.  A permutation passes as one batch of C-level list
+compares when every closed-form and recipe gather is an itemgetter (a pure
+position map), its walked sum inversions are the rows {e_i + e_j : j >= i}
+of the values at the positions in P (_flips_of), the words-only memo gives
+the closed form g_P(word) for each decoded symmetric component, and an
+earlier permutation of the chunk passed the same compares and recorded no
+failure.  The memo holds the decoded word only where pi is its position map
+and no support-identity relabel moves a bit (_scan_entry), else ().  Each
+element with flipped positions P then renames that permutation's element
+with the same P, which changes no mask or position map in ideal coordinates,
+so every check passes.  Every other permutation is checked element by
+element through the relabels compiled from its _scan_entry, so its failures
+and witnesses are those of a per-element evaluation through the same tables
+and _relabel.
 """
 
 from __future__ import annotations
@@ -137,11 +137,14 @@ def _relabel_gather(table: Sequence[int]) -> itemgetter:
 
 
 def _relabel(mask: int, table: Sequence[int], n: int) -> int:
-    """Relabel the sums-plus-longs bits of a mask, from bit num_diffs(n) on,
-    through a relabel table, as a gather of their zero-padded binary digits;
-    drop the difference bits."""
+    """Relabel a mask's sums-plus-longs bits through a table; drop its difference bits."""
+    return _apply_relabel(_relabel_gather(table), mask, n)
+
+
+def _apply_relabel(gather: itemgetter, mask: int, n: int) -> int:
+    """_relabel through the gather that _relabel_gather compiled."""
     nd = num_diffs(n)
-    return int("".join(_relabel_gather(table)(format(mask >> nd, f"0{nd + n}b"))), 2) << nd
+    return int("".join(gather(format(mask >> nd, f"0{nd + n}b"))), 2) << nd
 
 
 def _value_mask(values) -> int:
@@ -174,13 +177,12 @@ def _sym_entry(phi0: int, n: int) -> Optional[tuple[tuple[int, ...], tuple[int, 
 
 
 def _scan_entry(phi0: int, n: int) -> Optional[tuple]:
-    """_sym_entry plus what only the scan reads: (word, pi, suffix, moved,
+    """_sym_entry recast for the scan: (word, suffix, fwd, bwd, moved,
     renames).  suffix[k] is the value mask of the last k letters of word,
-    which the inverse recipe flips.  Relabelling through pi and then
-    rho = pi^-1 is relabelling through their composite, and moved says that
-    the composite moves some bit (never unless a table is wrong); where it
-    moves none, the support identity holds without a relabel.  renames: pi
-    is word's position map."""
+    which the inverse recipe flips.  fwd and bwd are the relabel tables of pi
+    and rho = pi^-1; moved: their composite moves some bit (never unless a
+    table is wrong; where it moves none, the support identity holds without
+    a relabel).  renames: pi is word's position map."""
     entry = _sym_entry(phi0, n)
     if entry is None:
         return None
@@ -189,7 +191,7 @@ def _scan_entry(phi0: int, n: int) -> Optional[tuple]:
     bwd = _rho_table(word, n)
     moved = any(bwd[t] != k for k, t in enumerate(fwd))
     suffix = tuple(accumulate(reversed(word), lambda acc, v: acc | 1 << (v - 1), initial=0))
-    return word, pi, suffix, moved, pi == _position_map(word)
+    return word, suffix, fwd, bwd, moved, pi == _position_map(word)
 
 
 def _pair_masks(w: SignedPerm) -> tuple[tuple[int, ...], int]:
@@ -432,9 +434,11 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
     batchable = all(type(g) is itemgetter for g in gathers) and all(
         type(recipe[0]) is itemgetter for recipe in recipes.values() if recipe is not None
     )
-    # phi0 -> _scan_entry(phi0, n); phi0 is the inversion mask of the
-    # symmetric component, so there are at most n! keys
-    memo: dict[int, Optional[tuple]] = {}
+    # per symmetric component's inversion mask phi0 (n! keys at most): its eta
+    # word where pi renames and moves no bit, else (); and for the permutations
+    # checked element by element, its _scan_entry with the relabels compiled
+    etas: dict[int, tuple[int, ...]] = {}
+    entries: dict[int, Optional[tuple]] = {}
     # an earlier permutation passed the batch compares and recorded no failure
     clean = False
     # failures only: the element and round-trip counts come from hist
@@ -452,38 +456,42 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
     for word, masks in _iter_signed_inversion_masks(n, perm_start=start or 0, perm_stop=stop):
         hist.update(map(int.bit_count, masks))
         phi0s = list(map(and_, masks, repeat(phi0_all)))
-        for phi0 in set(phi0s).difference(memo):
-            memo[phi0] = _scan_entry(phi0, n)
-        entries = list(map(memo.__getitem__, phi0s))
+        try:
+            decoded = list(map(etas.__getitem__, phi0s))
+        except KeyError:
+            for phi0 in set(phi0s).difference(etas):
+                entry = _scan_entry(phi0, n)
+                etas[phi0] = entry[0] if entry and entry[5] and not entry[4] else ()
+            decoded = list(map(etas.__getitem__, phi0s))
         # each element with flipped positions P renames the element of a
         # clean permutation with the same P, with pi renamed alongside, and
-        # needs no support-identity relabel
+        # needs no support-identity relabel; () is no gathered word
         batch = (
             batchable
             and list(map(xor, masks, phi0s)) == _flips_of(word)
-            and None not in entries
-            and list(map(itemgetter(0), entries)) == list(map(call, gathers, repeat(word)))
-            and all(map(itemgetter(4), entries))
-            and not any(map(itemgetter(3), entries))
+            and decoded == list(map(call, gathers, repeat(word)))
         )
         if batch and clean:
             continue
 
         per_element += 1
         recorded = sum(counts.values())
-        for pset, (jmask, mask, entry) in enumerate(zip(_sign_patterns(word), masks, entries)):
+        for phi0 in set(phi0s).difference(entries):
+            entry = _scan_entry(phi0, n)
+            entries[phi0] = entry and (*entry[:2], *map(_relabel_gather, entry[2:4]))
+        for pset, (jmask, mask, phi0) in enumerate(zip(_sign_patterns(word), masks, phi0s)):
+            entry = entries[phi0]
             if entry is None:
                 fail("sym_fail", word, jmask)
                 continue
-            eta_word, pi, suffix = entry[:3]
+            eta_word, suffix, fwd, bwd = entry[:4]
             gather, ideal = canonical[pset]
-            ximask = _relabel(mask, _relabel_table(pi, n), n)
+            ximask = _apply_relabel(fwd, mask, n)
             try:
                 recipe = recipes[ximask]
             except KeyError:
                 fail("incr_fail", word, jmask)
                 continue
-            phi0 = mask & phi0_all
             if mask.bit_count() != phi0.bit_count() + ximask.bit_count():
                 fail("degree_fail", word, jmask)
             if recipe is None or suffix[recipe[1]] != jmask or recipe[0](eta_word) != word:
@@ -492,7 +500,7 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
             if ideal != ximask:
                 fail("closed_ideal_fail", word, jmask)
             # support identity: relabel the ideal back through rho = pi^-1
-            if phi0 | _relabel(ximask, _rho_table(eta_word, n), n) != mask:
+            if phi0 | _apply_relabel(bwd, ximask, n) != mask:
                 fail("support_fail", word, jmask)
             if gather(word) != eta_word:
                 fail("closed_sym_fail", word, jmask)
@@ -506,7 +514,7 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
         "witnesses": {k: w.items for k, w in witnesses.items()},
         "hist": [hist[d] for d in range(n * n + 1)],
         "failed_keys": failed_keys,
-        "memo_size": len(memo),
+        "memo_size": len(etas),
         "per_element_perms": per_element,
     }
 

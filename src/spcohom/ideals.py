@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import RankCapError
-from .roots import RootSet, check_rank, num_diffs, _addable, _index_tables
+from .roots import RootSet, check_rank, num_diffs, positive_roots, precedes, _addable, _index_tables
 
 IDEAL_CAP = 22
 
@@ -163,6 +163,31 @@ def is_abelian_ideal_combinatorial(s: RootSet) -> bool:
             if mask >> b & 1 or not mask >> out & 1:
                 return False
     return True
+
+
+def order_certificate(n: int) -> dict[str, int]:
+    """Failure counts of the exact certificate that a sums-only subset passes
+    is_abelian_ideal_combinatorial exactly when it is upward closed under
+    precedes.  Exclusion half: each b addable to a sums-plus-longs root is a
+    difference, so no sums-only subset contains one.  Order half: the
+    predicate is then closure under a -> g, which picks the up-sets of
+    precedes exactly when the reflexive-transitive closure of a -> g (one
+    reachability bitmask per root) is precedes.  Also runs the predicate on
+    the 2^n enumerated ideals."""
+    addable, roots, nd = _addable(n), positive_roots(n), num_diffs(n)
+    phi1 = range(nd, n * n)
+    reach = {a: 1 << a | sum({1 << g for _b, g in addable[a]}) for a in phi1}
+    for k in phi1:  # Warshall, over sums-only intermediate roots
+        for a in phi1:
+            reach[a] |= reach[k] if reach[a] >> k & 1 else 0
+    dominance = {a: sum(1 << y for y in phi1 if precedes(roots[a], roots[y])) for a in phi1}
+    return {
+        "exclusion_violations": sum(b >= nd for a in phi1 for b, _g in addable[a]),
+        "order_mismatches": sum(reach[a] != dominance[a] for a in phi1),
+        "ideals_rejected": sum(
+            not is_abelian_ideal_combinatorial(p.members) for p in enumerate_increasing(n)
+        ),
+    }
 
 
 def dimension_histogram(n: int):

@@ -395,8 +395,8 @@ def test_pair_cocycle_degree_can_fail(monkeypatch):
     # degree to every element without sum inversions
     n = 3
     (top,) = (psi.members.mask for psi in enumerate_increasing(n) if psi.dimension == 1)
-    real = correspondence._relabel
-    monkeypatch.setattr(correspondence, "_relabel", lambda *args: real(*args) or top)
+    real = correspondence._apply_relabel
+    monkeypatch.setattr(correspondence, "_apply_relabel", lambda *args: real(*args) or top)
     scan = {r.check_id: r for r in correspondence.verify_bijection(n).records}
     assert not scan["degree-additivity"].passed
     failures = scan["degree-additivity"].detail["failures"]

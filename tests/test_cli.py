@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from spcohom import ce, cli, correspondence, ideals, liealg, poincare, weyl
+from spcohom import ce, cli, correspondence, ideals, liealg, poincare, roots, weyl
 from spcohom.cli import main
 from spcohom.errors import RankCapError
 
@@ -27,6 +27,39 @@ def test_verify_is_deterministic(tmp_path):
     _, a = run_cli(["verify", "--rank", "2", "--seed", "42"], tmp_path, "a.json")
     _, b = run_cli(["verify", "--rank", "2", "--seed", "42"], tmp_path, "b.json")
     assert a == b
+
+
+def test_verify_above_rank4_does_not_read_the_seed(tmp_path):
+    # the ideal oracle is a certificate, and only the rank <= 4 Lie oracle
+    # samples random subsets
+    _, a = run_cli(["verify", "--rank", "5", "--seed", "0"], tmp_path, "a.json")
+    _, b = run_cli(["verify", "--rank", "5", "--seed", "7"], tmp_path, "b.json")
+    assert a == b
+    (record,) = (c for c in json.loads(a)["checks"] if c["id"] == "increasing-vs-root-addition")
+    assert record["pass"] and record["detail"]["mode"] == "certificate"
+    assert record["detail"]["subsets_checked"] == 32
+
+
+def test_broken_order_certificate_fails_verify(monkeypatch, tmp_path):
+    # drop the only pair that takes 2e_5 up to e_4 + e_5
+    n = 5
+    idx = roots.root_index(n)
+    rows = list(roots._addable(n))
+    row = idx[roots.long(n)]
+    rows[row] = tuple(p for p in rows[row] if p[1] != idx[roots.sum_root(n - 1, n)])
+    monkeypatch.setattr(ideals, "_addable", lambda rank: tuple(rows))
+    code, text = run_cli(["verify", "--rank", str(n)], tmp_path)
+    assert code == 1
+    failed = {c["id"]: c["detail"] for c in json.loads(text)["checks"] if not c["pass"]}
+    assert failed == {
+        "increasing-vs-root-addition": {
+            "mode": "certificate",
+            "subsets_checked": 32,
+            "exclusion_violations": 0,
+            "order_mismatches": 1,
+            "ideals_rejected": 0,
+        }
+    }
 
 
 def test_invalid_rank_is_usage_error():

@@ -786,7 +786,7 @@ def test_entry_that_does_not_rename_is_checked_element_by_element(monkeypatch, n
 
     def corrupted(phi0, rank):
         entry = real(phi0, rank)
-        return entry if entry[0] != target else (*entry[:4], False)
+        return entry if entry[0] != target else (*entry[:5], False)
 
     monkeypatch.setattr(correspondence, "_scan_entry", corrupted)
     counts, result = _assert_scan_matches_reference(n)

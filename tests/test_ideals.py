@@ -2,15 +2,27 @@ import random
 
 import pytest
 
+from spcohom import ideals
 from spcohom.ideals import (
     IncreasingSet,
     dimension_histogram,
     enumerate_increasing,
     is_abelian_ideal_combinatorial,
     is_increasing,
+    order_certificate,
 )
 from spcohom.poincare import ideal_generating
-from spcohom.roots import RootSet, diff, long, num_diffs, positive_roots, precedes, sum_root
+from spcohom.roots import (
+    RootSet,
+    _addable,
+    diff,
+    long,
+    num_diffs,
+    positive_roots,
+    precedes,
+    root_index,
+    sum_root,
+)
 
 
 def phi1_subset(n, local_mask):
@@ -100,6 +112,86 @@ def test_increasing_iff_abelian_ideal_sampled_rank6():
     for local in masks:
         s = phi1_subset(n, local)
         assert is_increasing(s) == is_abelian_ideal_combinatorial(s)
+
+
+_PASSING = {"exclusion_violations": 0, "order_mismatches": 0, "ideals_rejected": 0}
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 14])
+def test_order_certificate_passes(n):
+    assert order_certificate(n) == _PASSING
+
+
+def _patched_addable(monkeypatch, n, a, drop=None, add=None):
+    """Make ideals read _addable(n) with the pair drop removed from, or the
+    pair add appended to, the row of root a."""
+    rows = list(_addable(n))
+    row = root_index(n)[a]
+    rows[row] = tuple(p for p in rows[row] if p != drop) + ((add,) if add else ())
+    assert rows[row] != _addable(n)[row]
+    monkeypatch.setattr(ideals, "_addable", lambda rank: tuple(rows))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_order_certificate_fails_without_a_covering_pair(monkeypatch, n):
+    # 2e_n + (e_{n-1} - e_n) = e_{n-1} + e_n is the only way up from 2e_n to
+    # e_{n-1} + e_n, so the closure of a -> g loses that order relation
+    idx = root_index(n)
+    pair = idx[diff(n - 1, n)], idx[sum_root(n - 1, n)]
+    _patched_addable(monkeypatch, n, long(n), drop=pair)
+    faults = order_certificate(n)
+    assert faults["order_mismatches"] > 0
+    assert faults["exclusion_violations"] == faults["ideals_rejected"] == 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_order_certificate_passes_without_a_pair_implied_by_transitivity(monkeypatch, n):
+    # 2e_n -> e_1 + e_n also runs through e_{n-1} + e_n, so the predicate
+    # picks the same sums-only subsets and the certificate is exact about it
+    idx = root_index(n)
+    _patched_addable(monkeypatch, n, long(n), drop=(idx[diff(1, n)], idx[sum_root(1, n)]))
+    assert order_certificate(n) == _PASSING
+    if n <= 4:
+        for local in range(1 << n * (n + 1) // 2):
+            s = phi1_subset(n, local)
+            assert is_increasing(s) == is_abelian_ideal_combinatorial(s)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_order_certificate_fails_when_a_sums_root_is_addable(monkeypatch, n):
+    # adding 2e_n to 2e_1 "gives" 2e_1 itself, so the closure of a -> g is
+    # unchanged and only the exclusion half sees the sums root b
+    idx = root_index(n)
+    _patched_addable(monkeypatch, n, long(1), add=(idx[long(n)], idx[long(1)]))
+    faults = order_certificate(n)
+    assert faults["exclusion_violations"] == 1
+    assert faults["order_mismatches"] == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_order_certificate_fails_when_precedes_is_perturbed(monkeypatch, n, change):
+    # drop 2e_n <= 2e_1 from the order, or add 2e_1 <= 2e_n to it
+    top, bottom = long(1), long(n)
+    if change == "drop":
+        perturbed = lambda x, y: precedes(x, y) and (x, y) != (bottom, top)
+    else:
+        perturbed = lambda x, y: precedes(x, y) or (x, y) == (top, bottom)
+    monkeypatch.setattr(ideals, "precedes", perturbed)
+    faults = order_certificate(n)
+    assert faults["order_mismatches"] == 1
+    assert faults["exclusion_violations"] == faults["ideals_rejected"] == 0
+
+
+def test_order_certificate_runs_the_predicate_on_every_enumerated_ideal(monkeypatch):
+    # a predicate that rejects the full staircase, whatever the tables say
+    n = 4
+    full = max(psi.members.mask for psi in enumerate_increasing(n))
+    real = ideals.is_abelian_ideal_combinatorial
+    monkeypatch.setattr(
+        ideals, "is_abelian_ideal_combinatorial", lambda s: s.mask != full and real(s)
+    )
+    assert order_certificate(n) == {**_PASSING, "ideals_rejected": 1}
 
 
 @pytest.mark.parametrize("n", [2, 3])
