@@ -29,6 +29,11 @@ Hence b_p = #{S : |S| = p, c(weight of S) = 0}, which _weight_dp counts over
 the roots without listing the 2^(n^2) monomials.  ChainComplex lists them and
 ranks every block by Bareiss elimination; it is the exact test oracle at ranks
 <= ORACLE_CAP and no command builds it.
+
+verify_cohomology_basis walks the group only to check that each inversion-set
+monomial is harmonic.  Closedness then follows from laplacian-scalar,
+distinctness from the bijection scan's pair-injective, and the count per
+degree from the scan's length histogram.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .correspondence import _rho_table, _witness_str, verify_bijection
 from .errors import RankCapError
 from .ideals import IncreasingSet
 from .liealg import root_vector, structure_table
-from .report import VerificationReport
+from .report import CheckRecord, VerificationReport
 from .roots import check_rank, num_diffs, positive_roots
 from .weyl import (
     Perm,
@@ -224,9 +229,10 @@ def _root_string(n: int, key: tuple[int, ...]) -> str:
     return " ^ ".join(str(roots[b]) for b in key) or "1"
 
 
-def add_laplacian_record(report: VerificationReport) -> None:
-    """Add laplacian-scalar: L = c(mu) Id on every monomial of degree <= 2 of
-    the report's rank, which certifies it on every cochain (module docstring)."""
+def add_laplacian_record(report: VerificationReport) -> CheckRecord:
+    """Add and return laplacian-scalar: L = c(mu) Id on every monomial of
+    degree <= 2 of the report's rank, which certifies it on every cochain
+    (module docstring)."""
     n = report.rank
     checked = 0
     failures = []
@@ -236,7 +242,7 @@ def add_laplacian_record(report: VerificationReport) -> None:
             c = Fraction(_c4(n, _subset_weight(n, key)), 4)
             if laplacian(n, key) != ({key: c} if c else {}):
                 failures.append(key)
-    report.add(
+    return report.add(
         "laplacian-scalar",
         "d d* + d* d acts on every monomial of degree <= 2 as the scalar "
         "(|rho|^2 - |rho - mu|^2)/4 of its weight mu, hence on every cochain",
@@ -486,80 +492,74 @@ def verify_cohomology_basis(
     """Check that the inversion-set cocycles form a cohomology basis and that
     the pair cocycles reproduce them up to sign.
 
-    After the laplacian-scalar certificate: every inversion-set monomial is
-    closed; the number with |inversions| = p equals the p-th Betti number;
-    and every one is harmonic, c(weight) = 0, with no monomial repeated.
-    Harmonic monomials are closed, orthogonal to the image of d and to each
-    other, so their classes are independent.
+    The one fact only this walk checks is that every inversion-set monomial
+    is harmonic, c(weight) = 0.  The other records follow from it and from
+    facts already certified:
 
-    The pair records are read off the bijection scan: the report of
-    verify_bijection(n), passed as bijection by a caller that has already
-    scanned the group, else run here.  pair-injective and pair-onto make the
-    pair map a bijection whose inverse is from_pair's recipe, and
-    sym-component-inversions makes phi0 = inv(sigma).  So the pair cocycle of
-    every (sigma, psi), whose sign is +-1 by construction, is its element's
-    cocycle exactly when support-identity holds on every element, and has
-    degree |inv(sigma)| + dim psi exactly when degree-additivity does.  Each
-    pair record passes when its source check and those three pass.
+    * cocycles-closed: c = 0 gives dx = 0 once laplacian-scalar holds;
+    * classes-independent: harmonic monomials are closed and orthogonal to
+      the image of d and to each other, so their classes are independent when
+      no two are equal.  The scan's pair key is a function of the inversion
+      mask, so pair-injective, a left inverse on the keys, makes w -> mask
+      injective;
+    * class-count-per-degree: the scan's length histogram against the Betti
+      numbers.
+
+    The scan is the report of verify_bijection(n), passed as bijection by a
+    caller that has already scanned the group, else run here.  pair-injective
+    and pair-onto make the pair map a bijection whose inverse is from_pair's
+    recipe, and sym-component-inversions makes phi0 = inv(sigma).  So the pair
+    cocycle of every (sigma, psi), whose sign is +-1 by construction, is its
+    element's cocycle exactly when support-identity holds on every element,
+    and has degree |inv(sigma)| + dim psi exactly when degree-additivity does.
+    Each pair record passes when its source check and those three pass.
 
     complex_ is accepted and ignored: perfbench/trace_pass.py still passes the
     ChainComplex it timed, until ROADMAP item 4 replaces that replay.
     """
     check_cohomology_cap(n, cap)
     report = VerificationReport(rank=n)
-    add_laplacian_record(report)
+    laplacian_ok = add_laplacian_record(report).passed
     betti = betti_numbers(n, cap)
-    n2 = n * n
+    if bijection is None:
+        bijection = verify_bijection(n)
+    scan = {r.check_id: r for r in bijection.records}
 
-    not_closed = 0
     not_harmonic = 0
-    harmonic_witnesses: list[str] = []
-    weights_seen: set[tuple[int, ...]] = set()
-    masks_seen: set[int] = set()
-    counts = [0] * (n2 + 1)
-    order = group_order(n)
+    witnesses: list[str] = []
     for word, masks in _iter_signed_inversion_masks(n):
         for pset, mask in enumerate(masks):
-            key = _mask_key(mask)
-            counts[len(key)] += 1
-            if _d_monomial(n, key):
-                not_closed += 1
-            weight = _subset_weight(n, key)
-            if _c4(n, weight):
+            if _c4(n, _subset_weight(n, _mask_key(mask))):
                 not_harmonic += 1
-                if len(harmonic_witnesses) < _MAX_WITNESSES:
-                    harmonic_witnesses.append(_witness_str(word, _sign_patterns(word)[pset]))
-            weights_seen.add(weight)
-        masks_seen.update(masks)
+                if len(witnesses) < _MAX_WITNESSES:
+                    witnesses.append(_witness_str(word, _sign_patterns(word)[pset]))
 
     report.add(
         "cocycles-closed",
         "every inversion-set wedge monomial is a cocycle",
-        not_closed == 0,
-        {"not_closed": not_closed, "elements": order},
+        laplacian_ok and not_harmonic == 0,
+        {
+            "elements": group_order(n),
+            "not_harmonic": not_harmonic,
+            "laplacian_scalar": laplacian_ok,
+        },
     )
+    counts = bijection.data["weyl_length_histogram"]
     report.add(
         "class-count-per-degree",
         "the number of elements of each length equals the Betti number",
         counts == betti,
         {"counts": counts, "betti": betti},
     )
-    repeated = order - len(masks_seen)
+    injective = scan["pair-injective"].passed
     report.add(
         "classes-independent",
         "inversion-set cocycles are distinct harmonic monomials, c(weight) = 0, "
         "so their classes are independent",
-        not_harmonic == 0 and repeated == 0,
-        {
-            "not_harmonic": not_harmonic,
-            "repeated_monomials": repeated,
-            "witnesses": harmonic_witnesses,
-        },
+        not_harmonic == 0 and injective,
+        {"not_harmonic": not_harmonic, "pair_injective": injective, "witnesses": witnesses},
     )
 
-    if bijection is None:
-        bijection = verify_bijection(n)
-    scan = {r.check_id: r for r in bijection.records}
     bijective = all(
         scan[c].passed for c in ("pair-injective", "pair-onto", "sym-component-inversions")
     )
@@ -584,5 +584,4 @@ def verify_cohomology_basis(
 
     report.data["betti"] = betti
     report.data["class_counts"] = counts
-    report.data["cocycle_weights_all_distinct"] = len(weights_seen) == order
     return report

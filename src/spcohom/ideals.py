@@ -153,14 +153,19 @@ def is_abelian_ideal_combinatorial(s: RootSet) -> bool:
     Accepts arbitrary subsets of the positive roots, so membership of a
     difference root makes it fail honestly rather than by fiat.
     """
-    addable = _addable(s.rank)
-    mask = s.mask
+    return _closed_under(_addable(s.rank).__getitem__, s.mask)
+
+
+def _closed_under(row, mask: int) -> bool:
+    """The ideal criterion over a neighbour table, shared by the root-addition
+    and the matrix-level predicates: fail at a member a and an entry
+    (b, g, ...) of row(a) when b is a member or g is not."""
     rest = mask
     while rest:
         low = rest & -rest
         rest ^= low
-        for b, out in addable[low.bit_length() - 1]:
-            if mask >> b & 1 or not mask >> out & 1:
+        for b, g, *_ in row(low.bit_length() - 1):
+            if mask >> b & 1 or not mask >> g & 1:
                 return False
     return True
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import ideals
 from .errors import ConsistencyError
 from .roots import DIFF, LONG, Root, RootSet, check_rank, dotted_sum, positive_roots, root_index
 
@@ -201,13 +202,16 @@ def is_abelian_ideal_lie(n: int, s: RootSet) -> bool:
     space, so the positive-root brackets are the whole condition."""
     if s.rank != n:
         raise ValueError("rank mismatch")
-    table = structure_table(n)
-    mask = s.mask
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        for b, g, _c in table.neighbors(low.bit_length() - 1):
-            if mask >> b & 1 or not mask >> g & 1:
-                return False
-    return True
+    return ideals._closed_under(structure_table(n).neighbors, s.mask)
+
+
+def neighbor_mismatches(n: int) -> int:
+    """The number of roots a whose nonzero brackets [e_a, e_b] = c e_g and
+    whose root-addition pairs a + b = g differ as sets of (b, g).  Both ideal
+    predicates are ideals._closed_under over these two tables, read here
+    through the same names, so at 0 they agree on all 2^(n^2) subsets of the
+    positive roots."""
+    table, addable = structure_table(n), ideals._addable(n)
+    return sum(
+        {(b, g) for b, g, _c in table.neighbors(a)} != set(addable[a]) for a in range(n * n)
+    )

@@ -150,8 +150,9 @@ def weyl_length_histogram(n: int) -> IntPolynomial:
 
 
 def sym_inversion_histogram(n: int) -> IntPolynomial:
-    """Enumerated inversion histogram of S_n."""
-    check_rank(n)
+    """Enumerated inversion histogram of S_n.  Refuses ranks above the group
+    cap, before the first permutation."""
+    check_group_cap(n)
     counts = [0] * (n * (n - 1) // 2 + 1)
     for word in itertools.permutations(range(1, n + 1)):
         inv = sum(

@@ -305,7 +305,7 @@ def test_monomial_cocycle_examples():
     }
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_all_monomial_cocycles_closed(n):
     for w in enumerate_group(n):
         assert differential(monomial_cocycle(w)).is_zero()
@@ -335,27 +335,108 @@ def test_pair_cocycle_degree_additive():
         assert lc.degree == len(perm_inversions(p.sym)) + p.ideal.dimension
 
 
+def _records(n, **kwargs):
+    return {r.check_id: r for r in verify_cohomology_basis(n, **kwargs).records}
+
+
 def test_classes_independent_can_fail(monkeypatch):
     n = 3
-    record = {r.check_id: r for r in verify_cohomology_basis(n).records}["classes-independent"]
+    record = _records(n)["classes-independent"]
     assert record.passed
-    assert record.detail == {"not_harmonic": 0, "repeated_monomials": 0, "witnesses": []}
-
-    # a wrong c makes every inversion-set monomial look non-harmonic
-    monkeypatch.setattr(ce, "_c4", lambda n, weight: 1)
-    record = {r.check_id: r for r in verify_cohomology_basis(n).records}["classes-independent"]
-    assert not record.passed and record.detail["not_harmonic"] == group_order(n)
-    assert len(record.detail["witnesses"]) == 5
-    monkeypatch.undo()
+    assert record.detail == {"not_harmonic": 0, "pair_injective": True, "witnesses": []}
 
     # a walk that repeats one element repeats its monomial: the last element
-    # of the last permutation takes the mask of the first element
-    walk = list(ce._iter_signed_inversion_masks(n))
+    # of the scan's last permutation takes the mask of the first element, so
+    # the recipe cannot rebuild both from their pair keys
+    walk = list(correspondence._iter_signed_inversion_masks(n))
     word, masks = walk[-1]
     walk[-1] = word, masks[:-1] + walk[0][1][:1]
-    monkeypatch.setattr(ce, "_iter_signed_inversion_masks", lambda n: walk)
-    record = {r.check_id: r for r in verify_cohomology_basis(n).records}["classes-independent"]
-    assert not record.passed and record.detail["repeated_monomials"] == 1
+    monkeypatch.setattr(
+        correspondence, "_iter_signed_inversion_masks", lambda n, **slice_: iter(walk)
+    )
+    failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
+    assert failed["classes-independent"] == {
+        "not_harmonic": 0,
+        "pair_injective": False,
+        "witnesses": [],
+    }
+    # the repeat also drops a length-9 element from the scan's histogram and
+    # breaks the bijection the pair records rest on
+    assert set(failed) == {
+        "classes-independent",
+        "class-count-per-degree",
+        "pair-cocycles-match",
+        "pair-cocycle-degree",
+    }
+
+
+def test_a_c4_that_flags_every_monomial_fails_closed_and_independent(monkeypatch):
+    # c = 1 everywhere also breaks the Laplacian identity on the empty monomial
+    n = 3
+    monkeypatch.setattr(ce, "_c4", lambda n, weight: 1)
+    failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
+    assert set(failed) == {"laplacian-scalar", "cocycles-closed", "classes-independent"}
+    order = group_order(n)
+    assert failed["cocycles-closed"] == {
+        "elements": order,
+        "not_harmonic": order,
+        "laplacian_scalar": False,
+    }
+    assert failed["classes-independent"] == {
+        "not_harmonic": order,
+        "pair_injective": True,
+        "witnesses": ["[1,2,3]", "[-1,2,3]", "[1,-2,3]", "[-1,-2,3]", "[1,2,-3]"],
+    }
+
+
+def test_a_c4_that_flags_one_inversion_monomial_fails_closed_and_independent(monkeypatch):
+    # 2 rho, the weight of the longest element's monomial, is the weight of
+    # no monomial of degree <= 2, so laplacian-scalar still passes
+    n = 3
+    top = _subset_weight(n, tuple(range(n * n)))
+    real = ce._c4
+    monkeypatch.setattr(ce, "_c4", lambda n, weight: real(n, weight) or int(weight == top))
+    failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
+    assert failed == {
+        "cocycles-closed": {
+            "elements": group_order(n),
+            "not_harmonic": 1,
+            "laplacian_scalar": True,
+        },
+        "classes-independent": {
+            "not_harmonic": 1,
+            "pair_injective": True,
+            "witnesses": ["[-1,-2,-3]"],
+        },
+    }
+
+
+def test_cocycles_closed_needs_the_laplacian_certificate(monkeypatch):
+    # a wrong norm breaks L = c Id but leaves every inversion monomial harmonic
+    n = 3
+    norms = ce._norms(n)
+    monkeypatch.setattr(ce, "_norms", lambda m: (3 - norms[0],) + norms[1:])
+    failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
+    assert set(failed) == {"laplacian-scalar", "cocycles-closed"}
+    assert failed["cocycles-closed"] == {
+        "elements": group_order(n),
+        "not_harmonic": 0,
+        "laplacian_scalar": False,
+    }
+
+
+def test_a_wrong_scan_histogram_fails_class_count_per_degree():
+    n = 3
+    scan = correspondence.verify_bijection(n)
+    wrong = list(scan.data["weyl_length_histogram"])
+    wrong[0], wrong[1] = wrong[0] + 1, wrong[1] - 1
+    scan.data["weyl_length_histogram"] = wrong
+    failed = {
+        check_id: r.detail for check_id, r in _records(n, bijection=scan).items() if not r.passed
+    }
+    assert failed == {
+        "class-count-per-degree": {"counts": wrong, "betti": list(weyl_poincare(n).coeffs)}
+    }
 
 
 def test_verify_and_classes_scan_the_group_once(monkeypatch, tmp_path):
@@ -421,5 +502,4 @@ def test_pair_records_need_the_bijection(check_id):
 def test_verify_cohomology_basis_passes(n):
     report = verify_cohomology_basis(n)
     assert report.passed, [r.check_id for r in report.records if not r.passed]
-    assert report.data["cocycle_weights_all_distinct"]
     assert report.data["betti"] == list(weyl_poincare(n).coeffs)

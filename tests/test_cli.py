@@ -5,6 +5,7 @@ import pytest
 from spcohom import ce, cli, correspondence, ideals, liealg, poincare, roots, weyl
 from spcohom.cli import main
 from spcohom.errors import RankCapError
+from spcohom.report import VerificationReport
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -29,15 +30,15 @@ def test_verify_is_deterministic(tmp_path):
     assert a == b
 
 
-def test_verify_above_rank4_does_not_read_the_seed(tmp_path):
-    # the ideal oracle is a certificate, and only the rank <= 4 Lie oracle
-    # samples random subsets
-    _, a = run_cli(["verify", "--rank", "5", "--seed", "0"], tmp_path, "a.json")
-    _, b = run_cli(["verify", "--rank", "5", "--seed", "7"], tmp_path, "b.json")
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_verify_does_not_read_the_seed(tmp_path, n):
+    # both ideal oracles are certificates, so nothing is sampled
+    _, a = run_cli(["verify", "--rank", str(n), "--seed", "0"], tmp_path, "a.json")
+    _, b = run_cli(["verify", "--rank", str(n), "--seed", "7"], tmp_path, "b.json")
     assert a == b
-    (record,) = (c for c in json.loads(a)["checks"] if c["id"] == "increasing-vs-root-addition")
-    assert record["pass"] and record["detail"]["mode"] == "certificate"
-    assert record["detail"]["subsets_checked"] == 32
+    checks = {c["id"]: c for c in json.loads(a)["checks"]}
+    for check_id in ("increasing-vs-root-addition", "lie-vs-combinatorial"):
+        assert checks[check_id]["pass"] and checks[check_id]["detail"]["mode"] == "certificate"
 
 
 def test_broken_order_certificate_fails_verify(monkeypatch, tmp_path):
@@ -51,6 +52,8 @@ def test_broken_order_certificate_fails_verify(monkeypatch, tmp_path):
     code, text = run_cli(["verify", "--rank", str(n)], tmp_path)
     assert code == 1
     failed = {c["id"]: c["detail"] for c in json.loads(text)["checks"] if not c["pass"]}
+    # the Lie certificate reads the same table, and the structure table still
+    # holds the pair in that row
     assert failed == {
         "increasing-vs-root-addition": {
             "mode": "certificate",
@@ -58,6 +61,64 @@ def test_broken_order_certificate_fails_verify(monkeypatch, tmp_path):
             "exclusion_violations": 0,
             "order_mismatches": 1,
             "ideals_rejected": 0,
+        },
+        "lie-vs-combinatorial": {
+            "mode": "certificate",
+            "subsets_covered": 1 << n * n,
+            "roots_mismatched": 1,
+        },
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("fault", ["drop", "retarget"])
+def test_broken_structure_table_fails_the_lie_certificate(monkeypatch, n, fault):
+    real = liealg.structure_table(n)
+    entries = dict(real.entries)
+    pair = min(entries)
+    g, c = entries.pop(pair)
+    if fault == "retarget":
+        entries[pair] = ((g + 1) % (n * n), c)
+    monkeypatch.setattr(liealg, "structure_table", lambda rank: liealg.StructureTable(n, entries))
+    report = VerificationReport(rank=n)
+    cli._lie_agreement_record(n, report)
+    (record,) = report.records
+    assert record.check_id == "lie-vs-combinatorial" and not record.passed
+    assert record.detail == {
+        "mode": "certificate",
+        "subsets_covered": 1 << n * n,
+        "roots_mismatched": 1,
+    }
+
+
+def test_lie_certificate_is_skipped_above_the_cohomology_cap(monkeypatch):
+    def no_table(n):
+        raise AssertionError("structure table built above the cohomology cap")
+
+    monkeypatch.setattr(liealg, "structure_table", no_table)
+    report = VerificationReport(rank=7)
+    cli._lie_agreement_record(7, report)
+    (record,) = report.records
+    assert record.skipped and record.passed and record.detail == {"max_rank": 6}
+
+
+def test_broken_dimension_histogram_fails_verify(monkeypatch, tmp_path):
+    n = 3
+    real = ideals.dimension_histogram
+
+    def broken(rank):
+        coeffs = list(real(rank).coeffs)
+        coeffs[0] += 1
+        return poincare.IntPolynomial.from_coeffs(coeffs)
+
+    monkeypatch.setattr(ideals, "dimension_histogram", broken)
+    code, text = run_cli(["verify", "--rank", str(n)], tmp_path)
+    assert code == 1
+    failed = {c["id"]: c["detail"] for c in json.loads(text)["checks"] if not c["pass"]}
+    assert failed == {
+        "poincare.ideal-dimension-histogram": {
+            "enumerated": [2, 1, 1, 2, 1, 1, 1],
+            "formula": [1, 1, 1, 2, 1, 1, 1],
         }
     }
 
@@ -156,6 +217,20 @@ def test_bijection_report_and_witness(tmp_path):
 
 def test_bijection_witness_rank_mismatch():
     assert main(["bijection", "--rank", "3", "--witness", "[-1,2]"]) == 2
+
+
+def test_witness_cap_refuses_before_parsing(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("witness parsed or traced above the cap")
+
+    monkeypatch.setattr(cli, "parse_signed_perm", no_work)
+    monkeypatch.setattr(correspondence, "trace_element", no_work)
+    n = cli.WITNESS_CAP + 1
+    witness = "[" + ",".join(map(str, range(1, n + 1))) + "]"
+    assert main(["bijection", "--rank", str(n), "--witness", witness]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: rank {n} exceeds the witness cap {cli.WITNESS_CAP}\n"
 
 
 @pytest.mark.parametrize("witness", ["[]", "[1,,2]", "[1.5,2]"])

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from spcohom.errors import ConsistencyError
+from spcohom.errors import ConsistencyError, RankCapError
 from spcohom.poincare import (
     IntPolynomial,
     ideal_generating,
@@ -10,6 +12,7 @@ from spcohom.poincare import (
     weyl_length_histogram,
     weyl_poincare,
 )
+from spcohom.weyl import DEFAULT_GROUP_CAP
 
 
 def test_polynomial_arithmetic():
@@ -92,3 +95,15 @@ def test_verify_identities_detects_bad_betti():
     assert not report.passed
     failed = [r.check_id for r in report.records if not r.passed]
     assert failed == ["betti-match"]
+
+
+def test_sym_inversion_histogram_cap_refuses_before_any_permutation(monkeypatch):
+    def no_permutations(*args):
+        raise AssertionError("a permutation was built above the group cap")
+
+    monkeypatch.setattr(itertools, "permutations", no_permutations)
+    cap = DEFAULT_GROUP_CAP
+    with pytest.raises(RankCapError):
+        sym_inversion_histogram(cap + 1)
+    with pytest.raises(RankCapError):
+        verify_identities(cap + 1, weyl_hist=weyl_poincare(cap + 1))
