@@ -49,7 +49,7 @@ from .errors import RankCapError
 from .ideals import IncreasingSet
 from .liealg import root_vector, structure_table
 from .report import CheckRecord, VerificationReport
-from .roots import check_rank, num_diffs, positive_roots
+from .roots import _mask_key, check_rank, num_diffs, positive_roots
 from .weyl import (
     Perm,
     SignedPerm,
@@ -151,9 +151,7 @@ def _decompositions(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
 @lru_cache(maxsize=None)
 def _norms(n: int) -> tuple[int, ...]:
     """|e_a|^2 = tr(e_a e_a^T) in liealg's realization, per root index."""
-    return tuple(
-        sum(v * v for row in root_vector(n, r).rows for v in row) for r in positive_roots(n)
-    )
+    return tuple(sum(v * v for _, v in root_vector(n, r).entries) for r in positive_roots(n))
 
 
 def _d_monomial(n: int, key: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -435,15 +433,6 @@ class ChainComplex:
             p, w = block
             out.append((p, w, len(self.blocks[block]), self.rank_d(block)))
         return out
-
-
-def _mask_key(mask: int) -> tuple[int, ...]:
-    key = []
-    while mask:
-        low = mask & -mask
-        key.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(key)
 
 
 def monomial_cocycle(w: SignedPerm) -> Cochain:

@@ -169,7 +169,7 @@ class RootSet:
 
     def roots(self) -> tuple[Root, ...]:
         all_roots = positive_roots(self.rank)
-        return tuple(all_roots[b] for b in _bit_indices(self.mask))
+        return tuple(all_roots[b] for b in _mask_key(self.mask))
 
     def __contains__(self, r: Root) -> bool:
         b = root_index(self.rank).get(r)
@@ -205,11 +205,14 @@ class RootSet:
         return [str(r) for r in self.roots()]
 
 
-def _bit_indices(mask: int) -> Iterator[int]:
+def _mask_key(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of mask, ascending."""
+    key = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        key.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(key)
 
 
 def split(n: int) -> tuple[RootSet, RootSet]:

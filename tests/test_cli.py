@@ -70,7 +70,7 @@ def test_broken_order_certificate_fails_verify(monkeypatch, tmp_path):
     }
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("fault", ["drop", "retarget"])
 def test_broken_structure_table_fails_the_lie_certificate(monkeypatch, n, fault):
     real = liealg.structure_table(n)
@@ -91,15 +91,18 @@ def test_broken_structure_table_fails_the_lie_certificate(monkeypatch, n, fault)
     }
 
 
-def test_lie_certificate_is_skipped_above_the_cohomology_cap(monkeypatch):
-    def no_table(n):
-        raise AssertionError("structure table built above the cohomology cap")
-
-    monkeypatch.setattr(liealg, "structure_table", no_table)
-    report = VerificationReport(rank=7)
-    cli._lie_agreement_record(7, report)
+@pytest.mark.parametrize("n", [7, 8])
+def test_lie_certificate_passes_above_the_cohomology_cap(n):
+    report = VerificationReport(rank=n)
+    cli._lie_agreement_record(n, report)
     (record,) = report.records
-    assert record.skipped and record.passed and record.detail == {"max_rank": 6}
+    assert record.check_id == "lie-vs-combinatorial"
+    assert record.passed and not record.skipped
+    assert record.detail == {
+        "mode": "certificate",
+        "subsets_covered": 1 << n * n,
+        "roots_mismatched": 0,
+    }
 
 
 def test_broken_dimension_histogram_fails_verify(monkeypatch, tmp_path):
@@ -191,6 +194,22 @@ def test_weyl_command(tmp_path):
     }
 
 
+def test_weyl_list_csv_writes_the_listing(tmp_path):
+    code, text = run_cli(["weyl", "--rank", "2", "--list", "--format", "csv"], tmp_path, "w.csv")
+    assert code == 0
+    assert text.splitlines() == [
+        "element,length,flipped_values,permutation",
+        '"[1,2]",0,,1 2',
+        '"[2,1]",1,,2 1',
+        '"[-1,2]",3,1,1 2',
+        '"[2,-1]",2,1,2 1',
+        '"[1,-2]",1,2,1 2',
+        '"[-2,1]",2,2,2 1',
+        '"[-1,-2]",4,1 2,1 2',
+        '"[-2,-1]",3,2 1,2 1',
+    ]
+
+
 def test_structure_csv(tmp_path):
     code, text = run_cli(["structure", "--rank", "2", "--format", "csv"], tmp_path, "s.csv")
     assert code == 0
@@ -263,6 +282,24 @@ def test_betti_command(tmp_path):
         assert data["betti"] == [
             dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(n * n + 1)
         ]
+
+
+def test_betti_per_weight_csv_writes_the_listing(tmp_path):
+    code, text = run_cli(["betti", "--rank", "2", "--per-weight"], tmp_path)
+    assert code == 0
+    blocks = json.loads(text)["data"]["blocks"]
+    code, text = run_cli(
+        ["betti", "--rank", "2", "--per-weight", "--format", "csv"], tmp_path, "b.csv"
+    )
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[0] == "degree,weight,dimension,rank_d"
+    assert lines[1:] == [
+        f"{b['degree']},{' '.join(map(str, b['weight']))},{b['dimension']},{b['rank_d']}"
+        for b in blocks
+    ]
+    assert len(blocks) == 16
+    assert "1,1 1,1,1" in lines and "4,4 2,1,0" in lines
 
 
 def test_classes_command(tmp_path):

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from spcohom.errors import ConsistencyError
 from spcohom.liealg import (
     IntMatrix,
+    _proportionality,
     bracket,
     cartan_element,
     is_abelian_ideal_lie,
@@ -19,6 +21,94 @@ from spcohom.roots import RootSet, diff, long, num_diffs, positive_roots, root_i
 def E(d, i, j):
     """Elementary matrix with 1 in row i, column j (1-based)."""
     return IntMatrix.from_entries(d, {(i - 1, j - 1): 1})
+
+
+def dense(m):
+    """The nested-list reference form of an IntMatrix."""
+    rows = [[0] * m.dim for _ in range(m.dim)]
+    for (r, c), v in m.entries:
+        rows[r][c] = v
+    return rows
+
+
+def dense_mul(x, y):
+    d = len(x)
+    return [[sum(x[r][k] * y[k][c] for k in range(d)) for c in range(d)] for r in range(d)]
+
+
+def random_matrix(rng, d):
+    """A sparse-ish random integer matrix: about half its entries are 0."""
+    return IntMatrix.from_entries(
+        d,
+        {(r, c): rng.choice([0, 0, 0, 1, -1, 2, -3]) for r in range(d) for c in range(d)},
+    )
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_int_matrix_matches_a_dense_reference(d):
+    rng = random.Random(2024 + d)
+    for _ in range(200):
+        x, y = random_matrix(rng, d), random_matrix(rng, d)
+        dx, dy = dense(x), dense(y)
+        assert dense(x @ y) == dense_mul(dx, dy)
+        assert dense(x + y) == [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(dx, dy)]
+        assert dense(x - y) == [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(dx, dy)]
+        assert dense(x.transpose()) == [list(col) for col in zip(*dx)]
+        k = rng.randint(-3, 3)
+        assert dense(x.scale(k)) == [[k * a for a in row] for row in dx]
+        assert x.is_zero() == all(a == 0 for row in dx for a in row)
+        assert (x == y) == (dx == dy)
+        assert x - x == IntMatrix.zero(d) and (x - x).is_zero()
+        assert x.scale(0) == IntMatrix.zero(d)
+        assert all(v for _, v in (x @ y).entries)
+
+
+def test_int_matrix_products_that_cancel_to_zero():
+    d = 4
+    # row 0 of x meets column 0 of y in +1*1 and -1*1
+    x = IntMatrix.from_entries(d, {(0, 1): 1, (0, 2): -1})
+    y = IntMatrix.from_entries(d, {(1, 0): 1, (2, 0): 1, (1, 3): 2})
+    assert dense_mul(dense(x), dense(y))[0][0] == 0
+    assert (x @ y).entries == (((0, 3), 2),)
+    assert (x @ y) == IntMatrix.from_entries(d, {(0, 3): 2})
+    # a nilpotent whose square cancels entirely
+    n = IntMatrix.from_entries(d, {(0, 1): 1, (0, 2): 1, (1, 3): 1, (2, 3): -1})
+    assert dense_mul(dense(n), dense(n)) == [[0] * d for _ in range(d)]
+    assert (n @ n).is_zero() and (n @ n) == IntMatrix.zero(d)
+    # explicit zeros are not stored, so equality ignores them
+    assert IntMatrix.from_entries(d, {(1, 1): 0}) == IntMatrix.zero(d)
+
+
+@pytest.mark.parametrize("op", ["matmul", "add", "sub"])
+def test_int_matrix_dimension_mismatch(op):
+    x, y = IntMatrix.zero(4), IntMatrix.from_entries(6, {(5, 5): 1})
+    with pytest.raises(ValueError):
+        {"matmul": lambda: x @ y, "add": lambda: x + y, "sub": lambda: x - y}[op]()
+
+
+@pytest.mark.parametrize("pos", [(4, 0), (0, 4), (-1, 0), (0, -1)])
+def test_from_entries_refuses_an_index_outside_the_dimension(pos):
+    with pytest.raises(ValueError):
+        IntMatrix.from_entries(4, {pos: 1})
+
+
+def test_proportionality_reads_c_or_raises():
+    base = root_vector(2, sum_root(1, 2))  # entries (0, 3) and (1, 2), both 1
+    assert _proportionality(base.scale(-2), base) == -2
+    assert _proportionality(IntMatrix.zero(4), base) == 0
+    bad = [
+        base + E(4, 1, 1),  # an entry outside base's support
+        base + E(4, 2, 3),  # unequal ratios: 2 and 1
+        E(4, 2, 3),  # the first entry of base missing
+        base.scale(2) - E(4, 1, 4),  # ratio 1 at the first entry, 2 after
+    ]
+    for x in bad:
+        with pytest.raises(ConsistencyError):
+            _proportionality(x, base)
+    with pytest.raises(ConsistencyError):
+        _proportionality(base, base.scale(2))  # ratio 1/2 is not an integer
+    with pytest.raises(ConsistencyError):
+        _proportionality(base, IntMatrix.zero(4))
 
 
 def test_root_vector_examples():
