@@ -59,6 +59,7 @@ from .weyl import (
     group_order,
     perm_inversions,
     standard_form,
+    _expand,
     _inversion_mask,
     _iter_signed_inversion_masks,
     _perm_inversion_mask,
@@ -253,16 +254,16 @@ def _closed_forms(n: int) -> tuple[tuple[itemgetter, int], ...]:
 
 def _flips_of(word: tuple[int, ...]) -> list[int]:
     """Entry P is the sum inversions the walk should yield for the element
-    of word whose flipped values sit at the positions in P: the rows
-    {e_v + e_q : q = v or after v in word} of the values v = word[p], p in P."""
+    of word whose flipped values sit at the positions in P: the union of the
+    disjoint rows {e_v + e_q : q = v or after v in word}, v = word[p], p in P."""
     _, s_idx, l_idx = _index_tables(len(word))
-    sums = [0]
+    rows = []
     for p, v in enumerate(word):
         row = 1 << l_idx[v]
         for q in word[p + 1 :]:
             row |= 1 << (s_idx[v][q] if v < q else s_idx[q][v])
-        sums += [x | row for x in sums]
-    return sums
+        rows.append(row)
+    return _expand([0] * len(word), rows)
 
 
 def _closed_form_of(sf: StandardForm) -> tuple[tuple[int, ...], int]:
@@ -355,14 +356,13 @@ def cocycle_support(sigma: Perm, psi: IncreasingSet) -> RootSet:
 
 
 class _TopK:
-    """Keeps the k smallest items seen (lexicographic), deterministically."""
+    """Keeps the _MAX_WITNESSES smallest items seen (lexicographic), deterministically."""
 
-    def __init__(self, k: int):
-        self.k = k
+    def __init__(self):
         self.items: list = []
 
     def offer(self, item) -> None:
-        if len(self.items) < self.k:
+        if len(self.items) < _MAX_WITNESSES:
             insort(self.items, item)
         elif item < self.items[-1]:
             insort(self.items, item)
@@ -417,7 +417,7 @@ _ELEMENT_CHECKS = {
 }
 
 
-def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses: int) -> dict:
+def _scan_chunk(n: int, start: Optional[int], stop: Optional[int]) -> dict:
     """Exhaustively check one slice of the group (by permutation index range).
 
     Returns plain sums, bounded witness lists and the pair keys of the
@@ -443,7 +443,7 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], max_witnesses
     clean = False
     # failures only: the element and round-trip counts come from hist
     counts = dict.fromkeys(_ELEMENT_CHECKS, 0)
-    witnesses = {key: _TopK(max_witnesses) for key in _ELEMENT_CHECKS}
+    witnesses = {key: _TopK() for key in _ELEMENT_CHECKS}
 
     def fail(key: str, word: tuple[int, ...], jmask: int) -> None:
         counts[key] += 1
@@ -560,7 +560,7 @@ def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
     nperms = math.factorial(n)
     workers = min(workers, nperms, _usable_cpus())
     if workers == 1:
-        partials = [_scan_chunk(n, None, None, _MAX_WITNESSES)]
+        partials = [_scan_chunk(n, None, None)]
     else:
         import multiprocessing
 
@@ -568,14 +568,12 @@ def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
         ranges = [(lo, min(lo + step, nperms)) for lo in range(0, nperms, step)]
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(len(ranges)) as pool:
-            partials = pool.starmap(
-                _scan_chunk, [(n, lo, hi, _MAX_WITNESSES) for lo, hi in ranges]
-            )
+            partials = pool.starmap(_scan_chunk, [(n, lo, hi) for lo, hi in ranges])
 
     counts = {k: sum(p["counts"][k] for p in partials) for k in partials[0]["counts"]}
     witnesses = {}
     for key in partials[0]["witnesses"]:
-        top = _TopK(_MAX_WITNESSES)
+        top = _TopK()
         for p in partials:
             top.merge(p["witnesses"][key])
         witnesses[key] = [_witness_str(*item) for item in top.items]

@@ -236,9 +236,7 @@ def _inversion_mask(images: tuple[int, ...], n: int) -> int:
                     mask |= 1 << d_idx[av][au]
             elif u < 0 and v > 0:
                 mask |= 1 << s_idx[min(au, av)][max(au, av)]
-            elif u > 0 and v < 0:
-                pass
-            else:
+            elif u < 0:  # u > 0 > v makes u - v positive
                 if au < av:
                     mask |= 1 << d_idx[au][av]
             # beta = e_i + e_j, image u + v
@@ -315,61 +313,59 @@ def _word_from_inversion_mask(mask: int, n: int) -> Optional[tuple[int, ...]]:
     return out
 
 
-def _iter_signed_inversion_masks(n: int, perm_start: int = 0, perm_stop: int | None = None):
-    """Fast exhaustive walk of the whole group, one permutation at a time,
-    yielding (word, masks):
-
-        word   one-line images of the unsigned part (tuple),
-        masks  a new list of 2^n ints: masks[P] is the inversion-set bitmask
-               of the element of word whose values at the positions in P
-               (bit p for the 0-based position p) are negated.
-
-    Permutations run in lexicographic order (optionally sliced by index, for
-    partitioning across workers).  Row i aggregates the roots with first slot
-    at position i, for the two signs of the value sitting there, and masks is
-    built by subset doubling: masks[P] is the sum of the plus rows, with the
-    minus row in place of the plus row at each position in P.  The sum is
-    exact because for a fixed element the map from a positive root to the
-    inversion it contributes is injective, so the rows never overlap and add
-    like disjoint bit sets; and because the contribution of the two roots
-    supported on positions (i, j) depends only on the sign carried by the
-    value at position i.  _sign_patterns(word)[P] is the element's flipped
-    values.
-    """
+def _iter_rows(n: int, perm_start: int = 0, perm_stop: int | None = None):
+    """Fast exhaustive walk of the whole group, one permutation word at a time
+    in lexicographic order (optionally sliced by index, for partitioning
+    across workers), yielding (word, plus, minus): plus[p] and minus[p] are
+    the inversion bitmasks of the roots with first slot at the 0-based
+    position p, with the value there unflipped and flipped.  So
+    _expand(plus, minus)[P] is the inversion mask of the element of word
+    whose values at the positions in P are negated, because for a fixed
+    element the map from a positive root to the inversion it contributes is
+    injective, so the rows never overlap and add like disjoint bit sets; and
+    because the contribution of the two roots supported on positions (i, j)
+    depends only on the sign carried by the value at position i."""
     check_rank(n)
     d_idx, s_idx, l_idx = _index_tables(n)
     words = itertools.permutations(range(1, n + 1))
     if perm_start or perm_stop is not None:
         words = itertools.islice(words, perm_start, perm_stop)
     for word in words:
-        base = 0
-        deltas = []
+        plus, minus = [], []
         for i, p in enumerate(word):
-            minus = 1 << l_idx[p]
-            plus = 0
+            down = 1 << l_idx[p]
+            up = 0
             for q in word[i + 1 :]:
                 if p > q:
-                    plus |= 1 << d_idx[q][p]
-                    minus |= 1 << s_idx[q][p]
+                    up |= 1 << d_idx[q][p]
+                    down |= 1 << s_idx[q][p]
                 else:
-                    minus |= (1 << s_idx[p][q]) | (1 << d_idx[p][q])
-            base += plus
-            deltas.append(minus - plus)
-        masks = [base]
-        for delta in deltas:
-            masks += [m + delta for m in masks]
-        yield word, masks
+                    down |= (1 << s_idx[p][q]) | (1 << d_idx[p][q])
+            plus.append(up)
+            minus.append(down)
+        yield word, plus, minus
+
+
+def _expand(plus: list[int], minus: list[int]) -> list[int]:
+    """Subset doubling: entry P (bit p for the 0-based position p) is the sum
+    of the plus rows with minus[p] in place of plus[p] for each p in P."""
+    masks = [sum(plus)]
+    for up, down in zip(plus, minus):
+        delta = down - up
+        masks += [m + delta for m in masks]
+    return masks
+
+
+def _iter_signed_inversion_masks(n: int, perm_start: int = 0, perm_stop: int | None = None):
+    """The walk of _iter_rows as (word, _expand(plus, minus))."""
+    for word, plus, minus in _iter_rows(n, perm_start, perm_stop):
+        yield word, _expand(plus, minus)
 
 
 def _sign_patterns(word: tuple[int, ...]) -> list[int]:
     """Entry P is the flipped-value bitmask (bit v-1 set iff the value v is
-    negated) of the element of word whose values at the positions in P are
-    negated: the index map of _iter_signed_inversion_masks."""
-    jmasks = [0]
-    for v in word:
-        bit = 1 << (v - 1)
-        jmasks += [j | bit for j in jmasks]
-    return jmasks
+    negated) of the element at index P of _iter_signed_inversion_masks."""
+    return _expand([0] * len(word), [1 << (v - 1) for v in word])
 
 
 def standard_form(w: SignedPerm) -> StandardForm:

@@ -29,7 +29,15 @@ from spcohom.ideals import enumerate_increasing
 from spcohom.poincare import weyl_poincare
 from spcohom.report import VerificationReport
 from spcohom.roots import LONG, positive_roots, root_index, diff, long, sum_root
-from spcohom.weyl import Perm, SignedPerm, enumerate_group, group_order, inversion_set
+from spcohom.weyl import (
+    Perm,
+    SignedPerm,
+    enumerate_group,
+    group_order,
+    inversion_set,
+    _expand,
+    _iter_rows,
+)
 
 
 def idx(n, root):
@@ -371,44 +379,95 @@ def test_classes_independent_can_fail(monkeypatch):
 
 
 def test_a_c4_that_flags_every_monomial_fails_closed_and_independent(monkeypatch):
-    # c = 1 everywhere also breaks the Laplacian identity on the empty monomial
+    # c = 1 everywhere also breaks the Laplacian identity on the empty monomial;
+    # each permutation fails its 1 + n + n(n-1)/2 sets of at most two flips
     n = 3
     monkeypatch.setattr(ce, "_c4", lambda n, weight: 1)
     failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
     assert set(failed) == {"laplacian-scalar", "cocycles-closed", "classes-independent"}
-    order = group_order(n)
+    small = math.factorial(n) * (1 + n + n * (n - 1) // 2)
     assert failed["cocycles-closed"] == {
-        "elements": order,
-        "not_harmonic": order,
+        "elements": group_order(n),
+        "not_harmonic": small,
         "laplacian_scalar": False,
     }
     assert failed["classes-independent"] == {
-        "not_harmonic": order,
+        "not_harmonic": small,
         "pair_injective": True,
         "witnesses": ["[1,2,3]", "[-1,2,3]", "[1,-2,3]", "[-1,-2,3]", "[1,2,-3]"],
     }
 
 
-def test_a_c4_that_flags_one_inversion_monomial_fails_closed_and_independent(monkeypatch):
-    # 2 rho, the weight of the longest element's monomial, is the weight of
-    # no monomial of degree <= 2, so laplacian-scalar still passes
-    n = 3
-    top = _subset_weight(n, tuple(range(n * n)))
-    real = ce._c4
-    monkeypatch.setattr(ce, "_c4", lambda n, weight: real(n, weight) or int(weight == top))
+def _small_sets(n):
+    return [pset for pset in range(1 << n) if pset.bit_count() <= 2]
+
+
+def _element(word, pset):
+    return SignedPerm(tuple(-v if pset >> p & 1 else v for p, v in enumerate(word)))
+
+
+def _not_harmonic(n, mask):
+    """A mask of no root set, or one whose monomial has c != 0."""
+    return bool(mask >> (n * n)) or _c(n, _subset_weight(n, _mask_key(mask))) != 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_small_set_check_matches_a_full_evaluation_under_row_corruptions(monkeypatch, n):
+    # every single-bit corruption of one row of one permutation: the check on
+    # the sets of at most two flips flags the permutation exactly when some
+    # element of its expanded masks is not harmonic, whether the corruption
+    # leaves the rows disjoint or makes two of them overlap
+    verdicts = set()
+    for word, plus, minus in _iter_rows(n):
+        for p, side, bit in itertools.product(range(n), (0, 1), range(n * n)):
+            rows = [list(plus), list(minus)]
+            rows[side][p] ^= 1 << bit
+            monkeypatch.setattr(ce, "_iter_rows", lambda n: iter([(word, *rows)]))
+            small = any(ce._unharmonic_small_sets(n))
+            full = any(_not_harmonic(n, mask) for mask in _expand(*rows))
+            assert small == full, (word, p, side, bit)
+            verdicts.add(small)
+    assert verdicts == {False, True}
+
+
+def _corrupt_last_word(monkeypatch, fault):
+    """Patch the walk ce reads so that the rows of its last word, (n, ..., 1),
+    carry the fault; returns the failing sets of flips of that word."""
+    real = ce._iter_rows
+
+    def corrupted(n):
+        for word, plus, minus in real(n):
+            if word == tuple(range(n, 0, -1)):
+                plus, minus = list(plus), list(minus)
+                if fault == "one row":
+                    plus[0] &= plus[0] - 1  # drop the lowest root e_q - e_n
+                else:
+                    plus[1] |= minus[0] & -minus[0]  # a root of row 0 in row 1
+                failing.extend(
+                    pset
+                    for pset in _small_sets(n)
+                    if fault != "one row" or _not_harmonic(n, _expand(plus, minus)[pset])
+                )
+            yield word, plus, minus
+
+    failing = []
+    monkeypatch.setattr(ce, "_iter_rows", corrupted)
+    return failing
+
+
+@pytest.mark.parametrize("fault", ["one row", "overlapping rows"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_a_corrupted_row_fails_closed_and_independent(monkeypatch, n, fault):
+    failing = _corrupt_last_word(monkeypatch, fault)
     failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
-    assert failed == {
-        "cocycles-closed": {
-            "elements": group_order(n),
-            "not_harmonic": 1,
-            "laplacian_scalar": True,
-        },
-        "classes-independent": {
-            "not_harmonic": 1,
-            "pair_injective": True,
-            "witnesses": ["[-1,-2,-3]"],
-        },
-    }
+    assert set(failed) == {"cocycles-closed", "classes-independent"}
+    assert failing and failed["cocycles-closed"]["not_harmonic"] == len(failing)
+    if fault != "one row":
+        assert len(failing) == 1 + n + n * (n - 1) // 2
+    word = tuple(range(n, 0, -1))
+    assert failed["classes-independent"]["witnesses"] == [
+        str(_element(word, pset)) for pset in failing[:5]
+    ]
 
 
 def test_cocycles_closed_needs_the_laplacian_certificate(monkeypatch):

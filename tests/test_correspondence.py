@@ -272,8 +272,8 @@ def test_distinct_pairs_exact_when_the_pair_map_is_not_injective(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_scan_memo_holds_at_most_one_entry_per_permutation(n):
     # every permutation is the symmetric component of some element
-    assert correspondence._scan_chunk(n, None, None, 5)["memo_size"] == math.factorial(n)
-    half = correspondence._scan_chunk(n, 0, max(1, math.factorial(n) // 2), 5)
+    assert correspondence._scan_chunk(n, None, None)["memo_size"] == math.factorial(n)
+    half = correspondence._scan_chunk(n, 0, max(1, math.factorial(n) // 2))
     assert half["memo_size"] <= math.factorial(n)
 
 
@@ -462,7 +462,7 @@ _FAILS = (
 )
 def test_scan_chunk_matches_pinned_values(n, start, stop, elements, memo_size, hist):
     # every slice here meets all 2^n sets of flipped positions
-    assert correspondence._scan_chunk(n, start, stop, 3) == {
+    assert correspondence._scan_chunk(n, start, stop) == {
         "counts": {"elements": elements, "round_trip": elements, **dict.fromkeys(_FAILS, 0)},
         "witnesses": dict.fromkeys(_FAILS, []),
         "hist": hist,
@@ -476,7 +476,7 @@ def test_scan_chunk_matches_pinned_values(n, start, stop, elements, memo_size, h
 def test_passing_scan_checks_one_permutation_per_chunk_element_by_element(start, stop):
     # the first permutation of a chunk is checked element by element and
     # makes the chunk clean; every later one passes as one batch
-    result = correspondence._scan_chunk(5, start, stop, 3)
+    result = correspondence._scan_chunk(5, start, stop)
     assert result["per_element_perms"] == 1
     assert result["counts"]["elements"] == ((stop or 120) - (start or 0)) * 2**5
 
@@ -606,11 +606,12 @@ def test_wrong_walked_sum_bits_match_a_per_element_evaluation(monkeypatch, tmp_p
             expected[key].append((word, jmask))
     assert sum(map(len, expected.values())) > 0
 
-    result = correspondence._scan_chunk(n, None, None, 5)
+    result = correspondence._scan_chunk(n, None, None)
     assert {key: result["counts"][key] for key in _FAILS} == {
         key: len(items) for key, items in expected.items()
     }
-    assert result["witnesses"] == {key: sorted(items)[:5] for key, items in expected.items()}
+    cap = correspondence._MAX_WITNESSES
+    assert result["witnesses"] == {key: sorted(items)[:cap] for key, items in expected.items()}
 
     assert main(["bijection", "--rank", "3", "--out", str(tmp_path / "b.json")]) == 1
     assert "Traceback" not in capsys.readouterr().err
@@ -664,10 +665,11 @@ def _assert_scan_matches_reference(n, relabel=_bitwise_relabel):
         if "construct_fail" in failed:
             eta, pi = correspondence._sym_entry(mask & ((1 << (n * (n - 1) // 2)) - 1), n)
             keys.add((eta, relabel(mask, pi, n)))
-    result = correspondence._scan_chunk(n, None, None, 5)
+    result = correspondence._scan_chunk(n, None, None)
     counts = {key: len(items) for key, items in expected.items()}
     assert {key: result["counts"][key] for key in _FAILS} == counts
-    assert result["witnesses"] == {key: sorted(items)[:5] for key, items in expected.items()}
+    cap = correspondence._MAX_WITNESSES
+    assert result["witnesses"] == {key: sorted(items)[:cap] for key, items in expected.items()}
     assert result["failed_keys"] == keys
     return counts, result
 

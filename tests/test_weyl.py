@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from spcohom.errors import RankCapError
-from spcohom.roots import RootSet, SignedRoot, diff, long, positive_roots, sum_root
+from spcohom.correspondence import _flips_of
+from spcohom.roots import RootSet, SignedRoot, diff, long, positive_roots, root_index, sum_root
 from spcohom.weyl import (
     Perm,
     SignedPerm,
@@ -17,7 +18,9 @@ from spcohom.weyl import (
     perm_inversions,
     recompose,
     standard_form,
+    _expand,
     _inversion_mask,
+    _iter_rows,
     _iter_signed_inversion_masks,
     _sign_patterns,
 )
@@ -228,6 +231,44 @@ def test_walk_masks_match_direct_action(n):
         sliced += _iter_signed_inversion_masks(n, perm_start=lo, perm_stop=hi)
     assert sliced == list(_iter_signed_inversion_masks(n))
     assert list(_iter_signed_inversion_masks(n, perm_start=cuts[-2])) == sliced[cuts[-2] :]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_expanded_rows_match_the_inversion_set(n):
+    # _expand(plus, minus)[P] is the definitional inversion set of the
+    # element whose values at the positions in P are negated
+    for word, plus, minus in _iter_rows(n):
+        for pset, mask in enumerate(_expand(plus, minus)):
+            img = tuple(-v if pset >> p & 1 else v for p, v in enumerate(word))
+            assert inversion_set(SignedPerm(img)).mask == mask
+
+
+def _doubling(rows):
+    out = [0]
+    for row in rows:
+        out += [x | row for x in out]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sign_patterns_and_flips_are_the_doubling_of_their_rows(n):
+    index = root_index(n)
+    for word in itertools.permutations(range(1, n + 1)):
+        assert _sign_patterns(word) == _doubling([1 << (v - 1) for v in word])
+        # the row of position p: e_v + e_q for v = word[p] and q = v or after v
+        rows = [
+            sum(1 << index[long(v) if q == v else sum_root(v, q)] for q in word[p:])
+            for p, v in enumerate(word)
+        ]
+        assert _flips_of(word) == _doubling(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_position_rows_are_pairwise_disjoint(n):
+    for _word, plus, minus in _iter_rows(n):
+        rows = [up | down for up, down in zip(plus, minus)]
+        for a, b in itertools.combinations(rows, 2):
+            assert a & b == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
