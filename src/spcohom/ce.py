@@ -56,6 +56,7 @@ from .weyl import (
     group_order,
     _inversion_mask,
     _iter_rows,
+    _length_key,
     _perm_inversion_mask,
     _sign_patterns,
 )
@@ -479,8 +480,7 @@ def _unharmonic_small_sets(n: int):
     0 on all 2^n sets once it is 0 on those of size <= 2 (Moebius inversion)."""
     small = [pset for pset in range(1 << n) if pset.bit_count() <= 2]
     for word, plus, minus in _iter_rows(n):
-        rows = [up | down for up, down in zip(plus, minus)]
-        disjoint = sum(rows).bit_count() == sum(map(int.bit_count, rows))  # no carry
+        disjoint = _length_key(plus, minus) is not None
         weights = [[_subset_weight(n, _mask_key(row)) for row in pair] for pair in zip(plus, minus)]
         for pset in small:
             chosen = [w[pset >> p & 1] for p, w in enumerate(weights)]

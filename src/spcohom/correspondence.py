@@ -16,23 +16,11 @@ word without the j's followed by the j's reversed, and row t of the ideal
 runs up to b_t = n + t - sigma_0^-1(j_t).  verify_bijection gates both on
 every element.
 
-The scan reports every check for every element.  Relabel tables are bit
-permutations of the mask's binary digits (_relabel).  The walk yields the 2^n
-elements of one permutation word at once, indexed by the set P of their
-flipped positions.  A permutation passes as one batch of C-level list
-compares when every closed-form and recipe gather is an itemgetter (a pure
-position map), its walked sum inversions are the rows {e_i + e_j : j >= i}
-of the values at the positions in P (_flips_of), the words-only memo gives
-the closed form g_P(word) for each decoded symmetric component, and an
-earlier permutation of the chunk passed the same compares and recorded no
-failure.  The memo holds the decoded word only where pi is its position map
-and no support-identity relabel moves a bit (_scan_entry), else ().  Each
-element with flipped positions P then renames that permutation's element
-with the same P, which changes no mask or position map in ideal coordinates,
-so every check passes.  Every other permutation is checked element by
-element through the relabels compiled from its _scan_entry, so its failures
-and witnesses are those of a per-element evaluation through the same tables
-and _relabel.
+The scan reports every check for every element: element by element, or for
+a permutation whose walked rows equal their weyl._row_tables entries, as a
+batch that renames the checked elements of an earlier permutation (see the
+README, "What the bijection check certifies").  Its failures and witnesses
+are those of a per-element evaluation through the same tables and _relabel.
 """
 
 from __future__ import annotations
@@ -43,14 +31,14 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import and_, call, itemgetter, xor
+from itertools import accumulate, permutations, repeat
+from operator import and_, getitem, itemgetter
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError
 from .ideals import IncreasingSet, _mask_from_profile, _profile_from_mask, _profiles
 from .report import VerificationReport
-from .roots import RootSet, _index_tables, check_rank, num_diffs, positive_roots
+from .roots import RootSet, check_rank, num_diffs, positive_roots
 from .weyl import (
     Perm,
     SignedPerm,
@@ -61,8 +49,11 @@ from .weyl import (
     standard_form,
     _expand,
     _inversion_mask,
-    _iter_signed_inversion_masks,
+    _iter_rows,
+    _length_counts,
+    _length_key,
     _perm_inversion_mask,
+    _row_tables,
     _sign_patterns,
     _word_from_inversion_mask,
 )
@@ -252,20 +243,6 @@ def _closed_forms(n: int) -> tuple[tuple[itemgetter, int], ...]:
     return tuple(_closed_form_entry(pset, n) for pset in range(1 << n))
 
 
-def _flips_of(word: tuple[int, ...]) -> list[int]:
-    """Entry P is the sum inversions the walk should yield for the element
-    of word whose flipped values sit at the positions in P: the union of the
-    disjoint rows {e_v + e_q : q = v or after v in word}, v = word[p], p in P."""
-    _, s_idx, l_idx = _index_tables(len(word))
-    rows = []
-    for p, v in enumerate(word):
-        row = 1 << l_idx[v]
-        for q in word[p + 1 :]:
-            row |= 1 << (s_idx[v][q] if v < q else s_idx[q][v])
-        rows.append(row)
-    return _expand([0] * len(word), rows)
-
-
 def _closed_form_of(sf: StandardForm) -> tuple[tuple[int, ...], int]:
     """(sym word, ideal mask) read off the standard form; builds only this
     element's entry, so tracing one element costs O(n^2) at any rank."""
@@ -417,27 +394,45 @@ _ELEMENT_CHECKS = {
 }
 
 
+def _batchable(n: int) -> bool:
+    """Whether a chunk may pass permutations as batches.  Renaming values
+    commutes only with gathers that are pure position maps, so every recipe
+    gather must be an itemgetter, and every closed-form gather the one that
+    lists the positions outside its P in order, then those in P reversed;
+    and for every eta in S_n, _scan_entry(inv(eta)) must decode to eta, with
+    pi renaming and no relabel moving a bit.  Keeps nothing."""
+    recipes = _recipes(n).values()
+    if not all(type(recipe[0]) is itemgetter for recipe in recipes if recipe is not None):
+        return False
+    positions = tuple(range(n))
+    for pset, (gather, _ideal) in enumerate(_closed_forms(n)):
+        flipped = [p for p in positions if pset >> p & 1]
+        rule = [p for p in positions if p not in flipped] + flipped[::-1]
+        if type(gather) is not itemgetter or gather(positions) != tuple(rule):
+            return False
+    for eta in permutations(range(1, n + 1)):
+        entry = _scan_entry(_perm_inversion_mask(eta, n), n)
+        if entry is None or entry[0] != eta or entry[4] or not entry[5]:
+            return False
+    return True
+
+
 def _scan_chunk(n: int, start: Optional[int], stop: Optional[int]) -> dict:
     """Exhaustively check one slice of the group (by permutation index range).
 
     Returns plain sums, bounded witness lists and the pair keys of the
     elements whose round trip through the direct inverse failed, all of which
-    merge associatively across chunks, plus the size of the chunk's memo and
-    the number of permutations whose elements were checked one by one.
+    merge associatively across chunks, plus the number of permutations whose
+    elements were checked one by one.
     """
     phi0_all = (1 << num_diffs(n)) - 1
     recipes = _recipes(n)
     canonical = _closed_forms(n)
-    gathers = [gather for gather, _ideal in canonical]
-    # renaming values commutes with a gather only where it is a pure position
-    # map, so any other gather leaves every permutation to the element loop
-    batchable = all(type(g) is itemgetter for g in gathers) and all(
-        type(recipe[0]) is itemgetter for recipe in recipes.values() if recipe is not None
-    )
-    # per symmetric component's inversion mask phi0 (n! keys at most): its eta
-    # word where pi renames and moves no bit, else (); and for the permutations
-    # checked element by element, its _scan_entry with the relabels compiled
-    etas: dict[int, tuple[int, ...]] = {}
+    lo, hi = _row_tables(n)
+    bits = [0] + [1 << v for v in range(n)]  # the value mask of each value
+    batchable = _batchable(n)
+    # per symmetric component's inversion mask phi0, for the permutations
+    # checked element by element: its _scan_entry with the relabels compiled
     entries: dict[int, Optional[tuple]] = {}
     # an earlier permutation passed the batch compares and recorded no failure
     clean = False
@@ -450,32 +445,31 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int]) -> dict:
         witnesses[key].offer((word, jmask))
 
     hist: Counter[int] = Counter()
+    keys: Counter = Counter()  # the _length_key of each batch
     failed_keys: set[tuple[tuple[int, ...], int]] = set()
     per_element = 0
 
-    for word, masks in _iter_signed_inversion_masks(n, perm_start=start or 0, perm_stop=stop):
-        hist.update(map(int.bit_count, masks))
-        phi0s = list(map(and_, masks, repeat(phi0_all)))
-        try:
-            decoded = list(map(etas.__getitem__, phi0s))
-        except KeyError:
-            for phi0 in set(phi0s).difference(etas):
-                entry = _scan_entry(phi0, n)
-                etas[phi0] = entry[0] if entry and entry[5] and not entry[4] else ()
-            decoded = list(map(etas.__getitem__, phi0s))
-        # each element with flipped positions P renames the element of a
-        # clean permutation with the same P, with pi renamed alongside, and
-        # needs no support-identity relabel; () is no gathered word
+    for word, plus, minus in _iter_rows(n, start or 0, stop):
+        # values at positions p < q are inverted in g_P(word) iff word[p] >
+        # word[q] XOR p in P, so with these rows inv(g_P(word)) is the
+        # difference part of the mask of every P; later[p] is the value mask
+        # of the letters after position p
+        later = list(accumulate(map(bits.__getitem__, word[:0:-1]), initial=0))[::-1]
         batch = (
             batchable
-            and list(map(xor, masks, phi0s)) == _flips_of(word)
-            and decoded == list(map(call, gathers, repeat(word)))
+            and plus == list(map(getitem, map(lo.__getitem__, word), later))
+            and minus == list(map(getitem, map(hi.__getitem__, word), later))
+            and (key := _length_key(plus, minus)) is not None
         )
         if batch and clean:
+            keys[key] += 1
             continue
 
         per_element += 1
         recorded = sum(counts.values())
+        masks = _expand(plus, minus)
+        hist.update(map(int.bit_count, masks))
+        phi0s = list(map(and_, masks, repeat(phi0_all)))
         for phi0 in set(phi0s).difference(entries):
             entry = _scan_entry(phi0, n)
             entries[phi0] = entry and (*entry[:2], *map(_relabel_gather, entry[2:4]))
@@ -506,6 +500,7 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int]) -> dict:
                 fail("closed_sym_fail", word, jmask)
         clean = clean or (batch and sum(counts.values()) == recorded)
 
+    hist.update(_length_counts(keys))
     elements = hist.total()
     unbuilt = counts["sym_fail"] + counts["incr_fail"] + counts["construct_fail"]
     counts.update(elements=elements, round_trip=elements - unbuilt)
@@ -514,7 +509,6 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int]) -> dict:
         "witnesses": {k: w.items for k, w in witnesses.items()},
         "hist": [hist[d] for d in range(n * n + 1)],
         "failed_keys": failed_keys,
-        "memo_size": len(etas),
         "per_element_perms": per_element,
     }
 

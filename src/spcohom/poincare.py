@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, RankCapError
 from .report import VerificationReport
 from .roots import check_rank
-from .weyl import check_group_cap, _iter_signed_inversion_masks, _perm_inversion_mask
+from .weyl import check_group_cap, _iter_rows, _length_counts, _length_key, _perm_inversion_mask
 
 # Highest rank of the poincare command.  Its polynomials have degree n^2 and
 # coefficients up to 2^n n!: rank 64 takes 1.5 s, 23 MB and a 1.9 MB report,
@@ -141,11 +141,13 @@ def ideal_generating(n: int) -> IntPolynomial:
 
 
 def weyl_length_histogram(n: int) -> IntPolynomial:
-    """Enumerated length histogram of the whole signed-permutation group."""
+    """Enumerated length histogram of the whole signed-permutation group,
+    counted per permutation from the walk's rows as the scan's batch does."""
     check_group_cap(n)
-    counts: Counter[int] = Counter()
-    for _word, masks in _iter_signed_inversion_masks(n):
-        counts.update(map(int.bit_count, masks))
+    keys = Counter(_length_key(plus, minus) for _word, plus, minus in _iter_rows(n))
+    if None in keys:
+        raise ConsistencyError("two rows of one walked permutation overlap; this indicates a bug")
+    counts = _length_counts(keys)
     return IntPolynomial.from_coeffs([counts[d] for d in range(n * n + 1)])
 
 

@@ -10,7 +10,10 @@ the sign of the value v, sigma_0 acts first).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import or_, sub
 from typing import Iterator, Optional
 
 from .errors import RankCapError
@@ -346,6 +349,24 @@ def _iter_rows(n: int, perm_start: int = 0, perm_stop: int | None = None):
         yield word, plus, minus
 
 
+@lru_cache(maxsize=None)
+def _row_tables(n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(lo, hi): lo[v][later] and hi[v][later] are the rows _iter_rows yields
+    for the value v unflipped and flipped, later the value mask of the
+    letters after it, built from the root index and not from the walk."""
+    d_idx, s_idx, l_idx = _index_tables(n)
+    lo, hi = [[]], [[]]
+    for v in range(1, n + 1):
+        unflipped, flipped = [0] * n, [0] * n  # the bits each later letter q adds
+        for q in range(1, v):
+            unflipped[q - 1], flipped[q - 1] = 1 << d_idx[q][v], 1 << s_idx[q][v]
+        for q in range(v + 1, n + 1):
+            flipped[q - 1] = (1 << d_idx[v][q]) + (1 << s_idx[v][q])
+        lo.append(_expand([0] * n, unflipped))
+        hi.append([row + (1 << l_idx[v]) for row in _expand([0] * n, flipped)])
+    return lo, hi
+
+
 def _expand(plus: list[int], minus: list[int]) -> list[int]:
     """Subset doubling: entry P (bit p for the 0-based position p) is the sum
     of the plus rows with minus[p] in place of plus[p] for each p in P."""
@@ -356,16 +377,31 @@ def _expand(plus: list[int], minus: list[int]) -> list[int]:
     return masks
 
 
-def _iter_signed_inversion_masks(n: int, perm_start: int = 0, perm_stop: int | None = None):
-    """The walk of _iter_rows as (word, _expand(plus, minus))."""
-    for word, plus, minus in _iter_rows(n, perm_start, perm_stop):
-        yield word, _expand(plus, minus)
-
-
 def _sign_patterns(word: tuple[int, ...]) -> list[int]:
     """Entry P is the flipped-value bitmask (bit v-1 set iff the value v is
-    negated) of the element at index P of _iter_signed_inversion_masks."""
+    negated) of the element at index P of _expand over word's rows."""
     return _expand([0] * len(word), [1 << (v - 1) for v in word])
+
+
+def _length_key(plus: list[int], minus: list[int]) -> Optional[tuple]:
+    """(L, steps): t^L * prod(1 + t^a for a in steps) counts the masks of
+    _expand(plus, minus) by length; None when two rows overlap."""
+    rows = list(map(or_, plus, minus))
+    if sum(rows).bit_count() != sum(map(int.bit_count, rows)):  # a carry
+        return None
+    ups = list(map(int.bit_count, plus))
+    return sum(ups), tuple(sorted(map(sub, map(int.bit_count, minus), ups)))
+
+
+def _length_counts(keys: Counter) -> Counter:
+    """Length -> elements, over the permutations counted by _length_key."""
+    counts: Counter[int] = Counter()
+    for (low, steps), count in keys.items():
+        poly = Counter({low: count})
+        for a in steps:
+            poly.update({d + a: c for d, c in poly.items()})
+        counts.update(poly)
+    return counts
 
 
 def standard_form(w: SignedPerm) -> StandardForm:

@@ -353,23 +353,20 @@ def test_classes_independent_can_fail(monkeypatch):
     assert record.passed
     assert record.detail == {"not_harmonic": 0, "pair_injective": True, "witnesses": []}
 
-    # a walk that repeats one element repeats its monomial: the last element
-    # of the scan's last permutation takes the mask of the first element, so
-    # the recipe cannot rebuild both from their pair keys
-    walk = list(correspondence._iter_signed_inversion_masks(n))
-    word, masks = walk[-1]
-    walk[-1] = word, masks[:-1] + walk[0][1][:1]
-    monkeypatch.setattr(
-        correspondence, "_iter_signed_inversion_masks", lambda n, **slice_: iter(walk)
-    )
+    # a walk that repeats elements repeats their monomials: the scan's last
+    # permutation takes the rows, and so the masks, of the first, so the
+    # recipe cannot rebuild both from their pair keys
+    walk = list(correspondence._iter_rows(n))
+    walk[-1] = walk[-1][0], *walk[0][1:]
+    monkeypatch.setattr(correspondence, "_iter_rows", lambda n, *slice_: iter(walk))
     failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
     assert failed["classes-independent"] == {
         "not_harmonic": 0,
         "pair_injective": False,
         "witnesses": [],
     }
-    # the repeat also drops a length-9 element from the scan's histogram and
-    # breaks the bijection the pair records rest on
+    # the repeat also moves the lengths of the last permutation's elements in
+    # the scan's histogram and breaks the bijection the pair records rest on
     assert set(failed) == {
         "classes-independent",
         "class-count-per-degree",

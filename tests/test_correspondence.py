@@ -34,6 +34,9 @@ from spcohom.weyl import (
     inversion_set,
     perm_from_inversions,
     standard_form,
+    _expand,
+    _perm_inversion_mask,
+    _row_tables,
     _sign_patterns,
 )
 
@@ -270,11 +273,26 @@ def test_distinct_pairs_exact_when_the_pair_map_is_not_injective(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_scan_memo_holds_at_most_one_entry_per_permutation(n):
-    # every permutation is the symmetric component of some element
-    assert correspondence._scan_chunk(n, None, None)["memo_size"] == math.factorial(n)
-    half = correspondence._scan_chunk(n, 0, max(1, math.factorial(n) // 2))
-    assert half["memo_size"] <= math.factorial(n)
+@pytest.mark.parametrize("fault", [None, "closed-form-ideal"])
+def test_scan_entries_are_one_pass_over_s_n_plus_the_element_loop(monkeypatch, n, fault):
+    # one _scan_entry per eta in S_n, in order, then at most one per set of
+    # flipped positions of each permutation that runs the element loop: one
+    # permutation when the scan passes, every one when a wrong closed-form
+    # ideal fails them all
+    if fault:
+        table = list(correspondence._closed_forms(n))
+        table[1] = table[1][0], table[1][1] ^ 1  # a difference root, never in an ideal
+        monkeypatch.setattr(correspondence, "_closed_forms", lambda rank: tuple(table))
+    calls = []
+    real = correspondence._scan_entry
+    monkeypatch.setattr(
+        correspondence, "_scan_entry", lambda phi0, rank: calls.append(phi0) or real(phi0, rank)
+    )
+    result = correspondence._scan_chunk(n, None, None)
+    words = list(itertools.permutations(range(1, n + 1)))
+    assert calls[: len(words)] == [_perm_inversion_mask(eta, n) for eta in words]
+    assert result["per_element_perms"] == (len(words) if fault else 1)
+    assert len(calls) <= len(words) + 2**n * result["per_element_perms"]
 
 
 def test_from_pair_builds_at_most_one_relabel_table(monkeypatch):
@@ -442,32 +460,30 @@ _FAILS = (
 
 
 @pytest.mark.parametrize(
-    "n, start, stop, elements, memo_size, hist",
+    "n, start, stop, elements, hist",
     [
-        (1, None, None, 2, 1, [1, 1]),
-        (2, None, None, 8, 2, [1, 2, 2, 2, 1]),
-        (3, None, None, 48, 6, [1, 3, 5, 7, 8, 8, 7, 5, 3, 1]),
-        (4, None, None, 384, 24, [1, 4, 9, 16, 24, 32, 39, 44, 46, 44, 39, 32, 24, 16, 9, 4, 1]),
-        (4, 5, 17, 192, 24, [0, 1, 4, 9, 15, 18, 18, 20, 22, 20, 18, 18, 15, 9, 4, 1, 0]),
+        (1, None, None, 2, [1, 1]),
+        (2, None, None, 8, [1, 2, 2, 2, 1]),
+        (3, None, None, 48, [1, 3, 5, 7, 8, 8, 7, 5, 3, 1]),
+        (4, None, None, 384, [1, 4, 9, 16, 24, 32, 39, 44, 46, 44, 39, 32, 24, 16, 9, 4, 1]),
+        (4, 5, 17, 192, [0, 1, 4, 9, 15, 18, 18, 20, 22, 20, 18, 18, 15, 9, 4, 1, 0]),
         (
             5,
             None,
             None,
             3840,
-            120,
             [1, 5, 14, 30, 54, 86, 125, 169, 215, 259, 297, 325, 340]
             + [340, 325, 297, 259, 215, 169, 125, 86, 54, 30, 14, 5, 1],
         ),
     ],
 )
-def test_scan_chunk_matches_pinned_values(n, start, stop, elements, memo_size, hist):
+def test_scan_chunk_matches_pinned_values(n, start, stop, elements, hist):
     # every slice here meets all 2^n sets of flipped positions
     assert correspondence._scan_chunk(n, start, stop) == {
         "counts": {"elements": elements, "round_trip": elements, **dict.fromkeys(_FAILS, 0)},
         "witnesses": dict.fromkeys(_FAILS, []),
         "hist": hist,
         "failed_keys": set(),
-        "memo_size": memo_size,
         "per_element_perms": 1,
     }
 
@@ -574,32 +590,38 @@ def _evaluate(word, jmask, mask, n):
 def _walked_elements(n):
     """(word, jmask, mask) for every element the scan's walk yields, jmask
     the flipped values of the element's positions."""
-    for word, masks in correspondence._iter_signed_inversion_masks(n):
-        for pset, mask in enumerate(masks):
+    for word, plus, minus in correspondence._iter_rows(n):
+        for pset, mask in enumerate(_expand(plus, minus)):
             jmask = sum(1 << (v - 1) for p, v in enumerate(word) if pset >> p & 1)
             yield word, jmask, mask
 
 
 @pytest.mark.parametrize(
-    "bit", [4, 3, 2], ids=["upward-closed", "not-upward-closed", "no-inversion-set"]
+    "pos, bit",
+    [(1, 4), (1, 8), (0, 2)],
+    ids=["upward-closed", "not-upward-closed", "no-inversion-set"],
 )
-def test_wrong_walked_sum_bits_match_a_per_element_evaluation(monkeypatch, tmp_path, capsys, bit):
-    # the walk yields a wrong sum inversion (e1+e3 or e1+e2) for the element
-    # [2,-3,1] at rank 3, so the scan must relabel that element's own mask;
-    # its pi is no involution, so relabelling through rho = pi^-1 differs.
-    # Or a wrong difference inversion (e2-e3): with e1-e2 and without e1-e3
-    # it is no inversion set.  The element's word is scanned after the chunk
-    # is clean
+def test_wrong_walked_sum_bits_match_a_per_element_evaluation(
+    monkeypatch, tmp_path, capsys, pos, bit
+):
+    # the walk drops one inversion from the flipped row of one position of
+    # the word (2, 3, 1) at rank 3, so every element that flips that position
+    # has a wrong mask and the scan must relabel that element's own mask.
+    # Without e1+e3 (the row of 3) the relabelled sums of [2,-3,1] are upward
+    # closed but the wrong ideal; its pi is no involution, so relabelling
+    # through rho = pi^-1 differs.  Without 2e3 they are not upward closed.
+    # Without e2-e3 (the row of 2) the difference part of [-2,3,1] is
+    # {e1-e3}, no inversion set.  The word is scanned after the chunk is clean
     n = 3
-    real = correspondence._iter_signed_inversion_masks
+    real = correspondence._iter_rows
 
     def corrupted(rank, perm_start=0, perm_stop=None):
-        for word, masks in real(rank, perm_start=perm_start, perm_stop=perm_stop):
+        for word, plus, minus in real(rank, perm_start, perm_stop):
             if word == (2, 3, 1):
-                masks[2] ^= 1 << bit  # the value 3 sits at position 1
-            yield word, masks
+                minus[pos] ^= 1 << bit
+            yield word, plus, minus
 
-    monkeypatch.setattr(correspondence, "_iter_signed_inversion_masks", corrupted)
+    monkeypatch.setattr(correspondence, "_iter_rows", corrupted)
     expected = {key: [] for key in _FAILS}
     for word, jmask, mask in _walked_elements(n):
         for key in _evaluate(word, jmask, mask, n):
@@ -713,12 +735,29 @@ def test_wrong_closed_form_gather_matches_a_per_element_evaluation(monkeypatch, 
         table[pset] = table[1]
     table = tuple(table)
     monkeypatch.setattr(correspondence, "_closed_forms", lambda rank: table)
-    counts, _result = _assert_scan_matches_reference(n)
+    counts, result = _assert_scan_matches_reference(n)
     wrong = {"everywhere": math.factorial(n), "on-the-identity": 1, "shared": math.factorial(n)}
     expected = {**dict.fromkeys(_FAILS, 0), "closed_sym_fail": wrong[kind]}
     if kind == "shared":
         expected["closed_ideal_fail"] = math.factorial(n)
     assert counts == expected
+    # each corrupted table fails the chunk's check of the closed-form gathers
+    assert result["per_element_perms"] == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_itemgetter_that_breaks_the_closed_form_rule_disables_the_batch(monkeypatch, n):
+    # the gather of P = {0, 1, 2} is a pure position map that lists the
+    # flipped positions as 2, 0, 1 instead of 2, 1, 0: no batch compare on a
+    # word's rows can see it, the chunk's check of every gather on range(n)
+    # does, and each word then fails closed-form-sym on that one element
+    table = list(correspondence._closed_forms(n))
+    _gather, ideal = table[0b111]
+    table[0b111] = itemgetter(*range(3, n), 2, 0, 1), ideal
+    monkeypatch.setattr(correspondence, "_closed_forms", lambda rank: tuple(table))
+    counts, result = _assert_scan_matches_reference(n)
+    assert counts == {**dict.fromkeys(_FAILS, 0), "closed_sym_fail": math.factorial(n)}
+    assert result["per_element_perms"] == math.factorial(n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -727,29 +766,29 @@ def test_wrong_closed_form_gather_matches_a_per_element_evaluation(monkeypatch, 
 def test_swapped_masks_of_one_word_match_a_per_element_evaluation(
     monkeypatch, n, scanned, other
 ):
-    # a wrong doubling: for one word, the elements with flipped positions
-    # P = {} and P = {other position} swap their masks.  With the last
-    # position both have the same symmetric component and different ideals,
-    # with the first position both differ.  The word is the first scanned,
-    # which would otherwise make the chunk clean, or a later one, which the
-    # batch would otherwise pass
+    # a wrong walk: for one word, the rows of one position p swap, so the
+    # elements with flipped positions P and P ^ {p} swap their masks, for
+    # every P.  With the last position both have the same symmetric
+    # component and different ideals, with the first position both differ.
+    # The word is the first scanned, which would otherwise make the chunk
+    # clean, or a later one, which the batch would otherwise pass
     word = tuple(range(1, n + 1)) if scanned == "first" else tuple(range(n, 0, -1))
-    swapped = 1 << (n - 1) if other == "last" else 1
-    real = correspondence._iter_signed_inversion_masks
+    p = n - 1 if other == "last" else 0
+    real = correspondence._iter_rows
 
     def corrupted(rank, perm_start=0, perm_stop=None):
-        for w, masks in real(rank, perm_start=perm_start, perm_stop=perm_stop):
+        for w, plus, minus in real(rank, perm_start, perm_stop):
             if w == word:
-                masks[0], masks[swapped] = masks[swapped], masks[0]
-            yield w, masks
+                plus[p], minus[p] = minus[p], plus[p]
+            yield w, plus, minus
 
-    monkeypatch.setattr(correspondence, "_iter_signed_inversion_masks", corrupted)
+    monkeypatch.setattr(correspondence, "_iter_rows", corrupted)
     counts, result = _assert_scan_matches_reference(n)
-    expected = {**dict.fromkeys(_FAILS, 0), "construct_fail": 2, "closed_ideal_fail": 2}
+    expected = {**dict.fromkeys(_FAILS, 0), "construct_fail": 2**n, "closed_ideal_fail": 2**n}
     if other == "first":
-        expected["closed_sym_fail"] = 2
+        expected["closed_sym_fail"] = 2**n
     assert counts == expected
-    # the word itself fails the batch compares, and with the first word the
+    # the word itself fails the row compares, and with the first word the
     # second makes the chunk clean
     assert result["per_element_perms"] == 2
 
@@ -770,19 +809,21 @@ def test_wrong_decoded_word_matches_a_per_element_evaluation(monkeypatch, n):
         return wrong, correspondence._position_map(wrong)
 
     monkeypatch.setattr(correspondence, "_sym_entry", corrupted)
-    counts, _result = _assert_scan_matches_reference(n)
+    counts, result = _assert_scan_matches_reference(n)
     # each element of the component fails the closed form, unless its ideal,
     # relabelled through the wrong position map, is not upward closed
     assert counts["closed_sym_fail"] > 0
     assert counts["closed_sym_fail"] + counts["incr_fail"] == 2**n
+    # one bad eta in the pass over S_n leaves the whole chunk to the element loop
+    assert result["per_element_perms"] == math.factorial(n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_entry_that_does_not_rename_is_checked_element_by_element(monkeypatch, n):
     # the scan entry of the symmetric component (2, 1, 3, ..., n) claims that
-    # pi is not its word's position map, and nothing else is wrong: every
-    # later word with an element of that component is checked element by
-    # element, with the same (passing) result
+    # pi is not its word's position map, and nothing else is wrong: the pass
+    # over S_n rejects that eta, so every permutation of the chunk is checked
+    # element by element, with the same (passing) result
     target = (2, 1, *range(3, n + 1))
     real = correspondence._scan_entry
 
@@ -793,45 +834,65 @@ def test_entry_that_does_not_rename_is_checked_element_by_element(monkeypatch, n
     monkeypatch.setattr(correspondence, "_scan_entry", corrupted)
     counts, result = _assert_scan_matches_reference(n)
     assert counts == dict.fromkeys(_FAILS, 0)
-    table = correspondence._closed_forms(n)
-    words = [
-        word
-        for word in itertools.permutations(range(1, n + 1))
-        if any(gather(word) == target for gather, _ideal in table)
-    ]
-    assert words and words[0] != tuple(range(1, n + 1))
-    assert result["per_element_perms"] == 1 + len(words)
+    assert result["per_element_perms"] == math.factorial(n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_closed_form_gather_that_is_no_position_map_disables_the_batch(monkeypatch, n):
-    # a double fault on the last word scanned, w = (n, ..., 1): the walked
-    # difference bits of its element with flipped positions P = {first}
-    # become the inversion set of the wrong word w o G', and the closed-form
-    # gather of P returns that wrong word for w alone.  w passes every batch
-    # compare, but its element renames no clean permutation's element, so
-    # only a scan that checks every permutation element by element sees it
+    # a double fault on the last word scanned, w = (n, ..., 1): the closed-form
+    # gather of P = {first} returns the wrong word w' = (n, 1, ..., n - 1) for
+    # w alone, and w's rows are wrong so that every element of w has the
+    # difference part inv(w'): the first position's flipped row also takes
+    # its unflipped row's inversions, and the other unflipped rows are empty.
+    # The element with P = {first} then shows no closed-form-sym failure,
+    # only sums that relabel through the pi of w' to no upward-closed set.
+    # The gather is no itemgetter, so every permutation of the chunk is
+    # checked element by element
     word, pset = tuple(range(n, 0, -1)), 1
-    nd = n * (n - 1) // 2
     table = list(correspondence._closed_forms(n))
     gather, ideal = table[pset]
-    wrong = gather(word)[::-1]
+    wrong = (n, *range(1, n))
     table[pset] = (lambda w: wrong if w == word else gather(w)), ideal
     table = tuple(table)
-    real = correspondence._iter_signed_inversion_masks
+    real = correspondence._iter_rows
 
     def corrupted(rank, perm_start=0, perm_stop=None):
-        for w, masks in real(rank, perm_start=perm_start, perm_stop=perm_stop):
+        for w, plus, minus in real(rank, perm_start, perm_stop):
             if w == word:
-                phi0 = correspondence._perm_inversion_mask(wrong, n)
-                masks[pset] = masks[pset] >> nd << nd | phi0
-            yield w, masks
+                plus, minus = [plus[0]] + [0] * (n - 1), [minus[0] | plus[0], *minus[1:]]
+            yield w, plus, minus
 
     monkeypatch.setattr(correspondence, "_closed_forms", lambda rank: table)
-    monkeypatch.setattr(correspondence, "_iter_signed_inversion_masks", corrupted)
+    monkeypatch.setattr(correspondence, "_iter_rows", corrupted)
     counts, result = _assert_scan_matches_reference(n)
-    assert sum(counts.values()) > 0 and counts["closed_sym_fail"] == 0
+    [masked] = [
+        _reference(w, jmask, mask, n)
+        for w, jmask, mask in _walked_elements(n)
+        if w == word and jmask == 1 << (n - 1)
+    ]
+    assert masked == ["incr_fail"] and counts["closed_sym_fail"] > 0
     assert result["per_element_perms"] == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_form_inversions_are_one_row_per_position(n):
+    # values at positions p < q are inverted in g_P(word) iff word[p] > word[q]
+    # XOR p in P, so inv(g_P(word)) joins the unflipped rows of the positions
+    # outside P and the difference parts of the flipped rows of those in P
+    lo, hi = _row_tables(n)
+    nd = n * (n - 1) // 2
+    gathers = [gather for gather, _ideal in correspondence._closed_forms(n)]
+    for word in itertools.permutations(range(1, n + 1)):
+        etas = [gather(word) for gather in gathers]
+        for pset, eta in enumerate(etas):
+            pos = {v: i for i, v in enumerate(eta)}
+            for a, b in itertools.combinations(word, 2):  # a before b in word
+                inverted = (pos[a] < pos[b]) == (a > b)
+                assert inverted == ((a > b) != bool(pset >> word.index(a) & 1))
+        later = [sum(1 << (q - 1) for q in word[p + 1 :]) for p in range(n)]
+        unflipped = [lo[v][m] for v, m in zip(word, later)]
+        flipped = [hi[v][m] & ((1 << nd) - 1) for v, m in zip(word, later)]
+        assert _expand(unflipped, flipped) == [_perm_inversion_mask(eta, n) for eta in etas]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from spcohom import poincare
+from spcohom.cli import main
 from spcohom.errors import ConsistencyError, RankCapError
 from spcohom.poincare import (
     IntPolynomial,
@@ -81,6 +83,24 @@ def test_enumerated_histograms_match_formulas(n):
 def test_verify_identities_passes(n):
     report = verify_identities(n)
     assert report.passed
+
+
+def test_overlapping_rows_are_an_internal_error(monkeypatch, capsys):
+    # the per-permutation length count needs disjoint rows; it does not fall
+    # back to the expanded masks
+    real = poincare._iter_rows
+
+    def corrupted(n):
+        for word, plus, minus in real(n):
+            yield word, plus, [minus[0] | plus[-1] | minus[-1], *minus[1:]]
+
+    monkeypatch.setattr(poincare, "_iter_rows", corrupted)
+    with pytest.raises(ConsistencyError):
+        weyl_length_histogram(3)
+    for command in ("weyl", "betti"):
+        assert main([command, "--rank", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_verify_identities_with_injected_histogram():

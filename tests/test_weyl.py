@@ -1,9 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from spcohom.errors import RankCapError
-from spcohom.correspondence import _flips_of
 from spcohom.roots import RootSet, SignedRoot, diff, long, positive_roots, root_index, sum_root
 from spcohom.weyl import (
     Perm,
@@ -21,7 +21,9 @@ from spcohom.weyl import (
     _expand,
     _inversion_mask,
     _iter_rows,
-    _iter_signed_inversion_masks,
+    _length_counts,
+    _length_key,
+    _row_tables,
     _sign_patterns,
 )
 
@@ -206,13 +208,18 @@ def test_standard_form_round_trip_rank7():
     assert count == group_order(7)
 
 
+def _walk(n, **slice_):
+    """(word, masks) for each word of the walk, masks = _expand(plus, minus)."""
+    return [(word, _expand(plus, minus)) for word, plus, minus in _iter_rows(n, **slice_)]
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_walk_masks_match_direct_action(n):
     # masks[P] is the inversion mask of the element whose values at the
     # positions in P are negated, for every P of every permutation
     seen = set()
     words = []
-    for word, masks in _iter_signed_inversion_masks(n):
+    for word, masks in _walk(n):
         assert len(masks) == 2**n
         for pset, mask in enumerate(masks):
             img = tuple(-v if pset >> p & 1 else v for p, v in enumerate(word))
@@ -228,9 +235,9 @@ def test_walk_masks_match_direct_action(n):
     cuts = sorted({0, len(words), *range(0, len(words), 5), len(words) // 3})
     sliced = []
     for lo, hi in zip(cuts, cuts[1:]):
-        sliced += _iter_signed_inversion_masks(n, perm_start=lo, perm_stop=hi)
-    assert sliced == list(_iter_signed_inversion_masks(n))
-    assert list(_iter_signed_inversion_masks(n, perm_start=cuts[-2])) == sliced[cuts[-2] :]
+        sliced += _walk(n, perm_start=lo, perm_stop=hi)
+    assert sliced == _walk(n)
+    assert _walk(n, perm_start=cuts[-2]) == sliced[cuts[-2] :]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -253,14 +260,42 @@ def _doubling(rows):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_sign_patterns_and_flips_are_the_doubling_of_their_rows(n):
     index = root_index(n)
-    for word in itertools.permutations(range(1, n + 1)):
+    nd = n * (n - 1) // 2
+    for word, plus, minus in _iter_rows(n):
         assert _sign_patterns(word) == _doubling([1 << (v - 1) for v in word])
-        # the row of position p: e_v + e_q for v = word[p] and q = v or after v
+        # the sum inversions of P are the rows of its flipped values: e_v + e_q
+        # for v = word[p], p in P, and q = v or after v
         rows = [
             sum(1 << index[long(v) if q == v else sum_root(v, q)] for q in word[p:])
             for p, v in enumerate(word)
         ]
-        assert _flips_of(word) == _doubling(rows)
+        assert [mask >> nd << nd for mask in _expand(plus, minus)] == _doubling(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_length_key_counts_the_expanded_masks(n):
+    for _word, plus, minus in _iter_rows(n):
+        lengths = Counter(map(int.bit_count, _expand(plus, minus)))
+        assert _length_counts(Counter([_length_key(plus, minus)])) == lengths
+
+
+def test_length_key_refuses_overlapping_rows():
+    assert _length_key([0, 0], [0b11, 0b100]) == (0, (1, 2))
+    assert _length_key([0b1, 0], [0b10, 0b1]) is None  # row 0 and minus[1] share bit 0
+    assert _length_key([0b1, 0b10], [0b10, 0b100]) is None  # plus[1] meets minus[0]
+    # steps may be negative where a flipped row is the shorter one
+    key = _length_key([0b111, 0], [0b1000, 0b10000])
+    assert key == (3, (-2, 1))
+    assert _length_counts(Counter([key])) == Counter({3: 1, 1: 1, 4: 1, 2: 1})
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_tables_match_the_walk(n):
+    lo, hi = _row_tables(n)
+    for word, plus, minus in _iter_rows(n):
+        later = [sum(1 << (q - 1) for q in word[p + 1 :]) for p in range(n)]
+        assert plus == [lo[v][m] for v, m in zip(word, later)]
+        assert minus == [hi[v][m] for v, m in zip(word, later)]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
