@@ -21,6 +21,9 @@ a permutation whose walked rows equal their weyl._row_tables entries, as a
 batch that renames the checked elements of an earlier permutation (see the
 README, "What the bijection check certifies").  Its failures and witnesses
 are those of a per-element evaluation through the same tables and _relabel.
+Any chunk batches only when the gathers and the eta facts of all of S_n
+pass; the chunks split that pass over S_n between them, each checking the
+slice it scans, and share one verdict, so a fault anywhere reaches them all.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, permutations, repeat
+from itertools import accumulate, islice, permutations, repeat
 from operator import and_, getitem, itemgetter
 from typing import Optional, Sequence
 
@@ -134,9 +137,11 @@ def _relabel(mask: int, table: Sequence[int], n: int) -> int:
 
 
 def _apply_relabel(gather: itemgetter, mask: int, n: int) -> int:
-    """_relabel through the gather that _relabel_gather compiled."""
-    nd = num_diffs(n)
-    return int("".join(gather(format(mask >> nd, f"0{nd + n}b"))), 2) << nd
+    """_relabel through the gather that _relabel_gather compiled.  Only the
+    n(n+1)/2 sums-plus-longs digits are gathered: a bit above the n^2 roots
+    would lengthen the digit string and shift every digit."""
+    nd, width = num_diffs(n), n * (n + 1) // 2
+    return int("".join(gather(format((mask >> nd) & ((1 << width) - 1), f"0{width}b"))), 2) << nd
 
 
 def _value_mask(values) -> int:
@@ -394,13 +399,12 @@ _ELEMENT_CHECKS = {
 }
 
 
-def _batchable(n: int) -> bool:
-    """Whether a chunk may pass permutations as batches.  Renaming values
-    commutes only with gathers that are pure position maps, so every recipe
-    gather must be an itemgetter, and every closed-form gather the one that
-    lists the positions outside its P in order, then those in P reversed;
-    and for every eta in S_n, _scan_entry(inv(eta)) must decode to eta, with
-    pi renaming and no relabel moving a bit.  Keeps nothing."""
+def _gathers_batchable(n: int) -> bool:
+    """Whether the gathers let the scan pass permutations as batches.
+    Renaming values commutes only with gathers that are pure position maps,
+    so every recipe gather must be an itemgetter, and every closed-form
+    gather the one that lists the positions outside its P in order, then
+    those in P reversed.  Builds _recipes(n) and _closed_forms(n)."""
     recipes = _recipes(n).values()
     if not all(type(recipe[0]) is itemgetter for recipe in recipes if recipe is not None):
         return False
@@ -410,15 +414,26 @@ def _batchable(n: int) -> bool:
         rule = [p for p in positions if p not in flipped] + flipped[::-1]
         if type(gather) is not itemgetter or gather(positions) != tuple(rule):
             return False
-    for eta in permutations(range(1, n + 1)):
+    return True
+
+
+def _batchable(n: int, start: Optional[int], stop: Optional[int]) -> bool:
+    """Whether, for every eta in the index slice [start, stop) of S_n (the
+    words _iter_rows gives the chunk with that slice), _scan_entry(inv(eta))
+    decodes to eta, with pi renaming and no relabel moving a bit.  The scan
+    batches only where this holds on every slice and _gathers_batchable
+    holds.  Keeps nothing."""
+    for eta in islice(permutations(range(1, n + 1)), start, stop):
         entry = _scan_entry(_perm_inversion_mask(eta, n), n)
         if entry is None or entry[0] != eta or entry[4] or not entry[5]:
             return False
     return True
 
 
-def _scan_chunk(n: int, start: Optional[int], stop: Optional[int]) -> dict:
-    """Exhaustively check one slice of the group (by permutation index range).
+def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], batchable: bool) -> dict:
+    """Exhaustively check one slice of the group (by permutation index range),
+    passing permutations as batches only if batchable, the verdict of
+    _gathers_batchable and of _batchable on every slice of the scan.
 
     Returns plain sums, bounded witness lists and the pair keys of the
     elements whose round trip through the direct inverse failed, all of which
@@ -430,7 +445,6 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int]) -> dict:
     canonical = _closed_forms(n)
     lo, hi = _row_tables(n)
     bits = [0] + [1 << v for v in range(n)]  # the value mask of each value
-    batchable = _batchable(n)
     # per symmetric component's inversion mask phi0, for the permutations
     # checked element by element: its _scan_entry with the relabels compiled
     entries: dict[int, Optional[tuple]] = {}
@@ -553,8 +567,11 @@ def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
 
     nperms = math.factorial(n)
     workers = min(workers, nperms, _usable_cpus())
+    # once per scan, and before any fork, so the workers inherit _recipes
+    # and _closed_forms
+    gathers = _gathers_batchable(n)
     if workers == 1:
-        partials = [_scan_chunk(n, None, None)]
+        partials = [_scan_chunk(n, None, None, gathers and _batchable(n, None, None))]
     else:
         import multiprocessing
 
@@ -562,7 +579,11 @@ def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
         ranges = [(lo, min(lo + step, nperms)) for lo in range(0, nperms, step)]
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(len(ranges)) as pool:
-            partials = pool.starmap(_scan_chunk, [(n, lo, hi) for lo, hi in ranges])
+            # each chunk checks the eta of its own slice; one bad eta
+            # anywhere sends every chunk to the element loop
+            slices = [(n, lo, hi) for lo, hi in ranges]
+            batchable = gathers and all(pool.starmap(_batchable, slices))
+            partials = pool.starmap(_scan_chunk, [(*s, batchable) for s in slices])
 
     counts = {k: sum(p["counts"][k] for p in partials) for k in partials[0]["counts"]}
     witnesses = {}

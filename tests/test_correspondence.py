@@ -45,6 +45,12 @@ def r(i, n):
     return SignedPerm.reflection(i, n)
 
 
+def _batch_verdict(n):
+    """The verdict verify_bijection gives every chunk of a rank-n scan: the
+    per-rank gather checks and the pass over all of S_n."""
+    return correspondence._gathers_batchable(n) and correspondence._batchable(n, None, None)
+
+
 def ideal_of(n, *roots):
     return IncreasingSet.from_members(n, RootSet.from_roots(n, roots))
 
@@ -288,7 +294,7 @@ def test_scan_entries_are_one_pass_over_s_n_plus_the_element_loop(monkeypatch, n
     monkeypatch.setattr(
         correspondence, "_scan_entry", lambda phi0, rank: calls.append(phi0) or real(phi0, rank)
     )
-    result = correspondence._scan_chunk(n, None, None)
+    result = correspondence._scan_chunk(n, None, None, _batch_verdict(n))
     words = list(itertools.permutations(range(1, n + 1)))
     assert calls[: len(words)] == [_perm_inversion_mask(eta, n) for eta in words]
     assert result["per_element_perms"] == (len(words) if fault else 1)
@@ -313,10 +319,12 @@ def test_from_pair_builds_at_most_one_relabel_table(monkeypatch):
 
 
 class _InlinePool:
-    """Stands in for a process pool: runs the chunks in this process."""
+    """Stands in for a process pool: runs the chunks in this process and
+    records each starmap round as (function, arguments, results)."""
 
     def __init__(self, processes, seen):
         seen["processes"] = processes
+        seen["rounds"] = []
         self.seen = seen
 
     def __enter__(self):
@@ -327,14 +335,14 @@ class _InlinePool:
 
     def starmap(self, fn, args):
         self.seen["chunks"] = len(args)
-        return [fn(*a) for a in args]
+        results = [fn(*a) for a in args]
+        self.seen["rounds"].append((fn, args, results))
+        return results
 
 
-@pytest.mark.parametrize(
-    "n, cpus, workers, chunks",
-    [(4, 3, 5000, 3), (3, 64, 5000, 6), (4, 64, 2, 2), (4, 1, 5000, None)],
-)
-def test_workers_clamped_to_cpus_and_permutations(monkeypatch, n, cpus, workers, chunks):
+def _inline_pool(monkeypatch, cpus):
+    """Give this process cpus CPUs and make verify_bijection's pool an
+    _InlinePool; returns the dict it records into."""
     import multiprocessing
     from types import SimpleNamespace
 
@@ -345,10 +353,79 @@ def test_workers_clamped_to_cpus_and_permutations(monkeypatch, n, cpus, workers,
         "get_context",
         lambda method: SimpleNamespace(Pool=lambda procs: _InlinePool(procs, seen)),
     )
+    return seen
+
+
+@pytest.mark.parametrize(
+    "n, cpus, workers, chunks",
+    [(4, 3, 5000, 3), (3, 64, 5000, 6), (4, 64, 2, 2), (4, 1, 5000, None)],
+)
+def test_workers_clamped_to_cpus_and_permutations(monkeypatch, n, cpus, workers, chunks):
+    seen = _inline_pool(monkeypatch, cpus)
     report = verify_bijection(n, workers=workers)
     assert report.passed
     assert seen.get("chunks") == chunks
     assert seen.get("processes") == chunks
+    if chunks:
+        # the pass over S_n and then the scan, over the same slices
+        (first, slices, _verdicts), (second, scans, _partials) = seen["rounds"]
+        assert (first, second) == (correspondence._batchable, correspondence._scan_chunk)
+        assert [args[:3] for args in scans] == slices
+
+
+@pytest.mark.parametrize("n, workers", [(3, 2), (4, 3), (5, 2)])
+def test_each_chunk_checks_only_the_eta_of_its_own_slice(monkeypatch, n, workers):
+    # the slices cover S_n once, and each chunk's pass makes one _scan_entry
+    # call per word of its own slice
+    calls = []
+    real = correspondence._scan_entry
+    monkeypatch.setattr(
+        correspondence, "_scan_entry", lambda phi0, rank: calls.append(phi0) or real(phi0, rank)
+    )
+    real_batchable = correspondence._batchable
+    passes = []
+
+    def counted(rank, start, stop):
+        calls.clear()
+        verdict = real_batchable(rank, start, stop)
+        passes.append(list(calls))
+        return verdict
+
+    monkeypatch.setattr(correspondence, "_batchable", counted)
+    seen = _inline_pool(monkeypatch, workers)
+    assert verify_bijection(n, workers=workers).passed
+    (_fn, slices, verdicts), _scan = seen["rounds"]
+    assert verdicts == [True] * workers
+    words = list(itertools.permutations(range(1, n + 1)))
+    assert [eta for _n, lo, hi in slices for eta in words[lo:hi]] == words
+    assert passes == [
+        [_perm_inversion_mask(eta, n) for eta in words[lo:hi]] for _n, lo, hi in slices
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bad_eta_in_one_slice_sends_every_chunk_to_the_element_loop(monkeypatch, n):
+    # as in test_entry_that_does_not_rename_is_checked_element_by_element, but
+    # the entry is that of (n, ..., 1), the last word, which only the second
+    # chunk's pass checks: the verdict is global, so the first chunk runs the
+    # element loop too, and the report is the serial one
+    target = tuple(range(n, 0, -1))
+    real = correspondence._scan_entry
+
+    def corrupted(phi0, rank):
+        entry = real(phi0, rank)
+        return entry if entry[0] != target else (*entry[:5], False)
+
+    monkeypatch.setattr(correspondence, "_scan_entry", corrupted)
+    seen = _inline_pool(monkeypatch, 2)
+    parallel = verify_bijection(n, workers=2)
+    (_fn, _slices, verdicts), (_fn, _args, partials) = seen["rounds"]
+    assert verdicts == [True, False]
+    assert sum(p["per_element_perms"] for p in partials) == math.factorial(n)
+    serial = verify_bijection(n)
+    assert parallel.passed
+    assert parallel.checks_json() == serial.checks_json()
+    assert parallel.data == serial.data
 
 
 def test_verify_bijection_workers_match_serial():
@@ -479,7 +556,7 @@ _FAILS = (
 )
 def test_scan_chunk_matches_pinned_values(n, start, stop, elements, hist):
     # every slice here meets all 2^n sets of flipped positions
-    assert correspondence._scan_chunk(n, start, stop) == {
+    assert correspondence._scan_chunk(n, start, stop, _batch_verdict(n)) == {
         "counts": {"elements": elements, "round_trip": elements, **dict.fromkeys(_FAILS, 0)},
         "witnesses": dict.fromkeys(_FAILS, []),
         "hist": hist,
@@ -492,7 +569,7 @@ def test_scan_chunk_matches_pinned_values(n, start, stop, elements, hist):
 def test_passing_scan_checks_one_permutation_per_chunk_element_by_element(start, stop):
     # the first permutation of a chunk is checked element by element and
     # makes the chunk clean; every later one passes as one batch
-    result = correspondence._scan_chunk(5, start, stop)
+    result = correspondence._scan_chunk(5, start, stop, _batch_verdict(5))
     assert result["per_element_perms"] == 1
     assert result["counts"]["elements"] == ((stop or 120) - (start or 0)) * 2**5
 
@@ -628,7 +705,7 @@ def test_wrong_walked_sum_bits_match_a_per_element_evaluation(
             expected[key].append((word, jmask))
     assert sum(map(len, expected.values())) > 0
 
-    result = correspondence._scan_chunk(n, None, None)
+    result = correspondence._scan_chunk(n, None, None, _batch_verdict(n))
     assert {key: result["counts"][key] for key in _FAILS} == {
         key: len(items) for key, items in expected.items()
     }
@@ -637,6 +714,31 @@ def test_wrong_walked_sum_bits_match_a_per_element_evaluation(
 
     assert main(["bijection", "--rank", "3", "--out", str(tmp_path / "b.json")]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_walked_mask_above_the_roots_relabels_only_its_sums_plus_longs(monkeypatch):
+    # bit 3 (e1+e2) added to the flipped row of 3 in (2, 3, 1) at rank 3,
+    # which the flipped row of 2 already holds: the sum carries, so the mask
+    # of [-2,-3,-1] has a bit above the n^2 roots, which the relabel must not
+    # read as a digit; the scan matches the bit-by-bit reference
+    n = 3
+    real = correspondence._iter_rows
+
+    def corrupted(rank, perm_start=0, perm_stop=None):
+        for word, plus, minus in real(rank, perm_start, perm_stop):
+            if word == (2, 3, 1):
+                minus[1] += 1 << 3
+            yield word, plus, minus
+
+    monkeypatch.setattr(correspondence, "_iter_rows", corrupted)
+    _assert_scan_matches_reference(n)
+    [(mask, failed)] = [
+        (mask, _reference(word, jmask, mask, n))
+        for word, jmask, mask in _walked_elements(n)
+        if word == (2, 3, 1) and jmask == 0b111
+    ]
+    assert mask >> (n * n)
+    assert failed == ["support_fail", "degree_fail", "construct_fail", "closed_ideal_fail"]
 
 
 def _module_relabel(mask, value_map, n):
@@ -687,7 +789,7 @@ def _assert_scan_matches_reference(n, relabel=_bitwise_relabel):
         if "construct_fail" in failed:
             eta, pi = correspondence._sym_entry(mask & ((1 << (n * (n - 1) // 2)) - 1), n)
             keys.add((eta, relabel(mask, pi, n)))
-    result = correspondence._scan_chunk(n, None, None)
+    result = correspondence._scan_chunk(n, None, None, _batch_verdict(n))
     counts = {key: len(items) for key, items in expected.items()}
     assert {key: result["counts"][key] for key in _FAILS} == counts
     cap = correspondence._MAX_WITNESSES
