@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice, permutations, repeat
-from operator import and_, getitem, itemgetter
+from operator import and_, getitem, itemgetter, or_
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError
@@ -102,12 +102,12 @@ def _relabel_table(value_map: Sequence[int], n: int) -> tuple[int, ...]:
     exact only for a bit permutation, so anything else is an error."""
     grid, rows, cols = _phi1_grid(n)
     out: tuple = ()
-    if min(value_map) >= 0:  # a negative value would index the grid from its end
+    if min(value_map[1:]) >= 1:  # a value below 1 indexes the grid's end or its None row
         try:
             out = tuple([grid[value_map[i]][value_map[j]] for i, j in zip(rows, cols)])
         except IndexError:
             pass
-    if set(out) != set(range(len(rows))):
+    if sorted(out) != list(range(len(rows))):
         raise ConsistencyError(
             f"the value map {tuple(value_map[1:])} permutes no sums-plus-longs "
             f"of rank {n}; this indicates a bug"
@@ -144,12 +144,11 @@ def _apply_relabel(gather: itemgetter, mask: int, n: int) -> int:
     return int("".join(gather(format((mask >> nd) & ((1 << width) - 1), f"0{width}b"))), 2) << nd
 
 
-def _value_mask(values) -> int:
-    """Bit v-1 set for each value v."""
-    mask = 0
-    for v in values:
-        mask |= 1 << (v - 1)
-    return mask
+@lru_cache(maxsize=None)
+def _value_bits(n: int) -> list[int]:
+    """Entry v is the value mask of the value v alone, 1 << (v - 1); entry 0 is 0.
+    A list, since map calls a list's __getitem__ faster than a tuple's."""
+    return [0] + [1 << v for v in range(n)]
 
 
 def _position_map(word: Sequence[int]) -> tuple[int, ...]:
@@ -186,8 +185,8 @@ def _scan_entry(phi0: int, n: int) -> Optional[tuple]:
     word, pi = entry
     fwd = _relabel_table(pi, n)
     bwd = _rho_table(word, n)
-    moved = any(bwd[t] != k for k, t in enumerate(fwd))
-    suffix = tuple(accumulate(reversed(word), lambda acc, v: acc | 1 << (v - 1), initial=0))
+    moved = _gather(fwd)(bwd) != tuple(range(len(fwd)))
+    suffix = tuple(accumulate(map(_value_bits(n).__getitem__, reversed(word)), or_, initial=0))
     return word, suffix, fwd, bwd, moved, pi == _position_map(word)
 
 
@@ -252,8 +251,8 @@ def _closed_form_of(sf: StandardForm) -> tuple[tuple[int, ...], int]:
     """(sym word, ideal mask) read off the standard form; builds only this
     element's entry, so tracing one element costs O(n^2) at any rank."""
     word = sf.sigma0.images
-    flipped = _value_mask(sf.j_list)
-    pset = sum(1 << p for p, v in enumerate(word) if flipped >> (v - 1) & 1)
+    flipped = set(sf.j_list)
+    pset = sum(1 << p for p, v in enumerate(word) if v in flipped)
     gather, ideal = _closed_form_entry(pset, len(word))
     return gather(word), ideal
 
@@ -299,7 +298,7 @@ def _construct(sigma_word: tuple[int, ...], ximask: int, n: int) -> Optional[tup
     if recipe is None:
         return None
     gather, k = recipe
-    return gather(sigma_word), _value_mask(sigma_word[n - k :])
+    return gather(sigma_word), sum(map(_value_bits(n).__getitem__, sigma_word[n - k :]))
 
 
 def _signed_images(word: tuple[int, ...], jmask: int) -> tuple[int, ...]:
@@ -444,7 +443,7 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], batchable: bo
     recipes = _recipes(n)
     canonical = _closed_forms(n)
     lo, hi = _row_tables(n)
-    bits = [0] + [1 << v for v in range(n)]  # the value mask of each value
+    bits = _value_bits(n)
     # per symmetric component's inversion mask phi0, for the permutations
     # checked element by element: its _scan_entry with the relabels compiled
     entries: dict[int, Optional[tuple]] = {}

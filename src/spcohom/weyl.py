@@ -16,7 +16,7 @@ from functools import lru_cache
 from operator import or_, sub
 from typing import Iterator, Optional
 
-from .errors import RankCapError
+from .errors import ConsistencyError, RankCapError
 from .roots import (
     DIFF,
     Root,
@@ -266,17 +266,28 @@ def perm_inversions(sigma: Perm) -> RootSet:
     return RootSet(n, _perm_inversion_mask(sigma.images, n))
 
 
-def _perm_inversion_mask(word: tuple[int, ...], n: int) -> int:
-    pos = [0] * (n + 1)
-    for p, v in enumerate(word):
-        pos[v] = p
+@lru_cache(maxsize=None)
+def _diff_offsets(n: int) -> tuple[int, ...]:
+    """off[v] is the bit of e_v - e_(v+1) (num_diffs(n) for the empty row n),
+    so that the differences are indexed row-major: d_idx[i][j] = off[i] +
+    (j - i - 1) for i < j.  Raises ConsistencyError when they are not."""
     d_idx = _index_tables(n)[0]
-    mask = 0
-    for i in range(1, n + 1):
-        pi = pos[i]
-        for j in range(i + 1, n + 1):
-            if pi > pos[j]:
-                mask |= 1 << d_idx[i][j]
+    off = (0, *(d_idx[v][v + 1] for v in range(1, n)), num_diffs(n))
+    if any(d_idx[i][j] != off[i] + j - i - 1 for i in range(1, n) for j in range(i + 1, n + 1)):
+        raise ConsistencyError(f"the differences of rank {n} are not indexed row-major")
+    return off
+
+
+def _perm_inversion_mask(word: tuple[int, ...], n: int) -> int:
+    """Bitmask of the differences e_v - e_u, v < u, with u before v in word.
+    Row v of the row-major index (_diff_offsets) has bit u - v - 1 for e_v -
+    e_u, so it is the value mask of the letters before v shifted right by v:
+    one shift per letter."""
+    off = _diff_offsets(n)
+    mask = before = 0
+    for v in word:
+        mask |= before >> v << off[v]
+        before |= 1 << (v - 1)
     return mask
 
 
@@ -294,26 +305,16 @@ def perm_from_inversions(s: RootSet, n: int) -> Optional[Perm]:
 def _word_from_inversion_mask(mask: int, n: int) -> Optional[tuple[int, ...]]:
     """The one-line word of the permutation whose inversion set is the given
     difference-root bitmask, or None when there is none.  This is the
-    package's only Lehmer decoder."""
-    # counts[i] = number of j > i inverted against i; rebuild by inserting
-    # values n..1, value i at offset counts[i]; then verify.
-    d_idx = _index_tables(n)[0]
+    package's only Lehmer decoder: the popcount of row v of the row-major
+    index (_diff_offsets) counts the larger values before v, so inserting
+    the values n..1 at those offsets rebuilds the word, which is then
+    verified against the mask."""
+    off = _diff_offsets(n)
     word: list[int] = []
-    counts = [0] * (n + 1)
-    for i in range(1, n + 1):
-        c = 0
-        for j in range(i + 1, n + 1):
-            if mask >> d_idx[i][j] & 1:
-                c += 1
-        counts[i] = c
-    for i in range(n, 0, -1):
-        if counts[i] > len(word):
-            return None
-        word.insert(counts[i], i)
+    for v in range(n, 0, -1):
+        word.insert((mask >> off[v] & (1 << (n - v)) - 1).bit_count(), v)
     out = tuple(word)
-    if _perm_inversion_mask(out, n) != mask:
-        return None
-    return out
+    return out if _perm_inversion_mask(out, n) == mask else None
 
 
 def _iter_rows(n: int, perm_start: int = 0, perm_stop: int | None = None):

@@ -1050,13 +1050,15 @@ def test_non_permutation_relabel_table_is_an_internal_error(monkeypatch, capsys)
         _relabel_table((0, 1, 2, 4), 3)
     with pytest.raises(ConsistencyError):
         _relabel_table((0, -2, 1, 3), 3)  # -2 must not read as 2
-    monkeypatch.setattr(
-        correspondence, "_rho_table", lambda word, n: _relabel_table((0,) + (1,) * n, n)
-    )
-    assert main(["bijection", "--rank", "3"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    with pytest.raises(ConsistencyError):
+        _relabel_table((0, 0, 1, 2), 3)  # the value 0 meets the grid's None row
+    for value_map in [lambda n: (0,) + (1,) * n, lambda n: (0, 0, *range(1, n))]:
+        rho_table = lambda word, n, value_map=value_map: _relabel_table(value_map(n), n)
+        monkeypatch.setattr(correspondence, "_rho_table", rho_table)
+        assert main(["bijection", "--rank", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_trace_element_shape():

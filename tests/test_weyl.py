@@ -1,10 +1,23 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
-from spcohom.errors import RankCapError
-from spcohom.roots import RootSet, SignedRoot, diff, long, positive_roots, root_index, sum_root
+from spcohom import weyl
+from spcohom.cli import main
+from spcohom.errors import ConsistencyError, RankCapError
+from spcohom.roots import (
+    RootSet,
+    SignedRoot,
+    diff,
+    long,
+    num_diffs,
+    positive_roots,
+    root_index,
+    sum_root,
+    _index_tables,
+)
 from spcohom.weyl import (
     Perm,
     SignedPerm,
@@ -23,8 +36,10 @@ from spcohom.weyl import (
     _iter_rows,
     _length_counts,
     _length_key,
+    _perm_inversion_mask,
     _row_tables,
     _sign_patterns,
+    _word_from_inversion_mask,
 )
 
 
@@ -148,18 +163,112 @@ def test_perm_inversions_agree_with_action(n):
         assert perm_inversions(sigma).mask == _inversion_mask(word, n)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_perm_from_inversions_round_trip(n):
     for word in itertools.permutations(range(1, n + 1)):
         sigma = Perm(word)
         assert perm_from_inversions(perm_inversions(sigma), n) == sigma
 
 
+def _pairwise_inversion_mask(word, n):
+    """Reference for _perm_inversion_mask: one test per pair i < j of values."""
+    pos = [0] * (n + 1)
+    for p, v in enumerate(word):
+        pos[v] = p
+    d_idx = _index_tables(n)[0]
+    mask = 0
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if pos[i] > pos[j]:
+                mask |= 1 << d_idx[i][j]
+    return mask
+
+
+def _count_loop_word(mask, n):
+    """The count step of the reference decoder: count the j > i inverted
+    against i bit by bit, then insert the values n..1, i at offset counts[i];
+    None when a count exceeds the word built so far."""
+    d_idx = _index_tables(n)[0]
+    counts = [0] * (n + 1)
+    for i in range(1, n + 1):
+        counts[i] = sum(mask >> d_idx[i][j] & 1 for j in range(i + 1, n + 1))
+    word = []
+    for i in range(n, 0, -1):
+        if counts[i] > len(word):
+            return None
+        word.insert(counts[i], i)
+    return tuple(word)
+
+
+def _count_loop_decoder(mask, n):
+    """Reference for _word_from_inversion_mask: the count step, verified."""
+    word = _count_loop_word(mask, n)
+    return word if word is not None and _pairwise_inversion_mask(word, n) == mask else None
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inversion_mask_and_decoder_match_their_references_on_every_word(n):
+    for word in itertools.permutations(range(1, n + 1)):
+        mask = _perm_inversion_mask(word, n)
+        assert mask == _pairwise_inversion_mask(word, n)
+        assert _word_from_inversion_mask(mask, n) == _count_loop_decoder(mask, n) == word
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_decoder_matches_its_reference_on_random_masks(n):
+    rng = random.Random(n)
+    refused = 0
+    # two bits above the differences too, which no inversion set has
+    for mask in [rng.getrandbits(num_diffs(n) + 2) for _ in range(2000)]:
+        word = _word_from_inversion_mask(mask, n)
+        assert word == _count_loop_decoder(mask, n)
+        refused += word is None and _count_loop_word(mask, n) is not None
+    assert refused
+
+
+@pytest.fixture
+def swapped_difference_index(monkeypatch):
+    """Index e2-e3 before e1-e3 at rank 3, which is not row-major."""
+    real = weyl._index_tables
+
+    def swapped(n):
+        d, s, l = real(n)
+        if n == 3:
+            d = [row[:] for row in d]
+            d[1][3], d[2][3] = d[2][3], d[1][3]
+        return d, s, l
+
+    monkeypatch.setattr(weyl, "_index_tables", swapped)
+    weyl._diff_offsets.cache_clear()
+    yield
+    monkeypatch.undo()
+    weyl._diff_offsets.cache_clear()
+    weyl._row_tables.cache_clear()
+
+
+def test_non_row_major_difference_index_is_refused(swapped_difference_index):
+    with pytest.raises(ConsistencyError):
+        _perm_inversion_mask((1, 2, 3), 3)
+    with pytest.raises(ConsistencyError):
+        _word_from_inversion_mask(0, 3)
+    assert _perm_inversion_mask((2, 1), 2) == 1  # other ranks keep their index
+
+
+def test_non_row_major_difference_index_exits_3(swapped_difference_index, capsys):
+    assert main(["bijection", "--rank", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_perm_from_inversions_examples():
     assert perm_from_inversions(RootSet.empty(3), 3) == Perm.identity(3)
     assert perm_from_inversions(RootSet.from_roots(2, [diff(1, 2)]), 2) == Perm((2, 1))
-    # {e1-e3} alone cannot be an inversion set
+    # {e1-e3} alone cannot be an inversion set: its counts (1, 0, 0) build
+    # (2, 1, 3), whose inversion set is {e1-e2}, so only the verification refuses it
     assert perm_from_inversions(RootSet.from_roots(3, [diff(1, 3)]), 3) is None
+    assert _count_loop_word(RootSet.from_roots(3, [diff(1, 3)]).mask, 3) == (2, 1, 3)
     with pytest.raises(ValueError):
         perm_from_inversions(RootSet.from_roots(2, [long(1)]), 2)
 
