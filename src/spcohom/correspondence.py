@@ -18,12 +18,14 @@ every element.
 
 The scan reports every check for every element: element by element, or for
 a permutation whose walked rows equal their weyl._row_tables entries, as a
-batch that renames the checked elements of an earlier permutation (see the
+batch that relabels the checked elements of an earlier permutation (see the
 README, "What the bijection check certifies").  Its failures and witnesses
 are those of a per-element evaluation through the same tables and _relabel.
-Any chunk batches only when the gathers and the eta facts of all of S_n
-pass; the chunks split that pass over S_n between them, each checking the
-slice it scans, and share one verdict, so a fault anywhere reaches them all.
+Any chunk batches only when the gathers pass and every eta of S_n decodes to
+itself with a pi whose relabel, followed by eta's rho, moves no bit; as the
+long root 2e_v goes to 2e_{rho(pi(v))}, that makes pi eta's position map.
+The chunks split that pass over S_n between them, each checking the slice it
+scans, and share one verdict, so a fault anywhere reaches them all.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice, permutations, repeat
-from operator import and_, getitem, itemgetter, or_
+from itertools import accumulate, islice, permutations
+from operator import getitem, itemgetter
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError
@@ -170,24 +172,6 @@ def _sym_entry(phi0: int, n: int) -> Optional[tuple[tuple[int, ...], tuple[int, 
     if word is None:
         return None
     return word, _position_map(word)
-
-
-def _scan_entry(phi0: int, n: int) -> Optional[tuple]:
-    """_sym_entry recast for the scan: (word, suffix, fwd, bwd, moved,
-    renames).  suffix[k] is the value mask of the last k letters of word,
-    which the inverse recipe flips.  fwd and bwd are the relabel tables of pi
-    and rho = pi^-1; moved: their composite moves some bit (never unless a
-    table is wrong; where it moves none, the support identity holds without
-    a relabel).  renames: pi is word's position map."""
-    entry = _sym_entry(phi0, n)
-    if entry is None:
-        return None
-    word, pi = entry
-    fwd = _relabel_table(pi, n)
-    bwd = _rho_table(word, n)
-    moved = _gather(fwd)(bwd) != tuple(range(len(fwd)))
-    suffix = tuple(accumulate(map(_value_bits(n).__getitem__, reversed(word)), or_, initial=0))
-    return word, suffix, fwd, bwd, moved, pi == _position_map(word)
 
 
 def _pair_masks(w: SignedPerm) -> tuple[tuple[int, ...], int]:
@@ -418,13 +402,19 @@ def _gathers_batchable(n: int) -> bool:
 
 def _batchable(n: int, start: Optional[int], stop: Optional[int]) -> bool:
     """Whether, for every eta in the index slice [start, stop) of S_n (the
-    words _iter_rows gives the chunk with that slice), _scan_entry(inv(eta))
-    decodes to eta, with pi renaming and no relabel moving a bit.  The scan
-    batches only where this holds on every slice and _gathers_batchable
-    holds.  Keeps nothing."""
+    words _iter_rows gives the chunk with that slice), _sym_entry(inv(eta))
+    decodes to eta and relabelling through its pi and then through eta's rho
+    moves no bit.  That composite also makes pi eta's position map: the long
+    root 2e_v goes to 2e_{rho(pi(v))}, so a composite that moves no bit
+    forces rho(pi(v)) = v, and rho^-1 is the position map.  The scan batches
+    only where this holds on every slice and _gathers_batchable holds.
+    Keeps nothing."""
+    identity = tuple(range(n * (n + 1) // 2))
     for eta in islice(permutations(range(1, n + 1)), start, stop):
-        entry = _scan_entry(_perm_inversion_mask(eta, n), n)
-        if entry is None or entry[0] != eta or entry[4] or not entry[5]:
+        entry = _sym_entry(_perm_inversion_mask(eta, n), n)
+        if entry is None or entry[0] != eta:
+            return False
+        if _gather(_relabel_table(entry[1], n))(_rho_table(eta, n)) != identity:
             return False
     return True
 
@@ -445,7 +435,8 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], batchable: bo
     lo, hi = _row_tables(n)
     bits = _value_bits(n)
     # per symmetric component's inversion mask phi0, for the permutations
-    # checked element by element: its _scan_entry with the relabels compiled
+    # checked element by element: (eta, compiled pi relabel, compiled rho
+    # relabel), or None when phi0 is no inversion set
     entries: dict[int, Optional[tuple]] = {}
     # an earlier permutation passed the batch compares and recorded no failure
     clean = False
@@ -482,26 +473,28 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], batchable: bo
         recorded = sum(counts.values())
         masks = _expand(plus, minus)
         hist.update(map(int.bit_count, masks))
-        phi0s = list(map(and_, masks, repeat(phi0_all)))
+        phi0s = [mask & phi0_all for mask in masks]
         for phi0 in set(phi0s).difference(entries):
-            entry = _scan_entry(phi0, n)
-            entries[phi0] = entry and (*entry[:2], *map(_relabel_gather, entry[2:4]))
+            entry = _sym_entry(phi0, n)
+            entries[phi0] = entry and (
+                entry[0],
+                _relabel_gather(_relabel_table(entry[1], n)),
+                _relabel_gather(_rho_table(entry[0], n)),
+            )
         for pset, (jmask, mask, phi0) in enumerate(zip(_sign_patterns(word), masks, phi0s)):
             entry = entries[phi0]
             if entry is None:
                 fail("sym_fail", word, jmask)
                 continue
-            eta_word, suffix, fwd, bwd = entry[:4]
+            eta_word, fwd, bwd = entry
             gather, ideal = canonical[pset]
             ximask = _apply_relabel(fwd, mask, n)
-            try:
-                recipe = recipes[ximask]
-            except KeyError:
+            if ximask not in recipes:
                 fail("incr_fail", word, jmask)
                 continue
             if mask.bit_count() != phi0.bit_count() + ximask.bit_count():
                 fail("degree_fail", word, jmask)
-            if recipe is None or suffix[recipe[1]] != jmask or recipe[0](eta_word) != word:
+            if _construct(eta_word, ximask, n) != (word, jmask):
                 fail("construct_fail", word, jmask)
                 failed_keys.add((eta_word, ximask))
             if ideal != ximask:
@@ -621,7 +614,7 @@ def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
         report.add(check_id, description, counts[key] == 0, detail)
     report.data["elements"] = total
     report.data["distinct_pairs"] = distinct
-    report.data["weyl_length_histogram"] = hist[: n * n + 1]
+    report.data["weyl_length_histogram"] = hist
     return report
 
 

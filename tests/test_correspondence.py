@@ -281,7 +281,7 @@ def test_distinct_pairs_exact_when_the_pair_map_is_not_injective(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("fault", [None, "closed-form-ideal"])
 def test_scan_entries_are_one_pass_over_s_n_plus_the_element_loop(monkeypatch, n, fault):
-    # one _scan_entry per eta in S_n, in order, then at most one per set of
+    # one _sym_entry per eta in S_n, in order, then at most one per set of
     # flipped positions of each permutation that runs the element loop: one
     # permutation when the scan passes, every one when a wrong closed-form
     # ideal fails them all
@@ -290,9 +290,9 @@ def test_scan_entries_are_one_pass_over_s_n_plus_the_element_loop(monkeypatch, n
         table[1] = table[1][0], table[1][1] ^ 1  # a difference root, never in an ideal
         monkeypatch.setattr(correspondence, "_closed_forms", lambda rank: tuple(table))
     calls = []
-    real = correspondence._scan_entry
+    real = correspondence._sym_entry
     monkeypatch.setattr(
-        correspondence, "_scan_entry", lambda phi0, rank: calls.append(phi0) or real(phi0, rank)
+        correspondence, "_sym_entry", lambda phi0, rank: calls.append(phi0) or real(phi0, rank)
     )
     result = correspondence._scan_chunk(n, None, None, _batch_verdict(n))
     words = list(itertools.permutations(range(1, n + 1)))
@@ -375,12 +375,12 @@ def test_workers_clamped_to_cpus_and_permutations(monkeypatch, n, cpus, workers,
 
 @pytest.mark.parametrize("n, workers", [(3, 2), (4, 3), (5, 2)])
 def test_each_chunk_checks_only_the_eta_of_its_own_slice(monkeypatch, n, workers):
-    # the slices cover S_n once, and each chunk's pass makes one _scan_entry
+    # the slices cover S_n once, and each chunk's pass makes one _sym_entry
     # call per word of its own slice
     calls = []
-    real = correspondence._scan_entry
+    real = correspondence._sym_entry
     monkeypatch.setattr(
-        correspondence, "_scan_entry", lambda phi0, rank: calls.append(phi0) or real(phi0, rank)
+        correspondence, "_sym_entry", lambda phi0, rank: calls.append(phi0) or real(phi0, rank)
     )
     real_batchable = correspondence._batchable
     passes = []
@@ -405,25 +405,27 @@ def test_each_chunk_checks_only_the_eta_of_its_own_slice(monkeypatch, n, workers
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_bad_eta_in_one_slice_sends_every_chunk_to_the_element_loop(monkeypatch, n):
-    # as in test_entry_that_does_not_rename_is_checked_element_by_element, but
-    # the entry is that of (n, ..., 1), the last word, which only the second
-    # chunk's pass checks: the verdict is global, so the first chunk runs the
-    # element loop too, and the report is the serial one
+    # rho's relabel table of (n, ..., 1), the last word, swaps two entries, so
+    # relabelling through its pi and then its rho moves two bits; only the
+    # second chunk's pass checks that word, but the verdict is global, so the
+    # first chunk runs the element loop too, and the report is the serial one
     target = tuple(range(n, 0, -1))
-    real = correspondence._scan_entry
+    real = correspondence._rho_table
 
-    def corrupted(phi0, rank):
-        entry = real(phi0, rank)
-        return entry if entry[0] != target else (*entry[:5], False)
+    def corrupted(word, rank):
+        table = real(word, rank)
+        return table if word != target else (table[1], table[0], *table[2:])
 
-    monkeypatch.setattr(correspondence, "_scan_entry", corrupted)
+    monkeypatch.setattr(correspondence, "_rho_table", corrupted)
     seen = _inline_pool(monkeypatch, 2)
     parallel = verify_bijection(n, workers=2)
     (_fn, _slices, verdicts), (_fn, _args, partials) = seen["rounds"]
     assert verdicts == [True, False]
     assert sum(p["per_element_perms"] for p in partials) == math.factorial(n)
+    # the element loop relabels the ideals of that word back through the
+    # same swapped table, so the fault shows as support-identity failures
+    assert [r.check_id for r in parallel.records if not r.passed] == ["support-identity"]
     serial = verify_bijection(n)
-    assert parallel.passed
     assert parallel.checks_json() == serial.checks_json()
     assert parallel.data == serial.data
 
@@ -896,10 +898,12 @@ def test_swapped_masks_of_one_word_match_a_per_element_evaluation(
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_wrong_decoded_word_matches_a_per_element_evaluation(monkeypatch, n):
+@pytest.mark.parametrize("pi_of", ["wrong", "target"])
+def test_wrong_decoded_word_matches_a_per_element_evaluation(monkeypatch, n, pi_of):
     # the symmetric component (2, 1, 3, ..., n) decodes to the word with its
-    # last two letters swapped, together with that word's position map; no
-    # element of the first word has it, so the batch must reject its words
+    # last two letters swapped, together with the position map of that word
+    # or of the right one (which the pass's relabel composite cannot see);
+    # no element of the first word has it, so the batch must reject its words
     target = (2, 1, *range(3, n + 1))
     wrong = (*target[:-2], target[-1], target[-2])
     real = correspondence._sym_entry
@@ -908,7 +912,7 @@ def test_wrong_decoded_word_matches_a_per_element_evaluation(monkeypatch, n):
         entry = real(phi0, rank)
         if entry is None or entry[0] != target:
             return entry
-        return wrong, correspondence._position_map(wrong)
+        return wrong, correspondence._position_map(wrong if pi_of == "wrong" else target)
 
     monkeypatch.setattr(correspondence, "_sym_entry", corrupted)
     counts, result = _assert_scan_matches_reference(n)
@@ -917,25 +921,6 @@ def test_wrong_decoded_word_matches_a_per_element_evaluation(monkeypatch, n):
     assert counts["closed_sym_fail"] > 0
     assert counts["closed_sym_fail"] + counts["incr_fail"] == 2**n
     # one bad eta in the pass over S_n leaves the whole chunk to the element loop
-    assert result["per_element_perms"] == math.factorial(n)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_entry_that_does_not_rename_is_checked_element_by_element(monkeypatch, n):
-    # the scan entry of the symmetric component (2, 1, 3, ..., n) claims that
-    # pi is not its word's position map, and nothing else is wrong: the pass
-    # over S_n rejects that eta, so every permutation of the chunk is checked
-    # element by element, with the same (passing) result
-    target = (2, 1, *range(3, n + 1))
-    real = correspondence._scan_entry
-
-    def corrupted(phi0, rank):
-        entry = real(phi0, rank)
-        return entry if entry[0] != target else (*entry[:5], False)
-
-    monkeypatch.setattr(correspondence, "_scan_entry", corrupted)
-    counts, result = _assert_scan_matches_reference(n)
-    assert counts == dict.fromkeys(_FAILS, 0)
     assert result["per_element_perms"] == math.factorial(n)
 
 
@@ -1024,8 +1009,26 @@ def test_sym_entry_whose_pi_is_not_its_position_map(monkeypatch, n):
         return word, (0, pi[2], pi[1], *pi[3:])
 
     monkeypatch.setattr(correspondence, "_sym_entry", corrupted)
-    counts, _result = _assert_scan_matches_reference(n)
+    # the pass over S_n sees the fault: relabelling through that pi and then
+    # through rho moves a bit, so every permutation runs the element loop
+    assert not correspondence._batchable(n, None, None)
+    counts, result = _assert_scan_matches_reference(n)
     assert sum(counts.values()) > 0
+    assert result["per_element_perms"] == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_composite_relabel_is_the_identity_exactly_for_the_position_map(n):
+    # relabelling through pi and then through eta's rho moves no bit exactly
+    # when pi is eta's position map, which is what lets the pass over S_n
+    # check pi by that composite alone
+    identity = tuple(range(n * (n + 1) // 2))
+    words = list(itertools.permutations(range(1, n + 1)))
+    for eta in words:
+        bwd = correspondence._rho_table(eta, n)
+        for pi in words:
+            fixed = correspondence._gather(_relabel_table((0, *pi), n))(bwd) == identity
+            assert fixed == ((0, *pi) == correspondence._position_map(eta))
 
 
 def test_witness_at_rank_40_builds_only_its_own_closed_form(monkeypatch, tmp_path):
