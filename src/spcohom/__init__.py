@@ -30,7 +30,6 @@ from .correspondence import (
     from_pair,
     ideal_component,
     ideal_component_closed_form,
-    reversal_perm,
     sym_component,
     sym_component_closed_form,
     trace_element,
@@ -43,15 +42,10 @@ from .liealg import (
     is_abelian_ideal_lie,
     root_vector,
     structure_table,
-    symplectic_form,
 )
 from .ce import (
     ChainComplex,
-    Cochain,
     betti_numbers,
-    differential,
-    monomial_cocycle,
-    pair_cocycle,
     verify_cohomology_basis,
 )
 from .poincare import (

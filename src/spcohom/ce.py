@@ -1,4 +1,4 @@
-"""The exterior-algebra cochain complex of the nilradical, over exact arithmetic.
+"""The exterior-algebra cochain complex of the nilradical, over the integers.
 
 A p-cochain is a linear combination of wedge monomials f_{a_1} ^ ... ^ f_{a_p}
 indexed by ascending tuples of positive-root indices.  The differential acts
@@ -18,7 +18,10 @@ scalar c(mu) = (|rho|^2 - |rho - mu|^2) / 4 with rho = (n, ..., 1).  The
 laplacian-scalar record checks this on every monomial of degree <= 2, which
 proves it on every cochain: d has order 1 and d* order 2 as operators on the
 exterior algebra, so L - c has order <= 2 and vanishes once it vanishes in
-degrees <= 2 (ROADMAP item 3).  Given the identity:
+degrees <= 2 (ROADMAP item 3).  The check stays in integers: d* carries the
+ratios |e_g|^2 / (|e_a|^2 |e_b|^2), so dstar and laplacian return N d* and
+N L for the lcm N of the denominators, and the record compares 4 N L x with
+N 4c(mu) x.  Given the identity:
 
 * a weight with c(mu) != 0 is acyclic over Q (d*/c is a contracting
   homotopy), so its ranks are forced by the dimensions, r_p = dim_p - r_{p-1};
@@ -39,81 +42,19 @@ bijection scan's pair-injective, and the count per degree from its histogram.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
+import math
+from bisect import bisect_left
+from functools import lru_cache, partial
 
-from .correspondence import _MAX_WITNESSES, _rho_table, _witness_str, verify_bijection
+from .correspondence import _MAX_WITNESSES, _witness_str, verify_bijection
 from .errors import RankCapError
-from .ideals import IncreasingSet
 from .liealg import root_vector, structure_table
 from .report import CheckRecord, VerificationReport
-from .roots import _mask_key, check_rank, num_diffs, positive_roots
-from .weyl import (
-    Perm,
-    SignedPerm,
-    group_order,
-    _inversion_mask,
-    _iter_rows,
-    _length_key,
-    _perm_inversion_mask,
-    _sign_patterns,
-)
+from .roots import _mask_key, check_rank, positive_roots
+from .weyl import group_order, _iter_rows, _length_key, _sign_patterns
 
 DEFAULT_COHOMOLOGY_CAP = 6
 ORACLE_CAP = 4
-
-
-@dataclass(frozen=True)
-class Cochain:
-    """A homogeneous cochain: sparse map from ascending index tuples to
-    nonzero exact coefficients (int or Fraction)."""
-
-    rank: int
-    degree: int
-    terms: dict[tuple[int, ...], int | Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for key, coeff in self.terms.items():
-            if coeff == 0:
-                continue
-            if len(key) != self.degree:
-                raise ValueError(f"monomial {key} does not have degree {self.degree}")
-            if list(key) != sorted(set(key)):
-                raise ValueError(f"monomial {key} is not strictly ascending")
-            clean[key] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def monomial(cls, n: int, key: tuple[int, ...], coeff: int | Fraction = 1) -> "Cochain":
-        return cls(n, len(key), {tuple(key): coeff})
-
-    @classmethod
-    def zero(cls, n: int, degree: int) -> "Cochain":
-        return cls(n, degree, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        if (self.rank, self.degree) != (other.rank, other.degree):
-            raise ValueError("cochain rank/degree mismatch")
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0) + coeff
-        return Cochain(self.rank, self.degree, out)
-
-    def scale(self, c: int | Fraction) -> "Cochain":
-        return Cochain(self.rank, self.degree, {k: c * v for k, v in self.terms.items()})
-
-    def weight(self) -> tuple[int, ...] | None:
-        """The common weight vector of the monomials, None for 0 or mixed."""
-        weights = {_subset_weight(self.rank, key) for key in self.terms}
-        if len(weights) == 1:
-            return next(iter(weights))
-        return None
 
 
 @lru_cache(maxsize=None)
@@ -174,18 +115,17 @@ def _d_monomial(n: int, key: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return {k: v for k, v in out.items() if v}
 
 
-def differential(cochain: Cochain) -> Cochain:
-    """The antiderivation extension of d to arbitrary cochains; d(d(x)) == 0."""
-    n = cochain.rank
-    out: dict[tuple[int, ...], int | Fraction] = {}
-    for key, coeff in cochain.terms.items():
-        for mono, c in _d_monomial(n, key).items():
-            out[mono] = out.get(mono, 0) + coeff * c
-    return Cochain(n, cochain.degree + 1, out)
+def _dstar_scale(n: int) -> int:
+    """N, the lcm of |e_a|^2 |e_b|^2 over the decompositions (a, b, c): the
+    least integer that makes N d* integral for any positive norms.  It is 4
+    in liealg's realization from rank 2 on."""
+    norms = _norms(n)
+    return math.lcm(*(norms[a] * norms[b] for row in _decompositions(n) for a, b, _c in row))
 
 
-def dstar(n: int, key: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-    """The adjoint of d on one monomial with coefficient 1.
+def dstar(n: int, key: tuple[int, ...], scale: int) -> dict[tuple[int, ...], int]:
+    """scale times the adjoint of d on one monomial with coefficient 1, for a
+    scale that is a multiple of _dstar_scale(n).
 
     With eps_a the wedge f_a ^ - and iota_a its contraction, d is
     -sum c eps_a eps_b iota_g over the decompositions (a, b, c) of g, so
@@ -194,7 +134,7 @@ def dstar(n: int, key: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
     """
     dec, norms = _decompositions(n), _norms(n)
     position = {b: t for t, b in enumerate(key)}
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     for g, row in enumerate(dec):
         if g in position:
             continue
@@ -206,16 +146,17 @@ def dstar(n: int, key: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
             s = bisect_left(rest, g)
             # iota_a, then iota_b one place lower (a < b), then eps_g at s
             sign = -1 if (ta + tb - 1 + s) & 1 else 1
-            out[rest[:s] + (g,) + rest[s:]] = -sign * c * Fraction(
-                norms[g], norms[a] * norms[b]
-            )
+            coeff = c * norms[g] * (scale // (norms[a] * norms[b]))
+            out[rest[:s] + (g,) + rest[s:]] = -sign * coeff
     return out
 
 
-def laplacian(n: int, key: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-    """(d d* + d* d) of one monomial with coefficient 1."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for first, second in ((dstar, _d_monomial), (_d_monomial, dstar)):
+def laplacian(n: int, key: tuple[int, ...], scale: int) -> dict[tuple[int, ...], int]:
+    """scale times (d d* + d* d) of one monomial with coefficient 1, for a
+    scale that dstar accepts."""
+    out: dict[tuple[int, ...], int] = {}
+    star = partial(dstar, scale=scale)
+    for first, second in ((star, _d_monomial), (_d_monomial, star)):
         for mid, c1 in first(n, key).items():
             for mono, c2 in second(n, mid).items():
                 out[mono] = out.get(mono, 0) + c1 * c2
@@ -232,13 +173,15 @@ def add_laplacian_record(report: VerificationReport) -> CheckRecord:
     degree <= 2 of the report's rank, which certifies it on every cochain
     (module docstring)."""
     n = report.rank
+    scale = _dstar_scale(n)
     checked = 0
     failures = []
     for p in range(3):
         for key in itertools.combinations(range(n * n), p):
             checked += 1
-            c = Fraction(_c4(n, _subset_weight(n, key)), 4)
-            if laplacian(n, key) != ({key: c} if c else {}):
+            c4 = _c4(n, _subset_weight(n, key))
+            scaled = {k: 4 * v for k, v in laplacian(n, key, scale).items()}
+            if scaled != ({key: scale * c4} if c4 else {}):
                 failures.append(key)
     return report.add(
         "laplacian-scalar",
@@ -433,42 +376,6 @@ class ChainComplex:
             p, w = block
             out.append((p, w, len(self.blocks[block]), self.rank_d(block)))
         return out
-
-
-def monomial_cocycle(w: SignedPerm) -> Cochain:
-    """The wedge of the duals of the inversion set of w, coefficient 1, in
-    canonical order; a closed cochain whose class is a cohomology basis
-    element."""
-    n = w.rank
-    return Cochain.monomial(n, _mask_key(_inversion_mask(w.images, n)))
-
-
-def _sort_parity(seq: list[int]) -> tuple[tuple[int, ...], int]:
-    """Sort distinct integers, returning the parity of the permutation used."""
-    out: list[int] = []
-    sign = 1
-    for x in seq:
-        pos = bisect_left(out, x)
-        if (len(out) - pos) & 1:
-            sign = -sign
-        insort(out, x)
-    return tuple(out), sign
-
-
-def pair_cocycle(sigma: Perm, psi: IncreasingSet) -> Cochain:
-    """The cocycle attached to a (permutation, ideal) pair: the wedge of the
-    inversion duals of sigma (canonical order) followed by the relabeled
-    ideal duals, in the order induced by their originals; the coefficient is
-    the parity of sorting all factors into the canonical order."""
-    if sigma.rank != psi.rank:
-        raise ValueError("rank mismatch between permutation and ideal")
-    n = sigma.rank
-    factors = _mask_key(_perm_inversion_mask(sigma.images, n))
-    nd = num_diffs(n)
-    rho = _rho_table(sigma.images, n)
-    relabeled = [nd + rho[b - nd] for b in _mask_key(psi.members.mask)]
-    key, sign = _sort_parity(list(factors) + relabeled)
-    return Cochain.monomial(n, key, sign)
 
 
 def _unharmonic_small_sets(n: int):

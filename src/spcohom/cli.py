@@ -4,15 +4,17 @@ Subcommands: ideals, weyl, bijection, structure, betti, classes, poincare,
 verify.  JSON is the canonical output (top level {rank, command, checks,
 data}); CSV is available for tabular payloads.
 
-Exit codes, one per case; 2 and 3 come with an "error:" message on stderr,
-never a traceback:
+Exit codes, one per case; 2, 3 and 130 come with an "error:" message on
+stderr, never a traceback:
 
-  0  every check passed
-  1  a verification check failed
-  2  usage error: bad rank, flag or witness, a cap exceeded, CSV for a
-     report, or an --out path that cannot be written
-  3  internal error (a bug, not bad input): a ConsistencyError, or any other
-     ValueError raised while a command runs
+    0  every check passed
+    1  a verification check failed
+    2  usage error: bad rank, flag or witness, a cap exceeded, CSV for a
+       report, or an --out path that cannot be written
+    3  internal error (a bug, not bad input): a ConsistencyError, or any
+       other ValueError raised while a command runs
+  130  interrupted (Ctrl-C); the scan's workers ignore the interrupt and
+       end with the pool
 
 All user input is parsed and validated in _config_from_args, so inside a
 command only a RankCapError is a usage error.
@@ -397,6 +399,14 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        return _run(argv)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
+
+
+def _run(argv: Optional[list[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 from .errors import ConsistencyError
 from .ideals import IncreasingSet, _mask_from_profile, _profile_from_mask, _profiles
 from .report import VerificationReport
-from .roots import RootSet, check_rank, num_diffs, positive_roots
+from .roots import RootSet, num_diffs, positive_roots
 from .weyl import (
     Perm,
     SignedPerm,
@@ -70,13 +70,6 @@ class CorrespondencePair:
 
     sym: Perm
     ideal: IncreasingSet
-
-
-def reversal_perm(n: int) -> Perm:
-    """The longest element (n, n-1, ..., 1) of S_n; an involution that
-    reverses the dominance order on the sums-plus-longs."""
-    check_rank(n)
-    return Perm(tuple(range(n, 0, -1)))
 
 
 def _gather(idx: Sequence[int]) -> itemgetter:
@@ -566,11 +559,15 @@ def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
         partials = [_scan_chunk(n, None, None, gathers and _batchable(n, None, None))]
     else:
         import multiprocessing
+        import signal
 
         step = -(-nperms // workers)
         ranges = [(lo, min(lo + step, nperms)) for lo in range(0, nperms, step)]
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(ranges)) as pool:
+        # the workers ignore Ctrl-C; the parent's KeyboardInterrupt leaves
+        # this block, which terminates them
+        ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
+        with ctx.Pool(len(ranges), initializer=signal.signal, initargs=ignore_sigint) as pool:
             # each chunk checks the eta of its own slice; one bad eta
             # anywhere sends every chunk to the element loop
             slices = [(n, lo, hi) for lo, hi in ranges]

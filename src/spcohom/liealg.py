@@ -52,9 +52,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._of(self.dim, {(c, r): v for (r, c), v in self.entries})
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
@@ -87,16 +84,6 @@ def bracket(x: IntMatrix, y: IntMatrix) -> IntMatrix:
     return (x @ y) - (y @ x)
 
 
-def symplectic_form(n: int) -> IntMatrix:
-    """The 2n x 2n form [[0, I], [-I, 0]]; sp(2n) is X^T J + J X = 0."""
-    check_rank(n)
-    entries = {}
-    for i in range(n):
-        entries[(i, n + i)] = 1
-        entries[(n + i, i)] = -1
-    return IntMatrix.from_entries(2 * n, entries)
-
-
 def root_vector(n: int, alpha: Root) -> IntMatrix:
     check_rank(n)
     if alpha.max_index > n:
@@ -109,15 +96,6 @@ def root_vector(n: int, alpha: Root) -> IntMatrix:
     else:
         entries = {(i, n + j): 1, (j, n + i): 1}
     return IntMatrix.from_entries(2 * n, entries)
-
-
-def cartan_element(n: int, m: int) -> IntMatrix:
-    """The diagonal basis element E_mm - E_{n+m, n+m}; the coefficient of e_m
-    in a root reads off its bracket with every root vector."""
-    check_rank(n)
-    if not 1 <= m <= n:
-        raise ValueError("index out of range")
-    return IntMatrix.from_entries(2 * n, {(m - 1, m - 1): 1, (n + m - 1, n + m - 1): -1})
 
 
 class StructureTable:

@@ -92,9 +92,6 @@ class IntPolynomial:
     def is_palindromic(self) -> bool:
         return self.coeffs == self.coeffs[::-1]
 
-    def coefficient_sum(self) -> int:
-        return sum(self.coeffs)
-
     def __str__(self) -> str:
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -225,14 +222,13 @@ def verify_identities(
     n: int,
     *,
     weyl_hist: IntPolynomial | None = None,
-    betti: list[int] | None = None,
     include_betti_record: bool = True,
 ) -> VerificationReport:
     """Compare the enumerated histograms with the closed forms and check the
     product/quotient identities.  A precomputed weyl_hist (e.g. from the
     bijection scan, which walks the same elements anyway) avoids a second
-    group enumeration; betti, when given, is compared with the type-C length
-    generating function coefficients.
+    group enumeration.  include_betti_record adds a skipped betti-match;
+    add_betti_record is where the Betti numbers are compared.
     """
     from .ideals import dimension_histogram
 
@@ -268,8 +264,8 @@ def verify_identities(
     )
 
     add_formula_records(report, wp, sp, ig)
-    if betti is not None or include_betti_record:
-        add_betti_record(report, betti)
+    if include_betti_record:
+        add_betti_record(report, None)
 
     report.data["weyl_poincare"] = list(wp.coeffs)
     report.data["sym_poincare"] = list(sp.coeffs)

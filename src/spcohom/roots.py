@@ -91,19 +91,6 @@ def long(i: int) -> Root:
     return Root(LONG, i, i)
 
 
-def parse_root(text: str) -> Root:
-    """Inverse of str(root): accepts '2e1', 'e1+e2', 'e1-e2'."""
-    s = text.strip()
-    if s.startswith("2e"):
-        return long(int(s[2:]))
-    for sep, kind in (("+", SUM), ("-", DIFF)):
-        if sep in s[1:]:
-            a, b = s.split(sep, 1)
-            if a.startswith("e") and b.startswith("e"):
-                return Root(kind, int(a[1:]), int(b[1:]))
-    raise ValueError(f"cannot parse root {text!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class SignedRoot:
     """A positive root together with the sign it picked up under a group action."""

@@ -1,0 +1,94 @@
+"""Cochain-level test oracles: sparse cochains, the differential on them, and
+the inversion-set and pair cocycles.  No command builds any of these."""
+
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field
+
+from spcohom.ce import _d_monomial
+from spcohom.correspondence import _rho_table
+from spcohom.ideals import IncreasingSet
+from spcohom.roots import _mask_key, num_diffs
+from spcohom.weyl import Perm, SignedPerm, _inversion_mask, _perm_inversion_mask
+
+
+@dataclass(frozen=True)
+class Cochain:
+    """A homogeneous cochain: sparse map from ascending index tuples to
+    nonzero integer coefficients."""
+
+    rank: int
+    degree: int
+    terms: dict[tuple[int, ...], int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        clean = {}
+        for key, coeff in self.terms.items():
+            if coeff == 0:
+                continue
+            if len(key) != self.degree:
+                raise ValueError(f"monomial {key} does not have degree {self.degree}")
+            if list(key) != sorted(set(key)):
+                raise ValueError(f"monomial {key} is not strictly ascending")
+            clean[key] = coeff
+        object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def monomial(cls, n: int, key: tuple[int, ...], coeff: int = 1) -> "Cochain":
+        return cls(n, len(key), {tuple(key): coeff})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: "Cochain") -> "Cochain":
+        if (self.rank, self.degree) != (other.rank, other.degree):
+            raise ValueError("cochain rank/degree mismatch")
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            out[key] = out.get(key, 0) + coeff
+        return Cochain(self.rank, self.degree, out)
+
+
+def differential(cochain: Cochain) -> Cochain:
+    """The antiderivation extension of d to arbitrary cochains; d(d(x)) == 0."""
+    n = cochain.rank
+    out: dict[tuple[int, ...], int] = {}
+    for key, coeff in cochain.terms.items():
+        for mono, c in _d_monomial(n, key).items():
+            out[mono] = out.get(mono, 0) + coeff * c
+    return Cochain(n, cochain.degree + 1, out)
+
+
+def monomial_cocycle(w: SignedPerm) -> Cochain:
+    """The wedge of the duals of the inversion set of w, coefficient 1, in
+    canonical order; a closed cochain whose class is a cohomology basis
+    element."""
+    n = w.rank
+    return Cochain.monomial(n, _mask_key(_inversion_mask(w.images, n)))
+
+
+def _sort_parity(seq: list[int]) -> tuple[tuple[int, ...], int]:
+    """Sort distinct integers, returning the parity of the permutation used."""
+    out: list[int] = []
+    sign = 1
+    for x in seq:
+        pos = bisect_left(out, x)
+        if (len(out) - pos) & 1:
+            sign = -sign
+        insort(out, x)
+    return tuple(out), sign
+
+
+def pair_cocycle(sigma: Perm, psi: IncreasingSet) -> Cochain:
+    """The cocycle attached to a (permutation, ideal) pair: the wedge of the
+    inversion duals of sigma (canonical order) followed by the relabeled
+    ideal duals, in the order induced by their originals; the coefficient is
+    the parity of sorting all factors into the canonical order."""
+    if sigma.rank != psi.rank:
+        raise ValueError("rank mismatch between permutation and ideal")
+    n = sigma.rank
+    factors = _mask_key(_perm_inversion_mask(sigma.images, n))
+    nd = num_diffs(n)
+    rho = _rho_table(sigma.images, n)
+    relabeled = [nd + rho[b - nd] for b in _mask_key(psi.members.mask)]
+    key, sign = _sort_parity(list(factors) + relabeled)
+    return Cochain.monomial(n, key, sign)

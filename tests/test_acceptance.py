@@ -13,7 +13,8 @@ import sys
 import time
 
 import spcohom
-from spcohom.ce import Cochain, betti_numbers, differential, verify_cohomology_basis
+from cochains import Cochain, differential
+from spcohom.ce import betti_numbers, verify_cohomology_basis
 from spcohom.correspondence import verify_bijection
 from spcohom.ideals import (
     dimension_histogram,

@@ -5,17 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from cochains import Cochain, differential, monomial_cocycle, pair_cocycle
 from spcohom import ce, correspondence
 from spcohom.ce import (
     ChainComplex,
-    Cochain,
     betti_numbers,
     block_summary,
-    differential,
     dstar,
     laplacian,
-    monomial_cocycle,
-    pair_cocycle,
     verify_cohomology_basis,
     _d_monomial,
     _mask_key,
@@ -151,12 +148,9 @@ def _norm(n, b):
     return 1 if positive_roots(n)[b].kind == LONG else 2
 
 
-def _metric(n, key):
-    """|f_S|^2 = prod 1/|e_b|^2 over the monomial."""
-    out = Fraction(1)
-    for b in key:
-        out /= _norm(n, b)
-    return out
+def _inverse_metric(n, key):
+    """1/|f_S|^2 = prod |e_b|^2 over the monomial."""
+    return math.prod(_norm(n, b) for b in key)
 
 
 def _c(n, weight):
@@ -168,25 +162,37 @@ def _c(n, weight):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_dstar_scale_clears_every_denominator(n):
+    # 4 = |e_i +- e_j|^2 |e_k +- e_l|^2 and 2 = |e_i +- e_j|^2 |2e_k| both occur
+    # from rank 2 on; rank 1 has no decomposition
+    assert ce._dstar_scale(n) == (4 if n > 1 else 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_dstar_is_adjoint_of_d(n):
-    # <dx, y> = <x, d*y> for every pair of monomials; both sides are checked
-    # from each side's nonzero terms, which covers every nonzero pair
+    # <dx, y> = <x, d*y> for every pair of monomials, times N |f_x|^-2 |f_y|^-2
+    # for the scaled N d*; both sides are checked from each side's nonzero
+    # terms, which covers every nonzero pair
+    scale, m = ce._dstar_scale(n), _inverse_metric
     keys = [_mask_key(mask) for mask in range(1 << (n * n))]
     for x in keys:
         for y, c in _d_monomial(n, x).items():
-            assert c * _metric(n, y) == dstar(n, y).get(x, 0) * _metric(n, x)
+            assert scale * c * m(n, x) == dstar(n, y, scale).get(x, 0) * m(n, y)
     for y in keys:
-        for x, c in dstar(n, y).items():
+        for x, c in dstar(n, y, scale).items():
             assert len(x) == len(y) - 1
-            assert c * _metric(n, x) == _d_monomial(n, x).get(y, 0) * _metric(n, y)
+            assert c * m(n, y) == scale * _d_monomial(n, x).get(y, 0) * m(n, x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_laplacian_is_scalar_on_every_monomial(n):
+    # the scaled N L is N c(mu) on every monomial, in integers
+    scale = ce._dstar_scale(n)
     for mask in range(1 << (n * n)):
         key = _mask_key(mask)
-        c = _c(n, _subset_weight(n, key))
-        assert laplacian(n, key) == ({key: c} if c else {})
+        c = scale * _c(n, _subset_weight(n, key))
+        assert c.denominator == 1
+        assert laplacian(n, key, scale) == ({key: c} if c else {})
 
 
 def _brute_force_counts(n):

@@ -1,7 +1,13 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import spcohom
 from spcohom import ce, cli, correspondence, ideals, liealg, poincare, roots, weyl
 from spcohom.cli import main
 from spcohom.errors import RankCapError
@@ -124,6 +130,92 @@ def test_broken_dimension_histogram_fails_verify(monkeypatch, tmp_path):
             "formula": [1, 1, 1, 2, 1, 1, 1],
         }
     }
+
+
+def _drop_last_ideal(monkeypatch):
+    # the staircase enumeration that ideal-count counts skips its last ideal
+    real = ideals.enumerate_increasing
+    monkeypatch.setattr(ideals, "enumerate_increasing", lambda n: list(real(n))[:-1])
+
+
+def _shift_one_scan_length(monkeypatch):
+    # the scan's batch count moves one element up one length
+    real = correspondence._length_counts
+
+    def shifted(keys):
+        counts = real(keys)
+        low = min(counts)
+        counts[low], counts[low + 1] = counts[low] - 1, counts[low + 1] + 1
+        return counts
+
+    monkeypatch.setattr(correspondence, "_length_counts", shifted)
+
+
+def _invert_the_identity(monkeypatch):
+    # only the S_n histogram reads poincare's name for the inversion mask
+    real = poincare._perm_inversion_mask
+    monkeypatch.setattr(poincare, "_perm_inversion_mask", lambda word, n: real(word, n) or 1)
+
+
+def _bump_ideal_generating(k):
+    # palindromic, convolution and division rest on the closed forms alone,
+    # so these faults go in prod (1 + t^i); the enumerated ideal histogram
+    # and the division see any change to it, and so fail with them
+    def fault(monkeypatch):
+        real = poincare.ideal_generating
+
+        def bumped(n):
+            coeffs = list(real(n).coeffs)
+            coeffs[k] += 1
+            return poincare.IntPolynomial.from_coeffs(coeffs)
+
+        monkeypatch.setattr(poincare, "ideal_generating", bumped)
+
+    return fault
+
+
+_CLOSED_FORM_IDS = {
+    "poincare.ideal-dimension-histogram",
+    "poincare.histogram-convolution",
+    "poincare.exact-division",
+}
+
+
+@pytest.mark.parametrize(
+    "record, fault, failing",
+    [
+        pytest.param(*case, id=case[0])
+        for case in (
+            ("ideal-count", _drop_last_ideal, {"ideal-count"}),
+            (
+                "poincare.weyl-length-histogram",
+                _shift_one_scan_length,
+                {"poincare.weyl-length-histogram", "classes.class-count-per-degree"},
+            ),
+            (
+                "poincare.sym-inversion-histogram",
+                _invert_the_identity,
+                {"poincare.sym-inversion-histogram"},
+            ),
+            # t^3 is the middle of the degree-6 form, so it stays palindromic
+            ("poincare.histogram-convolution", _bump_ideal_generating(3), _CLOSED_FORM_IDS),
+            (
+                "poincare.palindromic",
+                _bump_ideal_generating(0),
+                _CLOSED_FORM_IDS | {"poincare.palindromic"},
+            ),
+        )
+    ],
+)
+def test_a_fault_under_each_record_fails_verify(
+    monkeypatch, capsys, tmp_path, record, fault, failing
+):
+    fault(monkeypatch)
+    code, text = run_cli(["verify", "--rank", "3"], tmp_path)
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert record in failing
+    assert {c["id"] for c in json.loads(text)["checks"] if not c["pass"]} == failing
 
 
 def test_invalid_rank_is_usage_error():
@@ -475,3 +567,61 @@ def test_consistency_error_exits_3(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+# A CLI child whose scan chunks leave a mark and then wait, so that Ctrl-C
+# lands inside the scan: in the parent with --workers 1, and in the pool's
+# workers, after their initializer, while the parent waits on them with 2.
+_STALLED_SCAN = """
+import os, sys, time
+from spcohom import cli, correspondence
+
+def stalled(*args):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(60)
+
+correspondence._scan_chunk = stalled
+correspondence._usable_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ctrl_c_exits_130_with_one_line(tmp_path, workers):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spcohom.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _STALLED_SCAN, str(tmp_path), "bijection", "--rank", "3",
+         "--workers", str(workers)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(os.listdir(tmp_path)) < workers:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode == 130
+    assert (out, err) == ("", "error: interrupted\n")
+
+
+def test_the_cli_imports_no_rational_arithmetic():
+    # the runtime is integer-only: no command needs fractions or decimal
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spcohom.__file__)))
+    probe = "import sys, spcohom.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -15,7 +15,6 @@ from spcohom.correspondence import (
     from_pair,
     ideal_component,
     ideal_component_closed_form,
-    reversal_perm,
     sym_component,
     sym_component_closed_form,
     trace_element,
@@ -53,12 +52,6 @@ def _batch_verdict(n):
 
 def ideal_of(n, *roots):
     return IncreasingSet.from_members(n, RootSet.from_roots(n, roots))
-
-
-def test_reversal_perm():
-    rev = reversal_perm(4)
-    assert rev.images == (4, 3, 2, 1)
-    assert rev.compose(rev) == Perm.identity(4)
 
 
 def test_sym_component_examples():
@@ -351,7 +344,7 @@ def _inline_pool(monkeypatch, cpus):
     monkeypatch.setattr(
         multiprocessing,
         "get_context",
-        lambda method: SimpleNamespace(Pool=lambda procs: _InlinePool(procs, seen)),
+        lambda method: SimpleNamespace(Pool=lambda procs, **init: _InlinePool(procs, seen)),
     )
     return seen
 

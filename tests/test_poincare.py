@@ -36,7 +36,7 @@ def test_division_faults_on_remainder():
 def test_weyl_poincare_examples():
     assert weyl_poincare(1).coeffs == (1, 1)
     assert weyl_poincare(2).coeffs == (1, 2, 2, 2, 1)
-    assert weyl_poincare(3).coefficient_sum() == 48
+    assert sum(weyl_poincare(3).coeffs) == 48
 
 
 def test_sym_poincare_examples():
@@ -49,7 +49,7 @@ def test_ideal_generating_examples():
     assert ideal_generating(2).coeffs == (1, 1, 1, 1)
     assert ideal_generating(3).coeffs == (1, 1, 1, 2, 1, 1, 1)
     for n in range(1, 9):
-        assert ideal_generating(n).coefficient_sum() == 2**n
+        assert sum(ideal_generating(n).coeffs) == 2**n
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -57,8 +57,8 @@ def test_coefficient_sums(n):
     fact = 1
     for k in range(2, n + 1):
         fact *= k
-    assert weyl_poincare(n).coefficient_sum() == 2**n * fact
-    assert sym_poincare(n).coefficient_sum() == fact
+    assert sum(weyl_poincare(n).coeffs) == 2**n * fact
+    assert sum(sym_poincare(n).coeffs) == fact
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -105,13 +105,15 @@ def test_overlapping_rows_are_an_internal_error(monkeypatch, capsys):
 
 def test_verify_identities_with_injected_histogram():
     hist = weyl_length_histogram(3)
-    report = verify_identities(3, weyl_hist=hist, betti=[1, 3, 5, 7, 8, 8, 7, 5, 3, 1])
+    report = verify_identities(3, weyl_hist=hist, include_betti_record=False)
+    poincare.add_betti_record(report, [1, 3, 5, 7, 8, 8, 7, 5, 3, 1])
     assert report.passed
     assert any(r.check_id == "betti-match" and not r.skipped for r in report.records)
 
 
 def test_verify_identities_detects_bad_betti():
-    report = verify_identities(2, betti=[1, 2, 3, 2, 1])
+    report = verify_identities(2, include_betti_record=False)
+    poincare.add_betti_record(report, [1, 2, 3, 2, 1])
     assert not report.passed
     failed = [r.check_id for r in report.records if not r.passed]
     assert failed == ["betti-match"]

@@ -9,7 +9,6 @@ from spcohom.roots import (
     diff,
     dotted_sum,
     long,
-    parse_root,
     positive_roots,
     precedes,
     split,
@@ -62,10 +61,7 @@ def test_root_validation():
         Root("diff", 0, 1)
 
 
-def test_display_and_parse_round_trip():
-    for n in (1, 2, 3, 4):
-        for r in positive_roots(n):
-            assert parse_root(str(r)) == r
+def test_root_display():
     assert str(diff(1, 2)) == "e1-e2"
     assert str(sum_root(2, 1)) == "e1+e2"
     assert str(long(3)) == "2e3"
