@@ -16,16 +16,22 @@ word without the j's followed by the j's reversed, and row t of the ideal
 runs up to b_t = n + t - sigma_0^-1(j_t).  verify_bijection gates both on
 every element.
 
-The scan reports every check for every element: element by element, or for
-a permutation whose walked rows equal their weyl._row_tables entries, as a
-batch that relabels the checked elements of an earlier permutation (see the
-README, "What the bijection check certifies").  Its failures and witnesses
-are those of a per-element evaluation through the same tables and _relabel.
-Any chunk batches only when the gathers pass and every eta of S_n decodes to
-itself with a pi whose relabel, followed by eta's rho, moves no bit; as the
-long root 2e_v goes to 2e_{rho(pi(v))}, that makes pi eta's position map.
-The chunks split that pass over S_n between them, each checking the slice it
-scans, and share one verdict, so a fault anywhere reaches them all.
+The scan reports every check for every element: element by element on the
+walk's masks, or, for the whole group at once, as one batch of renamings of
+the first permutation's checked elements (see the README, "What the
+bijection check certifies").  Its failures and witnesses are those of a
+per-element evaluation through the same tables and _relabel.  The batch
+needs, checked in the parent before any fork: the gathers pass; weyl._row
+equals weyl._row_tables at every pair (value, later set) and lies on the
+root pairs {v, x} with x in the later set or x = v, so the rows of any word
+are disjoint and weyl._length_histogram's DP over suffix sets counts the
+lengths; and the element loop records no failure on the first permutation.
+Then the pool's one round, the pass over S_n: every eta decodes to itself
+with a pi whose relabel, followed by eta's rho, moves no bit; as the long
+root 2e_v goes to 2e_{rho(pi(v))}, that makes pi eta's position map.  The
+chunks split that pass between them, each checking its own slice, and share
+one verdict.  If any check fails, every permutation of every chunk runs the
+element loop.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice, permutations
-from operator import getitem, itemgetter
+from itertools import islice, permutations
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError
@@ -55,9 +61,9 @@ from .weyl import (
     _expand,
     _inversion_mask,
     _iter_rows,
-    _length_counts,
-    _length_key,
+    _length_histogram,
     _perm_inversion_mask,
+    _row,
     _row_tables,
     _sign_patterns,
     _word_from_inversion_mask,
@@ -393,15 +399,28 @@ def _gathers_batchable(n: int) -> bool:
     return True
 
 
+def _rows_batchable(n: int) -> bool:
+    """Whether weyl._row equals the independently built _row_tables at every
+    pair (v, later) of a value and a set of other values, n * 2^(n-1) pairs
+    that cover the rows of every word."""
+    lo, hi = _row_tables(n)
+    return all(
+        _row(n, v, later) == (lo[v][later], hi[v][later])
+        for v in range(1, n + 1)
+        for later in range(1 << n)
+        if not later >> (v - 1) & 1
+    )
+
+
 def _batchable(n: int, start: Optional[int], stop: Optional[int]) -> bool:
     """Whether, for every eta in the index slice [start, stop) of S_n (the
     words _iter_rows gives the chunk with that slice), _sym_entry(inv(eta))
     decodes to eta and relabelling through its pi and then through eta's rho
     moves no bit.  That composite also makes pi eta's position map: the long
     root 2e_v goes to 2e_{rho(pi(v))}, so a composite that moves no bit
-    forces rho(pi(v)) = v, and rho^-1 is the position map.  The scan batches
-    only where this holds on every slice and _gathers_batchable holds.
-    Keeps nothing."""
+    forces rho(pi(v)) = v, and rho^-1 is the position map.  The scan passes
+    as a batch only where this holds on every slice and the parent's checks
+    hold.  Keeps nothing."""
     identity = tuple(range(n * (n + 1) // 2))
     for eta in islice(permutations(range(1, n + 1)), start, stop):
         entry = _sym_entry(_perm_inversion_mask(eta, n), n)
@@ -412,28 +431,21 @@ def _batchable(n: int, start: Optional[int], stop: Optional[int]) -> bool:
     return True
 
 
-def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], batchable: bool) -> dict:
-    """Exhaustively check one slice of the group (by permutation index range),
-    passing permutations as batches only if batchable, the verdict of
-    _gathers_batchable and of _batchable on every slice of the scan.
+def _scan_chunk(n: int, start: Optional[int], stop: Optional[int]) -> dict:
+    """Check every element of one slice of the group (by permutation index
+    range) one by one, on the masks of the walk.
 
-    Returns plain sums, bounded witness lists and the pair keys of the
-    elements whose round trip through the direct inverse failed, all of which
-    merge associatively across chunks, plus the number of permutations whose
-    elements were checked one by one.
+    Returns the failure counts, bounded witness lists, the length histogram
+    and the pair keys of the elements whose round trip through the direct
+    inverse failed, all of which merge associatively across chunks, plus the
+    number of permutations checked.
     """
     phi0_all = (1 << num_diffs(n)) - 1
     recipes = _recipes(n)
     canonical = _closed_forms(n)
-    lo, hi = _row_tables(n)
-    bits = _value_bits(n)
-    # per symmetric component's inversion mask phi0, for the permutations
-    # checked element by element: (eta, compiled pi relabel, compiled rho
-    # relabel), or None when phi0 is no inversion set
+    # per symmetric component's inversion mask phi0: (eta, compiled pi
+    # relabel, compiled rho relabel), or None when phi0 is no inversion set
     entries: dict[int, Optional[tuple]] = {}
-    # an earlier permutation passed the batch compares and recorded no failure
-    clean = False
-    # failures only: the element and round-trip counts come from hist
     counts = dict.fromkeys(_ELEMENT_CHECKS, 0)
     witnesses = {key: _TopK() for key in _ELEMENT_CHECKS}
 
@@ -442,28 +454,11 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], batchable: bo
         witnesses[key].offer((word, jmask))
 
     hist: Counter[int] = Counter()
-    keys: Counter = Counter()  # the _length_key of each batch
     failed_keys: set[tuple[tuple[int, ...], int]] = set()
-    per_element = 0
+    perms = 0
 
     for word, plus, minus in _iter_rows(n, start or 0, stop):
-        # values at positions p < q are inverted in g_P(word) iff word[p] >
-        # word[q] XOR p in P, so with these rows inv(g_P(word)) is the
-        # difference part of the mask of every P; later[p] is the value mask
-        # of the letters after position p
-        later = list(accumulate(map(bits.__getitem__, word[:0:-1]), initial=0))[::-1]
-        batch = (
-            batchable
-            and plus == list(map(getitem, map(lo.__getitem__, word), later))
-            and minus == list(map(getitem, map(hi.__getitem__, word), later))
-            and (key := _length_key(plus, minus)) is not None
-        )
-        if batch and clean:
-            keys[key] += 1
-            continue
-
-        per_element += 1
-        recorded = sum(counts.values())
+        perms += 1
         masks = _expand(plus, minus)
         hist.update(map(int.bit_count, masks))
         phi0s = [mask & phi0_all for mask in masks]
@@ -497,18 +492,13 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int], batchable: bo
                 fail("support_fail", word, jmask)
             if gather(word) != eta_word:
                 fail("closed_sym_fail", word, jmask)
-        clean = clean or (batch and sum(counts.values()) == recorded)
 
-    hist.update(_length_counts(keys))
-    elements = hist.total()
-    unbuilt = counts["sym_fail"] + counts["incr_fail"] + counts["construct_fail"]
-    counts.update(elements=elements, round_trip=elements - unbuilt)
     return {
         "counts": counts,
         "witnesses": {k: w.items for k, w in witnesses.items()},
         "hist": [hist[d] for d in range(n * n + 1)],
         "failed_keys": failed_keys,
-        "per_element_perms": per_element,
+        "per_element_perms": perms,
     }
 
 
@@ -532,6 +522,55 @@ def _round_trip(sigma_word: tuple[int, ...], ximask: int, n: int) -> Optional[Si
         return None
 
 
+def _scan(n: int, workers: int = 1) -> dict:
+    """The scan of all 2^n n! elements (see the module docstring), merged
+    over its chunks: failure counts, witness items, length histogram, failed
+    pair keys and per_element_perms, the number of permutations checked
+    element by element.  A passing scan is the first permutation's result
+    with the DP's histogram.  Workers are capped by the number of
+    permutations and of CPUs this process may run on.
+    """
+    nperms = math.factorial(n)
+    workers = min(workers, nperms, _usable_cpus())
+    # before any fork, so the workers inherit _recipes and _closed_forms
+    hist = _gathers_batchable(n) and _rows_batchable(n) and _length_histogram(n)
+    first = hist and _scan_chunk(n, 0, 1)
+    clean = bool(first) and not any(first["counts"].values())
+    if workers == 1:
+        passed = clean and _batchable(n, None, None)
+        partials = [] if passed else [_scan_chunk(n, None, None)]
+    else:
+        import multiprocessing
+        import signal
+
+        step = -(-nperms // workers)
+        slices = [(n, lo, min(lo + step, nperms)) for lo in range(0, nperms, step)]
+        ctx = multiprocessing.get_context("fork")
+        # the workers ignore Ctrl-C; the parent's KeyboardInterrupt leaves
+        # this block, which terminates them
+        ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
+        with ctx.Pool(len(slices), initializer=signal.signal, initargs=ignore_sigint) as pool:
+            # one bad eta in any slice sends every chunk to the element loop
+            passed = clean and all(pool.starmap(_batchable, slices))
+            partials = [] if passed else pool.starmap(_scan_chunk, slices)
+    if passed:
+        partials = [{**first, "hist": hist}]
+
+    witnesses = {}
+    for key in _ELEMENT_CHECKS:
+        top = _TopK()
+        for p in partials:
+            top.merge(p["witnesses"][key])
+        witnesses[key] = top.items
+    return {
+        "counts": {k: sum(p["counts"][k] for p in partials) for k in _ELEMENT_CHECKS},
+        "witnesses": witnesses,
+        "hist": [sum(column) for column in zip(*(p["hist"] for p in partials))],
+        "failed_keys": set().union(*(p["failed_keys"] for p in partials)),
+        "per_element_perms": sum(p["per_element_perms"] for p in partials),
+    }
+
+
 def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
     """Exhaustively verify the correspondence over all 2^n n! elements.
 
@@ -543,61 +582,28 @@ def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
     |G| = 2^n n! = |S_n x ideals| it is then onto.  The number of distinct
     pairs is exact even where the recipe fails, and pair-onto compares it
     with the size of the product.  The closed forms read off the standard
-    form must equal both components on every element.  Workers are
-    capped by the number of permutations and of CPUs this process may run on.
+    form must equal both components on every element.
     """
     check_group_cap(n)
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    nperms = math.factorial(n)
-    workers = min(workers, nperms, _usable_cpus())
-    # once per scan, and before any fork, so the workers inherit _recipes
-    # and _closed_forms
-    gathers = _gathers_batchable(n)
-    if workers == 1:
-        partials = [_scan_chunk(n, None, None, gathers and _batchable(n, None, None))]
-    else:
-        import multiprocessing
-        import signal
-
-        step = -(-nperms // workers)
-        ranges = [(lo, min(lo + step, nperms)) for lo in range(0, nperms, step)]
-        ctx = multiprocessing.get_context("fork")
-        # the workers ignore Ctrl-C; the parent's KeyboardInterrupt leaves
-        # this block, which terminates them
-        ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
-        with ctx.Pool(len(ranges), initializer=signal.signal, initargs=ignore_sigint) as pool:
-            # each chunk checks the eta of its own slice; one bad eta
-            # anywhere sends every chunk to the element loop
-            slices = [(n, lo, hi) for lo, hi in ranges]
-            batchable = gathers and all(pool.starmap(_batchable, slices))
-            partials = pool.starmap(_scan_chunk, [(*s, batchable) for s in slices])
-
-    counts = {k: sum(p["counts"][k] for p in partials) for k in partials[0]["counts"]}
-    witnesses = {}
-    for key in partials[0]["witnesses"]:
-        top = _TopK()
-        for p in partials:
-            top.merge(p["witnesses"][key])
-        witnesses[key] = [_witness_str(*item) for item in top.items]
-    hist = [sum(p["hist"][d] for p in partials) for d in range(n * n + 1)]
+    scan = _scan(n, workers)
+    counts, hist = scan["counts"], scan["hist"]
+    total = sum(hist)
+    round_trip = total - counts["sym_fail"] - counts["incr_fail"] - counts["construct_fail"]
     # Successful round trips have distinct keys, since the recipe is a
     # function.  A failed element's key k is also the key of a success
     # exactly when pair(construct(k)) == k, so only the other keys are new.
-    failed_keys = set().union(*(p["failed_keys"] for p in partials))
-    distinct = counts["round_trip"] + sum(
-        1 for key in failed_keys if _round_trip(*key, n) is None
-    )
+    distinct = round_trip + sum(1 for key in scan["failed_keys"] if _round_trip(*key, n) is None)
 
     order = group_order(n)
-    total = counts["elements"]
     report = VerificationReport(rank=n)
     report.add(
         "pair-injective",
         "the direct inverse recipe is a left inverse of the pair map on every "
         "element, so distinct elements give distinct (permutation, ideal) pairs",
-        counts["round_trip"] == total == order,
+        round_trip == total == order,
         {"elements": total, "distinct_pairs": distinct},
     )
     report.add(
@@ -607,7 +613,8 @@ def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
         {"distinct_pairs": distinct, "product_size": order},
     )
     for key, (check_id, description) in _ELEMENT_CHECKS.items():
-        detail = {"failures": counts[key], "witnesses": witnesses[key]}
+        witnesses = [_witness_str(*item) for item in scan["witnesses"][key]]
+        detail = {"failures": counts[key], "witnesses": witnesses}
         report.add(check_id, description, counts[key] == 0, detail)
     report.data["elements"] = total
     report.data["distinct_pairs"] = distinct

@@ -16,13 +16,12 @@ identity, so it raises instead of truncating.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, RankCapError
 from .report import VerificationReport
 from .roots import check_rank
-from .weyl import check_group_cap, _iter_rows, _length_counts, _length_key, _perm_inversion_mask
+from .weyl import check_group_cap, _length_histogram, _perm_inversion_mask
 
 # Highest rank of the poincare command.  Its polynomials have degree n^2 and
 # coefficients up to 2^n n!: rank 64 takes 1.5 s, 23 MB and a 1.9 MB report,
@@ -138,14 +137,13 @@ def ideal_generating(n: int) -> IntPolynomial:
 
 
 def weyl_length_histogram(n: int) -> IntPolynomial:
-    """Enumerated length histogram of the whole signed-permutation group,
-    counted per permutation from the walk's rows as the scan's batch does."""
+    """Counted length histogram of the whole signed-permutation group, by the
+    DP over suffix sets that the scan's batch uses (weyl._length_histogram)."""
     check_group_cap(n)
-    keys = Counter(_length_key(plus, minus) for _word, plus, minus in _iter_rows(n))
-    if None in keys:
-        raise ConsistencyError("two rows of one walked permutation overlap; this indicates a bug")
-    counts = _length_counts(keys)
-    return IntPolynomial.from_coeffs([counts[d] for d in range(n * n + 1)])
+    counts = _length_histogram(n)
+    if counts is None:
+        raise ConsistencyError("a row lies off its root pairs; this indicates a bug")
+    return IntPolynomial.from_coeffs(counts)
 
 
 def sym_inversion_histogram(n: int) -> IntPolynomial:

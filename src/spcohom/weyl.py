@@ -10,7 +10,6 @@ the sign of the value v, sigma_0 acts first).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import or_, sub
@@ -317,44 +316,54 @@ def _word_from_inversion_mask(mask: int, n: int) -> Optional[tuple[int, ...]]:
     return out if _perm_inversion_mask(out, n) == mask else None
 
 
+def _row(n: int, v: int, later: int) -> tuple[int, int]:
+    """(plus, minus): the inversions of the roots whose first slot holds the
+    value v, unflipped and flipped, when later is the value mask of the
+    letters after it (bit q - 1 for the value q).  Built from the root index;
+    _iter_rows and _length_histogram take their rows from here."""
+    d_idx, s_idx, l_idx = _index_tables(n)
+    up, down = 0, 1 << l_idx[v]
+    for q in range(1, n + 1):
+        if later >> (q - 1) & 1:
+            if q < v:
+                up |= 1 << d_idx[q][v]
+                down |= 1 << s_idx[q][v]
+            else:
+                down |= (1 << s_idx[v][q]) | (1 << d_idx[v][q])
+    return up, down
+
+
 def _iter_rows(n: int, perm_start: int = 0, perm_stop: int | None = None):
     """Fast exhaustive walk of the whole group, one permutation word at a time
     in lexicographic order (optionally sliced by index, for partitioning
     across workers), yielding (word, plus, minus): plus[p] and minus[p] are
-    the inversion bitmasks of the roots with first slot at the 0-based
-    position p, with the value there unflipped and flipped.  So
-    _expand(plus, minus)[P] is the inversion mask of the element of word
-    whose values at the positions in P are negated, because for a fixed
-    element the map from a positive root to the inversion it contributes is
-    injective, so the rows never overlap and add like disjoint bit sets; and
-    because the contribution of the two roots supported on positions (i, j)
-    depends only on the sign carried by the value at position i."""
+    the rows _row gives the value at the 0-based position p and the letters
+    after it.  So _expand(plus, minus)[P] is the inversion mask of the
+    element of word whose values at the positions in P are negated, because
+    for a fixed element the map from a positive root to the inversion it
+    contributes is injective, so the rows never overlap and add like
+    disjoint bit sets; and because the contribution of the two roots
+    supported on positions (i, j) depends only on the sign carried by the
+    value at position i."""
     check_rank(n)
-    d_idx, s_idx, l_idx = _index_tables(n)
     words = itertools.permutations(range(1, n + 1))
     if perm_start or perm_stop is not None:
         words = itertools.islice(words, perm_start, perm_stop)
     for word in words:
-        plus, minus = [], []
-        for i, p in enumerate(word):
-            down = 1 << l_idx[p]
-            up = 0
-            for q in word[i + 1 :]:
-                if p > q:
-                    up |= 1 << d_idx[q][p]
-                    down |= 1 << s_idx[q][p]
-                else:
-                    down |= (1 << s_idx[p][q]) | (1 << d_idx[p][q])
-            plus.append(up)
-            minus.append(down)
+        rows, later = [], 0
+        for v in reversed(word):
+            rows.append(_row(n, v, later))
+            later |= 1 << (v - 1)
+        plus, minus = map(list, zip(*reversed(rows)))
         yield word, plus, minus
 
 
 @lru_cache(maxsize=None)
 def _row_tables(n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """(lo, hi): lo[v][later] and hi[v][later] are the rows _iter_rows yields
-    for the value v unflipped and flipped, later the value mask of the
-    letters after it, built from the root index and not from the walk."""
+    """(lo, hi): lo[v][later] and hi[v][later] are the rows _row gives for
+    the value v unflipped and flipped, later the value mask of the letters
+    after it, built from the root index by subset doubling and not by _row's
+    loop."""
     d_idx, s_idx, l_idx = _index_tables(n)
     lo, hi = [[]], [[]]
     for v in range(1, n + 1):
@@ -394,15 +403,56 @@ def _length_key(plus: list[int], minus: list[int]) -> Optional[tuple]:
     return sum(ups), tuple(sorted(map(sub, map(int.bit_count, minus), ups)))
 
 
-def _length_counts(keys: Counter) -> Counter:
-    """Length -> elements, over the permutations counted by _length_key."""
-    counts: Counter[int] = Counter()
-    for (low, steps), count in keys.items():
-        poly = Counter({low: count})
-        for a in steps:
-            poly.update({d + a: c for d, c in poly.items()})
-        counts.update(poly)
-    return counts
+def _row_supports(n: int) -> list[list[int]]:
+    """support[v][later]: the roots on the index pairs {v, x} with x = v or
+    x in the value mask later, built by subset doubling like _row_tables.
+    Raises ConsistencyError unless the pairs {a, b}, a <= b, split the n^2
+    roots, which is what makes rows on distinct pairs disjoint."""
+    d_idx, s_idx, l_idx = _index_tables(n)
+    pairs = [[0] * n for _ in range(n + 1)]  # pairs[v][q - 1]: the roots on {v, q}, q != v
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            pairs[a][b - 1] = pairs[b][a - 1] = (1 << d_idx[a][b]) | (1 << s_idx[a][b])
+    cover = [pairs[a][b - 1] for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    cover += [1 << l_idx[v] for v in range(1, n + 1)]
+    if sum(cover) != (1 << n * n) - 1 or sum(map(int.bit_count, cover)) != n * n:
+        raise ConsistencyError(
+            f"the root pairs of rank {n} do not split the roots; this indicates a bug"
+        )
+    return [[]] + [
+        [m + (1 << l_idx[v]) for m in _expand([0] * n, pairs[v])] for v in range(1, n + 1)
+    ]
+
+
+def _length_histogram(n: int) -> Optional[list[int]]:
+    """Length -> elements over the whole group, as a list over 0..n^2, with
+    no walk over permutations: a DP over the suffix sets S of a word,
+
+        F(empty) = 1,  F(S) = sum over v in S of (t^|plus| + t^|minus|) F(S - v)
+
+    with (plus, minus) = _row(n, v, S - v), and the histogram F({1..n}).
+    Each polynomial is packed into one int, a coefficient per width bits,
+    width enough for the 2^n n! elements.  A length is a sum of row
+    popcounts when the n rows of a word are disjoint, which holds when every
+    row lies on the index pairs {v, x} with x = v or x after v
+    (_row_supports): the value at a position is after no later position, so
+    the rows of a word lie on distinct pairs.  None when a row does not."""
+    width = group_order(n).bit_length()
+    support = _row_supports(n)
+    poly = [1]
+    for suffix in range(1, 1 << n):
+        acc = 0
+        for v in range(1, n + 1):
+            rest = suffix & ~(1 << (v - 1))
+            if rest != suffix:
+                up, down = _row(n, v, rest)
+                if (up | down) & ~support[v][rest]:
+                    return None
+                f = poly[rest]
+                acc += (f << width * up.bit_count()) + (f << width * down.bit_count())
+        poly.append(acc)
+    low = (1 << width) - 1
+    return [poly[-1] >> width * d & low for d in range(n * n + 1)]
 
 
 def standard_form(w: SignedPerm) -> StandardForm:

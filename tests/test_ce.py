@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cochains import Cochain, differential, monomial_cocycle, pair_cocycle
-from spcohom import ce, correspondence
+from spcohom import ce, correspondence, weyl
 from spcohom.ce import (
     ChainComplex,
     betti_numbers,
@@ -359,20 +359,26 @@ def test_classes_independent_can_fail(monkeypatch):
     assert record.passed
     assert record.detail == {"not_harmonic": 0, "pair_injective": True, "witnesses": []}
 
-    # a walk that repeats elements repeats their monomials: the scan's last
-    # permutation takes the rows, and so the masks, of the first, so the
+    # a walk that repeats elements repeats their monomials: the flipped row
+    # of the value 1 at the end of a word takes its unflipped row, so the
+    # elements that differ only in that flip share their masks, and the
     # recipe cannot rebuild both from their pair keys
-    walk = list(correspondence._iter_rows(n))
-    walk[-1] = walk[-1][0], *walk[0][1:]
-    monkeypatch.setattr(correspondence, "_iter_rows", lambda n, *slice_: iter(walk))
+    real = weyl._row
+
+    def repeated(rank, v, later):
+        up, down = real(rank, v, later)
+        return (up, up) if (v, later) == (1, 0) else (up, down)
+
+    monkeypatch.setattr(weyl, "_row", repeated)
+    monkeypatch.setattr(correspondence, "_row", repeated)
     failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
     assert failed["classes-independent"] == {
         "not_harmonic": 0,
         "pair_injective": False,
         "witnesses": [],
     }
-    # the repeat also moves the lengths of the last permutation's elements in
-    # the scan's histogram and breaks the bijection the pair records rest on
+    # the repeat also moves the lengths of those elements in the scan's
+    # histogram and breaks the bijection the pair records rest on
     assert set(failed) == {
         "classes-independent",
         "class-count-per-degree",

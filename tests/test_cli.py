@@ -138,17 +138,28 @@ def _drop_last_ideal(monkeypatch):
     monkeypatch.setattr(ideals, "enumerate_increasing", lambda n: list(real(n))[:-1])
 
 
-def _shift_one_scan_length(monkeypatch):
-    # the scan's batch count moves one element up one length
-    real = correspondence._length_counts
+def _repeat_first_ideal(monkeypatch):
+    # the enumeration lists its first ideal again in place of its last
+    real = ideals.enumerate_increasing
 
-    def shifted(keys):
-        counts = real(keys)
-        low = min(counts)
+    def repeated(n):
+        items = list(real(n))
+        return items[:-1] + items[:1]
+
+    monkeypatch.setattr(ideals, "enumerate_increasing", repeated)
+
+
+def _shift_one_scan_length(monkeypatch):
+    # the scan's DP count moves one element up one length
+    real = correspondence._length_histogram
+
+    def shifted(n):
+        counts = real(n)
+        low = next(d for d, count in enumerate(counts) if count)
         counts[low], counts[low + 1] = counts[low] - 1, counts[low + 1] + 1
         return counts
 
-    monkeypatch.setattr(correspondence, "_length_counts", shifted)
+    monkeypatch.setattr(correspondence, "_length_histogram", shifted)
 
 
 def _invert_the_identity(monkeypatch):
@@ -205,7 +216,8 @@ _CLOSED_FORM_IDS = {
                 _CLOSED_FORM_IDS | {"poincare.palindromic"},
             ),
         )
-    ],
+    ]
+    + [pytest.param("ideal-count", _repeat_first_ideal, {"ideal-count"}, id="ideal-count-repeat")],
 )
 def test_a_fault_under_each_record_fails_verify(
     monkeypatch, capsys, tmp_path, record, fault, failing
@@ -569,9 +581,10 @@ def test_consistency_error_exits_3(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-# A CLI child whose scan chunks leave a mark and then wait, so that Ctrl-C
-# lands inside the scan: in the parent with --workers 1, and in the pool's
-# workers, after their initializer, while the parent waits on them with 2.
+# A CLI child whose passes over S_n, the scan's work per chunk, leave a mark
+# and then wait, so that Ctrl-C lands inside the scan: in the parent with
+# --workers 1, and in the pool's workers, after their initializer, while the
+# parent waits on them with 2.
 _STALLED_SCAN = """
 import os, sys, time
 from spcohom import cli, correspondence
@@ -580,7 +593,7 @@ def stalled(*args):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
     time.sleep(60)
 
-correspondence._scan_chunk = stalled
+correspondence._batchable = stalled
 correspondence._usable_cpus = lambda: 2
 sys.exit(cli.main(sys.argv[2:]))
 """

@@ -6,7 +6,7 @@ from operator import itemgetter
 
 import pytest
 
-from spcohom import ConsistencyError, correspondence
+from spcohom import ConsistencyError, correspondence, weyl
 from spcohom.cli import main
 from spcohom.correspondence import (
     CorrespondencePair,
@@ -42,12 +42,6 @@ from spcohom.weyl import (
 
 def r(i, n):
     return SignedPerm.reflection(i, n)
-
-
-def _batch_verdict(n):
-    """The verdict verify_bijection gives every chunk of a rank-n scan: the
-    per-rank gather checks and the pass over all of S_n."""
-    return correspondence._gathers_batchable(n) and correspondence._batchable(n, None, None)
 
 
 def ideal_of(n, *roots):
@@ -274,10 +268,11 @@ def test_distinct_pairs_exact_when_the_pair_map_is_not_injective(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("fault", [None, "closed-form-ideal"])
 def test_scan_entries_are_one_pass_over_s_n_plus_the_element_loop(monkeypatch, n, fault):
-    # one _sym_entry per eta in S_n, in order, then at most one per set of
-    # flipped positions of each permutation that runs the element loop: one
-    # permutation when the scan passes, every one when a wrong closed-form
-    # ideal fails them all
+    # at most one _sym_entry per set of flipped positions of each
+    # permutation that runs the element loop, and when the first one records
+    # no failure, one per eta in S_n, in order: the element loop runs on one
+    # permutation when the scan passes, and on every one, with no pass over
+    # S_n, when a wrong closed-form ideal fails them all
     if fault:
         table = list(correspondence._closed_forms(n))
         table[1] = table[1][0], table[1][1] ^ 1  # a difference root, never in an ideal
@@ -287,11 +282,15 @@ def test_scan_entries_are_one_pass_over_s_n_plus_the_element_loop(monkeypatch, n
     monkeypatch.setattr(
         correspondence, "_sym_entry", lambda phi0, rank: calls.append(phi0) or real(phi0, rank)
     )
-    result = correspondence._scan_chunk(n, None, None, _batch_verdict(n))
+    result = correspondence._scan(n)
     words = list(itertools.permutations(range(1, n + 1)))
-    assert calls[: len(words)] == [_perm_inversion_mask(eta, n) for eta in words]
-    assert result["per_element_perms"] == (len(words) if fault else 1)
-    assert len(calls) <= len(words) + 2**n * result["per_element_perms"]
+    if fault:
+        assert result["per_element_perms"] == len(words)
+        assert len(calls) <= 2**n * (1 + len(words))
+    else:
+        assert result["per_element_perms"] == 1
+        assert calls[-len(words) :] == [_perm_inversion_mask(eta, n) for eta in words]
+        assert len(calls) <= len(words) + 2**n
 
 
 def test_from_pair_builds_at_most_one_relabel_table(monkeypatch):
@@ -360,10 +359,9 @@ def test_workers_clamped_to_cpus_and_permutations(monkeypatch, n, cpus, workers,
     assert seen.get("chunks") == chunks
     assert seen.get("processes") == chunks
     if chunks:
-        # the pass over S_n and then the scan, over the same slices
-        (first, slices, _verdicts), (second, scans, _partials) = seen["rounds"]
-        assert (first, second) == (correspondence._batchable, correspondence._scan_chunk)
-        assert [args[:3] for args in scans] == slices
+        # a passing scan's one round is the pass over S_n
+        [(fn, _slices, verdicts)] = seen["rounds"]
+        assert fn == correspondence._batchable and verdicts == [True] * chunks
 
 
 @pytest.mark.parametrize("n, workers", [(3, 2), (4, 3), (5, 2)])
@@ -387,7 +385,7 @@ def test_each_chunk_checks_only_the_eta_of_its_own_slice(monkeypatch, n, workers
     monkeypatch.setattr(correspondence, "_batchable", counted)
     seen = _inline_pool(monkeypatch, workers)
     assert verify_bijection(n, workers=workers).passed
-    (_fn, slices, verdicts), _scan = seen["rounds"]
+    [(_fn, slices, verdicts)] = seen["rounds"]
     assert verdicts == [True] * workers
     words = list(itertools.permutations(range(1, n + 1)))
     assert [eta for _n, lo, hi in slices for eta in words[lo:hi]] == words
@@ -423,9 +421,13 @@ def test_bad_eta_in_one_slice_sends_every_chunk_to_the_element_loop(monkeypatch,
     assert parallel.data == serial.data
 
 
-def test_verify_bijection_workers_match_serial():
-    serial = verify_bijection(3, workers=1)
-    parallel = verify_bijection(3, workers=2)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_verify_bijection_workers_match_serial(monkeypatch, n, workers):
+    serial = verify_bijection(n, workers=1)
+    seen = _inline_pool(monkeypatch, 3)
+    parallel = verify_bijection(n, workers=workers)
+    assert seen.get("chunks") == (workers if workers > 1 else None)
     assert serial.checks_json() == parallel.checks_json()
     assert serial.data == parallel.data
 
@@ -551,22 +553,28 @@ _FAILS = (
 )
 def test_scan_chunk_matches_pinned_values(n, start, stop, elements, hist):
     # every slice here meets all 2^n sets of flipped positions
-    assert correspondence._scan_chunk(n, start, stop, _batch_verdict(n)) == {
-        "counts": {"elements": elements, "round_trip": elements, **dict.fromkeys(_FAILS, 0)},
+    assert sum(hist) == elements
+    assert correspondence._scan_chunk(n, start, stop) == {
+        "counts": dict.fromkeys(_FAILS, 0),
         "witnesses": dict.fromkeys(_FAILS, []),
         "hist": hist,
         "failed_keys": set(),
-        "per_element_perms": 1,
+        "per_element_perms": elements >> n,
     }
 
 
-@pytest.mark.parametrize("start, stop", [(None, None), (0, 40), (40, 41), (41, 120)])
-def test_passing_scan_checks_one_permutation_per_chunk_element_by_element(start, stop):
-    # the first permutation of a chunk is checked element by element and
-    # makes the chunk clean; every later one passes as one batch
-    result = correspondence._scan_chunk(5, start, stop, _batch_verdict(5))
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_passing_scan_checks_one_permutation_element_by_element(monkeypatch, workers):
+    # the parent checks the first permutation element by element; every
+    # other one is a renaming of it, and the pool's one round is the pass
+    # over S_n
+    seen = _inline_pool(monkeypatch, 3)
+    result = correspondence._scan(5, workers)
     assert result["per_element_perms"] == 1
-    assert result["counts"]["elements"] == ((stop or 120) - (start or 0)) * 2**5
+    assert sum(result["hist"]) == 120 * 2**5
+    assert [fn for fn, _args, _results in seen.get("rounds", [])] == [
+        correspondence._batchable
+    ] * (workers > 1)
 
 
 def test_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, capsys):
@@ -659,6 +667,19 @@ def _evaluate(word, jmask, mask, n):
     return failed
 
 
+def _patch_row(monkeypatch, fault):
+    """Make the row function the walk, the DP and the rows check call give
+    fault(v, later, plus, minus) in place of the rows (plus, minus) of the
+    value v with the later-value mask later."""
+    real = weyl._row
+
+    def corrupted(rank, v, later):
+        return fault(v, later, *real(rank, v, later))
+
+    monkeypatch.setattr(weyl, "_row", corrupted)
+    monkeypatch.setattr(correspondence, "_row", corrupted)
+
+
 def _walked_elements(n):
     """(word, jmask, mask) for every element the scan's walk yields, jmask
     the flipped values of the element's positions."""
@@ -676,31 +697,30 @@ def _walked_elements(n):
 def test_wrong_walked_sum_bits_match_a_per_element_evaluation(
     monkeypatch, tmp_path, capsys, pos, bit
 ):
-    # the walk drops one inversion from the flipped row of one position of
-    # the word (2, 3, 1) at rank 3, so every element that flips that position
-    # has a wrong mask and the scan must relabel that element's own mask.
-    # Without e1+e3 (the row of 3) the relabelled sums of [2,-3,1] are upward
-    # closed but the wrong ideal; its pi is no involution, so relabelling
-    # through rho = pi^-1 differs.  Without 2e3 they are not upward closed.
-    # Without e2-e3 (the row of 2) the difference part of [-2,3,1] is
-    # {e1-e3}, no inversion set.  The word is scanned after the chunk is clean
+    # the row function drops one inversion from the flipped row of one
+    # position of the word (2, 3, 1) at rank 3, the only word with that value
+    # and later set there, so every element that flips that position has a
+    # wrong mask and the scan must relabel that element's own mask.  Without
+    # e1+e3 (the row of 3) the relabelled sums of [2,-3,1] are upward closed
+    # but the wrong ideal; its pi is no involution, so relabelling through
+    # rho = pi^-1 differs.  Without 2e3 they are not upward closed.  Without
+    # e2-e3 (the row of 2) the difference part of [-2,3,1] is {e1-e3}, no
+    # inversion set.  The word is not the first scanned
     n = 3
-    real = correspondence._iter_rows
-
-    def corrupted(rank, perm_start=0, perm_stop=None):
-        for word, plus, minus in real(rank, perm_start, perm_stop):
-            if word == (2, 3, 1):
-                minus[pos] ^= 1 << bit
-            yield word, plus, minus
-
-    monkeypatch.setattr(correspondence, "_iter_rows", corrupted)
+    word = (2, 3, 1)
+    target = word[pos], sum(1 << (q - 1) for q in word[pos + 1 :])
+    _patch_row(
+        monkeypatch,
+        lambda v, later, up, down: (up, down ^ 1 << bit if (v, later) == target else down),
+    )
     expected = {key: [] for key in _FAILS}
     for word, jmask, mask in _walked_elements(n):
         for key in _evaluate(word, jmask, mask, n):
             expected[key].append((word, jmask))
     assert sum(map(len, expected.values())) > 0
 
-    result = correspondence._scan_chunk(n, None, None, _batch_verdict(n))
+    result = correspondence._scan(n)
+    assert result["per_element_perms"] == math.factorial(n)
     assert {key: result["counts"][key] for key in _FAILS} == {
         key: len(items) for key, items in expected.items()
     }
@@ -712,20 +732,16 @@ def test_wrong_walked_sum_bits_match_a_per_element_evaluation(
 
 
 def test_walked_mask_above_the_roots_relabels_only_its_sums_plus_longs(monkeypatch):
-    # bit 3 (e1+e2) added to the flipped row of 3 in (2, 3, 1) at rank 3,
-    # which the flipped row of 2 already holds: the sum carries, so the mask
-    # of [-2,-3,-1] has a bit above the n^2 roots, which the relabel must not
-    # read as a digit; the scan matches the bit-by-bit reference
+    # bit 3 (e1+e2) added to the flipped row of 3 before 1, which at rank 3
+    # is the row of 3 in (2, 3, 1) alone, and which the flipped row of 2
+    # there already holds: the sum carries, so the mask of [-2,-3,-1] has a
+    # bit above the n^2 roots, which the relabel must not read as a digit;
+    # the scan matches the bit-by-bit reference
     n = 3
-    real = correspondence._iter_rows
-
-    def corrupted(rank, perm_start=0, perm_stop=None):
-        for word, plus, minus in real(rank, perm_start, perm_stop):
-            if word == (2, 3, 1):
-                minus[1] += 1 << 3
-            yield word, plus, minus
-
-    monkeypatch.setattr(correspondence, "_iter_rows", corrupted)
+    _patch_row(
+        monkeypatch,
+        lambda v, later, up, down: (up, down + (1 << 3) if (v, later) == (3, 0b1) else down),
+    )
     _assert_scan_matches_reference(n)
     [(mask, failed)] = [
         (mask, _reference(word, jmask, mask, n))
@@ -760,7 +776,7 @@ def _reference(word, jmask, mask, n, relabel=_bitwise_relabel):
         failed.append("support_fail")
     if mask.bit_count() != phi0.bit_count() + xi.bit_count():
         failed.append("degree_fail")
-    if _construct(eta, xi, n) != (word, jmask):
+    if correspondence._construct(eta, xi, n) != (word, jmask):
         failed.append("construct_fail")
     pset = sum(1 << p for p, v in enumerate(word) if jmask >> (v - 1) & 1)
     gather, ideal = correspondence._closed_forms(n)[pset]
@@ -784,7 +800,7 @@ def _assert_scan_matches_reference(n, relabel=_bitwise_relabel):
         if "construct_fail" in failed:
             eta, pi = correspondence._sym_entry(mask & ((1 << (n * (n - 1) // 2)) - 1), n)
             keys.add((eta, relabel(mask, pi, n)))
-    result = correspondence._scan_chunk(n, None, None, _batch_verdict(n))
+    result = correspondence._scan(n)
     counts = {key: len(items) for key, items in expected.items()}
     assert {key: result["counts"][key] for key in _FAILS} == counts
     cap = correspondence._MAX_WITNESSES
@@ -863,31 +879,77 @@ def test_itemgetter_that_breaks_the_closed_form_rule_disables_the_batch(monkeypa
 def test_swapped_masks_of_one_word_match_a_per_element_evaluation(
     monkeypatch, n, scanned, other
 ):
-    # a wrong walk: for one word, the rows of one position p swap, so the
-    # elements with flipped positions P and P ^ {p} swap their masks, for
-    # every P.  With the last position both have the same symmetric
-    # component and different ideals, with the first position both differ.
-    # The word is the first scanned, which would otherwise make the chunk
-    # clean, or a later one, which the batch would otherwise pass
+    # a wrong row function: the two rows of the value at position p of one
+    # word, with the letters after it, swap, so in each of the (n-1)! words
+    # with that value and later set at p the elements with flipped positions
+    # P and P ^ {p} swap their masks, for every P.  With the last position
+    # both have the same symmetric component and different ideals, with the
+    # first position both differ.  The word is the first scanned, whose
+    # element loop would otherwise pass, or the last one
     word = tuple(range(1, n + 1)) if scanned == "first" else tuple(range(n, 0, -1))
     p = n - 1 if other == "last" else 0
-    real = correspondence._iter_rows
-
-    def corrupted(rank, perm_start=0, perm_stop=None):
-        for w, plus, minus in real(rank, perm_start, perm_stop):
-            if w == word:
-                plus[p], minus[p] = minus[p], plus[p]
-            yield w, plus, minus
-
-    monkeypatch.setattr(correspondence, "_iter_rows", corrupted)
+    target = word[p], sum(1 << (q - 1) for q in word[p + 1 :])
+    _patch_row(
+        monkeypatch,
+        lambda v, later, up, down: (down, up) if (v, later) == target else (up, down),
+    )
     counts, result = _assert_scan_matches_reference(n)
-    expected = {**dict.fromkeys(_FAILS, 0), "construct_fail": 2**n, "closed_ideal_fail": 2**n}
+    swapped = 2**n * math.factorial(n - 1)
+    expected = {**dict.fromkeys(_FAILS, 0), "construct_fail": swapped, "closed_ideal_fail": swapped}
     if other == "first":
-        expected["closed_sym_fail"] = 2**n
+        expected["closed_sym_fail"] = swapped
     assert counts == expected
-    # the word itself fails the row compares, and with the first word the
-    # second makes the chunk clean
-    assert result["per_element_perms"] == 2
+    # the rows check sees the swap, so every permutation runs the element loop
+    assert result["per_element_perms"] == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("fault", ["entry", "off-support"])
+def test_a_wrong_row_sends_every_permutation_to_the_element_loop(monkeypatch, n, fault):
+    # the flipped row of the value n with no letter after it is 2e_n.  An
+    # entry that loses it fails the rows check against the tables; one that
+    # gains 2e_1, off the root pairs of n, with the same bit in the tables,
+    # fails only the supports, so the DP gives no histogram
+    extra = 1 << root_index(n)[long(1 if fault == "off-support" else n)]
+    flip = (lambda down: down | extra) if fault == "off-support" else (lambda down: down ^ extra)
+    _patch_row(
+        monkeypatch,
+        lambda v, later, up, down: (up, flip(down) if (v, later) == (n, 0) else down),
+    )
+    if fault == "off-support":
+        lo, hi = _row_tables(n)
+        hi = [row[:] for row in hi]
+        hi[n][0] = flip(hi[n][0])
+        monkeypatch.setattr(correspondence, "_row_tables", lambda rank: (lo, hi))
+    assert correspondence._rows_batchable(n) == (fault == "off-support")
+    assert (weyl._length_histogram(n) is None) == (fault == "off-support")
+    counts, result = _assert_scan_matches_reference(n)
+    assert sum(counts.values()) > 0
+    assert result["per_element_perms"] == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_failure_in_the_first_permutation_sends_every_permutation_to_the_element_loop(
+    monkeypatch, n
+):
+    # the inverse recipe builds the wrong word for the identity element alone:
+    # the gathers, the rows and the supports pass, the element loop on the
+    # first permutation records the failure, and then every permutation runs
+    # the element loop, with no pass over S_n
+    identity = tuple(range(1, n + 1))
+    real = correspondence._construct
+
+    def wrong(word, ximask, rank):
+        return (identity[::-1], 0) if (word, ximask) == (identity, 0) else real(word, ximask, rank)
+
+    def no_pass(*args):
+        raise AssertionError("the pass over S_n ran after a failing first permutation")
+
+    monkeypatch.setattr(correspondence, "_construct", wrong)
+    monkeypatch.setattr(correspondence, "_batchable", no_pass)
+    counts, result = _assert_scan_matches_reference(n)
+    assert counts == {**dict.fromkeys(_FAILS, 0), "construct_fail": 1}
+    assert result["per_element_perms"] == math.factorial(n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

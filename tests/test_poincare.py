@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from spcohom import poincare
+from spcohom import poincare, weyl
 from spcohom.cli import main
 from spcohom.errors import ConsistencyError, RankCapError
 from spcohom.poincare import (
@@ -86,15 +86,19 @@ def test_verify_identities_passes(n):
 
 
 def test_overlapping_rows_are_an_internal_error(monkeypatch, capsys):
-    # the per-permutation length count needs disjoint rows; it does not fall
-    # back to the expanded masks
-    real = poincare._iter_rows
+    # the DP's length count needs disjoint rows; it does not fall back to
+    # the expanded masks.  The flipped row of the first value also takes the
+    # rows of the last value, which are off its root pairs
+    real = weyl._row
 
-    def corrupted(n):
-        for word, plus, minus in real(n):
-            yield word, plus, [minus[0] | plus[-1] | minus[-1], *minus[1:]]
+    def corrupted(n, v, later):
+        up, down = real(n, v, later)
+        if later == (1 << n) - 1 - (1 << (v - 1)):
+            last = 1 if v > 1 else 2
+            down |= sum(real(n, last, 0))
+        return up, down
 
-    monkeypatch.setattr(poincare, "_iter_rows", corrupted)
+    monkeypatch.setattr(weyl, "_row", corrupted)
     with pytest.raises(ConsistencyError):
         weyl_length_histogram(3)
     for command in ("weyl", "betti"):

@@ -34,9 +34,11 @@ from spcohom.weyl import (
     _expand,
     _inversion_mask,
     _iter_rows,
-    _length_counts,
+    _length_histogram,
     _length_key,
     _perm_inversion_mask,
+    _row,
+    _row_supports,
     _row_tables,
     _sign_patterns,
     _word_from_inversion_mask,
@@ -381,11 +383,20 @@ def test_sign_patterns_and_flips_are_the_doubling_of_their_rows(n):
         assert [mask >> nd << nd for mask in _expand(plus, minus)] == _doubling(rows)
 
 
+def _key_lengths(key):
+    """Length -> masks for one _length_key (L, steps): t^L * prod(1 + t^a)."""
+    low, steps = key
+    poly = Counter({low: 1})
+    for a in steps:
+        poly.update({d + a: c for d, c in poly.items()})
+    return poly
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_length_key_counts_the_expanded_masks(n):
     for _word, plus, minus in _iter_rows(n):
         lengths = Counter(map(int.bit_count, _expand(plus, minus)))
-        assert _length_counts(Counter([_length_key(plus, minus)])) == lengths
+        assert _key_lengths(_length_key(plus, minus)) == lengths
 
 
 def test_length_key_refuses_overlapping_rows():
@@ -395,7 +406,7 @@ def test_length_key_refuses_overlapping_rows():
     # steps may be negative where a flipped row is the shorter one
     key = _length_key([0b111, 0], [0b1000, 0b10000])
     assert key == (3, (-2, 1))
-    assert _length_counts(Counter([key])) == Counter({3: 1, 1: 1, 4: 1, 2: 1})
+    assert _key_lengths(key) == Counter({3: 1, 1: 1, 4: 1, 2: 1})
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -405,6 +416,64 @@ def test_row_tables_match_the_walk(n):
         later = [sum(1 << (q - 1) for q in word[p + 1 :]) for p in range(n)]
         assert plus == [lo[v][m] for v, m in zip(word, later)]
         assert minus == [hi[v][m] for v, m in zip(word, later)]
+
+
+def _root_pairs(mask, n):
+    """The index pairs {i, j} (a 1- or 2-element frozenset) of the roots in mask."""
+    return {frozenset((r.i, r.j)) for b, r in enumerate(positive_roots(n)) if mask >> b & 1}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rows_lie_on_their_root_pairs(n):
+    # the rows of v with the later set L lie on the pairs {v, x}, x in L or
+    # x = v, which is what the support tables hold
+    support = _row_supports(n)
+    for v in range(1, n + 1):
+        for later in range(1 << n):
+            if later >> (v - 1) & 1:
+                continue
+            allowed = {frozenset((v, x)) for x in range(1, n + 1) if later >> (x - 1) & 1 or x == v}
+            assert _root_pairs(support[v][later], n) == allowed
+            up, down = _row(n, v, later)
+            assert _root_pairs(up | down, n) <= allowed
+            assert (up | down) & ~support[v][later] == 0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_length_histogram_counts_the_walked_masks(n):
+    lengths = Counter()
+    for _word, plus, minus in _iter_rows(n):
+        lengths.update(map(int.bit_count, _expand(plus, minus)))
+    assert _length_histogram(n) == [lengths[d] for d in range(n * n + 1)]
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_length_histogram_is_the_product_of_the_2i_brackets(n):
+    # prod_{i=1..n} [2i]_t, with [m]_t = 1 + t + ... + t^(m-1)
+    poly = [1]
+    for i in range(1, n + 1):
+        out = [0] * (len(poly) + 2 * i - 1)
+        for d, c in enumerate(poly):
+            for k in range(2 * i):
+                out[d + k] += c
+        poly = out
+    assert _length_histogram(n) == poly
+
+
+def test_length_histogram_refuses_a_row_off_its_root_pairs(monkeypatch):
+    # the flipped row of 2 before 1 takes 2e3, on no pair {2, x}: the DP
+    # gives no histogram, and weyl_length_histogram calls that a bug
+    real = weyl._row
+    extra = 1 << root_index(3)[long(3)]
+
+    def corrupted(n, v, later):
+        up, down = real(n, v, later)
+        return (up, down | extra) if (n, v, later) == (3, 2, 0b1) else (up, down)
+
+    monkeypatch.setattr(weyl, "_row", corrupted)
+    assert _length_histogram(3) is None
+    assert _length_histogram(2) == [1, 2, 2, 2, 1]
+    assert main(["weyl", "--rank", "3"]) == 3
 
 
 @pytest.mark.parametrize("n", range(1, 8))
