@@ -51,7 +51,7 @@ from .errors import RankCapError
 from .liealg import root_vector, structure_table
 from .report import CheckRecord, VerificationReport
 from .roots import _mask_key, check_rank, positive_roots
-from .weyl import group_order, _iter_rows, _length_key, _sign_patterns
+from .weyl import group_order, _iter_rows, _sign_patterns
 
 DEFAULT_COHOMOLOGY_CAP = 6
 ORACLE_CAP = 4
@@ -387,7 +387,8 @@ def _unharmonic_small_sets(n: int):
     0 on all 2^n sets once it is 0 on those of size <= 2 (Moebius inversion)."""
     small = [pset for pset in range(1 << n) if pset.bit_count() <= 2]
     for word, plus, minus in _iter_rows(n):
-        disjoint = _length_key(plus, minus) is not None
+        rows = [up | down for up, down in zip(plus, minus)]
+        disjoint = sum(rows).bit_count() == sum(map(int.bit_count, rows))  # no carry
         weights = [[_subset_weight(n, _mask_key(row)) for row in pair] for pair in zip(plus, minus)]
         for pset in small:
             chosen = [w[pset >> p & 1] for p, w in enumerate(weights)]

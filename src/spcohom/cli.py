@@ -10,7 +10,7 @@ stderr, never a traceback:
     0  every check passed
     1  a verification check failed
     2  usage error: bad rank, flag or witness, a cap exceeded, CSV for a
-       report, or an --out path that cannot be written
+       report, or an --out path or stdout that cannot be written
     3  internal error (a bug, not bad input): a ConsistencyError, or any
        other ValueError raised while a command runs
   130  interrupted (Ctrl-C); the scan's workers ignore the interrupt and
@@ -20,7 +20,9 @@ All user input is parsed and validated in _config_from_args, so inside a
 command only a RankCapError is a usage error.
 
 Output is deterministic: iteration orders are fixed, nothing is sampled, and
-no timing enters a report.  --seed is accepted and read by nothing, because
+no timing enters a report.  It is written to its destination, the --out file
+or stdout, as it is serialized (json.dump, csv.writer), so no command builds
+its whole output as one string.  --seed is accepted and read by nothing, because
 perfbench/run.py passes it to every command (ROADMAP item 4 deletes it).
 """
 
@@ -28,11 +30,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
 
 from . import ce, correspondence, ideals, liealg, poincare, weyl
 from .errors import ConsistencyError, InvalidRankError, RankCapError
@@ -41,10 +44,11 @@ from .roots import check_rank, positive_roots
 from .weyl import SignedPerm, parse_signed_perm
 
 # Highest rank whose listing is built, per command (--list, or --per-weight
-# for betti): the whole listing is held in memory and serialized at once, so
-# these keep peak RSS under about 1 GB (measurements in CHANGES.md).  Rank 5
-# has 250,606 weight blocks.
-LIST_CAPS = {"ideals": 16, "weyl": 6, "betti": 4}
+# for betti).  The listing is held in memory while it is written out, so
+# these keep peak RSS under about 1 GB (measurements in CHANGES.md): one rank
+# more doubles the ideals, multiplies the elements by 16 and the weight
+# blocks by 39 (9,791,868 at rank 6).
+LIST_CAPS = {"ideals": 17, "weyl": 7, "betti": 5}
 
 # Highest rank of the structure command.  Its table brackets every pair of
 # the n^2 positive root vectors, each with at most 2 nonzero matrix entries,
@@ -160,13 +164,12 @@ def _structure_rows(n: int) -> list[list]:
 # -- command handlers ---------------------------------------------------------
 
 
-def _listing_csv(items: list[dict]) -> list[list]:
+def _listing_csv(items: list[dict]) -> Iterator[list]:
     """A nonempty listing as CSV rows: its keys as the header, then one row
     per item, with list fields joined by spaces as in ideals --list."""
-    return [list(items[0])] + [
-        [" ".join(map(str, v)) if isinstance(v, list) else v for v in item.values()]
-        for item in items
-    ]
+    yield list(items[0])
+    for item in items:
+        yield [" ".join(map(str, v)) if isinstance(v, list) else v for v in item.values()]
 
 
 def _check_list_cap(command: str, n: int) -> None:
@@ -182,22 +185,14 @@ def _cmd_ideals(cfg: RunConfig):
         _check_list_cap("ideals", n)
     hist = ideals.dimension_histogram(n)
     data = {"count": sum(hist.coeffs), "histogram": list(hist.coeffs)}
-    if cfg.list_items:
-        data["ideals"] = [
-            {"roots": psi.members.to_strings(), "dimension": psi.dimension}
-            for psi in ideals.enumerate_increasing(n)
-        ]
-    csv_rows = None
-    if cfg.fmt == "csv":
-        if cfg.list_items:
-            csv_rows = [["dimension", "members"]] + [
-                [item["dimension"], " ".join(item["roots"])] for item in data["ideals"]
-            ]
-        else:
-            csv_rows = [["dimension", "count"]] + [
-                [k, c] for k, c in enumerate(hist.coeffs)
-            ]
-    return 0, [], data, csv_rows
+    if not cfg.list_items:
+        return 0, [], data, chain([["dimension", "count"]], enumerate(hist.coeffs))
+    data["ideals"] = [
+        {"roots": psi.members.to_strings(), "dimension": psi.dimension}
+        for psi in ideals.enumerate_increasing(n)
+    ]
+    rows = ([item["dimension"], " ".join(item["roots"])] for item in data["ideals"])
+    return 0, [], data, chain([["dimension", "members"]], rows)
 
 
 def _cmd_weyl(cfg: RunConfig):
@@ -206,37 +201,28 @@ def _cmd_weyl(cfg: RunConfig):
         _check_list_cap("weyl", n)
     hist = poincare.weyl_length_histogram(n)
     data = {"order": weyl.group_order(n), "length_histogram": list(hist.coeffs)}
-    if cfg.list_items:
-        elements = []
-        for w in weyl.enumerate_group(n):
-            sf = weyl.standard_form(w)
-            elements.append(
-                {
-                    "element": str(w),
-                    "length": weyl.length(w),
-                    "flipped_values": list(sf.j_list),
-                    "permutation": list(sf.sigma0.images),
-                }
-            )
-        data["elements"] = elements
-    csv_rows = None
-    if cfg.fmt == "csv":
-        if cfg.list_items:
-            csv_rows = _listing_csv(data["elements"])
-        else:
-            csv_rows = [["length", "count"]] + [[k, c] for k, c in enumerate(hist.coeffs)]
-    return 0, [], data, csv_rows
+    if not cfg.list_items:
+        return 0, [], data, chain([["length", "count"]], enumerate(hist.coeffs))
+    elements = []
+    for w in weyl.enumerate_group(n):
+        sf = weyl.standard_form(w)
+        elements.append(
+            {
+                "element": str(w),
+                "length": weyl.length(w),
+                "flipped_values": list(sf.j_list),
+                "permutation": list(sf.sigma0.images),
+            }
+        )
+    data["elements"] = elements
+    return 0, [], data, _listing_csv(elements)
 
 
 def _cmd_structure(cfg: RunConfig):
     if cfg.rank > STRUCTURE_CAP:
         raise RankCapError(f"rank {cfg.rank} exceeds the structure cap {STRUCTURE_CAP}")
     rows = _structure_rows(cfg.rank)
-    data = {"entries": rows}
-    csv_rows = None
-    if cfg.fmt == "csv":
-        csv_rows = [["alpha", "beta", "gamma", "c"]] + rows
-    return 0, [], data, csv_rows
+    return 0, [], {"entries": rows}, chain([["alpha", "beta", "gamma", "c"]], rows)
 
 
 def _cmd_bijection(cfg: RunConfig):
@@ -260,13 +246,10 @@ def _cmd_betti(cfg: RunConfig):
             {"degree": p, "weight": list(w), "dimension": dim, "rank_d": rank}
             for p, w, dim, rank in ce.block_summary(n)
         ]
-    csv_rows = None
-    if cfg.fmt == "csv":
-        if cfg.per_weight:
-            csv_rows = _listing_csv(data["blocks"])
-        else:
-            csv_rows = [["degree", "betti"]] + [[k, b] for k, b in enumerate(betti)]
-    return (0 if report.passed else 1), report.checks_json(), data, csv_rows
+        rows = _listing_csv(data["blocks"])
+    else:
+        rows = chain([["degree", "betti"]], enumerate(betti))
+    return (0 if report.passed else 1), report.checks_json(), data, rows
 
 
 def _cmd_classes(cfg: RunConfig):
@@ -283,31 +266,23 @@ def _cmd_poincare(cfg: RunConfig):
     report = VerificationReport(rank=n)
     poincare.add_formula_records(report, wp, sp, ig)
     passed = {r.check_id: r.passed for r in report.records}
-    product = sp * ig
-    data = {
+    polys = {
         "weyl_poincare": list(wp.coeffs),
         "sym_poincare": list(sp.coeffs),
         "ideal_generating": list(ig.coeffs),
-        "sym_times_ideal": list(product.coeffs),
+        "sym_times_ideal": list((sp * ig).coeffs),
+    }
+    data = {
+        **polys,
         "identities": {
             "product": passed["histogram-convolution"],
             "exact_division": passed["exact-division"],
         },
     }
-    csv_rows = None
-    if cfg.fmt == "csv":
-        width = len(wp.coeffs)
-        csv_rows = [["name"] + [f"c{k}" for k in range(width)]]
-        for name, poly in (
-            ("weyl_poincare", wp),
-            ("sym_poincare", sp),
-            ("ideal_generating", ig),
-            ("sym_times_ideal", product),
-        ):
-            csv_rows.append(
-                [name] + list(poly.coeffs) + [""] * (width - len(poly.coeffs))
-            )
-    return (0 if report.passed else 1), report.checks_json(), data, csv_rows
+    width = len(wp.coeffs)
+    rows = ([name] + c + [""] * (width - len(c)) for name, c in polys.items())
+    header = ["name"] + [f"c{k}" for k in range(width)]
+    return (0 if report.passed else 1), report.checks_json(), data, chain([header], rows)
 
 
 def _lie_agreement_record(n: int, report: VerificationReport) -> None:
@@ -391,12 +366,23 @@ _HANDLERS = {
 }
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+@contextmanager
+def _destination(out: Optional[str]):
+    """The --out file, or stdout, written to as the output is serialized and
+    flushed before the exit code is chosen.  A stdout that fails a write is
+    closed, so that the interpreter's flush at exit does not fail again on
+    the bytes still buffered."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            yield fh
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except OSError:
+        with suppress(OSError):
+            sys.stdout.close()
+        raise
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -427,17 +413,16 @@ def _run(argv: Optional[list[str]]) -> int:
         print(f"error: internal error (a bug): {exc}", file=sys.stderr)
         return 3
 
-    if cfg.fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
-        text = buf.getvalue()
-    else:
-        doc = {"rank": cfg.rank, "command": args.command, "checks": checks, "data": data}
-        text = json.dumps(doc, indent=2) + "\n"
     try:
-        _emit(text, cfg.out)
+        with _destination(cfg.out) as fh:
+            if cfg.fmt == "csv":
+                csv.writer(fh, lineterminator="\n").writerows(csv_rows)
+            else:
+                doc = {"rank": cfg.rank, "command": args.command, "checks": checks, "data": data}
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
     except OSError as exc:
-        print(f"error: cannot write {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"error: cannot write {cfg.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return code
 

@@ -53,10 +53,6 @@ class IntPolynomial:
         """1 + t + ... + t^(m-1)."""
         return cls((1,) * m)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):

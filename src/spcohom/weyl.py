@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import or_, sub
 from typing import Iterator, Optional
 
 from .errors import ConsistencyError, RankCapError
@@ -391,16 +390,6 @@ def _sign_patterns(word: tuple[int, ...]) -> list[int]:
     """Entry P is the flipped-value bitmask (bit v-1 set iff the value v is
     negated) of the element at index P of _expand over word's rows."""
     return _expand([0] * len(word), [1 << (v - 1) for v in word])
-
-
-def _length_key(plus: list[int], minus: list[int]) -> Optional[tuple]:
-    """(L, steps): t^L * prod(1 + t^a for a in steps) counts the masks of
-    _expand(plus, minus) by length; None when two rows overlap."""
-    rows = list(map(or_, plus, minus))
-    if sum(rows).bit_count() != sum(map(int.bit_count, rows)):  # a carry
-        return None
-    ups = list(map(int.bit_count, plus))
-    return sum(ups), tuple(sorted(map(sub, map(int.bit_count, minus), ups)))
 
 
 def _row_supports(n: int) -> list[list[int]]:

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import signal
@@ -557,6 +559,90 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+_EVERY_RUN = [
+    ["ideals"],
+    ["ideals", "--list"],
+    ["weyl"],
+    ["weyl", "--list"],
+    ["bijection"],
+    ["bijection", "--witness", "[2,-1,3]"],
+    ["structure"],
+    ["betti"],
+    ["betti", "--per-weight"],
+    ["classes"],
+    ["poincare"],
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", _EVERY_RUN, ids=" ".join)
+def test_out_file_gets_the_bytes_stdout_gets(tmp_path, capsys, argv, fmt):
+    args = argv + ["--rank", "3", "--format", fmt]
+    code = main(args)
+    captured = capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == code
+    assert capsys.readouterr() == ("", captured.err)
+    written = out.read_bytes() if out.exists() else b""
+    assert written == captured.out.encode("utf-8")
+    # a report has no CSV form; everything else writes something
+    assert bool(written) == (code != 2)
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_full_stdout_is_one_usage_error_line(monkeypatch, capsys, fmt):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert main(["weyl", "--rank", "3", "--list", "--format", fmt]) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+# A CLI child that starts once its stdin is closed, so that the reader can
+# close the stdout pipe before the first byte or after it.
+_CLI_AFTER_STDIN = "import sys; from spcohom.cli import main; sys.stdin.read(); sys.exit(main())"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # about 0.4 MB, more than a pipe holds: a write fails mid-listing
+        ["weyl", "--rank", "5", "--list"],
+        # fits in the stdout buffer: only the final flush fails
+        ["weyl", "--rank", "3"],
+    ],
+    ids=" ".join,
+)
+def test_stdout_closed_by_its_reader_is_one_usage_error_line(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spcohom.__file__)))
+    # stdout block-buffered, as in a shell pipeline
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CLI_AFTER_STDIN, *argv],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": src},
+    )
+    try:
+        if "--list" in argv:
+            proc.stdin.close()
+            assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        proc.stdin.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert err == b"error: cannot write stdout: Broken pipe\n"
 
 
 def test_internal_value_error_exits_3(monkeypatch, capsys):

@@ -35,7 +35,6 @@ from spcohom.weyl import (
     _inversion_mask,
     _iter_rows,
     _length_histogram,
-    _length_key,
     _perm_inversion_mask,
     _row,
     _row_supports,
@@ -383,32 +382,6 @@ def test_sign_patterns_and_flips_are_the_doubling_of_their_rows(n):
         assert [mask >> nd << nd for mask in _expand(plus, minus)] == _doubling(rows)
 
 
-def _key_lengths(key):
-    """Length -> masks for one _length_key (L, steps): t^L * prod(1 + t^a)."""
-    low, steps = key
-    poly = Counter({low: 1})
-    for a in steps:
-        poly.update({d + a: c for d, c in poly.items()})
-    return poly
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_length_key_counts_the_expanded_masks(n):
-    for _word, plus, minus in _iter_rows(n):
-        lengths = Counter(map(int.bit_count, _expand(plus, minus)))
-        assert _key_lengths(_length_key(plus, minus)) == lengths
-
-
-def test_length_key_refuses_overlapping_rows():
-    assert _length_key([0, 0], [0b11, 0b100]) == (0, (1, 2))
-    assert _length_key([0b1, 0], [0b10, 0b1]) is None  # row 0 and minus[1] share bit 0
-    assert _length_key([0b1, 0b10], [0b10, 0b100]) is None  # plus[1] meets minus[0]
-    # steps may be negative where a flipped row is the shorter one
-    key = _length_key([0b111, 0], [0b1000, 0b10000])
-    assert key == (3, (-2, 1))
-    assert _key_lengths(key) == Counter({3: 1, 1: 1, 4: 1, 2: 1})
-
-
 @pytest.mark.parametrize("n", range(1, 8))
 def test_row_tables_match_the_walk(n):
     lo, hi = _row_tables(n)
@@ -474,6 +447,36 @@ def test_length_histogram_refuses_a_row_off_its_root_pairs(monkeypatch):
     assert _length_histogram(3) is None
     assert _length_histogram(2) == [1, 2, 2, 2, 1]
     assert main(["weyl", "--rank", "3"]) == 3
+
+
+def test_root_pairs_that_do_not_split_the_roots_exit_3(monkeypatch, capsys):
+    # e1+e2 takes the bit of e1-e2 at rank 3, so the pair {1, 2} covers one
+    # root and no pair covers the other
+    real = weyl._index_tables
+
+    def shared(n):
+        d, s, l = real(n)
+        if n == 3:
+            s = [row[:] for row in s]
+            s[1][2] = d[1][2]
+        return d, s, l
+
+    monkeypatch.setattr(weyl, "_index_tables", shared)
+    weyl._diff_offsets.cache_clear()
+    weyl._row_tables.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="do not split the roots"):
+            _row_supports(3)
+        assert len(_row_supports(2)) == 3  # other ranks keep their index
+        assert main(["weyl", "--rank", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "do not split the roots" in captured.err and "Traceback" not in captured.err
+    finally:
+        monkeypatch.undo()
+        weyl._diff_offsets.cache_clear()
+        weyl._row_tables.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(1, 8))
