@@ -21,9 +21,10 @@ command only a RankCapError is a usage error.
 
 Output is deterministic: iteration orders are fixed, nothing is sampled, and
 no timing enters a report.  It is written to its destination, the --out file
-or stdout, as it is serialized (json.dump, csv.writer), so no command builds
-its whole output as one string.  --seed is accepted and read by nothing, because
-perfbench/run.py passes it to every command (ROADMAP item 4 deletes it).
+or stdout, as it is serialized (JSON in joined groups of 4,096 encoder
+chunks, CSV through csv.writer), so no command builds its whole output as one
+string.  --seed is accepted and read by nothing, because perfbench/run.py
+passes it to every command (ROADMAP item 4 deletes it).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import json
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator, Optional
 
 from . import ce, correspondence, ideals, liealg, poincare, weyl
@@ -419,7 +420,9 @@ def _run(argv: Optional[list[str]]) -> int:
                 csv.writer(fh, lineterminator="\n").writerows(csv_rows)
             else:
                 doc = {"rank": cfg.rank, "command": args.command, "checks": checks, "data": data}
-                json.dump(doc, fh, indent=2)
+                chunks = json.JSONEncoder(indent=2).iterencode(doc)
+                while batch := "".join(islice(chunks, 4096)):
+                    fh.write(batch)
                 fh.write("\n")
     except OSError as exc:
         print(f"error: cannot write {cfg.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)

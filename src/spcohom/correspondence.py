@@ -21,11 +21,14 @@ walk's masks, or, for the whole group at once, as one batch of renamings of
 the first permutation's checked elements (see the README, "What the
 bijection check certifies").  Its failures and witnesses are those of a
 per-element evaluation through the same tables and _relabel.  The batch
-needs, checked in the parent before any fork: the gathers pass; weyl._row
-equals weyl._row_tables at every pair (value, later set) and lies on the
-root pairs {v, x} with x in the later set or x = v, so the rows of any word
-are disjoint and weyl._length_histogram's DP over suffix sets counts the
-lengths; and the element loop records no failure on the first permutation.
+needs three checks in the parent before any fork: every gather is an
+itemgetter; weyl._length_histogram, one pass over the pairs (value, later
+set), finds each row of weyl._row equal to weyl._row_tables and on the root
+pairs {v, x} with x in the later set or x = v, so the rows of any word are
+disjoint and its DP over suffix sets counts the lengths; and the element
+loop records no failure on the first permutation, whose word is the
+positions plus one, so closed-form-sym there compares each closed-form
+gather with its rule.
 Then the pool's one round, the pass over S_n: every eta decodes to itself
 with a pi whose relabel, followed by eta's rho, moves no bit; as the long
 root 2e_v goes to 2e_{rho(pi(v))}, that makes pi eta's position map.  The
@@ -63,8 +66,6 @@ from .weyl import (
     _iter_rows,
     _length_histogram,
     _perm_inversion_mask,
-    _row,
-    _row_tables,
     _sign_patterns,
     _word_from_inversion_mask,
 )
@@ -384,32 +385,14 @@ _ELEMENT_CHECKS = {
 def _gathers_batchable(n: int) -> bool:
     """Whether the gathers let the scan pass permutations as batches.
     Renaming values commutes only with gathers that are pure position maps,
-    so every recipe gather must be an itemgetter, and every closed-form
-    gather the one that lists the positions outside its P in order, then
-    those in P reversed.  Builds _recipes(n) and _closed_forms(n)."""
-    recipes = _recipes(n).values()
-    if not all(type(recipe[0]) is itemgetter for recipe in recipes if recipe is not None):
-        return False
-    positions = tuple(range(n))
-    for pset, (gather, _ideal) in enumerate(_closed_forms(n)):
-        flipped = [p for p in positions if pset >> p & 1]
-        rule = [p for p in positions if p not in flipped] + flipped[::-1]
-        if type(gather) is not itemgetter or gather(positions) != tuple(rule):
-            return False
-    return True
-
-
-def _rows_batchable(n: int) -> bool:
-    """Whether weyl._row equals the independently built _row_tables at every
-    pair (v, later) of a value and a set of other values, n * 2^(n-1) pairs
-    that cover the rows of every word."""
-    lo, hi = _row_tables(n)
-    return all(
-        _row(n, v, later) == (lo[v][later], hi[v][later])
-        for v in range(1, n + 1)
-        for later in range(1 << n)
-        if not later >> (v - 1) & 1
-    )
+    so every recipe gather and every closed-form gather must be an
+    itemgetter.  That each closed-form gather lists the positions outside its
+    P in order, then those in P reversed, the element loop checks on the
+    first permutation (closed-form-sym), whose word is the positions plus
+    one.  Builds _recipes(n) and _closed_forms(n)."""
+    gathers = [recipe[0] for recipe in _recipes(n).values() if recipe is not None]
+    gathers += [gather for gather, _ideal in _closed_forms(n)]
+    return all(type(gather) is itemgetter for gather in gathers)
 
 
 def _batchable(n: int, start: Optional[int], stop: Optional[int]) -> bool:
@@ -533,7 +516,7 @@ def _scan(n: int, workers: int = 1) -> dict:
     nperms = math.factorial(n)
     workers = min(workers, nperms, _usable_cpus())
     # before any fork, so the workers inherit _recipes and _closed_forms
-    hist = _gathers_batchable(n) and _rows_batchable(n) and _length_histogram(n)
+    hist = _gathers_batchable(n) and _length_histogram(n)
     first = hist and _scan_chunk(n, 0, 1)
     clean = bool(first) and not any(first["counts"].values())
     if workers == 1:

@@ -357,23 +357,34 @@ def _iter_rows(n: int, perm_start: int = 0, perm_stop: int | None = None):
         yield word, plus, minus
 
 
-@lru_cache(maxsize=None)
-def _row_tables(n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """(lo, hi): lo[v][later] and hi[v][later] are the rows _row gives for
-    the value v unflipped and flipped, later the value mask of the letters
-    after it, built from the root index by subset doubling and not by _row's
-    loop."""
+def _row_tables(n: int) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """(lo, hi, support): lo[v][later] and hi[v][later] are the rows _row
+    gives for the value v unflipped and flipped, later the value mask of the
+    letters after it, built from the root index by subset doubling and not by
+    _row's loop; support[v][later] holds the roots on the index pairs {v, x}
+    with x = v or x in later.  Raises ConsistencyError unless the pairs
+    {a, b}, a <= b, split the n^2 roots, which is what makes rows on distinct
+    pairs disjoint."""
     d_idx, s_idx, l_idx = _index_tables(n)
-    lo, hi = [[]], [[]]
+    lo, hi, support = [[]], [[]], [[]]
+    parts = []  # the roots of each pair {a, b}, a <= b
     for v in range(1, n + 1):
         unflipped, flipped = [0] * n, [0] * n  # the bits each later letter q adds
         for q in range(1, v):
             unflipped[q - 1], flipped[q - 1] = 1 << d_idx[q][v], 1 << s_idx[q][v]
         for q in range(v + 1, n + 1):
             flipped[q - 1] = (1 << d_idx[v][q]) + (1 << s_idx[v][q])
+        pairs = [up | down for up, down in zip(unflipped, flipped)]
+        long_v = 1 << l_idx[v]
+        parts += [long_v, *pairs[v:]]
         lo.append(_expand([0] * n, unflipped))
-        hi.append([row + (1 << l_idx[v]) for row in _expand([0] * n, flipped)])
-    return lo, hi
+        hi.append([row + long_v for row in _expand([0] * n, flipped)])
+        support.append([row + long_v for row in _expand([0] * n, pairs)])
+    if sum(parts) != (1 << n * n) - 1 or sum(map(int.bit_count, parts)) != n * n:
+        raise ConsistencyError(
+            f"the root pairs of rank {n} do not split the roots; this indicates a bug"
+        )
+    return lo, hi, support
 
 
 def _expand(plus: list[int], minus: list[int]) -> list[int]:
@@ -392,27 +403,6 @@ def _sign_patterns(word: tuple[int, ...]) -> list[int]:
     return _expand([0] * len(word), [1 << (v - 1) for v in word])
 
 
-def _row_supports(n: int) -> list[list[int]]:
-    """support[v][later]: the roots on the index pairs {v, x} with x = v or
-    x in the value mask later, built by subset doubling like _row_tables.
-    Raises ConsistencyError unless the pairs {a, b}, a <= b, split the n^2
-    roots, which is what makes rows on distinct pairs disjoint."""
-    d_idx, s_idx, l_idx = _index_tables(n)
-    pairs = [[0] * n for _ in range(n + 1)]  # pairs[v][q - 1]: the roots on {v, q}, q != v
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            pairs[a][b - 1] = pairs[b][a - 1] = (1 << d_idx[a][b]) | (1 << s_idx[a][b])
-    cover = [pairs[a][b - 1] for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    cover += [1 << l_idx[v] for v in range(1, n + 1)]
-    if sum(cover) != (1 << n * n) - 1 or sum(map(int.bit_count, cover)) != n * n:
-        raise ConsistencyError(
-            f"the root pairs of rank {n} do not split the roots; this indicates a bug"
-        )
-    return [[]] + [
-        [m + (1 << l_idx[v]) for m in _expand([0] * n, pairs[v])] for v in range(1, n + 1)
-    ]
-
-
 def _length_histogram(n: int) -> Optional[list[int]]:
     """Length -> elements over the whole group, as a list over 0..n^2, with
     no walk over permutations: a DP over the suffix sets S of a word,
@@ -421,13 +411,16 @@ def _length_histogram(n: int) -> Optional[list[int]]:
 
     with (plus, minus) = _row(n, v, S - v), and the histogram F({1..n}).
     Each polynomial is packed into one int, a coefficient per width bits,
-    width enough for the 2^n n! elements.  A length is a sum of row
-    popcounts when the n rows of a word are disjoint, which holds when every
-    row lies on the index pairs {v, x} with x = v or x after v
-    (_row_supports): the value at a position is after no later position, so
-    the rows of a word lie on distinct pairs.  None when a row does not."""
+    width enough for the 2^n n! elements.  This is the one pass that
+    certifies the rows: it reads _row once at each of the n 2^(n-1) pairs
+    (v, later) and returns None unless the row equals lo[v][later] and
+    hi[v][later] of _row_tables and lies inside support[v][later].  A length
+    is a sum of row popcounts when the n rows of a word are disjoint, which
+    holds when every row lies on the index pairs {v, x} with x = v or x after
+    v: the value at a position is after no later position, so the rows of a
+    word lie on distinct pairs."""
     width = group_order(n).bit_length()
-    support = _row_supports(n)
+    lo, hi, support = _row_tables(n)
     poly = [1]
     for suffix in range(1, 1 << n):
         acc = 0
@@ -435,7 +428,7 @@ def _length_histogram(n: int) -> Optional[list[int]]:
             rest = suffix & ~(1 << (v - 1))
             if rest != suffix:
                 up, down = _row(n, v, rest)
-                if (up | down) & ~support[v][rest]:
+                if (up, down) != (lo[v][rest], hi[v][rest]) or (up | down) & ~support[v][rest]:
                     return None
                 f = poly[rest]
                 acc += (f << width * up.bit_count()) + (f << width * down.bit_count())

@@ -370,7 +370,6 @@ def test_classes_independent_can_fail(monkeypatch):
         return (up, up) if (v, later) == (1, 0) else (up, down)
 
     monkeypatch.setattr(weyl, "_row", repeated)
-    monkeypatch.setattr(correspondence, "_row", repeated)
     failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
     assert failed["classes-independent"] == {
         "not_harmonic": 0,

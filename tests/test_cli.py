@@ -712,10 +712,12 @@ def test_ctrl_c_exits_130_with_one_line(tmp_path, workers):
     assert (out, err) == ("", "error: interrupted\n")
 
 
-def test_the_cli_imports_no_rational_arithmetic():
-    # the runtime is integer-only: no command needs fractions or decimal
+def test_the_cli_imports_no_rational_arithmetic_and_no_pool():
+    # the runtime is integer-only: no command needs fractions or decimal; and
+    # only a scan with more than one worker imports multiprocessing
     src = os.path.dirname(os.path.dirname(os.path.abspath(spcohom.__file__)))
-    probe = "import sys, spcohom.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    guarded = "{'fractions', 'decimal', 'multiprocessing'}"
+    probe = f"import sys, spcohom.cli; print(sorted({guarded} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,

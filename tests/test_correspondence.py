@@ -668,16 +668,15 @@ def _evaluate(word, jmask, mask, n):
 
 
 def _patch_row(monkeypatch, fault):
-    """Make the row function the walk, the DP and the rows check call give
-    fault(v, later, plus, minus) in place of the rows (plus, minus) of the
-    value v with the later-value mask later."""
+    """Make the row function the walk and the DP call give fault(v, later,
+    plus, minus) in place of the rows (plus, minus) of the value v with the
+    later-value mask later."""
     real = weyl._row
 
     def corrupted(rank, v, later):
         return fault(v, later, *real(rank, v, later))
 
     monkeypatch.setattr(weyl, "_row", corrupted)
-    monkeypatch.setattr(correspondence, "_row", corrupted)
 
 
 def _walked_elements(n):
@@ -907,9 +906,9 @@ def test_swapped_masks_of_one_word_match_a_per_element_evaluation(
 @pytest.mark.parametrize("fault", ["entry", "off-support"])
 def test_a_wrong_row_sends_every_permutation_to_the_element_loop(monkeypatch, n, fault):
     # the flipped row of the value n with no letter after it is 2e_n.  An
-    # entry that loses it fails the rows check against the tables; one that
-    # gains 2e_1, off the root pairs of n, with the same bit in the tables,
-    # fails only the supports, so the DP gives no histogram
+    # entry that loses it differs from the tables; one that gains 2e_1, off
+    # the root pairs of n, with the same bit in the tables, fails only the
+    # supports.  Either way the DP gives no histogram
     extra = 1 << root_index(n)[long(1 if fault == "off-support" else n)]
     flip = (lambda down: down | extra) if fault == "off-support" else (lambda down: down ^ extra)
     _patch_row(
@@ -917,15 +916,32 @@ def test_a_wrong_row_sends_every_permutation_to_the_element_loop(monkeypatch, n,
         lambda v, later, up, down: (up, flip(down) if (v, later) == (n, 0) else down),
     )
     if fault == "off-support":
-        lo, hi = _row_tables(n)
+        lo, hi, support = _row_tables(n)
         hi = [row[:] for row in hi]
         hi[n][0] = flip(hi[n][0])
-        monkeypatch.setattr(correspondence, "_row_tables", lambda rank: (lo, hi))
-    assert correspondence._rows_batchable(n) == (fault == "off-support")
-    assert (weyl._length_histogram(n) is None) == (fault == "off-support")
+        monkeypatch.setattr(weyl, "_row_tables", lambda rank: (lo, hi, support))
+    assert weyl._length_histogram(n) is None
     counts, result = _assert_scan_matches_reference(n)
     assert sum(counts.values()) > 0
     assert result["per_element_perms"] == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_passing_scan_reads_each_row_pair_once(monkeypatch, n):
+    # the DP reads the n 2^(n-1) pairs (value, later set) once each, and
+    # the first permutation's element loop reads its n rows; correspondence
+    # is patched too, so a second pass through its own binding would count
+    real = weyl._row
+    calls = []
+
+    def counted(rank, v, later):
+        calls.append((v, later))
+        return real(rank, v, later)
+
+    monkeypatch.setattr(weyl, "_row", counted)
+    monkeypatch.setattr(correspondence, "_row", counted, raising=False)
+    assert verify_bijection(n).passed
+    assert len(calls) == n * 2 ** (n - 1) + n
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -1021,7 +1037,7 @@ def test_closed_form_inversions_are_one_row_per_position(n):
     # values at positions p < q are inverted in g_P(word) iff word[p] > word[q]
     # XOR p in P, so inv(g_P(word)) joins the unflipped rows of the positions
     # outside P and the difference parts of the flipped rows of those in P
-    lo, hi = _row_tables(n)
+    lo, hi, _support = _row_tables(n)
     nd = n * (n - 1) // 2
     gathers = [gather for gather, _ideal in correspondence._closed_forms(n)]
     for word in itertools.permutations(range(1, n + 1)):
