@@ -47,10 +47,9 @@ from bisect import bisect_left
 from functools import lru_cache, partial
 
 from .correspondence import _MAX_WITNESSES, _witness_str, verify_bijection
-from .errors import RankCapError
 from .liealg import root_vector, structure_table
 from .report import CheckRecord, VerificationReport
-from .roots import _mask_key, check_rank, positive_roots
+from .roots import _mask_key, check_cap, positive_roots
 from .weyl import group_order, _iter_rows, _sign_patterns
 
 DEFAULT_COHOMOLOGY_CAP = 6
@@ -247,17 +246,11 @@ def _unpack(poly: int, n: int) -> list[int]:
     return [poly >> (p * fw) & mask for p in range(fw + 1)]
 
 
-def check_cohomology_cap(n: int, cap: int = DEFAULT_COHOMOLOGY_CAP) -> None:
-    check_rank(n)
-    if n > cap:
-        raise RankCapError(f"rank {n} exceeds the cohomology cap {cap}")
-
-
 def betti_numbers(n: int, cap: int = DEFAULT_COHOMOLOGY_CAP) -> list[int]:
     """Exact Betti numbers of the nilradical, degree 0 through n^2: the
     number of subsets of each size whose weight has c = 0, exact given the
     laplacian-scalar certificate."""
-    check_cohomology_cap(n, cap)
+    check_cap(n, cap, "cohomology")
     return _unpack(_weight_dp(n, fold=True).get(0, 0), n)
 
 
@@ -321,10 +314,7 @@ class ChainComplex:
     """
 
     def __init__(self, n: int, cap: int = ORACLE_CAP):
-        check_rank(n)
-        limit = min(cap, ORACLE_CAP)
-        if n > limit:
-            raise RankCapError(f"rank {n} exceeds the cochain-complex cap {limit}")
+        check_cap(n, min(cap, ORACLE_CAP), "cochain-complex")
         self.rank = n
         self.blocks: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
         self.position: dict[tuple[int, ...], int] = {}
@@ -431,7 +421,7 @@ def verify_cohomology_basis(
     complex_ is accepted and ignored: perfbench/trace_pass.py still passes the
     ChainComplex it timed, until ROADMAP item 4 replaces that replay.
     """
-    check_cohomology_cap(n, cap)
+    check_cap(n, cap, "cohomology")
     report = VerificationReport(rank=n)
     laplacian_ok = add_laplacian_record(report).passed
     betti = betti_numbers(n, cap)

@@ -10,14 +10,18 @@ stderr, never a traceback:
     0  every check passed
     1  a verification check failed
     2  usage error: bad rank, flag or witness, a cap exceeded, CSV for a
-       report, or an --out path or stdout that cannot be written
+       report, an empty --out, or an --out path or stdout that cannot be
+       written
     3  internal error (a bug, not bad input): a ConsistencyError, or any
        other ValueError raised while a command runs
   130  interrupted (Ctrl-C); the scan's workers ignore the interrupt and
        end with the pool
 
-All user input is parsed and validated in _config_from_args, so inside a
-command only a RankCapError is a usage error.
+All user input is validated, and --witness parsed, in _validate_args before
+any work, so inside a command only a RankCapError is a usage error.  Every
+cap refuses through roots.check_cap, with one message.  Each command returns
+one VerificationReport and its CSV rows, and _run alone writes the report as
+the document and chooses exit code 1 when one of its checks failed.
 
 Output is deterministic: iteration orders are fixed, nothing is sampled, and
 no timing enters a report.  It is written to its destination, the --out file
@@ -34,15 +38,14 @@ import csv
 import json
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterator, Optional
 
 from . import ce, correspondence, ideals, liealg, poincare, weyl
 from .errors import ConsistencyError, InvalidRankError, RankCapError
 from .report import VerificationReport
-from .roots import check_rank, positive_roots
-from .weyl import SignedPerm, parse_signed_perm
+from .roots import check_cap, check_rank, positive_roots
+from .weyl import parse_signed_perm
 
 # Highest rank whose listing is built, per command (--list, or --per-weight
 # for betti).  The listing is held in memory while it is written out, so
@@ -66,17 +69,6 @@ WITNESS_CAP = 256
 
 # The commands whose output is a report, which has no tabular form.
 NO_CSV = ("bijection", "classes", "verify")
-
-
-@dataclass
-class RunConfig:
-    rank: int
-    fmt: str = "json"
-    out: Optional[str] = None
-    workers: int = 1
-    list_items: bool = False
-    per_weight: bool = False
-    witness: Optional[SignedPerm] = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,42 +116,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Parse and validate all user input; a ValueError here is a usage error."""
+def _validate_args(args: argparse.Namespace) -> None:
+    """Validate all user input and replace args.witness by the SignedPerm it
+    parses to; a ValueError here is a usage error."""
+    if args.out == "":
+        raise ValueError("--out needs a file path")
     workers = getattr(args, "workers", 1)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     check_rank(args.rank)
     if args.format == "csv" and args.command in NO_CSV:
         raise ValueError(f"command {args.command} has no CSV form")
-    witness = getattr(args, "witness", None)
-    if witness is not None:
-        if args.rank > WITNESS_CAP:
-            raise RankCapError(f"rank {args.rank} exceeds the witness cap {WITNESS_CAP}")
-        witness = parse_signed_perm(witness)
+    if getattr(args, "witness", None) is not None:
+        check_cap(args.rank, WITNESS_CAP, "witness")
+        witness = parse_signed_perm(args.witness)
         if witness.rank != args.rank:
             raise InvalidRankError(
                 f"witness {args.witness} has rank {witness.rank}, expected {args.rank}"
             )
-    return RunConfig(
-        rank=args.rank,
-        fmt=args.format,
-        out=args.out,
-        workers=workers,
-        list_items=getattr(args, "list_items", False),
-        per_weight=getattr(args, "per_weight", False),
-        witness=witness,
-    )
-
-
-def _structure_rows(n: int) -> list[list]:
-    table = liealg.structure_table(n)
-    roots = positive_roots(n)
-    rows = []
-    for (a, b) in sorted(table.entries):
-        g, c = table.entries[(a, b)]
-        rows.append([str(roots[a]), str(roots[b]), str(roots[g]), c])
-    return rows
+        args.witness = witness
 
 
 # -- command handlers ---------------------------------------------------------
@@ -173,37 +148,32 @@ def _listing_csv(items: list[dict]) -> Iterator[list]:
         yield [" ".join(map(str, v)) if isinstance(v, list) else v for v in item.values()]
 
 
-def _check_list_cap(command: str, n: int) -> None:
-    """Refuse a listing above the command's listing cap, before enumerating."""
-    cap = LIST_CAPS[command]
-    if n > cap:
-        raise RankCapError(f"rank {n} exceeds the {command} listing cap {cap}")
-
-
-def _cmd_ideals(cfg: RunConfig):
-    n = cfg.rank
-    if cfg.list_items:
-        _check_list_cap("ideals", n)
+def _cmd_ideals(args: argparse.Namespace):
+    n = args.rank
+    if args.list_items:
+        check_cap(n, LIST_CAPS["ideals"], "ideals listing")
     hist = ideals.dimension_histogram(n)
     data = {"count": sum(hist.coeffs), "histogram": list(hist.coeffs)}
-    if not cfg.list_items:
-        return 0, [], data, chain([["dimension", "count"]], enumerate(hist.coeffs))
+    report = VerificationReport(n, data=data)
+    if not args.list_items:
+        return report, chain([["dimension", "count"]], enumerate(hist.coeffs))
     data["ideals"] = [
         {"roots": psi.members.to_strings(), "dimension": psi.dimension}
         for psi in ideals.enumerate_increasing(n)
     ]
     rows = ([item["dimension"], " ".join(item["roots"])] for item in data["ideals"])
-    return 0, [], data, chain([["dimension", "members"]], rows)
+    return report, chain([["dimension", "members"]], rows)
 
 
-def _cmd_weyl(cfg: RunConfig):
-    n = cfg.rank
-    if cfg.list_items:
-        _check_list_cap("weyl", n)
+def _cmd_weyl(args: argparse.Namespace):
+    n = args.rank
+    if args.list_items:
+        check_cap(n, LIST_CAPS["weyl"], "weyl listing")
     hist = poincare.weyl_length_histogram(n)
     data = {"order": weyl.group_order(n), "length_histogram": list(hist.coeffs)}
-    if not cfg.list_items:
-        return 0, [], data, chain([["length", "count"]], enumerate(hist.coeffs))
+    report = VerificationReport(n, data=data)
+    if not args.list_items:
+        return report, chain([["length", "count"]], enumerate(hist.coeffs))
     elements = []
     for w in weyl.enumerate_group(n):
         sf = weyl.standard_form(w)
@@ -216,50 +186,53 @@ def _cmd_weyl(cfg: RunConfig):
             }
         )
     data["elements"] = elements
-    return 0, [], data, _listing_csv(elements)
+    return report, _listing_csv(elements)
 
 
-def _cmd_structure(cfg: RunConfig):
-    if cfg.rank > STRUCTURE_CAP:
-        raise RankCapError(f"rank {cfg.rank} exceeds the structure cap {STRUCTURE_CAP}")
-    rows = _structure_rows(cfg.rank)
-    return 0, [], {"entries": rows}, chain([["alpha", "beta", "gamma", "c"]], rows)
+def _cmd_structure(args: argparse.Namespace):
+    n = args.rank
+    check_cap(n, STRUCTURE_CAP, "structure")
+    entries = liealg.structure_table(n).entries
+    roots = positive_roots(n)
+    rows = [
+        [str(roots[a]), str(roots[b]), str(roots[g]), c]
+        for (a, b), (g, c) in sorted(entries.items())
+    ]
+    report = VerificationReport(n, data={"entries": rows})
+    return report, chain([["alpha", "beta", "gamma", "c"]], rows)
 
 
-def _cmd_bijection(cfg: RunConfig):
-    if cfg.witness is not None:
-        return 0, [], correspondence.trace_element(cfg.witness), None
-    report = correspondence.verify_bijection(cfg.rank, workers=cfg.workers)
-    return (0 if report.passed else 1), report.checks_json(), report.data, None
+def _cmd_bijection(args: argparse.Namespace):
+    if args.witness is not None:
+        return VerificationReport(args.rank, data=correspondence.trace_element(args.witness)), None
+    return correspondence.verify_bijection(args.rank, workers=args.workers), None
 
 
-def _cmd_betti(cfg: RunConfig):
-    n = cfg.rank
-    if cfg.per_weight:
-        _check_list_cap("betti", n)
+def _cmd_betti(args: argparse.Namespace):
+    n = args.rank
+    if args.per_weight:
+        check_cap(n, LIST_CAPS["betti"], "betti listing")
     betti = ce.betti_numbers(n)
     report = VerificationReport(rank=n)
     ce.add_laplacian_record(report)
     poincare.add_betti_record(report, betti)
-    data = {"betti": betti, "class_counts": list(poincare.weyl_length_histogram(n).coeffs)}
-    if cfg.per_weight:
-        data["blocks"] = [
-            {"degree": p, "weight": list(w), "dimension": dim, "rank_d": rank}
-            for p, w, dim, rank in ce.block_summary(n)
-        ]
-        rows = _listing_csv(data["blocks"])
-    else:
-        rows = chain([["degree", "betti"]], enumerate(betti))
-    return (0 if report.passed else 1), report.checks_json(), data, rows
+    hist = poincare.weyl_length_histogram(n)
+    data = report.data = {"betti": betti, "class_counts": list(hist.coeffs)}
+    if not args.per_weight:
+        return report, chain([["degree", "betti"]], enumerate(betti))
+    data["blocks"] = [
+        {"degree": p, "weight": list(w), "dimension": dim, "rank_d": rank}
+        for p, w, dim, rank in ce.block_summary(n)
+    ]
+    return report, _listing_csv(data["blocks"])
 
 
-def _cmd_classes(cfg: RunConfig):
-    report = ce.verify_cohomology_basis(cfg.rank)
-    return (0 if report.passed else 1), report.checks_json(), report.data, None
+def _cmd_classes(args: argparse.Namespace):
+    return ce.verify_cohomology_basis(args.rank), None
 
 
-def _cmd_poincare(cfg: RunConfig):
-    n = cfg.rank
+def _cmd_poincare(args: argparse.Namespace):
+    n = args.rank
     poincare.check_poincare_cap(n)
     wp = poincare.weyl_poincare(n)
     sp = poincare.sym_poincare(n)
@@ -273,7 +246,7 @@ def _cmd_poincare(cfg: RunConfig):
         "ideal_generating": list(ig.coeffs),
         "sym_times_ideal": list((sp * ig).coeffs),
     }
-    data = {
+    report.data = {
         **polys,
         "identities": {
             "product": passed["histogram-convolution"],
@@ -283,7 +256,7 @@ def _cmd_poincare(cfg: RunConfig):
     width = len(wp.coeffs)
     rows = ([name] + c + [""] * (width - len(c)) for name, c in polys.items())
     header = ["name"] + [f"c{k}" for k in range(width)]
-    return (0 if report.passed else 1), report.checks_json(), data, chain([header], rows)
+    return report, chain([header], rows)
 
 
 def _lie_agreement_record(n: int, report: VerificationReport) -> None:
@@ -300,10 +273,11 @@ def _lie_agreement_record(n: int, report: VerificationReport) -> None:
     )
 
 
-def verify_all(cfg: RunConfig) -> VerificationReport:
-    """The consolidated verification suite, in dependency order.  A rank
-    above the group cap fails before the 2^n ideals are listed."""
-    n = cfg.rank
+def verify_all(args: argparse.Namespace):
+    """The verify command: the consolidated verification suite, in
+    dependency order, with no CSV rows.  A rank above the group cap fails
+    before the 2^n ideals are listed."""
+    n = args.rank
     weyl.check_group_cap(n)
     report = VerificationReport(rank=n)
 
@@ -326,7 +300,7 @@ def verify_all(cfg: RunConfig) -> VerificationReport:
     )
     _lie_agreement_record(n, report)
 
-    brep = correspondence.verify_bijection(n, workers=cfg.workers)
+    brep = correspondence.verify_bijection(n, workers=args.workers)
     report.extend(brep, prefix="bijection")
 
     weyl_hist = poincare.IntPolynomial.from_coeffs(brep.data["weyl_length_histogram"])
@@ -347,12 +321,7 @@ def verify_all(cfg: RunConfig) -> VerificationReport:
             skipped,
             skipped=True,
         )
-    return report
-
-
-def _cmd_verify(cfg: RunConfig):
-    report = verify_all(cfg)
-    return (0 if report.passed else 1), report.checks_json(), report.data, None
+    return report, None
 
 
 _HANDLERS = {
@@ -363,7 +332,7 @@ _HANDLERS = {
     "betti": _cmd_betti,
     "classes": _cmd_classes,
     "poincare": _cmd_poincare,
-    "verify": _cmd_verify,
+    "verify": verify_all,
 }
 
 
@@ -373,7 +342,7 @@ def _destination(out: Optional[str]):
     flushed before the exit code is chosen.  A stdout that fails a write is
     closed, so that the interpreter's flush at exit does not fail again on
     the bytes still buffered."""
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             yield fh
         return
@@ -398,12 +367,12 @@ def _run(argv: Optional[list[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:  # InvalidRankError included
+        _validate_args(args)
+    except ValueError as exc:  # InvalidRankError and RankCapError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        code, checks, data, csv_rows = _HANDLERS[args.command](cfg)
+        report, csv_rows = _HANDLERS[args.command](args)
     except RankCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -415,19 +384,20 @@ def _run(argv: Optional[list[str]]) -> int:
         return 3
 
     try:
-        with _destination(cfg.out) as fh:
-            if cfg.fmt == "csv":
+        with _destination(args.out) as fh:
+            if args.format == "csv":
                 csv.writer(fh, lineterminator="\n").writerows(csv_rows)
             else:
-                doc = {"rank": cfg.rank, "command": args.command, "checks": checks, "data": data}
+                checks, data = report.checks_json(), report.data
+                doc = {"rank": args.rank, "command": args.command, "checks": checks, "data": data}
                 chunks = json.JSONEncoder(indent=2).iterencode(doc)
                 while batch := "".join(islice(chunks, 4096)):
                     fh.write(batch)
                 fh.write("\n")
     except OSError as exc:
-        print(f"error: cannot write {cfg.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return 2
-    return code
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

@@ -13,8 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import RankCapError
-from .roots import RootSet, check_rank, num_diffs, positive_roots, precedes, _addable, _index_tables
+from .roots import (
+    RootSet,
+    check_cap,
+    check_rank,
+    num_diffs,
+    positive_roots,
+    precedes,
+    _addable,
+    _index_tables,
+)
 
 IDEAL_CAP = 22
 
@@ -109,9 +117,7 @@ def _profile_dimension(profile) -> int:
 
 def check_ideal_cap(n: int) -> None:
     """Refuse to enumerate the 2^n staircase profiles above rank IDEAL_CAP."""
-    check_rank(n)
-    if n > IDEAL_CAP:
-        raise RankCapError(f"rank {n} exceeds the ideal enumeration cap {IDEAL_CAP}")
+    check_cap(n, IDEAL_CAP, "ideal enumeration")
 
 
 def enumerate_increasing(n: int) -> Iterator[IncreasingSet]:

@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, RankCapError
+from .errors import ConsistencyError
 from .report import VerificationReport
-from .roots import check_rank
+from .roots import check_cap, check_rank
 from .weyl import check_group_cap, _length_histogram, _perm_inversion_mask
 
 # Highest rank of the poincare command.  Its polynomials have degree n^2 and
@@ -99,9 +99,7 @@ class IntPolynomial:
 
 def check_poincare_cap(n: int) -> None:
     """Refuse the generating functions above rank POINCARE_CAP."""
-    check_rank(n)
-    if n > POINCARE_CAP:
-        raise RankCapError(f"rank {n} exceeds the poincare cap {POINCARE_CAP}")
+    check_cap(n, POINCARE_CAP, "poincare")
 
 
 def weyl_poincare(n: int) -> IntPolynomial:

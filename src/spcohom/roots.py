@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .errors import InvalidRankError
+from .errors import InvalidRankError, RankCapError
 
 DIFF = "diff"
 SUM = "sum"
@@ -109,6 +109,14 @@ class SignedRoot:
 def check_rank(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise InvalidRankError(f"rank must be a positive integer, got {n!r}")
+
+
+def check_cap(n: int, cap: int, what: str) -> None:
+    """Refuse rank n above cap, before any work, with the one message form
+    every cap uses."""
+    check_rank(n)
+    if n > cap:
+        raise RankCapError(f"rank {n} exceeds the {what} cap {cap}")
 
 
 @lru_cache(maxsize=None)

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .errors import ConsistencyError, RankCapError
+from .errors import ConsistencyError
 from .roots import (
     DIFF,
     Root,
     RootSet,
     SignedRoot,
+    check_cap,
     check_rank,
     diff,
     long,
@@ -159,17 +160,15 @@ class StandardForm:
     sigma0: Perm
 
 
-def check_group_cap(n: int, cap: int = DEFAULT_GROUP_CAP) -> None:
-    """Refuse to enumerate the 2^n * n! group elements above rank cap."""
-    check_rank(n)
-    if n > cap:
-        raise RankCapError(f"rank {n} exceeds the group enumeration cap {cap}")
+def check_group_cap(n: int) -> None:
+    """Refuse to enumerate the 2^n * n! group elements above DEFAULT_GROUP_CAP."""
+    check_cap(n, DEFAULT_GROUP_CAP, "group enumeration")
 
 
-def enumerate_group(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[SignedPerm]:
+def enumerate_group(n: int) -> Iterator[SignedPerm]:
     """All 2^n * n! signed permutations, sign patterns outer, permutations
-    inner in lexicographic order.  Deterministic; refuses ranks above cap."""
-    check_group_cap(n, cap)
+    inner in lexicographic order.  Deterministic; refuses ranks above the group cap."""
+    check_group_cap(n)
     values = tuple(range(1, n + 1))
     for jmask in range(1 << n):
         flip = tuple(-v if jmask >> (v - 1) & 1 else v for v in values)

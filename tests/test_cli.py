@@ -527,6 +527,48 @@ def test_listing_caps_allow_up_to_the_cap(tmp_path, monkeypatch):
     assert run_cli(["weyl", "--rank", "3"], tmp_path)[0] == 0
 
 
+# (argv, cap, name): every cap the CLI applies, with the name its message uses
+_EVERY_CAP = [
+    (["verify"], weyl.DEFAULT_GROUP_CAP, "group enumeration"),
+    (["bijection"], weyl.DEFAULT_GROUP_CAP, "group enumeration"),
+    (["weyl"], weyl.DEFAULT_GROUP_CAP, "group enumeration"),
+    (["betti"], ce.DEFAULT_COHOMOLOGY_CAP, "cohomology"),
+    (["classes"], ce.DEFAULT_COHOMOLOGY_CAP, "cohomology"),
+    (["ideals"], ideals.IDEAL_CAP, "ideal enumeration"),
+    (["ideals", "--list"], cli.LIST_CAPS["ideals"], "ideals listing"),
+    (["weyl", "--list"], cli.LIST_CAPS["weyl"], "weyl listing"),
+    (["betti", "--per-weight"], cli.LIST_CAPS["betti"], "betti listing"),
+    (["poincare"], poincare.POINCARE_CAP, "poincare"),
+    (["structure"], cli.STRUCTURE_CAP, "structure"),
+    (["bijection", "--witness"], cli.WITNESS_CAP, "witness"),
+]
+
+
+@pytest.mark.parametrize("argv, cap, what", _EVERY_CAP, ids=[" ".join(c[0]) for c in _EVERY_CAP])
+def test_every_cap_refuses_one_above_with_one_message(monkeypatch, capsys, argv, cap, what):
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumerated above a cap")
+
+    for owner, name in [
+        (ideals, "enumerate_increasing"),
+        (ideals, "_profiles"),
+        (weyl, "enumerate_group"),
+        (poincare, "_length_histogram"),
+        (poincare.IntPolynomial, "__mul__"),
+        (correspondence, "_scan"),
+        (correspondence, "trace_element"),
+        (ce, "_weight_dp"),
+        (liealg, "structure_table"),
+        (cli, "parse_signed_perm"),
+    ]:
+        monkeypatch.setattr(owner, name, no_work)
+    n = cap + 1
+    if argv[-1] == "--witness":
+        argv = argv + ["[" + ",".join(map(str, range(1, n + 1))) + "]"]
+    assert main(argv + ["--rank", str(n)]) == 2
+    assert capsys.readouterr() == ("", f"error: rank {n} exceeds the {what} cap {cap}\n")
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_poincare_command_matches_verify_identities(tmp_path, n):
     code, text = run_cli(["poincare", "--rank", str(n)], tmp_path)
@@ -559,6 +601,16 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ideals", "verify"])
+def test_empty_out_is_a_usage_error_before_any_work(monkeypatch, capsys, command):
+    def no_work(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._HANDLERS, command, no_work)
+    assert main([command, "--rank", "2", "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "error: --out needs a file path\n")
 
 
 _EVERY_RUN = [

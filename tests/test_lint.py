@@ -1,0 +1,44 @@
+"""Two source rules checked with the standard library alone: every line of
+the package fits in 100 columns, and every name a module imports at top
+level is used in that module (__init__.py re-exports, so it is exempt)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import spcohom
+
+MAX_COLUMNS = 100
+MODULES = sorted(Path(spcohom.__file__).parent.glob("*.py"))
+
+
+def _imported_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_line_fits_in_100_columns(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    long = [k for k, line in enumerate(lines, start=1) if len(line) > MAX_COLUMNS]
+    assert long == [], f"{path.name}: lines over {MAX_COLUMNS} columns: {long}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_top_level_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [name for name in _imported_names(tree) if name not in used]
+    assert unused == [], f"{path.name}: imported and never used: {unused}"
+
+
+def test_the_lint_sees_every_module():
+    assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "roots.py", "weyl.py"}

@@ -65,8 +65,7 @@ def test_group_order_formula():
 def test_enumeration_cap():
     with pytest.raises(RankCapError):
         next(enumerate_group(9))
-    # explicit cap overrides the default
-    assert next(enumerate_group(3, cap=3)) == SignedPerm.identity(3)
+    assert next(enumerate_group(3)) == SignedPerm.identity(3)
 
 
 def test_perm_basics():
