@@ -84,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for the exhaustive scan (default 1)",
+        help="worker processes that split a failing exhaustive scan (default 1); "
+        "a passing scan runs in one process",
     )
 
     parser = argparse.ArgumentParser(

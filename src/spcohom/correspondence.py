@@ -21,20 +21,18 @@ walk's masks, or, for the whole group at once, as one batch of renamings of
 the first permutation's checked elements (see the README, "What the
 bijection check certifies").  Its failures and witnesses are those of a
 per-element evaluation through the same tables and _relabel.  The batch
-needs three checks in the parent before any fork: every gather is an
-itemgetter; weyl._length_histogram, one pass over the pairs (value, later
-set), finds each row of weyl._row equal to weyl._row_tables and on the root
-pairs {v, x} with x in the later set or x = v, so the rows of any word are
-disjoint and its DP over suffix sets counts the lengths; and the element
-loop records no failure on the first permutation, whose word is the
-positions plus one, so closed-form-sym there compares each closed-form
-gather with its rule.
-Then the pool's one round, the pass over S_n: every eta decodes to itself
-with a pi whose relabel, followed by eta's rho, moves no bit; as the long
-root 2e_v goes to 2e_{rho(pi(v))}, that makes pi eta's position map.  The
-chunks split that pass between them, each checking its own slice, and share
-one verdict.  If any check fails, every permutation of every chunk runs the
-element loop.
+rests on three checks in one process, with no pass over S_n: every gather
+is an itemgetter; weyl._length_histogram, one pass over the pairs (value,
+later set), finds each row of weyl._row equal to weyl._row_tables, so the
+rows of any word are disjoint, its difference part is inv(g_P(word)) and
+its DP over suffix sets counts the lengths; and the element loop records
+no failure on the first permutation, whose word is the positions plus one,
+so closed-form-sym there compares each closed-form gather with its rule.
+A permutation is determined by its inversion set, so the symmetric
+component of every element is g_P(word), and _phi1_grid's check makes
+relabel tables compose like value maps, so relabelling through pi and then
+through rho = pi^-1 moves no bit.  If any check fails, every permutation
+runs the element loop, split over the workers.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -90,12 +87,21 @@ def _phi1_grid(n: int) -> tuple[list[list[Optional[int]]], tuple[int, ...], tupl
     """(grid, rows, cols): the sums-plus-longs root at index k, counted from
     bit num_diffs(n), is e_i + e_j (2e_i when i == j) with i = rows[k] <=
     j = cols[k], and grid[i][j] = grid[j][i] = k; row and column 0 of the
-    grid hold None."""
-    grid: list[list[Optional[int]]] = [[None] * (n + 1) for _ in range(n + 1)]
+    grid hold None.  Raises ConsistencyError unless (rows, cols) lists every
+    pair a <= b once; then each cell of the grid is written once, so grid
+    and (rows, cols) are inverse bijections and relabel tables compose the
+    way value maps do."""
     roots = [r for r in positive_roots(n) if r.in_phi1]
-    for k, r in enumerate(roots):
-        grid[r.i][r.j] = grid[r.j][r.i] = k
-    return grid, tuple(r.i for r in roots), tuple(r.j for r in roots)
+    rows, cols = tuple(r.i for r in roots), tuple(r.j for r in roots)
+    if sorted(zip(rows, cols)) != [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]:
+        raise ConsistencyError(
+            f"the sums-plus-longs of rank {n} do not list the pairs a <= b once; "
+            "this indicates a bug"
+        )
+    grid: list[list[Optional[int]]] = [[None] * (n + 1) for _ in range(n + 1)]
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        grid[i][j] = grid[j][i] = k
+    return grid, rows, cols
 
 
 def _relabel_table(value_map: Sequence[int], n: int) -> tuple[int, ...]:
@@ -382,7 +388,7 @@ _ELEMENT_CHECKS = {
 }
 
 
-def _gathers_batchable(n: int) -> bool:
+def _gathers_are_position_maps(n: int) -> bool:
     """Whether the gathers let the scan pass permutations as batches.
     Renaming values commutes only with gathers that are pure position maps,
     so every recipe gather and every closed-form gather must be an
@@ -393,25 +399,6 @@ def _gathers_batchable(n: int) -> bool:
     gathers = [recipe[0] for recipe in _recipes(n).values() if recipe is not None]
     gathers += [gather for gather, _ideal in _closed_forms(n)]
     return all(type(gather) is itemgetter for gather in gathers)
-
-
-def _batchable(n: int, start: Optional[int], stop: Optional[int]) -> bool:
-    """Whether, for every eta in the index slice [start, stop) of S_n (the
-    words _iter_rows gives the chunk with that slice), _sym_entry(inv(eta))
-    decodes to eta and relabelling through its pi and then through eta's rho
-    moves no bit.  That composite also makes pi eta's position map: the long
-    root 2e_v goes to 2e_{rho(pi(v))}, so a composite that moves no bit
-    forces rho(pi(v)) = v, and rho^-1 is the position map.  The scan passes
-    as a batch only where this holds on every slice and the parent's checks
-    hold.  Keeps nothing."""
-    identity = tuple(range(n * (n + 1) // 2))
-    for eta in islice(permutations(range(1, n + 1)), start, stop):
-        entry = _sym_entry(_perm_inversion_mask(eta, n), n)
-        if entry is None or entry[0] != eta:
-            return False
-        if _gather(_relabel_table(entry[1], n))(_rho_table(eta, n)) != identity:
-            return False
-    return True
 
 
 def _scan_chunk(n: int, start: Optional[int], stop: Optional[int]) -> dict:
@@ -506,22 +493,24 @@ def _round_trip(sigma_word: tuple[int, ...], ximask: int, n: int) -> Optional[Si
 
 
 def _scan(n: int, workers: int = 1) -> dict:
-    """The scan of all 2^n n! elements (see the module docstring), merged
-    over its chunks: failure counts, witness items, length histogram, failed
-    pair keys and per_element_perms, the number of permutations checked
-    element by element.  A passing scan is the first permutation's result
-    with the DP's histogram.  Workers are capped by the number of
-    permutations and of CPUs this process may run on.
+    """The scan of all 2^n n! elements (see the module docstring): failure
+    counts, witness items, length histogram, failed pair keys and
+    per_element_perms, the number of permutations checked element by
+    element.  A passing scan is the first permutation's result with the
+    DP's histogram, and forks nothing.  A failing one runs the element loop
+    on every permutation, split into slices of S_n over the workers, capped
+    by the number of permutations and of CPUs this process may run on, and
+    merges the chunks.
     """
+    # before any fork, so the workers inherit _recipes and _closed_forms
+    hist = _gathers_are_position_maps(n) and _length_histogram(n)
+    first = hist and _scan_chunk(n, 0, 1)
+    if first and not any(first["counts"].values()):
+        return {**first, "hist": hist}
     nperms = math.factorial(n)
     workers = min(workers, nperms, _usable_cpus())
-    # before any fork, so the workers inherit _recipes and _closed_forms
-    hist = _gathers_batchable(n) and _length_histogram(n)
-    first = hist and _scan_chunk(n, 0, 1)
-    clean = bool(first) and not any(first["counts"].values())
     if workers == 1:
-        passed = clean and _batchable(n, None, None)
-        partials = [] if passed else [_scan_chunk(n, None, None)]
+        partials = [_scan_chunk(n, None, None)]
     else:
         import multiprocessing
         import signal
@@ -533,11 +522,7 @@ def _scan(n: int, workers: int = 1) -> dict:
         # this block, which terminates them
         ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
         with ctx.Pool(len(slices), initializer=signal.signal, initargs=ignore_sigint) as pool:
-            # one bad eta in any slice sends every chunk to the element loop
-            passed = clean and all(pool.starmap(_batchable, slices))
-            partials = [] if passed else pool.starmap(_scan_chunk, slices)
-    if passed:
-        partials = [{**first, "hist": hist}]
+            partials = pool.starmap(_scan_chunk, slices)
 
     witnesses = {}
     for key in _ELEMENT_CHECKS:

@@ -136,9 +136,7 @@ def weyl_length_histogram(n: int) -> IntPolynomial:
     check_group_cap(n)
     counts = _length_histogram(n)
     if counts is None:
-        raise ConsistencyError(
-            "a row differs from its table or lies off its root pairs; this indicates a bug"
-        )
+        raise ConsistencyError("a row differs from its table; this indicates a bug")
     return IntPolynomial.from_coeffs(counts)
 
 

@@ -356,16 +356,15 @@ def _iter_rows(n: int, perm_start: int = 0, perm_stop: int | None = None):
         yield word, plus, minus
 
 
-def _row_tables(n: int) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """(lo, hi, support): lo[v][later] and hi[v][later] are the rows _row
-    gives for the value v unflipped and flipped, later the value mask of the
-    letters after it, built from the root index by subset doubling and not by
-    _row's loop; support[v][later] holds the roots on the index pairs {v, x}
-    with x = v or x in later.  Raises ConsistencyError unless the pairs
-    {a, b}, a <= b, split the n^2 roots, which is what makes rows on distinct
-    pairs disjoint."""
+def _row_tables(n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(lo, hi): lo[v][later] and hi[v][later] are the rows _row gives for
+    the value v unflipped and flipped, later the value mask of the letters
+    after it, built from the root index by subset doubling and not by _row's
+    loop, from the bits of the index pairs {v, x} with x = v or x in later.
+    Raises ConsistencyError unless the pairs {a, b}, a <= b, split the n^2
+    roots, which is what makes rows on distinct pairs disjoint."""
     d_idx, s_idx, l_idx = _index_tables(n)
-    lo, hi, support = [[]], [[]], [[]]
+    lo, hi = [[]], [[]]
     parts = []  # the roots of each pair {a, b}, a <= b
     for v in range(1, n + 1):
         unflipped, flipped = [0] * n, [0] * n  # the bits each later letter q adds
@@ -373,17 +372,15 @@ def _row_tables(n: int) -> tuple[list[list[int]], list[list[int]], list[list[int
             unflipped[q - 1], flipped[q - 1] = 1 << d_idx[q][v], 1 << s_idx[q][v]
         for q in range(v + 1, n + 1):
             flipped[q - 1] = (1 << d_idx[v][q]) + (1 << s_idx[v][q])
-        pairs = [up | down for up, down in zip(unflipped, flipped)]
         long_v = 1 << l_idx[v]
-        parts += [long_v, *pairs[v:]]
+        parts += [long_v, *flipped[v:]]  # the pairs {v, q}, q > v, hold no unflipped bit
         lo.append(_expand([0] * n, unflipped))
         hi.append([row + long_v for row in _expand([0] * n, flipped)])
-        support.append([row + long_v for row in _expand([0] * n, pairs)])
     if sum(parts) != (1 << n * n) - 1 or sum(map(int.bit_count, parts)) != n * n:
         raise ConsistencyError(
             f"the root pairs of rank {n} do not split the roots; this indicates a bug"
         )
-    return lo, hi, support
+    return lo, hi
 
 
 def _expand(plus: list[int], minus: list[int]) -> list[int]:
@@ -413,13 +410,13 @@ def _length_histogram(n: int) -> Optional[list[int]]:
     width enough for the 2^n n! elements.  This is the one pass that
     certifies the rows: it reads _row once at each of the n 2^(n-1) pairs
     (v, later) and returns None unless the row equals lo[v][later] and
-    hi[v][later] of _row_tables and lies inside support[v][later].  A length
-    is a sum of row popcounts when the n rows of a word are disjoint, which
-    holds when every row lies on the index pairs {v, x} with x = v or x after
-    v: the value at a position is after no later position, so the rows of a
-    word lie on distinct pairs."""
+    hi[v][later] of _row_tables.  A length is a sum of row popcounts when the
+    n rows of a word are disjoint, which holds because the tables put every
+    row on the index pairs {v, x} with x = v or x after v: the value at a
+    position is after no later position, so the rows of a word lie on
+    distinct pairs."""
     width = group_order(n).bit_length()
-    lo, hi, support = _row_tables(n)
+    lo, hi = _row_tables(n)
     poly = [1]
     for suffix in range(1, 1 << n):
         acc = 0
@@ -427,7 +424,7 @@ def _length_histogram(n: int) -> Optional[list[int]]:
             rest = suffix & ~(1 << (v - 1))
             if rest != suffix:
                 up, down = _row(n, v, rest)
-                if (up, down) != (lo[v][rest], hi[v][rest]) or (up | down) & ~support[v][rest]:
+                if (up, down) != (lo[v][rest], hi[v][rest]):
                     return None
                 f = poly[rest]
                 acc += (f << width * up.bit_count()) + (f << width * down.bit_count())

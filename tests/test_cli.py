@@ -719,10 +719,11 @@ def test_consistency_error_exits_3(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-# A CLI child whose passes over S_n, the scan's work per chunk, leave a mark
-# and then wait, so that Ctrl-C lands inside the scan: in the parent with
-# --workers 1, and in the pool's workers, after their initializer, while the
-# parent waits on them with 2.
+# A CLI child whose gathers refuse the batch, so that the scan runs the
+# element loop on every permutation, and whose element loop, the scan's work
+# per chunk, leaves a mark and then waits, so that Ctrl-C lands inside the
+# scan: in the parent with --workers 1, and in the pool's workers, after
+# their initializer, while the parent waits on them with 2.
 _STALLED_SCAN = """
 import os, sys, time
 from spcohom import cli, correspondence
@@ -731,7 +732,8 @@ def stalled(*args):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
     time.sleep(60)
 
-correspondence._batchable = stalled
+correspondence._gathers_are_position_maps = lambda n: False
+correspondence._scan_chunk = stalled
 correspondence._usable_cpus = lambda: 2
 sys.exit(cli.main(sys.argv[2:]))
 """
@@ -766,7 +768,7 @@ def test_ctrl_c_exits_130_with_one_line(tmp_path, workers):
 
 def test_the_cli_imports_no_rational_arithmetic_and_no_pool():
     # the runtime is integer-only: no command needs fractions or decimal; and
-    # only a scan with more than one worker imports multiprocessing
+    # only a failing scan with more than one worker imports multiprocessing
     src = os.path.dirname(os.path.dirname(os.path.abspath(spcohom.__file__)))
     guarded = "{'fractions', 'decimal', 'multiprocessing'}"
     probe = f"import sys, spcohom.cli; print(sorted({guarded} & set(sys.modules)))"

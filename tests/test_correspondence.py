@@ -265,18 +265,24 @@ def test_distinct_pairs_exact_when_the_pair_map_is_not_injective(monkeypatch):
     assert not rec["pair-injective"].passed and not rec["pair-onto"].passed
 
 
+def _break_closed_form_ideal(monkeypatch, n):
+    """Put a difference root, never in an ideal, into the closed-form ideal
+    of the flipped positions P = {0} at rank n, so that one element of every
+    permutation fails closed-form-ideal and the scan fails."""
+    table = list(correspondence._closed_forms(n))
+    table[1] = table[1][0], table[1][1] ^ 1
+    monkeypatch.setattr(correspondence, "_closed_forms", lambda rank: tuple(table))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("fault", [None, "closed-form-ideal"])
-def test_scan_entries_are_one_pass_over_s_n_plus_the_element_loop(monkeypatch, n, fault):
-    # at most one _sym_entry per set of flipped positions of each
-    # permutation that runs the element loop, and when the first one records
-    # no failure, one per eta in S_n, in order: the element loop runs on one
-    # permutation when the scan passes, and on every one, with no pass over
-    # S_n, when a wrong closed-form ideal fails them all
+def test_scan_entries_come_from_the_element_loop_alone(monkeypatch, n, fault):
+    # one _sym_entry per distinct symmetric component of the permutations
+    # that run the element loop, and no other: the first permutation's when
+    # the scan passes, and also every permutation's when a wrong closed-form
+    # ideal fails them all
     if fault:
-        table = list(correspondence._closed_forms(n))
-        table[1] = table[1][0], table[1][1] ^ 1  # a difference root, never in an ideal
-        monkeypatch.setattr(correspondence, "_closed_forms", lambda rank: tuple(table))
+        _break_closed_form_ideal(monkeypatch, n)
     calls = []
     real = correspondence._sym_entry
     monkeypatch.setattr(
@@ -289,8 +295,8 @@ def test_scan_entries_are_one_pass_over_s_n_plus_the_element_loop(monkeypatch, n
         assert len(calls) <= 2**n * (1 + len(words))
     else:
         assert result["per_element_perms"] == 1
-        assert calls[-len(words) :] == [_perm_inversion_mask(eta, n) for eta in words]
-        assert len(calls) <= len(words) + 2**n
+        components = {gather(words[0]) for gather, _ideal in correspondence._closed_forms(n)}
+        assert sorted(calls) == sorted(_perm_inversion_mask(eta, n) for eta in components)
 
 
 def test_from_pair_builds_at_most_one_relabel_table(monkeypatch):
@@ -353,68 +359,66 @@ def _inline_pool(monkeypatch, cpus):
     [(4, 3, 5000, 3), (3, 64, 5000, 6), (4, 64, 2, 2), (4, 1, 5000, None)],
 )
 def test_workers_clamped_to_cpus_and_permutations(monkeypatch, n, cpus, workers, chunks):
+    _break_closed_form_ideal(monkeypatch, n)
     seen = _inline_pool(monkeypatch, cpus)
     report = verify_bijection(n, workers=workers)
-    assert report.passed
+    assert not report.passed
     assert seen.get("chunks") == chunks
     assert seen.get("processes") == chunks
     if chunks:
-        # a passing scan's one round is the pass over S_n
-        [(fn, _slices, verdicts)] = seen["rounds"]
-        assert fn == correspondence._batchable and verdicts == [True] * chunks
+        # a failing scan's one round is the element loop over the slices
+        [(fn, _slices, partials)] = seen["rounds"]
+        assert fn == correspondence._scan_chunk
+        assert sum(p["per_element_perms"] for p in partials) == math.factorial(n)
 
 
 @pytest.mark.parametrize("n, workers", [(3, 2), (4, 3), (5, 2)])
-def test_each_chunk_checks_only_the_eta_of_its_own_slice(monkeypatch, n, workers):
-    # the slices cover S_n once, and each chunk's pass makes one _sym_entry
-    # call per word of its own slice
-    calls = []
-    real = correspondence._sym_entry
-    monkeypatch.setattr(
-        correspondence, "_sym_entry", lambda phi0, rank: calls.append(phi0) or real(phi0, rank)
-    )
-    real_batchable = correspondence._batchable
-    passes = []
+def test_each_chunk_scans_only_the_words_of_its_own_slice(monkeypatch, n, workers):
+    # in a failing scan the slices cover S_n once, and each chunk's element
+    # loop walks the words of its own slice, after the parent's walk of the
+    # first permutation
+    _break_closed_form_ideal(monkeypatch, n)
+    real = correspondence._iter_rows
+    walks = []
 
-    def counted(rank, start, stop):
-        calls.clear()
-        verdict = real_batchable(rank, start, stop)
-        passes.append(list(calls))
-        return verdict
+    def recorded(rank, perm_start=0, perm_stop=None):
+        walks.append([])
+        for row in real(rank, perm_start, perm_stop):
+            walks[-1].append(row[0])
+            yield row
 
-    monkeypatch.setattr(correspondence, "_batchable", counted)
+    monkeypatch.setattr(correspondence, "_iter_rows", recorded)
     seen = _inline_pool(monkeypatch, workers)
-    assert verify_bijection(n, workers=workers).passed
-    [(_fn, slices, verdicts)] = seen["rounds"]
-    assert verdicts == [True] * workers
+    assert not verify_bijection(n, workers=workers).passed
+    [(_fn, slices, _partials)] = seen["rounds"]
     words = list(itertools.permutations(range(1, n + 1)))
     assert [eta for _n, lo, hi in slices for eta in words[lo:hi]] == words
-    assert passes == [
-        [_perm_inversion_mask(eta, n) for eta in words[lo:hi]] for _n, lo, hi in slices
-    ]
+    assert walks == [words[:1]] + [words[lo:hi] for _n, lo, hi in slices]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_bad_eta_in_one_slice_sends_every_chunk_to_the_element_loop(monkeypatch, n):
-    # rho's relabel table of (n, ..., 1), the last word, swaps two entries, so
-    # relabelling through its pi and then its rho moves two bits; only the
-    # second chunk's pass checks that word, but the verdict is global, so the
-    # first chunk runs the element loop too, and the report is the serial one
-    target = tuple(range(n, 0, -1))
+def test_bad_rho_table_gives_the_serial_report_over_two_chunks(monkeypatch, n):
+    # rho's relabel table of (2, ..., n, 1) swaps the entries of e1+e2 and
+    # e2+e3.  The first permutation's element [-1,2,...,n] has that component
+    # and e1+e2, not e2+e3, in its ideal, so its support identity fails
+    # there, and every permutation runs the element loop, split over two
+    # chunks of which only the first meets the fault; the merged report is
+    # the serial one
+    target = (*range(2, n + 1), 1)
     real = correspondence._rho_table
 
     def corrupted(word, rank):
-        table = real(word, rank)
-        return table if word != target else (table[1], table[0], *table[2:])
+        table = list(real(word, rank))
+        if word == target:
+            table[0], table[n - 1] = table[n - 1], table[0]
+        return tuple(table)
 
     monkeypatch.setattr(correspondence, "_rho_table", corrupted)
     seen = _inline_pool(monkeypatch, 2)
     parallel = verify_bijection(n, workers=2)
-    (_fn, _slices, verdicts), (_fn, _args, partials) = seen["rounds"]
-    assert verdicts == [True, False]
+    [(_fn, _args, partials)] = seen["rounds"]
     assert sum(p["per_element_perms"] for p in partials) == math.factorial(n)
-    # the element loop relabels the ideals of that word back through the
-    # same swapped table, so the fault shows as support-identity failures
+    assert [p["counts"]["support_fail"] > 0 for p in partials] == [True, False]
     assert [r.check_id for r in parallel.records if not r.passed] == ["support-identity"]
     serial = verify_bijection(n)
     assert parallel.checks_json() == serial.checks_json()
@@ -424,7 +428,10 @@ def test_bad_eta_in_one_slice_sends_every_chunk_to_the_element_loop(monkeypatch,
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_verify_bijection_workers_match_serial(monkeypatch, n, workers):
+    # only a failing scan splits its element loop over the workers
+    _break_closed_form_ideal(monkeypatch, n)
     serial = verify_bijection(n, workers=1)
+    assert not serial.passed
     seen = _inline_pool(monkeypatch, 3)
     parallel = verify_bijection(n, workers=workers)
     assert seen.get("chunks") == (workers if workers > 1 else None)
@@ -566,33 +573,58 @@ def test_scan_chunk_matches_pinned_values(n, start, stop, elements, hist):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_passing_scan_checks_one_permutation_element_by_element(monkeypatch, workers):
     # the parent checks the first permutation element by element; every
-    # other one is a renaming of it, and the pool's one round is the pass
-    # over S_n
+    # other one is a renaming of it, and no pool starts
     seen = _inline_pool(monkeypatch, 3)
     result = correspondence._scan(5, workers)
     assert result["per_element_perms"] == 1
     assert sum(result["hist"]) == 120 * 2**5
-    assert [fn for fn, _args, _results in seen.get("rounds", [])] == [
-        correspondence._batchable
-    ] * (workers > 1)
+    assert seen == {}
+
+
+def test_a_passing_scan_never_forks(monkeypatch):
+    import multiprocessing
+
+    def no_pool(method):
+        raise AssertionError("a passing scan asked for a process pool")
+
+    monkeypatch.setattr(correspondence.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert verify_bijection(5, workers=2).passed
 
 
 def test_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, capsys):
-    _assert_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, capsys, (2, 3, 1))
+    failing = _corrupt_rho_table(monkeypatch, (2, 3, 1))
+    report = verify_bijection(3)
+    failed = {r.check_id: r.detail for r in report.records if not r.passed}
+    assert failed == {
+        "support-identity": {"failures": 6, "witnesses": [str(w) for w in failing[:5]]}
+    }
+
+    assert main(["bijection", "--rank", "3", "--out", str(tmp_path / "b.json")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
-def test_corrupt_rho_table_of_a_later_word_fails_the_support_identity(
-    monkeypatch, tmp_path, capsys
-):
-    # no element of the first word scanned has this component, so the words
-    # whose elements do would otherwise pass as a batch
+def test_corrupt_rho_table_of_a_later_word_shows_in_its_witness_trace(monkeypatch, tmp_path):
+    # the first permutation's element with this component has an ideal that
+    # the swapped entries do not touch, so the batch takes the component as
+    # defined and the scan passes; the table is checked where it runs, and
+    # --witness of each failing element reports its support identity broken
     target = (2, 3, 4, 1)
-    _assert_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, capsys, target)
+    failing = _corrupt_rho_table(monkeypatch, target)
+    assert verify_bijection(4).passed
+    others = [w for w in enumerate_group(4) if sym_component(w).images == target]
+    assert set(failing) < set(others)
+    out = tmp_path / "w.json"
+    for w in others:
+        assert main(["bijection", "--rank", "4", "--witness", str(w), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())["data"]
+        assert doc["support_matches_inversions"] == (w not in failing)
 
 
-def _assert_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, capsys, target):
+def _corrupt_rho_table(monkeypatch, target):
     """Swap two entries of rho's relabel table for the symmetric component
-    target and compare the scan with the elements that then fail."""
+    target; returns the elements whose support identity then fails, in the
+    scan's witness order."""
     n = len(target)
     nd = n * (n - 1) // 2
     real = correspondence._rho_table
@@ -617,15 +649,7 @@ def _assert_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, 
             failing.append(w)
     failing.sort(key=lambda w: (w.perm.images, sum(1 << (v - 1) for v in w.negated)))
     assert len(failing) == 6
-
-    report = verify_bijection(n)
-    failed = {r.check_id: r.detail for r in report.records if not r.passed}
-    assert failed == {
-        "support-identity": {"failures": 6, "witnesses": [str(w) for w in failing[:5]]}
-    }
-
-    assert main(["bijection", "--rank", str(n), "--out", str(tmp_path / "b.json")]) == 1
-    assert "Traceback" not in capsys.readouterr().err
+    return failing
 
 
 def _bitwise_relabel(mask, value_map, n):
@@ -903,23 +927,15 @@ def test_swapped_masks_of_one_word_match_a_per_element_evaluation(
 
 
 @pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("fault", ["entry", "off-support"])
-def test_a_wrong_row_sends_every_permutation_to_the_element_loop(monkeypatch, n, fault):
-    # the flipped row of the value n with no letter after it is 2e_n.  An
-    # entry that loses it differs from the tables; one that gains 2e_1, off
-    # the root pairs of n, with the same bit in the tables, fails only the
-    # supports.  Either way the DP gives no histogram
-    extra = 1 << root_index(n)[long(1 if fault == "off-support" else n)]
-    flip = (lambda down: down | extra) if fault == "off-support" else (lambda down: down ^ extra)
+def test_a_wrong_row_sends_every_permutation_to_the_element_loop(monkeypatch, n):
+    # the flipped row of the value n with no letter after it is 2e_n; an
+    # entry that loses it differs from the tables, so the DP gives no
+    # histogram
+    missing = 1 << root_index(n)[long(n)]
     _patch_row(
         monkeypatch,
-        lambda v, later, up, down: (up, flip(down) if (v, later) == (n, 0) else down),
+        lambda v, later, up, down: (up, down ^ missing if (v, later) == (n, 0) else down),
     )
-    if fault == "off-support":
-        lo, hi, support = _row_tables(n)
-        hi = [row[:] for row in hi]
-        hi[n][0] = flip(hi[n][0])
-        monkeypatch.setattr(weyl, "_row_tables", lambda rank: (lo, hi, support))
     assert weyl._length_histogram(n) is None
     counts, result = _assert_scan_matches_reference(n)
     assert sum(counts.values()) > 0
@@ -949,33 +965,37 @@ def test_a_failure_in_the_first_permutation_sends_every_permutation_to_the_eleme
     monkeypatch, n
 ):
     # the inverse recipe builds the wrong word for the identity element alone:
-    # the gathers, the rows and the supports pass, the element loop on the
-    # first permutation records the failure, and then every permutation runs
-    # the element loop, with no pass over S_n
+    # the gathers and the rows pass, the element loop on the first
+    # permutation records the failure, and then every permutation runs the
+    # element loop
     identity = tuple(range(1, n + 1))
     real = correspondence._construct
 
     def wrong(word, ximask, rank):
         return (identity[::-1], 0) if (word, ximask) == (identity, 0) else real(word, ximask, rank)
 
-    def no_pass(*args):
-        raise AssertionError("the pass over S_n ran after a failing first permutation")
-
+    chunks = []
+    real_chunk = correspondence._scan_chunk
     monkeypatch.setattr(correspondence, "_construct", wrong)
-    monkeypatch.setattr(correspondence, "_batchable", no_pass)
+    monkeypatch.setattr(
+        correspondence, "_scan_chunk", lambda *args: chunks.append(args[1:]) or real_chunk(*args)
+    )
     counts, result = _assert_scan_matches_reference(n)
     assert counts == {**dict.fromkeys(_FAILS, 0), "construct_fail": 1}
     assert result["per_element_perms"] == math.factorial(n)
+    assert chunks == [(0, 1), (None, None)]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("pi_of", ["wrong", "target"])
 def test_wrong_decoded_word_matches_a_per_element_evaluation(monkeypatch, n, pi_of):
-    # the symmetric component (2, 1, 3, ..., n) decodes to the word with its
+    # the symmetric component (3, ..., n, 2, 1) decodes to the word with its
     # last two letters swapped, together with the position map of that word
-    # or of the right one (which the pass's relabel composite cannot see);
-    # no element of the first word has it, so the batch must reject its words
-    target = (2, 1, *range(3, n + 1))
+    # or of the right one.  The first permutation's element that flips its
+    # first two positions has that component, so its element loop sees the
+    # fault and every permutation runs the element loop; from_pair, which
+    # decodes the element it builds, refuses the component
+    target = (*range(3, n + 1), 2, 1)
     wrong = (*target[:-2], target[-1], target[-2])
     real = correspondence._sym_entry
 
@@ -991,8 +1011,9 @@ def test_wrong_decoded_word_matches_a_per_element_evaluation(monkeypatch, n, pi_
     # relabelled through the wrong position map, is not upward closed
     assert counts["closed_sym_fail"] > 0
     assert counts["closed_sym_fail"] + counts["incr_fail"] == 2**n
-    # one bad eta in the pass over S_n leaves the whole chunk to the element loop
     assert result["per_element_perms"] == math.factorial(n)
+    with pytest.raises(ConsistencyError):
+        from_pair(Perm(target), ideal_of(n))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -1037,7 +1058,7 @@ def test_closed_form_inversions_are_one_row_per_position(n):
     # values at positions p < q are inverted in g_P(word) iff word[p] > word[q]
     # XOR p in P, so inv(g_P(word)) joins the unflipped rows of the positions
     # outside P and the difference parts of the flipped rows of those in P
-    lo, hi, _support = _row_tables(n)
+    lo, hi = _row_tables(n)
     nd = n * (n - 1) // 2
     gathers = [gather for gather, _ideal in correspondence._closed_forms(n)]
     for word in itertools.permutations(range(1, n + 1)):
@@ -1069,7 +1090,7 @@ def test_closed_forms_read_each_elements_flipped_positions(n):
 def test_sym_entry_whose_pi_is_not_its_position_map(monkeypatch, n):
     # pi of one symmetric component swaps the images of the values 1 and 2,
     # so the ideal of its elements is no renaming of the identity's
-    target = tuple(range(n, 0, -1))
+    target = (*range(2, n + 1), 1)
     real = correspondence._sym_entry
 
     def corrupted(phi0, rank):
@@ -1080,9 +1101,10 @@ def test_sym_entry_whose_pi_is_not_its_position_map(monkeypatch, n):
         return word, (0, pi[2], pi[1], *pi[3:])
 
     monkeypatch.setattr(correspondence, "_sym_entry", corrupted)
-    # the pass over S_n sees the fault: relabelling through that pi and then
-    # through rho moves a bit, so every permutation runs the element loop
-    assert not correspondence._batchable(n, None, None)
+    # the first permutation's element [-1,2,...,n] has that component and
+    # the sums e1+e_q, which the swap moves, so its element loop records the
+    # fault and every permutation runs the element loop
+    assert any(correspondence._scan_chunk(n, 0, 1)["counts"].values())
     counts, result = _assert_scan_matches_reference(n)
     assert sum(counts.values()) > 0
     assert result["per_element_perms"] == math.factorial(n)
@@ -1091,8 +1113,8 @@ def test_sym_entry_whose_pi_is_not_its_position_map(monkeypatch, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_composite_relabel_is_the_identity_exactly_for_the_position_map(n):
     # relabelling through pi and then through eta's rho moves no bit exactly
-    # when pi is eta's position map, which is what lets the pass over S_n
-    # check pi by that composite alone
+    # when pi is eta's position map: the long root 2e_v goes to
+    # 2e_{rho(pi(v))}
     identity = tuple(range(n * (n + 1) // 2))
     words = list(itertools.permutations(range(1, n + 1)))
     for eta in words:
@@ -1100,6 +1122,46 @@ def test_composite_relabel_is_the_identity_exactly_for_the_position_map(n):
         for pi in words:
             fixed = correspondence._gather(_relabel_table((0, *pi), n))(bwd) == identity
             assert fixed == ((0, *pi) == correspondence._position_map(eta))
+
+
+@pytest.mark.parametrize("n", range(5, weyl.DEFAULT_GROUP_CAP + 1))
+def test_decoder_and_relabel_tables_hold_on_every_eta(n):
+    # a batch takes each element's symmetric component to be g_P(word), which
+    # ranges over S_n, with its position map as pi; the decoder and the
+    # tables that the element loop, from_pair and --witness use agree with
+    # that on every eta, up to the group cap
+    identity = tuple(range(n * (n + 1) // 2))
+    for eta in itertools.permutations(range(1, n + 1)):
+        pi = correspondence._position_map(eta)
+        assert correspondence._sym_entry(_perm_inversion_mask(eta, n), n) == (eta, pi)
+        rho = correspondence._rho_table(eta, n)
+        assert correspondence._gather(_relabel_table(pi, n))(rho) == identity
+
+
+def test_a_duplicate_root_in_the_grid_exits_3(monkeypatch, capsys):
+    # e1+e2 listed twice at rank 3, in place of e1+e3: the pairs a <= b are
+    # not listed once, so the grid is no inverse of (rows, cols)
+    real = correspondence.positive_roots
+
+    def duplicated(n):
+        roots = list(real(n))
+        if n == 3:
+            roots[roots.index(sum_root(1, 3))] = sum_root(1, 2)
+        return roots
+
+    monkeypatch.setattr(correspondence, "positive_roots", duplicated)
+    correspondence._phi1_grid.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="pairs a <= b"):
+            correspondence._phi1_grid(3)
+        assert main(["bijection", "--rank", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+    finally:
+        monkeypatch.undo()
+        correspondence._phi1_grid.cache_clear()
 
 
 def test_witness_at_rank_40_builds_only_its_own_closed_form(monkeypatch, tmp_path):

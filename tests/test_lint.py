@@ -1,6 +1,8 @@
-"""Two source rules checked with the standard library alone: every line of
-the package fits in 100 columns, and every name a module imports at top
-level is used in that module (__init__.py re-exports, so it is exempt)."""
+"""Three source rules checked with the standard library alone: every line of
+the package fits in 100 columns, every name a module imports at top level is
+used in that module (__init__.py re-exports, so it is exempt), and every
+private name a module defines at top level is referenced somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -38,6 +40,38 @@ def test_every_top_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in _imported_names(tree) if name not in used]
     assert unused == [], f"{path.name}: imported and never used: {unused}"
+
+
+def _private_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _references(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_private_top_level_name_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    referenced = {name for tree in trees.values() for name in _references(tree)}
+    unreferenced = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in referenced
+    ]
+    assert unreferenced == [], f"defined and never referenced: {unreferenced}"
 
 
 def test_the_lint_sees_every_module():

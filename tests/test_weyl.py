@@ -381,7 +381,7 @@ def test_sign_patterns_and_flips_are_the_doubling_of_their_rows(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_row_tables_match_the_walk(n):
-    lo, hi, _support = _row_tables(n)
+    lo, hi = _row_tables(n)
     for word, plus, minus in _iter_rows(n):
         later = [sum(1 << (q - 1) for q in word[p + 1 :]) for p in range(n)]
         assert plus == [lo[v][m] for v, m in zip(word, later)]
@@ -395,18 +395,17 @@ def _root_pairs(mask, n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_rows_lie_on_their_root_pairs(n):
-    # the rows of v with the later set L lie on the pairs {v, x}, x in L or
-    # x = v, which is what the support tables hold
-    support = _row_tables(n)[2]
+    # the rows of v with the later set L, and their tables, cover the pairs
+    # {v, x}, x in L or x = v, and no other
+    lo, hi = _row_tables(n)
     for v in range(1, n + 1):
         for later in range(1 << n):
             if later >> (v - 1) & 1:
                 continue
             allowed = {frozenset((v, x)) for x in range(1, n + 1) if later >> (x - 1) & 1 or x == v}
-            assert _root_pairs(support[v][later], n) == allowed
             up, down = _row(n, v, later)
-            assert _root_pairs(up | down, n) <= allowed
-            assert (up | down) & ~support[v][later] == 0
+            assert _root_pairs(up | down, n) == allowed
+            assert _root_pairs(lo[v][later] | hi[v][later], n) == allowed
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -431,8 +430,9 @@ def test_length_histogram_is_the_product_of_the_2i_brackets(n):
 
 
 def test_length_histogram_refuses_a_row_off_its_root_pairs(monkeypatch):
-    # the flipped row of 2 before 1 takes 2e3, on no pair {2, x}: the DP
-    # gives no histogram, and weyl_length_histogram calls that a bug
+    # the flipped row of 2 before 1 takes 2e3, on no pair {2, x}, so it
+    # differs from its table: the DP gives no histogram, and
+    # weyl_length_histogram calls that a bug
     real = weyl._row
     extra = 1 << root_index(3)[long(3)]
 
@@ -458,7 +458,7 @@ def test_a_row_that_differs_from_its_table_exits_3(monkeypatch, capsys):
         return (up, down & ~missing) if (n, v, later) == (3, 3, 0) else (up, down)
 
     monkeypatch.setattr(weyl, "_row", corrupted)
-    assert corrupted(3, 3, 0)[1] & ~_row_tables(3)[2][3][0] == 0
+    assert _root_pairs(corrupted(3, 3, 0)[1], 3) <= {frozenset((3,))}
     assert _length_histogram(3) is None
     assert main(["weyl", "--rank", "3"]) == 3
     captured = capsys.readouterr()
@@ -484,7 +484,7 @@ def test_root_pairs_that_do_not_split_the_roots_exit_3(monkeypatch, capsys):
     try:
         with pytest.raises(ConsistencyError, match="do not split the roots"):
             _row_tables(3)
-        assert len(_row_tables(2)[2]) == 3  # other ranks keep their index
+        assert len(_row_tables(2)[1]) == 3  # other ranks keep their index
         assert main(["weyl", "--rank", "3"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
