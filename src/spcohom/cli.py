@@ -54,11 +54,12 @@ from .weyl import parse_signed_perm
 # blocks by 39 (9,791,868 at rank 6).
 LIST_CAPS = {"ideals": 17, "weyl": 7, "betti": 5}
 
-# Highest rank of the structure command.  Its table brackets every pair of
-# the n^2 positive root vectors, each with at most 2 nonzero matrix entries,
-# so time and the report grow about as n^4: rank 14 takes 0.15 s, 21 MB and a
-# 0.26 MB report, rank 20 took 0.45 s and 0.81 MB, rank 24 1.0 s and 1.4 MB.
-# Neither time nor memory forces 14; a higher cap is left to a measured need.
+# Highest rank of the structure command.  Its table has O(n^3) nonzero
+# brackets, found by a sparse join of the root vectors' entries
+# (liealg.structure_table), so time and the report grow about as n^3: rank 14
+# takes 0.12 s, 19 MB and a 0.26 MB report; in-process, rank 24 took 0.19 s
+# and 1.4 MB, rank 32 0.55 s and 3.5 MB.  Neither time nor memory forces 14;
+# a higher cap is left to a measured need.
 STRUCTURE_CAP = 14
 
 # Highest rank of bijection --witness.  The trace lists the inversion set and
@@ -263,8 +264,9 @@ def _cmd_poincare(args: argparse.Namespace):
 def _lie_agreement_record(n: int, report: VerificationReport) -> None:
     """Add lie-vs-combinatorial, a certificate at every rank: the structure
     table's bracket neighbours equal the root-addition pairs, so the two
-    ideal predicates agree on all 2^(n^2) subsets.  It costs about 6 ms at
-    rank 7 and 9 ms at rank 8, most of it building the structure table."""
+    ideal predicates agree on all 2^(n^2) subsets.  It costs about 4 ms at
+    rank 7 and 5.5 ms at rank 8, building _addable and the structure table
+    included."""
     mismatches = liealg.neighbor_mismatches(n)
     report.add(
         "lie-vs-combinatorial",

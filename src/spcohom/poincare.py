@@ -15,13 +15,13 @@ identity, so it raises instead of truncating.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
 from .report import VerificationReport
-from .roots import check_cap, check_rank
-from .weyl import check_group_cap, _length_histogram, _perm_inversion_mask
+from .roots import check_cap, check_rank, num_diffs, _index_tables
+from .weyl import check_group_cap, _diff_offsets, _expand, _length_histogram, _perm_row
 
 # Highest rank of the poincare command.  Its polynomials have degree n^2 and
 # coefficients up to 2^n n!: rank 64 takes 1.5 s, 23 MB and a 1.9 MB report,
@@ -141,13 +141,50 @@ def weyl_length_histogram(n: int) -> IntPolynomial:
 
 
 def sym_inversion_histogram(n: int) -> IntPolynomial:
-    """Enumerated inversion histogram of S_n, by the map the Lehmer decoder
-    checks against.  Refuses ranks above the group cap, before any permutation."""
+    """Counted inversion histogram of S_n (_sym_inversion_dp).  Refuses ranks
+    above the group cap, before any row."""
     check_group_cap(n)
-    counts = [0] * (n * (n - 1) // 2 + 1)
-    for word in itertools.permutations(range(1, n + 1)):
-        counts[_perm_inversion_mask(word, n).bit_count()] += 1
-    return IntPolynomial.from_coeffs(counts)
+    return _sym_inversion_dp(n)
+
+
+def _sym_inversion_dp(n: int) -> IntPolynomial:
+    """The inversion histogram of S_n with no walk over permutations: a DP
+    over the prefix sets B of a word,
+
+        F(empty) = 1,  F(B) = sum over v in B of t^|row(v, B - v)| F(B - v)
+
+    with row(v, before) = _perm_row(before, v), the inversions that the
+    letter v adds after the letters before (the row _perm_inversion_mask
+    reads, one bit per value u > v in before), and the histogram
+    F({1..n}).  Each polynomial is packed into one int, a coefficient per
+    width bits, width enough for the n! permutations.  Each row is checked
+    against the root index at all n 2^(n-1) pairs (v, before), as
+    weyl._length_histogram checks the group's rows: ConsistencyError unless
+    it equals the bits d_idx[v][u] of the values u > v in before, built by
+    subset doubling."""
+    off = _diff_offsets(n)
+    d_idx = _index_tables(n)[0]
+    expected = [[]] + [
+        _expand([0] * (n - v), [1 << d_idx[v][u] for u in range(v + 1, n + 1)])
+        for v in range(1, n + 1)
+    ]
+    width = math.factorial(n).bit_length()
+    poly = [1]
+    for prefix in range(1, 1 << n):
+        acc = 0
+        for v in range(1, n + 1):
+            before = prefix & ~(1 << (v - 1))
+            if before != prefix:
+                row = _perm_row(before, v, off)
+                if row != expected[v][before >> v]:
+                    raise ConsistencyError(
+                        f"the S_n row of {v} after {before:#b} differs from the root "
+                        "index; this indicates a bug"
+                    )
+                acc += poly[before] << width * row.bit_count()
+        poly.append(acc)
+    low = (1 << width) - 1
+    return IntPolynomial.from_coeffs(poly[-1] >> width * d & low for d in range(num_diffs(n) + 1))
 
 
 def add_betti_record(

@@ -273,16 +273,52 @@ def _index_tables(n: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
 
 @lru_cache(maxsize=None)
 def _addable(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each root index a, the pairs (b, c) over all root indices b such that
-    root a + root b is a positive root with index c.  Used by the abelian-ideal
-    closure checks; the lists are short (O(n) entries per root)."""
+    """For each root index a, the pairs (b, c), b ascending, over all root
+    indices b such that root a + root b is a positive root with index c.  Used
+    by the abelian-ideal closure checks; the lists are short (O(n) entries per
+    root).
+
+    Only the b whose support {i, j} meets a's are tried.  When the supports
+    are disjoint, the sum has at least 3 nonzero coordinates, or two
+    coordinates equal to 2 (two long roots), and no positive root has either
+    form, so every pair skipped has no root sum.  Each index lies in the
+    support of 2n - 1 roots, so at most 4n^3 sums are resolved, each by one
+    coefficient-vector -> index lookup (_sum_index)."""
     roots = positive_roots(n)
+    vectors, index = _sparse_roots(n)
+    meets: list[list[int]] = [[] for _ in range(n + 1)]  # the roots with k in their support
+    for b, r in enumerate(roots):
+        for k in {r.i, r.j}:
+            meets[k].append(b)
     out = []
     for a, ra in enumerate(roots):
         row = []
-        for b, rb in enumerate(roots):
-            s = dotted_sum(ra, rb, n)
-            if s is not None:
-                row.append((b, root_index(n)[s]))
+        for b in sorted({*meets[ra.i], *meets[ra.j]}):
+            c = _sum_index(index, vectors[a], vectors[b])
+            if c is not None:
+                row.append((b, c))
         out.append(tuple(row))
     return tuple(out)
+
+
+_Sparse = tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=None)
+def _sparse_roots(n: int) -> tuple[tuple[_Sparse, ...], dict[_Sparse, int]]:
+    """(vectors, index): the coefficient vector of each root as its nonzero
+    (coordinate, coefficient) pairs, coordinate ascending, by root index, and
+    the map back from vector to index."""
+    vectors = tuple(
+        tuple((k, c) for k, c in enumerate(r.coeffs(n), 1) if c) for r in positive_roots(n)
+    )
+    return vectors, {v: c for c, v in enumerate(vectors)}
+
+
+def _sum_index(index: dict[_Sparse, int], va: _Sparse, vb: _Sparse) -> Optional[int]:
+    """index[va + vb] for two sparse coefficient vectors (_sparse_roots): the
+    index of the root va + vb, or None when the sum is no positive root."""
+    s = dict(va)
+    for k, c in vb:
+        s[k] = s.get(k, 0) + c
+    return index.get(tuple(sorted((k, c) for k, c in s.items() if c)))

@@ -275,15 +275,21 @@ def _diff_offsets(n: int) -> tuple[int, ...]:
     return off
 
 
+def _perm_row(before: int, v: int, off: tuple[int, ...]) -> int:
+    """The inversions e_v - e_u, v < u, that the letter v adds after the
+    letters of the value mask before (bit u - 1 for the value u).  Row v of
+    the row-major index off (_diff_offsets) has bit u - v - 1 for e_v - e_u,
+    so the row is before shifted right by v: one shift."""
+    return before >> v << off[v]
+
+
 def _perm_inversion_mask(word: tuple[int, ...], n: int) -> int:
-    """Bitmask of the differences e_v - e_u, v < u, with u before v in word.
-    Row v of the row-major index (_diff_offsets) has bit u - v - 1 for e_v -
-    e_u, so it is the value mask of the letters before v shifted right by v:
-    one shift per letter."""
+    """Bitmask of the differences e_v - e_u, v < u, with u before v in word:
+    the union of the rows _perm_row gives each letter."""
     off = _diff_offsets(n)
     mask = before = 0
     for v in word:
-        mask |= before >> v << off[v]
+        mask |= _perm_row(before, v, off)
         before |= 1 << (v - 1)
     return mask
 

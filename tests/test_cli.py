@@ -1,4 +1,5 @@
 import errno
+import functools
 import io
 import json
 import os
@@ -113,6 +114,42 @@ def test_lie_certificate_passes_above_the_cohomology_cap(n):
     }
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        # e_1 - e_2 gains the entry (2, 0), so its bracket with e_1 - e_3,
+        # the first pair, is E_(2,2) - E_(0,0) although 2e_1 - e_2 - e_3 is
+        # not a root
+        ("extra-entry", "is nonzero but the root sum leaves the positive roots"),
+        # e_1 - e_2's second entry flips sign, so its bracket with e_2 - e_3
+        # is E_(0,2) + E_(n+2,n), not a multiple of the root vector of e_1 - e_3
+        ("flipped-sign", "bracket not proportional to the expected root vector"),
+    ],
+)
+def test_a_wrong_root_vector_exits_3(monkeypatch, capsys, fault, message):
+    n = 3
+    real = liealg.root_vector
+
+    def wrong(rank, alpha):
+        x = real(rank, alpha)
+        if alpha != roots.diff(1, 2):
+            return x
+        if fault == "extra-entry":
+            return x + liealg.IntMatrix.from_entries(2 * rank, {(2, 0): 1})
+        return liealg.IntMatrix.from_entries(2 * rank, {p: abs(v) for p, v in x.entries})
+
+    monkeypatch.setattr(liealg, "root_vector", wrong)
+    # an empty cache, so that the table is built from the wrong vector
+    monkeypatch.setattr(
+        liealg, "structure_table", functools.lru_cache(liealg.structure_table.__wrapped__)
+    )
+    assert main(["verify", "--rank", str(n)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal consistency error (a bug): ")
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 def test_broken_dimension_histogram_fails_verify(monkeypatch, tmp_path):
     n = 3
     real = ideals.dimension_histogram
@@ -164,10 +201,16 @@ def _shift_one_scan_length(monkeypatch):
     monkeypatch.setattr(correspondence, "_length_histogram", shifted)
 
 
-def _invert_the_identity(monkeypatch):
-    # only the S_n histogram reads poincare's name for the inversion mask
-    real = poincare._perm_inversion_mask
-    monkeypatch.setattr(poincare, "_perm_inversion_mask", lambda word, n: real(word, n) or 1)
+def _shift_one_inversion_count(monkeypatch):
+    # the S_n DP's count moves one permutation up one inversion
+    real = poincare._sym_inversion_dp
+
+    def shifted(n):
+        counts = list(real(n).coeffs)
+        counts[0], counts[1] = counts[0] - 1, counts[1] + 1
+        return poincare.IntPolynomial.from_coeffs(counts)
+
+    monkeypatch.setattr(poincare, "_sym_inversion_dp", shifted)
 
 
 def _bump_ideal_generating(k):
@@ -195,9 +238,9 @@ _CLOSED_FORM_IDS = {
 
 
 @pytest.mark.parametrize(
-    "record, fault, failing",
+    "records, fault, failing",
     [
-        pytest.param(*case, id=case[0])
+        pytest.param({case[0]}, *case[1:], id=case[0])
         for case in (
             ("ideal-count", _drop_last_ideal, {"ideal-count"}),
             (
@@ -207,11 +250,9 @@ _CLOSED_FORM_IDS = {
             ),
             (
                 "poincare.sym-inversion-histogram",
-                _invert_the_identity,
+                _shift_one_inversion_count,
                 {"poincare.sym-inversion-histogram"},
             ),
-            # t^3 is the middle of the degree-6 form, so it stays palindromic
-            ("poincare.histogram-convolution", _bump_ideal_generating(3), _CLOSED_FORM_IDS),
             (
                 "poincare.palindromic",
                 _bump_ideal_generating(0),
@@ -219,16 +260,29 @@ _CLOSED_FORM_IDS = {
             ),
         )
     ]
-    + [pytest.param("ideal-count", _repeat_first_ideal, {"ideal-count"}, id="ideal-count-repeat")],
+    + [
+        pytest.param({"ideal-count"}, _repeat_first_ideal, {"ideal-count"}, id="ideal-count-repeat"),
+        # histogram-convolution (sp * ig == wp) and exact-division (wp / sp ==
+        # ig, with no remainder) are one identity: in exact integer
+        # arithmetic each holds exactly when the other does, so no fault can
+        # fail one alone, and they share this case.  t^3 is the middle of
+        # the degree-6 form, so it stays palindromic
+        pytest.param(
+            {"poincare.histogram-convolution", "poincare.exact-division"},
+            _bump_ideal_generating(3),
+            _CLOSED_FORM_IDS,
+            id="histogram-convolution+exact-division",
+        ),
+    ],
 )
 def test_a_fault_under_each_record_fails_verify(
-    monkeypatch, capsys, tmp_path, record, fault, failing
+    monkeypatch, capsys, tmp_path, records, fault, failing
 ):
     fault(monkeypatch)
     code, text = run_cli(["verify", "--rank", "3"], tmp_path)
     assert code == 1
     assert "Traceback" not in capsys.readouterr().err
-    assert record in failing
+    assert records <= failing
     assert {c["id"] for c in json.loads(text)["checks"] if not c["pass"]} == failing
 
 

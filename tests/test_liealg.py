@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from spcohom import liealg
 from spcohom.errors import ConsistencyError
 from spcohom.liealg import (
     IntMatrix,
@@ -181,7 +182,7 @@ def test_structure_table_entries():
         assert table.entries[(b, a)] == (g, -c)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_structure_table_matches_brackets(n):
     table = structure_table(n)
     roots = positive_roots(n)
@@ -197,6 +198,21 @@ def test_structure_table_matches_brackets(n):
             else:
                 g, c = entry
                 assert got == vectors[g].scale(c)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_structure_table_multiplies_at_most_4n3_entry_pairs(monkeypatch, n):
+    # the join meets only entries on a shared index, so bracketing all
+    # n^4 / 2 pairs cannot come back unnoticed
+    real, calls, expected = liealg._add_term, [], structure_table(n).entries
+
+    def counted(*args):
+        calls.append(None)
+        real(*args)
+
+    monkeypatch.setattr(liealg, "_add_term", counted)
+    assert liealg.structure_table.__wrapped__(n).entries == expected
+    assert 0 < len(calls) <= 4 * n**3
 
 
 def test_is_abelian_ideal_lie_examples():

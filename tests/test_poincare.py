@@ -14,7 +14,7 @@ from spcohom.poincare import (
     weyl_length_histogram,
     weyl_poincare,
 )
-from spcohom.weyl import DEFAULT_GROUP_CAP
+from spcohom.weyl import DEFAULT_GROUP_CAP, _perm_inversion_mask
 
 
 def test_polynomial_arithmetic():
@@ -123,13 +123,44 @@ def test_verify_identities_detects_bad_betti():
     assert failed == ["betti-match"]
 
 
-def test_sym_inversion_histogram_cap_refuses_before_any_permutation(monkeypatch):
-    def no_permutations(*args):
-        raise AssertionError("a permutation was built above the group cap")
+def test_sym_inversion_histogram_cap_refuses_before_any_row(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("an S_n row was read above the group cap")
 
-    monkeypatch.setattr(itertools, "permutations", no_permutations)
+    monkeypatch.setattr(poincare, "_sym_inversion_dp", no_rows)
+    monkeypatch.setattr(poincare, "_perm_row", no_rows)
     cap = DEFAULT_GROUP_CAP
     with pytest.raises(RankCapError):
         sym_inversion_histogram(cap + 1)
     with pytest.raises(RankCapError):
         verify_identities(cap + 1, weyl_hist=weyl_poincare(cap + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sym_inversion_dp_equals_the_enumeration(n):
+    counts = [0] * (n * (n - 1) // 2 + 1)
+    for word in itertools.permutations(range(1, n + 1)):
+        counts[_perm_inversion_mask(word, n).bit_count()] += 1
+    assert sym_inversion_histogram(n) == IntPolynomial.from_coeffs(counts)
+
+
+def test_sym_inversion_dp_equals_the_product_form_at_rank_16():
+    # above the group cap, so the DP is called below sym_inversion_histogram's cap check
+    assert poincare._sym_inversion_dp(16) == sym_poincare(16)
+
+
+def test_a_dp_row_that_differs_from_the_root_index_exits_3(monkeypatch, capsys):
+    # the letter 1 after the letter 2 loses its inversion e_1 - e_2; only
+    # the S_n DP reads poincare's name for the row
+    real = poincare._perm_row
+
+    def dropped(before, v, off):
+        return 0 if (before, v) == (0b10, 1) else real(before, v, off)
+
+    monkeypatch.setattr(poincare, "_perm_row", dropped)
+    with pytest.raises(ConsistencyError):
+        sym_inversion_histogram(3)
+    assert main(["verify", "--rank", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "differs from the root index" in captured.err and "Traceback" not in captured.err

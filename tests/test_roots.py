@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from spcohom import roots as roots_module
 from spcohom.errors import InvalidRankError
 from spcohom.roots import (
     Root,
@@ -11,8 +12,10 @@ from spcohom.roots import (
     long,
     positive_roots,
     precedes,
+    root_index,
     split,
     sum_root,
+    _addable,
 )
 
 
@@ -90,6 +93,35 @@ def test_dotted_sum_closure_facts():
             s = dotted_sum(a, b, n)
             if s is not None:
                 assert s in roots
+
+
+def _all_pairs_addable(n):
+    """The oracle for _addable: dotted_sum on all n^4 ordered root pairs."""
+    roots, idx = positive_roots(n), root_index(n)
+    return tuple(
+        tuple((b, idx[s]) for b, rb in enumerate(roots) if (s := dotted_sum(ra, rb, n)))
+        for ra in roots
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_addable_equals_the_all_pairs_loop(n):
+    assert _addable(n) == _all_pairs_addable(n)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_addable_resolves_at_most_4n3_sums(monkeypatch, n):
+    # only the roots whose support meets a's are tried, 2n - 1 per index, so
+    # an all-pairs loop (n^4 sums) cannot come back unnoticed
+    real, calls, expected = roots_module._sum_index, [], _addable(n)
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(roots_module, "_sum_index", counted)
+    assert _addable.__wrapped__(n) == expected
+    assert 0 < len(calls) <= 4 * n**3
 
 
 def test_precedes_examples():
