@@ -23,6 +23,10 @@ cap refuses through roots.check_cap, with one message.  Each command returns
 one VerificationReport and its CSV rows, and _run alone writes the report as
 the document and chooses exit code 1 when one of its checks failed.
 
+Start-up loads only errors and report.  Each handler imports the modules it
+runs, and the writer the one format it writes, so --help compiles no command
+module and bijection never compiles ce, liealg or poincare.
+
 Output is deterministic: iteration orders are fixed, nothing is sampled, and
 no timing enters a report.  It is written to its destination, the --out file
 or stdout, as it is serialized (JSON in joined groups of 4,096 encoder
@@ -34,18 +38,13 @@ passes it to every command (ROADMAP item 4 deletes it).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from contextlib import contextmanager, suppress
 from itertools import chain, islice
 from typing import Iterator, Optional
 
-from . import ce, correspondence, ideals, liealg, poincare, weyl
 from .errors import ConsistencyError, InvalidRankError, RankCapError
 from .report import VerificationReport
-from .roots import check_cap, check_rank, positive_roots
-from .weyl import parse_signed_perm
 
 # Highest rank whose listing is built, per command (--list, or --per-weight
 # for betti).  The listing is held in memory while it is written out, so
@@ -121,6 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_args(args: argparse.Namespace) -> None:
     """Validate all user input and replace args.witness by the SignedPerm it
     parses to; a ValueError here is a usage error."""
+    from .roots import check_cap, check_rank
+
     if args.out == "":
         raise ValueError("--out needs a file path")
     workers = getattr(args, "workers", 1)
@@ -131,6 +132,8 @@ def _validate_args(args: argparse.Namespace) -> None:
         raise ValueError(f"command {args.command} has no CSV form")
     if getattr(args, "witness", None) is not None:
         check_cap(args.rank, WITNESS_CAP, "witness")
+        from .weyl import parse_signed_perm
+
         witness = parse_signed_perm(args.witness)
         if witness.rank != args.rank:
             raise InvalidRankError(
@@ -151,6 +154,9 @@ def _listing_csv(items: list[dict]) -> Iterator[list]:
 
 
 def _cmd_ideals(args: argparse.Namespace):
+    from . import ideals
+    from .roots import check_cap
+
     n = args.rank
     if args.list_items:
         check_cap(n, LIST_CAPS["ideals"], "ideals listing")
@@ -168,6 +174,9 @@ def _cmd_ideals(args: argparse.Namespace):
 
 
 def _cmd_weyl(args: argparse.Namespace):
+    from . import poincare, weyl
+    from .roots import check_cap
+
     n = args.rank
     if args.list_items:
         check_cap(n, LIST_CAPS["weyl"], "weyl listing")
@@ -192,6 +201,9 @@ def _cmd_weyl(args: argparse.Namespace):
 
 
 def _cmd_structure(args: argparse.Namespace):
+    from . import liealg
+    from .roots import check_cap, positive_roots
+
     n = args.rank
     check_cap(n, STRUCTURE_CAP, "structure")
     entries = liealg.structure_table(n).entries
@@ -205,12 +217,17 @@ def _cmd_structure(args: argparse.Namespace):
 
 
 def _cmd_bijection(args: argparse.Namespace):
+    from . import correspondence
+
     if args.witness is not None:
         return VerificationReport(args.rank, data=correspondence.trace_element(args.witness)), None
     return correspondence.verify_bijection(args.rank, workers=args.workers), None
 
 
 def _cmd_betti(args: argparse.Namespace):
+    from . import ce, poincare
+    from .roots import check_cap
+
     n = args.rank
     if args.per_weight:
         check_cap(n, LIST_CAPS["betti"], "betti listing")
@@ -230,10 +247,14 @@ def _cmd_betti(args: argparse.Namespace):
 
 
 def _cmd_classes(args: argparse.Namespace):
+    from . import ce
+
     return ce.verify_cohomology_basis(args.rank), None
 
 
 def _cmd_poincare(args: argparse.Namespace):
+    from . import poincare
+
     n = args.rank
     poincare.check_poincare_cap(n)
     wp = poincare.weyl_poincare(n)
@@ -267,6 +288,8 @@ def _lie_agreement_record(n: int, report: VerificationReport) -> None:
     ideal predicates agree on all 2^(n^2) subsets.  It costs about 4 ms at
     rank 7 and 5.5 ms at rank 8, building _addable and the structure table
     included."""
+    from . import liealg
+
     mismatches = liealg.neighbor_mismatches(n)
     report.add(
         "lie-vs-combinatorial",
@@ -280,6 +303,8 @@ def verify_all(args: argparse.Namespace):
     """The verify command: the consolidated verification suite, in
     dependency order, with no CSV rows.  A rank above the group cap fails
     before the 2^n ideals are listed."""
+    from . import ce, correspondence, ideals, poincare, weyl
+
     n = args.rank
     weyl.check_group_cap(n)
     report = VerificationReport(rank=n)
@@ -389,8 +414,12 @@ def _run(argv: Optional[list[str]]) -> int:
     try:
         with _destination(args.out) as fh:
             if args.format == "csv":
+                import csv
+
                 csv.writer(fh, lineterminator="\n").writerows(csv_rows)
             else:
+                import json
+
                 checks, data = report.checks_json(), report.data
                 doc = {"rank": args.rank, "command": args.command, "checks": checks, "data": data}
                 chunks = json.JSONEncoder(indent=2).iterencode(doc)

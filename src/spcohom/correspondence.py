@@ -41,7 +41,6 @@ import math
 import os
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -49,7 +48,7 @@ from typing import Optional, Sequence
 from .errors import ConsistencyError
 from .ideals import IncreasingSet, _mask_from_profile, _profile_from_mask, _profiles
 from .report import VerificationReport
-from .roots import RootSet, num_diffs, positive_roots
+from .roots import Frozen, RootSet, num_diffs, positive_roots, _set
 from .weyl import (
     Perm,
     SignedPerm,
@@ -68,12 +67,14 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class CorrespondencePair:
+class CorrespondencePair(Frozen):
     """The image of a group element: a plain permutation and an upward-closed set."""
 
-    sym: Perm
-    ideal: IncreasingSet
+    __slots__ = ("sym", "ideal")
+
+    def __init__(self, sym: Perm, ideal: IncreasingSet):
+        _set(self, "sym", sym)
+        _set(self, "ideal", ideal)
 
 
 def _gather(idx: Sequence[int]) -> itemgetter:

@@ -10,10 +10,10 @@ for enumeration; there are exactly 2^n profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .roots import (
+    Frozen,
     RootSet,
     check_cap,
     check_rank,
@@ -22,18 +22,21 @@ from .roots import (
     precedes,
     _addable,
     _index_tables,
+    _set,
 )
 
 IDEAL_CAP = 22
 
 
-@dataclass(frozen=True, slots=True)
-class IncreasingSet:
+class IncreasingSet(Frozen):
     """An upward-closed subset of the sums-plus-longs, with its staircase profile."""
 
-    rank: int
-    members: RootSet
-    profile: tuple[int, ...]
+    __slots__ = ("rank", "members", "profile")
+
+    def __init__(self, rank: int, members: RootSet, profile: tuple[int, ...]):
+        _set(self, "rank", rank)
+        _set(self, "members", members)
+        _set(self, "profile", profile)
 
     @classmethod
     def from_profile(cls, n: int, profile: tuple[int, ...]) -> "IncreasingSet":

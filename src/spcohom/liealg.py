@@ -19,22 +19,34 @@ compares it with root addition (neighbor_mismatches) at every rank: about
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import ideals
 from .errors import ConsistencyError
-from .roots import DIFF, LONG, Root, RootSet, check_rank, positive_roots, _sparse_roots, _sum_index
+from .roots import (
+    DIFF,
+    LONG,
+    Frozen,
+    Root,
+    RootSet,
+    check_rank,
+    positive_roots,
+    _set,
+    _sparse_roots,
+    _sum_index,
+)
 
 
-@dataclass(frozen=True, slots=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """A square integer matrix as its dimension and its nonzero entries
     ((row, col), value), sorted by position.  Build it with zero or
     from_entries, so that equal matrices have equal entries."""
 
-    dim: int
-    entries: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ("dim", "entries")
+
+    def __init__(self, dim: int, entries: tuple[tuple[tuple[int, int], int], ...]):
+        _set(self, "dim", dim)
+        _set(self, "entries", entries)
 
     @classmethod
     def zero(cls, d: int) -> "IntMatrix":

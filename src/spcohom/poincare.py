@@ -16,11 +16,10 @@ identity, so it raises instead of truncating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConsistencyError
 from .report import VerificationReport
-from .roots import check_cap, check_rank, num_diffs, _index_tables
+from .roots import Frozen, check_cap, check_rank, num_diffs, _index_tables, _set
 from .weyl import check_group_cap, _diff_offsets, _expand, _length_histogram, _perm_row
 
 # Highest rank of the poincare command.  Its polynomials have degree n^2 and
@@ -29,11 +28,13 @@ from .weyl import check_group_cap, _diff_offsets, _expand, _length_histogram, _p
 POINCARE_CAP = 64
 
 
-@dataclass(frozen=True, slots=True)
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Dense integer polynomial; coeffs[k] is the coefficient of t^k."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        _set(self, "coeffs", coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "IntPolynomial":

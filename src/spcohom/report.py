@@ -6,17 +6,20 @@ produce byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 
-@dataclass
 class CheckRecord:
-    check_id: str
-    anchor: str
-    passed: bool
-    detail: Any = None
-    skipped: bool = False
+    __slots__ = ("check_id", "anchor", "passed", "detail", "skipped")
+
+    def __init__(
+        self, check_id: str, anchor: str, passed: bool, detail: Any = None, skipped: bool = False
+    ):
+        self.check_id = check_id
+        self.anchor = anchor
+        self.passed = passed
+        self.detail = detail
+        self.skipped = skipped
 
     def to_json(self) -> dict:
         out = {"id": self.check_id, "anchor": self.anchor, "pass": self.passed}
@@ -27,11 +30,13 @@ class CheckRecord:
         return out
 
 
-@dataclass
 class VerificationReport:
-    rank: int
-    records: list[CheckRecord] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    __slots__ = ("rank", "records", "data")
+
+    def __init__(self, rank: int, data: Optional[dict] = None):
+        self.rank = rank
+        self.records: list[CheckRecord] = []
+        self.data = {} if data is None else data
 
     @property
     def passed(self) -> bool:

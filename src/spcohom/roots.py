@@ -14,7 +14,6 @@ sums in lexicographic order, then the long roots by index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
@@ -24,25 +23,62 @@ DIFF = "diff"
 SUM = "sum"
 LONG = "long"
 
+# Sets a field of a Frozen object, bypassing its __setattr__.
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class Root:
+
+class Frozen:
+    """Base of the package's immutable value types.  A subclass names its
+    fields in __slots__, and its __init__ validates the arguments and sets
+    each field once with _set.  After that a field can be neither assigned
+    nor deleted.  Equality, hash, repr and pickling go by the fields in slot
+    order, and objects of different classes are never equal."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class Root(Frozen):
     """A positive root: DIFF is e_i - e_j, SUM is e_i + e_j (i < j), LONG is 2*e_i (j == i)."""
 
-    kind: str
-    i: int
-    j: int
+    __slots__ = ("kind", "i", "j")
 
-    def __post_init__(self):
-        if self.kind not in (DIFF, SUM, LONG):
-            raise ValueError(f"unknown root kind {self.kind!r}")
-        if self.i < 1:
+    def __init__(self, kind: str, i: int, j: int):
+        if kind not in (DIFF, SUM, LONG):
+            raise ValueError(f"unknown root kind {kind!r}")
+        if i < 1:
             raise ValueError("root indices are 1-based")
-        if self.kind == LONG:
-            if self.j != self.i:
+        if kind == LONG:
+            if j != i:
                 raise ValueError("a long root 2*e_i must have j == i")
-        elif not self.i < self.j:
-            raise ValueError(f"{self.kind} root needs i < j, got ({self.i}, {self.j})")
+        elif not i < j:
+            raise ValueError(f"{kind} root needs i < j, got ({i}, {j})")
+        _set(self, "kind", kind)
+        _set(self, "i", i)
+        _set(self, "j", j)
 
     @property
     def max_index(self) -> int:
@@ -91,16 +127,16 @@ def long(i: int) -> Root:
     return Root(LONG, i, i)
 
 
-@dataclass(frozen=True, slots=True)
-class SignedRoot:
+class SignedRoot(Frozen):
     """A positive root together with the sign it picked up under a group action."""
 
-    sign: int
-    root: Root
+    __slots__ = ("sign", "root")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, root: Root):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        _set(self, "sign", sign)
+        _set(self, "root", root)
 
     def __str__(self) -> str:
         return ("" if self.sign == 1 else "-") + str(self.root)
@@ -138,17 +174,17 @@ def num_diffs(n: int) -> int:
     return n * (n - 1) // 2
 
 
-@dataclass(frozen=True, slots=True)
-class RootSet:
+class RootSet(Frozen):
     """A subset of the positive roots of rank n, stored as a bitmask over the canonical order."""
 
-    rank: int
-    mask: int
+    __slots__ = ("rank", "mask")
 
-    def __post_init__(self):
-        check_rank(self.rank)
-        if self.mask < 0 or self.mask >> self.rank**2:
+    def __init__(self, rank: int, mask: int):
+        check_rank(rank)
+        if mask < 0 or mask >> rank**2:
             raise ValueError("bitmask outside the positive-root range")
+        _set(self, "rank", rank)
+        _set(self, "mask", mask)
 
     @classmethod
     def from_roots(cls, n: int, roots: Iterable[Root]) -> "RootSet":

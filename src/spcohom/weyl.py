@@ -10,13 +10,13 @@ the sign of the value v, sigma_0 acts first).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import ConsistencyError
 from .roots import (
     DIFF,
+    Frozen,
     Root,
     RootSet,
     SignedRoot,
@@ -27,21 +27,22 @@ from .roots import (
     num_diffs,
     sum_root,
     _index_tables,
+    _set,
 )
 
 DEFAULT_GROUP_CAP = 8
 
 
-@dataclass(frozen=True, slots=True)
-class Perm:
+class Perm(Frozen):
     """A permutation of {1..n} in one-line notation: images[m-1] = sigma(m)."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if n < 1 or sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"{self.images} is not a permutation of 1..{n}")
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
+        if n < 1 or sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"{images} is not a permutation of 1..{n}")
+        _set(self, "images", images)
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
@@ -69,16 +70,16 @@ class Perm:
         return "(" + ",".join(map(str, self.images)) + ")"
 
 
-@dataclass(frozen=True, slots=True)
-class SignedPerm:
+class SignedPerm(Frozen):
     """A signed permutation; images[m-1] = +-p means e_m maps to +-e_p."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if n < 1 or sorted(abs(v) for v in self.images) != list(range(1, n + 1)):
-            raise ValueError(f"{self.images} is not a signed permutation of 1..{n}")
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
+        if n < 1 or sorted(abs(v) for v in images) != list(range(1, n + 1)):
+            raise ValueError(f"{images} is not a signed permutation of 1..{n}")
+        _set(self, "images", images)
 
     @classmethod
     def identity(cls, n: int) -> "SignedPerm":
@@ -150,14 +151,16 @@ def parse_signed_perm(text: str) -> SignedPerm:
     return SignedPerm(images)
 
 
-@dataclass(frozen=True, slots=True)
-class StandardForm:
+class StandardForm(Frozen):
     """The factorization w = r_{j_1} ... r_{j_k} * sigma_0 with the j's listed
     in the order they appear in sigma_0's one-line word, so that
     sigma_0^-1(j_1) < sigma_0^-1(j_2) < ... < sigma_0^-1(j_k)."""
 
-    j_list: tuple[int, ...]
-    sigma0: Perm
+    __slots__ = ("j_list", "sigma0")
+
+    def __init__(self, j_list: tuple[int, ...], sigma0: Perm):
+        _set(self, "j_list", j_list)
+        _set(self, "sigma0", sigma0)
 
 
 def check_group_cap(n: int) -> None:

@@ -402,7 +402,7 @@ def test_witness_cap_refuses_before_parsing(monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("witness parsed or traced above the cap")
 
-    monkeypatch.setattr(cli, "parse_signed_perm", no_work)
+    monkeypatch.setattr(weyl, "parse_signed_perm", no_work)
     monkeypatch.setattr(correspondence, "trace_element", no_work)
     n = cli.WITNESS_CAP + 1
     witness = "[" + ",".join(map(str, range(1, n + 1))) + "]"
@@ -613,7 +613,7 @@ def test_every_cap_refuses_one_above_with_one_message(monkeypatch, capsys, argv,
         (correspondence, "trace_element"),
         (ce, "_weight_dp"),
         (liealg, "structure_table"),
-        (cli, "parse_signed_perm"),
+        (weyl, "parse_signed_perm"),
     ]:
         monkeypatch.setattr(owner, name, no_work)
     n = cap + 1

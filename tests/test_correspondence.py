@@ -6,7 +6,7 @@ from operator import itemgetter
 
 import pytest
 
-from spcohom import ConsistencyError, correspondence, weyl
+from spcohom import correspondence, weyl
 from spcohom.cli import main
 from spcohom.correspondence import (
     CorrespondencePair,
@@ -23,6 +23,7 @@ from spcohom.correspondence import (
     _relabel,
     _relabel_table,
 )
+from spcohom.errors import ConsistencyError
 from spcohom.ideals import IncreasingSet, _profile_from_mask, enumerate_increasing
 from spcohom.roots import RootSet, long, positive_roots, root_index, sum_root
 from spcohom.weyl import (

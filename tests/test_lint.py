@@ -1,8 +1,8 @@
 """Three source rules checked with the standard library alone: every line of
 the package fits in 100 columns, every name a module imports at top level is
-used in that module (__init__.py re-exports, so it is exempt), and every
-private name a module defines at top level is referenced somewhere in the
-package."""
+used in that module (__init__.py included, since the package root re-exports
+nothing), and every private name a module defines at top level is referenced
+somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -32,9 +32,7 @@ def test_every_line_fits_in_100_columns(path):
     assert long == [], f"{path.name}: lines over {MAX_COLUMNS} columns: {long}"
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_top_level_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
