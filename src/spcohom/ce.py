@@ -49,10 +49,9 @@ from functools import lru_cache, partial
 from .correspondence import _MAX_WITNESSES, _witness_str, verify_bijection
 from .liealg import root_vector, structure_table
 from .report import CheckRecord, VerificationReport
-from .roots import _mask_key, check_cap, positive_roots
+from .roots import DEFAULT_COHOMOLOGY_CAP, _mask_key, check_cap, positive_roots
 from .weyl import group_order, _iter_rows, _sign_patterns
 
-DEFAULT_COHOMOLOGY_CAP = 6
 ORACLE_CAP = 4
 
 

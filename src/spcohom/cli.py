@@ -14,8 +14,7 @@ stderr, never a traceback:
        written
     3  internal error (a bug, not bad input): a ConsistencyError, or any
        other ValueError raised while a command runs
-  130  interrupted (Ctrl-C); the scan's workers ignore the interrupt and
-       end with the pool
+  130  interrupted (Ctrl-C)
 
 All user input is validated, and --witness parsed, in _validate_args before
 any work, so inside a command only a RankCapError is a usage error.  Every
@@ -25,14 +24,16 @@ the document and chooses exit code 1 when one of its checks failed.
 
 Start-up loads only errors and report.  Each handler imports the modules it
 runs, and the writer the one format it writes, so --help compiles no command
-module and bijection never compiles ce, liealg or poincare.
+module, bijection never compiles ce, liealg or poincare, and verify compiles
+ce only at or under the cohomology cap.  Every command runs in one process.
 
 Output is deterministic: iteration orders are fixed, nothing is sampled, and
 no timing enters a report.  It is written to its destination, the --out file
 or stdout, as it is serialized (JSON in joined groups of 4,096 encoder
 chunks, CSV through csv.writer), so no command builds its whole output as one
-string.  --seed is accepted and read by nothing, because perfbench/run.py
-passes it to every command (ROADMAP item 4 deletes it).
+string.  --seed and --workers are accepted and read by nothing, because
+perfbench/run.py passes them (ROADMAP item 4 deletes both); --workers below 1
+is still refused, as a usage error.
 """
 
 from __future__ import annotations
@@ -84,8 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes that split a failing exhaustive scan (default 1); "
-        "a passing scan runs in one process",
+        help="accepted and ignored: the scan runs in one process (must be >= 1)",
     )
 
     parser = argparse.ArgumentParser(
@@ -221,7 +221,7 @@ def _cmd_bijection(args: argparse.Namespace):
 
     if args.witness is not None:
         return VerificationReport(args.rank, data=correspondence.trace_element(args.witness)), None
-    return correspondence.verify_bijection(args.rank, workers=args.workers), None
+    return correspondence.verify_bijection(args.rank), None
 
 
 def _cmd_betti(args: argparse.Namespace):
@@ -303,7 +303,8 @@ def verify_all(args: argparse.Namespace):
     """The verify command: the consolidated verification suite, in
     dependency order, with no CSV rows.  A rank above the group cap fails
     before the 2^n ideals are listed."""
-    from . import ce, correspondence, ideals, poincare, weyl
+    from . import correspondence, ideals, poincare, weyl
+    from .roots import DEFAULT_COHOMOLOGY_CAP
 
     n = args.rank
     weyl.check_group_cap(n)
@@ -328,19 +329,21 @@ def verify_all(args: argparse.Namespace):
     )
     _lie_agreement_record(n, report)
 
-    brep = correspondence.verify_bijection(n, workers=args.workers)
+    brep = correspondence.verify_bijection(n)
     report.extend(brep, prefix="bijection")
 
     weyl_hist = poincare.IntPolynomial.from_coeffs(brep.data["weyl_length_histogram"])
     prep = poincare.verify_identities(n, weyl_hist=weyl_hist, include_betti_record=False)
     report.extend(prep, prefix="poincare")
 
-    if n <= ce.DEFAULT_COHOMOLOGY_CAP:
+    if n <= DEFAULT_COHOMOLOGY_CAP:
+        from . import ce
+
         mrep = ce.verify_cohomology_basis(n, bijection=brep)
         poincare.add_betti_record(report, mrep.data["betti"])
         report.extend(mrep, prefix="classes")
     else:
-        skipped = {"cohomology_cap": ce.DEFAULT_COHOMOLOGY_CAP}
+        skipped = {"cohomology_cap": DEFAULT_COHOMOLOGY_CAP}
         poincare.add_betti_record(report, None, skipped)
         report.add(
             "classes.basis",

@@ -21,8 +21,8 @@ walk's masks, or, for the whole group at once, as one batch of renamings of
 the first permutation's checked elements (see the README, "What the
 bijection check certifies").  Its failures and witnesses are those of a
 per-element evaluation through the same tables and _relabel.  The batch
-rests on three checks in one process, with no pass over S_n: every gather
-is an itemgetter; weyl._length_histogram, one pass over the pairs (value,
+rests on three checks, with no pass over S_n: every gather is an
+itemgetter; weyl._length_histogram, one pass over the pairs (value,
 later set), finds each row of weyl._row equal to weyl._row_tables, so the
 rows of any word are disjoint, its difference part is inv(g_P(word)) and
 its DP over suffix sets counts the lengths; and the element loop records
@@ -32,16 +32,15 @@ A permutation is determined by its inversion set, so the symmetric
 component of every element is g_P(word), and _phi1_grid's check makes
 relabel tables compose like value maps, so relabelling through pi and then
 through rho = pi^-1 moves no bit.  If any check fails, every permutation
-runs the element loop, split over the workers.
+runs the element loop.  The scan, like every command, runs in one process.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from bisect import insort
 from collections import Counter
 from functools import lru_cache
+from itertools import islice
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -340,10 +339,6 @@ class _TopK:
             insort(self.items, item)
             self.items.pop()
 
-    def merge(self, other_items) -> None:
-        for item in other_items:
-            self.offer(item)
-
 
 def _witness_str(word: tuple[int, ...], jmask: int) -> str:
     return "[" + ",".join(map(str, _signed_images(word, jmask))) + "]"
@@ -402,14 +397,14 @@ def _gathers_are_position_maps(n: int) -> bool:
     return all(type(gather) is itemgetter for gather in gathers)
 
 
-def _scan_chunk(n: int, start: Optional[int], stop: Optional[int]) -> dict:
-    """Check every element of one slice of the group (by permutation index
-    range) one by one, on the masks of the walk.
+def _scan_chunk(n: int, perms: Optional[int]) -> dict:
+    """Check every element of the first perms permutations of the walk, or
+    of the whole group when perms is None, one by one, on the masks of the
+    walk.
 
     Returns the failure counts, bounded witness lists, the length histogram
     and the pair keys of the elements whose round trip through the direct
-    inverse failed, all of which merge associatively across chunks, plus the
-    number of permutations checked.
+    inverse failed, plus the number of permutations checked.
     """
     phi0_all = (1 << num_diffs(n)) - 1
     recipes = _recipes(n)
@@ -426,10 +421,10 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int]) -> dict:
 
     hist: Counter[int] = Counter()
     failed_keys: set[tuple[tuple[int, ...], int]] = set()
-    perms = 0
+    checked = 0
 
-    for word, plus, minus in _iter_rows(n, start or 0, stop):
-        perms += 1
+    for word, plus, minus in islice(_iter_rows(n), perms):
+        checked += 1
         masks = _expand(plus, minus)
         hist.update(map(int.bit_count, masks))
         phi0s = [mask & phi0_all for mask in masks]
@@ -469,15 +464,8 @@ def _scan_chunk(n: int, start: Optional[int], stop: Optional[int]) -> dict:
         "witnesses": {k: w.items for k, w in witnesses.items()},
         "hist": [hist[d] for d in range(n * n + 1)],
         "failed_keys": failed_keys,
-        "per_element_perms": perms,
+        "per_element_perms": checked,
     }
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):  # not on every platform
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _round_trip(sigma_word: tuple[int, ...], ximask: int, n: int) -> Optional[SignedPerm]:
@@ -493,51 +481,19 @@ def _round_trip(sigma_word: tuple[int, ...], ximask: int, n: int) -> Optional[Si
         return None
 
 
-def _scan(n: int, workers: int = 1) -> dict:
+def _scan(n: int) -> dict:
     """The scan of all 2^n n! elements (see the module docstring): failure
     counts, witness items, length histogram, failed pair keys and
     per_element_perms, the number of permutations checked element by
     element.  A passing scan is the first permutation's result with the
-    DP's histogram, and forks nothing.  A failing one runs the element loop
-    on every permutation, split into slices of S_n over the workers, capped
-    by the number of permutations and of CPUs this process may run on, and
-    merges the chunks.
+    DP's histogram.  A failing one runs the element loop on every
+    permutation.
     """
-    # before any fork, so the workers inherit _recipes and _closed_forms
     hist = _gathers_are_position_maps(n) and _length_histogram(n)
-    first = hist and _scan_chunk(n, 0, 1)
+    first = hist and _scan_chunk(n, 1)
     if first and not any(first["counts"].values()):
         return {**first, "hist": hist}
-    nperms = math.factorial(n)
-    workers = min(workers, nperms, _usable_cpus())
-    if workers == 1:
-        partials = [_scan_chunk(n, None, None)]
-    else:
-        import multiprocessing
-        import signal
-
-        step = -(-nperms // workers)
-        slices = [(n, lo, min(lo + step, nperms)) for lo in range(0, nperms, step)]
-        ctx = multiprocessing.get_context("fork")
-        # the workers ignore Ctrl-C; the parent's KeyboardInterrupt leaves
-        # this block, which terminates them
-        ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
-        with ctx.Pool(len(slices), initializer=signal.signal, initargs=ignore_sigint) as pool:
-            partials = pool.starmap(_scan_chunk, slices)
-
-    witnesses = {}
-    for key in _ELEMENT_CHECKS:
-        top = _TopK()
-        for p in partials:
-            top.merge(p["witnesses"][key])
-        witnesses[key] = top.items
-    return {
-        "counts": {k: sum(p["counts"][k] for p in partials) for k in _ELEMENT_CHECKS},
-        "witnesses": witnesses,
-        "hist": [sum(column) for column in zip(*(p["hist"] for p in partials))],
-        "failed_keys": set().union(*(p["failed_keys"] for p in partials)),
-        "per_element_perms": sum(p["per_element_perms"] for p in partials),
-    }
+    return _scan_chunk(n, None)
 
 
 def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
@@ -552,12 +508,13 @@ def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
     pairs is exact even where the recipe fails, and pair-onto compares it
     with the size of the product.  The closed forms read off the standard
     form must equal both components on every element.
+
+    workers is accepted and ignored: the scan runs in this process, and
+    perfbench/trace_pass.py still passes it, until ROADMAP item 4 replaces
+    that replay.
     """
     check_group_cap(n)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-
-    scan = _scan(n, workers)
+    scan = _scan(n)
     counts, hist = scan["counts"], scan["hist"]
     total = sum(hist)
     round_trip = total - counts["sym_fail"] - counts["incr_fail"] - counts["construct_fail"]

@@ -147,6 +147,11 @@ def check_rank(n: int) -> None:
         raise InvalidRankError(f"rank must be a positive integer, got {n!r}")
 
 
+# Highest rank whose cochain complex is built (betti, classes, and verify's
+# cohomology records), read without compiling ce.
+DEFAULT_COHOMOLOGY_CAP = 6
+
+
 def check_cap(n: int, cap: int, what: str) -> None:
     """Refuse rank n above cap, before any work, with the one message form
     every cap uses."""

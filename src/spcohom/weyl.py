@@ -340,23 +340,19 @@ def _row(n: int, v: int, later: int) -> tuple[int, int]:
     return up, down
 
 
-def _iter_rows(n: int, perm_start: int = 0, perm_stop: int | None = None):
+def _iter_rows(n: int):
     """Fast exhaustive walk of the whole group, one permutation word at a time
-    in lexicographic order (optionally sliced by index, for partitioning
-    across workers), yielding (word, plus, minus): plus[p] and minus[p] are
-    the rows _row gives the value at the 0-based position p and the letters
-    after it.  So _expand(plus, minus)[P] is the inversion mask of the
-    element of word whose values at the positions in P are negated, because
-    for a fixed element the map from a positive root to the inversion it
-    contributes is injective, so the rows never overlap and add like
-    disjoint bit sets; and because the contribution of the two roots
+    in lexicographic order, yielding (word, plus, minus): plus[p] and
+    minus[p] are the rows _row gives the value at the 0-based position p and
+    the letters after it.  So _expand(plus, minus)[P] is the inversion mask
+    of the element of word whose values at the positions in P are negated,
+    because for a fixed element the map from a positive root to the
+    inversion it contributes is injective, so the rows never overlap and add
+    like disjoint bit sets; and because the contribution of the two roots
     supported on positions (i, j) depends only on the sign carried by the
     value at position i."""
     check_rank(n)
-    words = itertools.permutations(range(1, n + 1))
-    if perm_start or perm_stop is not None:
-        words = itertools.islice(words, perm_start, perm_stop)
-    for word in words:
+    for word in itertools.permutations(range(1, n + 1)):
         rows, later = [], 0
         for v in reversed(word):
             rows.append(_row(n, v, later))

@@ -17,6 +17,9 @@ from spcohom.errors import RankCapError
 from spcohom.report import VerificationReport
 
 
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(spcohom.__file__)))
+
+
 def run_cli(args, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
@@ -657,6 +660,16 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bijection", "verify"])
+def test_workers_below_1_is_a_usage_error_before_any_work(monkeypatch, capsys, command):
+    def no_work(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._HANDLERS, command, no_work)
+    assert main([command, "--rank", "2", "--workers", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: workers must be >= 1, got 0\n")
+
+
 @pytest.mark.parametrize("command", ["ideals", "verify"])
 def test_empty_out_is_a_usage_error_before_any_work(monkeypatch, capsys, command):
     def no_work(args):
@@ -726,7 +739,6 @@ _CLI_AFTER_STDIN = "import sys; from spcohom.cli import main; sys.stdin.read(); 
     ids=" ".join,
 )
 def test_stdout_closed_by_its_reader_is_one_usage_error_line(argv):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spcohom.__file__)))
     # stdout block-buffered, as in a shell pipeline
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen(
@@ -734,7 +746,7 @@ def test_stdout_closed_by_its_reader_is_one_usage_error_line(argv):
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**env, "PYTHONPATH": src},
+        env={**env, "PYTHONPATH": _SRC},
     )
     try:
         if "--list" in argv:
@@ -774,10 +786,8 @@ def test_consistency_error_exits_3(monkeypatch, capsys):
 
 
 # A CLI child whose gathers refuse the batch, so that the scan runs the
-# element loop on every permutation, and whose element loop, the scan's work
-# per chunk, leaves a mark and then waits, so that Ctrl-C lands inside the
-# scan: in the parent with --workers 1, and in the pool's workers, after
-# their initializer, while the parent waits on them with 2.
+# element loop on every permutation, and whose element loop leaves a mark
+# and then waits, so that Ctrl-C lands inside the scan.
 _STALLED_SCAN = """
 import os, sys, time
 from spcohom import cli, correspondence
@@ -788,26 +798,22 @@ def stalled(*args):
 
 correspondence._gathers_are_position_maps = lambda n: False
 correspondence._scan_chunk = stalled
-correspondence._usable_cpus = lambda: 2
 sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_ctrl_c_exits_130_with_one_line(tmp_path, workers):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spcohom.__file__)))
+def test_ctrl_c_exits_130_with_one_line(tmp_path):
     proc = subprocess.Popen(
-        [sys.executable, "-c", _STALLED_SCAN, str(tmp_path), "bijection", "--rank", "3",
-         "--workers", str(workers)],
+        [sys.executable, "-c", _STALLED_SCAN, str(tmp_path), "bijection", "--rank", "3"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": _SRC},
         start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 60
-        while len(os.listdir(tmp_path)) < workers:
+        while not os.listdir(tmp_path):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
         os.killpg(proc.pid, signal.SIGINT)
@@ -820,17 +826,48 @@ def test_ctrl_c_exits_130_with_one_line(tmp_path, workers):
     assert (out, err) == ("", "error: interrupted\n")
 
 
-def test_the_cli_imports_no_rational_arithmetic_and_no_pool():
-    # the runtime is integer-only: no command needs fractions or decimal; and
-    # only a failing scan with more than one worker imports multiprocessing
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spcohom.__file__)))
-    guarded = "{'fractions', 'decimal', 'multiprocessing'}"
+# A CLI child whose gathers refuse the batch, so that the scan runs the
+# element loop on every permutation, on a host that reports two CPUs; it
+# says on stderr whether multiprocessing was ever imported.
+_FAILING_BATCH = """
+import os, sys
+from spcohom import cli, correspondence
+
+correspondence._gathers_are_position_maps = lambda n: False
+os.sched_getaffinity = lambda pid: {0, 1}
+code = cli.main(sys.argv[1:])
+print("multiprocessing" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_a_scan_that_runs_the_element_loop_stays_in_one_process():
+    def run(workers):
+        return subprocess.run(
+            [sys.executable, "-c", _FAILING_BATCH, "bijection", "--rank", "4",
+             "--workers", workers],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": _SRC},
+            timeout=60,
+        )
+
+    serial, parallel = run("1"), run("2")
+    assert (parallel.returncode, parallel.stderr) == (0, "False\n")
+    assert (serial.returncode, serial.stderr) == (0, "False\n")
+    assert json.loads(parallel.stdout)["data"]["elements"] == 384
+    assert parallel.stdout == serial.stdout
+
+
+def test_the_cli_imports_no_rational_arithmetic():
+    # the runtime is integer-only: no command needs fractions or decimal
+    guarded = "{'fractions', 'decimal'}"
     probe = f"import sys, spcohom.cli; print(sorted({guarded} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": _SRC},
         timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -317,129 +317,6 @@ def test_from_pair_builds_at_most_one_relabel_table(monkeypatch):
         assert len(calls) <= 1
 
 
-class _InlinePool:
-    """Stands in for a process pool: runs the chunks in this process and
-    records each starmap round as (function, arguments, results)."""
-
-    def __init__(self, processes, seen):
-        seen["processes"] = processes
-        seen["rounds"] = []
-        self.seen = seen
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, fn, args):
-        self.seen["chunks"] = len(args)
-        results = [fn(*a) for a in args]
-        self.seen["rounds"].append((fn, args, results))
-        return results
-
-
-def _inline_pool(monkeypatch, cpus):
-    """Give this process cpus CPUs and make verify_bijection's pool an
-    _InlinePool; returns the dict it records into."""
-    import multiprocessing
-    from types import SimpleNamespace
-
-    seen = {}
-    monkeypatch.setattr(correspondence.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(
-        multiprocessing,
-        "get_context",
-        lambda method: SimpleNamespace(Pool=lambda procs, **init: _InlinePool(procs, seen)),
-    )
-    return seen
-
-
-@pytest.mark.parametrize(
-    "n, cpus, workers, chunks",
-    [(4, 3, 5000, 3), (3, 64, 5000, 6), (4, 64, 2, 2), (4, 1, 5000, None)],
-)
-def test_workers_clamped_to_cpus_and_permutations(monkeypatch, n, cpus, workers, chunks):
-    _break_closed_form_ideal(monkeypatch, n)
-    seen = _inline_pool(monkeypatch, cpus)
-    report = verify_bijection(n, workers=workers)
-    assert not report.passed
-    assert seen.get("chunks") == chunks
-    assert seen.get("processes") == chunks
-    if chunks:
-        # a failing scan's one round is the element loop over the slices
-        [(fn, _slices, partials)] = seen["rounds"]
-        assert fn == correspondence._scan_chunk
-        assert sum(p["per_element_perms"] for p in partials) == math.factorial(n)
-
-
-@pytest.mark.parametrize("n, workers", [(3, 2), (4, 3), (5, 2)])
-def test_each_chunk_scans_only_the_words_of_its_own_slice(monkeypatch, n, workers):
-    # in a failing scan the slices cover S_n once, and each chunk's element
-    # loop walks the words of its own slice, after the parent's walk of the
-    # first permutation
-    _break_closed_form_ideal(monkeypatch, n)
-    real = correspondence._iter_rows
-    walks = []
-
-    def recorded(rank, perm_start=0, perm_stop=None):
-        walks.append([])
-        for row in real(rank, perm_start, perm_stop):
-            walks[-1].append(row[0])
-            yield row
-
-    monkeypatch.setattr(correspondence, "_iter_rows", recorded)
-    seen = _inline_pool(monkeypatch, workers)
-    assert not verify_bijection(n, workers=workers).passed
-    [(_fn, slices, _partials)] = seen["rounds"]
-    words = list(itertools.permutations(range(1, n + 1)))
-    assert [eta for _n, lo, hi in slices for eta in words[lo:hi]] == words
-    assert walks == [words[:1]] + [words[lo:hi] for _n, lo, hi in slices]
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_bad_rho_table_gives_the_serial_report_over_two_chunks(monkeypatch, n):
-    # rho's relabel table of (2, ..., n, 1) swaps the entries of e1+e2 and
-    # e2+e3.  The first permutation's element [-1,2,...,n] has that component
-    # and e1+e2, not e2+e3, in its ideal, so its support identity fails
-    # there, and every permutation runs the element loop, split over two
-    # chunks of which only the first meets the fault; the merged report is
-    # the serial one
-    target = (*range(2, n + 1), 1)
-    real = correspondence._rho_table
-
-    def corrupted(word, rank):
-        table = list(real(word, rank))
-        if word == target:
-            table[0], table[n - 1] = table[n - 1], table[0]
-        return tuple(table)
-
-    monkeypatch.setattr(correspondence, "_rho_table", corrupted)
-    seen = _inline_pool(monkeypatch, 2)
-    parallel = verify_bijection(n, workers=2)
-    [(_fn, _args, partials)] = seen["rounds"]
-    assert sum(p["per_element_perms"] for p in partials) == math.factorial(n)
-    assert [p["counts"]["support_fail"] > 0 for p in partials] == [True, False]
-    assert [r.check_id for r in parallel.records if not r.passed] == ["support-identity"]
-    serial = verify_bijection(n)
-    assert parallel.checks_json() == serial.checks_json()
-    assert parallel.data == serial.data
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_verify_bijection_workers_match_serial(monkeypatch, n, workers):
-    # only a failing scan splits its element loop over the workers
-    _break_closed_form_ideal(monkeypatch, n)
-    serial = verify_bijection(n, workers=1)
-    assert not serial.passed
-    seen = _inline_pool(monkeypatch, 3)
-    parallel = verify_bijection(n, workers=workers)
-    assert seen.get("chunks") == (workers if workers > 1 else None)
-    assert serial.checks_json() == parallel.checks_json()
-    assert serial.data == parallel.data
-
-
 @pytest.mark.parametrize("broken", ["closed-form-sym", "closed-form-ideal"])
 def test_broken_closed_form_fails_its_gate(monkeypatch, tmp_path, capsys, broken):
     # corrupt the closed-form entry of the flipped positions P = {1}: its
@@ -542,16 +419,16 @@ _FAILS = (
 
 
 @pytest.mark.parametrize(
-    "n, start, stop, elements, hist",
+    "n, perms, elements, hist",
     [
-        (1, None, None, 2, [1, 1]),
-        (2, None, None, 8, [1, 2, 2, 2, 1]),
-        (3, None, None, 48, [1, 3, 5, 7, 8, 8, 7, 5, 3, 1]),
-        (4, None, None, 384, [1, 4, 9, 16, 24, 32, 39, 44, 46, 44, 39, 32, 24, 16, 9, 4, 1]),
-        (4, 5, 17, 192, [0, 1, 4, 9, 15, 18, 18, 20, 22, 20, 18, 18, 15, 9, 4, 1, 0]),
+        (1, None, 2, [1, 1]),
+        (2, None, 8, [1, 2, 2, 2, 1]),
+        (3, None, 48, [1, 3, 5, 7, 8, 8, 7, 5, 3, 1]),
+        (4, None, 384, [1, 4, 9, 16, 24, 32, 39, 44, 46, 44, 39, 32, 24, 16, 9, 4, 1]),
+        # the identity word: negating the value i inverts 2n - 2i + 1 roots
+        (4, 1, 16, [1, 1, 0, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 0, 1, 1]),
         (
             5,
-            None,
             None,
             3840,
             [1, 5, 14, 30, 54, 86, 125, 169, 215, 259, 297, 325, 340]
@@ -559,10 +436,10 @@ _FAILS = (
         ),
     ],
 )
-def test_scan_chunk_matches_pinned_values(n, start, stop, elements, hist):
-    # every slice here meets all 2^n sets of flipped positions
+def test_scan_chunk_matches_pinned_values(n, perms, elements, hist):
+    # every case here meets all 2^n sets of flipped positions
     assert sum(hist) == elements
-    assert correspondence._scan_chunk(n, start, stop) == {
+    assert correspondence._scan_chunk(n, perms) == {
         "counts": dict.fromkeys(_FAILS, 0),
         "witnesses": dict.fromkeys(_FAILS, []),
         "hist": hist,
@@ -571,26 +448,12 @@ def test_scan_chunk_matches_pinned_values(n, start, stop, elements, hist):
     }
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_passing_scan_checks_one_permutation_element_by_element(monkeypatch, workers):
-    # the parent checks the first permutation element by element; every
-    # other one is a renaming of it, and no pool starts
-    seen = _inline_pool(monkeypatch, 3)
-    result = correspondence._scan(5, workers)
+def test_passing_scan_checks_one_permutation_element_by_element():
+    # the first permutation is checked element by element; every other one
+    # is a renaming of it
+    result = correspondence._scan(5)
     assert result["per_element_perms"] == 1
     assert sum(result["hist"]) == 120 * 2**5
-    assert seen == {}
-
-
-def test_a_passing_scan_never_forks(monkeypatch):
-    import multiprocessing
-
-    def no_pool(method):
-        raise AssertionError("a passing scan asked for a process pool")
-
-    monkeypatch.setattr(correspondence.os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-    assert verify_bijection(5, workers=2).passed
 
 
 def test_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, capsys):
@@ -984,7 +847,7 @@ def test_a_failure_in_the_first_permutation_sends_every_permutation_to_the_eleme
     counts, result = _assert_scan_matches_reference(n)
     assert counts == {**dict.fromkeys(_FAILS, 0), "construct_fail": 1}
     assert result["per_element_perms"] == math.factorial(n)
-    assert chunks == [(0, 1), (None, None)]
+    assert chunks == [(1,), (None,)]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -1036,8 +899,8 @@ def test_closed_form_gather_that_is_no_position_map_disables_the_batch(monkeypat
     table = tuple(table)
     real = correspondence._iter_rows
 
-    def corrupted(rank, perm_start=0, perm_stop=None):
-        for w, plus, minus in real(rank, perm_start, perm_stop):
+    def corrupted(rank):
+        for w, plus, minus in real(rank):
             if w == word:
                 plus, minus = [plus[0]] + [0] * (n - 1), [minus[0] | plus[0], *minus[1:]]
             yield w, plus, minus
@@ -1105,7 +968,7 @@ def test_sym_entry_whose_pi_is_not_its_position_map(monkeypatch, n):
     # the first permutation's element [-1,2,...,n] has that component and
     # the sums e1+e_q, which the swap moves, so its element loop records the
     # fault and every permutation runs the element loop
-    assert any(correspondence._scan_chunk(n, 0, 1)["counts"].values())
+    assert any(correspondence._scan_chunk(n, 1)["counts"].values())
     counts, result = _assert_scan_matches_reference(n)
     assert sum(counts.values()) > 0
     assert result["per_element_perms"] == math.factorial(n)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -86,6 +87,52 @@ def test_is_increasing_matches_literal_definition(n):
 def test_from_members_rejects_non_increasing():
     with pytest.raises(ValueError):
         IncreasingSet.from_members(2, RootSet.from_roots(2, [long(2)]))
+
+
+@pytest.mark.parametrize(
+    "n, profile",
+    [
+        (3, (3, 2)),  # wrong length
+        (3, (3, 3, 3, 3)),  # wrong length
+        (3, (4, 3, 3)),  # b > n
+        (3, (2, 3, 3)),  # a rising bound
+        (3, (2, 1, 3)),  # a row after an empty row
+        (4, (4, 1, 3, 3)),  # a row after an empty row
+        (3, (3, 0, 2)),  # an empty row marked below i - 1
+    ],
+)
+def test_from_profile_rejects_malformed_shapes(n, profile):
+    with pytest.raises(ValueError, match="is not a staircase profile"):
+        IncreasingSet.from_profile(n, profile)
+
+
+def _reference_profile_valid(profile, n):
+    """The staircase rule written out: length n, nonempty rows i <= b_i <=
+    b_(i-1) (b_0 = n), and an empty row, b_i = i - 1, followed only by empty
+    rows."""
+    if len(profile) != n:
+        return False
+    prev = n
+    empty_seen = False
+    for i, b in enumerate(profile, start=1):
+        if b == i - 1:
+            empty_seen = True
+        elif empty_seen or not i <= b <= prev:
+            return False
+        else:
+            prev = b
+    return True
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_profile_rule_matches_the_written_out_rule(n):
+    # every tuple of length n - 1, n or n + 1 with entries in [-2, n + 1]
+    tuples = [
+        p for length in (n - 1, n, n + 1) for p in itertools.product(range(-2, n + 2), repeat=length)
+    ]
+    valid = [p for p in tuples if ideals._profile_valid(p, n)]
+    assert [p for p in tuples if _reference_profile_valid(p, n)] == valid
+    assert len(valid) == 2**n
 
 
 def test_abelian_ideal_examples():

@@ -1,8 +1,10 @@
-"""Three source rules checked with the standard library alone: every line of
+"""Four source rules checked with the standard library alone: every line of
 the package fits in 100 columns, every name a module imports at top level is
 used in that module (__init__.py included, since the package root re-exports
-nothing), and every private name a module defines at top level is referenced
-somewhere in the package."""
+nothing), every private name a module defines at top level is referenced
+somewhere in the package, and no module imports multiprocessing, concurrent
+or threading, at any level: every command runs in one process and one
+thread."""
 
 import ast
 from pathlib import Path
@@ -70,6 +72,22 @@ def test_every_private_top_level_name_is_referenced():
         if name not in referenced
     ]
     assert unreferenced == [], f"defined and never referenced: {unreferenced}"
+
+
+CONCURRENCY = {"multiprocessing", "concurrent", "threading"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_process_or_thread_pool(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    pools = [name for name in found if name.partition(".")[0] in CONCURRENCY]
+    assert pools == [], f"{path.name}: imports {pools}"
 
 
 def test_the_lint_sees_every_module():

@@ -52,6 +52,11 @@ def test_bijection_loads_no_cohomology_module():
     assert mods & {"spcohom.ce", "spcohom.liealg", "spcohom.poincare"} == set()
 
 
+@pytest.mark.parametrize("n, loads_ce", [(3, True), (7, False)])
+def test_verify_loads_ce_only_at_or_under_the_cohomology_cap(n, loads_ce):
+    assert ("spcohom.ce" in loaded(["verify", "--rank", str(n)])) == loads_ce
+
+
 @pytest.mark.parametrize(
     "argv",
     [
