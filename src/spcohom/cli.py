@@ -17,7 +17,10 @@ stderr, never a traceback:
   130  interrupted (Ctrl-C)
 
 All user input is validated, and --witness parsed, in _validate_args before
-any work, so inside a command only a RankCapError is a usage error.  Every
+any work, so inside a command only a RankCapError is a usage error.  That
+includes an --out path that is a directory or whose parent is not one; an
+--out that still cannot be opened (a permission, say) or a stdout that fails
+a write is refused at write time, after the work, with the same message.  Every
 cap refuses through roots.check_cap, with one message.  Each command returns
 one VerificationReport and its CSV rows, and _run alone writes the report as
 the document and chooses exit code 1 when one of its checks failed.
@@ -124,6 +127,14 @@ def _validate_args(args: argparse.Namespace) -> None:
 
     if args.out == "":
         raise ValueError("--out needs a file path")
+    if args.out is not None:
+        from os import path
+
+        if path.isdir(args.out):
+            raise ValueError(f"cannot write {args.out}: Is a directory")
+        parent = path.dirname(args.out) or "."
+        if not path.isdir(parent):
+            raise ValueError(f"cannot write {args.out}: {parent} is not a directory")
     workers = getattr(args, "workers", 1)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -261,20 +272,12 @@ def _cmd_poincare(args: argparse.Namespace):
     sp = poincare.sym_poincare(n)
     ig = poincare.ideal_generating(n)
     report = VerificationReport(rank=n)
-    poincare.add_formula_records(report, wp, sp, ig)
-    passed = {r.check_id: r.passed for r in report.records}
-    polys = {
+    product = poincare.add_formula_records(report, wp, sp, ig)
+    polys = report.data = {
         "weyl_poincare": list(wp.coeffs),
         "sym_poincare": list(sp.coeffs),
         "ideal_generating": list(ig.coeffs),
-        "sym_times_ideal": list((sp * ig).coeffs),
-    }
-    report.data = {
-        **polys,
-        "identities": {
-            "product": passed["histogram-convolution"],
-            "exact_division": passed["exact-division"],
-        },
+        "sym_times_ideal": list(product.coeffs),
     }
     width = len(wp.coeffs)
     rows = ([name] + c + [""] * (width - len(c)) for name, c in polys.items())

@@ -9,8 +9,9 @@ Three closed forms drive the counting results here:
   * their exact quotient prod_{i=1..n} (1 + t^i), which counts upward-closed
     sets (equivalently abelian ideals) by size.
 
-Division is exact-or-fault: a nonzero remainder would falsify the quotient
-identity, so it raises instead of truncating.
+The quotient identity is checked as a product, sym * ideal == weyl, with no
+polynomial division: Z[t] is an integral domain and the S_n form is nonzero,
+so the product holds exactly when the quotient is exactly prod (1 + t^i).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .roots import Frozen, check_cap, check_rank, num_diffs, _index_tables, _set
 from .weyl import check_group_cap, _diff_offsets, _expand, _length_histogram, _perm_row
 
 # Highest rank of the poincare command.  Its polynomials have degree n^2 and
-# coefficients up to 2^n n!: rank 64 takes 1.5 s, 23 MB and a 1.9 MB report,
-# rank 100 took 11 s.
+# coefficients up to 2^n n!: rank 64 takes 1.8-2.4 s, 17 MB and a 1.8 MB
+# report on a 2-vCPU host, where rank 100 took 14 s in-process.
 POINCARE_CAP = 64
 
 
@@ -62,40 +63,8 @@ class IntPolynomial(Frozen):
                     out[i + j] += a * b
         return IntPolynomial.from_coeffs(out)
 
-    def div_exact(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Exact polynomial division; raises ConsistencyError on any remainder."""
-        if other.coeffs == (0,):
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            raise ConsistencyError(f"{self} is not divisible by {other}")
-        lead = other.coeffs[-1]
-        quot = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1]
-            if c % lead:
-                raise ConsistencyError(f"{self} is not divisible by {other}")
-            q = c // lead
-            quot[k] = q
-            if q:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= q * b
-        if any(rem):
-            raise ConsistencyError(f"{self} is not divisible by {other}")
-        return IntPolynomial.from_coeffs(quot)
-
     def is_palindromic(self) -> bool:
         return self.coeffs == self.coeffs[::-1]
-
-    def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0 and len(self.coeffs) > 1:
-                continue
-            term = "1" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            parts.append(str(c) if k == 0 else (term if c == 1 else f"{c}*{term}"))
-        return " + ".join(parts)
 
 
 def check_poincare_cap(n: int) -> None:
@@ -122,8 +91,8 @@ def sym_poincare(n: int) -> IntPolynomial:
 
 
 def ideal_generating(n: int) -> IntPolynomial:
-    """prod_{i=1..n} (1 + t^i).  The exact-division check compares it with the
-    quotient of the two length generating functions."""
+    """prod_{i=1..n} (1 + t^i).  The histogram-convolution check shows that it
+    is the exact quotient of the two length generating functions."""
     check_rank(n)
     poly = IntPolynomial.one()
     for i in range(1, n + 1):
@@ -214,38 +183,24 @@ def add_formula_records(
     wp: IntPolynomial,
     sp: IntPolynomial,
     ig: IntPolynomial,
-) -> None:
-    """Add the checks that need no enumeration: sp * ig == wp, wp / sp == ig
-    exactly, and all three generating functions palindromic."""
+) -> IntPolynomial:
+    """Add the checks that need no enumeration, sp * ig == wp and all three
+    generating functions palindromic, and return the product sp * ig."""
     product = sp * ig
     report.add(
         "histogram-convolution",
         "type-C length histogram is the product of the S_n histogram "
-        "and the ideal dimension histogram",
+        "and the ideal dimension histogram, so W_C(t)/W_A(t) is exactly prod_i (1 + t^i)",
         product == wp,
         {"product": list(product.coeffs), "weyl": list(wp.coeffs)},
     )
-
-    try:
-        quotient = wp.div_exact(sp)
-        division_ok = quotient == ig
-        division_detail = {"quotient": list(quotient.coeffs)}
-    except ConsistencyError as exc:
-        division_ok = False
-        division_detail = {"error": str(exc)}
-    report.add(
-        "exact-division",
-        "the quotient of the two length generating functions is exactly prod_i (1 + t^i)",
-        division_ok,
-        division_detail,
-    )
-
     report.add(
         "palindromic",
         "all three generating functions are palindromic",
         wp.is_palindromic() and sp.is_palindromic() and ig.is_palindromic(),
         None,
     )
+    return product
 
 
 def verify_identities(
@@ -255,7 +210,7 @@ def verify_identities(
     include_betti_record: bool = True,
 ) -> VerificationReport:
     """Compare the enumerated histograms with the closed forms and check the
-    product/quotient identities.  A precomputed weyl_hist (e.g. from the
+    product identity.  A precomputed weyl_hist (e.g. from the
     bijection scan, which walks the same elements anyway) avoids a second
     group enumeration.  include_betti_record adds a skipped betti-match;
     add_betti_record is where the Betti numbers are compared.

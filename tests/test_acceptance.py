@@ -134,7 +134,7 @@ def test_criterion_06_poincare_identities():
         ok = ok and sym_inversion_histogram(n) == sym_poincare(n)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
-    announce(6, ok, f"histograms equal closed forms; exact division; convolution, n<=7 ({elapsed:.1f}s)")
+    announce(6, ok, f"histograms equal closed forms; convolution, n<=7 ({elapsed:.1f}s)")
 
 
 def test_criterion_07_betti_numbers():

@@ -1,5 +1,6 @@
 import errno
 import functools
+import importlib
 import io
 import json
 import os
@@ -217,9 +218,9 @@ def _shift_one_inversion_count(monkeypatch):
 
 
 def _bump_ideal_generating(k):
-    # palindromic, convolution and division rest on the closed forms alone,
-    # so these faults go in prod (1 + t^i); the enumerated ideal histogram
-    # and the division see any change to it, and so fail with them
+    # palindromic and convolution rest on the closed forms alone, so these
+    # faults go in prod (1 + t^i); the enumerated ideal histogram and the
+    # convolution see any change to it, and so fail with them
     def fault(monkeypatch):
         real = poincare.ideal_generating
 
@@ -233,15 +234,11 @@ def _bump_ideal_generating(k):
     return fault
 
 
-_CLOSED_FORM_IDS = {
-    "poincare.ideal-dimension-histogram",
-    "poincare.histogram-convolution",
-    "poincare.exact-division",
-}
+_CLOSED_FORM_IDS = {"poincare.ideal-dimension-histogram", "poincare.histogram-convolution"}
 
-
-@pytest.mark.parametrize(
-    "records, fault, failing",
+# (records, fault, failing): the fault fails every record in records, and
+# verify --rank 3 then fails exactly the records in failing
+_FAULT_MATRIX = (
     [
         pytest.param({case[0]}, *case[1:], id=case[0])
         for case in (
@@ -265,19 +262,21 @@ _CLOSED_FORM_IDS = {
     ]
     + [
         pytest.param({"ideal-count"}, _repeat_first_ideal, {"ideal-count"}, id="ideal-count-repeat"),
-        # histogram-convolution (sp * ig == wp) and exact-division (wp / sp ==
-        # ig, with no remainder) are one identity: in exact integer
-        # arithmetic each holds exactly when the other does, so no fault can
-        # fail one alone, and they share this case.  t^3 is the middle of
-        # the degree-6 form, so it stays palindromic
+        # sp * ig == wp also certifies the quotient wp / sp == ig, since Z[t]
+        # has no zero divisors and sp != 0, so this one record checks the
+        # paper's quotient identity.  t^3 is the middle of the degree-6 form,
+        # so it stays palindromic
         pytest.param(
-            {"poincare.histogram-convolution", "poincare.exact-division"},
+            {"poincare.histogram-convolution"},
             _bump_ideal_generating(3),
             _CLOSED_FORM_IDS,
-            id="histogram-convolution+exact-division",
+            id="histogram-convolution",
         ),
-    ],
+    ]
 )
+
+
+@pytest.mark.parametrize("records, fault, failing", _FAULT_MATRIX)
 def test_a_fault_under_each_record_fails_verify(
     monkeypatch, capsys, tmp_path, records, fault, failing
 ):
@@ -287,6 +286,72 @@ def test_a_fault_under_each_record_fails_verify(
     assert "Traceback" not in capsys.readouterr().err
     assert records <= failing
     assert {c["id"] for c in json.loads(text)["checks"] if not c["pass"]} == failing
+
+
+# The records of verify --rank 3 that no case of the fault matrix names, each
+# with an existing test that injects a fault which fails it
+_FAULT_ELSEWHERE = {
+    "increasing-vs-root-addition": "tests/test_cli.py::test_broken_order_certificate_fails_verify",
+    "lie-vs-combinatorial": (
+        "tests/test_cli.py::test_broken_structure_table_fails_the_lie_certificate"
+    ),
+    "bijection.pair-injective": (
+        "tests/test_correspondence.py::test_distinct_pairs_exact_when_the_pair_map_is_not_injective"
+    ),
+    "bijection.pair-onto": (
+        "tests/test_correspondence.py::test_distinct_pairs_exact_when_the_pair_map_is_not_injective"
+    ),
+    "bijection.sym-component-inversions": (
+        "tests/test_correspondence.py::test_wrong_walked_sum_bits_match_a_per_element_evaluation"
+    ),
+    "bijection.ideal-component-increasing": (
+        "tests/test_correspondence.py::test_wrong_walked_sum_bits_match_a_per_element_evaluation"
+    ),
+    "bijection.support-identity": (
+        "tests/test_correspondence.py::test_corrupt_rho_table_fails_the_support_identity"
+    ),
+    "bijection.degree-additivity": "tests/test_ce.py::test_pair_cocycle_degree_can_fail",
+    "bijection.constructive-inverse": (
+        "tests/test_correspondence.py::test_broken_inverse_fails_the_gates"
+    ),
+    "bijection.closed-form-sym": (
+        "tests/test_correspondence.py::test_broken_closed_form_fails_its_gate"
+    ),
+    "bijection.closed-form-ideal": (
+        "tests/test_correspondence.py::test_broken_closed_form_fails_its_gate"
+    ),
+    "poincare.ideal-dimension-histogram": (
+        "tests/test_cli.py::test_broken_dimension_histogram_fails_verify"
+    ),
+    "betti-match": "tests/test_poincare.py::test_verify_identities_detects_bad_betti",
+    "classes.laplacian-scalar": (
+        "tests/test_ce.py::test_cocycles_closed_needs_the_laplacian_certificate"
+    ),
+    "classes.cocycles-closed": (
+        "tests/test_ce.py::test_a_corrupted_row_fails_closed_and_independent"
+    ),
+    "classes.class-count-per-degree": (
+        "tests/test_ce.py::test_a_wrong_scan_histogram_fails_class_count_per_degree"
+    ),
+    "classes.classes-independent": "tests/test_ce.py::test_classes_independent_can_fail",
+    "classes.pair-cocycles-match": "tests/test_ce.py::test_pair_cocycles_match_can_fail",
+    "classes.pair-cocycle-degree": "tests/test_ce.py::test_pair_cocycle_degree_can_fail",
+}
+
+
+def test_every_verify_record_has_a_fault(tmp_path):
+    # a record added to verify without a fault that fails it fails here
+    code, text = run_cli(["verify", "--rank", "3"], tmp_path)
+    assert code == 0
+    ids = [c["id"] for c in json.loads(text)["checks"]]
+    in_matrix = set().union(*(case.values[0] for case in _FAULT_MATRIX))
+    assert in_matrix.isdisjoint(_FAULT_ELSEWHERE)
+    assert in_matrix | set(_FAULT_ELSEWHERE) == set(ids)
+    for node in set(_FAULT_ELSEWHERE.values()):
+        path, _, name = node.partition("::")
+        assert path.startswith("tests/") and path.endswith(".py"), node
+        module = importlib.import_module(path[len("tests/") : -len(".py")])
+        assert callable(getattr(module, name, None)), f"{node} does not exist"
 
 
 def test_invalid_rank_is_usage_error():
@@ -476,9 +541,9 @@ def test_poincare_command(tmp_path):
     code, text = run_cli(["poincare", "--rank", "4"], tmp_path)
     assert code == 0
     doc = json.loads(text)
-    assert doc["data"]["identities"] == {"product": True, "exact_division": True}
     assert doc["data"]["weyl_poincare"][:3] == [1, 4, 9]
     assert doc["data"]["sym_times_ideal"] == doc["data"]["weyl_poincare"]
+    assert doc["checks"][0]["detail"]["product"] == doc["data"]["sym_times_ideal"]
 
     code, text = run_cli(["poincare", "--rank", "2", "--format", "csv"], tmp_path, "p.csv")
     assert code == 0
@@ -631,33 +696,45 @@ def test_poincare_command_matches_verify_identities(tmp_path, n):
     code, text = run_cli(["poincare", "--rank", str(n)], tmp_path)
     assert code == 0
     checks = json.loads(text)["checks"]
-    formula_ids = {"histogram-convolution", "exact-division", "palindromic"}
+    formula_ids = {"histogram-convolution", "palindromic"}
     records = [r for r in poincare.verify_identities(n).records if r.check_id in formula_ids]
     assert [(c["id"], c["pass"], c["detail"]) for c in checks] == [
         (r.check_id, r.passed, r.detail) for r in records
     ]
 
 
-@pytest.mark.parametrize("wrong", [[1, 2], [1, 1]], ids=["remainder", "no-remainder"])
-def test_exact_division_can_fail(tmp_path, monkeypatch, capsys, wrong):
-    """A wrong S_n generating function fails exact-division as a record,
-    whether wp / sp leaves a remainder ([1, 2]) or not ([1, 1])."""
-    monkeypatch.setattr(poincare, "sym_poincare", lambda n: poincare.IntPolynomial(tuple(wrong)))
+def test_histogram_convolution_can_fail(tmp_path, monkeypatch, capsys):
+    """A wrong S_n generating function fails histogram-convolution as a
+    record; 1 + t is palindromic, so no other formula record fails."""
+    monkeypatch.setattr(poincare, "sym_poincare", lambda n: poincare.IntPolynomial((1, 1)))
     code, text = run_cli(["poincare", "--rank", "3"], tmp_path)
     assert code == 1
     assert "Traceback" not in capsys.readouterr().err
     failed = {c["id"] for c in json.loads(text)["checks"] if not c["pass"]}
-    assert "exact-division" in failed
+    assert failed == {"histogram-convolution"}
     report = poincare.verify_identities(3)
-    assert "exact-division" in {r.check_id for r in report.records if not r.passed}
+    assert "histogram-convolution" in {r.check_id for r in report.records if not r.passed}
 
 
-def test_unwritable_out_is_usage_error(tmp_path, capsys):
-    out = tmp_path / "missing" / "x.json"
-    assert main(["ideals", "--rank", "2", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not out.exists()
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "file-parent"])
+def test_unwritable_out_is_usage_error(monkeypatch, tmp_path, capsys, where):
+    def no_work(args):
+        raise AssertionError("the command ran")
+
+    for command in cli._HANDLERS:
+        monkeypatch.setitem(cli._HANDLERS, command, no_work)
+    (tmp_path / "file").write_text("")
+    out = {
+        "directory": tmp_path,
+        "missing-parent": tmp_path / "missing" / "x.json",
+        "file-parent": tmp_path / "file" / "x.json",
+    }[where]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["ideals", "--rank", "20", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("command", ["bijection", "verify"])

@@ -1,10 +1,11 @@
-"""Four source rules checked with the standard library alone: every line of
+"""Five source rules checked with the standard library alone: every line of
 the package fits in 100 columns, every name a module imports at top level is
 used in that module (__init__.py included, since the package root re-exports
 nothing), every private name a module defines at top level is referenced
-somewhere in the package, and no module imports multiprocessing, concurrent
-or threading, at any level: every command runs in one process and one
-thread."""
+somewhere in the package, every top-level function or class and every
+non-dunder method of the package is referenced somewhere in src/, tests/ or
+perfbench/, and no module imports multiprocessing, concurrent or threading,
+at any level: every command runs in one process and one thread."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,12 @@ import spcohom
 
 MAX_COLUMNS = 100
 MODULES = sorted(Path(spcohom.__file__).parent.glob("*.py"))
+# src/, tests/ and perfbench/: every place a definition of the package can be used
+SOURCES = sorted(
+    path
+    for root in ("src", "tests", "perfbench")
+    for path in (Path(spcohom.__file__).parents[2] / root).rglob("*.py")
+)
 
 
 def _imported_names(tree: ast.Module):
@@ -74,6 +81,36 @@ def test_every_private_top_level_name_is_referenced():
     assert unreferenced == [], f"defined and never referenced: {unreferenced}"
 
 
+def _functions_classes_and_methods(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+
+
+def test_every_function_class_and_method_is_referenced():
+    # a definition whose last caller was deleted fails here, e.g. a method
+    # that only a removed check called
+    referenced = {
+        name
+        for path in SOURCES
+        for name in _references(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    unreferenced = [
+        f"{path.name}:{qualname}"
+        for path in MODULES
+        for qualname in _functions_classes_and_methods(ast.parse(path.read_text(encoding="utf-8")))
+        if qualname.rpartition(".")[2] not in referenced
+    ]
+    assert unreferenced == [], f"defined and never referenced: {unreferenced}"
+
+
 CONCURRENCY = {"multiprocessing", "concurrent", "threading"}
 
 
@@ -92,3 +129,4 @@ def test_no_module_imports_a_process_or_thread_pool(path):
 
 def test_the_lint_sees_every_module():
     assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "roots.py", "weyl.py"}
+    assert {p.name for p in SOURCES} >= {"cli.py", "test_lint.py", "run.py"}

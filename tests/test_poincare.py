@@ -21,16 +21,8 @@ def test_polynomial_arithmetic():
     p = IntPolynomial.from_coeffs([1, 1])
     q = IntPolynomial.from_coeffs([1, 0, 1])
     assert (p * q).coeffs == (1, 1, 1, 1)
-    assert IntPolynomial.from_coeffs([1, 1, 1, 1]).div_exact(p) == q
     assert IntPolynomial.from_coeffs([0, 0]).coeffs == (0,)
     assert IntPolynomial.geometric(3).coeffs == (1, 1, 1)
-
-
-def test_division_faults_on_remainder():
-    with pytest.raises(ConsistencyError):
-        IntPolynomial.from_coeffs([1, 1, 1]).div_exact(IntPolynomial.from_coeffs([1, 1]))
-    with pytest.raises(ConsistencyError):
-        IntPolynomial.from_coeffs([1]).div_exact(IntPolynomial.from_coeffs([1, 1]))
 
 
 def test_weyl_poincare_examples():
@@ -70,7 +62,7 @@ def test_palindromic(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_exact_quotient(n):
-    assert weyl_poincare(n).div_exact(sym_poincare(n)) == ideal_generating(n)
+    assert sym_poincare(n) * ideal_generating(n) == weyl_poincare(n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
