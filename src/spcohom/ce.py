@@ -50,7 +50,7 @@ from .correspondence import _MAX_WITNESSES, _witness_str, verify_bijection
 from .liealg import root_vector, structure_table
 from .report import CheckRecord, VerificationReport
 from .roots import DEFAULT_COHOMOLOGY_CAP, _mask_key, check_cap, positive_roots
-from .weyl import group_order, _iter_rows, _sign_patterns
+from .weyl import group_order, _iter_rows, _sign_patterns, _unpack
 
 ORACLE_CAP = 4
 
@@ -239,18 +239,12 @@ def _weight_dp(n: int, fold: bool) -> dict[int, int]:
     return states
 
 
-def _unpack(poly: int, n: int) -> list[int]:
-    fw = n * n
-    mask = (1 << fw) - 1
-    return [poly >> (p * fw) & mask for p in range(fw + 1)]
-
-
 def betti_numbers(n: int, cap: int = DEFAULT_COHOMOLOGY_CAP) -> list[int]:
     """Exact Betti numbers of the nilradical, degree 0 through n^2: the
     number of subsets of each size whose weight has c = 0, exact given the
     laplacian-scalar certificate."""
     check_cap(n, cap, "cohomology")
-    return _unpack(_weight_dp(n, fold=True).get(0, 0), n)
+    return _unpack(_weight_dp(n, fold=True).get(0, 0), n * n, n * n)
 
 
 def block_summary(n: int) -> list[tuple[int, tuple[int, ...], int, int]]:
@@ -264,7 +258,7 @@ def block_summary(n: int) -> list[tuple[int, tuple[int, ...], int, int]]:
         weight = tuple((key >> (k * width) & field_mask) - (n - 1) for k in range(n))
         acyclic = _c4(n, weight) != 0
         rank = 0
-        for p, dim in enumerate(_unpack(poly, n)):
+        for p, dim in enumerate(_unpack(poly, n * n, n * n)):
             rank = dim - rank if acyclic else 0
             if dim:
                 out.append((p, weight, dim, rank))

@@ -34,9 +34,10 @@ Output is deterministic: iteration orders are fixed, nothing is sampled, and
 no timing enters a report.  It is written to its destination, the --out file
 or stdout, as it is serialized (JSON in joined groups of 4,096 encoder
 chunks, CSV through csv.writer), so no command builds its whole output as one
-string.  --seed and --workers are accepted and read by nothing, because
-perfbench/run.py passes them (ROADMAP item 4 deletes both); --workers below 1
-is still refused, as a usage error.
+string.  bijection and verify, the two commands perfbench/run.py runs, take
+--seed and --workers and read neither, because the harness passes them
+(ROADMAP item 4 deletes both); the other commands refuse them, and --workers
+below 1 is still refused, as a usage error.
 """
 
 from __future__ import annotations
@@ -80,16 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rank", type=int, required=True, help="rank n >= 1")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", metavar="PATH", help="write output to a file")
-    common.add_argument(
-        "--seed", type=int, default=0, help="accepted and ignored: no check samples"
-    )
-    workers = argparse.ArgumentParser(add_help=False)
-    workers.add_argument(
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument(
         "--workers",
         type=int,
         default=1,
         help="accepted and ignored: the scan runs in one process (must be >= 1)",
     )
+    scan.add_argument("--seed", type=int, default=0, help="accepted and ignored: no check samples")
 
     parser = argparse.ArgumentParser(
         prog="spcohom",
@@ -104,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weyl", parents=[common], help="signed-permutation group data")
     p.add_argument("--list", dest="list_items", action="store_true")
 
-    p = sub.add_parser("bijection", parents=[common, workers], help="verify the correspondence")
+    p = sub.add_parser("bijection", parents=[common, scan], help="verify the correspondence")
     p.add_argument("--witness", metavar="ELEM", help="trace one element, e.g. '[2,-1,3]'")
 
     sub.add_parser("structure", parents=[common], help="structure constants table")
@@ -115,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("classes", parents=[common], help="verify the cohomology basis")
     sub.add_parser("poincare", parents=[common], help="length generating functions")
     sub.add_parser(
-        "verify", parents=[common, workers], help="run the full verification suite"
+        "verify", parents=[common, scan], help="run the full verification suite"
     )
     return parser
 

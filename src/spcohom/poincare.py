@@ -9,9 +9,13 @@ Three closed forms drive the counting results here:
   * their exact quotient prod_{i=1..n} (1 + t^i), which counts upward-closed
     sets (equivalently abelian ideals) by size.
 
-The quotient identity is checked as a product, sym * ideal == weyl, with no
-polynomial division: Z[t] is an integral domain and the S_n form is nonzero,
-so the product holds exactly when the quotient is exactly prod (1 + t^i).
+Each is a product of brackets 1 + t^s + ... + t^(s(m-1)), built only by
+_bracket_product; the counted histograms come from weyl._subset_dp.  The
+quotient identity is checked as a product, sym * ideal == weyl, by
+IntPolynomial.__mul__, the only dense product, so the check shares no code
+with the builders, and with no polynomial division: Z[t] is an integral
+domain and the S_n form is nonzero, so the product holds exactly when the
+quotient is exactly prod (1 + t^i).
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ import math
 from .errors import ConsistencyError
 from .report import VerificationReport
 from .roots import Frozen, check_cap, check_rank, num_diffs, _index_tables, _set
-from .weyl import check_group_cap, _diff_offsets, _expand, _length_histogram, _perm_row
+from .weyl import check_group_cap, _diff_offsets, _expand, _length_histogram, _perm_row, _subset_dp
 
 # Highest rank of the poincare command.  Its polynomials have degree n^2 and
-# coefficients up to 2^n n!: rank 64 takes 1.8-2.4 s, 17 MB and a 1.8 MB
-# report on a 2-vCPU host, where rank 100 took 14 s in-process.
+# coefficients up to 2^n n!: rank 64 takes 0.7-1.2 s, 18 MB and a 1.8 MB
+# report on a 2-vCPU host, most of it the check's dense product, where rank
+# 100 took 4.3 s in-process.
 POINCARE_CAP = 64
 
 
@@ -46,15 +51,6 @@ class IntPolynomial(Frozen):
             c = [0]
         return cls(tuple(c))
 
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def geometric(cls, m: int) -> "IntPolynomial":
-        """1 + t + ... + t^(m-1)."""
-        return cls((1,) * m)
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -72,37 +68,41 @@ def check_poincare_cap(n: int) -> None:
     check_cap(n, POINCARE_CAP, "poincare")
 
 
+def _bracket_product(pairs) -> IntPolynomial:
+    """prod over the pairs (m, s) of 1 + t^s + ... + t^(s(m-1)).  Each factor
+    is applied to the coefficients c so far as a running window sum,
+    out[d] = c[d] + out[d - s] - c[d - s m], O(degree) per factor."""
+    out = [1]
+    for m, s in pairs:
+        c = out + [0] * (s * (m - 1))
+        out = c[:s]
+        for d in range(s, len(c)):
+            out.append(c[d] + out[d - s] - (c[d - s * m] if d >= s * m else 0))
+    return IntPolynomial.from_coeffs(out)
+
+
 def weyl_poincare(n: int) -> IntPolynomial:
     """Length generating function of the rank-n signed-permutation group."""
     check_rank(n)
-    poly = IntPolynomial.one()
-    for i in range(1, n + 1):
-        poly = poly * IntPolynomial.geometric(2 * i)
-    return poly
+    return _bracket_product((2 * i, 1) for i in range(1, n + 1))
 
 
 def sym_poincare(n: int) -> IntPolynomial:
     """Inversion generating function of S_n."""
     check_rank(n)
-    poly = IntPolynomial.one()
-    for i in range(1, n + 1):
-        poly = poly * IntPolynomial.geometric(i)
-    return poly
+    return _bracket_product((i, 1) for i in range(1, n + 1))
 
 
 def ideal_generating(n: int) -> IntPolynomial:
     """prod_{i=1..n} (1 + t^i).  The histogram-convolution check shows that it
     is the exact quotient of the two length generating functions."""
     check_rank(n)
-    poly = IntPolynomial.one()
-    for i in range(1, n + 1):
-        poly = poly * IntPolynomial.from_coeffs([1] + [0] * (i - 1) + [1])
-    return poly
+    return _bracket_product((2, i) for i in range(1, n + 1))
 
 
 def weyl_length_histogram(n: int) -> IntPolynomial:
     """Counted length histogram of the whole signed-permutation group, by the
-    DP over suffix sets that the scan's batch uses (weyl._length_histogram)."""
+    DP that the scan's batch reads its lengths from (weyl._length_histogram)."""
     check_group_cap(n)
     counts = _length_histogram(n)
     if counts is None:
@@ -111,50 +111,32 @@ def weyl_length_histogram(n: int) -> IntPolynomial:
 
 
 def sym_inversion_histogram(n: int) -> IntPolynomial:
-    """Counted inversion histogram of S_n (_sym_inversion_dp).  Refuses ranks
-    above the group cap, before any row."""
+    """Counted inversion histogram of S_n, F({1..n}) of weyl._subset_dp over
+    the prefix sets B of a word, F(B) = sum over v in B of t^|row| F(B - v),
+    with the one row _perm_row(B - v, v): the inversions that the letter v
+    adds after the letters before it, a bit per value u > v in B - v.
+    Refuses ranks above the group cap before any row.  ConsistencyError
+    unless each row equals the bits d_idx[v][u] of those u, built by subset
+    doubling, as weyl._length_histogram checks the group's rows."""
     check_group_cap(n)
-    return _sym_inversion_dp(n)
-
-
-def _sym_inversion_dp(n: int) -> IntPolynomial:
-    """The inversion histogram of S_n with no walk over permutations: a DP
-    over the prefix sets B of a word,
-
-        F(empty) = 1,  F(B) = sum over v in B of t^|row(v, B - v)| F(B - v)
-
-    with row(v, before) = _perm_row(before, v), the inversions that the
-    letter v adds after the letters before (the row _perm_inversion_mask
-    reads, one bit per value u > v in before), and the histogram
-    F({1..n}).  Each polynomial is packed into one int, a coefficient per
-    width bits, width enough for the n! permutations.  Each row is checked
-    against the root index at all n 2^(n-1) pairs (v, before), as
-    weyl._length_histogram checks the group's rows: ConsistencyError unless
-    it equals the bits d_idx[v][u] of the values u > v in before, built by
-    subset doubling."""
     off = _diff_offsets(n)
     d_idx = _index_tables(n)[0]
     expected = [[]] + [
         _expand([0] * (n - v), [1 << d_idx[v][u] for u in range(v + 1, n + 1)])
         for v in range(1, n + 1)
     ]
+
+    def rows(v: int, before: int) -> tuple[int]:
+        row = _perm_row(before, v, off)
+        if row != expected[v][before >> v]:
+            raise ConsistencyError(
+                f"the S_n row of {v} after {before:#b} differs from the root "
+                "index; this indicates a bug"
+            )
+        return (row,)
+
     width = math.factorial(n).bit_length()
-    poly = [1]
-    for prefix in range(1, 1 << n):
-        acc = 0
-        for v in range(1, n + 1):
-            before = prefix & ~(1 << (v - 1))
-            if before != prefix:
-                row = _perm_row(before, v, off)
-                if row != expected[v][before >> v]:
-                    raise ConsistencyError(
-                        f"the S_n row of {v} after {before:#b} differs from the root "
-                        "index; this indicates a bug"
-                    )
-                acc += poly[before] << width * row.bit_count()
-        poly.append(acc)
-    low = (1 << width) - 1
-    return IntPolynomial.from_coeffs(poly[-1] >> width * d & low for d in range(num_diffs(n) + 1))
+    return IntPolynomial.from_coeffs(_subset_dp(n, width, num_diffs(n), rows))
 
 
 def add_betti_record(
@@ -209,11 +191,11 @@ def verify_identities(
     weyl_hist: IntPolynomial | None = None,
     include_betti_record: bool = True,
 ) -> VerificationReport:
-    """Compare the enumerated histograms with the closed forms and check the
-    product identity.  A precomputed weyl_hist (e.g. from the
-    bijection scan, which walks the same elements anyway) avoids a second
-    group enumeration.  include_betti_record adds a skipped betti-match;
-    add_betti_record is where the Betti numbers are compared.
+    """Compare the counted histograms with the closed forms and check the
+    product identity.  A precomputed weyl_hist (e.g. the bijection scan's,
+    counted by the same DP) avoids counting the group a second time.
+    include_betti_record adds a skipped betti-match; add_betti_record is
+    where the Betti numbers are compared.
     """
     from .ideals import dimension_histogram
 

@@ -404,38 +404,53 @@ def _sign_patterns(word: tuple[int, ...]) -> list[int]:
     return _expand([0] * len(word), [1 << (v - 1) for v in word])
 
 
+def _subset_dp(n: int, width: int, degree: int, rows) -> Optional[list[int]]:
+    """The package's only packed subset DP: F(empty) = 1 and, over the subsets
+    S of {1..n}, F(S) = sum over v in S, r in rows(v, S - v) of t^|r| F(S - v).
+    Returns the coefficients of F({1..n}) of degrees 0..degree, or None as
+    soon as rows, read once at each of the n 2^(n-1) pairs (v, S - v),
+    returns None.  Each F is packed into one int, width bits a coefficient."""
+    poly = [1]
+    for s in range(1, 1 << n):
+        acc = 0
+        for v in range(1, n + 1):
+            rest = s & ~(1 << (v - 1))
+            if rest != s:
+                found = rows(v, rest)
+                if found is None:
+                    return None
+                f = poly[rest]
+                for r in found:
+                    acc += f << width * r.bit_count()
+        poly.append(acc)
+    return _unpack(poly[-1], width, degree)
+
+
+def _unpack(packed: int, width: int, degree: int) -> list[int]:
+    """The package's only unpacker: the coefficients of degrees 0..degree of
+    a polynomial packed a coefficient per width bits."""
+    low = (1 << width) - 1
+    return [packed >> width * d & low for d in range(degree + 1)]
+
+
 def _length_histogram(n: int) -> Optional[list[int]]:
     """Length -> elements over the whole group, as a list over 0..n^2, with
-    no walk over permutations: a DP over the suffix sets S of a word,
-
-        F(empty) = 1,  F(S) = sum over v in S of (t^|plus| + t^|minus|) F(S - v)
-
-    with (plus, minus) = _row(n, v, S - v), and the histogram F({1..n}).
-    Each polynomial is packed into one int, a coefficient per width bits,
-    width enough for the 2^n n! elements.  This is the one pass that
-    certifies the rows: it reads _row once at each of the n 2^(n-1) pairs
-    (v, later) and returns None unless the row equals lo[v][later] and
+    no walk over permutations: _subset_dp over the suffix sets S of a word,
+    F(S) = sum over v in S of (t^|plus| + t^|minus|) F(S - v) with (plus,
+    minus) = _row(n, v, S - v).  This is the one pass that certifies the
+    rows: it returns None unless each row equals lo[v][later] and
     hi[v][later] of _row_tables.  A length is a sum of row popcounts when the
     n rows of a word are disjoint, which holds because the tables put every
     row on the index pairs {v, x} with x = v or x after v: the value at a
     position is after no later position, so the rows of a word lie on
     distinct pairs."""
-    width = group_order(n).bit_length()
     lo, hi = _row_tables(n)
-    poly = [1]
-    for suffix in range(1, 1 << n):
-        acc = 0
-        for v in range(1, n + 1):
-            rest = suffix & ~(1 << (v - 1))
-            if rest != suffix:
-                up, down = _row(n, v, rest)
-                if (up, down) != (lo[v][rest], hi[v][rest]):
-                    return None
-                f = poly[rest]
-                acc += (f << width * up.bit_count()) + (f << width * down.bit_count())
-        poly.append(acc)
-    low = (1 << width) - 1
-    return [poly[-1] >> width * d & low for d in range(n * n + 1)]
+
+    def rows(v: int, later: int) -> Optional[tuple[int, int]]:
+        pair = _row(n, v, later)
+        return pair if pair == (lo[v][later], hi[v][later]) else None
+
+    return _subset_dp(n, group_order(n).bit_length(), n * n, rows)
 
 
 def standard_form(w: SignedPerm) -> StandardForm:

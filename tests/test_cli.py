@@ -207,14 +207,14 @@ def _shift_one_scan_length(monkeypatch):
 
 def _shift_one_inversion_count(monkeypatch):
     # the S_n DP's count moves one permutation up one inversion
-    real = poincare._sym_inversion_dp
+    real = poincare.sym_inversion_histogram
 
     def shifted(n):
         counts = list(real(n).coeffs)
         counts[0], counts[1] = counts[0] - 1, counts[1] + 1
         return poincare.IntPolynomial.from_coeffs(counts)
 
-    monkeypatch.setattr(poincare, "_sym_inversion_dp", shifted)
+    monkeypatch.setattr(poincare, "sym_inversion_histogram", shifted)
 
 
 def _bump_ideal_generating(k):
@@ -594,6 +594,10 @@ def test_workers_flag_matches_serial(tmp_path):
         ["betti", "--rank", "2", "--workers", "2"],
         ["poincare", "--rank", "2", "--allow-rank4-cohomology"],
         ["bijection", "--rank", "2", "--allow-rank4-cohomology"],
+        *(
+            [command, "--rank", "2", "--seed", "0"]
+            for command in ("ideals", "weyl", "structure", "betti", "classes", "poincare")
+        ),
     ],
 )
 def test_flags_scoped_to_their_commands(args):
@@ -676,6 +680,8 @@ def test_every_cap_refuses_one_above_with_one_message(monkeypatch, capsys, argv,
         (ideals, "_profiles"),
         (weyl, "enumerate_group"),
         (poincare, "_length_histogram"),
+        (poincare, "_subset_dp"),
+        (poincare, "_bracket_product"),
         (poincare.IntPolynomial, "__mul__"),
         (correspondence, "_scan"),
         (correspondence, "trace_element"),

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -14,6 +15,7 @@ from spcohom.poincare import (
     weyl_length_histogram,
     weyl_poincare,
 )
+from spcohom.report import VerificationReport
 from spcohom.weyl import DEFAULT_GROUP_CAP, _perm_inversion_mask
 
 
@@ -22,7 +24,47 @@ def test_polynomial_arithmetic():
     q = IntPolynomial.from_coeffs([1, 0, 1])
     assert (p * q).coeffs == (1, 1, 1, 1)
     assert IntPolynomial.from_coeffs([0, 0]).coeffs == (0,)
-    assert IntPolynomial.geometric(3).coeffs == (1, 1, 1)
+
+
+@pytest.mark.parametrize("n", [*range(1, 25), 48])
+def test_bracket_product_equals_the_dense_product(n):
+    # each closed form's factors as explicit tuples, multiplied densely
+    factors = {
+        "weyl": [(1,) * (2 * i) for i in range(1, n + 1)],
+        "sym": [(1,) * i for i in range(1, n + 1)],
+        "ideal": [(1,) + (0,) * (i - 1) + (1,) for i in range(1, n + 1)],
+    }
+    pairs = {
+        "weyl": [(2 * i, 1) for i in range(1, n + 1)],
+        "sym": [(i, 1) for i in range(1, n + 1)],
+        "ideal": [(2, i) for i in range(1, n + 1)],
+    }
+    for name, tuples in factors.items():
+        dense = IntPolynomial((1,))
+        for factor in tuples:
+            dense = dense * IntPolynomial(factor)
+        assert poincare._bracket_product(pairs[name]) == dense, name
+
+
+def test_closed_forms_never_multiply_densely(monkeypatch):
+    calls = []
+    real = IntPolynomial.__mul__
+
+    def no_dense(self, other):
+        raise AssertionError("a closed form was built by a dense product")
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", no_dense)
+    wp, sp, ig = weyl_poincare(64), sym_poincare(64), ideal_generating(64)
+    assert sum(wp.coeffs) == 2**64 * math.factorial(64)
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", counted)
+    report = VerificationReport(rank=64)
+    assert poincare.add_formula_records(report, wp, sp, ig) == wp
+    assert len(calls) == 1 and report.passed
 
 
 def test_weyl_poincare_examples():
@@ -119,7 +161,7 @@ def test_sym_inversion_histogram_cap_refuses_before_any_row(monkeypatch):
     def no_rows(*args):
         raise AssertionError("an S_n row was read above the group cap")
 
-    monkeypatch.setattr(poincare, "_sym_inversion_dp", no_rows)
+    monkeypatch.setattr(poincare, "_subset_dp", no_rows)
     monkeypatch.setattr(poincare, "_perm_row", no_rows)
     cap = DEFAULT_GROUP_CAP
     with pytest.raises(RankCapError):
@@ -129,16 +171,17 @@ def test_sym_inversion_histogram_cap_refuses_before_any_row(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_sym_inversion_dp_equals_the_enumeration(n):
+def test_sym_inversion_histogram_equals_the_enumeration(n):
     counts = [0] * (n * (n - 1) // 2 + 1)
     for word in itertools.permutations(range(1, n + 1)):
         counts[_perm_inversion_mask(word, n).bit_count()] += 1
     assert sym_inversion_histogram(n) == IntPolynomial.from_coeffs(counts)
 
 
-def test_sym_inversion_dp_equals_the_product_form_at_rank_16():
-    # above the group cap, so the DP is called below sym_inversion_histogram's cap check
-    assert poincare._sym_inversion_dp(16) == sym_poincare(16)
+def test_sym_inversion_histogram_equals_the_product_form_at_rank_16(monkeypatch):
+    # above the group cap, so the cap is raised for this one call
+    monkeypatch.setattr(weyl, "DEFAULT_GROUP_CAP", 16)
+    assert sym_inversion_histogram(16) == sym_poincare(16)
 
 
 def test_a_dp_row_that_differs_from_the_root_index_exits_3(monkeypatch, capsys):

@@ -39,6 +39,7 @@ from spcohom.weyl import (
     _row,
     _row_tables,
     _sign_patterns,
+    _subset_dp,
     _word_from_inversion_mask,
 )
 
@@ -419,6 +420,18 @@ def test_length_histogram_is_the_product_of_the_2i_brackets(n):
                 out[d + k] += c
         poly = out
     assert _length_histogram(n) == poly
+
+
+def test_subset_dp_stops_at_the_first_none():
+    # the fifth pair's rows are refused, so no sixth pair is read
+    read = []
+
+    def rows(v, rest):
+        read.append((v, rest))
+        return None if len(read) == 5 else (rest,)
+
+    assert _subset_dp(4, 8, 6, rows) is None
+    assert len(read) == 5
 
 
 def test_length_histogram_refuses_a_row_off_its_root_pairs(monkeypatch):
