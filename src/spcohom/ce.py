@@ -33,10 +33,10 @@ the roots without listing the 2^(n^2) monomials.  ChainComplex lists them and
 ranks every block by Bareiss elimination; it is the exact test oracle at ranks
 <= ORACLE_CAP and no command builds it.
 
-verify_cohomology_basis reads the walk's rows only to check that each
-inversion-set monomial is harmonic, on at most two flips per permutation.
-Closedness then follows from laplacian-scalar, distinctness from the
-bijection scan's pair-injective, and the count per degree from its histogram.
+verify_cohomology_basis checks that each inversion-set monomial is harmonic
+on the n 2^n rows of weyl._row, not on the group.  Closedness then follows
+from laplacian-scalar, distinctness from the bijection scan's pair-injective,
+and the count per degree from its histogram.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ import math
 from bisect import bisect_left
 from functools import lru_cache, partial
 
+from . import weyl
 from .correspondence import _MAX_WITNESSES, _witness_str, verify_bijection
 from .liealg import root_vector, structure_table
 from .report import CheckRecord, VerificationReport
 from .roots import DEFAULT_COHOMOLOGY_CAP, _mask_key, check_cap, positive_roots
-from .weyl import group_order, _iter_rows, _sign_patterns, _unpack
 
 ORACLE_CAP = 4
 
@@ -128,24 +128,21 @@ def dstar(n: int, key: tuple[int, ...], scale: int) -> dict[tuple[int, ...], int
     With eps_a the wedge f_a ^ - and iota_a its contraction, d is
     -sum c eps_a eps_b iota_g over the decompositions (a, b, c) of g, so
     d* = -sum c |e_g|^2 / (|e_a|^2 |e_b|^2) eps_g iota_b iota_a for the metric
-    |f_a|^2 = 1/|e_a|^2.
+    |f_a|^2 = 1/|e_a|^2.  Only pairs a < b of the key contribute.
     """
-    dec, norms = _decompositions(n), _norms(n)
-    position = {b: t for t, b in enumerate(key)}
+    entries, norms = structure_table(n).entries, _norms(n)
     out: dict[tuple[int, ...], int] = {}
-    for g, row in enumerate(dec):
-        if g in position:
+    for (ta, a), (tb, b) in itertools.combinations(enumerate(key), 2):
+        found = entries.get((a, b))
+        if found is None or found[0] in key:
             continue
-        for a, b, c in row:
-            ta, tb = position.get(a), position.get(b)
-            if ta is None or tb is None:
-                continue
-            rest = tuple(x for x in key if x != a and x != b)
-            s = bisect_left(rest, g)
-            # iota_a, then iota_b one place lower (a < b), then eps_g at s
-            sign = -1 if (ta + tb - 1 + s) & 1 else 1
-            coeff = c * norms[g] * (scale // (norms[a] * norms[b]))
-            out[rest[:s] + (g,) + rest[s:]] = -sign * coeff
+        g, c = found
+        rest = key[:ta] + key[ta + 1 : tb] + key[tb + 1 :]
+        s = bisect_left(rest, g)
+        # iota_a, then iota_b one place lower (a < b), then eps_g at s
+        sign = -1 if (ta + tb - 1 + s) & 1 else 1
+        coeff = c * norms[g] * (scale // (norms[a] * norms[b]))
+        out[rest[:s] + (g,) + rest[s:]] = -sign * coeff
     return out
 
 
@@ -244,7 +241,7 @@ def betti_numbers(n: int, cap: int = DEFAULT_COHOMOLOGY_CAP) -> list[int]:
     number of subsets of each size whose weight has c = 0, exact given the
     laplacian-scalar certificate."""
     check_cap(n, cap, "cohomology")
-    return _unpack(_weight_dp(n, fold=True).get(0, 0), n * n, n * n)
+    return weyl._unpack(_weight_dp(n, fold=True).get(0, 0), n * n, n * n)
 
 
 def block_summary(n: int) -> list[tuple[int, tuple[int, ...], int, int]]:
@@ -258,7 +255,7 @@ def block_summary(n: int) -> list[tuple[int, tuple[int, ...], int, int]]:
         weight = tuple((key >> (k * width) & field_mask) - (n - 1) for k in range(n))
         acyclic = _c4(n, weight) != 0
         rank = 0
-        for p, dim in enumerate(_unpack(poly, n * n, n * n)):
+        for p, dim in enumerate(weyl._unpack(poly, n * n, n * n)):
             rank = dim - rank if acyclic else 0
             if dim:
                 out.append((p, weight, dim, rank))
@@ -361,22 +358,25 @@ class ChainComplex:
         return out
 
 
-def _unharmonic_small_sets(n: int):
-    """(word, P) for each word of the walk and each set P of at most two
-    flipped positions whose element has c(weight) != 0, or for every such P
-    where two rows plus[p] | minus[p] overlap.  Disjoint rows make the mask a
-    disjoint union of one row per position, so its weight is the sum of
-    theirs, affine in the indicator of P, and 4c, quadratic in the weight, is
-    0 on all 2^n sets once it is 0 on those of size <= 2 (Moebius inversion)."""
-    small = [pset for pset in range(1 << n) if pset.bit_count() <= 2]
-    for word, plus, minus in _iter_rows(n):
-        rows = [up | down for up, down in zip(plus, minus)]
-        disjoint = sum(rows).bit_count() == sum(map(int.bit_count, rows))  # no carry
-        weights = [[_subset_weight(n, _mask_key(row)) for row in pair] for pair in zip(plus, minus)]
-        for pset in small:
-            chosen = [w[pset >> p & 1] for p, w in enumerate(weights)]
-            if not disjoint or _c4(n, tuple(map(sum, zip(*chosen)))):
-                yield word, pset
+def _unharmonic_rows(n: int):
+    """Witnesses for the rows of weyl._row (value v, later set L, B = L below v)
+    unequal to their table or not weighing -|B| at v unflipped, 2 + 2|L| - |B|
+    flipped, and 1 at each q in B.  Rows equal to the tables are disjoint, so an
+    element weighs rho - mu', mu'_v = +-(|L_v| + 1) a signed permutation of rho."""
+    tables, values = weyl._row_tables(n), range(1, n + 1)
+    for v in values:
+        for later in range(1 << n):
+            after = [q for q in values if later >> (q - 1) & 1]
+            if v in after:
+                continue
+            below = sum(q < v for q in after)
+            word = (*(q for q in values if q != v and q not in after), v, *after)
+            local = [int(q < v and q in after) for q in values]
+            for flipped, row in enumerate(weyl._row(n, v, later)):
+                local[v - 1] = 2 + 2 * len(after) - below if flipped else -below
+                table = tables[flipped][v][later]
+                if row != table or _subset_weight(n, _mask_key(row)) != tuple(local):
+                    yield _witness_str(word, flipped << (v - 1))
 
 
 def verify_cohomology_basis(
@@ -389,9 +389,9 @@ def verify_cohomology_basis(
     """Check that the inversion-set cocycles form a cohomology basis and that
     the pair cocycles reproduce them up to sign.
 
-    The one fact checked only here, on the walk's rows, is that every
-    inversion-set monomial is harmonic, c(weight) = 0.  The other records
-    follow from it and from facts already certified:
+    The one fact checked only here, on the rows (_unharmonic_rows), is that
+    every inversion-set monomial is harmonic, c(weight) = 0.  The other
+    records follow from it and from facts already certified:
 
     * cocycles-closed: c = 0 gives dx = 0 once laplacian-scalar holds;
     * classes-independent: harmonic monomials are closed and orthogonal to
@@ -422,15 +422,15 @@ def verify_cohomology_basis(
         bijection = verify_bijection(n)
     scan = {r.check_id: r for r in bijection.records}
 
-    failing = list(_unharmonic_small_sets(n))
-    witnesses = [_witness_str(w, _sign_patterns(w)[pset]) for w, pset in failing[:_MAX_WITNESSES]]
+    failing = list(_unharmonic_rows(n))
+    witnesses = failing[:_MAX_WITNESSES]
 
     report.add(
         "cocycles-closed",
         "every inversion-set wedge monomial is a cocycle",
         laplacian_ok and not failing,
         {
-            "elements": group_order(n),
+            "elements": weyl.group_order(n),
             "not_harmonic": len(failing),
             "laplacian_scalar": laplacian_ok,
         },

@@ -327,7 +327,7 @@ def _row(n: int, v: int, later: int) -> tuple[int, int]:
     """(plus, minus): the inversions of the roots whose first slot holds the
     value v, unflipped and flipped, when later is the value mask of the
     letters after it (bit q - 1 for the value q).  Built from the root index;
-    _iter_rows and _length_histogram take their rows from here."""
+    _iter_rows, _length_histogram and ce._unharmonic_rows read rows here."""
     d_idx, s_idx, l_idx = _index_tables(n)
     up, down = 0, 1 << l_idx[v]
     for q in range(1, n + 1):
@@ -341,8 +341,8 @@ def _row(n: int, v: int, later: int) -> tuple[int, int]:
 
 
 def _iter_rows(n: int):
-    """Fast exhaustive walk of the whole group, one permutation word at a time
-    in lexicographic order, yielding (word, plus, minus): plus[p] and
+    """Walk of the whole group for its one reader, the scan's element loop, one
+    word at a time in lexicographic order, yielding (word, plus, minus): plus[p] and
     minus[p] are the rows _row gives the value at the 0-based position p and
     the letters after it.  So _expand(plus, minus)[P] is the inversion mask
     of the element of word whose values at the positions in P are negated,

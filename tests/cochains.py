@@ -1,10 +1,11 @@
-"""Cochain-level test oracles: sparse cochains, the differential on them, and
-the inversion-set and pair cocycles.  No command builds any of these."""
+"""Cochain-level test oracles: sparse cochains, the differential on them, d*
+over every decomposition of every root, and the inversion-set and pair
+cocycles.  No command builds any of these."""
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
-from spcohom.ce import _d_monomial
+from spcohom.ce import _d_monomial, _decompositions, _norms
 from spcohom.correspondence import _rho_table
 from spcohom.ideals import IncreasingSet
 from spcohom.roots import _mask_key, num_diffs
@@ -56,6 +57,29 @@ def differential(cochain: Cochain) -> Cochain:
         for mono, c in _d_monomial(n, key).items():
             out[mono] = out.get(mono, 0) + coeff * c
     return Cochain(n, cochain.degree + 1, out)
+
+
+def dstar_over_decompositions(n: int, key: tuple[int, ...], scale: int) -> dict:
+    """ce.dstar's reference: scale times d* on one monomial, from every
+    decomposition (a, b, c) of every root g not in the key, keeping those
+    with a and b in the key."""
+    dec, norms = _decompositions(n), _norms(n)
+    position = {b: t for t, b in enumerate(key)}
+    out: dict[tuple[int, ...], int] = {}
+    for g, row in enumerate(dec):
+        if g in position:
+            continue
+        for a, b, c in row:
+            ta, tb = position.get(a), position.get(b)
+            if ta is None or tb is None:
+                continue
+            rest = tuple(x for x in key if x != a and x != b)
+            s = bisect_left(rest, g)
+            # iota_a, then iota_b one place lower (a < b), then eps_g at s
+            sign = -1 if (ta + tb - 1 + s) & 1 else 1
+            coeff = c * norms[g] * (scale // (norms[a] * norms[b]))
+            out[rest[:s] + (g,) + rest[s:]] = -sign * coeff
+    return out
 
 
 def monomial_cocycle(w: SignedPerm) -> Cochain:

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from cochains import Cochain, differential, monomial_cocycle, pair_cocycle
+from cochains import (
+    Cochain,
+    differential,
+    dstar_over_decompositions,
+    monomial_cocycle,
+    pair_cocycle,
+)
 from spcohom import ce, correspondence, weyl
 from spcohom.ce import (
     ChainComplex,
@@ -32,8 +38,6 @@ from spcohom.weyl import (
     enumerate_group,
     group_order,
     inversion_set,
-    _expand,
-    _iter_rows,
 )
 
 
@@ -182,6 +186,27 @@ def test_dstar_is_adjoint_of_d(n):
         for x, c in dstar(n, y, scale).items():
             assert len(x) == len(y) - 1
             assert c * m(n, y) == scale * _d_monomial(n, x).get(y, 0) * m(n, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_dstar_over_the_key_pairs_equals_the_decomposition_loop(n):
+    scale = ce._dstar_scale(n)
+    for p in range(5):
+        for key in itertools.combinations(range(n * n), p):
+            assert dstar(n, key, scale) == dstar_over_decompositions(n, key, scale), key
+
+
+def test_dstar_does_not_read_the_decompositions(monkeypatch):
+    n = 4
+    scale = ce._dstar_scale(n)
+
+    def refused(m):
+        raise AssertionError("dstar read the decompositions")
+
+    monkeypatch.setattr(ce, "_decompositions", refused)
+    for p in range(3):
+        for key in itertools.combinations(range(n * n), p):
+            dstar(n, key, scale)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -362,7 +387,8 @@ def test_classes_independent_can_fail(monkeypatch):
     # a walk that repeats elements repeats their monomials: the flipped row
     # of the value 1 at the end of a word takes its unflipped row, so the
     # elements that differ only in that flip share their masks, and the
-    # recipe cannot rebuild both from their pair keys
+    # recipe cannot rebuild both from their pair keys.  That row also
+    # differs from its table, so it is not harmonic either
     real = weyl._row
 
     def repeated(rank, v, later):
@@ -372,13 +398,14 @@ def test_classes_independent_can_fail(monkeypatch):
     monkeypatch.setattr(weyl, "_row", repeated)
     failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
     assert failed["classes-independent"] == {
-        "not_harmonic": 0,
+        "not_harmonic": 1,
         "pair_injective": False,
-        "witnesses": [],
+        "witnesses": ["[2,3,-1]"],
     }
     # the repeat also moves the lengths of those elements in the scan's
     # histogram and breaks the bijection the pair records rest on
     assert set(failed) == {
+        "cocycles-closed",
         "classes-independent",
         "class-count-per-degree",
         "pair-cocycles-match",
@@ -386,96 +413,74 @@ def test_classes_independent_can_fail(monkeypatch):
     }
 
 
-def test_a_c4_that_flags_every_monomial_fails_closed_and_independent(monkeypatch):
-    # c = 1 everywhere also breaks the Laplacian identity on the empty monomial;
-    # each permutation fails its 1 + n + n(n-1)/2 sets of at most two flips
+def test_a_c4_that_flags_every_monomial_fails_the_laplacian_and_closed(monkeypatch):
+    # c = 1 everywhere breaks the Laplacian identity on the empty monomial;
+    # the row check reads no c, so cocycles-closed fails through
+    # laplacian-scalar alone and classes-independent passes
     n = 3
     monkeypatch.setattr(ce, "_c4", lambda n, weight: 1)
     failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
-    assert set(failed) == {"laplacian-scalar", "cocycles-closed", "classes-independent"}
-    small = math.factorial(n) * (1 + n + n * (n - 1) // 2)
+    assert set(failed) == {"laplacian-scalar", "cocycles-closed"}
     assert failed["cocycles-closed"] == {
         "elements": group_order(n),
-        "not_harmonic": small,
+        "not_harmonic": 0,
         "laplacian_scalar": False,
     }
-    assert failed["classes-independent"] == {
-        "not_harmonic": small,
-        "pair_injective": True,
-        "witnesses": ["[1,2,3]", "[-1,2,3]", "[1,-2,3]", "[-1,-2,3]", "[1,2,-3]"],
-    }
 
 
-def _small_sets(n):
-    return [pset for pset in range(1 << n) if pset.bit_count() <= 2]
+def _corrupt_a_row(monkeypatch, n, fault):
+    """Patch weyl._row so that one row fails one of the two row checks, and
+    return the element ce names as its witness.  For "bits", the flipped row
+    of the value 1 with nothing after it trades 2e_1 for e_1 - e_2 and
+    e_1 + e_2: the same weight, so only the comparison with the table fails.
+    For "weight", the unflipped row of the value n after all the others
+    loses its lowest root, and weyl._row_tables takes the same row, so only
+    the weight is off the local vector."""
+    if fault == "bits":
+        v, later, flipped = 1, 0, 1
+        row = (1 << idx(n, diff(1, 2))) | (1 << idx(n, sum_root(1, 2)))
+    else:
+        v, later, flipped = n, (1 << (n - 1)) - 1, 0
+        row = weyl._row(n, v, later)[0]
+        row &= row - 1
+        lo, hi = weyl._row_tables(n)
+        lo[v][later] = row
+        monkeypatch.setattr(weyl, "_row_tables", lambda m: (lo, hi))
+    real = weyl._row
+
+    def corrupted(m, u, rest):
+        rows = list(real(m, u, rest))
+        if (u, rest) == (v, later):
+            rows[flipped] = row
+        return tuple(rows)
+
+    monkeypatch.setattr(weyl, "_row", corrupted)
+    others = [q for q in range(1, n + 1) if q != v and not later >> (q - 1) & 1]
+    after = [q for q in range(1, n + 1) if later >> (q - 1) & 1]
+    return str(SignedPerm((*others, -v if flipped else v, *after)))
 
 
-def _element(word, pset):
-    return SignedPerm(tuple(-v if pset >> p & 1 else v for p, v in enumerate(word)))
-
-
-def _not_harmonic(n, mask):
-    """A mask of no root set, or one whose monomial has c != 0."""
-    return bool(mask >> (n * n)) or _c(n, _subset_weight(n, _mask_key(mask))) != 0
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_small_set_check_matches_a_full_evaluation_under_row_corruptions(monkeypatch, n):
-    # every single-bit corruption of one row of one permutation: the check on
-    # the sets of at most two flips flags the permutation exactly when some
-    # element of its expanded masks is not harmonic, whether the corruption
-    # leaves the rows disjoint or makes two of them overlap
-    verdicts = set()
-    for word, plus, minus in _iter_rows(n):
-        for p, side, bit in itertools.product(range(n), (0, 1), range(n * n)):
-            rows = [list(plus), list(minus)]
-            rows[side][p] ^= 1 << bit
-            monkeypatch.setattr(ce, "_iter_rows", lambda n: iter([(word, *rows)]))
-            small = any(ce._unharmonic_small_sets(n))
-            full = any(_not_harmonic(n, mask) for mask in _expand(*rows))
-            assert small == full, (word, p, side, bit)
-            verdicts.add(small)
-    assert verdicts == {False, True}
-
-
-def _corrupt_last_word(monkeypatch, fault):
-    """Patch the walk ce reads so that the rows of its last word, (n, ..., 1),
-    carry the fault; returns the failing sets of flips of that word."""
-    real = ce._iter_rows
-
-    def corrupted(n):
-        for word, plus, minus in real(n):
-            if word == tuple(range(n, 0, -1)):
-                plus, minus = list(plus), list(minus)
-                if fault == "one row":
-                    plus[0] &= plus[0] - 1  # drop the lowest root e_q - e_n
-                else:
-                    plus[1] |= minus[0] & -minus[0]  # a root of row 0 in row 1
-                failing.extend(
-                    pset
-                    for pset in _small_sets(n)
-                    if fault != "one row" or _not_harmonic(n, _expand(plus, minus)[pset])
-                )
-            yield word, plus, minus
-
-    failing = []
-    monkeypatch.setattr(ce, "_iter_rows", corrupted)
-    return failing
-
-
-@pytest.mark.parametrize("fault", ["one row", "overlapping rows"])
+@pytest.mark.parametrize("fault", ["bits", "weight"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_a_corrupted_row_fails_closed_and_independent(monkeypatch, n, fault):
-    failing = _corrupt_last_word(monkeypatch, fault)
-    failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
-    assert set(failed) == {"cocycles-closed", "classes-independent"}
-    assert failing and failed["cocycles-closed"]["not_harmonic"] == len(failing)
-    if fault != "one row":
-        assert len(failing) == 1 + n + n * (n - 1) // 2
-    word = tuple(range(n, 0, -1))
-    assert failed["classes-independent"]["witnesses"] == [
-        str(_element(word, pset)) for pset in failing[:5]
-    ]
+    # the scan is taken before the fault, so that only ce's records see it
+    scan = correspondence.verify_bijection(n)
+    witness = _corrupt_a_row(monkeypatch, n, fault)
+    failed = {
+        check_id: r.detail for check_id, r in _records(n, bijection=scan).items() if not r.passed
+    }
+    assert failed == {
+        "cocycles-closed": {
+            "elements": group_order(n),
+            "not_harmonic": 1,
+            "laplacian_scalar": True,
+        },
+        "classes-independent": {
+            "not_harmonic": 1,
+            "pair_injective": True,
+            "witnesses": [witness],
+        },
+    }
 
 
 def test_cocycles_closed_needs_the_laplacian_certificate(monkeypatch):

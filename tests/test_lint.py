@@ -1,11 +1,13 @@
-"""Five source rules checked with the standard library alone: every line of
+"""Six source rules checked with the standard library alone: every line of
 the package fits in 100 columns, every name a module imports at top level is
 used in that module (__init__.py included, since the package root re-exports
 nothing), every private name a module defines at top level is referenced
 somewhere in the package, every top-level function or class and every
 non-dunder method of the package is referenced somewhere in src/, tests/ or
-perfbench/, and no module imports multiprocessing, concurrent or threading,
-at any level: every command runs in one process and one thread."""
+perfbench/, no module imports multiprocessing, concurrent or threading, at
+any level: every command runs in one process and one thread, and no module
+but correspondence.py references weyl._iter_rows outside weyl.py: the group
+is walked in one place, the scan's element loop."""
 
 import ast
 from pathlib import Path
@@ -125,6 +127,15 @@ def test_no_module_imports_a_process_or_thread_pool(path):
             found.append(node.module)
     pools = [name for name in found if name.partition(".")[0] in CONCURRENCY]
     assert pools == [], f"{path.name}: imports {pools}"
+
+
+def test_only_the_scan_walks_the_group():
+    walkers = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "_iter_rows" in {*_references(tree), *_imported_names(tree)}:
+            walkers.add(path.name)
+    assert walkers - {"weyl.py"} == {"correspondence.py"}
 
 
 def test_the_lint_sees_every_module():
