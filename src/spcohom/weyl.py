@@ -10,6 +10,7 @@ the sign of the value v, sigma_0 acts first).
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -138,13 +139,13 @@ class SignedPerm(Frozen):
 
 
 def parse_signed_perm(text: str) -> SignedPerm:
-    """Inverse of str(w): accepts '[2,-1,3]'."""
+    """Inverse of str(w): accepts '[2,-1,3]'; an entry is an optional '-' and ASCII digits."""
     s = text.strip()
     images = None
-    if s.startswith("[") and s.endswith("]"):
+    if re.fullmatch(r"\[\s*-?[0-9]+\s*(,\s*-?[0-9]+\s*)*\]", s):
         try:
-            images = tuple(int(part) for part in s[1:-1].split(","))
-        except ValueError:  # an empty, non-integer or missing entry
+            images = tuple(map(int, s[1:-1].split(",")))
+        except ValueError:  # an entry with more digits than int() converts
             pass
     if images is None:
         raise ValueError(f"cannot parse signed permutation {text!r}")
@@ -211,47 +212,17 @@ def act_on_root(w: SignedPerm, alpha: Root) -> SignedRoot:
 
 
 def inversion_set(w: SignedPerm) -> RootSet:
-    """The set of positive roots sent into the negatives by w^{-1}, computed
-    by direct action; its size is the Coxeter length of w."""
+    """The set of positive roots sent into the negatives by w^{-1}, read off
+    the rows of _row; its size is the Coxeter length of w."""
     n = w.rank
     return RootSet(n, _inversion_mask(w.images, n))
 
 
 def _inversion_mask(images: tuple[int, ...], n: int) -> int:
-    """Bitmask of the inversion set, from the signed one-line images.
-
-    Walks every positive root beta and records -w(beta) whenever w(beta) is
-    negative; that map is a bijection onto the inversion set.
-    """
-    d_idx, s_idx, l_idx = _index_tables(n)
-    mask = 0
-    for i in range(1, n + 1):
-        u = images[i - 1]
-        au = abs(u)
-        if u < 0:
-            mask |= 1 << l_idx[au]
-        for j in range(i + 1, n + 1):
-            v = images[j - 1]
-            av = abs(v)
-            # beta = e_i - e_j, image u - v
-            if u > 0 and v > 0:
-                if au > av:
-                    mask |= 1 << d_idx[av][au]
-            elif u < 0 and v > 0:
-                mask |= 1 << s_idx[min(au, av)][max(au, av)]
-            elif u < 0:  # u > 0 > v makes u - v positive
-                if au < av:
-                    mask |= 1 << d_idx[au][av]
-            # beta = e_i + e_j, image u + v
-            if u < 0 and v < 0:
-                mask |= 1 << s_idx[min(au, av)][max(au, av)]
-            elif u < 0 and v > 0:
-                if au < av:
-                    mask |= 1 << d_idx[au][av]
-            elif u > 0 and v < 0:
-                if av < au:
-                    mask |= 1 << d_idx[av][au]
-    return mask
+    """Bitmask of the inversion set: the sum, as in _expand, of the rows of
+    _row at the positions, flipped where the image is negative."""
+    rows = _word_rows(n, [abs(u) for u in images])
+    return sum(row[u < 0] for u, row in zip(images, rows))
 
 
 def length(w: SignedPerm) -> int:
@@ -324,10 +295,10 @@ def _word_from_inversion_mask(mask: int, n: int) -> Optional[tuple[int, ...]]:
 
 
 def _row(n: int, v: int, later: int) -> tuple[int, int]:
-    """(plus, minus): the inversions of the roots whose first slot holds the
-    value v, unflipped and flipped, when later is the value mask of the
-    letters after it (bit q - 1 for the value q).  Built from the root index;
-    _iter_rows, _length_histogram and ce._unharmonic_rows read rows here."""
+    """(plus, minus): the inversions of the roots whose first slot holds the value v,
+    unflipped and flipped, when later is the value mask of the letters after it (bit
+    q - 1 for the value q).  Built from the root index; read by _word_rows (for
+    _iter_rows and _inversion_mask), _length_histogram and ce._unharmonic_rows."""
     d_idx, s_idx, l_idx = _index_tables(n)
     up, down = 0, 1 << l_idx[v]
     for q in range(1, n + 1):
@@ -338,6 +309,15 @@ def _row(n: int, v: int, later: int) -> tuple[int, int]:
             else:
                 down |= (1 << s_idx[v][q]) | (1 << d_idx[v][q])
     return up, down
+
+
+def _word_rows(n: int, word) -> list[tuple[int, int]]:
+    """(plus, minus) of _row at each position of word, with the letters after it."""
+    rows, later = [], 0
+    for v in reversed(word):
+        rows.append(_row(n, v, later))
+        later |= 1 << (v - 1)
+    return rows[::-1]
 
 
 def _iter_rows(n: int):
@@ -353,12 +333,7 @@ def _iter_rows(n: int):
     value at position i."""
     check_rank(n)
     for word in itertools.permutations(range(1, n + 1)):
-        rows, later = [], 0
-        for v in reversed(word):
-            rows.append(_row(n, v, later))
-            later |= 1 << (v - 1)
-        plus, minus = map(list, zip(*reversed(rows)))
-        yield word, plus, minus
+        yield word, *map(list, zip(*_word_rows(n, word)))
 
 
 def _row_tables(n: int) -> tuple[list[list[int]], list[list[int]]]:

@@ -1,6 +1,7 @@
 """Cochain-level test oracles: sparse cochains, the differential on them, d*
-over every decomposition of every root, and the inversion-set and pair
-cocycles.  No command builds any of these."""
+over every decomposition of every root, the inversion set by the action on
+the roots, and the inversion-set and pair cocycles.  No command builds any of
+these."""
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -8,8 +9,8 @@ from dataclasses import dataclass, field
 from spcohom.ce import _d_monomial, _decompositions, _norms
 from spcohom.correspondence import _rho_table
 from spcohom.ideals import IncreasingSet
-from spcohom.roots import _mask_key, num_diffs
-from spcohom.weyl import Perm, SignedPerm, _inversion_mask, _perm_inversion_mask
+from spcohom.roots import _mask_key, num_diffs, positive_roots, root_index
+from spcohom.weyl import Perm, SignedPerm, act_on_root, _perm_inversion_mask
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,23 @@ def dstar_over_decompositions(n: int, key: tuple[int, ...], scale: int) -> dict:
     return out
 
 
+def action_mask(w: SignedPerm) -> int:
+    """The inversion set's reference, from its definition: the bitmask of
+    -w(beta) over the positive roots beta with w(beta) negative."""
+    index = root_index(w.rank)
+    mask = 0
+    for beta in positive_roots(w.rank):
+        image = act_on_root(w, beta)
+        if image.sign < 0:
+            mask |= 1 << index[image.root]
+    return mask
+
+
 def monomial_cocycle(w: SignedPerm) -> Cochain:
     """The wedge of the duals of the inversion set of w, coefficient 1, in
     canonical order; a closed cochain whose class is a cohomology basis
     element."""
-    n = w.rank
-    return Cochain.monomial(n, _mask_key(_inversion_mask(w.images, n)))
+    return Cochain.monomial(w.rank, _mask_key(action_mask(w)))
 
 
 def _sort_parity(seq: list[int]) -> tuple[tuple[int, ...], int]:

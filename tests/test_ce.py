@@ -422,7 +422,7 @@ def test_a_c4_that_flags_every_monomial_fails_the_laplacian_and_closed(monkeypat
     failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
     assert set(failed) == {"laplacian-scalar", "cocycles-closed"}
     assert failed["cocycles-closed"] == {
-        "elements": group_order(n),
+        "rows": n * 2**n,
         "not_harmonic": 0,
         "laplacian_scalar": False,
     }
@@ -471,7 +471,7 @@ def test_a_corrupted_row_fails_closed_and_independent(monkeypatch, n, fault):
     }
     assert failed == {
         "cocycles-closed": {
-            "elements": group_order(n),
+            "rows": n * 2**n,
             "not_harmonic": 1,
             "laplacian_scalar": True,
         },
@@ -491,10 +491,28 @@ def test_cocycles_closed_needs_the_laplacian_certificate(monkeypatch):
     failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
     assert set(failed) == {"laplacian-scalar", "cocycles-closed"}
     assert failed["cocycles-closed"] == {
-        "elements": group_order(n),
+        "rows": n * 2**n,
         "not_harmonic": 0,
         "laplacian_scalar": False,
     }
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_cocycles_closed_reports_the_rows_it_read(monkeypatch, n):
+    # two rows a call of weyl._row, one call per pair (v, later) with v not
+    # in later: n 2^n rows, counted where ce reads them
+    scan = correspondence.verify_bijection(n)
+    real = weyl._row
+    calls = []
+
+    def counted(rank, v, later):
+        calls.append((v, later))
+        return real(rank, v, later)
+
+    monkeypatch.setattr(weyl, "_row", counted)
+    record = _records(n, bijection=scan)["cocycles-closed"]
+    assert record.passed
+    assert record.detail["rows"] == 2 * len(calls) == n * 2**n
 
 
 def test_a_wrong_scan_histogram_fails_class_count_per_degree():

@@ -480,9 +480,13 @@ def test_witness_cap_refuses_before_parsing(monkeypatch, capsys):
     assert captured.err == f"error: rank {n} exceeds the witness cap {cli.WITNESS_CAP}\n"
 
 
-@pytest.mark.parametrize("witness", ["[]", "[1,,2]", "[1.5,2]"])
+@pytest.mark.parametrize(
+    "witness", ["[]", "[1,,2]", "[1.5,2]", "[\uff11,2,3]", "[+1,2,3]", "[1_0,2,3]"]
+)
 def test_malformed_witness_is_a_usage_error(capsys, witness):
-    assert main(["bijection", "--rank", "2", "--witness", witness]) == 2
+    # the rank is the number of entries, so that only the parse can refuse
+    rank = str(witness.count(",") + 1)
+    assert main(["bijection", "--rank", rank, "--witness", witness]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot parse signed permutation {witness!r}\n"

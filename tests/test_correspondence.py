@@ -25,7 +25,7 @@ from spcohom.correspondence import (
 )
 from spcohom.errors import ConsistencyError
 from spcohom.ideals import IncreasingSet, _profile_from_mask, enumerate_increasing
-from spcohom.roots import RootSet, long, positive_roots, root_index, sum_root
+from spcohom.roots import RootSet, diff, long, positive_roots, root_index, sum_root
 from spcohom.weyl import (
     Perm,
     SignedPerm,
@@ -788,6 +788,36 @@ def test_swapped_masks_of_one_word_match_a_per_element_evaluation(
     assert counts == expected
     # the rows check sees the swap, so every permutation runs the element loop
     assert result["per_element_perms"] == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("fault", ["swapped", "overlapping"])
+def test_distinct_pairs_count_the_walked_keys_under_a_row_fault(monkeypatch, n, fault):
+    # "swapped": the two rows of the value 2 with no letter after it swap, so
+    # the elements of the words ending in 2 trade masks across that flip and
+    # the walked keys stay distinct.  "overlapping": the unflipped row of the
+    # value 1 with no letter after it takes e2-e3, which the row of 3 holds
+    # when 2 is after it, so those rows carry when summed.  The round trips
+    # of the failed keys read the same rows as the walk, in the same sum, so
+    # distinct_pairs is the number of walked keys
+    extra = 1 << root_index(n)[diff(2, 3)]
+    if fault == "swapped":
+        patched = lambda v, later, up, down: (down, up) if (v, later) == (2, 0) else (up, down)
+    else:
+        patched = lambda v, later, up, down: (up ^ extra, down) if (v, later) == (1, 0) else (up, down)
+    _patch_row(monkeypatch, patched)
+    phi0_all = (1 << n * (n - 1) // 2) - 1
+    keys = set()
+    for _word, _jmask, mask in _walked_elements(n):
+        entry = correspondence._sym_entry(mask & phi0_all, n)
+        xi = entry and _bitwise_relabel(mask, entry[1], n)
+        if xi in correspondence._recipes(n):
+            keys.add((entry[0], xi))
+    if fault == "swapped":
+        assert len(keys) == 2**n * math.factorial(n)
+    report = verify_bijection(n)
+    assert report.data["distinct_pairs"] == len(keys)
+    assert not {r.check_id: r for r in report.records}["pair-injective"].passed
 
 
 @pytest.mark.parametrize("n", [3, 4])

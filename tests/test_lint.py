@@ -1,4 +1,4 @@
-"""Six source rules checked with the standard library alone: every line of
+"""Seven source rules checked with the standard library alone: every line of
 the package fits in 100 columns, every name a module imports at top level is
 used in that module (__init__.py included, since the package root re-exports
 nothing), every private name a module defines at top level is referenced
@@ -7,7 +7,10 @@ non-dunder method of the package is referenced somewhere in src/, tests/ or
 perfbench/, no module imports multiprocessing, concurrent or threading, at
 any level: every command runs in one process and one thread, and no module
 but correspondence.py references weyl._iter_rows outside weyl.py: the group
-is walked in one place, the scan's element loop."""
+is walked in one place, the scan's element loop, and inside weyl.py only
+_row, _row_tables and _diff_offsets read the root index (_index_tables): an
+inversion set is read off the rows, so no second hand-written inversion map
+comes back unnoticed."""
 
 import ast
 from pathlib import Path
@@ -136,6 +139,16 @@ def test_only_the_scan_walks_the_group():
         if "_iter_rows" in {*_references(tree), *_imported_names(tree)}:
             walkers.add(path.name)
     assert walkers - {"weyl.py"} == {"correspondence.py"}
+
+
+def test_only_the_row_functions_read_the_root_index_in_weyl():
+    tree = ast.parse((Path(spcohom.__file__).parent / "weyl.py").read_text(encoding="utf-8"))
+    readers = {
+        getattr(node, "name", type(node).__name__)
+        for node in tree.body
+        if not isinstance(node, ast.ImportFrom) and "_index_tables" in set(_references(node))
+    }
+    assert readers == {"_row", "_row_tables", "_diff_offsets"}
 
 
 def test_the_lint_sees_every_module():

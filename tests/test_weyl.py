@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from cochains import action_mask
 from spcohom import weyl
 from spcohom.cli import main
 from spcohom.errors import ConsistencyError, RankCapError
@@ -84,6 +85,7 @@ def test_signed_perm_fields():
     assert w.negated == frozenset({1})
     assert str(w) == "[2,-1,3]"
     assert parse_signed_perm("[2,-1,3]") == w
+    assert parse_signed_perm(" [ 2 , -1,3 ] ") == w
     assert w.inverse().compose(w) == SignedPerm.identity(3)
 
 
@@ -151,8 +153,7 @@ def test_perm_inversions_examples():
     # oracle value: the direct action on sigma = (3,1,2) inverts exactly
     # {e1-e3, e2-e3}; the closed form must match it
     sigma = Perm((3, 1, 2))
-    expected = inversion_set(SignedPerm(sigma.images))
-    assert perm_inversions(sigma).mask == expected.mask
+    assert perm_inversions(sigma).mask == action_mask(SignedPerm(sigma.images))
     assert perm_inversions(sigma).to_strings() == ["e1-e3", "e2-e3"]
 
 
@@ -331,7 +332,7 @@ def test_walk_masks_match_direct_action(n):
         assert len(masks) == 2**n
         for pset, mask in enumerate(masks):
             img = tuple(-v if pset >> p & 1 else v for p, v in enumerate(word))
-            assert _inversion_mask(img, n) == mask
+            assert action_mask(SignedPerm(img)) == mask
             jmask = sum(1 << (v - 1) for v in word if -v in img)
             assert _sign_patterns(word)[pset] == jmask
             seen.add(img)
@@ -341,9 +342,29 @@ def test_walk_masks_match_direct_action(n):
 
 
 @pytest.mark.parametrize("n", range(1, 6))
+def test_inversion_mask_matches_the_action(n):
+    for w in enumerate_group(n):
+        assert _inversion_mask(w.images, n) == action_mask(w)
+
+
+def test_inversion_mask_reads_one_row_a_position(monkeypatch):
+    real = weyl._row
+    calls = []
+
+    def counted(rank, v, later):
+        calls.append((v, later))
+        return real(rank, v, later)
+
+    monkeypatch.setattr(weyl, "_row", counted)
+    assert _inversion_mask((3, -1, 4, -2), 4) == action_mask(SignedPerm((3, -1, 4, -2)))
+    assert calls == [(2, 0), (4, 0b10), (1, 0b1010), (3, 0b1011)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
 def test_expanded_rows_match_the_inversion_set(n):
-    # _expand(plus, minus)[P] is the definitional inversion set of the
-    # element whose values at the positions in P are negated
+    # _expand(plus, minus)[P], the walk's subset doubling, is inversion_set's
+    # sum of the rows of the element whose values at the positions in P are
+    # negated
     for word, plus, minus in _iter_rows(n):
         for pset, mask in enumerate(_expand(plus, minus)):
             img = tuple(-v if pset >> p & 1 else v for p, v in enumerate(word))
