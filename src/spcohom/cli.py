@@ -28,7 +28,9 @@ the document and chooses exit code 1 when one of its checks failed.
 Start-up loads only errors and report.  Each handler imports the modules it
 runs, and the writer the one format it writes, so --help compiles no command
 module, bijection never compiles ce, liealg or poincare, and verify compiles
-ce only at or under the cohomology cap.  Every command runs in one process.
+ce only at or under the cohomology cap.  The group and cohomology caps are
+read from roots and checked before a handler imports anything, so a refusal
+at either compiles no command module.  Every command runs in one process.
 
 Output is deterministic: iteration orders are fixed, nothing is sampled, and
 no timing enters a report.  It is written to its destination, the --out file
@@ -155,6 +157,21 @@ def _validate_args(args: argparse.Namespace) -> None:
 # -- command handlers ---------------------------------------------------------
 
 
+def _check_group_cap(n: int) -> None:
+    """weyl.check_group_cap's refusal, from roots: a handler calls it before
+    it imports a command module, so a refusal compiles none."""
+    from .roots import DEFAULT_GROUP_CAP, check_cap
+
+    check_cap(n, DEFAULT_GROUP_CAP, "group enumeration")
+
+
+def _check_cohomology_cap(n: int) -> None:
+    """The cohomology cap that ce's entry points refuse above, checked the same way."""
+    from .roots import DEFAULT_COHOMOLOGY_CAP, check_cap
+
+    check_cap(n, DEFAULT_COHOMOLOGY_CAP, "cohomology")
+
+
 def _listing_csv(items: list[dict]) -> Iterator[list]:
     """A nonempty listing as CSV rows: its keys as the header, then one row
     per item, with list fields joined by spaces as in ideals --list."""
@@ -184,12 +201,14 @@ def _cmd_ideals(args: argparse.Namespace):
 
 
 def _cmd_weyl(args: argparse.Namespace):
-    from . import poincare, weyl
     from .roots import check_cap
 
     n = args.rank
     if args.list_items:
         check_cap(n, LIST_CAPS["weyl"], "weyl listing")
+    _check_group_cap(n)
+    from . import poincare, weyl
+
     hist = poincare.weyl_length_histogram(n)
     data = {"order": weyl.group_order(n), "length_histogram": list(hist.coeffs)}
     report = VerificationReport(n, data=data)
@@ -227,6 +246,8 @@ def _cmd_structure(args: argparse.Namespace):
 
 
 def _cmd_bijection(args: argparse.Namespace):
+    if args.witness is None:
+        _check_group_cap(args.rank)
     from . import correspondence
 
     if args.witness is not None:
@@ -235,12 +256,14 @@ def _cmd_bijection(args: argparse.Namespace):
 
 
 def _cmd_betti(args: argparse.Namespace):
-    from . import ce, poincare
     from .roots import check_cap
 
     n = args.rank
     if args.per_weight:
         check_cap(n, LIST_CAPS["betti"], "betti listing")
+    _check_cohomology_cap(n)
+    from . import ce, poincare
+
     betti = ce.betti_numbers(n)
     report = VerificationReport(rank=n)
     ce.add_laplacian_record(report)
@@ -257,6 +280,7 @@ def _cmd_betti(args: argparse.Namespace):
 
 
 def _cmd_classes(args: argparse.Namespace):
+    _check_cohomology_cap(args.rank)
     from . import ce
 
     return ce.verify_cohomology_basis(args.rank), None
@@ -305,11 +329,11 @@ def verify_all(args: argparse.Namespace):
     """The verify command: the consolidated verification suite, in
     dependency order, with no CSV rows.  A rank above the group cap fails
     before the 2^n ideals are listed."""
-    from . import correspondence, ideals, poincare, weyl
+    n = args.rank
+    _check_group_cap(n)
+    from . import correspondence, ideals, poincare
     from .roots import DEFAULT_COHOMOLOGY_CAP
 
-    n = args.rank
-    weyl.check_group_cap(n)
     report = VerificationReport(rank=n)
 
     # distinct member sets, so that an ideal listed twice cannot stand in for another

@@ -147,6 +147,10 @@ def check_rank(n: int) -> None:
         raise InvalidRankError(f"rank must be a positive integer, got {n!r}")
 
 
+# Highest rank of the group's 2^n * n! elements, enumerated or counted
+# (verify, bijection, weyl; weyl.check_group_cap), read without compiling weyl.
+DEFAULT_GROUP_CAP = 8
+
 # Highest rank whose cochain complex is built (betti, classes, and verify's
 # cohomology records), read without compiling ce.
 DEFAULT_COHOMOLOGY_CAP = 6

@@ -16,6 +16,7 @@ from typing import Iterator, Optional
 
 from .errors import ConsistencyError
 from .roots import (
+    DEFAULT_GROUP_CAP,
     DIFF,
     Frozen,
     Root,
@@ -30,8 +31,6 @@ from .roots import (
     _index_tables,
     _set,
 )
-
-DEFAULT_GROUP_CAP = 8
 
 
 class Perm(Frozen):
@@ -301,13 +300,15 @@ def _row(n: int, v: int, later: int) -> tuple[int, int]:
     _iter_rows and _inversion_mask), _length_histogram and ce._unharmonic_rows."""
     d_idx, s_idx, l_idx = _index_tables(n)
     up, down = 0, 1 << l_idx[v]
-    for q in range(1, n + 1):
-        if later >> (q - 1) & 1:
-            if q < v:
-                up |= 1 << d_idx[q][v]
-                down |= 1 << s_idx[q][v]
-            else:
-                down |= (1 << s_idx[v][q]) | (1 << d_idx[v][q])
+    while later:
+        low = later & -later
+        later ^= low
+        q = low.bit_length()
+        if q < v:
+            up |= 1 << d_idx[q][v]
+            down |= 1 << s_idx[q][v]
+        else:
+            down |= (1 << s_idx[v][q]) | (1 << d_idx[v][q])
     return up, down
 
 

@@ -659,11 +659,11 @@ def test_listing_caps_allow_up_to_the_cap(tmp_path, monkeypatch):
 
 # (argv, cap, name): every cap the CLI applies, with the name its message uses
 _EVERY_CAP = [
-    (["verify"], weyl.DEFAULT_GROUP_CAP, "group enumeration"),
-    (["bijection"], weyl.DEFAULT_GROUP_CAP, "group enumeration"),
-    (["weyl"], weyl.DEFAULT_GROUP_CAP, "group enumeration"),
-    (["betti"], ce.DEFAULT_COHOMOLOGY_CAP, "cohomology"),
-    (["classes"], ce.DEFAULT_COHOMOLOGY_CAP, "cohomology"),
+    (["verify"], roots.DEFAULT_GROUP_CAP, "group enumeration"),
+    (["bijection"], roots.DEFAULT_GROUP_CAP, "group enumeration"),
+    (["weyl"], roots.DEFAULT_GROUP_CAP, "group enumeration"),
+    (["betti"], roots.DEFAULT_COHOMOLOGY_CAP, "cohomology"),
+    (["classes"], roots.DEFAULT_COHOMOLOGY_CAP, "cohomology"),
     (["ideals"], ideals.IDEAL_CAP, "ideal enumeration"),
     (["ideals", "--list"], cli.LIST_CAPS["ideals"], "ideals listing"),
     (["weyl", "--list"], cli.LIST_CAPS["weyl"], "weyl listing"),

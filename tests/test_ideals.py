@@ -1,10 +1,14 @@
 import itertools
+import json
 import random
 
 import pytest
 
-from spcohom import ideals
+from spcohom import correspondence, ideals
+from spcohom.cli import main
+from spcohom.errors import RankCapError
 from spcohom.ideals import (
+    IDEAL_CAP,
     IncreasingSet,
     dimension_histogram,
     enumerate_increasing,
@@ -16,6 +20,7 @@ from spcohom.poincare import ideal_generating
 from spcohom.roots import (
     RootSet,
     _addable,
+    _index_tables,
     diff,
     long,
     num_diffs,
@@ -164,9 +169,29 @@ def test_increasing_iff_abelian_ideal_sampled_rank6():
 _PASSING = {"exclusion_violations": 0, "order_mismatches": 0, "ideals_rejected": 0}
 
 
-@pytest.mark.parametrize("n", [*range(1, 9), 14])
+@pytest.mark.parametrize("n", [*range(1, 9), 14, 16])
 def test_order_certificate_passes(n):
     assert order_certificate(n) == _PASSING
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_order_certificate_runs_no_predicate_and_builds_no_set(monkeypatch, n):
+    # the staircases are decided from the closure masks alone
+    def refused(*args):
+        raise AssertionError("the certificate ran a predicate or built a value object")
+
+    for name in ("is_abelian_ideal_combinatorial", "_closed_under", "IncreasingSet", "RootSet"):
+        monkeypatch.setattr(ideals, name, refused)
+    assert order_certificate(n) == _PASSING
+
+
+def test_order_certificate_refuses_above_the_ideal_cap_before_any_table(monkeypatch):
+    def no_table(rank):
+        raise AssertionError("_addable was built above the ideal cap")
+
+    monkeypatch.setattr(ideals, "_addable", no_table)
+    with pytest.raises(RankCapError):
+        order_certificate(IDEAL_CAP + 1)
 
 
 def _patched_addable(monkeypatch, n, a, drop=None, add=None):
@@ -213,6 +238,9 @@ def test_order_certificate_fails_when_a_sums_root_is_addable(monkeypatch, n):
     faults = order_certificate(n)
     assert faults["exclusion_violations"] == 1
     assert faults["order_mismatches"] == 0
+    # as the predicate does, the walk rejects the one staircase holding both
+    # 2e_1 and 2e_n, the full one
+    assert faults["ideals_rejected"] == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -230,15 +258,53 @@ def test_order_certificate_fails_when_precedes_is_perturbed(monkeypatch, n, chan
     assert faults["exclusion_violations"] == faults["ideals_rejected"] == 0
 
 
-def test_order_certificate_runs_the_predicate_on_every_enumerated_ideal(monkeypatch):
-    # a predicate that rejects the full staircase, whatever the tables say
-    n = 4
-    full = max(psi.members.mask for psi in enumerate_increasing(n))
-    real = ideals.is_abelian_ideal_combinatorial
-    monkeypatch.setattr(
-        ideals, "is_abelian_ideal_combinatorial", lambda s: s.mask != full and real(s)
-    )
+def _walk_changing_the_full_staircase(monkeypatch, n, change):
+    """Make the staircase walk yield change(mask) in place of the full staircase."""
+    real = ideals._mask_from_profile
+    full = (n,) * n
+
+    def walked(profile, rank):
+        mask = real(profile, rank)
+        return change(mask) if tuple(profile) == full else mask
+
+    monkeypatch.setattr(ideals, "_mask_from_profile", walked)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_order_certificate_rejects_a_walked_set_that_is_not_closed(monkeypatch, n):
+    # the full staircase without 2e_1, the top of the order: every other
+    # member reaches 2e_1, and the tables are untouched
+    _, _, l_idx = _index_tables(n)
+    _walk_changing_the_full_staircase(monkeypatch, n, lambda mask: mask & ~(1 << l_idx[1]))
     assert order_certificate(n) == {**_PASSING, "ideals_rejected": 1}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_order_certificate_rejects_a_walked_set_with_a_difference(monkeypatch, n):
+    # e_1 - e_2 is bit 0; the set is rejected, not looked up in the closure
+    _walk_changing_the_full_staircase(monkeypatch, n, lambda mask: mask | 1)
+    assert order_certificate(n) == {**_PASSING, "ideals_rejected": 1}
+
+
+def test_a_walked_set_with_a_difference_fails_verify(monkeypatch, capsys):
+    n = 3
+    real = ideals._mask_from_profile
+    _walk_changing_the_full_staircase(monkeypatch, n, lambda mask: mask | 1)
+    # the scan imports the walk by name: it keeps the real one
+    monkeypatch.setattr(correspondence, "_mask_from_profile", real)
+    assert main(["verify", "--rank", str(n)]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    # ideal-count still counts 2^n distinct sets
+    failed = {c["id"]: c["detail"] for c in json.loads(out)["checks"] if not c["pass"]}
+    assert failed == {
+        "increasing-vs-root-addition": {
+            "mode": "certificate",
+            "subsets_checked": 1 << n,
+            **_PASSING,
+            "ideals_rejected": 1,
+        }
+    }
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -12,11 +12,12 @@ import sys
 import pytest
 
 import spcohom
+from spcohom.roots import DEFAULT_COHOMOLOGY_CAP, DEFAULT_GROUP_CAP
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(spcohom.__file__)))
 
 
-def _imported(args: list[str]) -> set[str]:
+def _imported(args: list[str], code: int) -> set[str]:
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
         capture_output=True,
@@ -24,19 +25,25 @@ def _imported(args: list[str]) -> set[str]:
         env={**os.environ, "PYTHONPATH": SRC},
         timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
     return {line.rpartition("|")[2].strip() for line in lines[1:]}  # [0] is the header
 
 
 @functools.lru_cache(maxsize=None)
 def _at_start_up() -> frozenset[str]:
-    return frozenset(_imported(["-c", "pass"]))
+    return frozenset(_imported(["-c", "pass"], 0))
 
 
-def loaded(argv: list[str]) -> set[str]:
-    """The modules `python -m spcohom.cli *argv` loads beyond start-up."""
-    return _imported(["-m", "spcohom.cli", *argv]) - _at_start_up()
+def loaded(argv: list[str], code: int = 0) -> set[str]:
+    """The modules `python -m spcohom.cli *argv`, exiting with code, loads
+    beyond start-up."""
+    return _imported(["-m", "spcohom.cli", *argv], code) - _at_start_up()
+
+
+COMMAND_MODULES = {
+    f"spcohom.{m}" for m in ("ce", "correspondence", "ideals", "liealg", "poincare", "weyl")
+}
 
 
 def test_help_loads_no_command_module():
@@ -50,6 +57,22 @@ def test_bijection_loads_no_cohomology_module():
     mods = loaded(["bijection", "--rank", "3"])
     assert "spcohom.correspondence" in mods
     assert mods & {"spcohom.ce", "spcohom.liealg", "spcohom.poincare"} == set()
+
+
+@pytest.mark.parametrize(
+    "command, cap",
+    [
+        ("verify", DEFAULT_GROUP_CAP),
+        ("bijection", DEFAULT_GROUP_CAP),
+        ("weyl", DEFAULT_GROUP_CAP),
+        ("betti", DEFAULT_COHOMOLOGY_CAP),
+        ("classes", DEFAULT_COHOMOLOGY_CAP),
+    ],
+)
+def test_a_refusal_at_the_group_or_cohomology_cap_loads_no_command_module(command, cap):
+    mods = loaded([command, "--rank", str(cap + 1)], code=2)
+    assert "spcohom.roots" in mods
+    assert mods & COMMAND_MODULES == set()
 
 
 @pytest.mark.parametrize("n, loads_ce", [(3, True), (7, False)])
