@@ -28,9 +28,9 @@ the document and chooses exit code 1 when one of its checks failed.
 Start-up loads only errors and report.  Each handler imports the modules it
 runs, and the writer the one format it writes, so --help compiles no command
 module, bijection never compiles ce, liealg or poincare, and verify compiles
-ce only at or under the cohomology cap.  The group and cohomology caps are
-read from roots and checked before a handler imports anything, so a refusal
-at either compiles no command module.  Every command runs in one process.
+ce only at or under the cohomology cap.  Every cap is read from roots and
+checked before a handler imports anything, so a refusal compiles no command
+module.  Every command runs in one process.
 
 Output is deterministic: iteration orders are fixed, nothing is sampled, and
 no timing enters a report.  It is written to its destination, the --out file
@@ -53,26 +53,6 @@ from typing import Iterator, Optional
 from .errors import ConsistencyError, InvalidRankError, RankCapError
 from .report import VerificationReport
 
-# Highest rank whose listing is built, per command (--list, or --per-weight
-# for betti).  The listing is held in memory while it is written out, so
-# these keep peak RSS under about 1 GB (measurements in CHANGES.md): one rank
-# more doubles the ideals, multiplies the elements by 16 and the weight
-# blocks by 39 (9,791,868 at rank 6).
-LIST_CAPS = {"ideals": 17, "weyl": 7, "betti": 5}
-
-# Highest rank of the structure command.  Its table has O(n^3) nonzero
-# brackets, found by a sparse join of the root vectors' entries
-# (liealg.structure_table), so time and the report grow about as n^3: rank 14
-# takes 0.12 s, 19 MB and a 0.26 MB report; in-process, rank 24 took 0.19 s
-# and 1.4 MB, rank 32 0.55 s and 3.5 MB.  Neither time nor memory forces 14;
-# a higher cap is left to a measured need.
-STRUCTURE_CAP = 14
-
-# Highest rank of bijection --witness.  The trace lists the inversion set and
-# its parts, up to n^2 roots each, so time and memory grow at least as n^2:
-# rank 256 takes 0.6 s, 46 MB and a 1.7 MB report, rank 500 took 3.8 s and
-# 135 MB.
-WITNESS_CAP = 256
 
 # The commands whose output is a report, which has no tabular form.
 NO_CSV = ("bijection", "classes", "verify")
@@ -124,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_args(args: argparse.Namespace) -> None:
     """Validate all user input and replace args.witness by the SignedPerm it
     parses to; a ValueError here is a usage error."""
-    from .roots import check_cap, check_rank
+    from .roots import WITNESS_CAP, check_cap, check_rank
 
     if args.out == "":
         raise ValueError("--out needs a file path")
@@ -181,12 +161,14 @@ def _listing_csv(items: list[dict]) -> Iterator[list]:
 
 
 def _cmd_ideals(args: argparse.Namespace):
-    from . import ideals
-    from .roots import check_cap
+    from .roots import IDEAL_CAP, LIST_CAPS, check_cap
 
     n = args.rank
     if args.list_items:
         check_cap(n, LIST_CAPS["ideals"], "ideals listing")
+    check_cap(n, IDEAL_CAP, "ideal enumeration")
+    from . import ideals
+
     hist = ideals.dimension_histogram(n)
     data = {"count": sum(hist.coeffs), "histogram": list(hist.coeffs)}
     report = VerificationReport(n, data=data)
@@ -201,7 +183,7 @@ def _cmd_ideals(args: argparse.Namespace):
 
 
 def _cmd_weyl(args: argparse.Namespace):
-    from .roots import check_cap
+    from .roots import LIST_CAPS, check_cap
 
     n = args.rank
     if args.list_items:
@@ -230,11 +212,12 @@ def _cmd_weyl(args: argparse.Namespace):
 
 
 def _cmd_structure(args: argparse.Namespace):
-    from . import liealg
-    from .roots import check_cap, positive_roots
+    from .roots import STRUCTURE_CAP, check_cap, positive_roots
 
     n = args.rank
     check_cap(n, STRUCTURE_CAP, "structure")
+    from . import liealg
+
     entries = liealg.structure_table(n).entries
     roots = positive_roots(n)
     rows = [
@@ -256,7 +239,7 @@ def _cmd_bijection(args: argparse.Namespace):
 
 
 def _cmd_betti(args: argparse.Namespace):
-    from .roots import check_cap
+    from .roots import LIST_CAPS, check_cap
 
     n = args.rank
     if args.per_weight:
@@ -287,10 +270,12 @@ def _cmd_classes(args: argparse.Namespace):
 
 
 def _cmd_poincare(args: argparse.Namespace):
-    from . import poincare
+    from .roots import POINCARE_CAP, check_cap
 
     n = args.rank
-    poincare.check_poincare_cap(n)
+    check_cap(n, POINCARE_CAP, "poincare")
+    from . import poincare
+
     wp = poincare.weyl_poincare(n)
     sp = poincare.sym_poincare(n)
     ig = poincare.ideal_generating(n)
@@ -336,8 +321,8 @@ def verify_all(args: argparse.Namespace):
 
     report = VerificationReport(rank=n)
 
-    # distinct member sets, so that an ideal listed twice cannot stand in for another
-    count = len({ideal.members.mask for ideal in ideals.enumerate_increasing(n)})
+    # distinct member sets, so that an ideal walked twice cannot stand in for another
+    count = len({mask for _profile, mask in ideals._staircases(n)})
     report.add(
         "ideal-count",
         "the number of abelian ideals equals 2^rank",

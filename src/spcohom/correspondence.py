@@ -45,7 +45,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError
-from .ideals import IncreasingSet, _mask_from_profile, _profile_from_mask, _profiles
+from .ideals import IncreasingSet, _mask_from_profile, _profile_from_mask, _staircases
 from .report import VerificationReport
 from .roots import Frozen, RootSet, num_diffs, positive_roots, _set
 from .weyl import (
@@ -266,10 +266,10 @@ def _recipes(n: int) -> dict[int, Optional[tuple[itemgetter, int]]]:
     k values at the tail of the permutation word, one per nonempty staircase
     row, puts the t-th, word[n - t], at position n + t - b_t for the t-th
     bound b_t, and fills the other positions with the rest of the word in
-    order; gather(word) is the unsigned word it builds."""
+    order; gather(word) is the unsigned word it builds.  The sets and their
+    profiles come from the one staircase walk, ideals._staircases."""
     out: dict[int, Optional[tuple[itemgetter, int]]] = {}
-    for profile in _profiles(n):
-        mask = _mask_from_profile(profile, n)
+    for profile, mask in _staircases(n):
         k = sum(b > t for t, b in enumerate(profile))
         places = [n + t - b for t, b in enumerate(profile[:k], start=1)]
         if any(not p < q <= n for p, q in zip([0] + places, places)):

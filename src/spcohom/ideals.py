@@ -5,14 +5,20 @@ of the sums-plus-longs under the dominance order.  Such a set is a staircase:
 row i holds e_i + e_j for i <= j <= b_i, the bounds b_1 >= b_2 >= ... are
 nonincreasing, and the nonempty rows form a prefix.  The boundary profile
 (b_1, ..., b_n), with b_i = i - 1 marking an empty row, is the cheap carrier
-for enumeration; there are exactly 2^n profiles.
+for enumeration; there are exactly 2^n profiles.  They are walked in one
+place, _staircases, which every consumer of the 2^n ideals reads.  It ORs
+one entry of the row table (_staircase_rows) per row, and that table is the
+one place that knows which bits a staircase row sets.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, Optional
 
 from .roots import (
+    IDEAL_CAP,
     Frozen,
     RootSet,
     check_cap,
@@ -25,8 +31,6 @@ from .roots import (
     _mask_key,
     _set,
 )
-
-IDEAL_CAP = 22
 
 
 class IncreasingSet(Frozen):
@@ -75,15 +79,27 @@ def _profile_valid(profile, n: int) -> bool:
     )
 
 
-def _mask_from_profile(profile, n: int) -> int:
+@lru_cache(maxsize=None)
+def _staircase_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The row table: entry [i][b], 1 <= i <= b <= n, is the mask of
+    staircase row i from 2e_i up to e_i + e_b, and entry [i][i - 1], the
+    empty row, is 0."""
     _, s_idx, l_idx = _index_tables(n)
+    rows = [()]
+    for i in range(1, n + 1):
+        bits = [1 << l_idx[i]] + [1 << s_idx[i][j] for j in range(i + 1, n + 1)]
+        # the bits are distinct, so each running sum is the row's mask up to e_b
+        rows.append((0,) * i + tuple(accumulate(bits)))
+    return tuple(rows)
+
+
+def _mask_from_profile(profile, n: int) -> int:
+    rows = _staircase_rows(n)
     mask = 0
     for i, b in enumerate(profile, start=1):
         if b < i:
             break
-        mask |= 1 << l_idx[i]
-        for j in range(i + 1, b + 1):
-            mask |= 1 << s_idx[i][j]
+        mask |= rows[i][b]
     return mask
 
 
@@ -110,37 +126,37 @@ def _profile_from_mask(mask: int, n: int) -> Optional[tuple[int, ...]]:
     return tuple(profile)
 
 
-def _profile_dimension(profile) -> int:
-    return sum(b - i + 1 for i, b in enumerate(profile, start=1) if b >= i)
-
-
 def check_ideal_cap(n: int) -> None:
     """Refuse to enumerate the 2^n staircase profiles above rank IDEAL_CAP."""
     check_cap(n, IDEAL_CAP, "ideal enumeration")
 
 
 def enumerate_increasing(n: int) -> Iterator[IncreasingSet]:
-    """All 2^n upward-closed subsets, via their profiles, deterministic order.
-    Refuses ranks above the ideal enumeration cap.  The profiles are
-    staircases by construction, and verify's order certificate decides the
-    mask of each one (the same _profiles walk) against the certified
-    closure, so they skip from_profile's check, which parses every set back
-    and would take 4x the enumeration's time."""
+    """All 2^n upward-closed subsets, in the order of _staircases.  Refuses
+    ranks above the ideal enumeration cap.  The walk yields staircases by
+    construction, and verify's order certificate decides each of its masks
+    against the certified closure, so they skip from_profile's check, which
+    parses every set back and would take 4x the enumeration's time."""
     check_ideal_cap(n)
-    for profile in _profiles(n):
-        yield IncreasingSet(n, RootSet(n, _mask_from_profile(profile, n)), profile)
+    for profile, mask in _staircases(n):
+        yield IncreasingSet(n, RootSet(n, mask), profile)
 
 
-def _profiles(n: int) -> Iterator[tuple[int, ...]]:
-    def rec(i: int, prev: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+def _staircases(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The 2^n (profile, mask) pairs, profiles in lexicographic order.  The
+    mask of a profile is its prefix's mask ORed with row i's entry of the
+    row table, one OR per recursion level."""
+    rows = _staircase_rows(n)
+
+    def rec(i: int, prev: int, acc: tuple[int, ...], mask: int):
         if i > n:
-            yield tuple(acc)
+            yield acc, mask
             return
-        yield tuple(acc + [t - 1 for t in range(i, n + 1)])
+        yield acc + tuple(range(i - 1, n)), mask
         for b in range(i, prev + 1):
-            yield from rec(i + 1, b, acc + [b])
+            yield from rec(i + 1, b, acc + (b,), mask | rows[i][b])
 
-    yield from rec(1, n, [])
+    yield from rec(1, n, (), 0)
 
 
 def is_increasing(s: RootSet) -> bool:
@@ -207,7 +223,7 @@ def order_certificate(n: int) -> dict[str, int]:
     rejected = (
         mask >> nd << nd != mask
         or any(reach[a] & ~mask or sums_addable[a] & mask for a in _mask_key(mask))
-        for mask in (_mask_from_profile(p, n) for p in _profiles(n))
+        for _profile, mask in _staircases(n)
     )
     return {
         "exclusion_violations": sum(b >= nd for a in phi1 for b, _g in addable[a]),
@@ -222,7 +238,9 @@ def dimension_histogram(n: int):
     from .poincare import IntPolynomial
 
     check_ideal_cap(n)
-    coeffs = [0] * (n * (n + 1) // 2 + 1)
-    for profile in _profiles(n):
-        coeffs[_profile_dimension(profile)] += 1
+    # room for any set of the n^2 roots, so that a walked set holding a
+    # difference root shows in the histogram instead of raising
+    coeffs = [0] * (n * n + 1)
+    for _profile, mask in _staircases(n):
+        coeffs[mask.bit_count()] += 1
     return IntPolynomial.from_coeffs(coeffs)

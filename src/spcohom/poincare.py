@@ -24,14 +24,8 @@ import math
 
 from .errors import ConsistencyError
 from .report import VerificationReport
-from .roots import Frozen, check_cap, check_rank, num_diffs, _index_tables, _set
+from .roots import POINCARE_CAP, Frozen, check_cap, check_rank, num_diffs, _index_tables, _set
 from .weyl import check_group_cap, _diff_offsets, _expand, _length_histogram, _perm_row, _subset_dp
-
-# Highest rank of the poincare command.  Its polynomials have degree n^2 and
-# coefficients up to 2^n n!: rank 64 takes 0.7-1.2 s, 18 MB and a 1.8 MB
-# report on a 2-vCPU host, most of it the check's dense product, where rank
-# 100 took 4.3 s in-process.
-POINCARE_CAP = 64
 
 
 class IntPolynomial(Frozen):

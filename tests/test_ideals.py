@@ -10,6 +10,7 @@ from spcohom.errors import RankCapError
 from spcohom.ideals import (
     IDEAL_CAP,
     IncreasingSet,
+    _profile_from_mask,
     dimension_histogram,
     enumerate_increasing,
     is_abelian_ideal_combinatorial,
@@ -53,11 +54,19 @@ def test_enumerate_rank2():
     assert got == [[], ["2e1"], ["e1+e2", "2e1"], ["e1+e2", "2e1", "2e2"]]
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_enumerate_count_is_power_of_two(n):
     items = list(enumerate_increasing(n))
     assert len(items) == 1 << n
     assert len({i.members.mask for i in items}) == len(items)
+    # the walk against the bit-by-bit parse, which reads the root index and
+    # not the row table: each mask is the staircase of its profile, so 2^n
+    # distinct masks are all the staircases, and in lexicographic order
+    walked = list(ideals._staircases(n))
+    assert all(_profile_from_mask(mask, n) == profile for profile, mask in walked)
+    assert len({mask for _profile, mask in walked}) == 1 << n
+    assert [profile for profile, _mask in walked] == sorted(profile for profile, _mask in walked)
+    assert [(i.profile, i.members.mask) for i in items] == walked
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -260,14 +269,14 @@ def test_order_certificate_fails_when_precedes_is_perturbed(monkeypatch, n, chan
 
 def _walk_changing_the_full_staircase(monkeypatch, n, change):
     """Make the staircase walk yield change(mask) in place of the full staircase."""
-    real = ideals._mask_from_profile
+    real = ideals._staircases
     full = (n,) * n
 
-    def walked(profile, rank):
-        mask = real(profile, rank)
-        return change(mask) if tuple(profile) == full else mask
+    def walked(rank):
+        for profile, mask in real(rank):
+            yield profile, change(mask) if profile == full else mask
 
-    monkeypatch.setattr(ideals, "_mask_from_profile", walked)
+    monkeypatch.setattr(ideals, "_staircases", walked)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -288,14 +297,13 @@ def test_order_certificate_rejects_a_walked_set_with_a_difference(monkeypatch, n
 
 def test_a_walked_set_with_a_difference_fails_verify(monkeypatch, capsys):
     n = 3
-    real = ideals._mask_from_profile
-    _walk_changing_the_full_staircase(monkeypatch, n, lambda mask: mask | 1)
     # the scan imports the walk by name: it keeps the real one
-    monkeypatch.setattr(correspondence, "_mask_from_profile", real)
+    _walk_changing_the_full_staircase(monkeypatch, n, lambda mask: mask | 1)
     assert main(["verify", "--rank", str(n)]) == 1
     out, err = capsys.readouterr()
     assert "Traceback" not in err
-    # ideal-count still counts 2^n distinct sets
+    # ideal-count still counts 2^n distinct sets; the dimension histogram,
+    # which reads the same walk, counts the full staircase one root larger
     failed = {c["id"]: c["detail"] for c in json.loads(out)["checks"] if not c["pass"]}
     assert failed == {
         "increasing-vs-root-addition": {
@@ -303,8 +311,44 @@ def test_a_walked_set_with_a_difference_fails_verify(monkeypatch, capsys):
             "subsets_checked": 1 << n,
             **_PASSING,
             "ideals_rejected": 1,
-        }
+        },
+        "poincare.ideal-dimension-histogram": {
+            "enumerated": [1, 1, 1, 2, 1, 1, 0, 1],
+            "formula": [1, 1, 1, 2, 1, 1, 1],
+        },
     }
+
+
+def test_verify_builds_each_staircase_mask_from_a_profile_once(monkeypatch, capsys):
+    # every consumer reads the walk's masks; only the closed forms build
+    # theirs from a profile, one per set of flipped positions
+    n = 6
+    calls = []
+    real = ideals._mask_from_profile
+
+    def counted(profile, rank):
+        calls.append(profile)
+        return real(profile, rank)
+
+    for module in (ideals, correspondence):
+        monkeypatch.setattr(module, "_mask_from_profile", counted)
+    correspondence._recipes.cache_clear()
+    correspondence._closed_forms.cache_clear()
+    assert main(["verify", "--rank", str(n)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1 << n
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_ideal_count_builds_no_set(monkeypatch, capsys, n):
+    def refused(*args):
+        raise AssertionError("ideal-count built a value object")
+
+    for name in ("IncreasingSet", "RootSet"):
+        monkeypatch.setattr(ideals, name, refused)
+    assert main(["verify", "--rank", str(n)]) == 0
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["ideal-count"]["detail"] == {"count": 1 << n, "expected": 1 << n}
 
 
 @pytest.mark.parametrize("n", [2, 3])

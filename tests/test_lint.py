@@ -1,4 +1,4 @@
-"""Seven source rules checked with the standard library alone: every line of
+"""Eight source rules checked with the standard library alone: every line of
 the package fits in 100 columns, every name a module imports at top level is
 used in that module (__init__.py included, since the package root re-exports
 nothing), every private name a module defines at top level is referenced
@@ -10,7 +10,11 @@ but correspondence.py references weyl._iter_rows outside weyl.py: the group
 is walked in one place, the scan's element loop, and inside weyl.py only
 _row, _row_tables and _diff_offsets read the root index (_index_tables): an
 inversion set is read off the rows, so no second hand-written inversion map
-comes back unnoticed."""
+comes back unnoticed, and inside ideals.py only the row table
+(_staircase_rows) and the bit-by-bit parse (_profile_from_mask) read the
+root index, and no other module references the row table: which bits a
+staircase row sets is known in one place, and the parse stays independent
+of it."""
 
 import ast
 from pathlib import Path
@@ -141,14 +145,28 @@ def test_only_the_scan_walks_the_group():
     assert walkers - {"weyl.py"} == {"correspondence.py"}
 
 
-def test_only_the_row_functions_read_the_root_index_in_weyl():
-    tree = ast.parse((Path(spcohom.__file__).parent / "weyl.py").read_text(encoding="utf-8"))
-    readers = {
+def _root_index_readers(module: str) -> set[str]:
+    """The top-level definitions of module that reference _index_tables."""
+    tree = ast.parse((Path(spcohom.__file__).parent / module).read_text(encoding="utf-8"))
+    return {
         getattr(node, "name", type(node).__name__)
         for node in tree.body
         if not isinstance(node, ast.ImportFrom) and "_index_tables" in set(_references(node))
     }
-    assert readers == {"_row", "_row_tables", "_diff_offsets"}
+
+
+def test_only_the_row_functions_read_the_root_index_in_weyl():
+    assert _root_index_readers("weyl.py") == {"_row", "_row_tables", "_diff_offsets"}
+
+
+def test_only_the_row_table_knows_a_staircase_rows_bits():
+    assert _root_index_readers("ideals.py") == {"_staircase_rows", "_profile_from_mask"}
+    readers = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "_staircase_rows" in {*_references(tree), *_imported_names(tree)}:
+            readers.add(path.name)
+    assert readers == {"ideals.py"}
 
 
 def test_the_lint_sees_every_module():

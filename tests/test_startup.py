@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import spcohom
-from spcohom.roots import DEFAULT_COHOMOLOGY_CAP, DEFAULT_GROUP_CAP
+from test_cli import _EVERY_CAP, one_above
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(spcohom.__file__)))
 
@@ -59,18 +59,9 @@ def test_bijection_loads_no_cohomology_module():
     assert mods & {"spcohom.ce", "spcohom.liealg", "spcohom.poincare"} == set()
 
 
-@pytest.mark.parametrize(
-    "command, cap",
-    [
-        ("verify", DEFAULT_GROUP_CAP),
-        ("bijection", DEFAULT_GROUP_CAP),
-        ("weyl", DEFAULT_GROUP_CAP),
-        ("betti", DEFAULT_COHOMOLOGY_CAP),
-        ("classes", DEFAULT_COHOMOLOGY_CAP),
-    ],
-)
-def test_a_refusal_at_the_group_or_cohomology_cap_loads_no_command_module(command, cap):
-    mods = loaded([command, "--rank", str(cap + 1)], code=2)
+@pytest.mark.parametrize("argv, cap, what", _EVERY_CAP, ids=[" ".join(c[0]) for c in _EVERY_CAP])
+def test_a_refusal_at_any_cap_loads_no_command_module(argv, cap, what):
+    mods = loaded(one_above(argv, cap), code=2)
     assert "spcohom.roots" in mods
     assert mods & COMMAND_MODULES == set()
 
