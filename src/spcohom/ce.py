@@ -31,7 +31,7 @@ N 4c(mu) x.  Given the identity:
 Hence b_p = #{S : |S| = p, c(weight of S) = 0}, which _weight_dp counts over
 the roots without listing the 2^(n^2) monomials.  ChainComplex lists them and
 ranks every block by Bareiss elimination; it is the exact test oracle at ranks
-<= ORACLE_CAP and no command builds it.
+up to its cap, CAPS["cochain-complex"], and no command builds it.
 
 verify_cohomology_basis checks that each inversion-set monomial is harmonic
 on the n 2^n rows of weyl._row, not on the group.  Closedness then follows
@@ -50,9 +50,10 @@ from . import weyl
 from .correspondence import _MAX_WITNESSES, _witness_str, verify_bijection
 from .liealg import root_vector, structure_table
 from .report import CheckRecord, VerificationReport
-from .roots import DEFAULT_COHOMOLOGY_CAP, _mask_key, check_cap, positive_roots
+from .roots import CAPS, _mask_key, check_cap, positive_roots
 
-ORACLE_CAP = 4
+# An alias that only perfbench/trace_pass.py's replay reads; refusals read CAPS.
+DEFAULT_COHOMOLOGY_CAP = CAPS["cohomology"]
 
 
 @lru_cache(maxsize=None)
@@ -236,11 +237,11 @@ def _weight_dp(n: int, fold: bool) -> dict[int, int]:
     return states
 
 
-def betti_numbers(n: int, cap: int = DEFAULT_COHOMOLOGY_CAP) -> list[int]:
+def betti_numbers(n: int) -> list[int]:
     """Exact Betti numbers of the nilradical, degree 0 through n^2: the
     number of subsets of each size whose weight has c = 0, exact given the
     laplacian-scalar certificate."""
-    check_cap(n, cap, "cohomology")
+    check_cap(n, "cohomology")
     return weyl._unpack(_weight_dp(n, fold=True).get(0, 0), n * n, n * n)
 
 
@@ -299,12 +300,13 @@ class ChainComplex:
     Blocks hold ordered monomial bases, and the rank of d out of each block
     is computed exactly by Bareiss elimination on its dense matrix.  This
     lists all 2^(n^2) monomials, so it is the test oracle for the Laplacian
-    certificate, not a runtime path: it refuses ranks above
-    min(cap, ORACLE_CAP).
+    certificate, not a runtime path: it refuses ranks above the
+    cochain-complex cap.  cap is accepted and ignored, because
+    perfbench/trace_pass.py still passes one.
     """
 
-    def __init__(self, n: int, cap: int = ORACLE_CAP):
-        check_cap(n, min(cap, ORACLE_CAP), "cochain-complex")
+    def __init__(self, n: int, cap: object = None):
+        check_cap(n, "cochain-complex")
         self.rank = n
         self.blocks: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
         self.position: dict[tuple[int, ...], int] = {}
@@ -385,7 +387,7 @@ def _unharmonic_rows(n: int) -> tuple[int, list[str]]:
 
 def verify_cohomology_basis(
     n: int,
-    cap: int = DEFAULT_COHOMOLOGY_CAP,
+    cap: object = None,
     complex_: object = None,
     *,
     bijection: VerificationReport | None = None,
@@ -415,13 +417,14 @@ def verify_cohomology_basis(
     and has degree |inv(sigma)| + dim psi exactly when degree-additivity does.
     Each pair record passes when its source check and those three pass.
 
-    complex_ is accepted and ignored: perfbench/trace_pass.py still passes the
-    ChainComplex it timed, until ROADMAP item 4 replaces that replay.
+    cap and complex_ are accepted and ignored: perfbench/trace_pass.py still
+    passes the cap it compared the rank with and the ChainComplex it timed,
+    until ROADMAP item 4 replaces that replay.
     """
-    check_cap(n, cap, "cohomology")
+    check_cap(n, "cohomology")
     report = VerificationReport(rank=n)
     laplacian_ok = add_laplacian_record(report).passed
-    betti = betti_numbers(n, cap)
+    betti = betti_numbers(n)
     if bijection is None:
         bijection = verify_bijection(n)
     scan = {r.check_id: r for r in bijection.records}

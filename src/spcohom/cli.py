@@ -5,7 +5,8 @@ verify.  JSON is the canonical output (top level {rank, command, checks,
 data}); CSV is available for tabular payloads.
 
 Exit codes, one per case; 2, 3 and 130 come with an "error:" message on
-stderr, never a traceback:
+stderr, never a traceback, and keep their meaning when stderr cannot be
+written:
 
     0  every check passed
     1  a verification check failed
@@ -20,17 +21,20 @@ All user input is validated, and --witness parsed, in _validate_args before
 any work, so inside a command only a RankCapError is a usage error.  That
 includes an --out path that is a directory or whose parent is not one; an
 --out that still cannot be opened (a permission, say) or a stdout that fails
-a write is refused at write time, after the work, with the same message.  Every
-cap refuses through roots.check_cap, with one message.  Each command returns
-one VerificationReport and its CSV rows, and _run alone writes the report as
-the document and chooses exit code 1 when one of its checks failed.
+a write is refused at write time, after the work, with the same message.
+Every cap is one entry of roots.CAPS, keyed by the name its message uses, and
+every refusal, here or in the library, goes through roots.check_cap, which
+reads the entry when it runs: raising a cap means changing that entry alone.
+Each command returns one VerificationReport and its CSV rows, and _run alone
+writes the report as the document and chooses exit code 1 when one of its
+checks failed.
 
 Start-up loads only errors and report.  Each handler imports the modules it
 runs, and the writer the one format it writes, so --help compiles no command
 module, bijection never compiles ce, liealg or poincare, and verify compiles
-ce only at or under the cohomology cap.  Every cap is read from roots and
-checked before a handler imports anything, so a refusal compiles no command
-module.  Every command runs in one process.
+ce only at or under the cohomology cap.  A handler checks its caps before
+it imports anything but roots, so a refusal compiles no command module.
+Every command runs in one process.
 
 Output is deterministic: iteration orders are fixed, nothing is sampled, and
 no timing enters a report.  It is written to its destination, the --out file
@@ -104,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_args(args: argparse.Namespace) -> None:
     """Validate all user input and replace args.witness by the SignedPerm it
     parses to; a ValueError here is a usage error."""
-    from .roots import WITNESS_CAP, check_cap, check_rank
+    from .roots import check_cap, check_rank
 
     if args.out == "":
         raise ValueError("--out needs a file path")
@@ -123,7 +127,7 @@ def _validate_args(args: argparse.Namespace) -> None:
     if args.format == "csv" and args.command in NO_CSV:
         raise ValueError(f"command {args.command} has no CSV form")
     if getattr(args, "witness", None) is not None:
-        check_cap(args.rank, WITNESS_CAP, "witness")
+        check_cap(args.rank, "witness")
         from .weyl import parse_signed_perm
 
         witness = parse_signed_perm(args.witness)
@@ -137,21 +141,6 @@ def _validate_args(args: argparse.Namespace) -> None:
 # -- command handlers ---------------------------------------------------------
 
 
-def _check_group_cap(n: int) -> None:
-    """weyl.check_group_cap's refusal, from roots: a handler calls it before
-    it imports a command module, so a refusal compiles none."""
-    from .roots import DEFAULT_GROUP_CAP, check_cap
-
-    check_cap(n, DEFAULT_GROUP_CAP, "group enumeration")
-
-
-def _check_cohomology_cap(n: int) -> None:
-    """The cohomology cap that ce's entry points refuse above, checked the same way."""
-    from .roots import DEFAULT_COHOMOLOGY_CAP, check_cap
-
-    check_cap(n, DEFAULT_COHOMOLOGY_CAP, "cohomology")
-
-
 def _listing_csv(items: list[dict]) -> Iterator[list]:
     """A nonempty listing as CSV rows: its keys as the header, then one row
     per item, with list fields joined by spaces as in ideals --list."""
@@ -161,12 +150,12 @@ def _listing_csv(items: list[dict]) -> Iterator[list]:
 
 
 def _cmd_ideals(args: argparse.Namespace):
-    from .roots import IDEAL_CAP, LIST_CAPS, check_cap
+    from .roots import check_cap
 
     n = args.rank
     if args.list_items:
-        check_cap(n, LIST_CAPS["ideals"], "ideals listing")
-    check_cap(n, IDEAL_CAP, "ideal enumeration")
+        check_cap(n, "ideals listing")
+    check_cap(n, "ideal enumeration")
     from . import ideals
 
     hist = ideals.dimension_histogram(n)
@@ -183,12 +172,12 @@ def _cmd_ideals(args: argparse.Namespace):
 
 
 def _cmd_weyl(args: argparse.Namespace):
-    from .roots import LIST_CAPS, check_cap
+    from .roots import check_cap
 
     n = args.rank
     if args.list_items:
-        check_cap(n, LIST_CAPS["weyl"], "weyl listing")
-    _check_group_cap(n)
+        check_cap(n, "weyl listing")
+    check_cap(n, "group enumeration")
     from . import poincare, weyl
 
     hist = poincare.weyl_length_histogram(n)
@@ -212,10 +201,10 @@ def _cmd_weyl(args: argparse.Namespace):
 
 
 def _cmd_structure(args: argparse.Namespace):
-    from .roots import STRUCTURE_CAP, check_cap, positive_roots
+    from .roots import check_cap, positive_roots
 
     n = args.rank
-    check_cap(n, STRUCTURE_CAP, "structure")
+    check_cap(n, "structure")
     from . import liealg
 
     entries = liealg.structure_table(n).entries
@@ -229,8 +218,10 @@ def _cmd_structure(args: argparse.Namespace):
 
 
 def _cmd_bijection(args: argparse.Namespace):
+    from .roots import check_cap
+
     if args.witness is None:
-        _check_group_cap(args.rank)
+        check_cap(args.rank, "group enumeration")
     from . import correspondence
 
     if args.witness is not None:
@@ -239,12 +230,12 @@ def _cmd_bijection(args: argparse.Namespace):
 
 
 def _cmd_betti(args: argparse.Namespace):
-    from .roots import LIST_CAPS, check_cap
+    from .roots import check_cap
 
     n = args.rank
     if args.per_weight:
-        check_cap(n, LIST_CAPS["betti"], "betti listing")
-    _check_cohomology_cap(n)
+        check_cap(n, "betti listing")
+    check_cap(n, "cohomology")
     from . import ce, poincare
 
     betti = ce.betti_numbers(n)
@@ -263,17 +254,19 @@ def _cmd_betti(args: argparse.Namespace):
 
 
 def _cmd_classes(args: argparse.Namespace):
-    _check_cohomology_cap(args.rank)
+    from .roots import check_cap
+
+    check_cap(args.rank, "cohomology")
     from . import ce
 
     return ce.verify_cohomology_basis(args.rank), None
 
 
 def _cmd_poincare(args: argparse.Namespace):
-    from .roots import POINCARE_CAP, check_cap
+    from .roots import check_cap
 
     n = args.rank
-    check_cap(n, POINCARE_CAP, "poincare")
+    check_cap(n, "poincare")
     from . import poincare
 
     wp = poincare.weyl_poincare(n)
@@ -314,10 +307,11 @@ def verify_all(args: argparse.Namespace):
     """The verify command: the consolidated verification suite, in
     dependency order, with no CSV rows.  A rank above the group cap fails
     before the 2^n ideals are listed."""
+    from .roots import CAPS, check_cap
+
     n = args.rank
-    _check_group_cap(n)
+    check_cap(n, "group enumeration")
     from . import correspondence, ideals, poincare
-    from .roots import DEFAULT_COHOMOLOGY_CAP
 
     report = VerificationReport(rank=n)
 
@@ -347,14 +341,14 @@ def verify_all(args: argparse.Namespace):
     prep = poincare.verify_identities(n, weyl_hist=weyl_hist, include_betti_record=False)
     report.extend(prep, prefix="poincare")
 
-    if n <= DEFAULT_COHOMOLOGY_CAP:
+    if n <= CAPS["cohomology"]:
         from . import ce
 
         mrep = ce.verify_cohomology_basis(n, bijection=brep)
         poincare.add_betti_record(report, mrep.data["betti"])
         report.extend(mrep, prefix="classes")
     else:
-        skipped = {"cohomology_cap": DEFAULT_COHOMOLOGY_CAP}
+        skipped = {"cohomology_cap": CAPS["cohomology"]}
         poincare.add_betti_record(report, None, skipped)
         report.add(
             "classes.basis",
@@ -397,11 +391,25 @@ def _destination(out: Optional[str]):
         raise
 
 
+def _error(message: str) -> None:
+    """Write message to stderr as one "error:" line.  A stderr that fails the
+    write is closed, as _destination closes stdout, so that the exit code
+    still names the case and the interpreter's flush at exit does not fail."""
+    stderr = sys.stderr
+    if stderr is None:  # fd 2 was closed when the interpreter started
+        return
+    try:
+        print(f"error: {message}", file=stderr)
+    except OSError:
+        with suppress(OSError):
+            stderr.close()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         return _run(argv)
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
+        _error("interrupted")
         return 130
 
 
@@ -411,18 +419,18 @@ def _run(argv: Optional[list[str]]) -> int:
     try:
         _validate_args(args)
     except ValueError as exc:  # InvalidRankError and RankCapError included
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
     try:
         report, csv_rows = _HANDLERS[args.command](args)
     except RankCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
     except ConsistencyError as exc:
-        print(f"error: internal consistency error (a bug): {exc}", file=sys.stderr)
+        _error(f"internal consistency error (a bug): {exc}")
         return 3
     except ValueError as exc:
-        print(f"error: internal error (a bug): {exc}", file=sys.stderr)
+        _error(f"internal error (a bug): {exc}")
         return 3
 
     try:
@@ -441,7 +449,7 @@ def _run(argv: Optional[list[str]]) -> int:
                     fh.write(batch)
                 fh.write("\n")
     except OSError as exc:
-        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        _error(f"cannot write {args.out or 'stdout'}: {exc.strerror or exc}")
         return 2
     return 0 if report.passed else 1
 

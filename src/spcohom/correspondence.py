@@ -47,12 +47,11 @@ from typing import Optional, Sequence
 from .errors import ConsistencyError
 from .ideals import IncreasingSet, _mask_from_profile, _profile_from_mask, _staircases
 from .report import VerificationReport
-from .roots import Frozen, RootSet, num_diffs, positive_roots, _set
+from .roots import Frozen, RootSet, check_cap, num_diffs, positive_roots, _set
 from .weyl import (
     Perm,
     SignedPerm,
     StandardForm,
-    check_group_cap,
     group_order,
     perm_inversions,
     standard_form,
@@ -513,7 +512,7 @@ def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
     perfbench/trace_pass.py still passes it, until ROADMAP item 4 replaces
     that replay.
     """
-    check_group_cap(n)
+    check_cap(n, "group enumeration")
     scan = _scan(n)
     counts, hist = scan["counts"], scan["hist"]
     total = sum(hist)

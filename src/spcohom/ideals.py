@@ -18,7 +18,6 @@ from itertools import accumulate
 from typing import Iterator, Optional
 
 from .roots import (
-    IDEAL_CAP,
     Frozen,
     RootSet,
     check_cap,
@@ -126,18 +125,13 @@ def _profile_from_mask(mask: int, n: int) -> Optional[tuple[int, ...]]:
     return tuple(profile)
 
 
-def check_ideal_cap(n: int) -> None:
-    """Refuse to enumerate the 2^n staircase profiles above rank IDEAL_CAP."""
-    check_cap(n, IDEAL_CAP, "ideal enumeration")
-
-
 def enumerate_increasing(n: int) -> Iterator[IncreasingSet]:
     """All 2^n upward-closed subsets, in the order of _staircases.  Refuses
     ranks above the ideal enumeration cap.  The walk yields staircases by
     construction, and verify's order certificate decides each of its masks
     against the certified closure, so they skip from_profile's check, which
     parses every set back and would take 4x the enumeration's time."""
-    check_ideal_cap(n)
+    check_cap(n, "ideal enumeration")
     for profile, mask in _staircases(n):
         yield IncreasingSet(n, RootSet(n, mask), profile)
 
@@ -210,7 +204,7 @@ def order_certificate(n: int) -> dict[str, int]:
     it.  On a sums-only set that is the predicate, whatever the table, since
     a set closed under a -> g is closed under its closure.  Refuses ranks
     above the ideal enumeration cap."""
-    check_ideal_cap(n)
+    check_cap(n, "ideal enumeration")
     addable, roots, nd = _addable(n), positive_roots(n), num_diffs(n)
     phi1 = range(nd, n * n)
     reach = {a: 1 << a | sum({1 << g for _b, g in addable[a]}) for a in phi1}
@@ -237,7 +231,7 @@ def dimension_histogram(n: int):
     coefficients sum to 2^n.  Refuses ranks above the ideal enumeration cap."""
     from .poincare import IntPolynomial
 
-    check_ideal_cap(n)
+    check_cap(n, "ideal enumeration")
     # room for any set of the n^2 roots, so that a walked set holding a
     # difference root shows in the histogram instead of raising
     coeffs = [0] * (n * n + 1)

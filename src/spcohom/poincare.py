@@ -24,8 +24,8 @@ import math
 
 from .errors import ConsistencyError
 from .report import VerificationReport
-from .roots import POINCARE_CAP, Frozen, check_cap, check_rank, num_diffs, _index_tables, _set
-from .weyl import check_group_cap, _diff_offsets, _expand, _length_histogram, _perm_row, _subset_dp
+from .roots import Frozen, check_cap, check_rank, num_diffs, _index_tables, _set
+from .weyl import _diff_offsets, _expand, _length_histogram, _perm_row, _subset_dp
 
 
 class IntPolynomial(Frozen):
@@ -55,11 +55,6 @@ class IntPolynomial(Frozen):
 
     def is_palindromic(self) -> bool:
         return self.coeffs == self.coeffs[::-1]
-
-
-def check_poincare_cap(n: int) -> None:
-    """Refuse the generating functions above rank POINCARE_CAP."""
-    check_cap(n, POINCARE_CAP, "poincare")
 
 
 def _bracket_product(pairs) -> IntPolynomial:
@@ -97,7 +92,7 @@ def ideal_generating(n: int) -> IntPolynomial:
 def weyl_length_histogram(n: int) -> IntPolynomial:
     """Counted length histogram of the whole signed-permutation group, by the
     DP that the scan's batch reads its lengths from (weyl._length_histogram)."""
-    check_group_cap(n)
+    check_cap(n, "group enumeration")
     counts = _length_histogram(n)
     if counts is None:
         raise ConsistencyError("a row differs from its table; this indicates a bug")
@@ -112,7 +107,7 @@ def sym_inversion_histogram(n: int) -> IntPolynomial:
     Refuses ranks above the group cap before any row.  ConsistencyError
     unless each row equals the bits d_idx[v][u] of those u, built by subset
     doubling, as weyl._length_histogram checks the group's rows."""
-    check_group_cap(n)
+    check_cap(n, "group enumeration")
     off = _diff_offsets(n)
     d_idx = _index_tables(n)[0]
     expected = [[]] + [

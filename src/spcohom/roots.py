@@ -10,6 +10,9 @@ Everything downstream (bitmask positions, exterior-algebra signs, serialized
 output) depends on one global total order of the positive roots, fixed here
 once and for all: all differences in lexicographic (i, j) order, then all
 sums in lexicographic order, then the long roots by index.
+
+The caps on the exhaustive loops are one table here, CAPS, which every
+refusal reads through check_cap when it runs: raising a cap changes one entry.
 """
 
 from __future__ import annotations
@@ -147,51 +150,51 @@ def check_rank(n: int) -> None:
         raise InvalidRankError(f"rank must be a positive integer, got {n!r}")
 
 
-# The caps, each the highest rank of one kind of loop.  All of them live
-# here, so that the CLI refuses above one before it compiles a command
-# module; weyl, ce, ideals and poincare import theirs by name.
+# The caps, each the highest rank of one kind of loop, keyed by the name its
+# refusal message uses; the CLI checks one before it compiles a command module.
+CAPS = {
+    # The group's 2^n * n! elements, enumerated or counted (verify, bijection,
+    # weyl).
+    "group enumeration": 8,
+    # The cochain complex (betti, classes, and verify's cohomology records).
+    "cohomology": 6,
+    # The 2^n staircases (ideals, and the library's walks of them).
+    "ideal enumeration": 22,
+    # The poincare command.  Its polynomials have degree n^2 and coefficients
+    # up to 2^n n!: rank 64 takes 0.7-1.2 s, 18 MB and a 1.8 MB report on a
+    # 2-vCPU host, most of it the check's dense product, where rank 100 took
+    # 4.3 s in-process.
+    "poincare": 64,
+    # The structure command.  Its table has O(n^3) nonzero brackets, found by
+    # a sparse join of the root vectors' entries (liealg.structure_table), so
+    # time and the report grow about as n^3: rank 14 takes 0.12 s, 19 MB and
+    # a 0.26 MB report; in-process, rank 24 took 0.19 s and 1.4 MB, rank 32
+    # 0.55 s and 3.5 MB.  Neither time nor memory forces 14; a higher cap is
+    # left to a measured need.
+    "structure": 14,
+    # bijection --witness.  The trace lists the inversion set and its parts,
+    # up to n^2 roots each, so time and memory grow at least as n^2: rank 256
+    # takes 0.6 s, 46 MB and a 1.7 MB report, rank 500 took 3.8 s and 135 MB.
+    "witness": 256,
+    # The listings, per command (--list, or --per-weight for betti).  A
+    # listing is held in memory while it is written out, so these keep peak
+    # RSS under about 1 GB (measurements in CHANGES.md): one rank more
+    # doubles the ideals, multiplies the elements by 16 and the weight blocks
+    # by 39 (9,791,868 at rank 6).
+    "ideals listing": 17,
+    "weyl listing": 7,
+    "betti listing": 5,
+    # ce.ChainComplex, the test oracle that lists all 2^(n^2) monomials; no
+    # command builds it.
+    "cochain-complex": 4,
+}
 
-# The group's 2^n * n! elements, enumerated or counted (verify, bijection,
-# weyl; weyl.check_group_cap).
-DEFAULT_GROUP_CAP = 8
 
-# The cochain complex (betti, classes, and verify's cohomology records).
-DEFAULT_COHOMOLOGY_CAP = 6
-
-# The 2^n staircases (ideals; ideals.check_ideal_cap).
-IDEAL_CAP = 22
-
-# The poincare command.  Its polynomials have degree n^2 and coefficients up
-# to 2^n n!: rank 64 takes 0.7-1.2 s, 18 MB and a 1.8 MB report on a 2-vCPU
-# host, most of it the check's dense product, where rank 100 took 4.3 s
-# in-process.
-POINCARE_CAP = 64
-
-# The structure command.  Its table has O(n^3) nonzero brackets, found by a
-# sparse join of the root vectors' entries (liealg.structure_table), so time
-# and the report grow about as n^3: rank 14 takes 0.12 s, 19 MB and a
-# 0.26 MB report; in-process, rank 24 took 0.19 s and 1.4 MB, rank 32 0.55 s
-# and 3.5 MB.  Neither time nor memory forces 14; a higher cap is left to a
-# measured need.
-STRUCTURE_CAP = 14
-
-# bijection --witness.  The trace lists the inversion set and its parts, up
-# to n^2 roots each, so time and memory grow at least as n^2: rank 256 takes
-# 0.6 s, 46 MB and a 1.7 MB report, rank 500 took 3.8 s and 135 MB.
-WITNESS_CAP = 256
-
-# The listings, per command (--list, or --per-weight for betti).  A listing
-# is held in memory while it is written out, so these keep peak RSS under
-# about 1 GB (measurements in CHANGES.md): one rank more doubles the ideals,
-# multiplies the elements by 16 and the weight blocks by 39 (9,791,868 at
-# rank 6).
-LIST_CAPS = {"ideals": 17, "weyl": 7, "betti": 5}
-
-
-def check_cap(n: int, cap: int, what: str) -> None:
-    """Refuse rank n above cap, before any work, with the one message form
-    every cap uses."""
+def check_cap(n: int, what: str) -> None:
+    """Refuse rank n above CAPS[what], read now, before any work, with the
+    one message form every cap uses."""
     check_rank(n)
+    cap = CAPS[what]
     if n > cap:
         raise RankCapError(f"rank {n} exceeds the {what} cap {cap}")
 

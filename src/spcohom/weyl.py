@@ -16,7 +16,6 @@ from typing import Iterator, Optional
 
 from .errors import ConsistencyError
 from .roots import (
-    DEFAULT_GROUP_CAP,
     DIFF,
     Frozen,
     Root,
@@ -163,15 +162,10 @@ class StandardForm(Frozen):
         _set(self, "sigma0", sigma0)
 
 
-def check_group_cap(n: int) -> None:
-    """Refuse to enumerate the 2^n * n! group elements above DEFAULT_GROUP_CAP."""
-    check_cap(n, DEFAULT_GROUP_CAP, "group enumeration")
-
-
 def enumerate_group(n: int) -> Iterator[SignedPerm]:
     """All 2^n * n! signed permutations, sign patterns outer, permutations
     inner in lexicographic order.  Deterministic; refuses ranks above the group cap."""
-    check_group_cap(n)
+    check_cap(n, "group enumeration")
     values = tuple(range(1, n + 1))
     for jmask in range(1 << n):
         flip = tuple(-v if jmask >> (v - 1) & 1 else v for v in values)

@@ -311,8 +311,6 @@ def test_betti_cap():
         betti_numbers(7)
     assert betti_numbers(5) == list(weyl_poincare(5).coeffs)
     # the oracle lists all 2^(n^2) monomials and stops at rank 4 whatever cap says
-    with pytest.raises(RankCapError):
-        ChainComplex(4, cap=3)
     with pytest.raises(RankCapError, match="cochain-complex cap 4$"):
         ChainComplex(5, cap=ce.DEFAULT_COHOMOLOGY_CAP)
 

@@ -480,12 +480,12 @@ def test_witness_cap_refuses_before_parsing(monkeypatch, capsys):
 
     monkeypatch.setattr(weyl, "parse_signed_perm", no_work)
     monkeypatch.setattr(correspondence, "trace_element", no_work)
-    n = roots.WITNESS_CAP + 1
+    n = roots.CAPS["witness"] + 1
     witness = "[" + ",".join(map(str, range(1, n + 1))) + "]"
     assert main(["bijection", "--rank", str(n), "--witness", witness]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: rank {n} exceeds the witness cap {roots.WITNESS_CAP}\n"
+    assert captured.err == f"error: rank {n} exceeds the witness cap {roots.CAPS['witness']}\n"
 
 
 @pytest.mark.parametrize(
@@ -574,11 +574,12 @@ def test_poincare_cap_refuses_before_any_product(monkeypatch, capsys):
         raise AssertionError("a product was formed above the poincare cap")
 
     monkeypatch.setattr(poincare.IntPolynomial, "__mul__", no_product)
-    for n in (poincare.POINCARE_CAP + 1, 200):
+    cap = roots.CAPS["poincare"]
+    for n in (cap + 1, 200):
         assert main(["poincare", "--rank", str(n)]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: rank {n} exceeds the poincare cap {poincare.POINCARE_CAP}\n"
-    poincare.check_poincare_cap(poincare.POINCARE_CAP)
+        assert err == f"error: rank {n} exceeds the poincare cap {cap}\n"
+    roots.check_cap(cap, "poincare")
 
 
 def test_structure_cap_refuses_before_the_table(monkeypatch, capsys):
@@ -586,11 +587,12 @@ def test_structure_cap_refuses_before_the_table(monkeypatch, capsys):
         raise AssertionError("the structure table was built above the structure cap")
 
     monkeypatch.setattr(liealg, "structure_table", no_table)
-    n = roots.STRUCTURE_CAP + 1
+    cap = roots.CAPS["structure"]
+    n = cap + 1
     assert main(["structure", "--rank", str(n)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: rank {n} exceeds the structure cap {roots.STRUCTURE_CAP}\n"
+    assert captured.err == f"error: rank {n} exceeds the structure cap {cap}\n"
 
 
 def test_workers_flag_matches_serial(tmp_path):
@@ -640,22 +642,23 @@ def test_listing_caps_refuse_before_enumerating(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(poincare, "weyl_length_histogram", no_enumeration)
     monkeypatch.setattr(weyl, "enumerate_group", no_enumeration)
     monkeypatch.setattr(ce, "_weight_dp", no_enumeration)
-    ideal_cap = ideals.IDEAL_CAP
+    ideal_cap = roots.CAPS["ideal enumeration"]
     for args in (
         ["ideals", "--rank", str(ideal_cap + 1)],
-        ["ideals", "--rank", str(roots.LIST_CAPS["ideals"] + 1), "--list"],
-        ["weyl", "--rank", str(roots.LIST_CAPS["weyl"] + 1), "--list"],
-        ["betti", "--rank", str(roots.LIST_CAPS["betti"] + 1), "--per-weight"],
+        ["ideals", "--rank", str(roots.CAPS["ideals listing"] + 1), "--list"],
+        ["weyl", "--rank", str(roots.CAPS["weyl listing"] + 1), "--list"],
+        ["betti", "--rank", str(roots.CAPS["betti listing"] + 1), "--per-weight"],
     ):
         assert main(args) == 2
         assert "cap" in capsys.readouterr().err
     with pytest.raises(RankCapError):
-        ideals.check_ideal_cap(ideal_cap + 1)
-    ideals.check_ideal_cap(ideal_cap)
+        roots.check_cap(ideal_cap + 1, "ideal enumeration")
+    roots.check_cap(ideal_cap, "ideal enumeration")
 
 
 def test_listing_caps_allow_up_to_the_cap(tmp_path, monkeypatch):
-    monkeypatch.setattr(roots, "LIST_CAPS", {"ideals": 3, "weyl": 2})
+    monkeypatch.setitem(roots.CAPS, "ideals listing", 3)
+    monkeypatch.setitem(roots.CAPS, "weyl listing", 2)
     assert run_cli(["ideals", "--rank", "3", "--list"], tmp_path)[0] == 0
     assert run_cli(["weyl", "--rank", "2", "--list"], tmp_path)[0] == 0
     assert main(["ideals", "--rank", "4", "--list"]) == 2
@@ -665,21 +668,67 @@ def test_listing_caps_allow_up_to_the_cap(tmp_path, monkeypatch):
     assert run_cli(["weyl", "--rank", "3"], tmp_path)[0] == 0
 
 
-# (argv, cap, name): every cap the CLI applies, with the name its message uses
+# (argv, cap, name): every cap the CLI applies, with the name its message
+# uses, which is its key in roots.CAPS
 _EVERY_CAP = [
-    (["verify"], roots.DEFAULT_GROUP_CAP, "group enumeration"),
-    (["bijection"], roots.DEFAULT_GROUP_CAP, "group enumeration"),
-    (["weyl"], roots.DEFAULT_GROUP_CAP, "group enumeration"),
-    (["betti"], roots.DEFAULT_COHOMOLOGY_CAP, "cohomology"),
-    (["classes"], roots.DEFAULT_COHOMOLOGY_CAP, "cohomology"),
-    (["ideals"], ideals.IDEAL_CAP, "ideal enumeration"),
-    (["ideals", "--list"], roots.LIST_CAPS["ideals"], "ideals listing"),
-    (["weyl", "--list"], roots.LIST_CAPS["weyl"], "weyl listing"),
-    (["betti", "--per-weight"], roots.LIST_CAPS["betti"], "betti listing"),
-    (["poincare"], poincare.POINCARE_CAP, "poincare"),
-    (["structure"], roots.STRUCTURE_CAP, "structure"),
-    (["bijection", "--witness"], roots.WITNESS_CAP, "witness"),
+    (argv, roots.CAPS[what], what)
+    for argv, what in [
+        (["verify"], "group enumeration"),
+        (["bijection"], "group enumeration"),
+        (["weyl"], "group enumeration"),
+        (["betti"], "cohomology"),
+        (["classes"], "cohomology"),
+        (["ideals"], "ideal enumeration"),
+        (["ideals", "--list"], "ideals listing"),
+        (["weyl", "--list"], "weyl listing"),
+        (["betti", "--per-weight"], "betti listing"),
+        (["poincare"], "poincare"),
+        (["structure"], "structure"),
+        (["bijection", "--witness"], "witness"),
+    ]
 ]
+
+
+# (owner, entry point, cap name): every library entry point that refuses
+# above a cap
+_LIBRARY_CAPS = [
+    (weyl, "enumerate_group", "group enumeration"),
+    (poincare, "weyl_length_histogram", "group enumeration"),
+    (poincare, "sym_inversion_histogram", "group enumeration"),
+    (correspondence, "verify_bijection", "group enumeration"),
+    (ideals, "enumerate_increasing", "ideal enumeration"),
+    (ideals, "order_certificate", "ideal enumeration"),
+    (ideals, "dimension_histogram", "ideal enumeration"),
+    (ce, "betti_numbers", "cohomology"),
+    (ce, "verify_cohomology_basis", "cohomology"),
+]
+
+
+@pytest.mark.parametrize("owner, name, what", _LIBRARY_CAPS, ids=[c[1] for c in _LIBRARY_CAPS])
+def test_every_library_entry_point_refuses_one_above_with_the_cli_message(
+    capsys, owner, name, what
+):
+    cap = roots.CAPS[what]
+    with pytest.raises(RankCapError) as exc:
+        result = getattr(owner, name)(cap + 1)
+        next(result)  # an enumerator is a generator, which refuses when first run
+    argv = next(argv for argv, _cap, key in _EVERY_CAP if key == what)
+    assert main(one_above(argv, cap)) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_one_table_entry_raises_a_cap_for_every_module(tmp_path, monkeypatch):
+    # every module is imported above, so a copy bound at import would show here
+    monkeypatch.setitem(roots.CAPS, "group enumeration", 9)
+    code, text = run_cli(["verify", "--rank", "9"], tmp_path)
+    assert code == 0
+    assert json.loads(text)["data"]["bijection.elements"] == 2**9 * 362880
+
+
+def test_every_cap_but_the_oracles_is_applied_by_the_cli():
+    # only the test oracle ce.ChainComplex, which no command builds, reads
+    # the cochain-complex cap
+    assert {what for _argv, _cap, what in _EVERY_CAP} == set(roots.CAPS) - {"cochain-complex"}
 
 
 def one_above(argv, cap):
@@ -813,14 +862,14 @@ def test_out_file_gets_the_bytes_stdout_gets(tmp_path, capsys, argv, fmt):
     assert bool(written) == (code != 2)
 
 
-class _FullStdout(io.StringIO):
+class _FullStream(io.StringIO):
     def write(self, text):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_full_stdout_is_one_usage_error_line(monkeypatch, capsys, fmt):
-    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    monkeypatch.setattr(sys, "stdout", _FullStream())
     assert main(["weyl", "--rank", "3", "--list", "--format", fmt]) == 2
     assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
 
@@ -863,6 +912,63 @@ def test_stdout_closed_by_its_reader_is_one_usage_error_line(argv):
             proc.kill()
             proc.wait()
     assert err == b"error: cannot write stdout: Broken pipe\n"
+
+
+def test_one_pipe_for_both_streams_closed_by_its_reader_exits_2():
+    # as in `spcohom ... 2>&1 | head -1`: the error line meets the closed pipe too
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CLI_AFTER_STDIN, "weyl", "--rank", "5", "--list"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env={**env, "PYTHONPATH": _SRC},
+    )
+    try:
+        proc.stdin.close()
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # fd 2 closed before start-up, so sys.stderr is None
+        ["sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable, "-m", "spcohom.cli"],
+        # fd 2 closed after start-up, so a write to sys.stderr fails
+        [sys.executable, "-c", "import os, sys; os.close(2); " + _CLI_AFTER_STDIN],
+    ],
+    ids=["before start-up", "after start-up"],
+)
+def test_a_usage_error_with_stderr_closed_exits_2(argv):
+    proc = subprocess.run(
+        [*argv, "verify", "--rank", "0"],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+@pytest.mark.parametrize(
+    "fault, code", [(None, 2), (ValueError, 3), (KeyboardInterrupt, 130)], ids=["2", "3", "130"]
+)
+def test_an_unwritable_stderr_keeps_the_exit_code(monkeypatch, fault, code):
+    def broken(n):
+        raise fault("raised inside a command")
+
+    if fault is not None:
+        monkeypatch.setattr(ideals, "dimension_histogram", broken)
+    stderr = _FullStream()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["ideals", "--rank", "2" if fault else "0"]) == code
+    assert stderr.closed
 
 
 def test_internal_value_error_exits_3(monkeypatch, capsys):

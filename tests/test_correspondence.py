@@ -25,7 +25,7 @@ from spcohom.correspondence import (
 )
 from spcohom.errors import ConsistencyError
 from spcohom.ideals import IncreasingSet, _profile_from_mask, enumerate_increasing
-from spcohom.roots import RootSet, diff, long, positive_roots, root_index, sum_root
+from spcohom.roots import CAPS, RootSet, diff, long, positive_roots, root_index, sum_root
 from spcohom.weyl import (
     Perm,
     SignedPerm,
@@ -1018,7 +1018,7 @@ def test_composite_relabel_is_the_identity_exactly_for_the_position_map(n):
             assert fixed == ((0, *pi) == correspondence._position_map(eta))
 
 
-@pytest.mark.parametrize("n", range(5, weyl.DEFAULT_GROUP_CAP + 1))
+@pytest.mark.parametrize("n", range(5, CAPS["group enumeration"] + 1))
 def test_decoder_and_relabel_tables_hold_on_every_eta(n):
     # a batch takes each element's symmetric component to be g_P(word), which
     # ranges over S_n, with its position map as pi; the decoder and the

@@ -8,7 +8,6 @@ from spcohom import correspondence, ideals
 from spcohom.cli import main
 from spcohom.errors import RankCapError
 from spcohom.ideals import (
-    IDEAL_CAP,
     IncreasingSet,
     _profile_from_mask,
     dimension_histogram,
@@ -19,6 +18,7 @@ from spcohom.ideals import (
 )
 from spcohom.poincare import ideal_generating
 from spcohom.roots import (
+    CAPS,
     RootSet,
     _addable,
     _index_tables,
@@ -200,7 +200,7 @@ def test_order_certificate_refuses_above_the_ideal_cap_before_any_table(monkeypa
 
     monkeypatch.setattr(ideals, "_addable", no_table)
     with pytest.raises(RankCapError):
-        order_certificate(IDEAL_CAP + 1)
+        order_certificate(CAPS["ideal enumeration"] + 1)
 
 
 def _patched_addable(monkeypatch, n, a, drop=None, add=None):

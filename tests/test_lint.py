@@ -1,4 +1,4 @@
-"""Eight source rules checked with the standard library alone: every line of
+"""Nine source rules checked with the standard library alone: every line of
 the package fits in 100 columns, every name a module imports at top level is
 used in that module (__init__.py included, since the package root re-exports
 nothing), every private name a module defines at top level is referenced
@@ -14,7 +14,9 @@ comes back unnoticed, and inside ideals.py only the row table
 (_staircase_rows) and the bit-by-bit parse (_profile_from_mask) read the
 root index, and no other module references the row table: which bits a
 staircase row sets is known in one place, and the parse stays independent
-of it."""
+of it, and every check_cap call names its cap by a string literal that is
+a key of roots.CAPS, and only roots.check_cap raises RankCapError: a cap's
+value and name are written once, and there is one message builder."""
 
 import ast
 from pathlib import Path
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import spcohom
+from spcohom.roots import CAPS
 
 MAX_COLUMNS = 100
 MODULES = sorted(Path(spcohom.__file__).parent.glob("*.py"))
@@ -167,6 +170,30 @@ def test_only_the_row_table_knows_a_staircase_rows_bits():
         if "_staircase_rows" in {*_references(tree), *_imported_names(tree)}:
             readers.add(path.name)
     assert readers == {"ideals.py"}
+
+
+def _calls_and_raises(node: ast.AST, where: str):
+    """(where, node) for each call and raise statement under node, where being
+    the name of the innermost enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        if isinstance(child, (ast.Call, ast.Raise)):
+            yield where, child
+        yield from _calls_and_raises(child, inner)
+
+
+def test_every_cap_is_named_by_a_key_of_the_table_and_refused_in_one_place():
+    names, raisers = [], []
+    for path in MODULES:
+        for where, node in _calls_and_raises(ast.parse(path.read_text(encoding="utf-8")), ""):
+            if isinstance(node, ast.Raise):
+                if "RankCapError" in set(_references(node)):
+                    raisers.append(f"{path.name}:{where}")
+            elif getattr(node.func, "id", getattr(node.func, "attr", None)) == "check_cap":
+                what = node.args[1] if len(node.args) == 2 else None
+                names.append(what.value if isinstance(what, ast.Constant) else ast.dump(node))
+    assert names and [what for what in names if what not in CAPS] == []
+    assert raisers == ["roots.py:check_cap"]
 
 
 def test_the_lint_sees_every_module():

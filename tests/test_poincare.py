@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from spcohom import poincare, weyl
+from spcohom import poincare, roots, weyl
 from spcohom.cli import main
 from spcohom.errors import ConsistencyError, RankCapError
 from spcohom.poincare import (
@@ -16,7 +16,7 @@ from spcohom.poincare import (
     weyl_poincare,
 )
 from spcohom.report import VerificationReport
-from spcohom.weyl import DEFAULT_GROUP_CAP, _perm_inversion_mask
+from spcohom.weyl import _perm_inversion_mask
 
 
 def test_polynomial_arithmetic():
@@ -163,7 +163,7 @@ def test_sym_inversion_histogram_cap_refuses_before_any_row(monkeypatch):
 
     monkeypatch.setattr(poincare, "_subset_dp", no_rows)
     monkeypatch.setattr(poincare, "_perm_row", no_rows)
-    cap = DEFAULT_GROUP_CAP
+    cap = roots.CAPS["group enumeration"]
     with pytest.raises(RankCapError):
         sym_inversion_histogram(cap + 1)
     with pytest.raises(RankCapError):
@@ -180,7 +180,7 @@ def test_sym_inversion_histogram_equals_the_enumeration(n):
 
 def test_sym_inversion_histogram_equals_the_product_form_at_rank_16(monkeypatch):
     # above the group cap, so the cap is raised for this one call
-    monkeypatch.setattr(weyl, "DEFAULT_GROUP_CAP", 16)
+    monkeypatch.setitem(roots.CAPS, "group enumeration", 16)
     assert sym_inversion_histogram(16) == sym_poincare(16)
 
 
