@@ -7,14 +7,13 @@ nonincreasing, and the nonempty rows form a prefix.  The boundary profile
 (b_1, ..., b_n), with b_i = i - 1 marking an empty row, is the cheap carrier
 for enumeration; there are exactly 2^n profiles.  They are walked in one
 place, _staircases, which every consumer of the 2^n ideals reads.  It ORs
-one entry of the row table (_staircase_rows) per row, and that table is the
-one place that knows which bits a staircase row sets.
+one row per level, a shift off the row layout (roots._row_starts), as
+_mask_from_profile does; _profile_from_mask parses masks from the root index.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import accumulate
+from collections import Counter
 from typing import Iterator, Optional
 
 from .roots import (
@@ -28,6 +27,7 @@ from .roots import (
     _addable,
     _index_tables,
     _mask_key,
+    _row_starts,
     _set,
 )
 
@@ -78,27 +78,13 @@ def _profile_valid(profile, n: int) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
-def _staircase_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The row table: entry [i][b], 1 <= i <= b <= n, is the mask of
-    staircase row i from 2e_i up to e_i + e_b, and entry [i][i - 1], the
-    empty row, is 0."""
-    _, s_idx, l_idx = _index_tables(n)
-    rows = [()]
-    for i in range(1, n + 1):
-        bits = [1 << l_idx[i]] + [1 << s_idx[i][j] for j in range(i + 1, n + 1)]
-        # the bits are distinct, so each running sum is the row's mask up to e_b
-        rows.append((0,) * i + tuple(accumulate(bits)))
-    return tuple(rows)
-
-
 def _mask_from_profile(profile, n: int) -> int:
-    rows = _staircase_rows(n)
+    _diff_start, sum_start, long_bit = _row_starts(n)
     mask = 0
     for i, b in enumerate(profile, start=1):
         if b < i:
             break
-        mask |= rows[i][b]
+        mask |= 1 << long_bit[i] | ((1 << (b - i)) - 1) << sum_start[i]
     return mask
 
 
@@ -138,9 +124,13 @@ def enumerate_increasing(n: int) -> Iterator[IncreasingSet]:
 
 def _staircases(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """The 2^n (profile, mask) pairs, profiles in lexicographic order.  The
-    mask of a profile is its prefix's mask ORed with row i's entry of the
-    row table, one OR per recursion level."""
-    rows = _staircase_rows(n)
+    mask of a profile is its prefix's mask ORed with rows[i][b], row i up to
+    e_i + e_b as _mask_from_profile builds it, one OR per recursion level."""
+    _diff_start, sum_start, long_bit = _row_starts(n)
+    rows = [[]] + [
+        [0] * i + [1 << long_bit[i] | ((1 << k) - 1) << sum_start[i] for k in range(n - i + 1)]
+        for i in range(1, n + 1)
+    ]
 
     def rec(i: int, prev: int, acc: tuple[int, ...], mask: int):
         if i > n:
@@ -189,14 +179,15 @@ def _closed_under(row, mask: int) -> bool:
     return True
 
 
-def order_certificate(n: int) -> dict[str, int]:
-    """Failure counts of the exact certificate that a sums-only subset passes
-    is_abelian_ideal_combinatorial exactly when it is upward closed under
-    precedes.  Exclusion half: each b addable to a sums-plus-longs root is a
-    difference, so no sums-only subset contains one.  Order half: the
-    predicate is then closure under a -> g, which picks the up-sets of
-    precedes exactly when the reflexive-transitive closure of a -> g (one
-    reachability bitmask per root) is precedes.
+def order_certificate(n: int) -> tuple[int, dict[str, int]]:
+    """(checked, faults) of the exact certificate that a sums-only subset
+    passes is_abelian_ideal_combinatorial exactly when it is upward closed
+    under precedes: the walked sets it decided, and its failure counts.
+    Exclusion half: each b addable to a sums-plus-longs root is a difference,
+    so no sums-only subset contains one.  Order half: the predicate is then
+    closure under a -> g, which picks the up-sets of precedes exactly when the
+    reflexive-transitive closure of a -> g (one reachability bitmask per root)
+    is precedes.
 
     The 2^n staircases are decided from these masks, one member at a time: a
     walked set is rejected when it has a difference bit, or a member a whose
@@ -214,15 +205,15 @@ def order_certificate(n: int) -> dict[str, int]:
     dominance = {a: sum(1 << y for y in phi1 if precedes(roots[a], roots[y])) for a in phi1}
     # the exclusion half's violations, as one mask per root
     sums_addable = {a: sum({1 << b for b, _g in addable[a] if b >= nd}) for a in phi1}
-    rejected = (
+    rejected = Counter(
         mask >> nd << nd != mask
         or any(reach[a] & ~mask or sums_addable[a] & mask for a in _mask_key(mask))
         for _profile, mask in _staircases(n)
     )
-    return {
+    return rejected.total(), {
         "exclusion_violations": sum(b >= nd for a in phi1 for b, _g in addable[a]),
         "order_mismatches": sum(reach[a] != dominance[a] for a in phi1),
-        "ideals_rejected": sum(rejected),
+        "ideals_rejected": rejected[True],
     }
 
 

@@ -25,7 +25,7 @@ import math
 from .errors import ConsistencyError
 from .report import VerificationReport
 from .roots import Frozen, check_cap, check_rank, num_diffs, _index_tables, _set
-from .weyl import _diff_offsets, _expand, _length_histogram, _perm_row, _subset_dp
+from .weyl import _expand, _length_histogram, _perm_row, _subset_dp
 
 
 class IntPolynomial(Frozen):
@@ -102,13 +102,12 @@ def weyl_length_histogram(n: int) -> IntPolynomial:
 def sym_inversion_histogram(n: int) -> IntPolynomial:
     """Counted inversion histogram of S_n, F({1..n}) of weyl._subset_dp over
     the prefix sets B of a word, F(B) = sum over v in B of t^|row| F(B - v),
-    with the one row _perm_row(B - v, v): the inversions that the letter v
+    with the one row _perm_row(n, B - v, v): the inversions that the letter v
     adds after the letters before it, a bit per value u > v in B - v.
     Refuses ranks above the group cap before any row.  ConsistencyError
     unless each row equals the bits d_idx[v][u] of those u, built by subset
     doubling, as weyl._length_histogram checks the group's rows."""
     check_cap(n, "group enumeration")
-    off = _diff_offsets(n)
     d_idx = _index_tables(n)[0]
     expected = [[]] + [
         _expand([0] * (n - v), [1 << d_idx[v][u] for u in range(v + 1, n + 1)])
@@ -116,7 +115,7 @@ def sym_inversion_histogram(n: int) -> IntPolynomial:
     ]
 
     def rows(v: int, before: int) -> tuple[int]:
-        row = _perm_row(before, v, off)
+        row = _perm_row(n, before, v)
         if row != expected[v][before >> v]:
             raise ConsistencyError(
                 f"the S_n row of {v} after {before:#b} differs from the root "

@@ -11,6 +11,9 @@ output) depends on one global total order of the positive roots, fixed here
 once and for all: all differences in lexicographic (i, j) order, then all
 sums in lexicographic order, then the long roots by index.
 
+Each row i of that order is a block of consecutive bits, j ascending: the row
+layout, stated once and checked against the index in _row_starts.
+
 The caps on the exhaustive loops are one table here, CAPS, which every
 refusal reads through check_cap when it runs: raising a cap changes one entry.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .errors import InvalidRankError, RankCapError
+from .errors import ConsistencyError, InvalidRankError, RankCapError
 
 DIFF = "diff"
 SUM = "sum"
@@ -174,7 +177,8 @@ CAPS = {
     "structure": 14,
     # bijection --witness.  The trace lists the inversion set and its parts,
     # up to n^2 roots each, so time and memory grow at least as n^2: rank 256
-    # takes 0.6 s, 46 MB and a 1.7 MB report, rank 500 took 3.8 s and 135 MB.
+    # takes 0.6 s, 32 MB and a 1.2 MB report, rank 500 took 4.5 s and 94 MB
+    # (the longest element: 1.0 s, 41 MB, 3.6 MB; 10.3 s and 125 MB).
     "witness": 256,
     # The listings, per command (--list, or --per-weight for betti).  A
     # listing is held in memory while it is written out, so these keep peak
@@ -349,6 +353,21 @@ def _index_tables(n: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
             d[i][j] = idx[diff(i, j)]
             s[i][j] = idx[Root(SUM, i, j)]
     return d, s, l
+
+
+@lru_cache(maxsize=None)
+def _row_starts(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The row layout (diff_start, sum_start, long_bit), by row i = 1..n: e_i - e_j
+    and e_i + e_j, i < j, sit at diff_start[i] + (j - i - 1) and sum_start[i] +
+    (j - i - 1), 2e_i at long_bit[i]; the empty row n starts where row n - 1
+    ends.  Raises ConsistencyError unless _index_tables puts every root there."""
+    d_idx, s_idx, l_idx = _index_tables(n)
+    diff_start = (0, *(d_idx[i][i + 1] for i in range(1, n)), num_diffs(n))
+    sum_start = (0, *(s_idx[i][i + 1] for i in range(1, n)), 2 * num_diffs(n))
+    for name, idx, start in (("differences", d_idx, diff_start), ("sums", s_idx, sum_start)):
+        if any(idx[i][j] != start[i] + j - i - 1 for i in range(1, n) for j in range(i + 1, n + 1)):
+            raise ConsistencyError(f"the {name} of rank {n} are not indexed row-major")
+    return diff_start, sum_start, tuple(l_idx)
 
 
 @lru_cache(maxsize=None)

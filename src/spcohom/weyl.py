@@ -5,13 +5,15 @@ vector e_m to sign * e_p where images[m-1] = +-p.  Equivalently w is a plain
 permutation followed by sign flips on a set J of output values, which is the
 factorization w = r_{j_1} ... r_{j_k} * sigma_0 used throughout (r_v flips
 the sign of the value v, sigma_0 acts first).
+
+Inversion sets are unions of rows, read off the row layout (roots._row_starts)
+by _row and _perm_row; _row_tables builds them from the root index instead.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import ConsistencyError
@@ -28,6 +30,7 @@ from .roots import (
     num_diffs,
     sum_root,
     _index_tables,
+    _row_starts,
     _set,
 )
 
@@ -230,33 +233,20 @@ def perm_inversions(sigma: Perm) -> RootSet:
     return RootSet(n, _perm_inversion_mask(sigma.images, n))
 
 
-@lru_cache(maxsize=None)
-def _diff_offsets(n: int) -> tuple[int, ...]:
-    """off[v] is the bit of e_v - e_(v+1) (num_diffs(n) for the empty row n),
-    so that the differences are indexed row-major: d_idx[i][j] = off[i] +
-    (j - i - 1) for i < j.  Raises ConsistencyError when they are not."""
-    d_idx = _index_tables(n)[0]
-    off = (0, *(d_idx[v][v + 1] for v in range(1, n)), num_diffs(n))
-    if any(d_idx[i][j] != off[i] + j - i - 1 for i in range(1, n) for j in range(i + 1, n + 1)):
-        raise ConsistencyError(f"the differences of rank {n} are not indexed row-major")
-    return off
-
-
-def _perm_row(before: int, v: int, off: tuple[int, ...]) -> int:
+def _perm_row(n: int, before: int, v: int) -> int:
     """The inversions e_v - e_u, v < u, that the letter v adds after the
     letters of the value mask before (bit u - 1 for the value u).  Row v of
-    the row-major index off (_diff_offsets) has bit u - v - 1 for e_v - e_u,
-    so the row is before shifted right by v: one shift."""
-    return before >> v << off[v]
+    the differences has bit u - v - 1 for e_v - e_u (roots._row_starts), so
+    the row is before shifted right by v: one shift."""
+    return before >> v << _row_starts(n)[0][v]
 
 
 def _perm_inversion_mask(word: tuple[int, ...], n: int) -> int:
     """Bitmask of the differences e_v - e_u, v < u, with u before v in word:
     the union of the rows _perm_row gives each letter."""
-    off = _diff_offsets(n)
     mask = before = 0
     for v in word:
-        mask |= _perm_row(before, v, off)
+        mask |= _perm_row(n, before, v)
         before |= 1 << (v - 1)
     return mask
 
@@ -275,14 +265,14 @@ def perm_from_inversions(s: RootSet, n: int) -> Optional[Perm]:
 def _word_from_inversion_mask(mask: int, n: int) -> Optional[tuple[int, ...]]:
     """The one-line word of the permutation whose inversion set is the given
     difference-root bitmask, or None when there is none.  This is the
-    package's only Lehmer decoder: the popcount of row v of the row-major
-    index (_diff_offsets) counts the larger values before v, so inserting
-    the values n..1 at those offsets rebuilds the word, which is then
-    verified against the mask."""
-    off = _diff_offsets(n)
+    package's only Lehmer decoder: the popcount of row v of the differences
+    (roots._row_starts) counts the larger values before v, so inserting the
+    values n..1 at those offsets rebuilds the word, which is then verified
+    against the mask."""
+    diff_start = _row_starts(n)[0]
     word: list[int] = []
     for v in range(n, 0, -1):
-        word.insert((mask >> off[v] & (1 << (n - v)) - 1).bit_count(), v)
+        word.insert((mask >> diff_start[v] & (1 << (n - v)) - 1).bit_count(), v)
     out = tuple(word)
     return out if _perm_inversion_mask(out, n) == mask else None
 
@@ -290,19 +280,19 @@ def _word_from_inversion_mask(mask: int, n: int) -> Optional[tuple[int, ...]]:
 def _row(n: int, v: int, later: int) -> tuple[int, int]:
     """(plus, minus): the inversions of the roots whose first slot holds the value v,
     unflipped and flipped, when later is the value mask of the letters after it (bit
-    q - 1 for the value q).  Built from the root index; read by _word_rows (for
-    _iter_rows and _inversion_mask), _length_histogram and ce._unharmonic_rows."""
-    d_idx, s_idx, l_idx = _index_tables(n)
-    up, down = 0, 1 << l_idx[v]
-    while later:
-        low = later & -later
-        later ^= low
+    q - 1 for the value q): the values above v shift into row v's differences and sums
+    (roots._row_starts), and each value q below v adds a bit of row q.  Read by
+    _word_rows (for _iter_rows and _inversion_mask), _length_histogram and ce._unharmonic_rows."""
+    diff_start, sum_start, long_bit = _row_starts(n)
+    above = later >> v
+    up, down = 0, 1 << long_bit[v] | above << diff_start[v] | above << sum_start[v]
+    below = later & (1 << (v - 1)) - 1
+    while below:
+        low = below & -below
+        below ^= low
         q = low.bit_length()
-        if q < v:
-            up |= 1 << d_idx[q][v]
-            down |= 1 << s_idx[q][v]
-        else:
-            down |= (1 << s_idx[v][q]) | (1 << d_idx[v][q])
+        up |= 1 << diff_start[q] + v - q - 1
+        down |= 1 << sum_start[q] + v - q - 1
     return up, down
 
 
@@ -334,8 +324,9 @@ def _iter_rows(n: int):
 def _row_tables(n: int) -> tuple[list[list[int]], list[list[int]]]:
     """(lo, hi): lo[v][later] and hi[v][later] are the rows _row gives for
     the value v unflipped and flipped, later the value mask of the letters
-    after it, built from the root index by subset doubling and not by _row's
-    loop, from the bits of the index pairs {v, x} with x = v or x in later.
+    after it, built from the root index by subset doubling and not from the
+    row layout that _row reads, from the bits of the index pairs {v, x} with
+    x = v or x in later.
     Raises ConsistencyError unless the pairs {a, b}, a <= b, split the n^2
     roots, which is what makes rows on distinct pairs disjoint."""
     d_idx, s_idx, l_idx = _index_tables(n)

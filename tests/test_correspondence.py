@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from operator import itemgetter
 
 import pytest
@@ -1071,6 +1072,20 @@ def test_witness_at_rank_40_builds_only_its_own_closed_form(monkeypatch, tmp_pat
     doc = json.loads(out.read_text())["data"]
     assert doc["closed_form_sym_agrees"] and doc["closed_form_ideal_agrees"]
     assert doc["support_matches_inversions"] and doc["degree_additive"]
+
+
+def test_witness_at_the_cap_rank_256_peaks_under_60_mb():
+    # tracing one element reads O(n) ints of row layout and no n^2-row table;
+    # the peak includes the root index of 65,536 roots if this builds it first
+    images = [-v if v % 3 == 0 else v for v in [2, 1, *range(3, 257)]]
+    tracemalloc.start()
+    try:
+        doc = trace_element(SignedPerm(tuple(images)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20
+    assert doc["closed_form_ideal_agrees"] and doc["support_matches_inversions"]
 
 
 def test_non_permutation_relabel_table_is_an_internal_error(monkeypatch, capsys):

@@ -180,7 +180,7 @@ _PASSING = {"exclusion_violations": 0, "order_mismatches": 0, "ideals_rejected":
 
 @pytest.mark.parametrize("n", [*range(1, 9), 14, 16])
 def test_order_certificate_passes(n):
-    assert order_certificate(n) == _PASSING
+    assert order_certificate(n) == (1 << n, _PASSING)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -191,7 +191,7 @@ def test_order_certificate_runs_no_predicate_and_builds_no_set(monkeypatch, n):
 
     for name in ("is_abelian_ideal_combinatorial", "_closed_under", "IncreasingSet", "RootSet"):
         monkeypatch.setattr(ideals, name, refused)
-    assert order_certificate(n) == _PASSING
+    assert order_certificate(n) == (1 << n, _PASSING)
 
 
 def test_order_certificate_refuses_above_the_ideal_cap_before_any_table(monkeypatch):
@@ -220,7 +220,8 @@ def test_order_certificate_fails_without_a_covering_pair(monkeypatch, n):
     idx = root_index(n)
     pair = idx[diff(n - 1, n)], idx[sum_root(n - 1, n)]
     _patched_addable(monkeypatch, n, long(n), drop=pair)
-    faults = order_certificate(n)
+    checked, faults = order_certificate(n)
+    assert checked == 1 << n
     assert faults["order_mismatches"] > 0
     assert faults["exclusion_violations"] == faults["ideals_rejected"] == 0
 
@@ -231,7 +232,7 @@ def test_order_certificate_passes_without_a_pair_implied_by_transitivity(monkeyp
     # picks the same sums-only subsets and the certificate is exact about it
     idx = root_index(n)
     _patched_addable(monkeypatch, n, long(n), drop=(idx[diff(1, n)], idx[sum_root(1, n)]))
-    assert order_certificate(n) == _PASSING
+    assert order_certificate(n) == (1 << n, _PASSING)
     if n <= 4:
         for local in range(1 << n * (n + 1) // 2):
             s = phi1_subset(n, local)
@@ -244,7 +245,8 @@ def test_order_certificate_fails_when_a_sums_root_is_addable(monkeypatch, n):
     # unchanged and only the exclusion half sees the sums root b
     idx = root_index(n)
     _patched_addable(monkeypatch, n, long(1), add=(idx[long(n)], idx[long(1)]))
-    faults = order_certificate(n)
+    checked, faults = order_certificate(n)
+    assert checked == 1 << n
     assert faults["exclusion_violations"] == 1
     assert faults["order_mismatches"] == 0
     # as the predicate does, the walk rejects the one staircase holding both
@@ -262,7 +264,8 @@ def test_order_certificate_fails_when_precedes_is_perturbed(monkeypatch, n, chan
     else:
         perturbed = lambda x, y: precedes(x, y) or (x, y) == (top, bottom)
     monkeypatch.setattr(ideals, "precedes", perturbed)
-    faults = order_certificate(n)
+    checked, faults = order_certificate(n)
+    assert checked == 1 << n
     assert faults["order_mismatches"] == 1
     assert faults["exclusion_violations"] == faults["ideals_rejected"] == 0
 
@@ -285,14 +288,14 @@ def test_order_certificate_rejects_a_walked_set_that_is_not_closed(monkeypatch, 
     # member reaches 2e_1, and the tables are untouched
     _, _, l_idx = _index_tables(n)
     _walk_changing_the_full_staircase(monkeypatch, n, lambda mask: mask & ~(1 << l_idx[1]))
-    assert order_certificate(n) == {**_PASSING, "ideals_rejected": 1}
+    assert order_certificate(n) == (1 << n, {**_PASSING, "ideals_rejected": 1})
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_order_certificate_rejects_a_walked_set_with_a_difference(monkeypatch, n):
     # e_1 - e_2 is bit 0; the set is rejected, not looked up in the closure
     _walk_changing_the_full_staircase(monkeypatch, n, lambda mask: mask | 1)
-    assert order_certificate(n) == {**_PASSING, "ideals_rejected": 1}
+    assert order_certificate(n) == (1 << n, {**_PASSING, "ideals_rejected": 1})
 
 
 def test_a_walked_set_with_a_difference_fails_verify(monkeypatch, capsys):
@@ -316,6 +319,29 @@ def test_a_walked_set_with_a_difference_fails_verify(monkeypatch, capsys):
             "enumerated": [1, 1, 1, 2, 1, 1, 0, 1],
             "formula": [1, 1, 1, 2, 1, 1, 1],
         },
+    }
+
+
+def test_a_walk_that_yields_a_staircase_twice_fails_verify(monkeypatch, capsys):
+    # the walk yields its first staircase again after the 2^n: the certificate
+    # decides the sets it is given, and says how many
+    n = 3
+    real = ideals._staircases
+    monkeypatch.setattr(ideals, "_staircases", lambda rank: [*real(rank), next(real(rank))])
+    assert main(["verify", "--rank", str(n)]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert {check_id for check_id, c in checks.items() if not c["pass"]} == {
+        "ideal-count",
+        "poincare.ideal-dimension-histogram",
+    }
+    walked = (1 << n) + 1
+    assert checks["ideal-count"]["detail"] == {"count": 1 << n, "expected": 1 << n, "walked": walked}
+    assert checks["increasing-vs-root-addition"]["detail"] == {
+        "mode": "certificate",
+        "subsets_checked": walked,
+        **_PASSING,
     }
 
 

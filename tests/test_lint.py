@@ -1,4 +1,4 @@
-"""Nine source rules checked with the standard library alone: every line of
+"""Eight source rules checked with the standard library alone: every line of
 the package fits in 100 columns, every name a module imports at top level is
 used in that module (__init__.py included, since the package root re-exports
 nothing), every private name a module defines at top level is referenced
@@ -7,16 +7,15 @@ non-dunder method of the package is referenced somewhere in src/, tests/ or
 perfbench/, no module imports multiprocessing, concurrent or threading, at
 any level: every command runs in one process and one thread, and no module
 but correspondence.py references weyl._iter_rows outside weyl.py: the group
-is walked in one place, the scan's element loop, and inside weyl.py only
-_row, _row_tables and _diff_offsets read the root index (_index_tables): an
-inversion set is read off the rows, so no second hand-written inversion map
-comes back unnoticed, and inside ideals.py only the row table
-(_staircase_rows) and the bit-by-bit parse (_profile_from_mask) read the
-root index, and no other module references the row table: which bits a
-staircase row sets is known in one place, and the parse stays independent
-of it, and every check_cap call names its cap by a string literal that is
-a key of roots.CAPS, and only roots.check_cap raises RankCapError: a cap's
-value and name are written once, and there is one message builder."""
+is walked in one place, the scan's element loop, and the root index
+(_index_tables) is read only by the row layout (roots._row_starts) and by
+the three references, the independent constructions that rows are checked
+against, while the layout is read only by the rules, the code that builds
+rows for a run: which bits a row sets is stated once, and every runtime
+check still compares two constructions, and every check_cap call names its
+cap by a string literal that is a key of roots.CAPS, and only
+roots.check_cap raises RankCapError: a cap's value and name are written
+once, and there is one message builder."""
 
 import ast
 from pathlib import Path
@@ -148,28 +147,36 @@ def test_only_the_scan_walks_the_group():
     assert walkers - {"weyl.py"} == {"correspondence.py"}
 
 
-def _root_index_readers(module: str) -> set[str]:
-    """The top-level definitions of module that reference _index_tables."""
-    tree = ast.parse((Path(spcohom.__file__).parent / module).read_text(encoding="utf-8"))
-    return {
-        getattr(node, "name", type(node).__name__)
-        for node in tree.body
-        if not isinstance(node, ast.ImportFrom) and "_index_tables" in set(_references(node))
-    }
-
-
-def test_only_the_row_functions_read_the_root_index_in_weyl():
-    assert _root_index_readers("weyl.py") == {"_row", "_row_tables", "_diff_offsets"}
-
-
-def test_only_the_row_table_knows_a_staircase_rows_bits():
-    assert _root_index_readers("ideals.py") == {"_staircase_rows", "_profile_from_mask"}
+def _readers(name: str) -> set[str]:
+    """module:definition for each top-level definition of the package that
+    references name."""
     readers = set()
     for path in MODULES:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        if "_staircase_rows" in {*_references(tree), *_imported_names(tree)}:
-            readers.add(path.name)
-    assert readers == {"ideals.py"}
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ImportFrom) and name in set(_references(node)):
+                readers.add(f"{path.name}:{getattr(node, 'name', type(node).__name__)}")
+    return readers
+
+
+# the independent constructions that rows are checked against
+_REFERENCES = {
+    "weyl.py:_row_tables",
+    "ideals.py:_profile_from_mask",
+    "poincare.py:sym_inversion_histogram",
+}
+# the code that builds rows for a run (_perm_inversion_mask through _perm_row)
+_RULES = {
+    "weyl.py:_row",
+    "weyl.py:_perm_row",
+    "weyl.py:_word_from_inversion_mask",
+    "ideals.py:_staircases",
+    "ideals.py:_mask_from_profile",
+}
+
+
+def test_rules_read_the_row_layout_and_references_read_the_root_index():
+    assert _readers("_index_tables") == {"roots.py:_row_starts", *_REFERENCES}
+    assert _readers("_row_starts") == _RULES
 
 
 def _calls_and_raises(node: ast.AST, where: str):

@@ -189,8 +189,8 @@ def test_a_dp_row_that_differs_from_the_root_index_exits_3(monkeypatch, capsys):
     # the S_n DP reads poincare's name for the row
     real = poincare._perm_row
 
-    def dropped(before, v, off):
-        return 0 if (before, v) == (0b10, 1) else real(before, v, off)
+    def dropped(n, before, v):
+        return 0 if (before, v) == (0b10, 1) else real(n, before, v)
 
     monkeypatch.setattr(poincare, "_perm_row", dropped)
     with pytest.raises(ConsistencyError):

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from cochains import action_mask
-from spcohom import weyl
+from spcohom import roots, weyl
 from spcohom.cli import main
 from spcohom.errors import ConsistencyError, RankCapError
 from spcohom.roots import (
@@ -227,23 +227,36 @@ def test_decoder_matches_its_reference_on_random_masks(n):
     assert refused
 
 
-@pytest.fixture
-def swapped_difference_index(monkeypatch):
-    """Index e2-e3 before e1-e3 at rank 3, which is not row-major."""
-    real = weyl._index_tables
+def _swap_in_the_layout(monkeypatch, table):
+    """Give the row layout (roots._row_starts) an index in which the roots
+    (1, 3) and (2, 3) of table 0 (differences) or 1 (sums) trade bits at
+    rank 3, which is not row-major; the references keep the real index."""
+    real = roots._index_tables
 
     def swapped(n):
-        d, s, l = real(n)
+        tables = list(real(n))
         if n == 3:
-            d = [row[:] for row in d]
-            d[1][3], d[2][3] = d[2][3], d[1][3]
-        return d, s, l
+            t = tables[table] = [row[:] for row in tables[table]]
+            t[1][3], t[2][3] = t[2][3], t[1][3]
+        return tuple(tables)
 
-    monkeypatch.setattr(weyl, "_index_tables", swapped)
-    weyl._diff_offsets.cache_clear()
+    monkeypatch.setattr(roots, "_index_tables", swapped)
+    roots._row_starts.cache_clear()
     yield
     monkeypatch.undo()
-    weyl._diff_offsets.cache_clear()
+    roots._row_starts.cache_clear()
+
+
+@pytest.fixture
+def swapped_difference_index(monkeypatch):
+    """Index e2-e3 before e1-e3 at rank 3."""
+    yield from _swap_in_the_layout(monkeypatch, 0)
+
+
+@pytest.fixture
+def swapped_sum_index(monkeypatch):
+    """Index e2+e3 before e1+e3 at rank 3."""
+    yield from _swap_in_the_layout(monkeypatch, 1)
 
 
 def test_non_row_major_difference_index_is_refused(swapped_difference_index):
@@ -260,6 +273,21 @@ def test_non_row_major_difference_index_exits_3(swapped_difference_index, capsys
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_non_row_major_sum_index_is_refused(swapped_sum_index):
+    with pytest.raises(ConsistencyError, match="sums of rank 3 are not indexed row-major"):
+        _row(3, 1, 0)
+    assert _row(2, 1, 0b10) == (0, 0b111)  # other ranks keep their layout
+
+
+@pytest.mark.parametrize("command", ["ideals", "bijection"])
+def test_non_row_major_sum_index_exits_3(swapped_sum_index, capsys, command):
+    assert main([command, "--rank", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "row-major" in captured.err and "Traceback" not in captured.err
 
 
 def test_perm_from_inversions_examples():
@@ -506,7 +534,6 @@ def test_root_pairs_that_do_not_split_the_roots_exit_3(monkeypatch, capsys):
         return d, s, l
 
     monkeypatch.setattr(weyl, "_index_tables", shared)
-    weyl._diff_offsets.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match="do not split the roots"):
             _row_tables(3)
@@ -518,7 +545,6 @@ def test_root_pairs_that_do_not_split_the_roots_exit_3(monkeypatch, capsys):
         assert "do not split the roots" in captured.err and "Traceback" not in captured.err
     finally:
         monkeypatch.undo()
-        weyl._diff_offsets.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(1, 8))
