@@ -50,30 +50,24 @@ from . import weyl
 from .correspondence import _MAX_WITNESSES, _witness_str, verify_bijection
 from .liealg import root_vector, structure_table
 from .report import CheckRecord, VerificationReport
-from .roots import CAPS, _mask_key, check_cap, positive_roots
+from .roots import CAPS, _mask_key, _sparse_roots, check_cap, positive_roots
 
 # An alias that only perfbench/trace_pass.py's replay reads; refusals read CAPS.
 DEFAULT_COHOMOLOGY_CAP = CAPS["cohomology"]
 
 
-@lru_cache(maxsize=None)
-def _root_weights(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(r.coeffs(n) for r in positive_roots(n))
-
-
 def _subset_weight(n: int, key: tuple[int, ...]) -> tuple[int, ...]:
-    weights = _root_weights(n)
+    vectors = _sparse_roots(n)[0]
     acc = [0] * n
     for b in key:
-        w = weights[b]
-        for k in range(n):
-            acc[k] += w[k]
+        for k, c in vectors[b]:
+            acc[k - 1] += c
     return tuple(acc)
 
 
 def _c4(n: int, weight: tuple[int, ...]) -> int:
     """4 c(mu) = |rho|^2 - |rho - mu|^2 = sum_k mu_k (2 rho_k - mu_k), with
-    rho = (n, ..., 1) in the coordinates of _root_weights."""
+    rho = (n, ..., 1) in the coordinates e_1..e_n of roots._sparse_roots."""
     return sum(m * (2 * (n - k) - m) for k, m in enumerate(weight))
 
 
@@ -214,9 +208,9 @@ def _weight_dp(n: int, fold: bool) -> dict[int, int]:
     field_mask = (1 << width) - 1
     fw = n * n
     groups: list[list[int]] = [[] for _ in range(n)]
-    for w in _root_weights(n):
-        low = next(k for k, v in enumerate(w) if v)
-        groups[low].append(sum(v << (k * width) for k, v in enumerate(w)))
+    for vector in _sparse_roots(n)[0]:
+        low = vector[0][0] - 1
+        groups[low].append(sum(c << ((k - 1) * width) for k, c in vector))
     states = {sum((n - 1) << (k * width) for k in range(n)): 1}
     for k, deltas in enumerate(groups):
         for delta in deltas:

@@ -315,9 +315,8 @@ def verify_all(args: argparse.Namespace):
 
     report = VerificationReport(rank=n)
 
-    checked, faults = ideals.order_certificate(n)
+    checked, count, faults = ideals.order_certificate(n)
     # as many distinct sets as the certificate decided: no ideal is walked twice
-    count = len({mask for _profile, mask in ideals._staircases(n)})
     repeated = {"walked": checked} if checked != count else {}
     report.add(
         "ideal-count",

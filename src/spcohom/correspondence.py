@@ -29,10 +29,10 @@ its DP over suffix sets counts the lengths; and the element loop records
 no failure on the first permutation, whose word is the positions plus one,
 so closed-form-sym there compares each closed-form gather with its rule.
 A permutation is determined by its inversion set, so the symmetric
-component of every element is g_P(word), and _phi1_grid's check makes
-relabel tables compose like value maps, so relabelling through pi and then
-through rho = pi^-1 moves no bit.  If any check fails, every permutation
-runs the element loop.  The scan, like every command, runs in one process.
+component of every element is g_P(word), and _phi1_grid reads the checked
+row layout, so relabel tables compose like value maps and relabelling
+through pi and then through rho = pi^-1 moves no bit.  If any check fails,
+every permutation runs the element loop.  The scan runs in one process.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 from .errors import ConsistencyError
 from .ideals import IncreasingSet, _mask_from_profile, _profile_from_mask, _staircases
 from .report import VerificationReport
-from .roots import Frozen, RootSet, check_cap, num_diffs, positive_roots, _set
+from .roots import Frozen, RootSet, check_cap, num_diffs, _row_starts, _set
 from .weyl import (
     Perm,
     SignedPerm,
@@ -86,21 +86,19 @@ def _phi1_grid(n: int) -> tuple[list[list[Optional[int]]], tuple[int, ...], tupl
     """(grid, rows, cols): the sums-plus-longs root at index k, counted from
     bit num_diffs(n), is e_i + e_j (2e_i when i == j) with i = rows[k] <=
     j = cols[k], and grid[i][j] = grid[j][i] = k; row and column 0 of the
-    grid hold None.  Raises ConsistencyError unless (rows, cols) lists every
-    pair a <= b once; then each cell of the grid is written once, so grid
-    and (rows, cols) are inverse bijections and relabel tables compose the
-    way value maps do."""
-    roots = [r for r in positive_roots(n) if r.in_phi1]
-    rows, cols = tuple(r.i for r in roots), tuple(r.j for r in roots)
-    if sorted(zip(rows, cols)) != [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]:
-        raise ConsistencyError(
-            f"the sums-plus-longs of rank {n} do not list the pairs a <= b once; "
-            "this indicates a bug"
-        )
+    grid hold None.  Both are read off the row layout (roots._row_starts),
+    whose check puts each pair i <= j at a bit of its own, so they are
+    inverse bijections and relabel tables compose the way value maps do."""
+    _diff_start, sum_start, long_bit = _row_starts(n)
+    nd, width = num_diffs(n), n * (n + 1) // 2
     grid: list[list[Optional[int]]] = [[None] * (n + 1) for _ in range(n + 1)]
-    for k, (i, j) in enumerate(zip(rows, cols)):
-        grid[i][j] = grid[j][i] = k
-    return grid, rows, cols
+    rows, cols = [0] * width, [0] * width
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            k = (long_bit[i] if i == j else sum_start[i] + j - i - 1) - nd
+            grid[i][j] = grid[j][i] = k
+            rows[k], cols[k] = i, j
+    return grid, tuple(rows), tuple(cols)
 
 
 def _relabel_table(value_map: Sequence[int], n: int) -> tuple[int, ...]:

@@ -179,10 +179,11 @@ def _closed_under(row, mask: int) -> bool:
     return True
 
 
-def order_certificate(n: int) -> tuple[int, dict[str, int]]:
-    """(checked, faults) of the exact certificate that a sums-only subset
-    passes is_abelian_ideal_combinatorial exactly when it is upward closed
-    under precedes: the walked sets it decided, and its failure counts.
+def order_certificate(n: int) -> tuple[int, int, dict[str, int]]:
+    """(checked, distinct, faults) of the exact certificate that a sums-only
+    subset passes is_abelian_ideal_combinatorial exactly when it is upward
+    closed under precedes: the walked sets it decided, how many of them are
+    distinct, and its failure counts.
     Exclusion half: each b addable to a sums-plus-longs root is a difference,
     so no sums-only subset contains one.  Order half: the predicate is then
     closure under a -> g, which picks the up-sets of precedes exactly when the
@@ -205,15 +206,17 @@ def order_certificate(n: int) -> tuple[int, dict[str, int]]:
     dominance = {a: sum(1 << y for y in phi1 if precedes(roots[a], roots[y])) for a in phi1}
     # the exclusion half's violations, as one mask per root
     sums_addable = {a: sum({1 << b for b, _g in addable[a] if b >= nd}) for a in phi1}
-    rejected = Counter(
-        mask >> nd << nd != mask
+    walked = Counter(mask for _profile, mask in _staircases(n))  # dropped on return
+    rejected = sum(
+        times
+        for mask, times in walked.items()
+        if mask >> nd << nd != mask
         or any(reach[a] & ~mask or sums_addable[a] & mask for a in _mask_key(mask))
-        for _profile, mask in _staircases(n)
     )
-    return rejected.total(), {
+    return walked.total(), len(walked), {
         "exclusion_violations": sum(b >= nd for a in phi1 for b, _g in addable[a]),
         "order_mismatches": sum(reach[a] != dominance[a] for a in phi1),
-        "ideals_rejected": rejected[True],
+        "ideals_rejected": rejected,
     }
 
 

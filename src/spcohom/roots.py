@@ -11,8 +11,8 @@ output) depends on one global total order of the positive roots, fixed here
 once and for all: all differences in lexicographic (i, j) order, then all
 sums in lexicographic order, then the long roots by index.
 
-Each row i of that order is a block of consecutive bits, j ascending: the row
-layout, stated once and checked against the index in _row_starts.
+Each row i is a block of consecutive bits, j ascending: the row layout,
+computed in _row_starts, which checks every root's bit against the index.
 
 The caps on the exhaustive loops are one table here, CAPS, which every
 refusal reads through check_cap when it runs: raising a cap changes one entry.
@@ -177,8 +177,8 @@ CAPS = {
     "structure": 14,
     # bijection --witness.  The trace lists the inversion set and its parts,
     # up to n^2 roots each, so time and memory grow at least as n^2: rank 256
-    # takes 0.6 s, 32 MB and a 1.2 MB report, rank 500 took 4.5 s and 94 MB
-    # (the longest element: 1.0 s, 41 MB, 3.6 MB; 10.3 s and 125 MB).
+    # takes 0.24 s, 30 MB and a 1.2 MB report, rank 500 took 1.0 s and 87 MB
+    # (the longest element: 0.30 s, 39 MB, 3.6 MB; 1.2 s and 118 MB).
     "witness": 256,
     # The listings, per command (--list, or --per-weight for betti).  A
     # listing is held in memory while it is written out, so these keep peak
@@ -285,13 +285,9 @@ class RootSet(Frozen):
 
 
 def _mask_key(mask: int) -> tuple[int, ...]:
-    """The indices of the set bits of mask, ascending."""
-    key = []
-    while mask:
-        low = mask & -mask
-        key.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(key)
+    """The indices of the set bits of mask, ascending: one pass over its
+    binary digits, lowest first."""
+    return tuple([b for b, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"])
 
 
 def split(n: int) -> tuple[RootSet, RootSet]:
@@ -342,16 +338,20 @@ def precedes(x: Root, y: Root) -> bool:
 @lru_cache(maxsize=None)
 def _index_tables(n: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """1-based lookup tables (diff_idx[i][j], sum_idx[i][j], long_idx[i]) into
-    the canonical order; unused slots hold -1."""
-    idx = root_index(n)
+    the canonical order, one pass over positive_roots; unused slots hold -1.
+    Raises ConsistencyError unless its n^2 roots fill every slot once."""
     d = [[-1] * (n + 1) for _ in range(n + 1)]
     s = [[-1] * (n + 1) for _ in range(n + 1)]
     l = [-1] * (n + 1)
-    for i in range(1, n + 1):
-        l[i] = idx[long(i)]
-        for j in range(i + 1, n + 1):
-            d[i][j] = idx[diff(i, j)]
-            s[i][j] = idx[Root(SUM, i, j)]
+    roots = positive_roots(n)
+    for b, r in enumerate(roots):
+        if r.kind == LONG:
+            l[r.i] = b
+        else:
+            (d if r.kind == DIFF else s)[r.i][r.j] = b
+    holes = l[1:].count(-1) + sum(t[i][i + 1 :].count(-1) for t in (d, s) for i in range(1, n))
+    if holes or len(roots) != n * n:
+        raise ConsistencyError(f"the positive roots of rank {n} do not list every root once")
     return d, s, l
 
 
@@ -359,15 +359,20 @@ def _index_tables(n: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
 def _row_starts(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The row layout (diff_start, sum_start, long_bit), by row i = 1..n: e_i - e_j
     and e_i + e_j, i < j, sit at diff_start[i] + (j - i - 1) and sum_start[i] +
-    (j - i - 1), 2e_i at long_bit[i]; the empty row n starts where row n - 1
-    ends.  Raises ConsistencyError unless _index_tables puts every root there."""
+    (j - i - 1), 2e_i at long_bit[i].  Row i of each part holds n - i roots,
+    the differences from bit 0, the sums from num_diffs(n), then the longs.
+    Raises ConsistencyError unless _index_tables puts every root there."""
+    nd = num_diffs(n)
+    starts = [(i - 1) * n - i * (i - 1) // 2 for i in range(1, n + 1)]
+    diff_start, sum_start = (0, *starts), (0, *(nd + start for start in starts))
+    long_bit = (-1, *range(2 * nd, n * n))
     d_idx, s_idx, l_idx = _index_tables(n)
-    diff_start = (0, *(d_idx[i][i + 1] for i in range(1, n)), num_diffs(n))
-    sum_start = (0, *(s_idx[i][i + 1] for i in range(1, n)), 2 * num_diffs(n))
     for name, idx, start in (("differences", d_idx, diff_start), ("sums", s_idx, sum_start)):
         if any(idx[i][j] != start[i] + j - i - 1 for i in range(1, n) for j in range(i + 1, n + 1)):
             raise ConsistencyError(f"the {name} of rank {n} are not indexed row-major")
-    return diff_start, sum_start, tuple(l_idx)
+    if tuple(l_idx) != long_bit:
+        raise ConsistencyError(f"the long roots of rank {n} are not indexed row-major")
+    return diff_start, sum_start, long_bit
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ from operator import itemgetter
 
 import pytest
 
-from spcohom import correspondence, weyl
+from spcohom import correspondence, roots, weyl
 from spcohom.cli import main
 from spcohom.correspondence import (
     CorrespondencePair,
@@ -1033,30 +1033,98 @@ def test_decoder_and_relabel_tables_hold_on_every_eta(n):
         assert correspondence._gather(_relabel_table(pi, n))(rho) == identity
 
 
-def test_a_duplicate_root_in_the_grid_exits_3(monkeypatch, capsys):
-    # e1+e2 listed twice at rank 3, in place of e1+e3: the pairs a <= b are
-    # not listed once, so the grid is no inverse of (rows, cols)
-    real = correspondence.positive_roots
+def _reorder_the_roots(monkeypatch, reorder):
+    """Make roots.positive_roots list reorder(roots) at rank 3, with the
+    index, the layout and the grid built afresh from it; other ranks keep
+    their order.  The caches are cleared again on undo."""
+    real = roots.positive_roots
 
-    def duplicated(n):
-        roots = list(real(n))
-        if n == 3:
-            roots[roots.index(sum_root(1, 3))] = sum_root(1, 2)
-        return roots
+    def reordered(n):
+        return tuple(reorder(real(n))) if n == 3 else real(n)
 
-    monkeypatch.setattr(correspondence, "positive_roots", duplicated)
-    correspondence._phi1_grid.cache_clear()
-    try:
-        with pytest.raises(ConsistencyError, match="pairs a <= b"):
-            correspondence._phi1_grid(3)
-        assert main(["bijection", "--rank", "3"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "Traceback" not in captured.err
-    finally:
-        monkeypatch.undo()
-        correspondence._phi1_grid.cache_clear()
+    caches = (
+        roots.root_index,
+        roots._index_tables,
+        roots._row_starts,
+        roots._addable,
+        roots._sparse_roots,
+        correspondence._phi1_grid,
+    )
+    monkeypatch.setattr(roots, "positive_roots", reordered)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    monkeypatch.undo()
+    for cached in caches:
+        cached.cache_clear()
+
+
+def _assert_one_error_line(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def _duplicate_a_sum(rs):
+    """e1+e2 listed twice, in place of e1+e3."""
+    return [sum_root(1, 2) if r == sum_root(1, 3) else r for r in rs]
+
+
+def _interleave_the_rows(rs):
+    """Each row's differences, then its sums, the long roots last: every row
+    is still a block of consecutive bits.  The sort is stable, so j stays
+    ascending inside each block."""
+    return sorted(rs, key=lambda r: (r.kind == "long", 0 if r.kind == "long" else r.i, r.kind))
+
+
+def _long_before_a_sum(rs):
+    """2e1 indexed before e2+e3."""
+    rest = [r for r in rs if r != long(1)]
+    at = rest.index(sum_root(2, 3))
+    return [*rest[:at], long(1), *rest[at:]]
+
+
+def _swap_two_longs(rs):
+    """2e2 indexed before 2e1; every difference and sum keeps its bit."""
+    swapped = {long(1): long(2), long(2): long(1)}
+    return [swapped.get(r, r) for r in rs]
+
+
+@pytest.fixture
+def reordered_roots(request, monkeypatch):
+    yield from _reorder_the_roots(monkeypatch, request.param)
+
+
+@pytest.fixture
+def duplicated_sum(monkeypatch):
+    yield from _reorder_the_roots(monkeypatch, _duplicate_a_sum)
+
+
+def test_a_duplicate_root_in_the_grid_exits_3(duplicated_sum, capsys):
+    # the pairs a <= b are not listed once, so no grid can invert (rows, cols)
+    with pytest.raises(ConsistencyError, match="do not list every root once"):
+        correspondence._phi1_grid(3)
+    assert main(["bijection", "--rank", "3"]) == 3
+    _assert_one_error_line(capsys, "do not list every root once")
+
+
+@pytest.mark.parametrize(
+    "reordered_roots, part",
+    [
+        (_interleave_the_rows, "differences"),
+        (_long_before_a_sum, "sums"),
+        (_swap_two_longs, "long roots"),
+    ],
+    ids=["interleaved-rows", "long-before-a-sum", "swapped-longs"],
+    indirect=["reordered_roots"],
+)
+@pytest.mark.parametrize("command", ["bijection", "ideals", "weyl", "verify"])
+def test_a_root_order_off_the_row_layout_exits_3(reordered_roots, capsys, part, command):
+    assert main([command, "--rank", "3"]) == 3
+    _assert_one_error_line(capsys, f"the {part} of rank 3 are not indexed row-major")
+    assert main([command, "--rank", "2"]) == 0  # other ranks keep their order
+    capsys.readouterr()
 
 
 def test_witness_at_rank_40_builds_only_its_own_closed_form(monkeypatch, tmp_path):

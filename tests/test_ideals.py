@@ -180,7 +180,7 @@ _PASSING = {"exclusion_violations": 0, "order_mismatches": 0, "ideals_rejected":
 
 @pytest.mark.parametrize("n", [*range(1, 9), 14, 16])
 def test_order_certificate_passes(n):
-    assert order_certificate(n) == (1 << n, _PASSING)
+    assert order_certificate(n) == (1 << n, 1 << n, _PASSING)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -191,7 +191,7 @@ def test_order_certificate_runs_no_predicate_and_builds_no_set(monkeypatch, n):
 
     for name in ("is_abelian_ideal_combinatorial", "_closed_under", "IncreasingSet", "RootSet"):
         monkeypatch.setattr(ideals, name, refused)
-    assert order_certificate(n) == (1 << n, _PASSING)
+    assert order_certificate(n) == (1 << n, 1 << n, _PASSING)
 
 
 def test_order_certificate_refuses_above_the_ideal_cap_before_any_table(monkeypatch):
@@ -220,8 +220,8 @@ def test_order_certificate_fails_without_a_covering_pair(monkeypatch, n):
     idx = root_index(n)
     pair = idx[diff(n - 1, n)], idx[sum_root(n - 1, n)]
     _patched_addable(monkeypatch, n, long(n), drop=pair)
-    checked, faults = order_certificate(n)
-    assert checked == 1 << n
+    checked, distinct, faults = order_certificate(n)
+    assert checked == distinct == 1 << n
     assert faults["order_mismatches"] > 0
     assert faults["exclusion_violations"] == faults["ideals_rejected"] == 0
 
@@ -232,7 +232,7 @@ def test_order_certificate_passes_without_a_pair_implied_by_transitivity(monkeyp
     # picks the same sums-only subsets and the certificate is exact about it
     idx = root_index(n)
     _patched_addable(monkeypatch, n, long(n), drop=(idx[diff(1, n)], idx[sum_root(1, n)]))
-    assert order_certificate(n) == (1 << n, _PASSING)
+    assert order_certificate(n) == (1 << n, 1 << n, _PASSING)
     if n <= 4:
         for local in range(1 << n * (n + 1) // 2):
             s = phi1_subset(n, local)
@@ -245,8 +245,8 @@ def test_order_certificate_fails_when_a_sums_root_is_addable(monkeypatch, n):
     # unchanged and only the exclusion half sees the sums root b
     idx = root_index(n)
     _patched_addable(monkeypatch, n, long(1), add=(idx[long(n)], idx[long(1)]))
-    checked, faults = order_certificate(n)
-    assert checked == 1 << n
+    checked, distinct, faults = order_certificate(n)
+    assert checked == distinct == 1 << n
     assert faults["exclusion_violations"] == 1
     assert faults["order_mismatches"] == 0
     # as the predicate does, the walk rejects the one staircase holding both
@@ -264,8 +264,8 @@ def test_order_certificate_fails_when_precedes_is_perturbed(monkeypatch, n, chan
     else:
         perturbed = lambda x, y: precedes(x, y) or (x, y) == (top, bottom)
     monkeypatch.setattr(ideals, "precedes", perturbed)
-    checked, faults = order_certificate(n)
-    assert checked == 1 << n
+    checked, distinct, faults = order_certificate(n)
+    assert checked == distinct == 1 << n
     assert faults["order_mismatches"] == 1
     assert faults["exclusion_violations"] == faults["ideals_rejected"] == 0
 
@@ -288,14 +288,14 @@ def test_order_certificate_rejects_a_walked_set_that_is_not_closed(monkeypatch, 
     # member reaches 2e_1, and the tables are untouched
     _, _, l_idx = _index_tables(n)
     _walk_changing_the_full_staircase(monkeypatch, n, lambda mask: mask & ~(1 << l_idx[1]))
-    assert order_certificate(n) == (1 << n, {**_PASSING, "ideals_rejected": 1})
+    assert order_certificate(n) == (1 << n, 1 << n, {**_PASSING, "ideals_rejected": 1})
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_order_certificate_rejects_a_walked_set_with_a_difference(monkeypatch, n):
     # e_1 - e_2 is bit 0; the set is rejected, not looked up in the closure
     _walk_changing_the_full_staircase(monkeypatch, n, lambda mask: mask | 1)
-    assert order_certificate(n) == (1 << n, {**_PASSING, "ideals_rejected": 1})
+    assert order_certificate(n) == (1 << n, 1 << n, {**_PASSING, "ideals_rejected": 1})
 
 
 def test_a_walked_set_with_a_difference_fails_verify(monkeypatch, capsys):
@@ -328,6 +328,7 @@ def test_a_walk_that_yields_a_staircase_twice_fails_verify(monkeypatch, capsys):
     n = 3
     real = ideals._staircases
     monkeypatch.setattr(ideals, "_staircases", lambda rank: [*real(rank), next(real(rank))])
+    assert order_certificate(n) == ((1 << n) + 1, 1 << n, _PASSING)
     assert main(["verify", "--rank", str(n)]) == 1
     out, err = capsys.readouterr()
     assert "Traceback" not in err
@@ -363,6 +364,24 @@ def test_verify_builds_each_staircase_mask_from_a_profile_once(monkeypatch, caps
     assert main(["verify", "--rank", str(n)]) == 0
     capsys.readouterr()
     assert len(calls) == 1 << n
+
+
+def test_verify_walks_the_staircases_three_times(monkeypatch, capsys):
+    # the order certificate (which also counts the distinct sets for
+    # ideal-count), the inverse recipes and the dimension histogram
+    calls = []
+    real = ideals._staircases
+
+    def counted(rank):
+        calls.append(rank)
+        return real(rank)
+
+    for module in (ideals, correspondence):
+        monkeypatch.setattr(module, "_staircases", counted)
+    correspondence._recipes.cache_clear()
+    assert main(["verify", "--rank", "6"]) == 0
+    capsys.readouterr()
+    assert calls == [6, 6, 6]
 
 
 @pytest.mark.parametrize("n", range(1, 6))

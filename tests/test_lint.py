@@ -1,4 +1,4 @@
-"""Eight source rules checked with the standard library alone: every line of
+"""Nine source rules checked with the standard library alone: every line of
 the package fits in 100 columns, every name a module imports at top level is
 used in that module (__init__.py included, since the package root re-exports
 nothing), every private name a module defines at top level is referenced
@@ -10,12 +10,15 @@ but correspondence.py references weyl._iter_rows outside weyl.py: the group
 is walked in one place, the scan's element loop, and the root index
 (_index_tables) is read only by the row layout (roots._row_starts) and by
 the three references, the independent constructions that rows are checked
-against, while the layout is read only by the rules, the code that builds
-rows for a run: which bits a row sets is stated once, and every runtime
-check still compares two constructions, and every check_cap call names its
-cap by a string literal that is a key of roots.CAPS, and only
-roots.check_cap raises RankCapError: a cap's value and name are written
-once, and there is one message builder."""
+against, while the layout is read only by the rules, the code that places
+bits for a run (rows, staircases and the relabel grid): which bit is which
+root is stated once, and every runtime check still compares two
+constructions, and no rule references positive_roots and no definition but
+RootSet references root_index: rules read the layout, never Root objects,
+and no table hashes a Root, and every check_cap call names its cap by a
+string literal that is a key of roots.CAPS, and only roots.check_cap raises
+RankCapError: a cap's value and name are written once, and there is one
+message builder."""
 
 import ast
 from pathlib import Path
@@ -164,19 +167,27 @@ _REFERENCES = {
     "ideals.py:_profile_from_mask",
     "poincare.py:sym_inversion_histogram",
 }
-# the code that builds rows for a run (_perm_inversion_mask through _perm_row)
+# the code that places bits for a run (_perm_inversion_mask through _perm_row)
 _RULES = {
     "weyl.py:_row",
     "weyl.py:_perm_row",
     "weyl.py:_word_from_inversion_mask",
     "ideals.py:_staircases",
     "ideals.py:_mask_from_profile",
+    "correspondence.py:_phi1_grid",
 }
 
 
 def test_rules_read_the_row_layout_and_references_read_the_root_index():
     assert _readers("_index_tables") == {"roots.py:_row_starts", *_REFERENCES}
     assert _readers("_row_starts") == _RULES
+
+
+def test_rules_read_no_root_objects_and_no_table_hashes_them():
+    # the layout alone says which bit a rule sets: a rule that enumerated the
+    # Root objects would state the order a second time
+    assert _readers("positive_roots") & _RULES == set()
+    assert _readers("root_index") == {"roots.py:RootSet"}
 
 
 def _calls_and_raises(node: ast.AST, where: str):

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from spcohom import correspondence
 from spcohom import roots as roots_module
 from spcohom.errors import InvalidRankError
 from spcohom.roots import (
@@ -16,6 +18,9 @@ from spcohom.roots import (
     split,
     sum_root,
     _addable,
+    _index_tables,
+    _mask_key,
+    _row_starts,
 )
 
 
@@ -179,3 +184,42 @@ def test_rootset_operations():
 def test_rootset_serialization_is_canonical():
     s = RootSet.from_roots(2, [long(2), long(1), sum_root(1, 2)])
     assert s.to_strings() == ["e1+e2", "2e1", "2e2"]
+
+
+def _bit_clearing_key(mask):
+    """The reference listing of a mask's set bits: clear the lowest until
+    none is left."""
+    key = []
+    while mask:
+        low = mask & -mask
+        key.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(key)
+
+
+@pytest.mark.parametrize("n", [1, 16, 256])
+def test_mask_key_equals_the_bit_clearing_loop(n):
+    width, rng = n * n, random.Random(n)
+    bits = range(width) if n <= 16 else [0, 1, *rng.sample(range(2, width - 1), 30), width - 1]
+    masks = [0, (1 << width) - 1, *(1 << b for b in bits)]
+    masks += [rng.getrandbits(width) for _ in range(200 if n <= 16 else 2)]
+    masks += [rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)]
+    for mask in masks:
+        assert _mask_key(mask) == _bit_clearing_key(mask)
+
+
+def test_the_index_layout_and_grid_build_no_root_at_rank_256(monkeypatch):
+    # the Root objects are enumerated once, by positive_roots; the index is
+    # one pass over them, and the layout and the relabel grid are arithmetic
+    def refused(*args):
+        raise AssertionError("a Root was built or hashed")
+
+    positive_roots(256)
+    monkeypatch.setattr(roots_module, "root_index", refused)
+    monkeypatch.setattr(roots_module, "Root", refused)
+    d_idx, s_idx, l_idx = _index_tables.__wrapped__(256)
+    assert (d_idx[1][2], s_idx[1][2], l_idx[1]) == (0, 32640, 65280)
+    diff_start, sum_start, long_bit = _row_starts.__wrapped__(256)
+    assert (diff_start[256], sum_start[256], long_bit[256]) == (32640, 65280, 65535)
+    grid, rows, cols = correspondence._phi1_grid.__wrapped__(256)
+    assert (grid[1][2], grid[256][256], rows[-1], cols[-1]) == (0, 256 * 257 // 2 - 1, 256, 256)
