@@ -347,14 +347,13 @@ def verify_all(args: argparse.Namespace):
         poincare.add_betti_record(report, mrep.data["betti"])
         report.extend(mrep, prefix="classes")
     else:
-        skipped = {"cohomology_cap": CAPS["cohomology"]}
-        poincare.add_betti_record(report, None, skipped)
+        cap = {"cohomology_cap": CAPS["cohomology"]}
+        poincare.add_betti_record(report, None, cap)
         report.add(
             "classes.basis",
             "inversion-set cocycles give a cohomology basis",
             True,
-            skipped,
-            skipped=True,
+            {"skipped": True, **cap},
         )
     return report, None
 

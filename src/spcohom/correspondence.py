@@ -177,8 +177,8 @@ def _sym_entry(phi0: int, n: int) -> Optional[tuple[tuple[int, ...], tuple[int, 
     return word, _position_map(word)
 
 
-def _pair_masks(w: SignedPerm) -> tuple[tuple[int, ...], int]:
-    """(sym word, ideal mask) for one element."""
+def _pair_masks(w: SignedPerm) -> tuple[tuple[int, ...], int, int]:
+    """(sym word, ideal mask, inversion mask) for one element."""
     n = w.rank
     mask = _inversion_mask(w.images, n)
     entry = _sym_entry(mask & ((1 << num_diffs(n)) - 1), n)
@@ -188,7 +188,7 @@ def _pair_masks(w: SignedPerm) -> tuple[tuple[int, ...], int]:
             "this contradicts the correspondence and indicates a bug"
         )
     word, pi = entry
-    return word, _relabel(mask, _relabel_table(pi, n), n)
+    return word, _relabel(mask, _relabel_table(pi, n), n), mask
 
 
 def sym_component(w: SignedPerm) -> Perm:
@@ -204,15 +204,20 @@ def ideal_component(w: SignedPerm) -> IncreasingSet:
 
 
 def correspondence_pair(w: SignedPerm) -> CorrespondencePair:
+    return _pair_and_mask(w)[0]
+
+
+def _pair_and_mask(w: SignedPerm) -> tuple[CorrespondencePair, int]:
+    """(pair, inversion mask) for one element, the mask evaluated once."""
     n = w.rank
-    word, ximask = _pair_masks(w)
+    word, ximask, mask = _pair_masks(w)
     profile = _profile_from_mask(ximask, n)
     if profile is None:
         raise ConsistencyError(
             f"the relabeled sum inversions of {w} are not upward closed; "
             "this contradicts the correspondence and indicates a bug"
         )
-    return CorrespondencePair(Perm(word), IncreasingSet(n, RootSet(n, ximask), profile))
+    return CorrespondencePair(Perm(word), IncreasingSet(n, RootSet(n, ximask), profile)), mask
 
 
 def _closed_form_entry(pset: int, n: int) -> tuple[itemgetter, int]:
@@ -323,22 +328,9 @@ def cocycle_support(sigma: Perm, psi: IncreasingSet) -> RootSet:
     return RootSet(n, inv | _relabel(psi.members.mask, _rho_table(sigma.images, n), n))
 
 
-class _TopK:
-    """Keeps the _MAX_WITNESSES smallest items seen (lexicographic), deterministically."""
-
-    def __init__(self):
-        self.items: list = []
-
-    def offer(self, item) -> None:
-        if len(self.items) < _MAX_WITNESSES:
-            insort(self.items, item)
-        elif item < self.items[-1]:
-            insort(self.items, item)
-            self.items.pop()
-
-
 def _witness_str(word: tuple[int, ...], jmask: int) -> str:
-    return "[" + ",".join(map(str, _signed_images(word, jmask))) + "]"
+    """The element as SignedPerm prints it, so parse_signed_perm reads it back."""
+    return str(SignedPerm(_signed_images(word, jmask)))
 
 
 # witnesses reported per failing check
@@ -399,8 +391,9 @@ def _scan_chunk(n: int, perms: Optional[int]) -> dict:
     of the whole group when perms is None, one by one, on the masks of the
     walk.
 
-    Returns the failure counts, bounded witness lists, the length histogram
-    and the pair keys of the elements whose round trip through the direct
+    Returns the failure counts, per check the sorted list of its
+    _MAX_WITNESSES smallest failing (word, jmask), the length histogram and
+    the pair keys of the elements whose round trip through the direct
     inverse failed, plus the number of permutations checked.
     """
     phi0_all = (1 << num_diffs(n)) - 1
@@ -410,11 +403,13 @@ def _scan_chunk(n: int, perms: Optional[int]) -> dict:
     # relabel, compiled rho relabel), or None when phi0 is no inversion set
     entries: dict[int, Optional[tuple]] = {}
     counts = dict.fromkeys(_ELEMENT_CHECKS, 0)
-    witnesses = {key: _TopK() for key in _ELEMENT_CHECKS}
+    witnesses: dict[str, list] = {key: [] for key in _ELEMENT_CHECKS}
 
     def fail(key: str, word: tuple[int, ...], jmask: int) -> None:
         counts[key] += 1
-        witnesses[key].offer((word, jmask))
+        kept = witnesses[key]
+        insort(kept, (word, jmask))
+        del kept[_MAX_WITNESSES:]
 
     hist: Counter[int] = Counter()
     failed_keys: set[tuple[tuple[int, ...], int]] = set()
@@ -458,7 +453,7 @@ def _scan_chunk(n: int, perms: Optional[int]) -> dict:
 
     return {
         "counts": counts,
-        "witnesses": {k: w.items for k, w in witnesses.items()},
+        "witnesses": witnesses,
         "hist": [hist[d] for d in range(n * n + 1)],
         "failed_keys": failed_keys,
         "per_element_perms": checked,
@@ -473,7 +468,7 @@ def _round_trip(sigma_word: tuple[int, ...], ximask: int, n: int) -> Optional[Si
         return None
     try:
         w = SignedPerm(_signed_images(*built))
-        return w if _pair_masks(w) == (sigma_word, ximask) else None
+        return w if _pair_masks(w)[:2] == (sigma_word, ximask) else None
     except (ValueError, ConsistencyError):  # the recipe built no valid element
         return None
 
@@ -548,12 +543,12 @@ def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
 def trace_element(w: SignedPerm) -> dict:
     """A single-element walkthrough of the correspondence, JSON-friendly."""
     n = w.rank
-    inv = RootSet(n, _inversion_mask(w.images, n))
-    pair = correspondence_pair(w)
+    pair, mask = _pair_and_mask(w)
+    inv = RootSet(n, mask)
     sf = standard_form(w)
     support = cocycle_support(pair.sym, pair.ideal)
-    cf_sym = sym_component_closed_form(sf)
-    cf_ideal = ideal_component_closed_form(sf)
+    cf_word, cf_mask = _closed_form_of(sf)
+    cf_sym, cf_ideal = Perm(cf_word), RootSet(n, cf_mask)
     return {
         "element": str(w),
         "length": len(inv),

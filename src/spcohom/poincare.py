@@ -133,11 +133,11 @@ def add_betti_record(
     skipped_detail: dict | None = None,
 ) -> None:
     """Add the betti-match record: betti against the type-C length generating
-    function of the report's rank, or, when betti is None, a skipped record
-    carrying skipped_detail."""
+    function of the report's rank, or, when betti is None, a passing record
+    whose detail is {"skipped": true} followed by skipped_detail."""
     anchor = "Betti numbers of the nilradical equal the type-C length histogram"
     if betti is None:
-        report.add("betti-match", anchor, True, skipped_detail, skipped=True)
+        report.add("betti-match", anchor, True, {"skipped": True, **(skipped_detail or {})})
         return
     formula = list(weyl_poincare(report.rank).coeffs)
     report.add(

@@ -1,7 +1,10 @@
 """Verification reports: per-check records with a stable JSON form.
 
-Records carry no timings, so repeated runs with the same configuration
-produce byte-identical output.
+A record is the four fields it prints: id, anchor, pass and detail.  A
+check that a cap skips is an ordinary passing record whose detail begins
+with "skipped": true, built where the skip is decided.  Records carry no
+timings, so repeated runs with the same configuration produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -10,24 +13,21 @@ from typing import Any, Optional
 
 
 class CheckRecord:
-    __slots__ = ("check_id", "anchor", "passed", "detail", "skipped")
+    __slots__ = ("check_id", "anchor", "passed", "detail")
 
-    def __init__(
-        self, check_id: str, anchor: str, passed: bool, detail: Any = None, skipped: bool = False
-    ):
+    def __init__(self, check_id: str, anchor: str, passed: bool, detail: Any = None):
         self.check_id = check_id
         self.anchor = anchor
         self.passed = passed
         self.detail = detail
-        self.skipped = skipped
 
     def to_json(self) -> dict:
-        out = {"id": self.check_id, "anchor": self.anchor, "pass": self.passed}
-        detail = self.detail
-        if self.skipped:
-            detail = {"skipped": True, **(detail or {})}
-        out["detail"] = detail
-        return out
+        return {
+            "id": self.check_id,
+            "anchor": self.anchor,
+            "pass": self.passed,
+            "detail": self.detail,
+        }
 
 
 class VerificationReport:
@@ -42,15 +42,8 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def add(
-        self,
-        check_id: str,
-        anchor: str,
-        passed: bool,
-        detail: Any = None,
-        skipped: bool = False,
-    ) -> CheckRecord:
-        rec = CheckRecord(check_id, anchor, passed, detail, skipped)
+    def add(self, check_id: str, anchor: str, passed: bool, detail: Any = None) -> CheckRecord:
+        rec = CheckRecord(check_id, anchor, passed, detail)
         self.records.append(rec)
         return rec
 
@@ -58,14 +51,8 @@ class VerificationReport:
         """Merge another report into this one (associative: record order is
         concatenation order, data keys are namespaced by the prefix)."""
         for rec in other.records:
-            rec2 = CheckRecord(
-                rec.check_id if prefix is None else f"{prefix}.{rec.check_id}",
-                rec.anchor,
-                rec.passed,
-                rec.detail,
-                rec.skipped,
-            )
-            self.records.append(rec2)
+            check_id = rec.check_id if prefix is None else f"{prefix}.{rec.check_id}"
+            self.add(check_id, rec.anchor, rec.passed, rec.detail)
         for key, value in other.data.items():
             self.data[key if prefix is None else f"{prefix}.{key}"] = value
 

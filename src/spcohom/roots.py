@@ -177,8 +177,8 @@ CAPS = {
     "structure": 14,
     # bijection --witness.  The trace lists the inversion set and its parts,
     # up to n^2 roots each, so time and memory grow at least as n^2: rank 256
-    # takes 0.24 s, 30 MB and a 1.2 MB report, rank 500 took 1.0 s and 87 MB
-    # (the longest element: 0.30 s, 39 MB, 3.6 MB; 1.2 s and 118 MB).
+    # takes 0.27-0.28 s, 29-32 MB and a 1.2 MB report, rank 500 took 0.9-1.3 s
+    # and 87-99 MB (the longest element: 0.29 s, 39 MB, 3.6 MB; 1.2 s, 118 MB).
     "witness": 256,
     # The listings, per command (--list, or --per-weight for betti).  A
     # listing is held in memory while it is written out, so these keep peak

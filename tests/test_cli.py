@@ -110,7 +110,7 @@ def test_lie_certificate_passes_above_the_cohomology_cap(n):
     cli._lie_agreement_record(n, report)
     (record,) = report.records
     assert record.check_id == "lie-vs-combinatorial"
-    assert record.passed and not record.skipped
+    assert record.passed and "skipped" not in (record.detail or {})
     assert record.detail == {
         "mode": "certificate",
         "subsets_covered": 1 << n * n,
@@ -377,6 +377,30 @@ def test_cohomology_cap_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["betti", "--rank", "4", "--allow-rank4-cohomology"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_verify_above_the_cohomology_cap_prints_two_skipped_records(tmp_path, n):
+    code, text = run_cli(["verify", "--rank", str(n)], tmp_path)
+    assert code == 0
+    checks = {c["id"]: c for c in json.loads(text)["checks"]}
+    skipped = {"skipped": True, "cohomology_cap": 6}
+    assert checks["betti-match"] == {
+        "id": "betti-match",
+        "anchor": "Betti numbers of the nilradical equal the type-C length histogram",
+        "pass": True,
+        "detail": skipped,
+    }
+    assert checks["classes.basis"] == {
+        "id": "classes.basis",
+        "anchor": "inversion-set cocycles give a cohomology basis",
+        "pass": True,
+        "detail": skipped,
+    }
+    # the detail begins with "skipped", and the two records end the report
+    for check_id in ("betti-match", "classes.basis"):
+        assert list(checks[check_id]["detail"]) == ["skipped", "cohomology_cap"]
+    assert list(checks)[-2:] == ["betti-match", "classes.basis"]
 
 
 def test_csv_not_available_for_reports():

@@ -1185,3 +1185,22 @@ def test_trace_element_shape():
     assert doc["closed_form_sym_agrees"]
     assert doc["closed_form_ideal"] == ["e1+e2", "2e1"]
     assert doc["closed_form_ideal_agrees"]
+
+
+def test_a_trace_evaluates_the_element_once(monkeypatch):
+    calls = {"_inversion_mask": 0, "_closed_form_of": 0}
+    for name in calls:
+        original = getattr(correspondence, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(correspondence, name, counted)
+    n = 12
+    images = tuple(-v if v % 3 == 0 else v for v in range(n, 0, -1))
+    doc = trace_element(SignedPerm(images))
+    assert calls == {"_inversion_mask": 1, "_closed_form_of": 1}
+    assert doc["element"] == str(SignedPerm(images))
+    assert doc["closed_form_sym_agrees"] and doc["closed_form_ideal_agrees"]
+    assert doc["support_matches_inversions"] and doc["degree_additive"]

@@ -1,4 +1,4 @@
-"""Nine source rules checked with the standard library alone: every line of
+"""Ten source rules checked with the standard library alone: every line of
 the package fits in 100 columns, every name a module imports at top level is
 used in that module (__init__.py included, since the package root re-exports
 nothing), every private name a module defines at top level is referenced
@@ -18,7 +18,10 @@ RootSet references root_index: rules read the layout, never Root objects,
 and no table hashes a Root, and every check_cap call names its cap by a
 string literal that is a key of roots.CAPS, and only roots.check_cap raises
 RankCapError: a cap's value and name are written once, and there is one
-message builder."""
+message builder, and no module but weyl.py contains the string literal "["
+(an f-string's pieces aside): SignedPerm.__str__ is the one writer of an
+element, and parse_signed_perm reads back every element the package
+prints."""
 
 import ast
 from pathlib import Path
@@ -212,6 +215,28 @@ def test_every_cap_is_named_by_a_key_of_the_table_and_refused_in_one_place():
                 names.append(what.value if isinstance(what, ast.Constant) else ast.dump(node))
     assert names and [what for what in names if what not in CAPS] == []
     assert raisers == ["roots.py:check_cap"]
+
+
+def _string_constants(tree: ast.Module):
+    """The values of the string literals in tree; the literal pieces of an
+    f-string, which ast also holds as constants, are not literals."""
+    pieces = {
+        id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr) for part in node.values
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in pieces:
+            yield node.value
+
+
+def test_only_weyl_writes_an_element():
+    # SignedPerm.__str__ writes the [a,-b,...] form that parse_signed_perm
+    # reads; a second writer could drift from the parser
+    writers = {
+        path.name
+        for path in MODULES
+        if "[" in _string_constants(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert writers == {"weyl.py"}
 
 
 def test_the_lint_sees_every_module():
