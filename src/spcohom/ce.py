@@ -356,11 +356,13 @@ class ChainComplex:
 
 def _unharmonic_rows(n: int) -> tuple[int, list[str]]:
     """(read, witnesses): the number of rows of weyl._row read (value v, later
-    set L, B = L below v), and a witness for each row unequal to its table or
-    not weighing -|B| at v unflipped, 2 + 2|L| - |B| flipped, and 1 at each q
-    in B.  Rows equal to the tables are disjoint, so an element weighs
-    rho - mu', mu'_v = +-(|L_v| + 1) a signed permutation of rho."""
-    tables, values = weyl._row_tables(n), range(1, n + 1)
+    set L, B = L below v), and a witness for each row that is a bad side of a
+    piece (weyl._bad_pieces: L empty, or one value q) or does not weigh -|B|
+    at v unflipped, 2 + 2|L| - |B| flipped, and 1 at each q in B.  With no bad
+    piece the rows of a word are disjoint, so an element weighs rho - mu',
+    mu'_v = +-(|L_v| + 1) a signed permutation of rho."""
+    bad = {(v, 1 << q >> 1, flipped) for v, q, flipped in weyl._bad_pieces(n)}
+    values = range(1, n + 1)
     read, failing = 0, []
     for v in values:
         for later in range(1 << n):
@@ -373,8 +375,7 @@ def _unharmonic_rows(n: int) -> tuple[int, list[str]]:
             for flipped, row in enumerate(weyl._row(n, v, later)):
                 read += 1
                 local[v - 1] = 2 + 2 * len(after) - below if flipped else -below
-                table = tables[flipped][v][later]
-                if row != table or _subset_weight(n, _mask_key(row)) != tuple(local):
+                if (v, later, flipped) in bad or _subset_weight(n, _mask_key(row)) != tuple(local):
                     failing.append(_witness_str(word, flipped << (v - 1)))
     return read, failing
 

@@ -22,12 +22,13 @@ the first permutation's checked elements (see the README, "What the
 bijection check certifies").  Its failures and witnesses are those of a
 per-element evaluation through the same tables and _relabel.  The batch
 rests on three checks, with no pass over S_n: every gather is an
-itemgetter; weyl._length_histogram, one pass over the pairs (value,
-later set), finds each row of weyl._row equal to weyl._row_tables, so the
-rows of any word are disjoint, its difference part is inv(g_P(word)) and
-its DP over suffix sets counts the lengths; and the element loop records
-no failure on the first permutation, whose word is the positions plus one,
-so closed-form-sym there compares each closed-form gather with its rule.
+itemgetter; weyl._length_histogram finds the n^2 pieces of weyl._row equal
+to the root index (each piece of (v, q) on the pair {v, q}, and the pairs
+split the roots), so the rows of any word are disjoint, its difference
+part is inv(g_P(word)) and a DP over set sizes counts the lengths; and the
+element loop records no failure on the first permutation, whose word is the
+positions plus one, so closed-form-sym there compares each closed-form
+gather with its rule.
 A permutation is determined by its inversion set, so the symmetric
 component of every element is g_P(word), and _phi1_grid reads the checked
 row layout, so relabel tables compose like value maps and relabelling

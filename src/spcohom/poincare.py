@@ -10,7 +10,8 @@ Three closed forms drive the counting results here:
     sets (equivalently abelian ideals) by size.
 
 Each is a product of brackets 1 + t^s + ... + t^(s(m-1)), built only by
-_bracket_product; the counted histograms come from weyl._subset_dp.  The
+_bracket_product; the counted histograms come from weyl._size_dp, over set
+sizes, once the rows' pieces are checked against the root index.  The
 quotient identity is checked as a product, sym * ideal == weyl, by
 IntPolynomial.__mul__, the only dense product, so the check shares no code
 with the builders, and with no polynomial division: Z[t] is an integral
@@ -25,7 +26,7 @@ import math
 from .errors import ConsistencyError
 from .report import VerificationReport
 from .roots import Frozen, check_cap, check_rank, num_diffs, _index_tables, _set
-from .weyl import _expand, _length_histogram, _perm_row, _subset_dp
+from .weyl import _bad_pieces, _length_histogram, _perm_row, _size_dp
 
 
 class IntPolynomial(Frozen):
@@ -95,36 +96,35 @@ def weyl_length_histogram(n: int) -> IntPolynomial:
     check_cap(n, "group enumeration")
     counts = _length_histogram(n)
     if counts is None:
-        raise ConsistencyError("a row differs from its table; this indicates a bug")
+        v, q, _flipped = _bad_pieces(n)[0]
+        raise ConsistencyError(
+            f"the row piece (v, q) = ({v}, {q}) differs from the root index; this indicates a bug"
+        )
     return IntPolynomial.from_coeffs(counts)
 
 
 def sym_inversion_histogram(n: int) -> IntPolynomial:
-    """Counted inversion histogram of S_n, F({1..n}) of weyl._subset_dp over
-    the prefix sets B of a word, F(B) = sum over v in B of t^|row| F(B - v),
-    with the one row _perm_row(n, B - v, v): the inversions that the letter v
-    adds after the letters before it, a bit per value u > v in B - v.
-    Refuses ranks above the group cap before any row.  ConsistencyError
-    unless each row equals the bits d_idx[v][u] of those u, built by subset
-    doubling, as weyl._length_histogram checks the group's rows."""
+    """Counted inversion histogram of S_n, by weyl._size_dp over the prefix
+    sets B of a word: the letter v after the rest of B adds _perm_row(n, B - v,
+    v), a bit per value u > v, so F(m) = F(m - 1) * sum over r = 1..m of
+    t^(m - r).  Refuses ranks above the group cap before any row.  _perm_row
+    is one shift (pinned by tests/test_lint.py), a union of pieces, and
+    ConsistencyError unless each of its n^2 pieces, before = {} or {u},
+    u != v, is the bit d_idx[v][u] for u > v and empty otherwise."""
     check_cap(n, "group enumeration")
     d_idx = _index_tables(n)[0]
-    expected = [[]] + [
-        _expand([0] * (n - v), [1 << d_idx[v][u] for u in range(v + 1, n + 1)])
-        for v in range(1, n + 1)
-    ]
-
-    def rows(v: int, before: int) -> tuple[int]:
-        row = _perm_row(n, before, v)
-        if row != expected[v][before >> v]:
-            raise ConsistencyError(
-                f"the S_n row of {v} after {before:#b} differs from the root "
-                "index; this indicates a bug"
-            )
-        return (row,)
-
+    for v in range(1, n + 1):
+        for u in range(n + 1):
+            before = 1 << u >> 1  # u = 0: no letter before v
+            if u != v and _perm_row(n, before, v) != (1 << d_idx[v][u] if u > v else 0):
+                raise ConsistencyError(
+                    f"the S_n row of {v} after {before:#b} differs from the root "
+                    "index; this indicates a bug"
+                )
     width = math.factorial(n).bit_length()
-    return IntPolynomial.from_coeffs(_subset_dp(n, width, num_diffs(n), rows))
+    return IntPolynomial.from_coeffs(
+        _size_dp(n, width, num_diffs(n), lambda v, before: (_perm_row(n, before, v),))
+    )
 
 
 def add_betti_record(

@@ -7,12 +7,15 @@ factorization w = r_{j_1} ... r_{j_k} * sigma_0 used throughout (r_v flips
 the sign of the value v, sigma_0 acts first).
 
 Inversion sets are unions of rows, read off the row layout (roots._row_starts)
-by _row and _perm_row; _row_tables builds them from the root index instead.
+by _row and _perm_row.  Each row is a base row joined with one piece per later
+value, and _bad_pieces checks the n^2 pieces against the root index; the
+lengths are then counted by set size (_size_dp), with no loop over sets.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from typing import Iterator, Optional
 
@@ -281,8 +284,11 @@ def _row(n: int, v: int, later: int) -> tuple[int, int]:
     """(plus, minus): the inversions of the roots whose first slot holds the value v,
     unflipped and flipped, when later is the value mask of the letters after it (bit
     q - 1 for the value q): the values above v shift into row v's differences and sums
-    (roots._row_starts), and each value q below v adds a bit of row q.  Read by
-    _word_rows (for _iter_rows and _inversion_mask), _length_histogram and ce._unharmonic_rows."""
+    (roots._row_starts), and each value q below v adds a bit of row q.  Each bit of later
+    is shifted or read on its own, so the row is the base row _row(n, v, 0) joined with
+    one piece per q in later, as _row(n, v, {q}) shows it (_bad_pieces; tests/test_lint.py
+    pins this form).  Read by _word_rows (for _iter_rows and _inversion_mask),
+    _bad_pieces, _length_histogram and ce._unharmonic_rows."""
     diff_start, sum_start, long_bit = _row_starts(n)
     above = later >> v
     up, down = 0, 1 << long_bit[v] | above << diff_start[v] | above << sum_start[v]
@@ -321,32 +327,33 @@ def _iter_rows(n: int):
         yield word, *map(list, zip(*_word_rows(n, word)))
 
 
-def _row_tables(n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """(lo, hi): lo[v][later] and hi[v][later] are the rows _row gives for
-    the value v unflipped and flipped, later the value mask of the letters
-    after it, built from the root index by subset doubling and not from the
-    row layout that _row reads, from the bits of the index pairs {v, x} with
-    x = v or x in later.
-    Raises ConsistencyError unless the pairs {a, b}, a <= b, split the n^2
-    roots, which is what makes rows on distinct pairs disjoint."""
+def _bad_pieces(n: int) -> list[tuple[int, int, int]]:
+    """(v, q, flipped) for each side of a piece of _row that differs from the
+    root index, in n^2 calls: the base row _row(n, v, 0) (q = 0) must be
+    (0, 2e_v), and _row(n, v, {q}) must add to it (e_q - e_v, e_q + e_v) for
+    q < v and (0, {e_v - e_q, e_v + e_q}) for q > v.  Each piece of (v, q) lies
+    on the pair {v, q}, and a value is after no later position, so with none
+    bad the rows of a word lie on distinct pairs.  Raises ConsistencyError
+    unless the pairs {a, b}, a <= b, split the n^2 roots, which is what makes
+    rows on distinct pairs disjoint."""
     d_idx, s_idx, l_idx = _index_tables(n)
-    lo, hi = [[]], [[]]
-    parts = []  # the roots of each pair {a, b}, a <= b
+    parts, bad = [], []  # the roots of each pair {a, b}, a <= b
     for v in range(1, n + 1):
-        unflipped, flipped = [0] * n, [0] * n  # the bits each later letter q adds
+        pieces = {0: (0, 0)}
         for q in range(1, v):
-            unflipped[q - 1], flipped[q - 1] = 1 << d_idx[q][v], 1 << s_idx[q][v]
+            pieces[q] = 1 << d_idx[q][v], 1 << s_idx[q][v]
         for q in range(v + 1, n + 1):
-            flipped[q - 1] = (1 << d_idx[v][q]) + (1 << s_idx[v][q])
+            pieces[q] = 0, (1 << d_idx[v][q]) + (1 << s_idx[v][q])
         long_v = 1 << l_idx[v]
-        parts += [long_v, *flipped[v:]]  # the pairs {v, q}, q > v, hold no unflipped bit
-        lo.append(_expand([0] * n, unflipped))
-        hi.append([row + long_v for row in _expand([0] * n, flipped)])
+        parts += [long_v, *(pieces[q][1] for q in range(v + 1, n + 1))]
+        for q, (up, down) in pieces.items():
+            got, want = _row(n, v, 1 << q >> 1), (up, down + long_v)
+            bad += [(v, q, f) for f in (0, 1) if got[f] != want[f]]
     if sum(parts) != (1 << n * n) - 1 or sum(map(int.bit_count, parts)) != n * n:
         raise ConsistencyError(
             f"the root pairs of rank {n} do not split the roots; this indicates a bug"
         )
-    return lo, hi
+    return bad
 
 
 def _expand(plus: list[int], minus: list[int]) -> list[int]:
@@ -365,26 +372,20 @@ def _sign_patterns(word: tuple[int, ...]) -> list[int]:
     return _expand([0] * len(word), [1 << (v - 1) for v in word])
 
 
-def _subset_dp(n: int, width: int, degree: int, rows) -> Optional[list[int]]:
-    """The package's only packed subset DP: F(empty) = 1 and, over the subsets
-    S of {1..n}, F(S) = sum over v in S, r in rows(v, S - v) of t^|r| F(S - v).
-    Returns the coefficients of F({1..n}) of degrees 0..degree, or None as
-    soon as rows, read once at each of the n 2^(n-1) pairs (v, S - v),
-    returns None.  Each F is packed into one int, width bits a coefficient."""
-    poly = [1]
-    for s in range(1, 1 << n):
-        acc = 0
-        for v in range(1, n + 1):
-            rest = s & ~(1 << (v - 1))
-            if rest != s:
-                found = rows(v, rest)
-                if found is None:
-                    return None
-                f = poly[rest]
-                for r in found:
-                    acc += f << width * r.bit_count()
-        poly.append(acc)
-    return _unpack(poly[-1], width, degree)
+def _size_dp(n: int, width: int, degree: int, rows) -> list[int]:
+    """The package's only packed DP, over set sizes: F(0) = 1 and F(m) =
+    F(m - 1) * sum over r = 1..m, row in rows(r, rest), of t^|row|, rest the
+    value mask of 1..m without r, which counts the words of any m values when
+    a row's popcount depends only on r and m.  Returns F(n)'s coefficients of
+    degrees 0..degree.  Each polynomial is packed into one int, width bits a
+    coefficient, and the factors are multiplied pairwise, to balance them."""
+    polys = []
+    for m in range(1, n + 1):
+        rests = [(r, (1 << m) - 1 ^ 1 << r - 1) for r in range(1, m + 1)]
+        polys.append(sum(1 << width * row.bit_count() for r in rests for row in rows(*r)))
+    while len(polys) > 1:
+        polys = [math.prod(polys[k : k + 2]) for k in range(0, len(polys), 2)]
+    return _unpack(polys[0], width, degree)
 
 
 def _unpack(packed: int, width: int, degree: int) -> list[int]:
@@ -395,23 +396,17 @@ def _unpack(packed: int, width: int, degree: int) -> list[int]:
 
 
 def _length_histogram(n: int) -> Optional[list[int]]:
-    """Length -> elements over the whole group, as a list over 0..n^2, with
-    no walk over permutations: _subset_dp over the suffix sets S of a word,
-    F(S) = sum over v in S of (t^|plus| + t^|minus|) F(S - v) with (plus,
-    minus) = _row(n, v, S - v).  This is the one pass that certifies the
-    rows: it returns None unless each row equals lo[v][later] and
-    hi[v][later] of _row_tables.  A length is a sum of row popcounts when the
-    n rows of a word are disjoint, which holds because the tables put every
-    row on the index pairs {v, x} with x = v or x after v: the value at a
-    position is after no later position, so the rows of a word lie on
-    distinct pairs."""
-    lo, hi = _row_tables(n)
-
-    def rows(v: int, later: int) -> Optional[tuple[int, int]]:
-        pair = _row(n, v, later)
-        return pair if pair == (lo[v][later], hi[v][later]) else None
-
-    return _subset_dp(n, group_order(n).bit_length(), n * n, rows)
+    """Length -> elements over the whole group, as a list over 0..n^2, with no
+    walk over permutations, or None when a piece of _row differs from the
+    root index (_bad_pieces).  An element's length is the sum of the
+    popcounts of its rows, which lie on distinct pairs and so are disjoint.
+    With the pieces checked, the rows of the r-th smallest of m values, the
+    others after it, have r - 1 bits unflipped and 2m - r flipped whatever the
+    values, so over the suffix sets of a word F(m) = F(m - 1) * sum over
+    r = 1..m of (t^|plus| + t^|minus|): _size_dp over the rows _row gives."""
+    if _bad_pieces(n):
+        return None
+    return _size_dp(n, group_order(n).bit_length(), n * n, lambda v, later: _row(n, v, later))
 
 
 def standard_form(w: SignedPerm) -> StandardForm:

@@ -774,7 +774,7 @@ def test_every_cap_refuses_one_above_with_one_message(monkeypatch, capsys, argv,
         (ideals, "_staircases"),
         (weyl, "enumerate_group"),
         (poincare, "_length_histogram"),
-        (poincare, "_subset_dp"),
+        (poincare, "_size_dp"),
         (poincare, "_bracket_product"),
         (poincare.IntPolynomial, "__mul__"),
         (correspondence, "_scan"),

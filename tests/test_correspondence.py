@@ -7,6 +7,7 @@ from operator import itemgetter
 
 import pytest
 
+from subset_dp import index_row
 from spcohom import correspondence, roots, weyl
 from spcohom.cli import main
 from spcohom.correspondence import (
@@ -37,7 +38,6 @@ from spcohom.weyl import (
     standard_form,
     _expand,
     _perm_inversion_mask,
-    _row_tables,
     _sign_patterns,
 )
 
@@ -578,29 +578,32 @@ def _walked_elements(n):
 
 
 @pytest.mark.parametrize(
-    "pos, bit",
-    [(1, 4), (1, 8), (0, 2)],
+    "pos, bit, q",
+    [(1, 4, None), (1, 8, None), (0, 2, 3)],
     ids=["upward-closed", "not-upward-closed", "no-inversion-set"],
 )
 def test_wrong_walked_sum_bits_match_a_per_element_evaluation(
-    monkeypatch, tmp_path, capsys, pos, bit
+    monkeypatch, tmp_path, capsys, pos, bit, q
 ):
     # the row function drops one inversion from the flipped row of one
-    # position of the word (2, 3, 1) at rank 3, the only word with that value
-    # and later set there, so every element that flips that position has a
-    # wrong mask and the scan must relabel that element's own mask.  Without
-    # e1+e3 (the row of 3) the relabelled sums of [2,-3,1] are upward closed
-    # but the wrong ideal; its pi is no involution, so relabelling through
-    # rho = pi^-1 differs.  Without 2e3 they are not upward closed.  Without
-    # e2-e3 (the row of 2) the difference part of [-2,3,1] is {e1-e3}, no
-    # inversion set.  The word is not the first scanned
+    # position of the word (2, 3, 1) at rank 3, so every element that flips
+    # that position has a wrong mask and the scan must relabel that
+    # element's own mask.  Without e1+e3 (the row of 3 before 1, the piece
+    # (3, 1), in that word alone) the relabelled sums of [2,-3,1] are upward
+    # closed but the wrong ideal; its pi is no involution, so relabelling
+    # through rho = pi^-1 differs.  Without 2e3 they are not upward closed.
+    # Without e2-e3 the difference part of [-2,3,1] is {e1-e3}, no inversion
+    # set: that bit is on the piece (2, 3), so it goes from every row of 2
+    # with 3 after it, which the first scanned word has too
     n = 3
     word = (2, 3, 1)
-    target = word[pos], sum(1 << (q - 1) for q in word[pos + 1 :])
-    _patch_row(
-        monkeypatch,
-        lambda v, later, up, down: (up, down ^ 1 << bit if (v, later) == target else down),
-    )
+    v, later = word[pos], sum(1 << (u - 1) for u in word[pos + 1 :])
+
+    def dropped(u, rest, up, down):
+        hit = u == v and (rest == later if q is None else rest >> (q - 1) & 1)
+        return up, down ^ 1 << bit if hit else down
+
+    _patch_row(monkeypatch, dropped)
     expected = {key: [] for key in _FAILS}
     for word, jmask, mask in _walked_elements(n):
         for key in _evaluate(word, jmask, mask, n):
@@ -767,22 +770,25 @@ def test_itemgetter_that_breaks_the_closed_form_rule_disables_the_batch(monkeypa
 def test_swapped_masks_of_one_word_match_a_per_element_evaluation(
     monkeypatch, n, scanned, other
 ):
-    # a wrong row function: the two rows of the value at position p of one
-    # word, with the letters after it, swap, so in each of the (n-1)! words
-    # with that value and later set at p the elements with flipped positions
-    # P and P ^ {p} swap their masks, for every P.  With the last position
-    # both have the same symmetric component and different ideals, with the
-    # first position both differ.  The word is the first scanned, whose
-    # element loop would otherwise pass, or the last one
+    # a wrong row function: the two rows of the value v at position p of one
+    # word swap, so in each word where v has the same row the elements with
+    # flipped positions P and P ^ {p} swap their masks, for every P.  With
+    # the last position that is v's base row, in the (n-1)! words ending in
+    # v, and both elements have the same symmetric component and different
+    # ideals.  With the first position it is every row of v with the next
+    # letter u after it, the piece (v, u), in the n!/2 words with v before u,
+    # and both differ.  The word is the first scanned, whose element loop
+    # would otherwise pass, or the last one
     word = tuple(range(1, n + 1)) if scanned == "first" else tuple(range(n, 0, -1))
-    p = n - 1 if other == "last" else 0
-    target = word[p], sum(1 << (q - 1) for q in word[p + 1 :])
-    _patch_row(
-        monkeypatch,
-        lambda v, later, up, down: (down, up) if (v, later) == target else (up, down),
-    )
+    v, u = word[-1 if other == "last" else 0], word[1]
+
+    def swap(w, later, up, down):
+        hit = w == v and (later == 0 if other == "last" else later >> (u - 1) & 1)
+        return (down, up) if hit else (up, down)
+
+    _patch_row(monkeypatch, swap)
     counts, result = _assert_scan_matches_reference(n)
-    swapped = 2**n * math.factorial(n - 1)
+    swapped = 2**n * math.factorial(n) // (n if other == "last" else 2)
     expected = {**dict.fromkeys(_FAILS, 0), "construct_fail": swapped, "closed_ideal_fail": swapped}
     if other == "first":
         expected["closed_sym_fail"] = swapped
@@ -823,8 +829,8 @@ def test_distinct_pairs_count_the_walked_keys_under_a_row_fault(monkeypatch, n, 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_a_wrong_row_sends_every_permutation_to_the_element_loop(monkeypatch, n):
-    # the flipped row of the value n with no letter after it is 2e_n; an
-    # entry that loses it differs from the tables, so the DP gives no
+    # the flipped row of the value n with no letter after it is 2e_n; a base
+    # row that loses it differs from the root index, so the DP gives no
     # histogram
     missing = 1 << root_index(n)[long(n)]
     _patch_row(
@@ -838,10 +844,11 @@ def test_a_wrong_row_sends_every_permutation_to_the_element_loop(monkeypatch, n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_a_passing_scan_reads_each_row_pair_once(monkeypatch, n):
-    # the DP reads the n 2^(n-1) pairs (value, later set) once each, and
-    # the first permutation's element loop reads its n rows; correspondence
-    # is patched too, so a second pass through its own binding would count
+def test_a_passing_scan_reads_the_pieces_the_size_rows_and_one_word(monkeypatch, n):
+    # the piece check reads n^2 rows (the base row and each single later
+    # value), the size recursion n (n + 1) / 2, and the first permutation's
+    # element loop its n rows; correspondence is patched too, so a second
+    # pass through its own binding would count
     real = weyl._row
     calls = []
 
@@ -852,7 +859,7 @@ def test_a_passing_scan_reads_each_row_pair_once(monkeypatch, n):
     monkeypatch.setattr(weyl, "_row", counted)
     monkeypatch.setattr(correspondence, "_row", counted, raising=False)
     assert verify_bijection(n).passed
-    assert len(calls) == n * 2 ** (n - 1) + n
+    assert len(calls) == n * n + n * (n + 1) // 2 + n
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -953,7 +960,6 @@ def test_closed_form_inversions_are_one_row_per_position(n):
     # values at positions p < q are inverted in g_P(word) iff word[p] > word[q]
     # XOR p in P, so inv(g_P(word)) joins the unflipped rows of the positions
     # outside P and the difference parts of the flipped rows of those in P
-    lo, hi = _row_tables(n)
     nd = n * (n - 1) // 2
     gathers = [gather for gather, _ideal in correspondence._closed_forms(n)]
     for word in itertools.permutations(range(1, n + 1)):
@@ -964,8 +970,9 @@ def test_closed_form_inversions_are_one_row_per_position(n):
                 inverted = (pos[a] < pos[b]) == (a > b)
                 assert inverted == ((a > b) != bool(pset >> word.index(a) & 1))
         later = [sum(1 << (q - 1) for q in word[p + 1 :]) for p in range(n)]
-        unflipped = [lo[v][m] for v, m in zip(word, later)]
-        flipped = [hi[v][m] & ((1 << nd) - 1) for v, m in zip(word, later)]
+        rows = [index_row(n, v, m) for v, m in zip(word, later)]
+        unflipped = [up for up, _down in rows]
+        flipped = [down & ((1 << nd) - 1) for _up, down in rows]
         assert _expand(unflipped, flipped) == [_perm_inversion_mask(eta, n) for eta in etas]
 
 

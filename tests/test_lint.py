@@ -1,4 +1,4 @@
-"""Ten source rules checked with the standard library alone: every line of
+"""Eleven source rules checked with the standard library alone: every line of
 the package fits in 100 columns, every name a module imports at top level is
 used in that module (__init__.py included, since the package root re-exports
 nothing), every private name a module defines at top level is referenced
@@ -21,7 +21,11 @@ RankCapError: a cap's value and name are written once, and there is one
 message builder, and no module but weyl.py contains the string literal "["
 (an f-string's pieces aside): SignedPerm.__str__ is the one writer of an
 element, and parse_signed_perm reads back every element the package
-prints."""
+prints, and weyl._row and weyl._perm_row keep the code pinned below, up to
+their docstrings: each bit of the later (or earlier) value mask is shifted or
+read on its own, so every row is its base row joined with one piece per value
+in the mask, which is what lets weyl._bad_pieces certify all rows from n^2
+pieces."""
 
 import ast
 from pathlib import Path
@@ -166,7 +170,7 @@ def _readers(name: str) -> set[str]:
 
 # the independent constructions that rows are checked against
 _REFERENCES = {
-    "weyl.py:_row_tables",
+    "weyl.py:_bad_pieces",
     "ideals.py:_profile_from_mask",
     "poincare.py:sym_inversion_histogram",
 }
@@ -237,6 +241,63 @@ def test_only_weyl_writes_an_element():
         if "[" in _string_constants(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert writers == {"weyl.py"}
+
+
+# The code the piece argument rests on (weyl._bad_pieces): a change to it,
+# docstrings aside, fails test_rows_keep_their_union_form
+_UNION_FORM = """
+def _perm_row(n: int, before: int, v: int) -> int:
+    return before >> v << _row_starts(n)[0][v]
+
+
+def _row(n: int, v: int, later: int) -> tuple[int, int]:
+    diff_start, sum_start, long_bit = _row_starts(n)
+    above = later >> v
+    up, down = 0, 1 << long_bit[v] | above << diff_start[v] | above << sum_start[v]
+    below = later & (1 << (v - 1)) - 1
+    while below:
+        low = below & -below
+        below ^= low
+        q = low.bit_length()
+        up |= 1 << diff_start[q] + v - q - 1
+        down |= 1 << sum_start[q] + v - q - 1
+    return up, down
+"""
+WEYL = (Path(spcohom.__file__).parent / "weyl.py").read_text(encoding="utf-8")
+
+
+def _function_dump(source: str, name: str) -> str:
+    """ast.dump of the top-level function name in source, its docstring dropped."""
+    (node,) = [n for n in ast.parse(source).body if getattr(n, "name", None) == name]
+    if ast.get_docstring(node) is not None:
+        node.body = node.body[1:]
+    return ast.dump(node)
+
+
+def _off_union_form(source: str) -> list[str]:
+    return [
+        name
+        for name in ("_row", "_perm_row")
+        if _function_dump(source, name) != _function_dump(_UNION_FORM, name)
+    ]
+
+
+def test_rows_keep_their_union_form():
+    assert _off_union_form(WEYL) == [], (
+        "a row function left the pinned union form: re-derive the piece argument in the "
+        "docstring of weyl._bad_pieces (and of weyl._row) before updating the pin"
+    )
+
+
+def test_a_row_that_special_cases_one_later_set_leaves_the_union_form():
+    # a row read at later = {1, 3} differs from the union of its pieces, which
+    # no piece check would see; a docstring edit leaves the form alone
+    special = WEYL.replace(
+        "    above = later >> v\n", "    if later == 0b101:\n        return 0, 0\n    above = later >> v\n"
+    )
+    assert special != WEYL and _off_union_form(special) == ["_row"]
+    reworded = WEYL.replace("(plus, minus): the inversions", "(plus, minus), the inversions")
+    assert reworded != WEYL and _off_union_form(reworded) == []
 
 
 def test_the_lint_sees_every_module():

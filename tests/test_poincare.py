@@ -121,15 +121,16 @@ def test_verify_identities_passes(n):
 
 def test_overlapping_rows_are_an_internal_error(monkeypatch, capsys):
     # the DP's length count needs disjoint rows; it does not fall back to
-    # the expanded masks.  The flipped row of the first value also takes the
-    # rows of the last value, which are off its root pairs
+    # the expanded masks.  The flipped row of each value v also takes the
+    # base row of a value u != v whenever u is after it, so the piece (v, u)
+    # is off its root pair
     real = weyl._row
 
     def corrupted(n, v, later):
         up, down = real(n, v, later)
-        if later == (1 << n) - 1 - (1 << (v - 1)):
-            last = 1 if v > 1 else 2
-            down |= sum(real(n, last, 0))
+        u = 1 if v > 1 else 2
+        if later >> (u - 1) & 1:
+            down |= sum(real(n, u, 0))
         return up, down
 
     monkeypatch.setattr(weyl, "_row", corrupted)
@@ -164,7 +165,7 @@ def test_sym_inversion_histogram_cap_refuses_before_any_row(monkeypatch):
     def no_rows(*args):
         raise AssertionError("an S_n row was read above the group cap")
 
-    monkeypatch.setattr(poincare, "_subset_dp", no_rows)
+    monkeypatch.setattr(poincare, "_size_dp", no_rows)
     monkeypatch.setattr(poincare, "_perm_row", no_rows)
     cap = roots.CAPS["group enumeration"]
     with pytest.raises(RankCapError):

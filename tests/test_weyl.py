@@ -1,13 +1,17 @@
 import itertools
+import math
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from cochains import action_mask
+from subset_dp import index_perm_row, index_row, subset_dp
 from spcohom import roots, weyl
 from spcohom.cli import main
 from spcohom.errors import ConsistencyError, RankCapError
+from spcohom.poincare import sym_inversion_histogram, weyl_poincare
 from spcohom.roots import (
     RootSet,
     SignedRoot,
@@ -32,15 +36,14 @@ from spcohom.weyl import (
     perm_inversions,
     recompose,
     standard_form,
+    _bad_pieces,
     _expand,
     _inversion_mask,
     _iter_rows,
     _length_histogram,
     _perm_inversion_mask,
     _row,
-    _row_tables,
     _sign_patterns,
-    _subset_dp,
     _word_from_inversion_mask,
 )
 
@@ -422,12 +425,10 @@ def test_sign_patterns_and_flips_are_the_doubling_of_their_rows(n):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_row_tables_match_the_walk(n):
-    lo, hi = _row_tables(n)
+def test_index_rows_match_the_walk(n):
     for word, plus, minus in _iter_rows(n):
         later = [sum(1 << (q - 1) for q in word[p + 1 :]) for p in range(n)]
-        assert plus == [lo[v][m] for v, m in zip(word, later)]
-        assert minus == [hi[v][m] for v, m in zip(word, later)]
+        assert list(zip(plus, minus)) == [index_row(n, v, m) for v, m in zip(word, later)]
 
 
 def _root_pairs(mask, n):
@@ -437,9 +438,8 @@ def _root_pairs(mask, n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_rows_lie_on_their_root_pairs(n):
-    # the rows of v with the later set L, and their tables, cover the pairs
+    # the rows of v with the later set L, and the index's, cover the pairs
     # {v, x}, x in L or x = v, and no other
-    lo, hi = _row_tables(n)
     for v in range(1, n + 1):
         for later in range(1 << n):
             if later >> (v - 1) & 1:
@@ -447,7 +447,29 @@ def test_rows_lie_on_their_root_pairs(n):
             allowed = {frozenset((v, x)) for x in range(1, n + 1) if later >> (x - 1) & 1 or x == v}
             up, down = _row(n, v, later)
             assert _root_pairs(up | down, n) == allowed
-            assert _root_pairs(lo[v][later] | hi[v][later], n) == allowed
+            assert _root_pairs(sum(index_row(n, v, later)), n) == allowed
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_no_piece_of_the_rows_is_bad(n):
+    assert _bad_pieces(n) == []
+
+
+def test_pieces_are_read_at_the_base_and_at_each_single_later_value(monkeypatch):
+    # n^2 calls: later = 0 and later = {q}, q != v, for each value v
+    real = weyl._row
+    calls = []
+
+    def counted(rank, v, later):
+        calls.append((v, later))
+        return real(rank, v, later)
+
+    monkeypatch.setattr(weyl, "_row", counted)
+    n = 4
+    assert _bad_pieces(n) == []
+    assert sorted(calls) == sorted(
+        (v, 1 << q >> 1) for v in range(1, n + 1) for q in range(n + 1) if q != v
+    )
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -471,22 +493,54 @@ def test_length_histogram_is_the_product_of_the_2i_brackets(n):
     assert _length_histogram(n) == poly
 
 
-def test_subset_dp_stops_at_the_first_none():
-    # the fifth pair's rows are refused, so no sixth pair is read
-    read = []
+@pytest.mark.parametrize("n", range(1, 11))
+def test_size_recursions_equal_the_subset_dp(monkeypatch, n):
+    # the DP over all 2^n sets of values, on rows built from the root index,
+    # against the two recursions over set sizes; the S_n one has a cap
+    monkeypatch.setitem(roots.CAPS, "group enumeration", 10)
+    width = group_order(n).bit_length()
+    expected = subset_dp(n, width, n * n, lambda v, later: index_row(n, v, later))
+    assert _length_histogram(n) == expected
+    width = math.factorial(n).bit_length()
+    expected = subset_dp(n, width, num_diffs(n), lambda v, before: [index_perm_row(n, before, v)])
+    assert list(sym_inversion_histogram(n).coeffs) == expected
 
-    def rows(v, rest):
-        read.append((v, rest))
-        return None if len(read) == 5 else (rest,)
 
-    assert _subset_dp(4, 8, 6, rows) is None
-    assert len(read) == 5
+def test_length_histogram_at_rank_64_is_the_product_of_the_2i_brackets_in_under_a_second():
+    # in-process, with no cap in the way: n^2 pieces and n (n + 1) / 2 rows
+    start = time.process_time()
+    hist = _length_histogram(64)
+    elapsed = time.process_time() - start
+    assert hist == list(weyl_poincare(64).coeffs)
+    assert elapsed < 1.0
+
+
+def test_a_bad_piece_stops_the_histogram_before_the_size_dp(monkeypatch):
+    # the base row of 2 loses 2e2: the n^2 piece reads find it, and no row
+    # of the size recursion is read
+    real = weyl._row
+    calls = []
+
+    def corrupted(n, v, later):
+        calls.append((v, later))
+        up, down = real(n, v, later)
+        return (up, down & down - 1) if (v, later) == (2, 0) else (up, down)
+
+    def no_dp(*args):
+        raise AssertionError("the size recursion ran after a bad piece")
+
+    monkeypatch.setattr(weyl, "_row", corrupted)
+    monkeypatch.setattr(weyl, "_size_dp", no_dp)
+    assert _bad_pieces(4) == [(2, 0, 1)]
+    calls.clear()
+    assert _length_histogram(4) is None
+    assert len(calls) == 16
 
 
 def test_length_histogram_refuses_a_row_off_its_root_pairs(monkeypatch):
-    # the flipped row of 2 before 1 takes 2e3, on no pair {2, x}, so it
-    # differs from its table: the DP gives no histogram, and
-    # weyl_length_histogram calls that a bug
+    # the flipped row of 2 before 1 takes 2e3, on no pair {2, x}, so the
+    # piece (2, 1) differs from the root index: the DP gives no histogram,
+    # and weyl_length_histogram calls that a bug
     real = weyl._row
     extra = 1 << root_index(3)[long(3)]
 
@@ -495,15 +549,16 @@ def test_length_histogram_refuses_a_row_off_its_root_pairs(monkeypatch):
         return (up, down | extra) if (n, v, later) == (3, 2, 0b1) else (up, down)
 
     monkeypatch.setattr(weyl, "_row", corrupted)
+    assert _bad_pieces(3) == [(2, 1, 1)]
     assert _length_histogram(3) is None
     assert _length_histogram(2) == [1, 2, 2, 2, 1]
     assert main(["weyl", "--rank", "3"]) == 3
 
 
-def test_a_row_that_differs_from_its_table_exits_3(monkeypatch, capsys):
-    # the flipped row of 3 with no letter after it loses 2e3: the row stays
-    # on its root pairs, so only the comparison with the tables sees it, and
-    # without that the DP would count a wrong histogram
+def test_a_piece_that_differs_from_the_root_index_exits_3(monkeypatch, capsys):
+    # the flipped base row of 3 loses 2e3: the row stays on its root pairs,
+    # so only the comparison with the root index sees it, and without that
+    # the DP would count a wrong histogram
     real = weyl._row
     missing = 1 << root_index(3)[long(3)]
 
@@ -518,7 +573,8 @@ def test_a_row_that_differs_from_its_table_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "differs from its table" in captured.err and "Traceback" not in captured.err
+    assert "the row piece (v, q) = (3, 0) differs from the root index" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_root_pairs_that_do_not_split_the_roots_exit_3(monkeypatch, capsys):
@@ -536,8 +592,8 @@ def test_root_pairs_that_do_not_split_the_roots_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(weyl, "_index_tables", shared)
     try:
         with pytest.raises(ConsistencyError, match="do not split the roots"):
-            _row_tables(3)
-        assert len(_row_tables(2)[1]) == 3  # other ranks keep their index
+            _bad_pieces(3)
+        assert _bad_pieces(2) == []  # other ranks keep their index
         assert main(["weyl", "--rank", "3"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
