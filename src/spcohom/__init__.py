@@ -4,6 +4,6 @@ the two.
 
 The package root exports only __version__, so that importing a module, or
 running one command, compiles only the modules it uses; import names from
-their module, e.g. ``from spcohom.weyl import SignedPerm``."""
+their module, e.g. ``from spcohom.elements import SignedPerm``."""
 
 __version__ = "0.1.0"

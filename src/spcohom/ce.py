@@ -47,10 +47,11 @@ from bisect import bisect_left
 from functools import lru_cache, partial
 
 from . import weyl
-from .correspondence import _MAX_WITNESSES, _witness_str, verify_bijection
+from .correspondence import _MAX_WITNESSES, verify_bijection
+from .ideals import _sparse_roots
 from .liealg import root_vector, structure_table
 from .report import CheckRecord, VerificationReport
-from .roots import CAPS, _mask_key, _sparse_roots, check_cap, positive_roots
+from .roots import CAPS, _mask_key, check_cap, positive_roots
 
 # An alias that only perfbench/trace_pass.py's replay reads; refusals read CAPS.
 DEFAULT_COHOMOLOGY_CAP = CAPS["cohomology"]
@@ -67,7 +68,7 @@ def _subset_weight(n: int, key: tuple[int, ...]) -> tuple[int, ...]:
 
 def _c4(n: int, weight: tuple[int, ...]) -> int:
     """4 c(mu) = |rho|^2 - |rho - mu|^2 = sum_k mu_k (2 rho_k - mu_k), with
-    rho = (n, ..., 1) in the coordinates e_1..e_n of roots._sparse_roots."""
+    rho = (n, ..., 1) in the coordinates e_1..e_n of ideals._sparse_roots."""
     return sum(m * (2 * (n - k) - m) for k, m in enumerate(weight))
 
 
@@ -239,24 +240,6 @@ def betti_numbers(n: int) -> list[int]:
     return weyl._unpack(_weight_dp(n, fold=True).get(0, 0), n * n, n * n)
 
 
-def block_summary(n: int) -> list[tuple[int, tuple[int, ...], int, int]]:
-    """(degree, weight, dimension, rank of d) per nonzero block, sorted; the
-    ranks are the forced ones of the Laplacian certificate, 0 on weights with
-    c = 0 and r_p = dim_p - r_{p-1} elsewhere."""
-    width = (3 * n).bit_length()
-    field_mask = (1 << width) - 1
-    out = []
-    for key, poly in _weight_dp(n, fold=False).items():
-        weight = tuple((key >> (k * width) & field_mask) - (n - 1) for k in range(n))
-        acyclic = _c4(n, weight) != 0
-        rank = 0
-        for p, dim in enumerate(weyl._unpack(poly, n * n, n * n)):
-            rank = dim - rank if acyclic else 0
-            if dim:
-                out.append((p, weight, dim, rank))
-    return sorted(out)
-
-
 def _rank_int(matrix: list[list[int]]) -> int:
     """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
     m = [row[:] for row in matrix]
@@ -376,7 +359,11 @@ def _unharmonic_rows(n: int) -> tuple[int, list[str]]:
                 read += 1
                 local[v - 1] = 2 + 2 * len(after) - below if flipped else -below
                 if (v, later, flipped) in bad or _subset_weight(n, _mask_key(row)) != tuple(local):
-                    failing.append(_witness_str(word, flipped << (v - 1)))
+                    failing.append((word, flipped << (v - 1)))
+    if failing:
+        from .elements import _witness_str
+
+        failing = [_witness_str(*item) for item in failing]
     return read, failing
 
 
@@ -405,7 +392,7 @@ def verify_cohomology_basis(
 
     The scan is the report of verify_bijection(n), passed as bijection by a
     caller that has already scanned the group, else run here.  pair-injective
-    and pair-onto make the pair map a bijection whose inverse is from_pair's
+    and pair-onto make the pair map a bijection whose inverse is pairs.from_pair's
     recipe, and sym-component-inversions makes phi0 = inv(sigma).  So the pair
     cocycle of every (sigma, psi), whose sign is +-1 by construction, is its
     element's cocycle exactly when support-identity holds on every element,

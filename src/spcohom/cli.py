@@ -29,12 +29,21 @@ Each command returns one VerificationReport and its CSV rows, and _run alone
 writes the report as the document and chooses exit code 1 when one of its
 checks failed.
 
+This module is the front end alone: the parser, _validate_args, one handler
+per command that checks the command's caps and dispatches, verify's
+orchestration, and the writer.  The report and CSV rows of ideals, weyl,
+structure, betti and poincare are built in the tables module, and each
+command's checks in the module that computes them.
+
 Start-up loads only errors and report.  Each handler imports the modules it
 runs, and the writer the one format it writes, so --help compiles no command
-module, bijection never compiles ce, liealg or poincare, and verify compiles
-ce only at or under the cohomology cap.  A handler checks its caps before
-it imports anything but roots, so a refusal compiles no command module.
-Every command runs in one process.
+module; a passing bijection compiles only roots, weyl and correspondence
+(no ideals, liealg, poincare or ce, and no element or pair object: the
+elements and pairs modules load only for --witness, weyl --list, a failing
+scan and the tests); verify compiles ce only at or under the cohomology cap,
+and no command without a CSV form compiles tables.  A handler checks its
+caps before it imports anything but roots, so a refusal compiles no command
+module.  Every command runs in one process.
 
 Output is deterministic: iteration orders are fixed, nothing is sampled, and
 no timing enters a report.  It is written to its destination, the --out file
@@ -51,8 +60,8 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager, suppress
-from itertools import chain, islice
-from typing import Iterator, Optional
+from itertools import islice
+from typing import Optional
 
 from .errors import ConsistencyError, InvalidRankError, RankCapError
 from .report import VerificationReport
@@ -128,7 +137,7 @@ def _validate_args(args: argparse.Namespace) -> None:
         raise ValueError(f"command {args.command} has no CSV form")
     if getattr(args, "witness", None) is not None:
         check_cap(args.rank, "witness")
-        from .weyl import parse_signed_perm
+        from .elements import parse_signed_perm
 
         witness = parse_signed_perm(args.witness)
         if witness.rank != args.rank:
@@ -139,14 +148,8 @@ def _validate_args(args: argparse.Namespace) -> None:
 
 
 # -- command handlers ---------------------------------------------------------
-
-
-def _listing_csv(items: list[dict]) -> Iterator[list]:
-    """A nonempty listing as CSV rows: its keys as the header, then one row
-    per item, with list fields joined by spaces as in ideals --list."""
-    yield list(items[0])
-    for item in items:
-        yield [" ".join(map(str, v)) if isinstance(v, list) else v for v in item.values()]
+# Each checks its caps before it imports the module that builds its report,
+# and returns (report, CSV rows or None).
 
 
 def _cmd_ideals(args: argparse.Namespace):
@@ -156,19 +159,9 @@ def _cmd_ideals(args: argparse.Namespace):
     if args.list_items:
         check_cap(n, "ideals listing")
     check_cap(n, "ideal enumeration")
-    from . import ideals
+    from . import tables
 
-    hist = ideals.dimension_histogram(n)
-    data = {"count": sum(hist.coeffs), "histogram": list(hist.coeffs)}
-    report = VerificationReport(n, data=data)
-    if not args.list_items:
-        return report, chain([["dimension", "count"]], enumerate(hist.coeffs))
-    data["ideals"] = [
-        {"roots": psi.members.to_strings(), "dimension": psi.dimension}
-        for psi in ideals.enumerate_increasing(n)
-    ]
-    rows = ([item["dimension"], " ".join(item["roots"])] for item in data["ideals"])
-    return report, chain([["dimension", "members"]], rows)
+    return tables.ideals_report(n, args.list_items)
 
 
 def _cmd_weyl(args: argparse.Namespace):
@@ -178,54 +171,30 @@ def _cmd_weyl(args: argparse.Namespace):
     if args.list_items:
         check_cap(n, "weyl listing")
     check_cap(n, "group enumeration")
-    from . import poincare, weyl
+    from . import tables
 
-    hist = poincare.weyl_length_histogram(n)
-    data = {"order": weyl.group_order(n), "length_histogram": list(hist.coeffs)}
-    report = VerificationReport(n, data=data)
-    if not args.list_items:
-        return report, chain([["length", "count"]], enumerate(hist.coeffs))
-    elements = []
-    for w in weyl.enumerate_group(n):
-        sf = weyl.standard_form(w)
-        elements.append(
-            {
-                "element": str(w),
-                "length": weyl.length(w),
-                "flipped_values": list(sf.j_list),
-                "permutation": list(sf.sigma0.images),
-            }
-        )
-    data["elements"] = elements
-    return report, _listing_csv(elements)
+    return tables.weyl_report(n, args.list_items)
 
 
 def _cmd_structure(args: argparse.Namespace):
-    from .roots import check_cap, positive_roots
+    from .roots import check_cap
 
-    n = args.rank
-    check_cap(n, "structure")
-    from . import liealg
+    check_cap(args.rank, "structure")
+    from . import tables
 
-    entries = liealg.structure_table(n).entries
-    roots = positive_roots(n)
-    rows = [
-        [str(roots[a]), str(roots[b]), str(roots[g]), c]
-        for (a, b), (g, c) in sorted(entries.items())
-    ]
-    report = VerificationReport(n, data={"entries": rows})
-    return report, chain([["alpha", "beta", "gamma", "c"]], rows)
+    return tables.structure_report(args.rank)
 
 
 def _cmd_bijection(args: argparse.Namespace):
+    if args.witness is not None:  # its cap was checked with its parse
+        from . import pairs
+
+        return VerificationReport(args.rank, data=pairs.trace_element(args.witness)), None
     from .roots import check_cap
 
-    if args.witness is None:
-        check_cap(args.rank, "group enumeration")
+    check_cap(args.rank, "group enumeration")
     from . import correspondence
 
-    if args.witness is not None:
-        return VerificationReport(args.rank, data=correspondence.trace_element(args.witness)), None
     return correspondence.verify_bijection(args.rank), None
 
 
@@ -236,21 +205,9 @@ def _cmd_betti(args: argparse.Namespace):
     if args.per_weight:
         check_cap(n, "betti listing")
     check_cap(n, "cohomology")
-    from . import ce, poincare
+    from . import tables
 
-    betti = ce.betti_numbers(n)
-    report = VerificationReport(rank=n)
-    ce.add_laplacian_record(report)
-    poincare.add_betti_record(report, betti)
-    hist = poincare.weyl_length_histogram(n)
-    data = report.data = {"betti": betti, "class_counts": list(hist.coeffs)}
-    if not args.per_weight:
-        return report, chain([["degree", "betti"]], enumerate(betti))
-    data["blocks"] = [
-        {"degree": p, "weight": list(w), "dimension": dim, "rank_d": rank}
-        for p, w, dim, rank in ce.block_summary(n)
-    ]
-    return report, _listing_csv(data["blocks"])
+    return tables.betti_report(n, args.per_weight)
 
 
 def _cmd_classes(args: argparse.Namespace):
@@ -265,42 +222,10 @@ def _cmd_classes(args: argparse.Namespace):
 def _cmd_poincare(args: argparse.Namespace):
     from .roots import check_cap
 
-    n = args.rank
-    check_cap(n, "poincare")
-    from . import poincare
+    check_cap(args.rank, "poincare")
+    from . import tables
 
-    wp = poincare.weyl_poincare(n)
-    sp = poincare.sym_poincare(n)
-    ig = poincare.ideal_generating(n)
-    report = VerificationReport(rank=n)
-    product = poincare.add_formula_records(report, wp, sp, ig)
-    polys = report.data = {
-        "weyl_poincare": list(wp.coeffs),
-        "sym_poincare": list(sp.coeffs),
-        "ideal_generating": list(ig.coeffs),
-        "sym_times_ideal": list(product.coeffs),
-    }
-    width = len(wp.coeffs)
-    rows = ([name] + c + [""] * (width - len(c)) for name, c in polys.items())
-    header = ["name"] + [f"c{k}" for k in range(width)]
-    return report, chain([header], rows)
-
-
-def _lie_agreement_record(n: int, report: VerificationReport) -> None:
-    """Add lie-vs-combinatorial, a certificate at every rank: the structure
-    table's bracket neighbours equal the root-addition pairs, so the two
-    ideal predicates agree on all 2^(n^2) subsets.  It costs about 4 ms at
-    rank 7 and 5.5 ms at rank 8, building _addable and the structure table
-    included."""
-    from . import liealg
-
-    mismatches = liealg.neighbor_mismatches(n)
-    report.add(
-        "lie-vs-combinatorial",
-        "matrix-level and root-addition ideal criteria agree",
-        mismatches == 0,
-        {"mode": "certificate", "subsets_covered": 1 << (n * n), "roots_mismatched": mismatches},
-    )
+    return tables.poincare_report(args.rank)
 
 
 def verify_all(args: argparse.Namespace):
@@ -311,27 +236,11 @@ def verify_all(args: argparse.Namespace):
 
     n = args.rank
     check_cap(n, "group enumeration")
-    from . import correspondence, ideals, poincare
+    from . import correspondence, ideals, liealg, poincare
 
     report = VerificationReport(rank=n)
-
-    checked, count, faults = ideals.order_certificate(n)
-    # as many distinct sets as the certificate decided: no ideal is walked twice
-    repeated = {"walked": checked} if checked != count else {}
-    report.add(
-        "ideal-count",
-        "the number of abelian ideals equals 2^rank",
-        count == checked == 1 << n,
-        {"count": count, "expected": 1 << n, **repeated},
-    )
-    report.add(
-        "increasing-vs-root-addition",
-        "a sums-only subset is upward closed exactly when it passes the "
-        "root-addition ideal criterion",
-        not any(faults.values()),
-        {"mode": "certificate", "subsets_checked": checked, **faults},
-    )
-    _lie_agreement_record(n, report)
+    ideals.add_order_records(report)
+    liealg.add_agreement_record(report)
 
     brep = correspondence.verify_bijection(n)
     report.extend(brep, prefix="bijection")

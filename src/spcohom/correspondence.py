@@ -8,6 +8,11 @@ permutation, always form an upward-closed set (the "ideal component").  The
 resulting map w -> (permutation, ideal) is a bijection onto the full product,
 which is what verify_bijection checks exhaustively, together with the support
 and degree identities that transport the correspondence into cohomology.
+This module is the scan and the tables it reads; it builds no element or
+pair object.  The same maps for one element (correspondence_pair, from_pair,
+cocycle_support, trace_element) are in the pairs module, which a passing
+scan never loads: a failing one imports pairs._round_trip, and writes its
+witnesses through the elements module, inside verify_bijection.
 
 The definitional maps are normative.  The closed forms read both components
 off the standard form w = r_{j_1}...r_{j_k} * sigma_0, with the j's listed in
@@ -20,7 +25,7 @@ The scan reports every check for every element: element by element on the
 walk's masks, or, for the whole group at once, as one batch of renamings of
 the first permutation's checked elements (see the README, "What the
 bijection check certifies").  Its failures and witnesses are those of a
-per-element evaluation through the same tables and _relabel.  The batch
+per-element evaluation through the same tables and pairs._relabel.  The batch
 rests on three checks, with no pass over S_n: every gather is an
 itemgetter; weyl._length_histogram finds the n^2 pieces of weyl._row equal
 to the root index (each piece of (v, q) on the pair {v, q}, and the pairs
@@ -46,34 +51,16 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError
-from .ideals import IncreasingSet, _mask_from_profile, _profile_from_mask, _staircases
 from .report import VerificationReport
-from .roots import Frozen, RootSet, check_cap, num_diffs, _row_starts, _set
+from .roots import check_cap, num_diffs, _mask_from_profile, _row_starts, _staircases
 from .weyl import (
-    Perm,
-    SignedPerm,
-    StandardForm,
     group_order,
-    perm_inversions,
-    standard_form,
     _expand,
-    _inversion_mask,
     _iter_rows,
     _length_histogram,
-    _perm_inversion_mask,
     _sign_patterns,
     _word_from_inversion_mask,
 )
-
-
-class CorrespondencePair(Frozen):
-    """The image of a group element: a plain permutation and an upward-closed set."""
-
-    __slots__ = ("sym", "ideal")
-
-    def __init__(self, sym: Perm, ideal: IncreasingSet):
-        _set(self, "sym", sym)
-        _set(self, "ideal", ideal)
 
 
 def _gather(idx: Sequence[int]) -> itemgetter:
@@ -104,7 +91,7 @@ def _phi1_grid(n: int) -> tuple[list[list[Optional[int]]], tuple[int, ...], tupl
 
 def _relabel_table(value_map: Sequence[int], n: int) -> tuple[int, ...]:
     """Entry k is where the sums-plus-longs root at index k goes when both of
-    its indices are sent through value_map[v].  The gather in _relabel is
+    its indices are sent through value_map[v].  The gather in pairs._relabel is
     exact only for a bit permutation, so anything else is an error."""
     grid, rows, cols = _phi1_grid(n)
     out: tuple = ()
@@ -128,7 +115,7 @@ def _rho_table(word: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def _relabel_gather(table: Sequence[int]) -> itemgetter:
-    """Compile a relabel table into the gather that _relabel applies: output
+    """Compile a relabel table into the gather that pairs._relabel applies: output
     digit L-1-t of the binary string takes input digit L-1-k when table[k] = t."""
     last = len(table) - 1
     src = [0] * len(table)
@@ -137,13 +124,8 @@ def _relabel_gather(table: Sequence[int]) -> itemgetter:
     return _gather(src)
 
 
-def _relabel(mask: int, table: Sequence[int], n: int) -> int:
-    """Relabel a mask's sums-plus-longs bits through a table; drop its difference bits."""
-    return _apply_relabel(_relabel_gather(table), mask, n)
-
-
 def _apply_relabel(gather: itemgetter, mask: int, n: int) -> int:
-    """_relabel through the gather that _relabel_gather compiled.  Only the
+    """pairs._relabel through the gather that _relabel_gather compiled.  Only the
     n(n+1)/2 sums-plus-longs digits are gathered: a bit above the n^2 roots
     would lengthen the digit string and shift every digit."""
     nd, width = num_diffs(n), n * (n + 1) // 2
@@ -178,49 +160,6 @@ def _sym_entry(phi0: int, n: int) -> Optional[tuple[tuple[int, ...], tuple[int, 
     return word, _position_map(word)
 
 
-def _pair_masks(w: SignedPerm) -> tuple[tuple[int, ...], int, int]:
-    """(sym word, ideal mask, inversion mask) for one element."""
-    n = w.rank
-    mask = _inversion_mask(w.images, n)
-    entry = _sym_entry(mask & ((1 << num_diffs(n)) - 1), n)
-    if entry is None:
-        raise ConsistencyError(
-            f"the short inversions of {w} form no permutation inversion set; "
-            "this contradicts the correspondence and indicates a bug"
-        )
-    word, pi = entry
-    return word, _relabel(mask, _relabel_table(pi, n), n), mask
-
-
-def sym_component(w: SignedPerm) -> Perm:
-    """The unique permutation whose inversion set is the difference part of
-    the inversion set of w."""
-    return Perm(_pair_masks(w)[0])
-
-
-def ideal_component(w: SignedPerm) -> IncreasingSet:
-    """The sum-type inversions of w, relabeled through the inverse of the
-    symmetric component and then reversed; always upward closed."""
-    return correspondence_pair(w).ideal
-
-
-def correspondence_pair(w: SignedPerm) -> CorrespondencePair:
-    return _pair_and_mask(w)[0]
-
-
-def _pair_and_mask(w: SignedPerm) -> tuple[CorrespondencePair, int]:
-    """(pair, inversion mask) for one element, the mask evaluated once."""
-    n = w.rank
-    word, ximask, mask = _pair_masks(w)
-    profile = _profile_from_mask(ximask, n)
-    if profile is None:
-        raise ConsistencyError(
-            f"the relabeled sum inversions of {w} are not upward closed; "
-            "this contradicts the correspondence and indicates a bug"
-        )
-    return CorrespondencePair(Perm(word), IncreasingSet(n, RootSet(n, ximask), profile)), mask
-
-
 def _closed_form_entry(pset: int, n: int) -> tuple[itemgetter, int]:
     """Both closed forms for the set P of flipped positions (bit p for the
     0-based position p): (gather, ideal mask), where gather(sigma_0's word) is
@@ -238,28 +177,6 @@ def _closed_form_entry(pset: int, n: int) -> tuple[itemgetter, int]:
 def _closed_forms(n: int) -> tuple[tuple[itemgetter, int], ...]:
     """Entry P is _closed_form_entry(P, n), the canonical entry of P."""
     return tuple(_closed_form_entry(pset, n) for pset in range(1 << n))
-
-
-def _closed_form_of(sf: StandardForm) -> tuple[tuple[int, ...], int]:
-    """(sym word, ideal mask) read off the standard form; builds only this
-    element's entry, so tracing one element costs O(n^2) at any rank."""
-    word = sf.sigma0.images
-    flipped = set(sf.j_list)
-    pset = sum(1 << p for p, v in enumerate(word) if v in flipped)
-    gather, ideal = _closed_form_entry(pset, len(word))
-    return gather(word), ideal
-
-
-def sym_component_closed_form(sf: StandardForm) -> Perm:
-    """Closed form of the symmetric component: the word of sigma_0 without
-    the flipped values, followed by the flipped values in reversed word order."""
-    return Perm(_closed_form_of(sf)[0])
-
-
-def ideal_component_closed_form(sf: StandardForm) -> RootSet:
-    """Closed form of the ideal component: row t of the staircase runs from
-    the diagonal up to b_t = n + t - sigma_0^-1(j_t), the j's in word order."""
-    return RootSet(sf.sigma0.rank, _closed_form_of(sf)[1])
 
 
 @lru_cache(maxsize=None)
@@ -292,46 +209,6 @@ def _construct(sigma_word: tuple[int, ...], ximask: int, n: int) -> Optional[tup
         return None
     gather, k = recipe
     return gather(sigma_word), sum(map(_value_bits(n).__getitem__, sigma_word[n - k :]))
-
-
-def _signed_images(word: tuple[int, ...], jmask: int) -> tuple[int, ...]:
-    """Signed one-line images from the unsigned word and the flipped-value bitmask."""
-    return tuple(-v if jmask >> (v - 1) & 1 else v for v in word)
-
-
-def from_pair(sigma: Perm, psi: IncreasingSet) -> SignedPerm:
-    """The unique group element whose correspondence pair is (sigma, psi).
-
-    Builds the candidate with the direct inverse recipe and validates it by
-    recomputing its pair.  verify_bijection certifies the recipe on every
-    element, so a candidate that fails validation is a bug.
-    """
-    if sigma.rank != psi.rank:
-        raise ValueError("rank mismatch between permutation and ideal")
-    w = _round_trip(sigma.images, psi.members.mask, sigma.rank)
-    if w is None:
-        raise ConsistencyError(
-            f"the direct inverse recipe builds no element mapping to ({sigma}, {psi}); "
-            "the correspondence is broken"
-        )
-    return w
-
-
-def cocycle_support(sigma: Perm, psi: IncreasingSet) -> RootSet:
-    """The roots indexing the wedge factors of the cocycle attached to
-    (sigma, psi): the inversions of sigma joined with psi relabeled through
-    sigma composed with the reversal.  The two parts are disjoint since one
-    consists of differences and the other of sums."""
-    if sigma.rank != psi.rank:
-        raise ValueError("rank mismatch between permutation and ideal")
-    n = sigma.rank
-    inv = _perm_inversion_mask(sigma.images, n)
-    return RootSet(n, inv | _relabel(psi.members.mask, _rho_table(sigma.images, n), n))
-
-
-def _witness_str(word: tuple[int, ...], jmask: int) -> str:
-    """The element as SignedPerm prints it, so parse_signed_perm reads it back."""
-    return str(SignedPerm(_signed_images(word, jmask)))
 
 
 # witnesses reported per failing check
@@ -401,8 +278,13 @@ def _scan_chunk(n: int, perms: Optional[int]) -> dict:
     recipes = _recipes(n)
     canonical = _closed_forms(n)
     # per symmetric component's inversion mask phi0: (eta, compiled pi
-    # relabel, compiled rho relabel), or None when phi0 is no inversion set
+    # relabel, compiled rho relabel), or None when phi0 is no inversion set.
+    # The walk of the whole group meets each phi0 on 2^n elements and keeps
+    # every entry; one permutation meets it on one pair of sign patterns (the
+    # last position has no later value, so flipping it adds no difference
+    # root), and its entries are dropped with their pair.
     entries: dict[int, Optional[tuple]] = {}
+    keep = perms is None
     counts = dict.fromkeys(_ELEMENT_CHECKS, 0)
     witnesses: dict[str, list] = {key: [] for key in _ELEMENT_CHECKS}
 
@@ -415,42 +297,48 @@ def _scan_chunk(n: int, perms: Optional[int]) -> dict:
     hist: Counter[int] = Counter()
     failed_keys: set[tuple[tuple[int, ...], int]] = set()
     checked = 0
+    half = 1 << (n - 1)
 
     for word, plus, minus in islice(_iter_rows(n), perms):
         checked += 1
         masks = _expand(plus, minus)
         hist.update(map(int.bit_count, masks))
-        phi0s = [mask & phi0_all for mask in masks]
-        for phi0 in set(phi0s).difference(entries):
-            entry = _sym_entry(phi0, n)
-            entries[phi0] = entry and (
-                entry[0],
-                _relabel_gather(_relabel_table(entry[1], n)),
-                _relabel_gather(_rho_table(entry[0], n)),
-            )
-        for pset, (jmask, mask, phi0) in enumerate(zip(_sign_patterns(word), masks, phi0s)):
-            entry = entries[phi0]
-            if entry is None:
-                fail("sym_fail", word, jmask)
-                continue
-            eta_word, fwd, bwd = entry
-            gather, ideal = canonical[pset]
-            ximask = _apply_relabel(fwd, mask, n)
-            if ximask not in recipes:
-                fail("incr_fail", word, jmask)
-                continue
-            if mask.bit_count() != phi0.bit_count() + ximask.bit_count():
-                fail("degree_fail", word, jmask)
-            if _construct(eta_word, ximask, n) != (word, jmask):
-                fail("construct_fail", word, jmask)
-                failed_keys.add((eta_word, ximask))
-            if ideal != ximask:
-                fail("closed_ideal_fail", word, jmask)
-            # support identity: relabel the ideal back through rho = pi^-1
-            if phi0 | _apply_relabel(bwd, ximask, n) != mask:
-                fail("support_fail", word, jmask)
-            if gather(word) != eta_word:
-                fail("closed_sym_fail", word, jmask)
+        jmasks = _sign_patterns(word)
+        for low in range(half):
+            for pset in (low, low + half):
+                jmask, mask = jmasks[pset], masks[pset]
+                phi0 = mask & phi0_all
+                if phi0 not in entries:
+                    entry = _sym_entry(phi0, n)
+                    entries[phi0] = entry and (
+                        entry[0],
+                        _relabel_gather(_relabel_table(entry[1], n)),
+                        _relabel_gather(_rho_table(entry[0], n)),
+                    )
+                entry = entries[phi0]
+                if entry is None:
+                    fail("sym_fail", word, jmask)
+                    continue
+                eta_word, fwd, bwd = entry
+                gather, ideal = canonical[pset]
+                ximask = _apply_relabel(fwd, mask, n)
+                if ximask not in recipes:
+                    fail("incr_fail", word, jmask)
+                    continue
+                if mask.bit_count() != phi0.bit_count() + ximask.bit_count():
+                    fail("degree_fail", word, jmask)
+                if _construct(eta_word, ximask, n) != (word, jmask):
+                    fail("construct_fail", word, jmask)
+                    failed_keys.add((eta_word, ximask))
+                if ideal != ximask:
+                    fail("closed_ideal_fail", word, jmask)
+                # support identity: relabel the ideal back through rho = pi^-1
+                if phi0 | _apply_relabel(bwd, ximask, n) != mask:
+                    fail("support_fail", word, jmask)
+                if gather(word) != eta_word:
+                    fail("closed_sym_fail", word, jmask)
+            if not keep:
+                entries.clear()
 
     return {
         "counts": counts,
@@ -459,19 +347,6 @@ def _scan_chunk(n: int, perms: Optional[int]) -> dict:
         "failed_keys": failed_keys,
         "per_element_perms": checked,
     }
-
-
-def _round_trip(sigma_word: tuple[int, ...], ximask: int, n: int) -> Optional[SignedPerm]:
-    """construct(k) for the pair key k = (sigma_word, ximask) when
-    pair(construct(k)) == k, else None."""
-    built = _construct(sigma_word, ximask, n)
-    if built is None:
-        return None
-    try:
-        w = SignedPerm(_signed_images(*built))
-        return w if _pair_masks(w)[:2] == (sigma_word, ximask) else None
-    except (ValueError, ConsistencyError):  # the recipe built no valid element
-        return None
 
 
 def _scan(n: int) -> dict:
@@ -514,7 +389,11 @@ def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
     # Successful round trips have distinct keys, since the recipe is a
     # function.  A failed element's key k is also the key of a success
     # exactly when pair(construct(k)) == k, so only the other keys are new.
-    distinct = round_trip + sum(1 for key in scan["failed_keys"] if _round_trip(*key, n) is None)
+    distinct = round_trip
+    if scan["failed_keys"]:
+        from .pairs import _round_trip
+
+        distinct += sum(1 for key in scan["failed_keys"] if _round_trip(*key, n) is None)
 
     order = group_order(n)
     report = VerificationReport(rank=n)
@@ -531,43 +410,15 @@ def verify_bijection(n: int, *, workers: int = 1) -> VerificationReport:
         distinct == order,
         {"distinct_pairs": distinct, "product_size": order},
     )
+    witnesses = scan["witnesses"]
+    if any(witnesses.values()):  # a failing scan: write its witnesses
+        from .elements import _witness_str
+
+        witnesses = {key: [_witness_str(*item) for item in kept] for key, kept in witnesses.items()}
     for key, (check_id, description) in _ELEMENT_CHECKS.items():
-        witnesses = [_witness_str(*item) for item in scan["witnesses"][key]]
-        detail = {"failures": counts[key], "witnesses": witnesses}
+        detail = {"failures": counts[key], "witnesses": witnesses[key]}
         report.add(check_id, description, counts[key] == 0, detail)
     report.data["elements"] = total
     report.data["distinct_pairs"] = distinct
     report.data["weyl_length_histogram"] = hist
     return report
-
-
-def trace_element(w: SignedPerm) -> dict:
-    """A single-element walkthrough of the correspondence, JSON-friendly."""
-    n = w.rank
-    pair, mask = _pair_and_mask(w)
-    inv = RootSet(n, mask)
-    sf = standard_form(w)
-    support = cocycle_support(pair.sym, pair.ideal)
-    cf_word, cf_mask = _closed_form_of(sf)
-    cf_sym, cf_ideal = Perm(cf_word), RootSet(n, cf_mask)
-    return {
-        "element": str(w),
-        "length": len(inv),
-        "inversion_set": inv.to_strings(),
-        "standard_form": {
-            "flipped_values": list(sf.j_list),
-            "permutation": list(sf.sigma0.images),
-        },
-        "sym_component": list(pair.sym.images),
-        "ideal_component": pair.ideal.members.to_strings(),
-        "ideal_profile": list(pair.ideal.profile),
-        "ideal_dimension": pair.ideal.dimension,
-        "support": support.to_strings(),
-        "support_matches_inversions": support.mask == inv.mask,
-        "degree_additive": len(inv)
-        == len(pair.ideal.members) + len(perm_inversions(pair.sym)),
-        "closed_form_sym": list(cf_sym.images),
-        "closed_form_sym_agrees": cf_sym == pair.sym,
-        "closed_form_ideal": cf_ideal.to_strings(),
-        "closed_form_ideal_agrees": cf_ideal.mask == pair.ideal.members.mask,
-    }

@@ -6,29 +6,37 @@ row i holds e_i + e_j for i <= j <= b_i, the bounds b_1 >= b_2 >= ... are
 nonincreasing, and the nonempty rows form a prefix.  The boundary profile
 (b_1, ..., b_n), with b_i = i - 1 marking an empty row, is the cheap carrier
 for enumeration; there are exactly 2^n profiles.  They are walked in one
-place, _staircases, which every consumer of the 2^n ideals reads.  It ORs
-one row per level, a shift off the row layout (roots._row_starts), as
-_mask_from_profile does; _profile_from_mask parses masks from the root index.
+place, roots._staircases, which every consumer of the 2^n ideals reads.  It
+ORs one row per level, a shift off the row layout (roots._row_starts), as
+roots._mask_from_profile does; _profile_from_mask parses masks from the root
+index.
+
+Root addition (_addable, and precedes, the dominance order) lives here with
+the ideal criteria that read it, and so do verify's two order records
+(add_order_records): the scan, which reads only the staircases, never loads
+this module.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from typing import Iterator, Optional
 
+from .report import VerificationReport
 from .roots import (
+    DIFF,
+    LONG,
     Frozen,
+    Root,
     RootSet,
     check_cap,
-    check_rank,
     num_diffs,
     positive_roots,
-    precedes,
-    _addable,
     _index_tables,
     _mask_key,
-    _row_starts,
     _set,
+    _staircases,
 )
 
 
@@ -42,50 +50,12 @@ class IncreasingSet(Frozen):
         _set(self, "members", members)
         _set(self, "profile", profile)
 
-    @classmethod
-    def from_profile(cls, n: int, profile: tuple[int, ...]) -> "IncreasingSet":
-        check_rank(n)
-        if not _profile_valid(profile, n):
-            raise ValueError(f"{profile} is not a staircase profile for rank {n}")
-        return cls(n, RootSet(n, _mask_from_profile(profile, n)), tuple(profile))
-
-    @classmethod
-    def from_members(cls, n: int, members: RootSet) -> "IncreasingSet":
-        if members.rank != n:
-            raise ValueError("rank mismatch")
-        if members.mask & (1 << num_diffs(n)) - 1:
-            raise ValueError("difference roots cannot belong to an upward-closed set")
-        profile = _profile_from_mask(members.mask, n)
-        if profile is None:
-            raise ValueError("member set is not upward closed")
-        return cls(n, members, profile)
-
     @property
     def dimension(self) -> int:
         return len(self.members)
 
     def __str__(self) -> str:
         return "{" + ",".join(self.members.to_strings()) + "}"
-
-
-def _profile_valid(profile, n: int) -> bool:
-    """Whether profile is a staircase profile of rank n: the one staircase
-    rule is _profile_from_mask's, applied to the set the profile spans."""
-    return (
-        len(profile) == n
-        and max(profile) <= n
-        and _profile_from_mask(_mask_from_profile(profile, n), n) == tuple(profile)
-    )
-
-
-def _mask_from_profile(profile, n: int) -> int:
-    _diff_start, sum_start, long_bit = _row_starts(n)
-    mask = 0
-    for i, b in enumerate(profile, start=1):
-        if b < i:
-            break
-        mask |= 1 << long_bit[i] | ((1 << (b - i)) - 1) << sum_start[i]
-    return mask
 
 
 def _profile_from_mask(mask: int, n: int) -> Optional[tuple[int, ...]]:
@@ -122,25 +92,71 @@ def enumerate_increasing(n: int) -> Iterator[IncreasingSet]:
         yield IncreasingSet(n, RootSet(n, mask), profile)
 
 
-def _staircases(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The 2^n (profile, mask) pairs, profiles in lexicographic order.  The
-    mask of a profile is its prefix's mask ORed with rows[i][b], row i up to
-    e_i + e_b as _mask_from_profile builds it, one OR per recursion level."""
-    _diff_start, sum_start, long_bit = _row_starts(n)
-    rows = [[]] + [
-        [0] * i + [1 << long_bit[i] | ((1 << k) - 1) << sum_start[i] for k in range(n - i + 1)]
-        for i in range(1, n + 1)
-    ]
+def precedes(x: Root, y: Root) -> bool:
+    """The dominance order on sums-plus-longs: e_{i1}+e_{j1} precedes e_{i2}+e_{j2}
+    iff i1 >= i2 and j1 >= j2 (indices normalized so i <= j, longs count as i == j).
 
-    def rec(i: int, prev: int, acc: tuple[int, ...], mask: int):
-        if i > n:
-            yield acc, mask
-            return
-        yield acc + tuple(range(i - 1, n)), mask
-        for b in range(i, prev + 1):
-            yield from rec(i + 1, b, acc + (b,), mask | rows[i][b])
+    Reflexive by convention; callers wanting the strict order exclude equality
+    themselves.
+    """
+    for r in (x, y):
+        if not r.in_phi1:
+            raise ValueError(f"{r} is a difference root; the order is defined on sums only")
+    return x.i >= y.i and x.j >= y.j
 
-    yield from rec(1, n, (), 0)
+
+@lru_cache(maxsize=None)
+def _addable(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each root index a, the pairs (b, c), b ascending, over all root
+    indices b such that root a + root b is a positive root with index c.  Used
+    by the abelian-ideal closure checks; the lists are short (O(n) entries per
+    root).
+
+    Only the b whose support {i, j} meets a's are tried.  When the supports
+    are disjoint, the sum has at least 3 nonzero coordinates, or two
+    coordinates equal to 2 (two long roots), and no positive root has either
+    form, so every pair skipped has no root sum.  Each index lies in the
+    support of 2n - 1 roots, so at most 4n^3 sums are resolved, each by one
+    coefficient-vector -> index lookup (_sum_index)."""
+    roots = positive_roots(n)
+    vectors, index = _sparse_roots(n)
+    meets: list[list[int]] = [[] for _ in range(n + 1)]  # the roots with k in their support
+    for b, r in enumerate(roots):
+        for k in {r.i, r.j}:
+            meets[k].append(b)
+    out = []
+    for a, ra in enumerate(roots):
+        row = []
+        for b in sorted({*meets[ra.i], *meets[ra.j]}):
+            c = _sum_index(index, vectors[a], vectors[b])
+            if c is not None:
+                row.append((b, c))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+_Sparse = tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=None)
+def _sparse_roots(n: int) -> tuple[tuple[_Sparse, ...], dict[_Sparse, int]]:
+    """(vectors, index): the coefficient vector of each root as its nonzero
+    (coordinate, coefficient) pairs, coordinate ascending, by root index, and
+    the map back from vector to index."""
+    vectors = tuple(
+        ((r.i, 2),) if r.kind == LONG else ((r.i, 1), (r.j, -1 if r.kind == DIFF else 1))
+        for r in positive_roots(n)
+    )
+    return vectors, {v: c for c, v in enumerate(vectors)}
+
+
+def _sum_index(index: dict[_Sparse, int], va: _Sparse, vb: _Sparse) -> Optional[int]:
+    """index[va + vb] for two sparse coefficient vectors (_sparse_roots): the
+    index of the root va + vb, or None when the sum is no positive root."""
+    s = dict(va)
+    for k, c in vb:
+        s[k] = s.get(k, 0) + c
+    return index.get(tuple(sorted((k, c) for k, c in s.items() if c)))
 
 
 def is_increasing(s: RootSet) -> bool:
@@ -218,6 +234,28 @@ def order_certificate(n: int) -> tuple[int, int, dict[str, int]]:
         "order_mismatches": sum(reach[a] != dominance[a] for a in phi1),
         "ideals_rejected": rejected,
     }
+
+
+def add_order_records(report: VerificationReport) -> None:
+    """Add verify's ideal-count and increasing-vs-root-addition, both from
+    one order_certificate at the report's rank."""
+    n = report.rank
+    checked, count, faults = order_certificate(n)
+    # as many distinct sets as the certificate decided: no ideal is walked twice
+    repeated = {"walked": checked} if checked != count else {}
+    report.add(
+        "ideal-count",
+        "the number of abelian ideals equals 2^rank",
+        count == checked == 1 << n,
+        {"count": count, "expected": 1 << n, **repeated},
+    )
+    report.add(
+        "increasing-vs-root-addition",
+        "a sums-only subset is upward closed exactly when it passes the "
+        "root-addition ideal criterion",
+        not any(faults.values()),
+        {"mode": "certificate", "subsets_checked": checked, **faults},
+    )
 
 
 def dimension_histogram(n: int):

@@ -13,6 +13,10 @@ sums in lexicographic order, then the long roots by index.
 
 Each row i is a block of consecutive bits, j ascending: the row layout,
 computed in _row_starts, which checks every root's bit against the index.
+The 2^n staircases (upward-closed sets of sums-plus-longs, ideals module
+docstring) are read off the layout here, by _mask_from_profile for one
+profile and by _staircases, the one walk of them all, so that the scan
+reaches them without loading ideals.
 
 The caps on the exhaustive loops are one table here, CAPS, which every
 refusal reads through check_cap when it runs: raising a cap changes one entry.
@@ -21,7 +25,7 @@ refusal reads through check_cap when it runs: raising a cap changes one entry.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterator
 
 from .errors import ConsistencyError, InvalidRankError, RankCapError
 
@@ -95,19 +99,6 @@ class Root(Frozen):
         """True for sums and longs, i.e. roots of the form e_i + e_j with i <= j."""
         return self.kind != DIFF
 
-    def coeffs(self, n: int) -> tuple[int, ...]:
-        """Coefficient vector on the e_1..e_n basis."""
-        v = [0] * n
-        if self.kind == DIFF:
-            v[self.i - 1] = 1
-            v[self.j - 1] = -1
-        elif self.kind == SUM:
-            v[self.i - 1] = 1
-            v[self.j - 1] = 1
-        else:
-            v[self.i - 1] = 2
-        return tuple(v)
-
     def __str__(self) -> str:
         if self.kind == DIFF:
             return f"e{self.i}-e{self.j}"
@@ -120,32 +111,8 @@ def diff(i: int, j: int) -> Root:
     return Root(DIFF, i, j)
 
 
-def sum_root(i: int, j: int) -> Root:
-    """e_i + e_j for any i != j (normalized), or the long root 2*e_i when i == j."""
-    if i == j:
-        return Root(LONG, i, i)
-    if i > j:
-        i, j = j, i
-    return Root(SUM, i, j)
-
-
 def long(i: int) -> Root:
     return Root(LONG, i, i)
-
-
-class SignedRoot(Frozen):
-    """A positive root together with the sign it picked up under a group action."""
-
-    __slots__ = ("sign", "root")
-
-    def __init__(self, sign: int, root: Root):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        _set(self, "sign", sign)
-        _set(self, "root", root)
-
-    def __str__(self) -> str:
-        return ("" if self.sign == 1 else "-") + str(self.root)
 
 
 def check_rank(n: int) -> None:
@@ -235,14 +202,6 @@ class RootSet(Frozen):
         _set(self, "mask", mask)
 
     @classmethod
-    def from_roots(cls, n: int, roots: Iterable[Root]) -> "RootSet":
-        idx = root_index(n)
-        m = 0
-        for r in roots:
-            m |= 1 << idx[r]
-        return cls(n, m)
-
-    @classmethod
     def empty(cls, n: int) -> "RootSet":
         return cls(n, 0)
 
@@ -290,51 +249,6 @@ def _mask_key(mask: int) -> tuple[int, ...]:
     return tuple([b for b, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"])
 
 
-def split(n: int) -> tuple[RootSet, RootSet]:
-    """The partition of the positive roots into differences and sums-plus-longs."""
-    check_rank(n)
-    nd = num_diffs(n)
-    full = (1 << n * n) - 1
-    phi0 = (1 << nd) - 1
-    return RootSet(n, phi0), RootSet(n, full & ~phi0)
-
-
-def dotted_sum(alpha: Root, beta: Root, n: int) -> Optional[Root]:
-    """alpha + beta if the vector sum is again a positive root of rank n, else None."""
-    check_rank(n)
-    va = alpha.coeffs(n)
-    vb = beta.coeffs(n)
-    s = tuple(a + b for a, b in zip(va, vb))
-    return _root_from_coeffs(s)
-
-
-def _root_from_coeffs(v: tuple[int, ...]) -> Optional[Root]:
-    support = [(c, k + 1) for k, c in enumerate(v) if c]
-    if len(support) == 1:
-        c, i = support[0]
-        return long(i) if c == 2 else None
-    if len(support) == 2:
-        (ci, i), (cj, j) = support
-        if ci == 1 and cj == 1:
-            return Root(SUM, i, j)
-        if ci == 1 and cj == -1:
-            return diff(i, j)
-    return None
-
-
-def precedes(x: Root, y: Root) -> bool:
-    """The dominance order on sums-plus-longs: e_{i1}+e_{j1} precedes e_{i2}+e_{j2}
-    iff i1 >= i2 and j1 >= j2 (indices normalized so i <= j, longs count as i == j).
-
-    Reflexive by convention; callers wanting the strict order exclude equality
-    themselves.
-    """
-    for r in (x, y):
-        if not r.in_phi1:
-            raise ValueError(f"{r} is a difference root; the order is defined on sums only")
-    return x.i >= y.i and x.j >= y.j
-
-
 @lru_cache(maxsize=None)
 def _index_tables(n: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """1-based lookup tables (diff_idx[i][j], sum_idx[i][j], long_idx[i]) into
@@ -375,54 +289,35 @@ def _row_starts(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ..
     return diff_start, sum_start, long_bit
 
 
-@lru_cache(maxsize=None)
-def _addable(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each root index a, the pairs (b, c), b ascending, over all root
-    indices b such that root a + root b is a positive root with index c.  Used
-    by the abelian-ideal closure checks; the lists are short (O(n) entries per
-    root).
-
-    Only the b whose support {i, j} meets a's are tried.  When the supports
-    are disjoint, the sum has at least 3 nonzero coordinates, or two
-    coordinates equal to 2 (two long roots), and no positive root has either
-    form, so every pair skipped has no root sum.  Each index lies in the
-    support of 2n - 1 roots, so at most 4n^3 sums are resolved, each by one
-    coefficient-vector -> index lookup (_sum_index)."""
-    roots = positive_roots(n)
-    vectors, index = _sparse_roots(n)
-    meets: list[list[int]] = [[] for _ in range(n + 1)]  # the roots with k in their support
-    for b, r in enumerate(roots):
-        for k in {r.i, r.j}:
-            meets[k].append(b)
-    out = []
-    for a, ra in enumerate(roots):
-        row = []
-        for b in sorted({*meets[ra.i], *meets[ra.j]}):
-            c = _sum_index(index, vectors[a], vectors[b])
-            if c is not None:
-                row.append((b, c))
-        out.append(tuple(row))
-    return tuple(out)
+def _mask_from_profile(profile, n: int) -> int:
+    """The sums-plus-longs mask of a staircase profile (b_1, ..., b_n): row i
+    up to e_i + e_{b_i}, read off the row layout, until the first empty row
+    (b_i < i)."""
+    _diff_start, sum_start, long_bit = _row_starts(n)
+    mask = 0
+    for i, b in enumerate(profile, start=1):
+        if b < i:
+            break
+        mask |= 1 << long_bit[i] | ((1 << (b - i)) - 1) << sum_start[i]
+    return mask
 
 
-_Sparse = tuple[tuple[int, int], ...]
+def _staircases(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The 2^n (profile, mask) pairs, profiles in lexicographic order.  The
+    mask of a profile is its prefix's mask ORed with rows[i][b], row i up to
+    e_i + e_b as _mask_from_profile builds it, one OR per recursion level."""
+    _diff_start, sum_start, long_bit = _row_starts(n)
+    rows = [[]] + [
+        [0] * i + [1 << long_bit[i] | ((1 << k) - 1) << sum_start[i] for k in range(n - i + 1)]
+        for i in range(1, n + 1)
+    ]
 
+    def rec(i: int, prev: int, acc: tuple[int, ...], mask: int):
+        if i > n:
+            yield acc, mask
+            return
+        yield acc + tuple(range(i - 1, n)), mask
+        for b in range(i, prev + 1):
+            yield from rec(i + 1, b, acc + (b,), mask | rows[i][b])
 
-@lru_cache(maxsize=None)
-def _sparse_roots(n: int) -> tuple[tuple[_Sparse, ...], dict[_Sparse, int]]:
-    """(vectors, index): the coefficient vector of each root as its nonzero
-    (coordinate, coefficient) pairs, coordinate ascending, by root index, and
-    the map back from vector to index."""
-    vectors = tuple(
-        tuple((k, c) for k, c in enumerate(r.coeffs(n), 1) if c) for r in positive_roots(n)
-    )
-    return vectors, {v: c for c, v in enumerate(vectors)}
-
-
-def _sum_index(index: dict[_Sparse, int], va: _Sparse, vb: _Sparse) -> Optional[int]:
-    """index[va + vb] for two sparse coefficient vectors (_sparse_roots): the
-    index of the root va + vb, or None when the sum is no positive root."""
-    s = dict(va)
-    for k, c in vb:
-        s[k] = s.get(k, 0) + c
-    return index.get(tuple(sorted((k, c) for k, c in s.items() if c)))
+    yield from rec(1, n, (), 0)

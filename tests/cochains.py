@@ -6,11 +6,13 @@ these."""
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
+from oracles import act_on_root
 from spcohom.ce import _d_monomial, _decompositions, _norms
 from spcohom.correspondence import _rho_table
+from spcohom.elements import Perm, SignedPerm
 from spcohom.ideals import IncreasingSet
 from spcohom.roots import _mask_key, num_diffs, positive_roots, root_index
-from spcohom.weyl import Perm, SignedPerm, act_on_root, _perm_inversion_mask
+from spcohom.weyl import _perm_inversion_mask
 
 
 @dataclass(frozen=True)

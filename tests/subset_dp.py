@@ -1,10 +1,10 @@
 """Subset-level test oracles for the length histograms: the rows of the
-group and of S_n built from the root index alone, and the packed DP over all
-2^n sets of values that the size recursion (weyl._size_dp) replaced.  No
-command runs any of these."""
+group and of S_n built from the root index alone, the packed DP over all
+2^n sets of values that the size recursion (weyl._size_dp) replaced, and the
+shift-per-coefficient unpacker that weyl._unpack replaced.  No command runs
+any of these."""
 
 from spcohom.roots import _index_tables
-from spcohom.weyl import _unpack
 
 
 def index_row(n, v, later):
@@ -42,4 +42,12 @@ def subset_dp(n, width, degree, rows):
                 for r in rows(v, rest):
                     acc += poly[rest] << width * r.bit_count()
         poly.append(acc)
-    return _unpack(poly[-1], width, degree)
+    return shift_unpack(poly[-1], width, degree)
+
+
+def shift_unpack(packed, width, degree):
+    """The coefficients of degrees 0..degree of a polynomial packed a
+    coefficient per width bits, one shift of the whole int per coefficient:
+    what weyl._unpack must give."""
+    low = (1 << width) - 1
+    return [packed >> width * d & low for d in range(degree + 1)]

@@ -12,11 +12,11 @@ from cochains import (
     monomial_cocycle,
     pair_cocycle,
 )
+from oracles import sum_root
 from spcohom import ce, correspondence, weyl
 from spcohom.ce import (
     ChainComplex,
     betti_numbers,
-    block_summary,
     dstar,
     laplacian,
     verify_cohomology_basis,
@@ -26,19 +26,15 @@ from spcohom.ce import (
     _subset_weight,
 )
 from spcohom.cli import main
-from spcohom.correspondence import correspondence_pair, from_pair
+from spcohom.elements import Perm, SignedPerm, enumerate_group, inversion_set
 from spcohom.errors import RankCapError
 from spcohom.ideals import enumerate_increasing
+from spcohom.pairs import correspondence_pair, from_pair
 from spcohom.poincare import weyl_poincare
 from spcohom.report import VerificationReport
-from spcohom.roots import LONG, positive_roots, root_index, diff, long, sum_root
-from spcohom.weyl import (
-    Perm,
-    SignedPerm,
-    enumerate_group,
-    group_order,
-    inversion_set,
-)
+from spcohom.roots import LONG, positive_roots, root_index, diff, long
+from spcohom.tables import block_summary
+from spcohom.weyl import group_order
 
 
 def idx(n, root):
@@ -367,7 +363,7 @@ def test_pair_cocycle_degree_additive():
     for w in enumerate_group(n):
         p = correspondence_pair(w)
         lc = pair_cocycle(p.sym, p.ideal)
-        from spcohom.weyl import perm_inversions
+        from spcohom.elements import perm_inversions
 
         assert lc.degree == len(perm_inversions(p.sym)) + p.ideal.dimension
 

@@ -12,7 +12,8 @@ import time
 import pytest
 
 import spcohom
-from spcohom import ce, cli, correspondence, ideals, liealg, poincare, roots, weyl
+from oracles import sum_root
+from spcohom import ce, cli, correspondence, elements, ideals, liealg, pairs, poincare, roots
 from spcohom.cli import main
 from spcohom.errors import RankCapError
 from spcohom.report import VerificationReport
@@ -58,9 +59,9 @@ def test_broken_order_certificate_fails_verify(monkeypatch, tmp_path):
     # drop the only pair that takes 2e_5 up to e_4 + e_5
     n = 5
     idx = roots.root_index(n)
-    rows = list(roots._addable(n))
+    rows = list(ideals._addable(n))
     row = idx[roots.long(n)]
-    rows[row] = tuple(p for p in rows[row] if p[1] != idx[roots.sum_root(n - 1, n)])
+    rows[row] = tuple(p for p in rows[row] if p[1] != idx[sum_root(n - 1, n)])
     monkeypatch.setattr(ideals, "_addable", lambda rank: tuple(rows))
     code, text = run_cli(["verify", "--rank", str(n)], tmp_path)
     assert code == 1
@@ -94,7 +95,7 @@ def test_broken_structure_table_fails_the_lie_certificate(monkeypatch, n, fault)
         entries[pair] = ((g + 1) % (n * n), c)
     monkeypatch.setattr(liealg, "structure_table", lambda rank: liealg.StructureTable(n, entries))
     report = VerificationReport(rank=n)
-    cli._lie_agreement_record(n, report)
+    liealg.add_agreement_record(report)
     (record,) = report.records
     assert record.check_id == "lie-vs-combinatorial" and not record.passed
     assert record.detail == {
@@ -107,7 +108,7 @@ def test_broken_structure_table_fails_the_lie_certificate(monkeypatch, n, fault)
 @pytest.mark.parametrize("n", [7, 8])
 def test_lie_certificate_passes_above_the_cohomology_cap(n):
     report = VerificationReport(rank=n)
-    cli._lie_agreement_record(n, report)
+    liealg.add_agreement_record(report)
     (record,) = report.records
     assert record.check_id == "lie-vs-combinatorial"
     assert record.passed and "skipped" not in (record.detail or {})
@@ -502,8 +503,8 @@ def test_witness_cap_refuses_before_parsing(monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("witness parsed or traced above the cap")
 
-    monkeypatch.setattr(weyl, "parse_signed_perm", no_work)
-    monkeypatch.setattr(correspondence, "trace_element", no_work)
+    monkeypatch.setattr(elements, "parse_signed_perm", no_work)
+    monkeypatch.setattr(pairs, "trace_element", no_work)
     n = roots.CAPS["witness"] + 1
     witness = "[" + ",".join(map(str, range(1, n + 1))) + "]"
     assert main(["bijection", "--rank", str(n), "--witness", witness]) == 2
@@ -664,7 +665,7 @@ def test_listing_caps_refuse_before_enumerating(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(ideals, "_staircases", no_enumeration)
     monkeypatch.setattr(poincare, "weyl_length_histogram", no_enumeration)
-    monkeypatch.setattr(weyl, "enumerate_group", no_enumeration)
+    monkeypatch.setattr(elements, "enumerate_group", no_enumeration)
     monkeypatch.setattr(ce, "_weight_dp", no_enumeration)
     ideal_cap = roots.CAPS["ideal enumeration"]
     for args in (
@@ -716,7 +717,7 @@ _EVERY_CAP = [
 # (owner, entry point, cap name): every library entry point that refuses
 # above a cap
 _LIBRARY_CAPS = [
-    (weyl, "enumerate_group", "group enumeration"),
+    (elements, "enumerate_group", "group enumeration"),
     (poincare, "weyl_length_histogram", "group enumeration"),
     (poincare, "sym_inversion_histogram", "group enumeration"),
     (correspondence, "verify_bijection", "group enumeration"),
@@ -772,16 +773,16 @@ def test_every_cap_refuses_one_above_with_one_message(monkeypatch, capsys, argv,
     for owner, name in [
         (ideals, "enumerate_increasing"),
         (ideals, "_staircases"),
-        (weyl, "enumerate_group"),
+        (elements, "enumerate_group"),
         (poincare, "_length_histogram"),
         (poincare, "_size_dp"),
         (poincare, "_bracket_product"),
         (poincare.IntPolynomial, "__mul__"),
         (correspondence, "_scan"),
-        (correspondence, "trace_element"),
+        (pairs, "trace_element"),
         (ce, "_weight_dp"),
         (liealg, "structure_table"),
-        (weyl, "parse_signed_perm"),
+        (elements, "parse_signed_perm"),
     ]:
         monkeypatch.setattr(owner, name, no_work)
     n = cap + 1

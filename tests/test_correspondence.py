@@ -7,10 +7,22 @@ from operator import itemgetter
 
 import pytest
 
+from oracles import from_members, from_roots, perm_from_inversions, sum_root
 from subset_dp import index_row
-from spcohom import correspondence, roots, weyl
+from spcohom import correspondence, elements, ideals, pairs, roots, weyl
 from spcohom.cli import main
-from spcohom.correspondence import (
+from spcohom.correspondence import verify_bijection, _construct, _relabel_table
+from spcohom.elements import (
+    Perm,
+    SignedPerm,
+    StandardForm,
+    enumerate_group,
+    inversion_set,
+    standard_form,
+)
+from spcohom.errors import ConsistencyError
+from spcohom.ideals import IncreasingSet, _profile_from_mask, enumerate_increasing
+from spcohom.pairs import (
     CorrespondencePair,
     cocycle_support,
     correspondence_pair,
@@ -20,26 +32,10 @@ from spcohom.correspondence import (
     sym_component,
     sym_component_closed_form,
     trace_element,
-    verify_bijection,
-    _construct,
     _relabel,
-    _relabel_table,
 )
-from spcohom.errors import ConsistencyError
-from spcohom.ideals import IncreasingSet, _profile_from_mask, enumerate_increasing
-from spcohom.roots import CAPS, RootSet, diff, long, positive_roots, root_index, sum_root
-from spcohom.weyl import (
-    Perm,
-    SignedPerm,
-    StandardForm,
-    enumerate_group,
-    inversion_set,
-    perm_from_inversions,
-    standard_form,
-    _expand,
-    _perm_inversion_mask,
-    _sign_patterns,
-)
+from spcohom.roots import CAPS, RootSet, diff, long, positive_roots, root_index
+from spcohom.weyl import _expand, _perm_inversion_mask, _sign_patterns
 
 
 def r(i, n):
@@ -47,7 +43,7 @@ def r(i, n):
 
 
 def ideal_of(n, *roots):
-    return IncreasingSet.from_members(n, RootSet.from_roots(n, roots))
+    return from_members(n, from_roots(n, roots))
 
 
 def test_sym_component_examples():
@@ -386,7 +382,7 @@ def test_closed_form_table_matches_the_formula(n):
         for t, p in enumerate(flipped, start=1):
             roots.append(long(t))
             roots.extend(sum_root(t, j) for j in range(t + 1, n + t - p + 1))
-        assert ideal_mask == RootSet.from_roots(n, roots).mask
+        assert ideal_mask == from_roots(n, roots).mask
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -984,8 +980,8 @@ def test_closed_forms_read_each_elements_flipped_positions(n):
     for word in itertools.permutations(range(1, n + 1)):
         for pset, jmask in enumerate(_sign_patterns(word)):
             gather, ideal = table[pset]
-            sf = standard_form(SignedPerm(correspondence._signed_images(word, jmask)))
-            assert correspondence._closed_form_of(sf) == (gather(word), ideal)
+            sf = standard_form(SignedPerm(elements._signed_images(word, jmask)))
+            assert pairs._closed_form_of(sf) == (gather(word), ideal)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -1053,8 +1049,8 @@ def _reorder_the_roots(monkeypatch, reorder):
         roots.root_index,
         roots._index_tables,
         roots._row_starts,
-        roots._addable,
-        roots._sparse_roots,
+        ideals._addable,
+        ideals._sparse_roots,
         correspondence._phi1_grid,
     )
     monkeypatch.setattr(roots, "positive_roots", reordered)
@@ -1163,6 +1159,22 @@ def test_witness_at_the_cap_rank_256_peaks_under_60_mb():
     assert doc["closed_form_ideal_agrees"] and doc["support_matches_inversions"]
 
 
+def test_first_permutation_keeps_no_relabel_entries_rank_12():
+    # each of the 2^11 symmetric components of the first permutation serves
+    # one pair of sign patterns, so its compiled relabels are dropped with the
+    # pair: the loop peaked at 4.1 MB when it kept them all, 0.4 MB without
+    n = 12
+    correspondence._recipes(n), correspondence._closed_forms(n), correspondence._phi1_grid(n)
+    tracemalloc.start()
+    try:
+        result = correspondence._scan_chunk(n, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+    assert result["per_element_perms"] == 1 and not any(result["counts"].values())
+
+
 def test_non_permutation_relabel_table_is_an_internal_error(monkeypatch, capsys):
     with pytest.raises(ConsistencyError):
         _relabel_table((0, 1, 1, 3), 3)
@@ -1197,13 +1209,13 @@ def test_trace_element_shape():
 def test_a_trace_evaluates_the_element_once(monkeypatch):
     calls = {"_inversion_mask": 0, "_closed_form_of": 0}
     for name in calls:
-        original = getattr(correspondence, name)
+        original = getattr(pairs, name)
 
         def counted(*args, name=name, original=original):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(correspondence, name, counted)
+        monkeypatch.setattr(pairs, name, counted)
     n = 12
     images = tuple(-v if v % 3 == 0 else v for v in range(n, 0, -1))
     doc = trace_element(SignedPerm(images))

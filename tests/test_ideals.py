@@ -4,31 +4,31 @@ import random
 
 import pytest
 
+from oracles import from_members, from_profile, from_roots, profile_valid, sum_root
 from spcohom import correspondence, ideals
 from spcohom.cli import main
 from spcohom.errors import RankCapError
 from spcohom.ideals import (
     IncreasingSet,
+    _addable,
     _profile_from_mask,
     dimension_histogram,
     enumerate_increasing,
     is_abelian_ideal_combinatorial,
     is_increasing,
     order_certificate,
+    precedes,
 )
 from spcohom.poincare import ideal_generating
 from spcohom.roots import (
     CAPS,
     RootSet,
-    _addable,
     _index_tables,
     diff,
     long,
     num_diffs,
     positive_roots,
-    precedes,
     root_index,
-    sum_root,
 )
 
 
@@ -72,7 +72,7 @@ def test_enumerate_count_is_power_of_two(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_profiles_consistent_with_members(n):
     for psi in enumerate_increasing(n):
-        rebuilt = IncreasingSet.from_profile(n, psi.profile)
+        rebuilt = from_profile(n, psi.profile)
         assert rebuilt.members.mask == psi.members.mask
         assert psi.dimension == len(psi.members)
         # bounds nonincreasing over the nonempty prefix
@@ -84,11 +84,11 @@ def test_profiles_consistent_with_members(n):
 
 
 def test_is_increasing_examples():
-    assert is_increasing(RootSet.from_roots(2, [long(1)]))
-    assert not is_increasing(RootSet.from_roots(2, [long(2)]))
+    assert is_increasing(from_roots(2, [long(1)]))
+    assert not is_increasing(from_roots(2, [long(2)]))
     assert is_increasing(RootSet.empty(3))
     with pytest.raises(ValueError):
-        is_increasing(RootSet.from_roots(2, [diff(1, 2)]))
+        is_increasing(from_roots(2, [diff(1, 2)]))
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -100,7 +100,7 @@ def test_is_increasing_matches_literal_definition(n):
 
 def test_from_members_rejects_non_increasing():
     with pytest.raises(ValueError):
-        IncreasingSet.from_members(2, RootSet.from_roots(2, [long(2)]))
+        from_members(2, from_roots(2, [long(2)]))
 
 
 @pytest.mark.parametrize(
@@ -117,7 +117,7 @@ def test_from_members_rejects_non_increasing():
 )
 def test_from_profile_rejects_malformed_shapes(n, profile):
     with pytest.raises(ValueError, match="is not a staircase profile"):
-        IncreasingSet.from_profile(n, profile)
+        from_profile(n, profile)
 
 
 def _reference_profile_valid(profile, n):
@@ -144,14 +144,14 @@ def test_profile_rule_matches_the_written_out_rule(n):
     tuples = [
         p for length in (n - 1, n, n + 1) for p in itertools.product(range(-2, n + 2), repeat=length)
     ]
-    valid = [p for p in tuples if ideals._profile_valid(p, n)]
+    valid = [p for p in tuples if profile_valid(p, n)]
     assert [p for p in tuples if _reference_profile_valid(p, n)] == valid
     assert len(valid) == 2**n
 
 
 def test_abelian_ideal_examples():
-    assert not is_abelian_ideal_combinatorial(RootSet.from_roots(2, [diff(1, 2)]))
-    assert is_abelian_ideal_combinatorial(RootSet.from_roots(2, [long(1), sum_root(1, 2)]))
+    assert not is_abelian_ideal_combinatorial(from_roots(2, [diff(1, 2)]))
+    assert is_abelian_ideal_combinatorial(from_roots(2, [long(1), sum_root(1, 2)]))
     for n in range(1, 7):
         full_phi1 = RootSet(n, ((1 << n * n) - 1) ^ ((1 << num_diffs(n)) - 1))
         assert is_abelian_ideal_combinatorial(full_phi1)
@@ -351,14 +351,13 @@ def test_verify_builds_each_staircase_mask_from_a_profile_once(monkeypatch, caps
     # theirs from a profile, one per set of flipped positions
     n = 6
     calls = []
-    real = ideals._mask_from_profile
+    real = correspondence._mask_from_profile
 
     def counted(profile, rank):
         calls.append(profile)
         return real(profile, rank)
 
-    for module in (ideals, correspondence):
-        monkeypatch.setattr(module, "_mask_from_profile", counted)
+    monkeypatch.setattr(correspondence, "_mask_from_profile", counted)
     correspondence._recipes.cache_clear()
     correspondence._closed_forms.cache_clear()
     assert main(["verify", "--rank", str(n)]) == 0

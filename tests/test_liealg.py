@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import coeffs, constant, from_roots, sum_root
 from spcohom import liealg
 from spcohom.errors import ConsistencyError
 from spcohom.liealg import (
@@ -14,7 +15,7 @@ from spcohom.liealg import (
     structure_table,
 )
 from spcohom.ideals import is_abelian_ideal_combinatorial
-from spcohom.roots import RootSet, diff, long, num_diffs, positive_roots, root_index, sum_root
+from spcohom.roots import RootSet, diff, long, num_diffs, positive_roots, root_index
 
 
 def E(d, i, j):
@@ -137,10 +138,10 @@ def test_symplectic_condition(n):
 def test_weight_vectors(n):
     for alpha in positive_roots(n):
         x = root_vector(n, alpha)
-        coeffs = alpha.coeffs(n)
+        vector = coeffs(alpha, n)
         for m in range(1, n + 1):
             h = E(2 * n, m, m) - E(2 * n, n + m, n + m)
-            assert bracket(h, x) == x.scale(coeffs[m - 1])
+            assert bracket(h, x) == x.scale(vector[m - 1])
 
 
 def test_bracket_examples():
@@ -174,9 +175,9 @@ def test_structure_table_entries():
     n = 2
     table = structure_table(n)
     idx = root_index(n)
-    assert table.constant(idx[diff(1, 2)], idx[long(2)]) == (idx[sum_root(1, 2)], 1)
-    assert table.constant(idx[long(1)], idx[long(2)]) is None
-    assert table.constant(idx[diff(1, 2)], idx[diff(1, 2)]) is None
+    assert constant(table, idx[diff(1, 2)], idx[long(2)]) == (idx[sum_root(1, 2)], 1)
+    assert constant(table, idx[long(1)], idx[long(2)]) is None
+    assert constant(table, idx[diff(1, 2)], idx[diff(1, 2)]) is None
     # antisymmetry
     for (a, b), (g, c) in table.entries.items():
         assert table.entries[(b, a)] == (g, -c)
@@ -192,7 +193,7 @@ def test_structure_table_matches_brackets(n):
             if a == b:
                 continue
             got = bracket(vectors[a], vectors[b])
-            entry = table.constant(a, b)
+            entry = constant(table, a, b)
             if entry is None:
                 assert got.is_zero()
             else:
@@ -217,8 +218,8 @@ def test_structure_table_multiplies_at_most_4n3_entry_pairs(monkeypatch, n):
 
 def test_is_abelian_ideal_lie_examples():
     n = 2
-    assert is_abelian_ideal_lie(n, RootSet.from_roots(n, [long(1), sum_root(1, 2)]))
-    assert not is_abelian_ideal_lie(n, RootSet.from_roots(n, [diff(1, 2)]))
+    assert is_abelian_ideal_lie(n, from_roots(n, [long(1), sum_root(1, 2)]))
+    assert not is_abelian_ideal_lie(n, from_roots(n, [diff(1, 2)]))
     assert is_abelian_ideal_lie(n, RootSet.empty(n))
 
 

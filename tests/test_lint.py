@@ -18,7 +18,7 @@ RootSet references root_index: rules read the layout, never Root objects,
 and no table hashes a Root, and every check_cap call names its cap by a
 string literal that is a key of roots.CAPS, and only roots.check_cap raises
 RankCapError: a cap's value and name are written once, and there is one
-message builder, and no module but weyl.py contains the string literal "["
+message builder, and no module but elements.py contains the string literal "["
 (an f-string's pieces aside): SignedPerm.__str__ is the one writer of an
 element, and parse_signed_perm reads back every element the package
 prints, and weyl._row and weyl._perm_row keep the code pinned below, up to
@@ -179,8 +179,8 @@ _RULES = {
     "weyl.py:_row",
     "weyl.py:_perm_row",
     "weyl.py:_word_from_inversion_mask",
-    "ideals.py:_staircases",
-    "ideals.py:_mask_from_profile",
+    "roots.py:_staircases",
+    "roots.py:_mask_from_profile",
     "correspondence.py:_phi1_grid",
 }
 
@@ -232,7 +232,7 @@ def _string_constants(tree: ast.Module):
             yield node.value
 
 
-def test_only_weyl_writes_an_element():
+def test_only_elements_writes_an_element():
     # SignedPerm.__str__ writes the [a,-b,...] form that parse_signed_perm
     # reads; a second writer could drift from the parser
     writers = {
@@ -240,7 +240,7 @@ def test_only_weyl_writes_an_element():
         for path in MODULES
         if "[" in _string_constants(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert writers == {"weyl.py"}
+    assert writers == {"elements.py"}
 
 
 # The code the piece argument rests on (weyl._bad_pieces): a change to it,

@@ -3,21 +3,18 @@ import random
 
 import pytest
 
-from spcohom import correspondence
+from oracles import coeffs, dotted_sum, from_roots, split, sum_root
+from spcohom import correspondence, ideals
 from spcohom import roots as roots_module
 from spcohom.errors import InvalidRankError
+from spcohom.ideals import precedes, _addable, _sparse_roots
 from spcohom.roots import (
     Root,
     RootSet,
     diff,
-    dotted_sum,
     long,
     positive_roots,
-    precedes,
     root_index,
-    split,
-    sum_root,
-    _addable,
     _index_tables,
     _mask_key,
     _row_starts,
@@ -114,17 +111,25 @@ def test_addable_equals_the_all_pairs_loop(n):
     assert _addable(n) == _all_pairs_addable(n)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sparse_roots_are_the_coefficient_vectors(n):
+    vectors, index = _sparse_roots(n)
+    dense = [coeffs(r, n) for r in positive_roots(n)]
+    assert vectors == tuple(tuple((k, c) for k, c in enumerate(v, 1) if c) for v in dense)
+    assert index == {v: b for b, v in enumerate(vectors)}
+
+
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_addable_resolves_at_most_4n3_sums(monkeypatch, n):
     # only the roots whose support meets a's are tried, 2n - 1 per index, so
     # an all-pairs loop (n^4 sums) cannot come back unnoticed
-    real, calls, expected = roots_module._sum_index, [], _addable(n)
+    real, calls, expected = ideals._sum_index, [], _addable(n)
 
     def counted(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(roots_module, "_sum_index", counted)
+    monkeypatch.setattr(ideals, "_sum_index", counted)
     assert _addable.__wrapped__(n) == expected
     assert 0 < len(calls) <= 4 * n**3
 
@@ -169,8 +174,8 @@ def test_reversal_is_antitone(n):
 
 
 def test_rootset_operations():
-    s = RootSet.from_roots(3, [long(1), diff(1, 2)])
-    t = RootSet.from_roots(3, [long(1), sum_root(2, 3)])
+    s = from_roots(3, [long(1), diff(1, 2)])
+    t = from_roots(3, [long(1), sum_root(2, 3)])
     assert len(s) == 2
     assert long(1) in s and sum_root(2, 3) not in s
     assert sorted((s | t).to_strings()) == sorted(["e1-e2", "e2+e3", "2e1"])
@@ -182,7 +187,7 @@ def test_rootset_operations():
 
 
 def test_rootset_serialization_is_canonical():
-    s = RootSet.from_roots(2, [long(2), long(1), sum_root(1, 2)])
+    s = from_roots(2, [long(2), long(1), sum_root(1, 2)])
     assert s.to_strings() == ["e1+e2", "2e1", "2e2"]
 
 

@@ -6,14 +6,15 @@ import pickle
 
 import pytest
 
-from spcohom.correspondence import CorrespondencePair
+from oracles import SignedRoot, from_profile
+from spcohom.elements import Perm, SignedPerm, StandardForm
 from spcohom.errors import InvalidRankError
 from spcohom.ideals import IncreasingSet
 from spcohom.liealg import IntMatrix
+from spcohom.pairs import CorrespondencePair
 from spcohom.poincare import IntPolynomial
 from spcohom.report import VerificationReport
-from spcohom.roots import DIFF, LONG, SUM, Frozen, Root, RootSet, SignedRoot
-from spcohom.weyl import Perm, SignedPerm, StandardForm
+from spcohom.roots import DIFF, LONG, SUM, Frozen, Root, RootSet
 
 # one constructor per frozen type; each call builds a new, equal object
 VALUES = {
@@ -23,11 +24,11 @@ VALUES = {
     "Perm": lambda: Perm((2, 3, 1)),
     "SignedPerm": lambda: SignedPerm((2, -3, 1)),
     "StandardForm": lambda: StandardForm((3,), Perm((2, 3, 1))),
-    "IncreasingSet": lambda: IncreasingSet.from_profile(2, (2, 1)),
+    "IncreasingSet": lambda: from_profile(2, (2, 1)),
     "IntMatrix": lambda: IntMatrix.from_entries(2, {(0, 1): 3}),
     "IntPolynomial": lambda: IntPolynomial((1, 2, 1)),
     "CorrespondencePair": lambda: CorrespondencePair(
-        Perm((2, 1)), IncreasingSet.from_profile(2, (2, 1))
+        Perm((2, 1)), from_profile(2, (2, 1))
     ),
 }
 
