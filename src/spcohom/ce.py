@@ -48,27 +48,23 @@ from functools import lru_cache, partial
 
 from . import weyl
 from .correspondence import _MAX_WITNESSES, verify_bijection
-from .ideals import _sparse_roots
+from .ideals import _coordinates, _packed_roots
 from .liealg import root_vector, structure_table
 from .report import CheckRecord, VerificationReport
-from .roots import CAPS, _mask_key, check_cap, positive_roots
+from .roots import CAPS, LONG, _mask_key, check_cap, positive_roots
 
 # An alias that only perfbench/trace_pass.py's replay reads; refusals read CAPS.
 DEFAULT_COHOMOLOGY_CAP = CAPS["cohomology"]
 
 
 def _subset_weight(n: int, key: tuple[int, ...]) -> tuple[int, ...]:
-    vectors = _sparse_roots(n)[0]
-    acc = [0] * n
-    for b in key:
-        for k, c in vectors[b]:
-            acc[k - 1] += c
-    return tuple(acc)
+    packed, _index, bias = _packed_roots(n)
+    return _coordinates(n, bias + sum(packed[b] for b in key))
 
 
 def _c4(n: int, weight: tuple[int, ...]) -> int:
     """4 c(mu) = |rho|^2 - |rho - mu|^2 = sum_k mu_k (2 rho_k - mu_k), with
-    rho = (n, ..., 1) in the coordinates e_1..e_n of ideals._sparse_roots."""
+    rho = (n, ..., 1) in the coordinates e_1..e_n of ideals._packed_roots."""
     return sum(m * (2 * (n - k) - m) for k, m in enumerate(weight))
 
 
@@ -192,44 +188,42 @@ def _weight_dp(n: int, fold: bool) -> dict[int, int]:
 
     Returns {key: poly}, where poly packs the number of subsets of each size p
     into bits p*n^2 and up (every count is below 2^(n^2)).  Without fold, the
-    key packs the weight mu: coordinate k plus n - 1 at bits k*B and up, with
-    B bits enough for 3n values (every coordinate of a subset weight lies in
-    [-(n-1), 2n]).
+    key is the weight mu as the bias plus the packed vectors of S
+    (ideals._packed_roots), which ideals._coordinates decodes.
 
     The roots are added in groups by their lowest coordinate, so that
-    coordinate k is final once group k is in.  With fold, that coordinate then
-    leaves the key, and its term mu_k^2 - 2 rho_k mu_k of
-    |rho - mu|^2 - |rho|^2 = -4 c(mu) is added to the part of the key above
-    bit n*B.  At the end the key is -4c(mu) shifted there, so key 0 holds the
-    harmonic subsets; the live keys stay few (tens of thousands at rank 6,
-    against 1.4 million weights).
+    coordinate k is final once group k is in.  With fold, mu_k e_k then
+    leaves the key, which moves to the layer of its part of
+    |rho - mu|^2 - |rho|^2 = -4c(mu), the sum of mu_j^2 - 2 rho_j mu_j over
+    the coordinates folded so far.  At the end each layer holds the bias
+    alone, and the result is keyed by -4c(mu): key 0 holds the harmonic
+    subsets, and the live keys stay few (tens of thousands at rank 6, against
+    1.4 million weights).
     """
-    width = (3 * n).bit_length()
-    top = n * width
-    field_mask = (1 << width) - 1
+    packed, _index, bias = _packed_roots(n)
     fw = n * n
-    groups: list[list[int]] = [[] for _ in range(n)]
-    for vector in _sparse_roots(n)[0]:
-        low = vector[0][0] - 1
-        groups[low].append(sum(c << ((k - 1) * width) for k, c in vector))
-    states = {sum((n - 1) << (k * width) for k in range(n)): 1}
+    roots = positive_roots(n)
+    groups = [[p for r, p in zip(roots, packed) if r.i == k] for k in range(1, n + 1)]
+    units = {r.i - 1: p // 2 for r, p in zip(roots, packed) if r.kind == LONG}  # e_k = 2e_k / 2
+    layers = {0: {bias: 1}}  # -4c of the folded coordinates -> {key: poly}
     for k, deltas in enumerate(groups):
         for delta in deltas:
-            grown = dict(states)
-            for key, poly in states.items():
-                key += delta
-                grown[key] = grown.get(key, 0) + (poly << fw)
-            states = grown
+            for part, states in layers.items():
+                grown = layers[part] = dict(states)
+                for key, poly in states.items():
+                    key += delta
+                    grown[key] = grown.get(key, 0) + (poly << fw)
         if fold:
-            shift, rho = k * width, n - k
-            folded: dict[int, int] = {}
-            for key, poly in states.items():
-                v = key >> shift & field_mask
-                mu = v - (n - 1)
-                key += ((mu * mu - 2 * rho * mu) << top) - (v << shift)
-                folded[key] = folded.get(key, 0) + poly
-            states = folded
-    return states
+            rho = n - k
+            folded: dict[int, dict[int, int]] = {}
+            for part, states in layers.items():
+                for key, poly in states.items():
+                    mu = _coordinates(n, key)[k]
+                    layer = folded.setdefault(part + mu * mu - 2 * rho * mu, {})
+                    key -= mu * units[k]
+                    layer[key] = layer.get(key, 0) + poly
+            layers = folded
+    return {part: states[bias] for part, states in layers.items()} if fold else layers[0]
 
 
 def betti_numbers(n: int) -> list[int]:

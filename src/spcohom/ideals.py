@@ -14,7 +14,8 @@ index.
 Root addition (_addable, and precedes, the dominance order) lives here with
 the ideal criteria that read it, and so do verify's two order records
 (add_order_records): the scan, which reads only the staircases, never loads
-this module.
+this module.  So do the one format of a root's coefficient vector, one int
+(_packed_roots), and its decoder (_coordinates), read by every root sum and weight.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Iterator, Optional
 from .report import VerificationReport
 from .roots import (
     DIFF,
-    LONG,
     Frozen,
     Root,
     RootSet,
@@ -117,46 +117,50 @@ def _addable(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     coordinates equal to 2 (two long roots), and no positive root has either
     form, so every pair skipped has no root sum.  Each index lies in the
     support of 2n - 1 roots, so at most 4n^3 sums are resolved, each by one
-    coefficient-vector -> index lookup (_sum_index)."""
+    add and one lookup of the packed vectors (_packed_roots)."""
     roots = positive_roots(n)
-    vectors, index = _sparse_roots(n)
+    packed, index, _bias = _packed_roots(n)
     meets: list[list[int]] = [[] for _ in range(n + 1)]  # the roots with k in their support
     for b, r in enumerate(roots):
         for k in {r.i, r.j}:
             meets[k].append(b)
     out = []
     for a, ra in enumerate(roots):
-        row = []
-        for b in sorted({*meets[ra.i], *meets[ra.j]}):
-            c = _sum_index(index, vectors[a], vectors[b])
-            if c is not None:
-                row.append((b, c))
-        out.append(tuple(row))
+        tried = sorted({*meets[ra.i], *meets[ra.j]})
+        out.append(
+            tuple((b, c) for b in tried if (c := index.get(packed[a] + packed[b])) is not None)
+        )
     return tuple(out)
 
 
-_Sparse = tuple[tuple[int, int], ...]
-
-
 @lru_cache(maxsize=None)
-def _sparse_roots(n: int) -> tuple[tuple[_Sparse, ...], dict[_Sparse, int]]:
-    """(vectors, index): the coefficient vector of each root as its nonzero
-    (coordinate, coefficient) pairs, coordinate ascending, by root index, and
-    the map back from vector to index."""
-    vectors = tuple(
-        ((r.i, 2),) if r.kind == LONG else ((r.i, 1), (r.j, -1 if r.kind == DIFF else 1))
+def _packed_roots(n: int) -> tuple[tuple[int, ...], dict[int, int], int]:
+    """(P, index, bias): each root's coefficient vector as one int, coordinate
+    k a signed field of W = (3n).bit_length() bits at bit (k - 1)W; the map
+    back from P[b] to b; and the bias, n - 1 in every field.  The digits of a
+    sum of two roots lie in [-2, 4], seven values, and W >= 3 from rank 2 on
+    (rank 1 has one coordinate), so the sum's value fixes its digits, and
+    index.get(P[a] + P[b]) is the index of a + b, or None when that is no
+    root.  A subset's weight has its coordinates in [-(n - 1), 2n], so with
+    the bias every field is a digit in [0, 3n - 1], which _coordinates reads."""
+    width = (3 * n).bit_length()
+    packed = tuple(
+        (1 << (r.i - 1) * width) + ((-1 if r.kind == DIFF else 1) << (r.j - 1) * width)
         for r in positive_roots(n)
     )
-    return vectors, {v: c for c, v in enumerate(vectors)}
+    bias = sum((n - 1) << k * width for k in range(n))
+    return packed, {p: b for b, p in enumerate(packed)}, bias
 
 
-def _sum_index(index: dict[_Sparse, int], va: _Sparse, vb: _Sparse) -> Optional[int]:
-    """index[va + vb] for two sparse coefficient vectors (_sparse_roots): the
-    index of the root va + vb, or None when the sum is no positive root."""
-    s = dict(va)
-    for k, c in vb:
-        s[k] = s.get(k, 0) + c
-    return index.get(tuple(sorted((k, c) for k, c in s.items() if c)))
+def _coordinates(n: int, key: int) -> tuple[int, ...]:
+    """The coordinates on e_1..e_n of a biased sum, the bias plus packed root
+    vectors (_packed_roots): the one decoder of the format."""
+    width = (3 * n).bit_length()
+    field, out = (1 << width) - 1, []
+    for _ in range(n):
+        out.append((key & field) - (n - 1))
+        key >>= width
+    return tuple(out)
 
 
 def is_increasing(s: RootSet) -> bool:

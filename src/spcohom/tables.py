@@ -112,12 +112,11 @@ def block_summary(n: int) -> list[tuple[int, tuple[int, ...], int, int]]:
     ranks are the forced ones of the Laplacian certificate, 0 on weights with
     c = 0 and r_p = dim_p - r_{p-1} elsewhere."""
     from . import ce, weyl
+    from .ideals import _coordinates
 
-    width = (3 * n).bit_length()
-    field_mask = (1 << width) - 1
     out = []
     for key, poly in ce._weight_dp(n, fold=False).items():
-        weight = tuple((key >> (k * width) & field_mask) - (n - 1) for k in range(n))
+        weight = _coordinates(n, key)
         acyclic = ce._c4(n, weight) != 0
         rank = 0
         for p, dim in enumerate(weyl._unpack(poly, n * n, n * n)):

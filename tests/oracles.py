@@ -3,7 +3,8 @@ the package's bit-level code is checked against, and the constructors that
 only tests call.  No command runs any of these.
 
 - coeffs, dotted_sum and sum_root: roots as coefficient vectors, and their
-  sums, from which ideals._addable and ideals._sparse_roots must follow;
+  sums, from which ideals._addable and the packed vectors of
+  ideals._packed_roots must follow;
 - SignedRoot and act_on_root: the action of a signed permutation on the
   positive roots, from which the inversion sets follow;
 - perm_from_inversions and recompose: the inverses of perm_inversions and

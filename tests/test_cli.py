@@ -155,6 +155,42 @@ def test_a_wrong_root_vector_exits_3(monkeypatch, capsys, fault, message):
     assert message in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("step", [1, -1])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("root", range(9))
+def test_a_wrong_packed_vector_fails_verify(monkeypatch, capsys, root, k, step):
+    # one root's packed coefficient vector off by one in coordinate k + 1 at
+    # rank 3; the vector then has an odd coordinate sum, so it is no root's
+    n = 3
+    real = ideals._packed_roots
+
+    def wrong(rank):
+        packed, index, bias = real(rank)
+        if rank != n:
+            return packed, index, bias
+        moved = list(ideals._coordinates(n, bias + packed[root]))
+        moved[k] += step
+        unit = packed[-n + k] // 2  # e_(k+1), half the long root 2e_(k+1)
+        packed = packed[:root] + (packed[root] + step * unit,) + packed[root + 1 :]
+        assert ideals._coordinates(n, bias + packed[root]) == tuple(moved)
+        return packed, {p: b for b, p in enumerate(packed)}, bias
+
+    for module in (ideals, ce):
+        monkeypatch.setattr(module, "_packed_roots", wrong)
+    # empty caches, so that every table is built from the wrong vector
+    monkeypatch.setattr(ideals, "_addable", functools.lru_cache(ideals._addable.__wrapped__))
+    monkeypatch.setattr(
+        liealg, "structure_table", functools.lru_cache(liealg.structure_table.__wrapped__)
+    )
+    # every root is a summand or the sum of a nonzero bracket, so the
+    # structure table meets the wrong vector and refuses it
+    assert main(["verify", "--rank", str(n), "--out", os.devnull]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "is nonzero but the root sum leaves the positive roots" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_broken_dimension_histogram_fails_verify(monkeypatch, tmp_path):
     n = 3
     real = ideals.dimension_histogram

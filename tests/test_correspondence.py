@@ -1050,7 +1050,7 @@ def _reorder_the_roots(monkeypatch, reorder):
         roots._index_tables,
         roots._row_starts,
         ideals._addable,
-        ideals._sparse_roots,
+        ideals._packed_roots,
         correspondence._phi1_grid,
     )
     monkeypatch.setattr(roots, "positive_roots", reordered)

@@ -93,8 +93,8 @@ def test_from_entries_refuses_an_index_outside_the_dimension(pos):
 
 def test_proportionality_reads_c_or_raises():
     base = root_vector(2, sum_root(1, 2))  # entries (0, 3) and (1, 2), both 1
-    assert _proportionality(base.scale(-2), base) == -2
-    assert _proportionality(IntMatrix.zero(4), base) == 0
+    assert _proportionality(dict(base.scale(-2).entries), base.entries) == -2
+    assert _proportionality({}, base.entries) == 0
     bad = [
         base + E(4, 1, 1),  # an entry outside base's support
         base + E(4, 2, 3),  # unequal ratios: 2 and 1
@@ -103,11 +103,11 @@ def test_proportionality_reads_c_or_raises():
     ]
     for x in bad:
         with pytest.raises(ConsistencyError):
-            _proportionality(x, base)
+            _proportionality(dict(x.entries), base.entries)
     with pytest.raises(ConsistencyError):
-        _proportionality(base, base.scale(2))  # ratio 1/2 is not an integer
+        _proportionality(dict(base.entries), base.scale(2).entries)  # ratio 1/2 is no integer
     with pytest.raises(ConsistencyError):
-        _proportionality(base, IntMatrix.zero(4))
+        _proportionality(dict(base.entries), ())  # a zero root vector
 
 
 def test_root_vector_examples():

@@ -1,4 +1,4 @@
-"""Eleven source rules checked with the standard library alone: every line of
+"""Twelve source rules checked with the standard library alone: every line of
 the package fits in 100 columns, every name a module imports at top level is
 used in that module (__init__.py included, since the package root re-exports
 nothing), every private name a module defines at top level is referenced
@@ -25,7 +25,12 @@ prints, and weyl._row and weyl._perm_row keep the code pinned below, up to
 their docstrings: each bit of the later (or earlier) value mask is shifted or
 read on its own, so every row is its base row joined with one piece per value
 in the mask, which is what lets weyl._bad_pieces certify all rows from n^2
-pieces."""
+pieces, and no module but ideals.py computes the coordinate field width,
+(3 * n).bit_length(), or shifts by a multiple of it: a root's coefficient
+vector has one packed format, ideals._packed_roots, and one decoder,
+ideals._coordinates, so a root sum, a bracket's root and a monomial's weight
+are all read the same way, and a second packing could drift from the
+first."""
 
 import ast
 from pathlib import Path
@@ -298,6 +303,60 @@ def test_a_row_that_special_cases_one_later_set_leaves_the_union_form():
     assert special != WEYL and _off_union_form(special) == ["_row"]
     reworded = WEYL.replace("(plus, minus): the inversions", "(plus, minus), the inversions")
     assert reworded != WEYL and _off_union_form(reworded) == []
+
+
+def _packs_coordinates(source: str) -> list[int]:
+    """The lines of source that compute the field width, (3 * n).bit_length(),
+    or shift by an expression that reads a name bound to it."""
+    tree = ast.parse(source)
+
+    def is_width(node):
+        # .bit_length() of a product with the factor 3
+        if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "bit_length"):
+            return False
+        product = node.func.value
+        return (
+            isinstance(product, ast.BinOp)
+            and isinstance(product.op, ast.Mult)
+            and 3 in {getattr(side, "value", None) for side in (product.left, product.right)}
+        )
+
+    widths = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and is_width(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if is_width(node)
+        or isinstance(node, ast.BinOp)
+        and isinstance(node.op, (ast.LShift, ast.RShift))
+        and widths & set(_references(node.right))
+    )
+
+
+def test_only_ideals_packs_a_coordinate():
+    packers = {
+        path.name for path in MODULES if _packs_coordinates(path.read_text(encoding="utf-8"))
+    }
+    assert packers == {"ideals.py"}
+
+
+def test_a_second_packing_of_the_weights_is_caught():
+    # a weight DP that computes the width and packs and reads the fields
+    # itself is caught; one that reads _packed_roots and _coordinates passes
+    own = """
+def _weight_dp(n, vectors):
+    width = (3 * n).bit_length()
+    states = {sum((n - 1) << (k * width) for k in range(n)): 1}
+    mu = (key >> k * width) & 7
+"""
+    assert _packs_coordinates(own) == [3, 4, 5]
+    reader = "def _subset_weight(n, key):\n    return _coordinates(n, bias + packed[key[0]] << 1)\n"
+    assert _packs_coordinates(reader) == []
 
 
 def test_the_lint_sees_every_module():

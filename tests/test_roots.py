@@ -7,7 +7,7 @@ from oracles import coeffs, dotted_sum, from_roots, split, sum_root
 from spcohom import correspondence, ideals
 from spcohom import roots as roots_module
 from spcohom.errors import InvalidRankError
-from spcohom.ideals import precedes, _addable, _sparse_roots
+from spcohom.ideals import precedes, _addable, _coordinates, _packed_roots
 from spcohom.roots import (
     Root,
     RootSet,
@@ -113,23 +113,49 @@ def test_addable_equals_the_all_pairs_loop(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sparse_roots_are_the_coefficient_vectors(n):
-    vectors, index = _sparse_roots(n)
+    # the packed vectors decode to the coefficient vectors, and index inverts them
+    packed, index, bias = _packed_roots(n)
     dense = [coeffs(r, n) for r in positive_roots(n)]
-    assert vectors == tuple(tuple((k, c) for k, c in enumerate(v, 1) if c) for v in dense)
-    assert index == {v: b for b, v in enumerate(vectors)}
+    assert [_coordinates(n, bias + p) for p in packed] == dense
+    assert _coordinates(n, bias) == (0,) * n
+    assert index == {p: b for b, p in enumerate(packed)} and len(index) == n * n
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_a_packed_sum_looks_up_the_root_sum(n):
+    # every ordered pair, a = b included: one add and one lookup give the
+    # index of coeffs(a) + coeffs(b) when that is a root, and None otherwise
+    packed, index, _bias = _packed_roots(n)
+    by_vector = {coeffs(r, n): b for b, r in enumerate(positive_roots(n))}
+    for a, va in enumerate(by_vector):
+        for b, vb in enumerate(by_vector):
+            expected = by_vector.get(tuple(x + y for x, y in zip(va, vb)))
+            assert index.get(packed[a] + packed[b]) == expected, (n, a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_biased_subset_sum_decodes_to_its_weight(n):
+    packed, _index, bias = _packed_roots(n)
+    vectors = [coeffs(r, n) for r in positive_roots(n)]
+    for mask in range(1 << n * n):
+        key = _mask_key(mask)
+        weight = tuple(sum(vectors[b][k] for b in key) for k in range(n))
+        assert _coordinates(n, bias + sum(packed[b] for b in key)) == weight
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_addable_resolves_at_most_4n3_sums(monkeypatch, n):
     # only the roots whose support meets a's are tried, 2n - 1 per index, so
     # an all-pairs loop (n^4 sums) cannot come back unnoticed
-    real, calls, expected = ideals._sum_index, [], _addable(n)
+    packed, index, bias = _packed_roots(n)
+    calls, expected = [], _addable(n)
 
-    def counted(*args):
-        calls.append(None)
-        return real(*args)
+    class CountedIndex(dict):
+        def get(self, key, default=None):
+            calls.append(key)
+            return super().get(key, default)
 
-    monkeypatch.setattr(ideals, "_sum_index", counted)
+    monkeypatch.setattr(ideals, "_packed_roots", lambda rank: (packed, CountedIndex(index), bias))
     assert _addable.__wrapped__(n) == expected
     assert 0 < len(calls) <= 4 * n**3
 

@@ -105,6 +105,15 @@ def test_bijection_compiles_at_most_8000_nodes():
     assert sum(sum(1 for _ in ast.walk(tree)) for tree in trees) <= 8000
 
 
+@pytest.mark.parametrize("n, budget", [(7, 12_500), (4, 16_000)])
+def test_verify_compiles_at_most_its_budget(n, budget):
+    # compiling is about half of each benchmark workload's in-process time:
+    # rank 7 compiles the front end, the scan, the ideal criteria, the Lie
+    # table and the polynomials; rank 4, under the cohomology cap, adds ce
+    trees = _trees(loaded(["verify", "--rank", str(n)]))
+    assert sum(sum(1 for _ in ast.walk(tree)) for tree in trees) <= budget
+
+
 def test_verify_compiles_no_element_or_pair_type():
     mods = loaded(["verify", "--rank", "7"])
     assert mods & {"spcohom.elements", "spcohom.pairs", "spcohom.tables"} == set()
