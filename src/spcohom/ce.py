@@ -48,7 +48,7 @@ from functools import lru_cache, partial
 
 from . import weyl
 from .correspondence import _MAX_WITNESSES, verify_bijection
-from .ideals import _coordinates, _packed_roots
+from .ideals import _coordinate, _coordinates, _packed_roots
 from .liealg import root_vector, structure_table
 from .report import CheckRecord, VerificationReport
 from .roots import CAPS, LONG, _mask_key, check_cap, positive_roots
@@ -218,7 +218,7 @@ def _weight_dp(n: int, fold: bool) -> dict[int, int]:
             folded: dict[int, dict[int, int]] = {}
             for part, states in layers.items():
                 for key, poly in states.items():
-                    mu = _coordinates(n, key)[k]
+                    mu = _coordinate(n, key, k)
                     layer = folded.setdefault(part + mu * mu - 2 * rho * mu, {})
                     key -= mu * units[k]
                     layer[key] = layer.get(key, 0) + poly

@@ -17,6 +17,19 @@ written:
        other ValueError raised while a command runs
   130  interrupted (Ctrl-C)
 
+The command line is read from one table, COMMANDS (each command's help line
+and flags) and FLAGS (each flag's destination, type, default and help), by
+one parse loop, build_parser().parse_args(argv).  It takes the command first
+and then --flag VALUE or --flag=VALUE (a switch alone) in any order; a flag
+is never abbreviated.  -h or --help anywhere prints that command's usage, or
+the command list, to stdout and exits 0 (2, like any output, when stdout
+cannot take it).  Every other bad command line (no or an unknown command, no
+--rank, a missing or non-integer value, a --format other than json or csv,
+another command's flag) raises ValueError, which _run turns into the one
+"error:" line and exit 2 of every usage error.  The parser imports nothing:
+argparse would load gettext and, at its first message, locale, about 8 ms of
+every start-up.
+
 All user input is validated, and --witness parsed, in _validate_args before
 any work, so inside a command only a RankCapError is a usage error.  That
 includes an --out path that is a directory or whose parent is not one; an
@@ -30,20 +43,21 @@ writes the report as the document and chooses exit code 1 when one of its
 checks failed.
 
 This module is the front end alone: the parser, _validate_args, one handler
-per command that checks the command's caps and dispatches, verify's
-orchestration, and the writer.  The report and CSV rows of ideals, weyl,
-structure, betti and poincare are built in the tables module, and each
+per command that checks the command's caps and dispatches, and the writer.
+The report and CSV rows of ideals, weyl, structure, betti and poincare are
+built in the tables module, verify's suite in the suite module, and each
 command's checks in the module that computes them.
 
-Start-up loads only errors and report.  Each handler imports the modules it
-runs, and the writer the one format it writes, so --help compiles no command
-module; a passing bijection compiles only roots, weyl and correspondence
-(no ideals, liealg, poincare or ce, and no element or pair object: the
-elements and pairs modules load only for --witness, weyl --list, a failing
-scan and the tests); verify compiles ce only at or under the cohomology cap,
-and no command without a CSV form compiles tables.  A handler checks its
-caps before it imports anything but roots, so a refusal compiles no command
-module.  Every command runs in one process.
+Start-up loads only errors; report loads with the first module that builds a
+report.  Each handler imports the modules it runs, and the writer the one
+format it writes, so --help compiles no module but cli and errors; a passing
+bijection compiles only roots, weyl and correspondence (no ideals, liealg,
+poincare or ce, and no element or pair object: the elements and pairs
+modules load only for --witness, weyl --list, a failing scan and the tests);
+verify compiles ce only at or under the cohomology cap, no command without a
+CSV form compiles tables, and no command but verify compiles suite.  A
+handler checks its caps before it imports anything but roots, so a refusal
+compiles no command module.  Every command runs in one process.
 
 Output is deterministic: iteration orders are fixed, nothing is sampled, and
 no timing enters a report.  It is written to its destination, the --out file
@@ -57,78 +71,112 @@ below 1 is still refused, as a usage error.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from contextlib import contextmanager, suppress
 from itertools import islice
+from types import SimpleNamespace
 from typing import Optional
 
 from .errors import ConsistencyError, InvalidRankError, RankCapError
-from .report import VerificationReport
 
 
 # The commands whose output is a report, which has no tabular form.
 NO_CSV = ("bijection", "classes", "verify")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rank", type=int, required=True, help="rank n >= 1")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", metavar="PATH", help="write output to a file")
-    scan = argparse.ArgumentParser(add_help=False)
-    scan.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted and ignored: the scan runs in one process (must be >= 1)",
-    )
-    scan.add_argument("--seed", type=int, default=0, help="accepted and ignored: no check samples")
-
-    parser = argparse.ArgumentParser(
-        prog="spcohom",
-        description="Abelian ideals of the Borel of sp(2n) and the cohomology "
-        "of its nilradical, verified by exact exhaustive computation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ideals", parents=[common], help="enumerate abelian ideals")
-    p.add_argument("--list", dest="list_items", action="store_true")
-
-    p = sub.add_parser("weyl", parents=[common], help="signed-permutation group data")
-    p.add_argument("--list", dest="list_items", action="store_true")
-
-    p = sub.add_parser("bijection", parents=[common, scan], help="verify the correspondence")
-    p.add_argument("--witness", metavar="ELEM", help="trace one element, e.g. '[2,-1,3]'")
-
-    sub.add_parser("structure", parents=[common], help="structure constants table")
-
-    p = sub.add_parser("betti", parents=[common], help="Betti numbers of the nilradical")
-    p.add_argument("--per-weight", dest="per_weight", action="store_true")
-
-    sub.add_parser("classes", parents=[common], help="verify the cohomology basis")
-    sub.add_parser("poincare", parents=[common], help="length generating functions")
-    sub.add_parser(
-        "verify", parents=[common, scan], help="run the full verification suite"
-    )
-    return parser
+# The command line, one table.  COMMANDS: each command's help line and the
+# flags it takes.  FLAGS: each flag's destination in the namespace, its type
+# (int, str, or bool for a switch, which takes no value), default and help
+# line, which names the value first.
+COMMANDS = {
+    "ideals": ("enumerate abelian ideals", "--rank --format --out --list"),
+    "weyl": ("signed-permutation group data", "--rank --format --out --list"),
+    "bijection": ("verify the correspondence", "--rank --format --out --workers --seed --witness"),
+    "structure": ("structure constants table", "--rank --format --out"),
+    "betti": ("Betti numbers of the nilradical", "--rank --format --out --per-weight"),
+    "classes": ("verify the cohomology basis", "--rank --format --out"),
+    "poincare": ("length generating functions", "--rank --format --out"),
+    "verify": ("run the full verification suite", "--rank --format --out --workers --seed"),
+}
+FLAGS = {
+    "--rank": ("rank", int, None, "N: the rank n >= 1, required"),
+    "--format": ("format", str, "json", "json or csv (default json)"),
+    "--out": ("out", str, None, "PATH: write the output to this file, not stdout"),
+    "--workers": ("workers", int, 1, "N: accepted and ignored, must be >= 1"),
+    "--seed": ("seed", int, 0, "S: accepted and ignored, no check samples"),
+    "--witness": ("witness", str, None, "ELEM: trace one element, e.g. '[2,-1,3]'"),
+    "--list": ("list_items", bool, False, "list every ideal, or every group element"),
+    "--per-weight": ("per_weight", bool, False, "list every weight block"),
+}
 
 
-def _validate_args(args: argparse.Namespace) -> None:
+class _Parser:
+    """The one parse loop, over COMMANDS and FLAGS."""
+
+    def parse_args(self, argv: Optional[list[str]] = None) -> SimpleNamespace:
+        """The namespace of argv (sys.argv[1:] when None): the command, which
+        comes first, and one attribute per flag it takes, each given as
+        --flag VALUE or --flag=VALUE (a switch alone).  -h or --help anywhere
+        writes the command's usage, or the command list, to stdout and exits
+        0, or raises OSError when stdout refuses it; any other bad command
+        line raises ValueError."""
+        argv = sys.argv[1:] if argv is None else argv
+        command = next(iter(argv), None)
+        if "-h" in argv or "--help" in argv:  # the command's flags, or the command list
+            if command in COMMANDS:
+                rows = {f: FLAGS[f][3] for f in COMMANDS[command][1].split()}
+            else:
+                command, rows = "COMMAND", {name: COMMANDS[name][0] for name in COMMANDS}
+            with _destination(None) as fh:
+                fh.write(f"usage: spcohom {command} --rank N [flags] [--help]\n\n")
+                fh.writelines(f"  {name:<12} {text}\n" for name, text in rows.items())
+            raise SystemExit(0)
+        if command not in COMMANDS:
+            raise ValueError(f"the first argument must be a command: {', '.join(COMMANDS)}")
+        flags = COMMANDS[command][1].split()
+        args = SimpleNamespace(command=command, **{FLAGS[f][0]: FLAGS[f][2] for f in flags})
+        # --flag=VALUE is read as --flag VALUE, so a switch given a value
+        # leaves that value unrecognized
+        tokens = (w for t in argv[1:] for w in (t.split("=", 1) if t.startswith("--") else [t]))
+        for flag in tokens:
+            if flag not in flags:
+                raise ValueError(f"unrecognized argument for {command}: {flag}")
+            dest, kind, *_ = FLAGS[flag]
+            value = True if kind is bool else next(tokens, "--")  # "--": no value left
+            if str(value).startswith("--"):
+                raise ValueError(f"{flag} needs a value")
+            try:
+                value = kind(value)  # only int refuses a value
+            except ValueError:
+                raise ValueError(f"{flag} needs an integer, got {value!r}") from None
+            if flag == "--format" and value not in ("json", "csv"):
+                raise ValueError(f"--format must be json or csv, got {value!r}")
+            setattr(args, dest, value)
+        if args.rank is None:
+            raise ValueError("--rank is required")
+        return args
+
+
+def build_parser() -> _Parser:
+    return _Parser()
+
+
+def _validate_args(args: SimpleNamespace) -> None:
     """Validate all user input and replace args.witness by the SignedPerm it
     parses to; a ValueError here is a usage error."""
     from .roots import check_cap, check_rank
 
-    if args.out == "":
+    out = args.out
+    if out == "":
         raise ValueError("--out needs a file path")
-    if args.out is not None:
+    if out is not None:
         from os import path
 
-        if path.isdir(args.out):
-            raise ValueError(f"cannot write {args.out}: Is a directory")
-        parent = path.dirname(args.out) or "."
+        if path.isdir(out):
+            raise ValueError(f"cannot write {out}: Is a directory")
+        parent = path.dirname(out) or "."
         if not path.isdir(parent):
-            raise ValueError(f"cannot write {args.out}: {parent} is not a directory")
+            raise ValueError(f"cannot write {out}: {parent} is not a directory")
     workers = getattr(args, "workers", 1)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -152,7 +200,7 @@ def _validate_args(args: argparse.Namespace) -> None:
 # and returns (report, CSV rows or None).
 
 
-def _cmd_ideals(args: argparse.Namespace):
+def _cmd_ideals(args: SimpleNamespace):
     from .roots import check_cap
 
     n = args.rank
@@ -164,7 +212,7 @@ def _cmd_ideals(args: argparse.Namespace):
     return tables.ideals_report(n, args.list_items)
 
 
-def _cmd_weyl(args: argparse.Namespace):
+def _cmd_weyl(args: SimpleNamespace):
     from .roots import check_cap
 
     n = args.rank
@@ -176,7 +224,7 @@ def _cmd_weyl(args: argparse.Namespace):
     return tables.weyl_report(n, args.list_items)
 
 
-def _cmd_structure(args: argparse.Namespace):
+def _cmd_structure(args: SimpleNamespace):
     from .roots import check_cap
 
     check_cap(args.rank, "structure")
@@ -185,9 +233,10 @@ def _cmd_structure(args: argparse.Namespace):
     return tables.structure_report(args.rank)
 
 
-def _cmd_bijection(args: argparse.Namespace):
+def _cmd_bijection(args: SimpleNamespace):
     if args.witness is not None:  # its cap was checked with its parse
         from . import pairs
+        from .report import VerificationReport
 
         return VerificationReport(args.rank, data=pairs.trace_element(args.witness)), None
     from .roots import check_cap
@@ -198,7 +247,7 @@ def _cmd_bijection(args: argparse.Namespace):
     return correspondence.verify_bijection(args.rank), None
 
 
-def _cmd_betti(args: argparse.Namespace):
+def _cmd_betti(args: SimpleNamespace):
     from .roots import check_cap
 
     n = args.rank
@@ -210,7 +259,7 @@ def _cmd_betti(args: argparse.Namespace):
     return tables.betti_report(n, args.per_weight)
 
 
-def _cmd_classes(args: argparse.Namespace):
+def _cmd_classes(args: SimpleNamespace):
     from .roots import check_cap
 
     check_cap(args.rank, "cohomology")
@@ -219,7 +268,7 @@ def _cmd_classes(args: argparse.Namespace):
     return ce.verify_cohomology_basis(args.rank), None
 
 
-def _cmd_poincare(args: argparse.Namespace):
+def _cmd_poincare(args: SimpleNamespace):
     from .roots import check_cap
 
     check_cap(args.rank, "poincare")
@@ -228,43 +277,13 @@ def _cmd_poincare(args: argparse.Namespace):
     return tables.poincare_report(args.rank)
 
 
-def verify_all(args: argparse.Namespace):
-    """The verify command: the consolidated verification suite, in
-    dependency order, with no CSV rows.  A rank above the group cap fails
-    before the 2^n ideals are listed."""
-    from .roots import CAPS, check_cap
+def _cmd_verify(args: SimpleNamespace):
+    from .roots import check_cap
 
-    n = args.rank
-    check_cap(n, "group enumeration")
-    from . import correspondence, ideals, liealg, poincare
+    check_cap(args.rank, "group enumeration")  # before the 2^n ideals are listed
+    from .suite import verify_all
 
-    report = VerificationReport(rank=n)
-    ideals.add_order_records(report)
-    liealg.add_agreement_record(report)
-
-    brep = correspondence.verify_bijection(n)
-    report.extend(brep, prefix="bijection")
-
-    weyl_hist = poincare.IntPolynomial.from_coeffs(brep.data["weyl_length_histogram"])
-    prep = poincare.verify_identities(n, weyl_hist=weyl_hist, include_betti_record=False)
-    report.extend(prep, prefix="poincare")
-
-    if n <= CAPS["cohomology"]:
-        from . import ce
-
-        mrep = ce.verify_cohomology_basis(n, bijection=brep)
-        poincare.add_betti_record(report, mrep.data["betti"])
-        report.extend(mrep, prefix="classes")
-    else:
-        cap = {"cohomology_cap": CAPS["cohomology"]}
-        poincare.add_betti_record(report, None, cap)
-        report.add(
-            "classes.basis",
-            "inversion-set cocycles give a cohomology basis",
-            True,
-            {"skipped": True, **cap},
-        )
-    return report, None
+    return verify_all(args.rank), None
 
 
 _HANDLERS = {
@@ -275,7 +294,7 @@ _HANDLERS = {
     "betti": _cmd_betti,
     "classes": _cmd_classes,
     "poincare": _cmd_poincare,
-    "verify": verify_all,
+    "verify": _cmd_verify,
 }
 
 
@@ -321,12 +340,14 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _run(argv: Optional[list[str]]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _validate_args(args)
     except ValueError as exc:  # InvalidRankError and RankCapError included
         _error(str(exc))
+        return 2
+    except OSError as exc:  # a --help that stdout refuses
+        _error(f"cannot write stdout: {exc.strerror or exc}")
         return 2
     try:
         report, csv_rows = _HANDLERS[args.command](args)
@@ -349,8 +370,12 @@ def _run(argv: Optional[list[str]]) -> int:
             else:
                 import json
 
-                checks, data = report.checks_json(), report.data
-                doc = {"rank": args.rank, "command": args.command, "checks": checks, "data": data}
+                doc = {
+                    "rank": args.rank,
+                    "command": args.command,
+                    "checks": report.checks_json(),
+                    "data": report.data,
+                }
                 chunks = json.JSONEncoder(indent=2).iterencode(doc)
                 while batch := "".join(islice(chunks, 4096)):
                     fh.write(batch)

@@ -15,7 +15,8 @@ Root addition (_addable, and precedes, the dominance order) lives here with
 the ideal criteria that read it, and so do verify's two order records
 (add_order_records): the scan, which reads only the staircases, never loads
 this module.  So do the one format of a root's coefficient vector, one int
-(_packed_roots), and its decoder (_coordinates), read by every root sum and weight.
+(_packed_roots), and its decoder (_coordinates, and _coordinate for a single
+field), read by every root sum and weight.
 """
 
 from __future__ import annotations
@@ -161,6 +162,13 @@ def _coordinates(n: int, key: int) -> tuple[int, ...]:
         out.append((key & field) - (n - 1))
         key >>= width
     return tuple(out)
+
+
+def _coordinate(n: int, key: int, k: int) -> int:
+    """Coordinate k + 1 of a biased sum, _coordinates(n, key)[k], read from
+    its one field."""
+    width = (3 * n).bit_length()
+    return (key >> k * width & (1 << width) - 1) - (n - 1)
 
 
 def is_increasing(s: RootSet) -> bool:

@@ -30,8 +30,10 @@ from .roots import DIFF, LONG, Frozen, Root, RootSet, check_rank, positive_roots
 
 class IntMatrix(Frozen):
     """A square integer matrix as its dimension and its nonzero entries
-    ((row, col), value), sorted by position.  Build it with zero or
-    from_entries, so that equal matrices have equal entries."""
+    ((row, col), value), sorted by position.  Build it with from_entries, so
+    that equal matrices have equal entries.  The root vectors and the
+    structure table read only the entries; the matrix arithmetic the tests
+    check them with lives in tests/oracles.py."""
 
     __slots__ = ("dim", "entries")
 
@@ -40,52 +42,10 @@ class IntMatrix(Frozen):
         _set(self, "entries", entries)
 
     @classmethod
-    def zero(cls, d: int) -> "IntMatrix":
-        return cls(d, ())
-
-    @classmethod
     def from_entries(cls, d: int, entries: dict[tuple[int, int], int]) -> "IntMatrix":
         if any(not (0 <= r < d and 0 <= c < d) for r, c in entries):
             raise ValueError(f"matrix entry index outside range({d})")
-        return cls._of(d, entries)
-
-    @classmethod
-    def _of(cls, d: int, entries: dict[tuple[int, int], int]) -> "IntMatrix":
         return cls(d, tuple(sorted((k, v) for k, v in entries.items() if v)))
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for (k, c), b in other.entries:
-            rows.setdefault(k, []).append((c, b))
-        out: dict[tuple[int, int], int] = {}
-        for (r, k), a in self.entries:
-            for c, b in rows.get(k, ()):
-                out[r, c] = out.get((r, c), 0) + a * b
-        return IntMatrix._of(self.dim, out)
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.entries)
-        for k, v in other.entries:
-            out[k] = out.get(k, 0) + v
-        return IntMatrix._of(self.dim, out)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix._of(self.dim, {k: c * v for k, v in self.entries})
-
-
-def bracket(x: IntMatrix, y: IntMatrix) -> IntMatrix:
-    """The commutator XY - YX, exact."""
-    return (x @ y) - (y @ x)
 
 
 def root_vector(n: int, alpha: Root) -> IntMatrix:

@@ -11,13 +11,17 @@ only tests call.  No command runs any of these.
   standard_form;
 - split, from_roots, from_members, from_profile (with profile_valid) and
   constant: a RootSet, an IncreasingSet or a structure constant built or read
-  the definitional way.
+  the definitional way;
+- zero_matrix, is_zero, matmul, add, sub, scale and bracket: exact sparse
+  arithmetic on liealg.IntMatrix, from which the structure table's brackets
+  must follow.
 """
 
 from typing import Iterable, Optional
 
 from spcohom.elements import Perm, SignedPerm
 from spcohom.ideals import IncreasingSet, _profile_from_mask
+from spcohom.liealg import IntMatrix
 from spcohom.roots import (
     DIFF,
     LONG,
@@ -188,3 +192,51 @@ def constant(table, a: int, b: int) -> Optional[tuple[int, int]]:
     """(gamma_index, c) with [e_a, e_b] = c e_gamma in a liealg.StructureTable,
     or None when the bracket vanishes."""
     return table.entries.get((a, b))
+
+
+def zero_matrix(d: int) -> IntMatrix:
+    return IntMatrix(d, ())
+
+
+def is_zero(x: IntMatrix) -> bool:
+    return not x.entries
+
+
+def _same_dim(x: IntMatrix, y: IntMatrix) -> int:
+    if x.dim != y.dim:
+        raise ValueError("dimension mismatch")
+    return x.dim
+
+
+def matmul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    """The product XY, joining each entry (r, k) of X with row k of Y."""
+    d = _same_dim(x, y)
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (k, c), b in y.entries:
+        rows.setdefault(k, []).append((c, b))
+    out: dict[tuple[int, int], int] = {}
+    for (r, k), a in x.entries:
+        for c, b in rows.get(k, ()):
+            out[r, c] = out.get((r, c), 0) + a * b
+    return IntMatrix.from_entries(d, out)
+
+
+def add(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    d = _same_dim(x, y)
+    out = dict(x.entries)
+    for k, v in y.entries:
+        out[k] = out.get(k, 0) + v
+    return IntMatrix.from_entries(d, out)
+
+
+def scale(x: IntMatrix, c: int) -> IntMatrix:
+    return IntMatrix.from_entries(x.dim, {k: c * v for k, v in x.entries})
+
+
+def sub(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    return add(x, scale(y, -1))
+
+
+def bracket(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    """The commutator XY - YX, exact."""
+    return sub(matmul(x, y), matmul(y, x))

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import spcohom
-from oracles import sum_root
+from oracles import add, sum_root
 from spcohom import ce, cli, correspondence, elements, ideals, liealg, pairs, poincare, roots
 from spcohom.cli import main
 from spcohom.errors import RankCapError
@@ -20,6 +20,13 @@ from spcohom.report import VerificationReport
 
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(spcohom.__file__)))
+
+
+def assert_one_error_line(captured):
+    """A usage error's output: nothing on stdout, one "error:" line on stderr."""
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -140,7 +147,7 @@ def test_a_wrong_root_vector_exits_3(monkeypatch, capsys, fault, message):
         if alpha != roots.diff(1, 2):
             return x
         if fault == "extra-entry":
-            return x + liealg.IntMatrix.from_entries(2 * rank, {(2, 0): 1})
+            return add(x, liealg.IntMatrix.from_entries(2 * rank, {(2, 0): 1}))
         return liealg.IntMatrix.from_entries(2 * rank, {p: abs(v) for p, v in x.entries})
 
     monkeypatch.setattr(liealg, "root_vector", wrong)
@@ -404,16 +411,16 @@ def test_invalid_rank_is_usage_error():
     assert main(["ideals", "--rank", "-3"]) == 2
 
 
-def test_cohomology_cap_is_usage_error(tmp_path):
+def test_cohomology_cap_is_usage_error(tmp_path, capsys):
     assert main(["betti", "--rank", "7"]) == 2
     assert main(["classes", "--rank", "7"]) == 2
     # rank 6 is the default cap, and the opt-in flag is retired
     code, text = run_cli(["betti", "--rank", "5"], tmp_path)
     assert code == 0
     assert json.loads(text)["data"]["betti"] == list(poincare.weyl_poincare(5).coeffs)
-    with pytest.raises(SystemExit) as exc:
-        main(["betti", "--rank", "4", "--allow-rank4-cohomology"])
-    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["betti", "--rank", "4", "--allow-rank4-cohomology"]) == 2
+    assert_one_error_line(capsys.readouterr())
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -675,10 +682,125 @@ def test_workers_flag_matches_serial(tmp_path):
         ),
     ],
 )
-def test_flags_scoped_to_their_commands(args):
+def test_flags_scoped_to_their_commands(capsys, args):
+    assert main(args) == 2
+    assert_one_error_line(capsys.readouterr())
+
+
+# every flag each command takes, as its usage must list them
+_COMMAND_FLAGS = {
+    "ideals": ["--rank", "--format", "--out", "--list"],
+    "weyl": ["--rank", "--format", "--out", "--list"],
+    "bijection": ["--rank", "--format", "--out", "--workers", "--seed", "--witness"],
+    "structure": ["--rank", "--format", "--out"],
+    "betti": ["--rank", "--format", "--out", "--per-weight"],
+    "classes": ["--rank", "--format", "--out"],
+    "poincare": ["--rank", "--format", "--out"],
+    "verify": ["--rank", "--format", "--out", "--workers", "--seed"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+@pytest.mark.parametrize("help_flag", ["-h", "--help"])
+@pytest.mark.parametrize("before", ["alone", "after flags"])
+def test_help_prints_every_flag_of_the_command_and_exits_0(capsys, command, help_flag, before):
+    argv = [command, help_flag]
+    if before == "after flags":
+        # as perfbench/run.py times set-up: the workload's line, then --help
+        scan = ["--workers", "1", "--seed", "0"] if "--seed" in _COMMAND_FLAGS[command] else []
+        argv = [command, "--rank", "7", *scan, help_flag]
     with pytest.raises(SystemExit) as exc:
-        main(args)
-    assert exc.value.code == 2
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith(f"usage: spcohom {command} --rank N")
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
+    assert listed == _COMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["nosuch", "--help"]])
+def test_help_without_a_command_lists_the_commands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: spcohom COMMAND --rank N")
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+    assert listed == list(_COMMAND_FLAGS)
+
+
+@pytest.mark.parametrize(
+    "joined, split",
+    [
+        (["--rank=3"], ["--rank", "3"]),
+        (["--rank=3", "--format=csv"], ["--rank", "3", "--format", "csv"]),
+        (["--rank=3", "--workers=2", "--seed=5"], ["--rank", "3", "--workers", "2", "--seed", "5"]),
+    ],
+)
+def test_flag_equals_value_parses_as_flag_value(joined, split):
+    command = "bijection" if "--seed" in split else "ideals"
+    parse = cli.build_parser().parse_args
+    assert vars(parse([command, *joined])) == vars(parse([command, *split]))
+
+
+def test_the_namespace_holds_the_flags_of_its_command_alone():
+    parse = cli.build_parser().parse_args
+    assert vars(parse(["verify", "--rank", "7"])) == {
+        "command": "verify",
+        "rank": 7,
+        "format": "json",
+        "out": None,
+        "workers": 1,
+        "seed": 0,
+    }
+    assert vars(parse(["ideals", "--rank", "3", "--list", "--out", "x"])) == {
+        "command": "ideals",
+        "rank": 3,
+        "format": "json",
+        "out": "x",
+        "list_items": True,
+    }
+    assert vars(parse(["betti", "--rank", "2"]))["per_weight"] is False
+    assert vars(parse(["bijection", "--rank", "3", "--witness=[2,-1,3]"]))["witness"] == "[2,-1,3]"
+    # the last of a repeated flag wins, as with argparse
+    assert parse(["weyl", "--rank", "3", "--rank", "4"]).rank == 4
+
+
+def test_an_out_path_with_an_equals_sign_is_kept_whole(tmp_path):
+    code, text = run_cli(["ideals", "--rank", "2"], tmp_path, name="a=b.json")
+    assert code == 0 and json.loads(text)["data"]["count"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nosuch", "--rank", "3"],
+        ["--rank", "3", "verify"],
+        ["verify"],
+        ["verify", "--workers", "1"],
+        ["verify", "--rank"],
+        ["verify", "--rank", "--workers", "1"],
+        ["verify", "--workers", "--rank", "3"],
+        ["ideals", "--rank", "3", "--out"],
+        ["ideals", "--rank", "3", "--out", "--list"],
+        ["verify", "--rank", "x"],
+        ["verify", "--rank="],
+        ["verify", "--rank", "3", "--workers", "1.5"],
+        ["verify", "--rank", "3", "--seed", "s"],
+        ["ideals", "--rank", "3", "--format", "xml"],
+        ["ideals", "--rank", "3", "--format=xml"],
+        ["ideals", "--rank", "3", "--list=yes"],
+        ["ideals", "--rank", "3", "extra"],
+        ["ideals", "--ran", "3"],  # no prefix abbreviation
+        ["verify", "--rank", "3", "--help=x"],
+    ],
+    ids=lambda argv: " ".join(argv) or "(empty)",
+)
+def test_a_bad_command_line_is_one_error_line_and_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert_one_error_line(capsys.readouterr())
 
 
 def test_verify_fails_fast_above_group_cap(monkeypatch, capsys):
@@ -932,6 +1054,12 @@ class _FullStream(io.StringIO):
 def test_full_stdout_is_one_usage_error_line(monkeypatch, capsys, fmt):
     monkeypatch.setattr(sys, "stdout", _FullStream())
     assert main(["weyl", "--rank", "3", "--list", "--format", fmt]) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+def test_help_to_a_full_stdout_is_one_usage_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    assert main(["verify", "--rank", "7", "--help"]) == 2
     assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
 
 

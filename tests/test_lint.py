@@ -1,4 +1,4 @@
-"""Twelve source rules checked with the standard library alone: every line of
+"""Thirteen source rules checked with the standard library alone: every line of
 the package fits in 100 columns, every name a module imports at top level is
 used in that module (__init__.py included, since the package root re-exports
 nothing), every private name a module defines at top level is referenced
@@ -30,7 +30,9 @@ pieces, and no module but ideals.py computes the coordinate field width,
 vector has one packed format, ideals._packed_roots, and one decoder,
 ideals._coordinates, so a root sum, a bracket's root and a monomial's weight
 are all read the same way, and a second packing could drift from the
-first."""
+first, and no module imports argparse, at any level: the command line is
+parsed from cli.COMMANDS and cli.FLAGS, and argparse would load gettext and
+locale into every run's start-up."""
 
 import ast
 from pathlib import Path
@@ -140,17 +142,36 @@ def test_every_function_class_and_method_is_referenced():
 CONCURRENCY = {"multiprocessing", "concurrent", "threading"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_module_imports_a_process_or_thread_pool(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _absolute_imports(source: str) -> list[str]:
+    """The top-level package of every absolute import in source, at any level."""
     found = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append(node.module)
-    pools = [name for name in found if name.partition(".")[0] in CONCURRENCY]
+    return [name.partition(".")[0] for name in found]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_process_or_thread_pool(path):
+    pools = [m for m in _absolute_imports(path.read_text(encoding="utf-8")) if m in CONCURRENCY]
     assert pools == [], f"{path.name}: imports {pools}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_argparse(path):
+    assert "argparse" not in _absolute_imports(path.read_text(encoding="utf-8")), path.name
+
+
+def test_an_argparse_import_is_caught_at_any_level():
+    for source in (
+        "import argparse\n",
+        "from argparse import ArgumentParser\n",
+        "def build_parser():\n    import argparse as ap\n    return ap.ArgumentParser()\n",
+    ):
+        assert "argparse" in _absolute_imports(source), source
+    assert "argparse" not in _absolute_imports("from . import argparse_notes\nimport sys\n")
 
 
 def test_only_the_scan_walks_the_group():

@@ -56,6 +56,7 @@ COMMAND_MODULES = {
         "liealg",
         "pairs",
         "poincare",
+        "suite",
         "tables",
         "weyl",
     )
@@ -86,6 +87,22 @@ def test_help_loads_no_command_module():
     assert "spcohom.errors" in mods
     heavy = {f"spcohom.{m}" for m in ("ce", "correspondence", "ideals", "liealg", "poincare")}
     assert mods & heavy == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--rank", "7", "--help"],
+        ["verify", "--rank", "7", "--workers", "1", "--seed", "0"],
+        ["bijection", "--rank", "7", "--workers", "2", "--seed", "0"],
+        ["verify", "--rank", "4", "--workers", "1", "--seed", "0"],
+    ],
+    ids=" ".join,
+)
+def test_no_run_loads_argparse_gettext_or_locale(argv):
+    # the command line is parsed from cli.COMMANDS and cli.FLAGS: argparse
+    # loads gettext, and its first message lookup loads locale
+    assert loaded(argv) & {"argparse", "gettext", "locale"} == set()
 
 
 def test_bijection_loads_only_the_scan():
