@@ -34,12 +34,11 @@ ranks every block by Bareiss elimination; it is the exact test oracle at ranks
 up to its cap, CAPS["cochain-complex"], and no command builds it.
 
 verify_cohomology_basis checks that each inversion-set monomial is harmonic
-on the n 2^n rows of weyl._row, not on the group.  Closedness then follows
-from laplacian-scalar, distinctness from the bijection scan's pair-injective,
-and the count per degree from its histogram.
+on the 2n^2 piece rows of weyl._row, which stand for all n 2^n rows, not on
+the group.  Closedness then follows from laplacian-scalar, distinctness from
+the bijection scan's pair-injective, and the count per degree from its
+histogram.
 """
-
-from __future__ import annotations
 
 import itertools
 import math
@@ -332,32 +331,37 @@ class ChainComplex:
 
 
 def _unharmonic_rows(n: int) -> tuple[int, list[str]]:
-    """(read, witnesses): the number of rows of weyl._row read (value v, later
-    set L, B = L below v), and a witness for each row that is a bad side of a
-    piece (weyl._bad_pieces: L empty, or one value q) or does not weigh -|B|
-    at v unflipped, 2 + 2|L| - |B| flipped, and 1 at each q in B.  With no bad
-    piece the rows of a word are disjoint, so an element weighs rho - mu',
-    mu'_v = +-(|L_v| + 1) a signed permutation of rho."""
-    bad = {(v, 1 << q >> 1, flipped) for v, q, flipped in weyl._bad_pieces(n)}
+    """(read, witnesses): the number of rows of weyl._row read, and a witness
+    for each row that fails.  The rows read are the 2n^2 of the pieces
+    (weyl._bad_pieces): value v with the later set L empty or one value q.
+    A row fails when it is a bad side of a piece or does not weigh its local
+    vector: with B = L below v, -|B| at v unflipped, 2 + 2|L| - |B| flipped,
+    and 1 at each q in B.  That covers every row: a row is its base row
+    joined with one piece per value of L, on distinct root pairs, so its
+    weight is the base row's plus each piece's, and so is its local vector,
+    which is affine in the indicator of L.  With no bad piece the rows of a
+    word are disjoint, so an element weighs rho - mu', mu'_v = +-(|L_v| + 1)
+    a signed permutation of rho."""
+    bad = set(weyl._bad_pieces(n))
     values = range(1, n + 1)
     read, failing = 0, []
     for v in values:
-        for later in range(1 << n):
-            after = [q for q in values if later >> (q - 1) & 1]
-            if v in after:
-                continue
-            below = sum(q < v for q in after)
-            word = (*(q for q in values if q != v and q not in after), v, *after)
-            local = [int(q < v and q in after) for q in values]
-            for flipped, row in enumerate(weyl._row(n, v, later)):
+        for q in (0, *(q for q in values if q != v)):
+            after = (q,) if q else ()
+            below = int(0 < q < v)
+            local = [below * (p == q) for p in values]
+            for flipped, row in enumerate(weyl._row(n, v, 1 << q >> 1)):
                 read += 1
                 local[v - 1] = 2 + 2 * len(after) - below if flipped else -below
-                if (v, later, flipped) in bad or _subset_weight(n, _mask_key(row)) != tuple(local):
-                    failing.append((word, flipped << (v - 1)))
+                if (v, q, flipped) in bad or _subset_weight(n, _mask_key(row)) != tuple(local):
+                    failing.append((v, after, flipped))
     if failing:
         from .elements import _witness_str
 
-        failing = [_witness_str(*item) for item in failing]
+        failing = [
+            _witness_str((*(p for p in values if p != v and p not in after), v, *after), f << v - 1)
+            for v, after, f in failing
+        ]
     return read, failing
 
 
@@ -371,8 +375,8 @@ def verify_cohomology_basis(
     """Check that the inversion-set cocycles form a cohomology basis and that
     the pair cocycles reproduce them up to sign.
 
-    The one fact checked only here, on the rows (_unharmonic_rows), is that
-    every inversion-set monomial is harmonic, c(weight) = 0.  The other
+    The one fact checked only here, on the piece rows (_unharmonic_rows), is
+    that every inversion-set monomial is harmonic, c(weight) = 0.  The other
     records follow from it and from facts already certified:
 
     * cocycles-closed: c = 0 gives dx = 0 once laplacian-scalar holds;

@@ -69,8 +69,6 @@ string.  bijection and verify, the two commands perfbench/run.py runs, take
 below 1 is still refused, as a usage error.
 """
 
-from __future__ import annotations
-
 import sys
 from contextlib import contextmanager, suppress
 from itertools import islice

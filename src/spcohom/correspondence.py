@@ -41,8 +41,6 @@ through pi and then through rho = pi^-1 moves no bit.  If any check fails,
 every permutation runs the element loop.  The scan runs in one process.
 """
 
-from __future__ import annotations
-
 from bisect import insort
 from collections import Counter
 from functools import lru_cache

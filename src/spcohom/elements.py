@@ -14,8 +14,6 @@ builds an element: only bijection --witness, weyl --list, the scan's
 witnesses and the tests load this module.
 """
 
-from __future__ import annotations
-
 import itertools
 import re
 from typing import Iterator

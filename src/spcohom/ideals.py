@@ -19,8 +19,6 @@ this module.  So do the one format of a root's coefficient vector, one int
 field), read by every root sum and weight.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Optional

@@ -18,8 +18,6 @@ compares it with root addition (neighbor_mismatches) at every rank: about
 tables included.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from . import ideals

@@ -14,8 +14,6 @@ module, so a table replaced there is the one both the scan and these maps
 read.
 """
 
-from __future__ import annotations
-
 from typing import Optional, Sequence
 
 from . import correspondence

@@ -19,8 +19,6 @@ domain and the S_n form is nonzero, so the product holds exactly when the
 quotient is exactly prod (1 + t^i).
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import ConsistencyError

@@ -7,8 +7,6 @@ timings, so repeated runs with the same configuration produce
 byte-identical output.
 """
 
-from __future__ import annotations
-
 from typing import Any, Optional
 
 

@@ -22,8 +22,6 @@ The caps on the exhaustive loops are one table here, CAPS, which every
 refusal reads through check_cap when it runs: raising a cap changes one entry.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from typing import Iterator
 

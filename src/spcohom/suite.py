@@ -7,8 +7,6 @@ group cap before it imports this module, and no other command loads it, so
 no other command compiles the orchestration.
 """
 
-from __future__ import annotations
-
 from . import correspondence, ideals, liealg, poincare
 from .report import VerificationReport
 from .roots import CAPS

@@ -9,8 +9,6 @@ compiles none of this.  Each function imports the modules it calls, so one
 command compiles only its own.
 """
 
-from __future__ import annotations
-
 from itertools import chain
 from typing import Iterator
 
@@ -110,7 +108,8 @@ def block_summary(n: int) -> list[tuple[int, tuple[int, ...], int, int]]:
     """The weight blocks of betti --per-weight, read off ce's weight DP:
     (degree, weight, dimension, rank of d) per nonzero block, sorted; the
     ranks are the forced ones of the Laplacian certificate, 0 on weights with
-    c = 0 and r_p = dim_p - r_{p-1} elsewhere."""
+    c = 0 and r_p = dim_p - r_{p-1} elsewhere.  Each size polynomial is
+    unpacked only up to its top degree."""
     from . import ce, weyl
     from .ideals import _coordinates
 
@@ -119,7 +118,7 @@ def block_summary(n: int) -> list[tuple[int, tuple[int, ...], int, int]]:
         weight = _coordinates(n, key)
         acyclic = ce._c4(n, weight) != 0
         rank = 0
-        for p, dim in enumerate(weyl._unpack(poly, n * n, n * n)):
+        for p, dim in enumerate(weyl._unpack(poly, n * n, (poly.bit_length() - 1) // (n * n))):
             rank = dim - rank if acyclic else 0
             if dim:
                 out.append((p, weight, dim, rank))

@@ -15,8 +15,6 @@ value, and _bad_pieces checks the n^2 pieces against the root index; the
 lengths are then counted by set size (_size_dp), with no loop over sets.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from typing import Optional

@@ -12,7 +12,7 @@ from cochains import (
     monomial_cocycle,
     pair_cocycle,
 )
-from oracles import sum_root
+from oracles import coeffs, sum_root
 from spcohom import ce, correspondence, weyl
 from spcohom.ce import (
     ChainComplex,
@@ -416,37 +416,45 @@ def test_a_c4_that_flags_every_monomial_fails_the_laplacian_and_closed(monkeypat
     failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
     assert set(failed) == {"laplacian-scalar", "cocycles-closed"}
     assert failed["cocycles-closed"] == {
-        "rows": n * 2**n,
+        "rows": 2 * n * n,
         "not_harmonic": 0,
         "laplacian_scalar": False,
     }
 
 
 def _corrupt_a_row(monkeypatch, n, fault):
-    """Patch weyl._row so that one row fails one of the two row checks, and
-    return the element ce names as its witness.  For "bits", the flipped base
-    row of the value 1 trades 2e_1 for e_1 - e_2 and e_1 + e_2: the same
-    weight, so only the comparison of the pieces with the root index fails.
-    For "weight", the unflipped row of the value n after all the others
-    loses its lowest root, which from rank 3 on is no piece, so only the
-    weight is off the local vector (at rank 2 the row is the piece (2, 1),
-    and the one row fails both checks)."""
+    """Patch weyl._row or ce._subset_weight so that one piece row fails one
+    of the two row checks, and return the element ce names as its witness.
+    For "bits", the flipped base row of the value 1 trades 2e_1 for e_1 - e_2
+    and e_1 + e_2: the same weight, so only the comparison of the pieces with
+    the root index fails.
+    For "weight", ce._subset_weight moves coordinate 1 of the flipped row of
+    the value 1 after {2}, whose bits are right: only its weight is off the
+    local vector.  That row has three roots, so laplacian-scalar, which weighs
+    the monomials of degree <= 2, never sees the fault."""
+    v, flipped = 1, 1
+    later = 0 if fault == "bits" else 0b10
     if fault == "bits":
-        v, later, flipped = 1, 0, 1
+        real = weyl._row
         row = (1 << idx(n, diff(1, 2))) | (1 << idx(n, sum_root(1, 2)))
+
+        def corrupted(m, u, rest):
+            rows = list(real(m, u, rest))
+            if (u, rest) == (v, later):
+                rows[flipped] = row
+            return tuple(rows)
+
+        monkeypatch.setattr(weyl, "_row", corrupted)
     else:
-        v, later, flipped = n, (1 << (n - 1)) - 1, 0
-        row = weyl._row(n, v, later)[0]
-        row &= row - 1
-    real = weyl._row
+        real = ce._subset_weight
+        key = _mask_key(weyl._row(n, v, later)[flipped])
+        assert len(key) == 3
 
-    def corrupted(m, u, rest):
-        rows = list(real(m, u, rest))
-        if (u, rest) == (v, later):
-            rows[flipped] = row
-        return tuple(rows)
+        def corrupted(m, k):
+            weight = real(m, k)
+            return (weight[0] + 1, *weight[1:]) if k == key else weight
 
-    monkeypatch.setattr(weyl, "_row", corrupted)
+        monkeypatch.setattr(ce, "_subset_weight", corrupted)
     others = [q for q in range(1, n + 1) if q != v and not later >> (q - 1) & 1]
     after = [q for q in range(1, n + 1) if later >> (q - 1) & 1]
     return str(SignedPerm((*others, -v if flipped else v, *after)))
@@ -463,7 +471,7 @@ def test_a_corrupted_row_fails_closed_and_independent(monkeypatch, n, fault):
     }
     assert failed == {
         "cocycles-closed": {
-            "rows": n * 2**n,
+            "rows": 2 * n * n,
             "not_harmonic": 1,
             "laplacian_scalar": True,
         },
@@ -483,7 +491,7 @@ def test_cocycles_closed_needs_the_laplacian_certificate(monkeypatch):
     failed = {check_id: r.detail for check_id, r in _records(n).items() if not r.passed}
     assert set(failed) == {"laplacian-scalar", "cocycles-closed"}
     assert failed["cocycles-closed"] == {
-        "rows": n * 2**n,
+        "rows": 2 * n * n,
         "not_harmonic": 0,
         "laplacian_scalar": False,
     }
@@ -491,9 +499,9 @@ def test_cocycles_closed_needs_the_laplacian_certificate(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 4, 6])
 def test_cocycles_closed_reports_the_rows_it_read(monkeypatch, n):
-    # two rows a call of weyl._row, one call per pair (v, later) with v not
-    # in later: n 2^n rows, counted where ce reads them, after the n^2 piece
-    # reads of weyl._bad_pieces
+    # two rows a call of weyl._row, one call per piece (v, later) with later
+    # empty or one value q != v: 2n^2 rows, counted where ce reads them,
+    # after the n^2 piece reads of weyl._bad_pieces
     scan = correspondence.verify_bijection(n)
     real = weyl._row
     calls = []
@@ -505,7 +513,28 @@ def test_cocycles_closed_reports_the_rows_it_read(monkeypatch, n):
     monkeypatch.setattr(weyl, "_row", counted)
     record = _records(n, bijection=scan)["cocycles-closed"]
     assert record.passed
-    assert record.detail["rows"] == 2 * (len(calls) - n * n) == n * 2**n
+    assert record.detail["rows"] == 2 * (len(calls) - n * n) == 2 * n * n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_row_weighs_its_local_vector(n):
+    # ce reads the piece rows alone; every row of weyl._row, at each value v
+    # and later set L without v, weighs the vector it rests on: with B = L
+    # below v, -|B| at v unflipped, 2 + 2|L| - |B| flipped, 1 at each q in B
+    roots = positive_roots(n)
+    for v in range(1, n + 1):
+        for later in range(1 << n):
+            after = [q for q in range(1, n + 1) if later >> (q - 1) & 1]
+            if v in after:
+                continue
+            below = sum(q < v for q in after)
+            for flipped, row in enumerate(weyl._row(n, v, later)):
+                local = [int(q < v and q in after) for q in range(1, n + 1)]
+                local[v - 1] = 2 + 2 * len(after) - below if flipped else -below
+                weight = [0] * n
+                for b in _mask_key(row):
+                    weight = [w + c for w, c in zip(weight, coeffs(roots[b], n))]
+                assert weight == local, (v, after, flipped)
 
 
 def test_a_wrong_scan_histogram_fails_class_count_per_degree():

@@ -1,38 +1,48 @@
-"""Thirteen source rules checked with the standard library alone: every line of
-the package fits in 100 columns, every name a module imports at top level is
-used in that module (__init__.py included, since the package root re-exports
-nothing), every private name a module defines at top level is referenced
-somewhere in the package, every top-level function or class and every
-non-dunder method of the package is referenced somewhere in src/, tests/ or
-perfbench/, no module imports multiprocessing, concurrent or threading, at
-any level: every command runs in one process and one thread, and no module
-but correspondence.py references weyl._iter_rows outside weyl.py: the group
-is walked in one place, the scan's element loop, and the root index
-(_index_tables) is read only by the row layout (roots._row_starts) and by
-the three references, the independent constructions that rows are checked
-against, while the layout is read only by the rules, the code that places
-bits for a run (rows, staircases and the relabel grid): which bit is which
-root is stated once, and every runtime check still compares two
-constructions, and no rule references positive_roots and no definition but
-RootSet references root_index: rules read the layout, never Root objects,
-and no table hashes a Root, and every check_cap call names its cap by a
-string literal that is a key of roots.CAPS, and only roots.check_cap raises
-RankCapError: a cap's value and name are written once, and there is one
-message builder, and no module but elements.py contains the string literal "["
-(an f-string's pieces aside): SignedPerm.__str__ is the one writer of an
-element, and parse_signed_perm reads back every element the package
-prints, and weyl._row and weyl._perm_row keep the code pinned below, up to
-their docstrings: each bit of the later (or earlier) value mask is shifted or
-read on its own, so every row is its base row joined with one piece per value
-in the mask, which is what lets weyl._bad_pieces certify all rows from n^2
-pieces, and no module but ideals.py computes the coordinate field width,
-(3 * n).bit_length(), or shifts by a multiple of it: a root's coefficient
-vector has one packed format, ideals._packed_roots, and one decoder,
-ideals._coordinates, so a root sum, a bracket's root and a monomial's weight
-are all read the same way, and a second packing could drift from the
-first, and no module imports argparse, at any level: the command line is
-parsed from cli.COMMANDS and cli.FLAGS, and argparse would load gettext and
-locale into every run's start-up."""
+"""Thirteen source rules, checked with the standard library alone.
+
+1. Every line of the package fits in 100 columns.
+2. Every name a module imports at top level is used in that module,
+   __init__.py included: the package root re-exports nothing.  A
+   __future__ import counts too, so none is left: Python 3.11 evaluates
+   every annotation the package writes.
+3. Every private name a module defines at top level is referenced somewhere
+   in the package.
+4. Every top-level function or class, and every non-dunder method, is
+   referenced somewhere in src/, tests/ or perfbench/.
+5. No module imports multiprocessing, concurrent or threading, at any level:
+   every command runs in one process and one thread.
+6. No module but correspondence.py references weyl._iter_rows outside
+   weyl.py: the group is walked in one place, the scan's element loop.
+7. The root index (_index_tables) is read only by the row layout
+   (roots._row_starts) and by the three references, the independent
+   constructions that rows are checked against; the layout is read only by
+   the rules, the code that places bits for a run (rows, staircases and the
+   relabel grid).  Which bit is which root is stated once, and every runtime
+   check still compares two constructions.
+8. No rule references positive_roots, and no definition but RootSet
+   references root_index: rules read the layout, never Root objects, and no
+   table hashes a Root.
+9. Every check_cap call names its cap by a string literal that is a key of
+   roots.CAPS, and only roots.check_cap raises RankCapError: a cap's value
+   and name are written once, and there is one message builder.
+10. No module but elements.py contains the string literal "[" (an
+    f-string's pieces aside): SignedPerm.__str__ is the one writer of an
+    element, and parse_signed_perm reads back every element the package
+    prints.
+11. weyl._row and weyl._perm_row keep the code pinned below, docstrings
+    aside: each bit of the later (or earlier) value mask is shifted or read
+    on its own, so every row is its base row joined with one piece per value
+    in the mask.  That is what lets weyl._bad_pieces certify all rows from
+    n^2 pieces, and ce._unharmonic_rows weigh them from the 2n^2 piece rows.
+12. No module but ideals.py computes the coordinate field width,
+    (3 * n).bit_length(), or shifts by a multiple of it: a root's
+    coefficient vector has one packed format, ideals._packed_roots, and one
+    decoder, ideals._coordinates, so a root sum, a bracket's root and a
+    monomial's weight are all read the same way.
+13. No module imports argparse, at any level: the command line is parsed
+    from cli.COMMANDS and cli.FLAGS, and argparse would load gettext and
+    locale into every run's start-up.
+"""
 
 import ast
 from pathlib import Path
@@ -57,7 +67,7 @@ def _imported_names(tree: ast.Module):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.asname or alias.name.partition(".")[0]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 yield alias.asname or alias.name
 
