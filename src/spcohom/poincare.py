@@ -23,8 +23,8 @@ import math
 
 from .errors import ConsistencyError
 from .report import VerificationReport
-from .roots import Frozen, check_cap, check_rank, num_diffs, _index_tables, _set
-from .weyl import _bad_pieces, _length_histogram, _perm_row, _size_dp
+from .roots import Frozen, check_cap, check_rank, num_diffs, _set
+from .weyl import _bad_pieces, _length_histogram, _row, _size_dp
 
 
 class IntPolynomial(Frozen):
@@ -88,40 +88,40 @@ def ideal_generating(n: int) -> IntPolynomial:
     return _bracket_product((2, i) for i in range(1, n + 1))
 
 
+def _refuse_bad_pieces(n: int) -> None:
+    """Raise ConsistencyError naming the first piece of weyl._row that differs
+    from the root index (weyl._bad_pieces), q = 0 for the base row."""
+    bad = _bad_pieces(n)
+    if bad:
+        v, q, _flipped = bad[0]
+        raise ConsistencyError(
+            f"the row piece (v, q) = ({v}, {q}) differs from the root index; this indicates a bug"
+        )
+
+
 def weyl_length_histogram(n: int) -> IntPolynomial:
     """Counted length histogram of the whole signed-permutation group, by the
     DP that the scan's batch reads its lengths from (weyl._length_histogram)."""
     check_cap(n, "group enumeration")
     counts = _length_histogram(n)
     if counts is None:
-        v, q, _flipped = _bad_pieces(n)[0]
-        raise ConsistencyError(
-            f"the row piece (v, q) = ({v}, {q}) differs from the root index; this indicates a bug"
-        )
+        _refuse_bad_pieces(n)
     return IntPolynomial.from_coeffs(counts)
 
 
 def sym_inversion_histogram(n: int) -> IntPolynomial:
-    """Counted inversion histogram of S_n, by weyl._size_dp over the prefix
-    sets B of a word: the letter v after the rest of B adds _perm_row(n, B - v,
-    v), a bit per value u > v, so F(m) = F(m - 1) * sum over r = 1..m of
-    t^(m - r).  Refuses ranks above the group cap before any row.  _perm_row
-    is one shift (pinned by tests/test_lint.py), a union of pieces, and
-    ConsistencyError unless each of its n^2 pieces, before = {} or {u},
-    u != v, is the bit d_idx[v][u] for u > v and empty otherwise."""
+    """Counted inversion histogram of S_n, by weyl._size_dp over the unflipped
+    rows of weyl._row, once its pieces are checked as for the group.  An
+    element with no negated value is a plain permutation, and its inversion
+    set is the union of its unflipped rows; with the pieces checked, the
+    unflipped row of the r-th smallest of m values, the others after it, has
+    r - 1 bits, so F(m) = F(m - 1) * sum over r = 1..m of t^(r - 1).  Refuses
+    ranks above the group cap before any row."""
     check_cap(n, "group enumeration")
-    d_idx = _index_tables(n)[0]
-    for v in range(1, n + 1):
-        for u in range(n + 1):
-            before = 1 << u >> 1  # u = 0: no letter before v
-            if u != v and _perm_row(n, before, v) != (1 << d_idx[v][u] if u > v else 0):
-                raise ConsistencyError(
-                    f"the S_n row of {v} after {before:#b} differs from the root "
-                    "index; this indicates a bug"
-                )
+    _refuse_bad_pieces(n)
     width = math.factorial(n).bit_length()
     return IntPolynomial.from_coeffs(
-        _size_dp(n, width, num_diffs(n), lambda v, before: (_perm_row(n, before, v),))
+        _size_dp(n, width, num_diffs(n), lambda v, later: (_row(n, v, later)[0],))
     )
 
 

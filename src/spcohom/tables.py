@@ -106,23 +106,24 @@ def betti_report(n: int, per_weight: bool):
 
 def block_summary(n: int) -> list[tuple[int, tuple[int, ...], int, int]]:
     """The weight blocks of betti --per-weight, read off ce's weight DP:
-    (degree, weight, dimension, rank of d) per nonzero block, sorted; the
-    ranks are the forced ones of the Laplacian certificate, 0 on weights with
-    c = 0 and r_p = dim_p - r_{p-1} elsewhere.  Each size polynomial is
-    unpacked only up to its top degree."""
+    (degree, weight, dimension, rank of d) per nonzero block, sorted by one
+    sort of the distinct weights and a list per degree; the ranks are the
+    forced ones of the Laplacian certificate, 0 on weights with c = 0 and
+    r_p = dim_p - r_{p-1} elsewhere.  Each size polynomial is unpacked only
+    up to its top degree."""
     from . import ce, weyl
     from .ideals import _coordinates
 
-    out = []
-    for key, poly in ce._weight_dp(n, fold=False).items():
-        weight = _coordinates(n, key)
+    by_degree = [[] for _ in range(n * n + 1)]
+    polys = ce._weight_dp(n, fold=False)
+    for weight, poly in sorted((_coordinates(n, key), poly) for key, poly in polys.items()):
         acyclic = ce._c4(n, weight) != 0
         rank = 0
         for p, dim in enumerate(weyl._unpack(poly, n * n, (poly.bit_length() - 1) // (n * n))):
             rank = dim - rank if acyclic else 0
             if dim:
-                out.append((p, weight, dim, rank))
-    return sorted(out)
+                by_degree[p].append((p, weight, dim, rank))
+    return list(chain.from_iterable(by_degree))
 
 
 def poincare_report(n: int):

@@ -10,9 +10,9 @@ standard_form and the rest) are in the elements module, which only
 bijection --witness, weyl --list and the tests load.
 
 Inversion sets are unions of rows, read off the row layout (roots._row_starts)
-by _row and _perm_row.  Each row is a base row joined with one piece per later
-value, and _bad_pieces checks the n^2 pieces against the root index; the
-lengths are then counted by set size (_size_dp), with no loop over sets.
+by _row.  Each row is a base row joined with one piece per later value, and
+_bad_pieces checks the n^2 pieces against the root index; both length
+histograms are then counted by set size (_size_dp), with no loop over sets.
 """
 
 import itertools
@@ -31,20 +31,14 @@ def group_order(n: int) -> int:
     return out
 
 
-def _perm_row(n: int, before: int, v: int) -> int:
-    """The inversions e_v - e_u, v < u, that the letter v adds after the
-    letters of the value mask before (bit u - 1 for the value u).  Row v of
-    the differences has bit u - v - 1 for e_v - e_u (roots._row_starts), so
-    the row is before shifted right by v: one shift."""
-    return before >> v << _row_starts(n)[0][v]
-
-
 def _perm_inversion_mask(word: tuple[int, ...], n: int) -> int:
     """Bitmask of the differences e_v - e_u, v < u, with u before v in word:
-    the union of the rows _perm_row gives each letter."""
+    the letter v adds the values before it shifted right by v into row v
+    (roots._row_starts), one shift per letter, for the Lehmer decoder."""
+    diff_start = _row_starts(n)[0]
     mask = before = 0
     for v in word:
-        mask |= _perm_row(n, before, v)
+        mask |= before >> v << diff_start[v]
         before |= 1 << (v - 1)
     return mask
 
@@ -71,8 +65,8 @@ def _row(n: int, v: int, later: int) -> tuple[int, int]:
     (roots._row_starts), and each value q below v adds a bit of row q.  Each bit of later
     is shifted or read on its own, so the row is the base row _row(n, v, 0) joined with
     one piece per q in later, as _row(n, v, {q}) shows it (_bad_pieces; tests/test_lint.py
-    pins this form).  Read by _word_rows (for _iter_rows and _inversion_mask),
-    _bad_pieces, _length_histogram and ce._unharmonic_rows."""
+    pins this form).  Read by _word_rows (for _iter_rows and _inversion_mask), _bad_pieces,
+    _length_histogram, poincare.sym_inversion_histogram and ce._unharmonic_rows."""
     diff_start, sum_start, long_bit = _row_starts(n)
     above = later >> v
     up, down = 0, 1 << long_bit[v] | above << diff_start[v] | above << sum_start[v]
@@ -157,12 +151,12 @@ def _sign_patterns(word: tuple[int, ...]) -> list[int]:
 
 
 def _size_dp(n: int, width: int, degree: int, rows) -> list[int]:
-    """The package's only packed DP, over set sizes: F(0) = 1 and F(m) =
-    F(m - 1) * sum over r = 1..m, row in rows(r, rest), of t^|row|, rest the
-    value mask of 1..m without r, which counts the words of any m values when
-    a row's popcount depends only on r and m.  Returns F(n)'s coefficients of
-    degrees 0..degree.  Each polynomial is packed into one int, width bits a
-    coefficient, and the factors are multiplied pairwise, to balance them."""
+    """The DP over set sizes (ce._weight_dp packs by weight): F(0) = 1 and
+    F(m) = F(m - 1) * sum over r = 1..m, row in rows(r, rest), of t^|row|,
+    rest the value mask of 1..m without r, which counts the words of any m
+    values when a row's popcount depends only on r and m.  Returns F(n)'s
+    coefficients of degrees 0..degree, each polynomial packed into one int,
+    width bits a coefficient, the factors multiplied pairwise to balance them."""
     polys = []
     for m in range(1, n + 1):
         rests = [(r, (1 << m) - 1 ^ 1 << r - 1) for r in range(1, m + 1)]

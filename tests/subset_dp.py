@@ -24,7 +24,8 @@ def index_row(n, v, later):
 
 def index_perm_row(n, before, v):
     """The inversions e_v - e_u, u > v in the value mask before, from the
-    index: what weyl._perm_row must give."""
+    index: what the letter v adds to an S_n inversion set after the letters
+    of before."""
     d_idx = _index_tables(n)[0]
     return sum(1 << d_idx[v][u] for u in range(v + 1, n + 1) if before >> (u - 1) & 1)
 

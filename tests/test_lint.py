@@ -14,11 +14,11 @@
 6. No module but correspondence.py references weyl._iter_rows outside
    weyl.py: the group is walked in one place, the scan's element loop.
 7. The root index (_index_tables) is read only by the row layout
-   (roots._row_starts) and by the three references, the independent
+   (roots._row_starts) and by the two references, the independent
    constructions that rows are checked against; the layout is read only by
-   the rules, the code that places bits for a run (rows, staircases and the
-   relabel grid).  Which bit is which root is stated once, and every runtime
-   check still compares two constructions.
+   the rules, the code that places bits for a run (rows, the S_n encoder and
+   decoder, staircases and the relabel grid).  Which bit is which root is
+   stated once, and every runtime check still compares two constructions.
 8. No rule references positive_roots, and no definition but RootSet
    references root_index: rules read the layout, never Root objects, and no
    table hashes a Root.
@@ -29,11 +29,11 @@
     f-string's pieces aside): SignedPerm.__str__ is the one writer of an
     element, and parse_signed_perm reads back every element the package
     prints.
-11. weyl._row and weyl._perm_row keep the code pinned below, docstrings
-    aside: each bit of the later (or earlier) value mask is shifted or read
-    on its own, so every row is its base row joined with one piece per value
-    in the mask.  That is what lets weyl._bad_pieces certify all rows from
-    n^2 pieces, and ce._unharmonic_rows weigh them from the 2n^2 piece rows.
+11. weyl._row keeps the code pinned below, docstrings aside: each bit of
+    the later value mask is shifted or read on its own, so every row is its
+    base row joined with one piece per value in the mask.  That is what lets
+    weyl._bad_pieces certify all rows from n^2 pieces, for both length
+    histograms, and ce._unharmonic_rows weigh them from the 2n^2 piece rows.
 12. No module but ideals.py computes the coordinate field width,
     (3 * n).bit_length(), or shifts by a multiple of it: a root's
     coefficient vector has one packed format, ideals._packed_roots, and one
@@ -208,12 +208,11 @@ def _readers(name: str) -> set[str]:
 _REFERENCES = {
     "weyl.py:_bad_pieces",
     "ideals.py:_profile_from_mask",
-    "poincare.py:sym_inversion_histogram",
 }
-# the code that places bits for a run (_perm_inversion_mask through _perm_row)
+# the code that places bits for a run
 _RULES = {
     "weyl.py:_row",
-    "weyl.py:_perm_row",
+    "weyl.py:_perm_inversion_mask",
     "weyl.py:_word_from_inversion_mask",
     "roots.py:_staircases",
     "roots.py:_mask_from_profile",
@@ -282,10 +281,6 @@ def test_only_elements_writes_an_element():
 # The code the piece argument rests on (weyl._bad_pieces): a change to it,
 # docstrings aside, fails test_rows_keep_their_union_form
 _UNION_FORM = """
-def _perm_row(n: int, before: int, v: int) -> int:
-    return before >> v << _row_starts(n)[0][v]
-
-
 def _row(n: int, v: int, later: int) -> tuple[int, int]:
     diff_start, sum_start, long_bit = _row_starts(n)
     above = later >> v
@@ -311,11 +306,8 @@ def _function_dump(source: str, name: str) -> str:
 
 
 def _off_union_form(source: str) -> list[str]:
-    return [
-        name
-        for name in ("_row", "_perm_row")
-        if _function_dump(source, name) != _function_dump(_UNION_FORM, name)
-    ]
+    same = _function_dump(source, "_row") == _function_dump(_UNION_FORM, "_row")
+    return [] if same else ["_row"]
 
 
 def test_rows_keep_their_union_form():

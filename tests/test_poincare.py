@@ -166,7 +166,7 @@ def test_sym_inversion_histogram_cap_refuses_before_any_row(monkeypatch):
         raise AssertionError("an S_n row was read above the group cap")
 
     monkeypatch.setattr(poincare, "_size_dp", no_rows)
-    monkeypatch.setattr(poincare, "_perm_row", no_rows)
+    monkeypatch.setattr(poincare, "_row", no_rows)
     cap = roots.CAPS["group enumeration"]
     with pytest.raises(RankCapError):
         sym_inversion_histogram(cap + 1)
@@ -189,17 +189,43 @@ def test_sym_inversion_histogram_equals_the_product_form_at_rank_16(monkeypatch)
 
 
 def test_a_dp_row_that_differs_from_the_root_index_exits_3(monkeypatch, capsys):
-    # the letter 1 after the letter 2 loses its inversion e_1 - e_2; only
-    # the S_n DP reads poincare's name for the row
-    real = poincare._perm_row
+    # the unflipped row of 2 after {1} loses its inversion e_1 - e_2: the
+    # piece check that both histograms run names the piece (2, 1)
+    real = weyl._row
 
-    def dropped(n, before, v):
-        return 0 if (before, v) == (0b10, 1) else real(n, before, v)
+    def dropped(n, v, later):
+        up, down = real(n, v, later)
+        return (0, down) if (v, later) == (2, 0b1) else (up, down)
 
-    monkeypatch.setattr(poincare, "_perm_row", dropped)
-    with pytest.raises(ConsistencyError):
+    monkeypatch.setattr(weyl, "_row", dropped)
+    assert weyl._bad_pieces(3) == [(2, 1, 0)]
+    with pytest.raises(ConsistencyError, match=r"the row piece \(v, q\) = \(2, 1\)"):
         sym_inversion_histogram(3)
     assert main(["verify", "--rank", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "differs from the root index" in captured.err and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "the row piece (v, q) = (2, 1) differs from the root index" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_a_bad_piece_stops_the_sym_histogram_before_the_size_dp(monkeypatch):
+    # the unflipped row of 3 after {1} loses e_1 - e_3: the n^2 piece reads
+    # find it, and no row of the size recursion is read
+    real = weyl._row
+    calls = []
+
+    def corrupted(n, v, later):
+        calls.append((v, later))
+        up, down = real(n, v, later)
+        return (up & up - 1, down) if (v, later) == (3, 0b1) else (up, down)
+
+    def no_dp(*args):
+        raise AssertionError("the size recursion ran after a bad piece")
+
+    monkeypatch.setattr(weyl, "_row", corrupted)
+    monkeypatch.setattr(poincare, "_row", corrupted)
+    monkeypatch.setattr(poincare, "_size_dp", no_dp)
+    with pytest.raises(ConsistencyError, match=r"the row piece \(v, q\) = \(3, 1\)"):
+        sym_inversion_histogram(4)
+    assert len(calls) == 16
