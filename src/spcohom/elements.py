@@ -7,6 +7,8 @@ permutation followed by sign flips on a set J of output values, which is the
 factorization w = r_{j_1} ... r_{j_k} * sigma_0 used throughout (r_v flips
 the sign of the value v, sigma_0 acts first).
 
+Perm and SignedPerm hold what a command reads; the group operations, which
+only tests call, are element oracles in tests/oracles.py.
 SignedPerm.__str__ is the one writer of an element, and parse_signed_perm
 reads back every element the package prints.  The inversion set of one
 element is the sum of the rows weyl._row gives its word.  The scan never
@@ -18,7 +20,7 @@ import itertools
 import re
 from typing import Iterator
 
-from .roots import Frozen, RootSet, check_cap, check_rank, _set
+from .roots import Frozen, RootSet, check_cap, _set
 from .weyl import _perm_inversion_mask, _word_rows
 
 
@@ -33,27 +35,9 @@ class Perm(Frozen):
             raise ValueError(f"{images} is not a permutation of 1..{n}")
         _set(self, "images", images)
 
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        check_rank(n)
-        return cls(tuple(range(1, n + 1)))
-
     @property
     def rank(self) -> int:
         return len(self.images)
-
-    def __call__(self, m: int) -> int:
-        return self.images[m - 1]
-
-    def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for m, p in enumerate(self.images, start=1):
-            inv[p - 1] = m
-        return Perm(tuple(inv))
-
-    def compose(self, other: "Perm") -> "Perm":
-        """self after other: (self.compose(other))(m) == self(other(m))."""
-        return Perm(tuple(self.images[p - 1] for p in other.images))
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.images)) + ")"
@@ -70,27 +54,6 @@ class SignedPerm(Frozen):
             raise ValueError(f"{images} is not a signed permutation of 1..{n}")
         _set(self, "images", images)
 
-    @classmethod
-    def identity(cls, n: int) -> "SignedPerm":
-        check_rank(n)
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def reflection(cls, i: int, n: int) -> "SignedPerm":
-        """The generator r_i, flipping the sign of the value i."""
-        check_rank(n)
-        if not 1 <= i <= n:
-            raise ValueError(f"reflection index {i} out of range for rank {n}")
-        return cls(tuple(-v if v == i else v for v in range(1, n + 1)))
-
-    @classmethod
-    def from_perm_and_negated(cls, perm: Perm, negated) -> "SignedPerm":
-        neg = frozenset(negated)
-        for v in neg:
-            if not 1 <= v <= perm.rank:
-                raise ValueError(f"negated value {v} out of range")
-        return cls(tuple(-p if p in neg else p for p in perm.images))
-
     @property
     def rank(self) -> int:
         return len(self.images)
@@ -99,28 +62,6 @@ class SignedPerm(Frozen):
     def perm(self) -> Perm:
         """The underlying unsigned permutation sigma_0."""
         return Perm(tuple(abs(v) for v in self.images))
-
-    @property
-    def negated(self) -> frozenset[int]:
-        """The set J of output values whose sign is flipped."""
-        return frozenset(-v for v in self.images if v < 0)
-
-    def __call__(self, m: int) -> int:
-        return self.images[m - 1]
-
-    def inverse(self) -> "SignedPerm":
-        inv = [0] * len(self.images)
-        for m, v in enumerate(self.images, start=1):
-            inv[abs(v) - 1] = m if v > 0 else -m
-        return SignedPerm(tuple(inv))
-
-    def compose(self, other: "SignedPerm") -> "SignedPerm":
-        """self after other, acting on e-vectors: (uv)(x) = u(v(x))."""
-        out = []
-        for v in other.images:
-            u = self.images[abs(v) - 1]
-            out.append(u if v > 0 else -u)
-        return SignedPerm(tuple(out))
 
     def __str__(self) -> str:
         return "[" + ",".join(map(str, self.images)) + "]"

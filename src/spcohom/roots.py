@@ -199,43 +199,12 @@ class RootSet(Frozen):
         _set(self, "rank", rank)
         _set(self, "mask", mask)
 
-    @classmethod
-    def empty(cls, n: int) -> "RootSet":
-        return cls(n, 0)
-
     def roots(self) -> tuple[Root, ...]:
         all_roots = positive_roots(self.rank)
         return tuple(all_roots[b] for b in _mask_key(self.mask))
 
-    def __contains__(self, r: Root) -> bool:
-        b = root_index(self.rank).get(r)
-        return b is not None and bool(self.mask >> b & 1)
-
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-    def __iter__(self) -> Iterator[Root]:
-        return iter(self.roots())
-
-    def __or__(self, other: "RootSet") -> "RootSet":
-        self._check_compatible(other)
-        return RootSet(self.rank, self.mask | other.mask)
-
-    def __and__(self, other: "RootSet") -> "RootSet":
-        self._check_compatible(other)
-        return RootSet(self.rank, self.mask & other.mask)
-
-    def __sub__(self, other: "RootSet") -> "RootSet":
-        self._check_compatible(other)
-        return RootSet(self.rank, self.mask & ~other.mask)
-
-    def __le__(self, other: "RootSet") -> bool:
-        self._check_compatible(other)
-        return self.mask & ~other.mask == 0
-
-    def _check_compatible(self, other: "RootSet") -> None:
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch between root sets")
 
     def to_strings(self) -> list[str]:
         return [str(r) for r in self.roots()]

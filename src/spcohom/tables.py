@@ -110,16 +110,19 @@ def block_summary(n: int) -> list[tuple[int, tuple[int, ...], int, int]]:
     sort of the distinct weights and a list per degree; the ranks are the
     forced ones of the Laplacian certificate, 0 on weights with c = 0 and
     r_p = dim_p - r_{p-1} elsewhere.  Each size polynomial is unpacked only
-    up to its top degree."""
+    from its lowest to its top nonzero degree: below the lowest, every
+    dimension is 0, and so is every forced rank."""
     from . import ce, weyl
     from .ideals import _coordinates
 
-    by_degree = [[] for _ in range(n * n + 1)]
+    width = n * n
+    by_degree = [[] for _ in range(width + 1)]
     polys = ce._weight_dp(n, fold=False)
     for weight, poly in sorted((_coordinates(n, key), poly) for key, poly in polys.items()):
         acyclic = ce._c4(n, weight) != 0
+        low, top = ((poly & -poly).bit_length() - 1) // width, (poly.bit_length() - 1) // width
         rank = 0
-        for p, dim in enumerate(weyl._unpack(poly, n * n, (poly.bit_length() - 1) // (n * n))):
+        for p, dim in enumerate(weyl._unpack(poly >> low * width, width, top - low), start=low):
             rank = dim - rank if acyclic else 0
             if dim:
                 by_degree[p].append((p, weight, dim, rank))

@@ -7,6 +7,8 @@ only tests call.  No command runs any of these.
   ideals._packed_roots must follow;
 - SignedRoot and act_on_root: the action of a signed permutation on the
   positive roots, from which the inversion sets follow;
+- identity, reflection, inverse and compose: the group operations on Perm
+  and SignedPerm, written over their images;
 - perm_from_inversions and recompose: the inverses of perm_inversions and
   standard_form;
 - split, from_roots, from_members, from_profile (with profile_valid) and
@@ -135,7 +137,35 @@ def perm_from_inversions(s: RootSet, n: int) -> Optional[Perm]:
 
 def recompose(sf) -> SignedPerm:
     """The element of a standard form: the inverse of elements.standard_form."""
-    return SignedPerm.from_perm_and_negated(sf.sigma0, sf.j_list)
+    return SignedPerm(tuple(-p if p in sf.j_list else p for p in sf.sigma0.images))
+
+
+def identity(cls, n: int):
+    """The identity of rank n, as a Perm or a SignedPerm (cls)."""
+    check_rank(n)
+    return cls(tuple(range(1, n + 1)))
+
+
+def reflection(i: int, n: int) -> SignedPerm:
+    """The generator r_i, flipping the sign of the value i."""
+    check_rank(n)
+    if not 1 <= i <= n:
+        raise ValueError(f"reflection index {i} out of range for rank {n}")
+    return SignedPerm(tuple(-v if v == i else v for v in range(1, n + 1)))
+
+
+def inverse(w):
+    """The inverse of a Perm or SignedPerm: e_m -> +-e_p becomes e_p -> +-e_m."""
+    inv = [0] * len(w.images)
+    for m, v in enumerate(w.images, start=1):
+        inv[abs(v) - 1] = m if v > 0 else -m
+    return type(w)(tuple(inv))
+
+
+def compose(u, v):
+    """u after v, acting on e-vectors: compose(u, v)(x) = u(v(x)), for two
+    Perms or two SignedPerms."""
+    return type(u)(tuple(u.images[p - 1] if p > 0 else -u.images[-p - 1] for p in v.images))
 
 
 def split(n: int) -> tuple[RootSet, RootSet]:

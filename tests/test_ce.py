@@ -12,7 +12,7 @@ from cochains import (
     monomial_cocycle,
     pair_cocycle,
 )
-from oracles import coeffs, sum_root
+from oracles import coeffs, identity, reflection, sum_root
 from spcohom import ce, correspondence, weyl
 from spcohom.ce import (
     ChainComplex,
@@ -329,10 +329,10 @@ def test_betti_from_summary_round_trip(n):
 
 def test_monomial_cocycle_examples():
     n = 2
-    assert monomial_cocycle(SignedPerm.identity(n)).terms == {(): 1}
-    r2 = SignedPerm.reflection(2, n)
+    assert monomial_cocycle(identity(SignedPerm, n)).terms == {(): 1}
+    r2 = reflection(2, n)
     assert monomial_cocycle(r2).terms == {(idx(n, long(2)),): 1}
-    r1 = SignedPerm.reflection(1, n)
+    r1 = reflection(1, n)
     assert monomial_cocycle(r1).terms == {
         (idx(n, diff(1, 2)), idx(n, sum_root(1, 2)), idx(n, long(1))): 1
     }

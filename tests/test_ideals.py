@@ -86,7 +86,7 @@ def test_profiles_consistent_with_members(n):
 def test_is_increasing_examples():
     assert is_increasing(from_roots(2, [long(1)]))
     assert not is_increasing(from_roots(2, [long(2)]))
-    assert is_increasing(RootSet.empty(3))
+    assert is_increasing(RootSet(3, 0))
     with pytest.raises(ValueError):
         is_increasing(from_roots(2, [diff(1, 2)]))
 

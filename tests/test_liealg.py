@@ -231,7 +231,7 @@ def test_is_abelian_ideal_lie_examples():
     n = 2
     assert is_abelian_ideal_lie(n, from_roots(n, [long(1), sum_root(1, 2)]))
     assert not is_abelian_ideal_lie(n, from_roots(n, [diff(1, 2)]))
-    assert is_abelian_ideal_lie(n, RootSet.empty(n))
+    assert is_abelian_ideal_lie(n, RootSet(n, 0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

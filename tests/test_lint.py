@@ -1,4 +1,4 @@
-"""Thirteen source rules, checked with the standard library alone.
+"""Fourteen source rules, checked with the standard library alone.
 
 1. Every line of the package fits in 100 columns.
 2. Every name a module imports at top level is used in that module,
@@ -19,7 +19,7 @@
    the rules, the code that places bits for a run (rows, the S_n encoder and
    decoder, staircases and the relabel grid).  Which bit is which root is
    stated once, and every runtime check still compares two constructions.
-8. No rule references positive_roots, and no definition but RootSet
+8. No rule references positive_roots, and no definition in the package
    references root_index: rules read the layout, never Root objects, and no
    table hashes a Root.
 9. Every check_cap call names its cap by a string literal that is a key of
@@ -42,6 +42,11 @@
 13. No module imports argparse, at any level: the command line is parsed
     from cli.COMMANDS and cli.FLAGS, and argparse would load gettext and
     locale into every run's start-up.
+14. Every non-dunder method of a class in the package is referenced in src/
+    or perfbench/, and a class defines no dunder outside _DUNDERS: a value
+    type carries no method that only tests call.  Rule 4 still lets tests be
+    a function's only reader.  A dunder is reached by syntax, not by name,
+    so _DUNDERS lists the ones a command runs.
 """
 
 import ast
@@ -54,12 +59,18 @@ from spcohom.roots import CAPS
 
 MAX_COLUMNS = 100
 MODULES = sorted(Path(spcohom.__file__).parent.glob("*.py"))
-# src/, tests/ and perfbench/: every place a definition of the package can be used
-SOURCES = sorted(
-    path
-    for root in ("src", "tests", "perfbench")
-    for path in (Path(spcohom.__file__).parents[2] / root).rglob("*.py")
-)
+
+
+def _python_files(*roots: str) -> list[Path]:
+    return sorted(
+        path for root in roots for path in (Path(spcohom.__file__).parents[2] / root).rglob("*.py")
+    )
+
+
+# every place a definition of the package can be used
+SOURCES = _python_files("src", "tests", "perfbench")
+# the code that a command or the benchmark runs
+RUNTIME = _python_files("src", "perfbench")
 
 
 def _imported_names(tree: ast.Module):
@@ -119,17 +130,26 @@ def test_every_private_top_level_name_is_referenced():
     assert unreferenced == [], f"defined and never referenced: {unreferenced}"
 
 
-def _functions_classes_and_methods(tree: ast.Module):
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _methods(tree: ast.Module):
+    """Class.method for each method of each top-level class in tree."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
         if isinstance(node, ast.ClassDef):
             yield from (
                 f"{node.name}.{item.name}"
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not (item.name.startswith("__") and item.name.endswith("__"))
             )
+
+
+def _functions_classes_and_methods(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+    yield from (q for q in _methods(tree) if not _is_dunder(q.rpartition(".")[2]))
 
 
 def test_every_function_class_and_method_is_referenced():
@@ -147,6 +167,51 @@ def test_every_function_class_and_method_is_referenced():
         if qualname.rpartition(".")[2] not in referenced
     ]
     assert unreferenced == [], f"defined and never referenced: {unreferenced}"
+
+
+# the dunders a command runs: Frozen's value protocol, construction, str of a
+# value in a report, len of a RootSet and the product of two IntPolynomials
+_DUNDERS = {"__eq__", "__hash__", "__repr__", "__reduce__", "__setattr__", "__delattr__"}
+_DUNDERS |= {"__init__", "__str__", "__len__", "__mul__"}
+
+
+def _test_only_methods(modules: dict[str, str], runtime: list[str]) -> list[str]:
+    """module:Class.method for each method of a class in modules (name to
+    source) that no runtime source references by name, and each dunder
+    outside _DUNDERS."""
+    referenced = {name for source in runtime for name in _references(ast.parse(source))}
+    return [
+        f"{module}:{qualname}"
+        for module, source in modules.items()
+        for qualname in _methods(ast.parse(source))
+        for name in [qualname.rpartition(".")[2]]
+        if name not in (_DUNDERS if _is_dunder(name) else referenced)
+    ]
+
+
+def test_every_method_is_run_by_a_command_or_the_benchmark():
+    # a group operation or set operator that only tests call belongs in
+    # tests/oracles.py, as a function over the value's fields
+    modules = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    runtime = [path.read_text(encoding="utf-8") for path in RUNTIME]
+    assert _test_only_methods(modules, runtime) == []
+
+
+def test_a_test_only_method_is_caught():
+    value_type = (
+        "class Perm(Frozen):\n"
+        "    def inverse(self):\n        return self\n"
+        "    def __call__(self, m):\n        return m\n"
+        "    def __str__(self):\n        return ''\n"
+    )
+    runtime = value_type + "def _witness_str(w):\n    return str(w)\n"
+    modules = {"elements.py": value_type}
+    assert _test_only_methods(modules, [runtime]) == [
+        "elements.py:Perm.inverse",
+        "elements.py:Perm.__call__",
+    ]
+    caller = "def _round_trip(w):\n    return w.inverse()\n"
+    assert _test_only_methods(modules, [runtime, caller]) == ["elements.py:Perm.__call__"]
 
 
 CONCURRENCY = {"multiprocessing", "concurrent", "threading"}
@@ -229,7 +294,7 @@ def test_rules_read_no_root_objects_and_no_table_hashes_them():
     # the layout alone says which bit a rule sets: a rule that enumerated the
     # Root objects would state the order a second time
     assert _readers("positive_roots") & _RULES == set()
-    assert _readers("root_index") == {"roots.py:RootSet"}
+    assert _readers("root_index") == set()
 
 
 def _calls_and_raises(node: ast.AST, where: str):
@@ -385,3 +450,5 @@ def _weight_dp(n, vectors):
 def test_the_lint_sees_every_module():
     assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "roots.py", "weyl.py"}
     assert {p.name for p in SOURCES} >= {"cli.py", "test_lint.py", "run.py"}
+    assert {p.name for p in RUNTIME} >= {"cli.py", "run.py", "trace_pass.py"}
+    assert "test_lint.py" not in {p.name for p in RUNTIME}

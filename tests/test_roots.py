@@ -10,7 +10,6 @@ from spcohom.errors import InvalidRankError
 from spcohom.ideals import precedes, _addable, _coordinates, _packed_roots
 from spcohom.roots import (
     Root,
-    RootSet,
     diff,
     long,
     positive_roots,
@@ -28,8 +27,8 @@ def test_counts(n):
     phi0, phi1 = split(n)
     assert len(phi0) == n * (n - 1) // 2
     assert len(phi1) == n * (n + 1) // 2
-    assert (phi0 | phi1).mask == (1 << n * n) - 1
-    assert (phi0 & phi1).mask == 0
+    assert phi0.mask | phi1.mask == (1 << n * n) - 1
+    assert phi0.mask & phi1.mask == 0
 
 
 def test_rank_one():
@@ -201,15 +200,7 @@ def test_reversal_is_antitone(n):
 
 def test_rootset_operations():
     s = from_roots(3, [long(1), diff(1, 2)])
-    t = from_roots(3, [long(1), sum_root(2, 3)])
     assert len(s) == 2
-    assert long(1) in s and sum_root(2, 3) not in s
-    assert sorted((s | t).to_strings()) == sorted(["e1-e2", "e2+e3", "2e1"])
-    assert (s & t).to_strings() == ["2e1"]
-    assert (s - t).to_strings() == ["e1-e2"]
-    assert (s & t) <= s
-    with pytest.raises(ValueError):
-        s | RootSet.empty(2)
 
 
 def test_rootset_serialization_is_canonical():
