@@ -25,7 +25,7 @@ The scan reports every check for every element: element by element on the
 walk's masks, or, for the whole group at once, as one batch of renamings of
 the first permutation's checked elements (see the README, "What the
 bijection check certifies").  Its failures and witnesses are those of a
-per-element evaluation through the same tables and pairs._relabel.  The batch
+per-element evaluation through the same tables and relabels.  The batch
 rests on three checks, with no pass over S_n: every gather is an
 itemgetter; weyl._length_histogram finds the n^2 pieces of weyl._row equal
 to the root index (each piece of (v, q) on the pair {v, q}, and the pairs
@@ -36,9 +36,13 @@ positions plus one, so closed-form-sym there compares each closed-form
 gather with its rule.
 A permutation is determined by its inversion set, so the symmetric
 component of every element is g_P(word), and _phi1_grid reads the checked
-row layout, so relabel tables compose like value maps and relabelling
+row layout, so compiled relabels compose like value maps and relabelling
 through pi and then through rho = pi^-1 moves no bit.  If any check fails,
 every permutation runs the element loop.  The scan runs in one process.
+
+A relabel has one builder, _relabel_gather, which compiles a value map
+straight to its gather; _sym_entry hands the scan and the pairs module the
+same compiled relabel.
 """
 
 from bisect import insort
@@ -74,7 +78,7 @@ def _phi1_grid(n: int) -> tuple[list[list[Optional[int]]], tuple[int, ...], tupl
     j = cols[k], and grid[i][j] = grid[j][i] = k; row and column 0 of the
     grid hold None.  Both are read off the row layout (roots._row_starts),
     whose check puts each pair i <= j at a bit of its own, so they are
-    inverse bijections and relabel tables compose the way value maps do."""
+    inverse bijections and compiled relabels compose the way value maps do."""
     _diff_start, sum_start, long_bit = _row_starts(n)
     nd, width = num_diffs(n), n * (n + 1) // 2
     grid: list[list[Optional[int]]] = [[None] * (n + 1) for _ in range(n + 1)]
@@ -87,54 +91,36 @@ def _phi1_grid(n: int) -> tuple[list[list[Optional[int]]], tuple[int, ...], tupl
     return grid, tuple(rows), tuple(cols)
 
 
-def _relabel_table(value_map: Sequence[int], n: int) -> tuple[int, ...]:
-    """Entry k is where the sums-plus-longs root at index k goes when both of
-    its indices are sent through value_map[v].  The gather in pairs._relabel is
+def _relabel_gather(value_map: Sequence[int], n: int) -> itemgetter:
+    """The relabel that sends both indices of each sums-plus-longs root
+    through value_map[v], compiled into the gather that _apply_relabel
+    applies: output digit L-1-t of the binary string takes input digit L-1-k
+    when the root at index k goes to the root at index t.  The gather is
     exact only for a bit permutation, so anything else is an error."""
     grid, rows, cols = _phi1_grid(n)
-    out: tuple = ()
+    last = len(rows) - 1
+    src: list[Optional[int]] = [None] * len(rows)
     if min(value_map[1:]) >= 1:  # a value below 1 indexes the grid's end or its None row
         try:
-            out = tuple([grid[value_map[i]][value_map[j]] for i, j in zip(rows, cols)])
+            for k, i, j in zip(range(last, -1, -1), rows, cols):
+                src[last - grid[value_map[i]][value_map[j]]] = k
         except IndexError:
             pass
-    if sorted(out) != list(range(len(rows))):
+    if None in src:
         raise ConsistencyError(
             f"the value map {tuple(value_map[1:])} permutes no sums-plus-longs "
             f"of rank {n}; this indicates a bug"
         )
-    return out
-
-
-def _rho_table(word: Sequence[int], n: int) -> tuple[int, ...]:
-    """The relabel table of rho(v) = word[n - v] (1-based values), which takes
-    an ideal back to the sum inversions of the elements over word."""
-    return _relabel_table((0, *reversed(word)), n)
-
-
-def _relabel_gather(table: Sequence[int]) -> itemgetter:
-    """Compile a relabel table into the gather that pairs._relabel applies: output
-    digit L-1-t of the binary string takes input digit L-1-k when table[k] = t."""
-    last = len(table) - 1
-    src = [0] * len(table)
-    for k, t in enumerate(table):
-        src[last - t] = last - k
     return _gather(src)
 
 
 def _apply_relabel(gather: itemgetter, mask: int, n: int) -> int:
-    """pairs._relabel through the gather that _relabel_gather compiled.  Only the
+    """Relabel a mask's sums-plus-longs bits through a gather that
+    _relabel_gather compiled; its difference bits are dropped.  Only the
     n(n+1)/2 sums-plus-longs digits are gathered: a bit above the n^2 roots
     would lengthen the digit string and shift every digit."""
     nd, width = num_diffs(n), n * (n + 1) // 2
     return int("".join(gather(format((mask >> nd) & ((1 << width) - 1), f"0{width}b"))), 2) << nd
-
-
-@lru_cache(maxsize=None)
-def _value_bits(n: int) -> list[int]:
-    """Entry v is the value mask of the value v alone, 1 << (v - 1); entry 0 is 0.
-    A list, since map calls a list's __getitem__ faster than a tuple's."""
-    return [0] + [1 << v for v in range(n)]
 
 
 def _position_map(word: Sequence[int]) -> tuple[int, ...]:
@@ -148,14 +134,14 @@ def _position_map(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(pi)
 
 
-def _sym_entry(phi0: int, n: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(word, pi) for the permutation whose inversion set is the difference-root
-    bitmask phi0, or None when it is no inversion set; pi is word's
-    _position_map."""
+def _sym_entry(phi0: int, n: int) -> Optional[tuple[tuple[int, ...], itemgetter]]:
+    """(word, fwd) for the permutation whose inversion set is the
+    difference-root bitmask phi0, or None when it is no inversion set; fwd is
+    the compiled relabel of word's _position_map."""
     word = _word_from_inversion_mask(phi0, n)
     if word is None:
         return None
-    return word, _position_map(word)
+    return word, _relabel_gather(_position_map(word), n)
 
 
 def _closed_form_entry(pset: int, n: int) -> tuple[itemgetter, int]:
@@ -206,7 +192,7 @@ def _construct(sigma_word: tuple[int, ...], ximask: int, n: int) -> Optional[tup
     if recipe is None:
         return None
     gather, k = recipe
-    return gather(sigma_word), sum(map(_value_bits(n).__getitem__, sigma_word[n - k :]))
+    return gather(sigma_word), sum(1 << v - 1 for v in sigma_word[n - k :])
 
 
 # witnesses reported per failing check
@@ -308,11 +294,7 @@ def _scan_chunk(n: int, perms: Optional[int]) -> dict:
                 phi0 = mask & phi0_all
                 if phi0 not in entries:
                     entry = _sym_entry(phi0, n)
-                    entries[phi0] = entry and (
-                        entry[0],
-                        _relabel_gather(_relabel_table(entry[1], n)),
-                        _relabel_gather(_rho_table(entry[0], n)),
-                    )
+                    entries[phi0] = entry and (*entry, _relabel_gather((0, *reversed(entry[0])), n))
                 entry = entries[phi0]
                 if entry is None:
                     fail("sym_fail", word, jmask)

@@ -48,7 +48,7 @@ class IntMatrix(Frozen):
 
 def root_vector(n: int, alpha: Root) -> IntMatrix:
     check_rank(n)
-    if alpha.max_index > n:
+    if alpha.j > n:
         raise ValueError(f"root {alpha} does not live in rank {n}")
     i, j = alpha.i - 1, alpha.j - 1
     if alpha.kind == DIFF:

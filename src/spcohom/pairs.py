@@ -2,19 +2,19 @@
 element of a pair, and the single-element trace of bijection --witness.
 
 correspondence_pair(w) is (sym_component(w), ideal_component(w)), read off
-w's inversion mask through the scan's tables (correspondence._sym_entry and
-the relabel tables); from_pair inverts it with the scan's recipe
+w's inversion mask through the scan's correspondence._sym_entry and the
+relabel it compiles; from_pair inverts it with the scan's recipe
 (correspondence._construct) and validates the candidate by recomputing its
 pair.  The closed forms read both components off the standard form, through
 the scan's correspondence._closed_form_entry for this element alone.  The
 scan needs none of this on a passing run: only bijection --witness, a failing
 scan (_round_trip, for the pair keys of failed round trips) and the tests
-load this module.  The scan's tables are read through the correspondence
-module, so a table replaced there is the one both the scan and these maps
-read.
+load this module.  The scan's tables and relabels are read through the
+correspondence module, so one replaced there is the one both the scan and
+these maps read.
 """
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import correspondence
 from .elements import (
@@ -42,11 +42,6 @@ class CorrespondencePair(Frozen):
         _set(self, "ideal", ideal)
 
 
-def _relabel(mask: int, table: Sequence[int], n: int) -> int:
-    """Relabel a mask's sums-plus-longs bits through a table; drop its difference bits."""
-    return correspondence._apply_relabel(correspondence._relabel_gather(table), mask, n)
-
-
 def _pair_masks(w: SignedPerm) -> tuple[tuple[int, ...], int, int]:
     """(sym word, ideal mask, inversion mask) for one element."""
     n = w.rank
@@ -57,8 +52,8 @@ def _pair_masks(w: SignedPerm) -> tuple[tuple[int, ...], int, int]:
             f"the short inversions of {w} form no permutation inversion set; "
             "this contradicts the correspondence and indicates a bug"
         )
-    word, pi = entry
-    return word, _relabel(mask, correspondence._relabel_table(pi, n), n), mask
+    word, fwd = entry
+    return word, correspondence._apply_relabel(fwd, mask, n), mask
 
 
 def sym_component(w: SignedPerm) -> Perm:
@@ -139,8 +134,8 @@ def cocycle_support(sigma: Perm, psi: IncreasingSet) -> RootSet:
         raise ValueError("rank mismatch between permutation and ideal")
     n = sigma.rank
     inv = _perm_inversion_mask(sigma.images, n)
-    rho = correspondence._rho_table(sigma.images, n)
-    return RootSet(n, inv | _relabel(psi.members.mask, rho, n))
+    rho = correspondence._relabel_gather((0, *reversed(sigma.images)), n)
+    return RootSet(n, inv | correspondence._apply_relabel(rho, psi.members.mask, n))
 
 
 def _round_trip(sigma_word: tuple[int, ...], ximask: int, n: int) -> Optional[SignedPerm]:

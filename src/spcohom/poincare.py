@@ -174,12 +174,12 @@ def add_formula_records(
 def verify_identities(
     n: int,
     *,
-    weyl_hist: IntPolynomial | None = None,
+    weyl_hist: IntPolynomial,
     include_betti_record: bool = True,
 ) -> VerificationReport:
     """Compare the counted histograms with the closed forms and check the
-    product identity.  A precomputed weyl_hist (e.g. the bijection scan's,
-    counted by the same DP) avoids counting the group a second time.
+    product identity.  weyl_hist is the group's counted length histogram,
+    the bijection scan's or weyl_length_histogram's (the same DP).
     include_betti_record adds a skipped betti-match; add_betti_record is
     where the Betti numbers are compared.
     """
@@ -191,8 +191,6 @@ def verify_identities(
     sp = sym_poincare(n)
     ig = ideal_generating(n)
 
-    if weyl_hist is None:
-        weyl_hist = weyl_length_histogram(n)
     report.add(
         "weyl-length-histogram",
         "enumerated signed-permutation length histogram equals the closed product form",

@@ -39,8 +39,8 @@ class Frozen:
     """Base of the package's immutable value types.  A subclass names its
     fields in __slots__, and its __init__ validates the arguments and sets
     each field once with _set.  After that a field can be neither assigned
-    nor deleted.  Equality, hash, repr and pickling go by the fields in slot
-    order, and objects of different classes are never equal."""
+    nor deleted.  Equality, hash and repr go by the fields in slot order, and
+    objects of different classes are never equal."""
 
     __slots__ = ()
 
@@ -58,9 +58,6 @@ class Frozen:
     def __repr__(self) -> str:
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({args})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
@@ -87,10 +84,6 @@ class Root(Frozen):
         _set(self, "kind", kind)
         _set(self, "i", i)
         _set(self, "j", j)
-
-    @property
-    def max_index(self) -> int:
-        return self.j
 
     @property
     def in_phi1(self) -> bool:

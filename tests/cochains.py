@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from oracles import act_on_root
 from spcohom.ce import _d_monomial, _decompositions, _norms
-from spcohom.correspondence import _rho_table
+from spcohom.correspondence import _phi1_grid
 from spcohom.elements import Perm, SignedPerm
 from spcohom.ideals import IncreasingSet
 from spcohom.roots import _mask_key, num_diffs, positive_roots, root_index
@@ -116,6 +116,14 @@ def _sort_parity(seq: list[int]) -> tuple[tuple[int, ...], int]:
     return tuple(out), sign
 
 
+def _relabel_index(value_map: tuple[int, ...], n: int) -> list[int]:
+    """Entry k is the index, counted from bit num_diffs(n), of the
+    sums-plus-longs root that the one at index k goes to when both of its
+    indices are sent through value_map."""
+    grid, rows, cols = _phi1_grid(n)
+    return [grid[value_map[i]][value_map[j]] for i, j in zip(rows, cols)]
+
+
 def pair_cocycle(sigma: Perm, psi: IncreasingSet) -> Cochain:
     """The cocycle attached to a (permutation, ideal) pair: the wedge of the
     inversion duals of sigma (canonical order) followed by the relabeled
@@ -126,7 +134,7 @@ def pair_cocycle(sigma: Perm, psi: IncreasingSet) -> Cochain:
     n = sigma.rank
     factors = _mask_key(_perm_inversion_mask(sigma.images, n))
     nd = num_diffs(n)
-    rho = _rho_table(sigma.images, n)
+    rho = _relabel_index((0, *reversed(sigma.images)), n)
     relabeled = [nd + rho[b - nd] for b in _mask_key(psi.members.mask)]
     key, sign = _sort_parity(list(factors) + relabeled)
     return Cochain.monomial(n, key, sign)

@@ -104,7 +104,7 @@ class SignedRoot(Frozen):
 def act_on_root(w: SignedPerm, alpha: Root) -> SignedRoot:
     """The image of a positive root under w, as a signed positive root."""
     n = w.rank
-    if alpha.max_index > n:
+    if alpha.j > n:
         raise ValueError(f"root {alpha} does not live in rank {n}")
     u = w.images[alpha.i - 1]
     v = w.images[alpha.j - 1]

@@ -35,6 +35,7 @@ from spcohom.report import VerificationReport
 from spcohom.roots import LONG, positive_roots, root_index, diff, long
 from spcohom.tables import block_summary
 from spcohom.weyl import group_order
+from test_correspondence import _corrupt_rho_gather
 
 
 def idx(n, root):
@@ -567,17 +568,9 @@ def test_verify_and_classes_scan_the_group_once(monkeypatch, tmp_path):
 
 
 def test_pair_cocycles_match_can_fail(monkeypatch):
-    # rho's table of one permutation swaps two sums-plus-longs
+    # rho's compiled relabel of one permutation swaps two sums-plus-longs
     n = 3
-    real = correspondence._rho_table
-
-    def corrupted(word, rank):
-        table = list(real(word, rank))
-        if tuple(word) == (2, 3, 1):
-            table[3], table[5] = table[5], table[3]
-        return tuple(table)
-
-    monkeypatch.setattr(correspondence, "_rho_table", corrupted)
+    _corrupt_rho_gather(monkeypatch, (2, 3, 1))
     failed = {r.check_id: r.detail for r in verify_cohomology_basis(n).records if not r.passed}
     assert set(failed) == {"pair-cocycles-match"}
     assert 0 < failed["pair-cocycles-match"]["mismatches"] <= len(list(enumerate_increasing(n)))

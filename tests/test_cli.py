@@ -954,7 +954,8 @@ def test_poincare_command_matches_verify_identities(tmp_path, n):
     assert code == 0
     checks = json.loads(text)["checks"]
     formula_ids = {"histogram-convolution", "palindromic"}
-    records = [r for r in poincare.verify_identities(n).records if r.check_id in formula_ids]
+    report = poincare.verify_identities(n, weyl_hist=poincare.weyl_length_histogram(n))
+    records = [r for r in report.records if r.check_id in formula_ids]
     assert [(c["id"], c["pass"], c["detail"]) for c in checks] == [
         (r.check_id, r.passed, r.detail) for r in records
     ]
@@ -969,7 +970,7 @@ def test_histogram_convolution_can_fail(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
     failed = {c["id"] for c in json.loads(text)["checks"] if not c["pass"]}
     assert failed == {"histogram-convolution"}
-    report = poincare.verify_identities(3)
+    report = poincare.verify_identities(3, weyl_hist=poincare.weyl_length_histogram(3))
     assert "histogram-convolution" in {r.check_id for r in report.records if not r.passed}
 
 

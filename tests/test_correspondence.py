@@ -11,7 +11,7 @@ from oracles import from_members, from_roots, identity, perm_from_inversions, re
 from subset_dp import index_row
 from spcohom import correspondence, elements, ideals, pairs, roots, weyl
 from spcohom.cli import main
-from spcohom.correspondence import verify_bijection, _construct, _relabel_table
+from spcohom.correspondence import verify_bijection, _construct, _relabel_gather
 from spcohom.elements import (
     Perm,
     SignedPerm,
@@ -32,7 +32,6 @@ from spcohom.pairs import (
     sym_component,
     sym_component_closed_form,
     trace_element,
-    _relabel,
 )
 from spcohom.roots import CAPS, RootSet, diff, long, positive_roots, root_index
 from spcohom.weyl import _expand, _perm_inversion_mask, _sign_patterns
@@ -237,8 +236,8 @@ def test_wrong_flip_count_fails_the_inverse_on_its_ideal(monkeypatch):
 def test_relabel_that_is_no_bit_permutation_fails_degree_additivity(monkeypatch):
     # a compiled relabel that reads one binary digit twice changes the number
     # of sum inversions of some elements; the scan reports what a per-element
-    # evaluation through the same broken _relabel does
-    monkeypatch.setattr(correspondence, "_relabel_gather", lambda table: itemgetter(0, 1, 0))
+    # evaluation through the same broken relabels does
+    monkeypatch.setattr(correspondence, "_relabel_gather", lambda value_map, n: itemgetter(0, 1, 0))
     counts, result = _assert_scan_matches_reference(2, relabel=_module_relabel)
     assert counts["degree_fail"] > 0
     assert result["per_element_perms"] == 2
@@ -301,13 +300,13 @@ def test_from_pair_builds_at_most_one_relabel_table(monkeypatch):
     n = 3
     pairs = [(p.sym, p.ideal) for p in map(correspondence_pair, enumerate_group(n))]
     calls = []
-    real = correspondence._relabel_table
+    real = correspondence._relabel_gather
 
     def counted(value_map, rank):
         calls.append(value_map)
         return real(value_map, rank)
 
-    monkeypatch.setattr(correspondence, "_relabel_table", counted)
+    monkeypatch.setattr(correspondence, "_relabel_gather", counted)
     for sigma, psi in pairs:
         calls.clear()
         from_pair(sigma, psi)
@@ -393,7 +392,7 @@ def test_gather_relabel_matches_bit_by_bit(n):
         values = list(range(1, n + 1))
         rng.shuffle(values)
         value_map = (0, *values)
-        table = _relabel_table(value_map, n)
+        gather = _relabel_gather(value_map, n)
         for _ in range(20):
             mask = rng.getrandbits(n * n)
             expected = 0
@@ -401,7 +400,7 @@ def test_gather_relabel_matches_bit_by_bit(n):
                 if root.in_phi1 and mask >> b & 1:
                     i, j = sorted((value_map[root.i], value_map[root.j]))
                     expected |= 1 << index[long(i) if i == j else sum_root(i, j)]
-            assert _relabel(mask, table, n) == expected
+            assert correspondence._apply_relabel(gather, mask, n) == expected
 
 
 _FAILS = (
@@ -454,7 +453,7 @@ def test_passing_scan_checks_one_permutation_element_by_element():
 
 
 def test_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, capsys):
-    failing = _corrupt_rho_table(monkeypatch, (2, 3, 1))
+    failing = _corrupt_rho_gather(monkeypatch, (2, 3, 1))
     report = verify_bijection(3)
     failed = {r.check_id: r.detail for r in report.records if not r.passed}
     assert failed == {
@@ -467,11 +466,11 @@ def test_corrupt_rho_table_fails_the_support_identity(monkeypatch, tmp_path, cap
 
 def test_corrupt_rho_table_of_a_later_word_shows_in_its_witness_trace(monkeypatch, tmp_path):
     # the first permutation's element with this component has an ideal that
-    # the swapped entries do not touch, so the batch takes the component as
-    # defined and the scan passes; the table is checked where it runs, and
+    # the swapped roots do not touch, so the batch takes the component as
+    # defined and the scan passes; the relabel is checked where it runs, and
     # --witness of each failing element reports its support identity broken
     target = (2, 3, 4, 1)
-    failing = _corrupt_rho_table(monkeypatch, target)
+    failing = _corrupt_rho_gather(monkeypatch, target)
     assert verify_bijection(4).passed
     others = [w for w in enumerate_group(4) if sym_component(w).images == target]
     assert set(failing) < set(others)
@@ -482,29 +481,40 @@ def test_corrupt_rho_table_of_a_later_word_shows_in_its_witness_trace(monkeypatc
         assert doc["support_matches_inversions"] == (w not in failing)
 
 
-def _corrupt_rho_table(monkeypatch, target):
-    """Swap two entries of rho's relabel table for the symmetric component
-    target; returns the elements whose support identity then fails, in the
-    scan's witness order."""
+def _corrupt_rho_gather(monkeypatch, target):
+    """Make the compiled relabel of rho, the value map (0, *reversed(target)),
+    send each of the sums-plus-longs roots at indices 3 and 5 where the other
+    belongs.  For both targets used here the position map pi is an
+    involution, so pi equals rho; _sym_entry is patched to compile pi's
+    relabel with the real builder, so only relabelling an ideal back is wrong.
+    Returns the elements whose support identity then fails, in the scan's
+    witness order."""
     n = len(target)
     nd = n * (n - 1) // 2
-    real = correspondence._rho_table
+    rho_map = (0, *reversed(target))
+    real = correspondence._relabel_gather
 
-    def corrupted(word, rank):
-        table = list(real(word, rank))
-        if tuple(word) == target:
-            table[3], table[5] = table[5], table[3]
-        return tuple(table)
+    def corrupted(value_map, rank):
+        gather = real(value_map, rank)
+        if tuple(value_map) != rho_map:
+            return gather
+        last = rank * (rank + 1) // 2 - 1
+        swap = {last - 3: last - 5, last - 5: last - 3}
+        return itemgetter(*(swap.get(d, d) for d in gather(tuple(range(last + 1)))))
 
-    monkeypatch.setattr(correspondence, "_rho_table", corrupted)
+    def sym_entry(phi0, rank):
+        word = correspondence._word_from_inversion_mask(phi0, rank)
+        return word and (word, real(correspondence._position_map(word), rank))
+
+    monkeypatch.setattr(correspondence, "_relabel_gather", corrupted)
+    monkeypatch.setattr(correspondence, "_sym_entry", sym_entry)
     failing = []
     for w in enumerate_group(n):
         pair = correspondence_pair(w)
-        table = corrupted(pair.sym.images, n)
-        back = 0
-        for b in range(nd, n * n):
-            if pair.ideal.members.mask >> b & 1:
-                back |= 1 << (nd + table[b - nd])
+        ideal = pair.ideal.members.mask
+        if pair.sym.images == target and (ideal >> nd + 3 ^ ideal >> nd + 5) & 1:
+            ideal ^= 1 << nd + 3 | 1 << nd + 5  # the two roots trade places
+        back = _bitwise_relabel(ideal, (0, *reversed(pair.sym.images)), n)
         inv = inversion_set(w).mask
         if inv & ((1 << nd) - 1) | back != inv:
             failing.append(w)
@@ -641,21 +651,22 @@ def test_walked_mask_above_the_roots_relabels_only_its_sums_plus_longs(monkeypat
 
 def _module_relabel(mask, value_map, n):
     """The sums-plus-longs bits of mask relabelled through value_map by the
-    module's own _relabel, whatever gather it compiles."""
-    return _relabel(mask, _relabel_table(value_map, n), n)
+    module's own builder and apply step, whatever gather it compiles."""
+    return correspondence._apply_relabel(correspondence._relabel_gather(value_map, n), mask, n)
 
 
 def _reference(word, jmask, mask, n, relabel=_bitwise_relabel):
     """The per-element checks that fail for the walked element, each
-    evaluated on its own through the module's tables (_sym_entry, _recipes,
-    _closed_forms at the flipped positions P read off word and jmask), with
-    no memo, no batch and, by default, bit-by-bit relabels."""
+    evaluated on its own through the module's tables (_sym_entry and its
+    compiled relabel, _recipes, _closed_forms at the flipped positions P read
+    off word and jmask), with no memo, no batch and, by default, a
+    bit-by-bit relabel back through rho."""
     phi0 = mask & ((1 << (n * (n - 1) // 2)) - 1)
     entry = correspondence._sym_entry(phi0, n)
     if entry is None:
         return ["sym_fail"]
-    eta, pi = entry
-    xi = relabel(mask, pi, n)
+    eta, fwd = entry
+    xi = correspondence._apply_relabel(fwd, mask, n)
     if xi not in correspondence._recipes(n):
         return ["incr_fail"]
     failed = []
@@ -685,8 +696,8 @@ def _assert_scan_matches_reference(n, relabel=_bitwise_relabel):
         for key in failed:
             expected[key].append((word, jmask))
         if "construct_fail" in failed:
-            eta, pi = correspondence._sym_entry(mask & ((1 << (n * (n - 1) // 2)) - 1), n)
-            keys.add((eta, relabel(mask, pi, n)))
+            eta, fwd = correspondence._sym_entry(mask & ((1 << (n * (n - 1) // 2)) - 1), n)
+            keys.add((eta, correspondence._apply_relabel(fwd, mask, n)))
     result = correspondence._scan(n)
     counts = {key: len(items) for key, items in expected.items()}
     assert {key: result["counts"][key] for key in _FAILS} == counts
@@ -813,7 +824,7 @@ def test_distinct_pairs_count_the_walked_keys_under_a_row_fault(monkeypatch, n, 
     keys = set()
     for _word, _jmask, mask in _walked_elements(n):
         entry = correspondence._sym_entry(mask & phi0_all, n)
-        xi = entry and _bitwise_relabel(mask, entry[1], n)
+        xi = entry and _bitwise_relabel(mask, correspondence._position_map(entry[0]), n)
         if xi in correspondence._recipes(n):
             keys.add((entry[0], xi))
     if fault == "swapped":
@@ -901,7 +912,8 @@ def test_wrong_decoded_word_matches_a_per_element_evaluation(monkeypatch, n, pi_
         entry = real(phi0, rank)
         if entry is None or entry[0] != target:
             return entry
-        return wrong, correspondence._position_map(wrong if pi_of == "wrong" else target)
+        pi = correspondence._position_map(wrong if pi_of == "wrong" else target)
+        return wrong, correspondence._relabel_gather(pi, rank)
 
     monkeypatch.setattr(correspondence, "_sym_entry", corrupted)
     counts, result = _assert_scan_matches_reference(n)
@@ -995,8 +1007,9 @@ def test_sym_entry_whose_pi_is_not_its_position_map(monkeypatch, n):
         entry = real(phi0, rank)
         if entry is None or entry[0] != target:
             return entry
-        word, pi = entry
-        return word, (0, pi[2], pi[1], *pi[3:])
+        word = entry[0]
+        pi = correspondence._position_map(word)
+        return word, correspondence._relabel_gather((0, pi[2], pi[1], *pi[3:]), rank)
 
     monkeypatch.setattr(correspondence, "_sym_entry", corrupted)
     # the first permutation's element [-1,2,...,n] has that component and
@@ -1016,9 +1029,9 @@ def test_composite_relabel_is_the_identity_exactly_for_the_position_map(n):
     identity = tuple(range(n * (n + 1) // 2))
     words = list(itertools.permutations(range(1, n + 1)))
     for eta in words:
-        bwd = correspondence._rho_table(eta, n)
+        bwd = _relabel_gather((0, *reversed(eta)), n)
         for pi in words:
-            fixed = correspondence._gather(_relabel_table((0, *pi), n))(bwd) == identity
+            fixed = bwd(_relabel_gather((0, *pi), n)(identity)) == identity
             assert fixed == ((0, *pi) == correspondence._position_map(eta))
 
 
@@ -1027,13 +1040,14 @@ def test_decoder_and_relabel_tables_hold_on_every_eta(n):
     # a batch takes each element's symmetric component to be g_P(word), which
     # ranges over S_n, with its position map as pi; the decoder and the
     # tables that the element loop, from_pair and --witness use agree with
-    # that on every eta, up to the group cap
+    # that on every eta, up to the group cap.  A gather has no value
+    # equality, so each is compared by what it does to the digit positions
     identity = tuple(range(n * (n + 1) // 2))
     for eta in itertools.permutations(range(1, n + 1)):
-        pi = correspondence._position_map(eta)
-        assert correspondence._sym_entry(_perm_inversion_mask(eta, n), n) == (eta, pi)
-        rho = correspondence._rho_table(eta, n)
-        assert correspondence._gather(_relabel_table(pi, n))(rho) == identity
+        word, fwd = correspondence._sym_entry(_perm_inversion_mask(eta, n), n)
+        assert word == eta
+        assert fwd(identity) == _relabel_gather(correspondence._position_map(eta), n)(identity)
+        assert _relabel_gather((0, *reversed(eta)), n)(fwd(identity)) == identity
 
 
 def _reorder_the_roots(monkeypatch, reorder):
@@ -1177,20 +1191,21 @@ def test_first_permutation_keeps_no_relabel_entries_rank_12():
 
 def test_non_permutation_relabel_table_is_an_internal_error(monkeypatch, capsys):
     with pytest.raises(ConsistencyError):
-        _relabel_table((0, 1, 1, 3), 3)
+        _relabel_gather((0, 1, 1, 3), 3)
     with pytest.raises(ConsistencyError):
-        _relabel_table((0, 1, 2, 4), 3)
+        _relabel_gather((0, 1, 2, 4), 3)
     with pytest.raises(ConsistencyError):
-        _relabel_table((0, -2, 1, 3), 3)  # -2 must not read as 2
+        _relabel_gather((0, -2, 1, 3), 3)  # -2 must not read as 2
     with pytest.raises(ConsistencyError):
-        _relabel_table((0, 0, 1, 2), 3)  # the value 0 meets the grid's None row
+        _relabel_gather((0, 0, 1, 2), 3)  # the value 0 meets the grid's None row
     for value_map in [lambda n: (0,) + (1,) * n, lambda n: (0, 0, *range(1, n))]:
-        rho_table = lambda word, n, value_map=value_map: _relabel_table(value_map(n), n)
-        monkeypatch.setattr(correspondence, "_rho_table", rho_table)
+        bad = lambda _value_map, n, value_map=value_map: _relabel_gather(value_map(n), n)
+        monkeypatch.setattr(correspondence, "_relabel_gather", bad)
         assert main(["bijection", "--rank", "3"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert "permutes no sums-plus-longs of rank 3" in captured.err
 
 
 def test_trace_element_shape():

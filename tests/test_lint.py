@@ -1,4 +1,4 @@
-"""Fourteen source rules, checked with the standard library alone.
+"""Fifteen source rules, checked with the standard library alone.
 
 1. Every line of the package fits in 100 columns.
 2. Every name a module imports at top level is used in that module,
@@ -47,6 +47,9 @@
     type carries no method that only tests call.  Rule 4 still lets tests be
     a function's only reader.  A dunder is reached by syntax, not by name,
     so _DUNDERS lists the ones a command runs.
+15. A relabel has one builder: only correspondence._relabel_gather reads
+    the sums-plus-longs grid (_phi1_grid), and it compiles a value map
+    straight to the gather that the scan and the pairs module apply.
 """
 
 import ast
@@ -169,10 +172,18 @@ def test_every_function_class_and_method_is_referenced():
     assert unreferenced == [], f"defined and never referenced: {unreferenced}"
 
 
-# the dunders a command runs: Frozen's value protocol, construction, str of a
-# value in a report, len of a RootSet and the product of two IntPolynomials
-_DUNDERS = {"__eq__", "__hash__", "__repr__", "__reduce__", "__setattr__", "__delattr__"}
-_DUNDERS |= {"__init__", "__str__", "__len__", "__mul__"}
+# the dunders a command runs, each with its reason
+_DUNDERS = {
+    "__eq__",  # Frozen: equality by field, as in trace_element's closed_form_sym_agrees
+    "__hash__",  # Frozen: defining __eq__ alone would make a value unhashable
+    "__repr__",  # Frozen: also the str of a value type that defines no __str__
+    "__setattr__",  # Frozen: a field cannot be assigned once __init__ has set it
+    "__delattr__",  # Frozen: nor deleted
+    "__init__",  # construction, which validates the arguments
+    "__str__",  # a root, element or ideal written into a report or a message
+    "__len__",  # len of a RootSet
+    "__mul__",  # the product of two IntPolynomials
+}
 
 
 def _test_only_methods(modules: dict[str, str], runtime: list[str]) -> list[str]:
@@ -288,6 +299,10 @@ _RULES = {
 def test_rules_read_the_row_layout_and_references_read_the_root_index():
     assert _readers("_index_tables") == {"roots.py:_row_starts", *_REFERENCES}
     assert _readers("_row_starts") == _RULES
+
+
+def test_a_relabel_has_one_builder():
+    assert _readers("_phi1_grid") == {"correspondence.py:_relabel_gather"}
 
 
 def test_rules_read_no_root_objects_and_no_table_hashes_them():

@@ -115,7 +115,7 @@ def test_enumerated_histograms_match_formulas(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_verify_identities_passes(n):
-    report = verify_identities(n)
+    report = verify_identities(n, weyl_hist=weyl_length_histogram(n))
     assert report.passed
 
 
@@ -154,7 +154,7 @@ def test_verify_identities_with_injected_histogram():
 
 
 def test_verify_identities_detects_bad_betti():
-    report = verify_identities(2, include_betti_record=False)
+    report = verify_identities(2, weyl_hist=weyl_length_histogram(2), include_betti_record=False)
     poincare.add_betti_record(report, [1, 2, 3, 2, 1])
     assert not report.passed
     failed = [r.check_id for r in report.records if not r.passed]
